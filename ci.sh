@@ -79,6 +79,14 @@ echo "== sim core self-bench (events/sec) =="
 # below) and digest-checks every parallel row against the oracle.
 cargo bench -q --offline -p udma-bench --bench sim > /dev/null
 
+echo "== repository benchmark smoke (output checks) =="
+# Every workload of the end-to-end benchmark once, reduced: it verifies
+# each round's output (destination images, per-transfer records, the
+# cluster read-back against the posted payload) and exits non-zero on
+# any mismatch.
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload all --smoke \
+  > /dev/null
+
 echo "== clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

@@ -74,6 +74,9 @@ pub use measure::{
 pub use method::DmaMethod;
 pub use report::Table;
 pub use request::DmaRequest;
-pub use sharded::{ClusterConfig, ClusterDigest, ClusterSim, LogLine, NodeDigest, XferDigest};
+pub use sharded::{
+    AckEffect, ClusterConfig, ClusterDigest, ClusterSim, EventKind, LaunchWire, LogLine,
+    NodeDigest, XferDigest,
+};
 pub use trace_report::device_trace_report;
 pub use va::{emit_virt_dma, SwapRefused, VaMode, VirtDmaSetup};

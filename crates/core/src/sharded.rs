@@ -34,7 +34,7 @@ use udma_bus::SimTime;
 use udma_iommu::{Asid, Iommu, IotlbConfig, IotlbStats};
 use udma_mem::{Access, MemFault, Perms, PhysAddr, PhysMemory, VirtAddr, VirtPage, PAGE_SIZE};
 use udma_nic::{
-    crc32, CrashKind, CrashPlan, CrashStats, DstAnnouncement, Envelope, FaultPlan, FaultyLink,
+    CrashKind, CrashPlan, CrashStats, Crc32, DstAnnouncement, Envelope, FaultPlan, FaultyLink,
     HealthConfig, HealthState, HealthStats, LinkModel, NackVerdict, NetMsg, NodeLinkStats,
     PeerHealth, ReliabilityConfig, SendXfer, XferCounters, XferId, XferState,
 };
@@ -114,8 +114,8 @@ impl ClusterConfig {
 }
 
 /// One line of the differential event log: the processing node, the
-/// event's layout-invariant ordering key, and a rendered description.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// event's layout-invariant ordering key, and what happened.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LogLine {
     /// Simulated event time.
     pub at: SimTime,
@@ -125,8 +125,8 @@ pub struct LogLine {
     pub seq: u64,
     /// The node whose state the event touched.
     pub node: u32,
-    /// Human-readable event description.
-    pub what: String,
+    /// What the event did, rendered only on demand.
+    pub kind: EventKind,
 }
 
 impl std::fmt::Display for LogLine {
@@ -134,8 +134,268 @@ impl std::fmt::Display for LogLine {
         write!(
             f,
             "[{} src=n{} seq={}] node {}: {}",
-            self.at, self.src_node, self.seq, self.node, self.what
+            self.at, self.src_node, self.seq, self.node, self.kind
         )
+    }
+}
+
+/// How a chunk launch left the board.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LaunchWire {
+    /// The frame went out.
+    Ok,
+    /// The link layer's retry budget ran dry mid-chunk.
+    LinkFailed,
+    /// The sender's NI is hung: the launch was billed, no frame left.
+    HungNi,
+}
+
+/// What an ACK did to its transfer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AckEffect {
+    /// The last byte was acked.
+    Complete,
+    /// The next chunk launches.
+    NextChunk,
+    /// The ACK was for a stale chunk or a terminal transfer.
+    Stale,
+}
+
+/// One typed event of the differential log. Every variant is plain
+/// `Copy` data, so recording costs a push and a disabled log costs
+/// nothing; [`Display`](std::fmt::Display) renders the text form.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EventKind {
+    /// A scheduled launch found its transfer already terminal.
+    LaunchSkipped {
+        /// Posting index of the transfer.
+        index: u32,
+    },
+    /// A launch fell into the posting node's downtime.
+    LaunchOnDeadNode {
+        /// Posting index of the transfer.
+        index: u32,
+    },
+    /// The sender's detector holds the destination `Down`.
+    LaunchFailFast {
+        /// Posting index of the transfer.
+        index: u32,
+        /// The destination held `Down`.
+        dst: u32,
+    },
+    /// A chunk launched.
+    Launch {
+        /// The transfer.
+        xfer: XferId,
+        /// Destination node.
+        dst: u32,
+        /// When the chunk's frames arrive.
+        arrival: SimTime,
+        /// How the launch left the board.
+        wire: LaunchWire,
+    },
+    /// A node crashed.
+    Crash {
+        /// In-flight transfers of its own that died with it.
+        killed: u32,
+    },
+    /// A node's NI engine hung.
+    NiHang,
+    /// A node's fault service stalled.
+    FaultStall {
+        /// When NACK servicing resumes.
+        until: SimTime,
+    },
+    /// A node rebooted.
+    Reboot {
+        /// Its new incarnation.
+        inc: u64,
+    },
+    /// A hung NI resumed.
+    Unhang,
+    /// An ACK lease fired after progress: not a miss.
+    LeaseSuperseded {
+        /// Posting index of the transfer.
+        index: u32,
+    },
+    /// A lease miss tripped the detector.
+    LeaseDown {
+        /// Posting index of the transfer.
+        index: u32,
+        /// The peer now held `Down`.
+        peer: u32,
+        /// Transfers to that peer aborted.
+        aborted: u32,
+    },
+    /// A lease miss short of `Down`: the chunk relaunches.
+    LeaseRelaunch {
+        /// Posting index of the transfer.
+        index: u32,
+        /// The detector's state after the miss.
+        state: HealthState,
+    },
+    /// A probe timer found its peer no longer `Down`.
+    ProbeCancelled {
+        /// The probed peer.
+        peer: u32,
+    },
+    /// A probe went out to a `Down` peer.
+    Probe {
+        /// The probed peer.
+        peer: u32,
+        /// The detector's state when it fired.
+        state: HealthState,
+    },
+    /// A frame reached a dead or hung node.
+    FrameDropped,
+    /// A frame addressed to a previous incarnation of the receiver.
+    FencedForInc {
+        /// The incarnation the frame was stamped for.
+        sent_for: u64,
+        /// The receiver's incarnation.
+        current: u64,
+    },
+    /// A frame sent by a previous incarnation of its sender.
+    FencedStale {
+        /// The stale sender incarnation.
+        inc: u64,
+        /// The sender.
+        from: u32,
+    },
+    /// A destination range was announced.
+    Announce {
+        /// The announcing transfer.
+        xfer: XferId,
+        /// Range base.
+        va: VirtAddr,
+        /// Range length in bytes.
+        len: u64,
+    },
+    /// A data frame arrived with no accepted bytes.
+    DataEmpty {
+        /// The transfer.
+        xfer: XferId,
+        /// The chunk.
+        chunk: u32,
+    },
+    /// A chunk was deposited and acked.
+    Data {
+        /// The transfer.
+        xfer: XferId,
+        /// The chunk.
+        chunk: u32,
+        /// Bytes deposited.
+        accepted: u64,
+        /// Where they landed.
+        va: VirtAddr,
+    },
+    /// A chunk's deposit faulted and was NACKed after fault service.
+    DataNack {
+        /// The transfer.
+        xfer: XferId,
+        /// The chunk.
+        chunk: u32,
+        /// What the node OS's fault service did.
+        res: FaultResolution,
+    },
+    /// An ACK reached the sender.
+    Ack {
+        /// The transfer.
+        xfer: XferId,
+        /// The acked chunk.
+        chunk: u32,
+        /// What the ACK did.
+        effect: AckEffect,
+    },
+    /// A NACK reached the sender.
+    Nack {
+        /// The transfer.
+        xfer: XferId,
+        /// The NACKed chunk.
+        chunk: u32,
+        /// The sender's decision.
+        verdict: NackVerdict,
+    },
+    /// A Hello or Pong showed a peer in service.
+    Alive {
+        /// The peer.
+        peer: u32,
+        /// Its incarnation.
+        inc: u64,
+        /// Whether that incarnation is newer than the one known.
+        advanced: bool,
+    },
+    /// A probe arrived and was answered.
+    Ping {
+        /// The prober.
+        from: u32,
+    },
+}
+
+impl std::fmt::Display for EventKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            EventKind::LaunchSkipped { index } => write!(f, "launch {index} skipped"),
+            EventKind::LaunchOnDeadNode { index } => write!(f, "launch {index} on dead node"),
+            EventKind::LaunchFailFast { index, dst } => {
+                write!(f, "launch {index} fail-fast: n{dst} down")
+            }
+            EventKind::Launch { xfer, dst, arrival, wire } => {
+                let wire = match wire {
+                    LaunchWire::Ok => "ok",
+                    LaunchWire::LinkFailed => "link-failed",
+                    LaunchWire::HungNi => "hung-ni",
+                };
+                write!(f, "launch {xfer} -> n{dst} arriving {arrival} ({wire})")
+            }
+            EventKind::Crash { killed } => write!(f, "crash ({killed} own transfers died)"),
+            EventKind::NiHang => f.write_str("ni-hang"),
+            EventKind::FaultStall { until } => write!(f, "fault-service stall until {until}"),
+            EventKind::Reboot { inc } => write!(f, "reboot -> inc {inc}"),
+            EventKind::Unhang => f.write_str("unhang"),
+            EventKind::LeaseSuperseded { index } => write!(f, "lease {index} superseded"),
+            EventKind::LeaseDown { index, peer, aborted } => {
+                write!(f, "lease {index} miss: n{peer} down, {aborted} transfers aborted")
+            }
+            EventKind::LeaseRelaunch { index, state } => {
+                write!(f, "lease {index} miss ({state:?}): relaunch")
+            }
+            EventKind::ProbeCancelled { peer } => write!(f, "probe n{peer} cancelled"),
+            EventKind::Probe { peer, state } => write!(f, "probe n{peer} ({state:?})"),
+            EventKind::FrameDropped => f.write_str("frame dropped: node dead"),
+            EventKind::FencedForInc { sent_for, current } => {
+                write!(f, "fenced: for inc {sent_for} but node is inc {current}")
+            }
+            EventKind::FencedStale { inc, from } => {
+                write!(f, "fenced: stale inc {inc} from n{from}")
+            }
+            EventKind::Announce { xfer, va, len } => write!(f, "announce {xfer} [{va}, +{len}B]"),
+            EventKind::DataEmpty { xfer, chunk } => write!(f, "data {xfer} chunk {chunk} empty"),
+            EventKind::Data { xfer, chunk, accepted, va } => {
+                write!(f, "data {xfer} chunk {chunk} +{accepted}B @ {va}")
+            }
+            EventKind::DataNack { xfer, chunk, res } => {
+                let fate =
+                    if res == FaultResolution::Unresolvable { "fatal" } else { "resolvable" };
+                write!(f, "data {xfer} chunk {chunk} nack {res:?} ({fate})")
+            }
+            EventKind::Ack { xfer, chunk, effect } => {
+                let effect = match effect {
+                    AckEffect::Complete => "complete",
+                    AckEffect::NextChunk => "next chunk",
+                    AckEffect::Stale => "stale",
+                };
+                write!(f, "ack {xfer} chunk {chunk} ({effect})")
+            }
+            EventKind::Nack { xfer, chunk, verdict } => {
+                write!(f, "nack {xfer} chunk {chunk} -> {verdict:?}")
+            }
+            EventKind::Alive { peer, inc, advanced } => {
+                let new = if advanced { " (new)" } else { "" };
+                write!(f, "n{peer} alive at inc {inc}{new}")
+            }
+            EventKind::Ping { from } => write!(f, "ping from n{from}"),
+        }
     }
 }
 
@@ -402,9 +662,9 @@ impl Shard {
         node as usize % self.num_shards
     }
 
-    fn log_event(&mut self, at: SimTime, src_node: u32, seq: u64, node: u32, what: String) {
+    fn log_event(&mut self, at: SimTime, src_node: u32, seq: u64, node: u32, kind: EventKind) {
         if let Some(log) = &mut self.log {
-            log.push(LogLine { at, src_node, seq, node, what });
+            log.push(LogLine { at, src_node, seq, node, kind });
         }
     }
 
@@ -431,7 +691,7 @@ impl Shard {
         let x = &mut n.xfers[index as usize];
         if x.state().terminal() {
             // A retry raced a link failure; nothing to send.
-            self.log_event(at, src_node, seq, node, format!("launch {} skipped", index));
+            self.log_event(at, src_node, seq, node, EventKind::LaunchSkipped { index });
             return;
         }
         let dst_shard = x.dst_node as usize % self.num_shards;
@@ -442,7 +702,7 @@ impl Shard {
             if !n.up {
                 let x = &mut n.xfers[index as usize];
                 x.abort_node_down(at);
-                self.log_event(at, src_node, seq, node, format!("launch {} on dead node", index));
+                self.log_event(at, src_node, seq, node, EventKind::LaunchOnDeadNode { index });
                 return;
             }
             // Fail fast while this sender's detector holds the
@@ -451,13 +711,8 @@ impl Shard {
             if !n.peers.entry(dst_node).or_default().admit() {
                 let x = &mut n.xfers[index as usize];
                 x.abort_node_down(at);
-                self.log_event(
-                    at,
-                    src_node,
-                    seq,
-                    node,
-                    format!("launch {} fail-fast: n{} down", index, dst_node),
-                );
+                let kind = EventKind::LaunchFailFast { index, dst: dst_node };
+                self.log_event(at, src_node, seq, node, kind);
                 return;
             }
         }
@@ -489,19 +744,14 @@ impl Shard {
         let (msg, arrival) =
             n.xfers[index as usize].launch_chunk(at, &self.link, &self.rel, n.chaos.as_mut());
         let x = &n.xfers[index as usize];
-        let what = format!(
-            "launch {} -> n{} arriving {} ({})",
-            x.id,
-            dst_node,
-            arrival,
-            if x.state() == XferState::LinkFailed {
-                "link-failed"
-            } else if hung {
-                "hung-ni"
-            } else {
-                "ok"
-            }
-        );
+        let wire = if x.state() == XferState::LinkFailed {
+            LaunchWire::LinkFailed
+        } else if hung {
+            LaunchWire::HungNi
+        } else {
+            LaunchWire::Ok
+        };
+        let kind = EventKind::Launch { xfer: x.id, dst: dst_node, arrival, wire };
         let launches = x.counters.launches;
         let env = Envelope { src_node: node, dst_node, seq: n.seq, src_inc, dst_inc, msg };
         n.seq += 1;
@@ -525,7 +775,7 @@ impl Shard {
                 work: Work::Lease { node, index, snapshot: launches },
             }));
         }
-        self.log_event(at, src_node, seq, node, what);
+        self.log_event(at, src_node, seq, node, kind);
     }
 
     /// A scripted failure strikes `node`.
@@ -538,7 +788,7 @@ impl Shard {
         until: Option<SimTime>,
     ) {
         let n = self.nodes.get_mut(&node).expect("crash on foreign node");
-        let what = match kind {
+        let event = match kind {
             CrashKind::Crash => {
                 n.up = false;
                 n.hung = false;
@@ -557,27 +807,27 @@ impl Shard {
                         killed += 1;
                     }
                 }
-                format!("crash ({} own transfers died)", killed)
+                EventKind::Crash { killed }
             }
             CrashKind::NiHang => {
                 n.hung = true;
                 n.crash.hangs += 1;
-                "ni-hang".to_string()
+                EventKind::NiHang
             }
             CrashKind::FaultStall => {
                 n.crash.stalls += 1;
                 n.stall_until = until.unwrap_or(at);
-                format!("fault-service stall until {}", n.stall_until)
+                EventKind::FaultStall { until: n.stall_until }
             }
         };
-        self.log_event(at, node, seq, node, what);
+        self.log_event(at, node, seq, node, event);
     }
 
     /// A scripted recovery: reboot (new incarnation, ledger replay,
     /// Hello broadcast) or hang end (same incarnation, Hello broadcast).
     fn dispatch_recover(&mut self, at: SimTime, seq: u64, node: u32, kind: CrashKind) {
         let n = self.nodes.get_mut(&node).expect("recover on foreign node");
-        let what = match kind {
+        let event = match kind {
             CrashKind::Crash => {
                 if n.up {
                     // Overlapping crash windows merged: an earlier reboot
@@ -614,7 +864,7 @@ impl Shard {
                         .expect("re-pinning a replayed range into a fresh IOMMU");
                     n.crash.repins += 1;
                 }
-                format!("reboot -> inc {}", n.inc)
+                EventKind::Reboot { inc: n.inc }
             }
             CrashKind::NiHang => {
                 if !n.up {
@@ -623,7 +873,7 @@ impl Shard {
                     return;
                 }
                 n.hung = false;
-                "unhang".to_string()
+                EventKind::Unhang
             }
             // Stall ends are data (`stall_until`), not events.
             CrashKind::FaultStall => return,
@@ -648,7 +898,7 @@ impl Shard {
             };
             self.tx[peer as usize % self.num_shards].send(at, env);
         }
-        self.log_event(at, node, seq, node, what);
+        self.log_event(at, node, seq, node, event);
     }
 
     /// An ACK lease fired: decide whether it was a miss, and what the
@@ -659,7 +909,7 @@ impl Shard {
         if x.state().terminal() || x.counters.launches != snapshot {
             // An ACK, NACK or relaunch moved the transfer since this
             // lease was armed — not a miss.
-            self.log_event(at, node, seq, node, format!("lease {} superseded", index));
+            self.log_event(at, node, seq, node, EventKind::LeaseSuperseded { index });
             return;
         }
         let dst = x.dst_node;
@@ -684,13 +934,8 @@ impl Shard {
                     work: Work::Probe { node, peer: dst },
                 }));
             }
-            self.log_event(
-                at,
-                node,
-                seq,
-                node,
-                format!("lease {} miss: n{} down, {} transfers aborted", index, dst, killed),
-            );
+            let kind = EventKind::LeaseDown { index, peer: dst, aborted: killed };
+            self.log_event(at, node, seq, node, kind);
         } else {
             // Suspect (or still counting): go-back-N resends the unacked
             // chunk; the relaunch arms the next lease.
@@ -701,13 +946,7 @@ impl Shard {
                 seq: launch_seq,
                 work: Work::Launch { node, index },
             }));
-            self.log_event(
-                at,
-                node,
-                seq,
-                node,
-                format!("lease {} miss ({:?}): relaunch", index, state),
-            );
+            self.log_event(at, node, seq, node, EventKind::LeaseRelaunch { index, state });
         }
     }
 
@@ -720,7 +959,7 @@ impl Shard {
         }
         let state = n.peers.get(&peer).map_or(HealthState::Up, |p| p.state());
         if state != HealthState::Down {
-            self.log_event(at, node, seq, node, format!("probe n{} cancelled", peer));
+            self.log_event(at, node, seq, node, EventKind::ProbeCancelled { peer });
             return;
         }
         let env = Envelope {
@@ -748,7 +987,7 @@ impl Shard {
                 work: Work::Probe { node, peer },
             }));
         }
-        self.log_event(at, node, seq, node, format!("probe n{} ({:?})", peer, state));
+        self.log_event(at, node, seq, node, EventKind::Probe { peer, state });
     }
 
     fn dispatch_net(&mut self, at: SimTime, seq: u64, env: Envelope) {
@@ -758,7 +997,7 @@ impl Shard {
             // A dead or hung node hears nothing; the frame evaporates.
             if !n.up || n.hung {
                 n.crash.dropped_down += 1;
-                self.log_event(at, src_node, seq, dst_node, "frame dropped: node dead".into());
+                self.log_event(at, src_node, seq, dst_node, EventKind::FrameDropped);
                 return;
             }
             if msg.stateful() {
@@ -769,25 +1008,14 @@ impl Shard {
                 // they are how epochs propagate.
                 if dst_inc != n.inc {
                     n.crash.fenced += 1;
-                    let inc = n.inc;
-                    self.log_event(
-                        at,
-                        src_node,
-                        seq,
-                        dst_node,
-                        format!("fenced: for inc {} but node is inc {}", dst_inc, inc),
-                    );
+                    let kind = EventKind::FencedForInc { sent_for: dst_inc, current: n.inc };
+                    self.log_event(at, src_node, seq, dst_node, kind);
                     return;
                 }
                 if n.peers.entry(src_node).or_default().note_epoch(src_inc) {
                     n.crash.fenced += 1;
-                    self.log_event(
-                        at,
-                        src_node,
-                        seq,
-                        dst_node,
-                        format!("fenced: stale inc {} from n{}", src_inc, src_node),
-                    );
+                    let kind = EventKind::FencedStale { inc: src_inc, from: src_node };
+                    self.log_event(at, src_node, seq, dst_node, kind);
                     return;
                 }
             }
@@ -796,13 +1024,8 @@ impl Shard {
             NetMsg::Announce { xfer, ann } => {
                 let n = self.nodes.get_mut(&dst_node).expect("announce to foreign node");
                 n.announced.insert(xfer, ann);
-                self.log_event(
-                    at,
-                    src_node,
-                    seq,
-                    dst_node,
-                    format!("announce {} [{}, +{}B]", xfer, ann.va, ann.len),
-                );
+                let kind = EventKind::Announce { xfer, va: ann.va, len: ann.len };
+                self.log_event(at, src_node, seq, dst_node, kind);
             }
             NetMsg::Data { xfer, chunk, asid, va, bytes, outcome } => {
                 let n = self.nodes.get_mut(&dst_node).expect("data to foreign node");
@@ -820,7 +1043,7 @@ impl Shard {
                         src_node,
                         seq,
                         dst_node,
-                        format!("data {} chunk {} empty", xfer, chunk),
+                        EventKind::DataEmpty { xfer, chunk },
                     );
                     return;
                 }
@@ -841,13 +1064,8 @@ impl Shard {
                         n.seq += 1;
                         let back = self.shard_of(src_node);
                         self.tx[back].send(at, env);
-                        self.log_event(
-                            at,
-                            src_node,
-                            seq,
-                            dst_node,
-                            format!("data {} chunk {} +{}B @ {}", xfer, chunk, accepted, va),
-                        );
+                        let kind = EventKind::Data { xfer, chunk, accepted, va };
+                        self.log_event(at, src_node, seq, dst_node, kind);
                     }
                     Err(fault) => {
                         n.nacks_raised += 1;
@@ -881,19 +1099,8 @@ impl Shard {
                             service_at + cost + self.link.latency(),
                             env,
                         );
-                        self.log_event(
-                            at,
-                            src_node,
-                            seq,
-                            dst_node,
-                            format!(
-                                "data {} chunk {} nack {:?} ({})",
-                                xfer,
-                                chunk,
-                                res,
-                                if resolvable { "resolvable" } else { "fatal" }
-                            ),
-                        );
+                        let kind = EventKind::DataNack { xfer, chunk, res };
+                        self.log_event(at, src_node, seq, dst_node, kind);
                     }
                 }
             }
@@ -909,18 +1116,13 @@ impl Shard {
                 let x = &mut n.xfers[xfer.index as usize];
                 let done = x.on_ack(chunk, accepted, at);
                 let more = !x.state().terminal();
-                let what = format!(
-                    "ack {} chunk {} ({})",
-                    xfer,
-                    chunk,
-                    if done {
-                        "complete"
-                    } else if more {
-                        "next chunk"
-                    } else {
-                        "stale"
-                    }
-                );
+                let effect = if done {
+                    AckEffect::Complete
+                } else if more {
+                    AckEffect::NextChunk
+                } else {
+                    AckEffect::Stale
+                };
                 if more {
                     let launch_seq = n.next_seq();
                     self.queue.push(Reverse(Ordered {
@@ -930,7 +1132,7 @@ impl Shard {
                         work: Work::Launch { node: dst_node, index: xfer.index },
                     }));
                 }
-                self.log_event(at, src_node, seq, dst_node, what);
+                self.log_event(at, src_node, seq, dst_node, EventKind::Ack { xfer, chunk, effect });
             }
             NetMsg::Nack { xfer, chunk, resolvable, .. } => {
                 let n = self.nodes.get_mut(&dst_node).expect("nack to foreign node");
@@ -940,7 +1142,6 @@ impl Shard {
                 }
                 let x = &mut n.xfers[xfer.index as usize];
                 let verdict = x.on_nack(chunk, resolvable, at, &self.rel.retry);
-                let what = format!("nack {} chunk {} -> {:?}", xfer, chunk, verdict);
                 if let NackVerdict::Retry(when) = verdict {
                     let launch_seq = n.next_seq();
                     self.queue.push(Reverse(Ordered {
@@ -950,7 +1151,8 @@ impl Shard {
                         work: Work::Launch { node: dst_node, index: xfer.index },
                     }));
                 }
-                self.log_event(at, src_node, seq, dst_node, what);
+                let kind = EventKind::Nack { xfer, chunk, verdict };
+                self.log_event(at, src_node, seq, dst_node, kind);
             }
             NetMsg::Hello { inc } | NetMsg::Pong { inc } => {
                 self.on_peer_alive(at, seq, src_node, dst_node, inc);
@@ -968,7 +1170,7 @@ impl Shard {
                 };
                 let back = self.shard_of(src_node);
                 self.tx[back].send(at, env);
-                self.log_event(at, src_node, seq, dst_node, format!("ping from n{}", src_node));
+                self.log_event(at, src_node, seq, dst_node, EventKind::Ping { from: src_node });
             }
         }
     }
@@ -1008,13 +1210,8 @@ impl Shard {
                 work: Work::Launch { node: dst_node, index },
             }));
         }
-        self.log_event(
-            at,
-            src_node,
-            seq,
-            dst_node,
-            format!("n{} alive at inc {}{}", src_node, inc, if advanced { " (new)" } else { "" }),
-        );
+        let kind = EventKind::Alive { peer: src_node, inc, advanced };
+        self.log_event(at, src_node, seq, dst_node, kind);
     }
 }
 
@@ -1383,11 +1580,13 @@ impl ClusterSim {
         self.node_ref(node).mem.read_bytes(pa, buf)
     }
 
-    /// Translates `(asid, va)` on `node`'s IOMMU without counting stats
-    /// (test inspection of where a deposit landed).
-    pub fn probe(&mut self, node: u32, asid: Asid, va: VirtAddr) -> Option<PhysAddr> {
-        let n = self.node_mut(node);
-        n.iommu.probe(asid, va.page(), Access::Read).map(|frame| frame.base() + va.page_offset())
+    /// Translates `(asid, va)` through `node`'s resident IOTLB entries
+    /// without counting stats or touching replacement state (test
+    /// inspection of where a deposit landed): probing leaves
+    /// [`digest`](Self::digest) unchanged.
+    pub fn probe(&self, node: u32, asid: Asid, va: VirtAddr) -> Option<PhysAddr> {
+        let n = self.node_ref(node);
+        n.iommu.peek(asid, va.page(), Access::Read).map(|frame| frame.base() + va.page_offset())
     }
 
     /// The digest of one transfer.
@@ -1436,36 +1635,47 @@ impl ClusterSim {
             }
         }
         let mut log: Vec<LogLine> =
-            self.shards.iter().filter_map(|s| s.log.as_ref()).flatten().cloned().collect();
-        log.sort();
+            self.shards.iter().filter_map(|s| s.log.as_ref()).flatten().copied().collect();
+        // `(src_node, seq)` names exactly one event, so this key is a
+        // total order and the merge is independent of the shard layout.
+        log.sort_unstable_by_key(|l| (l.at, l.src_node, l.seq, l.node));
         ClusterDigest { nodes, xfers, events: self.report.events, rounds: self.report.rounds, log }
     }
 }
 
-/// Deterministic per-transfer payload pattern (seeded xoshiro stream).
+/// Deterministic per-transfer payload pattern: the seeded xoshiro
+/// stream's words, little-endian, cut to `len` bytes. Words are
+/// generated a 64-byte block at a time into a stack buffer and appended,
+/// so the heap buffer is written once (a zero-filled `vec!` would cost
+/// a second pass over every payload byte).
 fn pattern_bytes(id: XferId, len: u64) -> Vec<u8> {
     let seed = 0xDA7A_5EED_0000_0000 ^ (u64::from(id.node) << 20) ^ u64::from(id.index);
     let mut rng = TestRng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(len as usize);
-    while (out.len() as u64) < len {
-        out.extend_from_slice(&rng.next_u64().to_le_bytes());
+    let len = len as usize;
+    let mut block = [0u8; 64];
+    let mut out = Vec::with_capacity(len.next_multiple_of(block.len()));
+    while out.len() < len {
+        for w in block.chunks_exact_mut(8) {
+            w.copy_from_slice(&rng.next_u64().to_le_bytes());
+        }
+        out.extend_from_slice(&block);
     }
-    out.truncate(len as usize);
+    out.truncate(len);
     out
 }
 
-/// CRC-32 over a node's entire memory, read in page-sized strides.
+/// CRC-32 over a node's entire memory, streamed a page at a time.
 fn mem_crc(mem: &PhysMemory) -> u32 {
     let mut buf = vec![0u8; PAGE_SIZE as usize];
-    let mut all = Vec::with_capacity(mem.size() as usize);
+    let mut crc = Crc32::new();
     let mut pa = 0u64;
     while pa < mem.size() {
         let take = (mem.size() - pa).min(PAGE_SIZE) as usize;
         mem.read_bytes(PhysAddr::new(pa), &mut buf[..take]).expect("in range");
-        all.extend_from_slice(&buf[..take]);
+        crc.update(&buf[..take]);
         pa += take as u64;
     }
-    crc32(&all)
+    crc.finish()
 }
 
 #[cfg(test)]
@@ -1535,6 +1745,110 @@ mod tests {
         let id = sim.post(0, 1, 99, VirtAddr::new(DST_VA), PAGE_SIZE, SimTime::ZERO);
         sim.run();
         assert_eq!(sim.xfer(id).state, XferState::Failed);
+    }
+
+    /// The payload pattern is part of every pinned memory CRC: it must
+    /// stay byte-identical, including the partial last word.
+    #[test]
+    fn pattern_payload_is_pinned() {
+        let crc = |node, index, len| {
+            udma_nic::crc32(&ClusterSim::expected_payload(XferId { node, index }, len))
+        };
+        assert_eq!(crc(0, 0, 5000), 0x9812_CBC1);
+        assert_eq!(crc(3, 17, 8192), 0x7AD1_D646);
+        let long = ClusterSim::expected_payload(XferId { node: 1, index: 2 }, 21);
+        assert_eq!(ClusterSim::expected_payload(XferId { node: 1, index: 2 }, 13), long[..13]);
+    }
+
+    /// Every event kind renders the text the string log used to carry.
+    #[test]
+    fn event_kinds_render_the_legacy_text() {
+        let xfer = XferId { node: 2, index: 5 };
+        let at = SimTime::from_us(7);
+        let cases = [
+            (EventKind::LaunchSkipped { index: 3 }, "launch 3 skipped"),
+            (EventKind::LaunchOnDeadNode { index: 3 }, "launch 3 on dead node"),
+            (EventKind::LaunchFailFast { index: 3, dst: 4 }, "launch 3 fail-fast: n4 down"),
+            (
+                EventKind::Launch { xfer, dst: 4, arrival: at, wire: LaunchWire::Ok },
+                "launch n2.x5 -> n4 arriving 7.000us (ok)",
+            ),
+            (
+                EventKind::Launch { xfer, dst: 4, arrival: at, wire: LaunchWire::LinkFailed },
+                "launch n2.x5 -> n4 arriving 7.000us (link-failed)",
+            ),
+            (
+                EventKind::Launch { xfer, dst: 4, arrival: at, wire: LaunchWire::HungNi },
+                "launch n2.x5 -> n4 arriving 7.000us (hung-ni)",
+            ),
+            (EventKind::Crash { killed: 2 }, "crash (2 own transfers died)"),
+            (EventKind::NiHang, "ni-hang"),
+            (EventKind::FaultStall { until: at }, "fault-service stall until 7.000us"),
+            (EventKind::Reboot { inc: 1 }, "reboot -> inc 1"),
+            (EventKind::Unhang, "unhang"),
+            (EventKind::LeaseSuperseded { index: 3 }, "lease 3 superseded"),
+            (
+                EventKind::LeaseDown { index: 3, peer: 4, aborted: 2 },
+                "lease 3 miss: n4 down, 2 transfers aborted",
+            ),
+            (
+                EventKind::LeaseRelaunch { index: 3, state: HealthState::Suspect },
+                "lease 3 miss (Suspect): relaunch",
+            ),
+            (EventKind::ProbeCancelled { peer: 4 }, "probe n4 cancelled"),
+            (EventKind::Probe { peer: 4, state: HealthState::Down }, "probe n4 (Down)"),
+            (EventKind::FrameDropped, "frame dropped: node dead"),
+            (
+                EventKind::FencedForInc { sent_for: 0, current: 1 },
+                "fenced: for inc 0 but node is inc 1",
+            ),
+            (EventKind::FencedStale { inc: 0, from: 4 }, "fenced: stale inc 0 from n4"),
+            (
+                EventKind::Announce { xfer, va: VirtAddr::new(0x20000), len: 9 },
+                "announce n2.x5 [0x20000, +9B]",
+            ),
+            (EventKind::DataEmpty { xfer, chunk: 1 }, "data n2.x5 chunk 1 empty"),
+            (
+                EventKind::Data { xfer, chunk: 1, accepted: 9, va: VirtAddr::new(0x20000) },
+                "data n2.x5 chunk 1 +9B @ 0x20000",
+            ),
+            (
+                EventKind::DataNack { xfer, chunk: 1, res: FaultResolution::Unresolvable },
+                "data n2.x5 chunk 1 nack Unresolvable (fatal)",
+            ),
+            (
+                EventKind::DataNack { xfer, chunk: 1, res: FaultResolution::Mapped },
+                "data n2.x5 chunk 1 nack Mapped (resolvable)",
+            ),
+            (
+                EventKind::Ack { xfer, chunk: 1, effect: AckEffect::Complete },
+                "ack n2.x5 chunk 1 (complete)",
+            ),
+            (
+                EventKind::Ack { xfer, chunk: 1, effect: AckEffect::NextChunk },
+                "ack n2.x5 chunk 1 (next chunk)",
+            ),
+            (
+                EventKind::Ack { xfer, chunk: 1, effect: AckEffect::Stale },
+                "ack n2.x5 chunk 1 (stale)",
+            ),
+            (
+                EventKind::Nack { xfer, chunk: 1, verdict: NackVerdict::Abort },
+                "nack n2.x5 chunk 1 -> Abort",
+            ),
+            (
+                EventKind::Nack { xfer, chunk: 1, verdict: NackVerdict::Retry(at) },
+                "nack n2.x5 chunk 1 -> Retry(SimTime(7.000us))",
+            ),
+            (EventKind::Alive { peer: 4, inc: 1, advanced: true }, "n4 alive at inc 1 (new)"),
+            (EventKind::Alive { peer: 4, inc: 0, advanced: false }, "n4 alive at inc 0"),
+            (EventKind::Ping { from: 4 }, "ping from n4"),
+        ];
+        for (kind, want) in cases {
+            assert_eq!(kind.to_string(), want, "{kind:?}");
+        }
+        let line = LogLine { at, src_node: 2, seq: 9, node: 4, kind: EventKind::NiHang };
+        assert_eq!(line.to_string(), "[7.000us src=n2 seq=9] node 4: ni-hang");
     }
 
     #[test]

@@ -230,15 +230,23 @@ impl Iotlb {
         Some((hit.frame, hit.perms))
     }
 
-    /// Pure residency check: no counters, no LRU touch, no flag
-    /// retirement. The prefetcher uses this to skip pages that are
-    /// already cached with sufficient permissions.
-    pub fn contains(&self, asid: Asid, page: VirtPage, needed: Perms) -> bool {
+    /// Read-only lookup: the resident line for `(asid, page)` if it
+    /// allows `needed`, with no counters, no LRU touch and no flag
+    /// retirement — inspection that leaves the IOTLB exactly as it was.
+    pub fn peek(&self, asid: Asid, page: VirtPage, needed: Perms) -> Option<(PhysFrame, Perms)> {
         let idx = self.set_index(asid, page);
         self.sets[idx]
             .iter()
             .flatten()
-            .any(|l| l.asid == asid && l.page == page && l.perms.allows(needed))
+            .find(|l| l.asid == asid && l.page == page && l.perms.allows(needed))
+            .map(|l| (l.frame, l.perms))
+    }
+
+    /// Pure residency check ([`Iotlb::peek`] without the frame). The
+    /// prefetcher uses this to skip pages that are already cached with
+    /// sufficient permissions.
+    pub fn contains(&self, asid: Asid, page: VirtPage, needed: Perms) -> bool {
+        self.peek(asid, page, needed).is_some()
     }
 
     /// Fills a translation, evicting within the set per the replacement

@@ -179,6 +179,13 @@ impl Iommu {
         self.tlb.probe(asid, page, access.required_perms()).map(|(frame, _)| frame)
     }
 
+    /// The frame a resident IOTLB entry maps `page` to, read without
+    /// counting a hit or miss and without touching replacement state
+    /// (inspection only; see [`Iotlb::peek`]).
+    pub fn peek(&self, asid: Asid, page: VirtPage, access: Access) -> Option<PhysFrame> {
+        self.tlb.peek(asid, page, access.required_perms()).map(|(frame, _)| frame)
+    }
+
     /// Walks the I/O page table ahead of the streaming cursor and
     /// prefills the IOTLB for every page of `[va, va + len)` not
     /// already cached with permissions sufficient for `access`.

@@ -19,18 +19,86 @@ use udma_testkit::TestRng;
 /// CRC-32 (IEEE 802.3, reflected, init/xorout `0xFFFF_FFFF`) — the
 /// frame checksum the receiver verifies before acking anything.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let lsb = crc & 1;
-            crc >>= 1;
-            if lsb != 0 {
-                crc ^= 0xEDB8_8320;
-            }
+    let mut h = Crc32::new();
+    h.update(data);
+    h.finish()
+}
+
+/// Slicing-by-8 lookup tables for the reflected polynomial
+/// `0xEDB8_8320`: `CRC_TABLES[0]` is the classic byte table, and
+/// `CRC_TABLES[k][b]` advances byte `b` through `k` further zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            bit += 1;
         }
+        t[0][i] = crc;
+        i += 1;
     }
-    !crc
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// Incremental [`crc32`]: feeding a buffer in any split yields the same
+/// value as hashing it whole, so large images (a node's memory) hash
+/// page by page without being copied into one buffer first.
+#[derive(Clone, Copy, Debug)]
+pub struct Crc32 {
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32::new()
+    }
+}
+
+impl Crc32 {
+    /// A hasher over the empty message.
+    pub fn new() -> Self {
+        Crc32 { state: 0xFFFF_FFFF }
+    }
+
+    /// Appends `data` to the hashed message.
+    pub fn update(&mut self, data: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut crc = self.state;
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][w[4] as usize]
+                ^ t[2][w[5] as usize]
+                ^ t[1][w[6] as usize]
+                ^ t[0][w[7] as usize];
+        }
+        for &byte in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
+        }
+        self.state = crc;
+    }
+
+    /// The CRC of everything fed so far.
+    pub fn finish(&self) -> u32 {
+        !self.state
+    }
 }
 
 /// A scripted outage: every data frame whose global transmission index
@@ -362,32 +430,40 @@ pub struct DeliveryOutcome {
     pub completed: bool,
 }
 
-/// Carries `data` across the chaos link with go-back-N: frames of
-/// [`ReliabilityConfig::mtu`] bytes, sequence numbers, CRC-32, a
-/// cumulative ACK per window round, NACK-accelerated recovery on CRC
+/// Carries a `len`-byte payload across the chaos link with go-back-N:
+/// frames of [`ReliabilityConfig::mtu`] bytes, sequence numbers, CRC-32,
+/// a cumulative ACK per window round, NACK-accelerated recovery on CRC
 /// failure, retransmit on timeout with exponential backoff, bounded by
-/// the retry budget. Returns the outcome and the bytes the receiver
-/// accepted — always a contiguous in-order prefix of `data`.
+/// the retry budget. The bytes the receiver accepted are always a
+/// contiguous in-order prefix of the payload, so the outcome's
+/// `delivered` length names them exactly: the caller deposits
+/// `&payload[..delivered]` straight from its own buffer.
 ///
 /// Timing: the elapsed time is `link.transfer_time(wire_bytes)` plus
 /// the accumulated stalls, so a run in which nothing goes wrong costs
-/// *exactly* `link.transfer_time(data.len())` — the reliability layer
-/// adds zero `SimTime` until the link actually faults.
+/// *exactly* `link.transfer_time(len)` — the reliability layer adds
+/// zero `SimTime` until the link actually faults.
 pub fn deliver(
     link: &LinkModel,
     rel: &ReliabilityConfig,
     faulty: &mut FaultyLink,
-    data: &[u8],
-) -> (DeliveryOutcome, Vec<u8>) {
+    len: u64,
+) -> DeliveryOutcome {
+    let len = len as usize;
     let mtu = rel.mtu.max(1) as usize;
-    let nframes = data.len().div_ceil(mtu);
+    let nframes = len.div_ceil(mtu);
     let window = rel.window.max(1) as usize;
-    let mut out = Vec::with_capacity(data.len());
     let mut o = DeliveryOutcome::default();
     let mut sender_base = 0usize; // frames the sender knows are acked
     let mut next_expected = 0usize; // receiver's in-order progress
-    let mut sent_once = vec![false; nframes];
+
+    // Windows start at the acked base and only move forward, so a frame
+    // was sent before exactly when it lies below the highest window end.
+    let mut sent_hi = 0usize;
     let mut retries = 0u32;
+    // One arrival buffer for every window round (a duplicated frame
+    // arrives twice).
+    let mut arrivals: Vec<(usize, bool)> = Vec::with_capacity(2 * window);
 
     while sender_base < nframes {
         if retries > rel.retry.max_retries {
@@ -396,20 +472,17 @@ pub fn deliver(
         let end = (sender_base + window).min(nframes);
 
         // Transmit the window; the chaos link decides each frame's fate.
-        // An arrival is (seq, crc_ok): payload bytes are reconstructed
-        // from `data` on in-order accept, and a corrupted frame is one
-        // whose recomputed CRC cannot match its header.
-        let mut arrivals: Vec<(usize, bool)> = Vec::with_capacity(end - sender_base + 1);
+        // An arrival is (seq, crc_ok): a corrupted frame is one whose
+        // recomputed CRC cannot match its header.
+        arrivals.clear();
         let mut swap_with_next: Option<usize> = None;
-        for (seq, sent) in sent_once.iter_mut().enumerate().take(end).skip(sender_base) {
+        for seq in sender_base..end {
             let lo = seq * mtu;
-            let len = (data.len() - lo).min(mtu) as u64;
-            o.wire_bytes += len;
+            let frame_len = (len - lo).min(mtu) as u64;
+            o.wire_bytes += frame_len;
             o.frames_sent += 1;
-            if *sent {
+            if seq < sent_hi {
                 o.retransmits += 1;
-            } else {
-                *sent = true;
             }
             let mut push = |arrivals: &mut Vec<(usize, bool)>, a: (usize, bool)| {
                 arrivals.push(a);
@@ -423,7 +496,7 @@ pub fn deliver(
                 FrameFate::Deliver => push(&mut arrivals, (seq, true)),
                 FrameFate::Corrupt => push(&mut arrivals, (seq, false)),
                 FrameFate::Duplicate => {
-                    o.wire_bytes += len;
+                    o.wire_bytes += frame_len;
                     push(&mut arrivals, (seq, true));
                     push(&mut arrivals, (seq, true));
                 }
@@ -433,20 +506,18 @@ pub fn deliver(
                 }
             }
         }
+        sent_hi = sent_hi.max(end);
 
         // Receive: a go-back-N receiver accepts only the next in-order
         // CRC-good frame; everything else is ignored or NACKed.
         let mut crc_failed = false;
-        for (seq, crc_ok) in arrivals {
+        for &(seq, crc_ok) in &arrivals {
             if !crc_ok {
                 o.crc_dropped += 1;
                 crc_failed = true;
                 continue;
             }
             if seq == next_expected {
-                let lo = seq * mtu;
-                let hi = (lo + mtu).min(data.len());
-                out.extend_from_slice(&data[lo..hi]);
                 next_expected += 1;
             } else if seq < next_expected {
                 o.dup_ignored += 1;
@@ -482,18 +553,14 @@ pub fn deliver(
     }
 
     o.completed = sender_base >= nframes;
-    o.delivered = out.len() as u64;
+    o.delivered = (next_expected * mtu).min(len) as u64;
     o.elapsed = link.transfer_time(o.wire_bytes) + o.stall;
-    (o, out)
+    o
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn payload(len: usize) -> Vec<u8> {
-        (0..len).map(|i| (i * 31 + 7) as u8).collect()
-    }
 
     #[test]
     fn crc32_check_value() {
@@ -504,34 +571,46 @@ mod tests {
     }
 
     #[test]
+    fn incremental_crc_matches_one_shot_at_every_split() {
+        let data: Vec<u8> = (0..100u32).map(|i| (i * 31 + 7) as u8).collect();
+        let whole = crc32(&data);
+        for split in 0..=data.len() {
+            let mut h = Crc32::new();
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            assert_eq!(h.finish(), whole, "split at {split}");
+        }
+    }
+
+    #[test]
     fn lossless_delivery_costs_exactly_the_bare_link() {
         let link = LinkModel::atm155();
         let rel = ReliabilityConfig::default();
-        let data = payload(3 * 1024 + 100);
+        let len: u64 = 3 * 1024 + 100;
         let mut faulty = FaultyLink::new(FaultPlan::lossless(42));
-        let (o, got) = deliver(&link, &rel, &mut faulty, &data);
+        let o = deliver(&link, &rel, &mut faulty, len);
         assert!(o.completed);
-        assert_eq!(got, data);
-        assert_eq!(o.wire_bytes, data.len() as u64);
+        assert_eq!(o.delivered, len);
+        assert_eq!(o.wire_bytes, len);
         assert_eq!(o.retransmits, 0);
         assert_eq!(o.timeouts, 0);
         assert_eq!(o.stall, SimTime::ZERO);
-        assert_eq!(o.elapsed, link.transfer_time(data.len() as u64));
+        assert_eq!(o.elapsed, link.transfer_time(len));
     }
 
     #[test]
     fn drops_force_retransmits_but_bytes_arrive_intact() {
         let link = LinkModel::gigabit();
         let rel = ReliabilityConfig::default();
-        let data = payload(8 * 1024);
+        let len: u64 = 8 * 1024;
         let mut faulty = FaultyLink::new(FaultPlan::lossless(7).with_drop(0.3));
-        let (o, got) = deliver(&link, &rel, &mut faulty, &data);
+        let o = deliver(&link, &rel, &mut faulty, len);
         assert!(o.completed, "30% loss with budget 6 should get through: {o:?}");
-        assert_eq!(got, data);
+        assert_eq!(o.delivered, len);
         assert!(o.retransmits > 0);
         assert!(o.timeouts > 0);
         assert!(o.stall > SimTime::ZERO);
-        assert!(o.wire_bytes > data.len() as u64);
+        assert!(o.wire_bytes > len);
         assert_eq!(o.elapsed, link.transfer_time(o.wire_bytes) + o.stall);
     }
 
@@ -539,14 +618,14 @@ mod tests {
     fn corrupted_frames_are_never_accepted() {
         let link = LinkModel::atm155();
         let rel = ReliabilityConfig::default();
-        let data = payload(6 * 1024);
+        let len: u64 = 6 * 1024;
         let mut faulty = FaultyLink::new(FaultPlan::lossless(11).with_corrupt(0.4));
-        let (o, got) = deliver(&link, &rel, &mut faulty, &data);
+        let o = deliver(&link, &rel, &mut faulty, len);
         assert!(o.crc_dropped > 0, "40% corruption must trip the CRC");
-        // Every accepted byte is correct anyway: corruption costs
-        // retransmits, never integrity.
+        // Corruption costs retransmits, never integrity: only CRC-good
+        // in-order frames count toward the delivered prefix.
         assert!(o.completed);
-        assert_eq!(got, data);
+        assert_eq!(o.delivered, len);
         assert_eq!(faulty.stats().corrupted as u32, o.crc_dropped);
     }
 
@@ -554,12 +633,12 @@ mod tests {
     fn duplicates_and_reorders_cost_little_and_corrupt_nothing() {
         let link = LinkModel::atm155();
         let rel = ReliabilityConfig::default();
-        let data = payload(8 * 1024);
+        let len: u64 = 8 * 1024;
         let mut faulty =
             FaultyLink::new(FaultPlan::lossless(3).with_duplicate(0.2).with_reorder(0.2));
-        let (o, got) = deliver(&link, &rel, &mut faulty, &data);
+        let o = deliver(&link, &rel, &mut faulty, len);
         assert!(o.completed);
-        assert_eq!(got, data);
+        assert_eq!(o.delivered, len);
         assert!(o.dup_ignored > 0 || o.ooo_discarded > 0);
     }
 
@@ -567,13 +646,12 @@ mod tests {
     fn burst_outage_past_the_budget_leaves_an_exact_prefix() {
         let link = LinkModel::atm155();
         let rel = ReliabilityConfig::default();
-        let data = payload(8 * 1024);
+        let len: u64 = 8 * 1024;
         // Everything from frame 2 on is swallowed, far past any budget.
         let mut faulty = FaultyLink::new(FaultPlan::lossless(5).with_burst(2, 1_000_000));
-        let (o, got) = deliver(&link, &rel, &mut faulty, &data);
+        let o = deliver(&link, &rel, &mut faulty, len);
         assert!(!o.completed);
         assert_eq!(o.delivered, 2 * 1024);
-        assert_eq!(got, data[..2 * 1024]);
         assert!(o.timeouts > rel.retry.max_retries);
     }
 
@@ -581,10 +659,10 @@ mod tests {
     fn same_seed_same_story() {
         let link = LinkModel::atm622();
         let rel = ReliabilityConfig::default();
-        let data = payload(16 * 1024);
+        let len: u64 = 16 * 1024;
         let plan = FaultPlan::lossless(99).with_drop(0.2).with_corrupt(0.1);
-        let (a, _) = deliver(&link, &rel, &mut FaultyLink::new(plan), &data);
-        let (b, _) = deliver(&link, &rel, &mut FaultyLink::new(plan), &data);
+        let a = deliver(&link, &rel, &mut FaultyLink::new(plan), len);
+        let b = deliver(&link, &rel, &mut FaultyLink::new(plan), len);
         assert_eq!(a, b);
     }
 

@@ -49,13 +49,15 @@ pub use descring::{
 pub use engine::DmaEngine;
 pub use engine_core::{EngineConfig, EngineCore, EngineStats, LaunchDst};
 pub use faulty::{
-    crc32, deliver, Burst, ControlFate, DeliveryOutcome, FaultPlan, FaultyLink, FaultyLinkStats,
-    FrameFate, ReliabilityConfig, MAX_BURSTS,
+    crc32, deliver, Burst, ControlFate, Crc32, DeliveryOutcome, FaultPlan, FaultyLink,
+    FaultyLinkStats, FrameFate, ReliabilityConfig, MAX_BURSTS,
 };
 pub use health::{HealthConfig, HealthState, HealthStats, PeerHealth};
 pub use link::{LinkModel, RetryPolicy};
 pub use mover::{DmaMover, RemoteDst, TransferRecord};
-pub use net::{Envelope, NackVerdict, NetMsg, SendXfer, XferCounters, XferId, XferState};
+pub use net::{
+    ChunkBytes, Envelope, NackVerdict, NetMsg, SendXfer, XferCounters, XferId, XferState,
+};
 pub use protocol::{InitiationProtocol, ProtocolKind};
 pub use remote::{
     Cluster, Destination, DstAnnouncement, NodeLinkStats, RemoteError, SharedCluster,

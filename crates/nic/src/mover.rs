@@ -298,11 +298,11 @@ impl DmaMover {
             // is deposited, and the sender's clock carries every
             // retransmission and stall.
             Some(faulty) => {
-                let (outcome, bytes) = deliver(&self.link, &self.reliability, faulty, &buf);
-                if !bytes.is_empty() {
+                let outcome = deliver(&self.link, &self.reliability, faulty, size);
+                if outcome.delivered > 0 {
                     cluster
                         .borrow_mut()
-                        .deposit(node, addr, &bytes)
+                        .deposit(node, addr, &buf[..outcome.delivered as usize])
                         .map_err(|_| RejectReason::BadRange)?;
                 }
                 cluster.borrow_mut().note_delivery(node, &outcome);

@@ -20,6 +20,8 @@ use crate::faulty::{deliver, DeliveryOutcome, FaultyLink, ReliabilityConfig};
 use crate::link::{LinkModel, RetryPolicy};
 use crate::remote::DstAnnouncement;
 use std::fmt;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 use udma_bus::SimTime;
 use udma_iommu::{Asid, IoFault};
 use udma_mem::{VirtAddr, PAGE_SIZE};
@@ -39,6 +41,45 @@ impl fmt::Display for XferId {
         write!(f, "n{}.x{}", self.node, self.index)
     }
 }
+
+/// A chunk's payload on the wire: a shared view `range` into the
+/// posting transfer's payload buffer. Launching a chunk hands the
+/// receiver this view instead of a copy, so the only byte copy on the
+/// data path is the receiver's deposit into its memory. Equality
+/// compares the viewed bytes, not the buffer identity.
+#[derive(Clone, Debug)]
+pub struct ChunkBytes {
+    data: Arc<Vec<u8>>,
+    range: Range<usize>,
+}
+
+impl ChunkBytes {
+    /// A view of `data[range]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` does not lie within `data`.
+    pub(crate) fn new(data: Arc<Vec<u8>>, range: Range<usize>) -> Self {
+        assert!(range.start <= range.end && range.end <= data.len(), "view out of range");
+        ChunkBytes { data, range }
+    }
+}
+
+impl Deref for ChunkBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.data[self.range.clone()]
+    }
+}
+
+impl PartialEq for ChunkBytes {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for ChunkBytes {}
 
 /// One protocol message between two cluster nodes.
 #[derive(Clone, Debug, PartialEq)]
@@ -64,7 +105,7 @@ pub enum NetMsg {
         /// Destination VA of this chunk.
         va: VirtAddr,
         /// The in-order payload prefix the link layer delivered.
-        bytes: Vec<u8>,
+        bytes: ChunkBytes,
         /// What the go-back-N engine saw on the wire for this chunk
         /// (retransmits, CRC drops, …) — folded into the receiver's
         /// link counters on arrival.
@@ -217,8 +258,8 @@ pub struct SendXfer {
     pub dst_asid: Asid,
     /// Destination base VA.
     pub dst_va: VirtAddr,
-    /// The payload.
-    data: Vec<u8>,
+    /// The payload, shared with every in-flight chunk view of it.
+    data: Arc<Vec<u8>>,
     /// Bytes acked so far (the next chunk starts here).
     cursor: u64,
     /// Next chunk index (increments on ACK, not on resend).
@@ -255,7 +296,7 @@ impl SendXfer {
             dst_node,
             dst_asid,
             dst_va,
-            data,
+            data: Arc::new(data),
             cursor: 0,
             chunk: 0,
             retries: 0,
@@ -313,7 +354,8 @@ impl SendXfer {
     /// put on the channel plus its arrival time. If the link layer's
     /// retry budget ran dry the transfer transitions to
     /// [`XferState::LinkFailed`] here and the message carries the
-    /// delivered prefix.
+    /// delivered prefix. The message shares the payload buffer; no
+    /// chunk bytes are copied.
     ///
     /// # Panics
     ///
@@ -329,23 +371,21 @@ impl SendXfer {
         assert!(self.cursor < self.len(), "launch with nothing left to send on {}", self.id);
         self.state = XferState::Streaming;
         let (va, len) = self.chunk_span();
-        let payload = &self.data[self.cursor as usize..(self.cursor + len) as usize];
-        let (outcome, bytes) = match chaos {
-            Some(faulty) => deliver(link, rel, faulty, payload),
-            None => {
-                // An ideal wire: the whole chunk arrives after one
-                // serialisation delay, nothing is resent.
-                let outcome = DeliveryOutcome {
-                    delivered: len,
-                    elapsed: link.transfer_time(len),
-                    wire_bytes: len,
-                    frames_sent: len.div_ceil(rel.mtu.max(1)) as u32,
-                    completed: true,
-                    ..DeliveryOutcome::default()
-                };
-                (outcome, payload.to_vec())
-            }
+        let outcome = match chaos {
+            Some(faulty) => deliver(link, rel, faulty, len),
+            // An ideal wire: the whole chunk arrives after one
+            // serialisation delay, nothing is resent.
+            None => DeliveryOutcome {
+                delivered: len,
+                elapsed: link.transfer_time(len),
+                wire_bytes: len,
+                frames_sent: len.div_ceil(rel.mtu.max(1)) as u32,
+                completed: true,
+                ..DeliveryOutcome::default()
+            },
         };
+        let start = self.cursor as usize;
+        let bytes = ChunkBytes::new(self.data.clone(), start..start + outcome.delivered as usize);
         self.counters.launches += 1;
         self.counters.retransmits += u64::from(outcome.retransmits);
         self.counters.wire_bytes += outcome.wire_bytes;
@@ -554,6 +594,57 @@ mod tests {
         assert_eq!(x.state(), XferState::LinkFailed);
         assert_eq!(x.finished, Some(arrival));
         assert_eq!(x.counters.moved, outcome.delivered);
+    }
+
+    /// Whatever the chaos plan, the bytes a data message carries are
+    /// exactly the payload's in-order prefix from the chunk's cursor —
+    /// the shared view never shifts, overruns or includes an unaccepted
+    /// frame.
+    #[test]
+    fn chunk_views_carry_exactly_the_delivered_prefix() {
+        let link = LinkModel::atm155();
+        let rel = ReliabilityConfig {
+            retry: RetryPolicy::new(2, SimTime::from_us(5)),
+            ..ReliabilityConfig::default()
+        };
+        let len = 3 * PAGE_SIZE + 100;
+        let payload: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+        let plans = [
+            FaultPlan::lossless(1).with_drop(0.3),
+            FaultPlan::lossless(2).with_corrupt(0.3),
+            // Swallows the second chunk from its third frame on.
+            FaultPlan::lossless(3).with_burst(10, 1_000_000),
+        ];
+        let mut partial = 0;
+        for plan in plans {
+            let mut chaos = FaultyLink::new(plan);
+            let mut x = SendXfer::new(
+                XferId { node: 0, index: 0 },
+                1,
+                7,
+                VirtAddr::new(4 * PAGE_SIZE),
+                payload.clone(),
+                SimTime::ZERO,
+            );
+            let mut now = SimTime::ZERO;
+            while !x.state().terminal() {
+                let cursor = x.cursor() as usize;
+                let span_len = x.chunk_span().1;
+                let (msg, arrival) = x.launch_chunk(now, &link, &rel, Some(&mut chaos));
+                let NetMsg::Data { chunk, bytes, outcome, .. } = msg else { panic!("data") };
+                let end = cursor + outcome.delivered as usize;
+                assert_eq!(&bytes[..], &payload[cursor..end], "{plan:?} at cursor {cursor}");
+                if outcome.delivered < span_len {
+                    partial += 1;
+                    assert_eq!(x.state(), XferState::LinkFailed, "{plan:?}");
+                    assert_eq!(x.counters.moved, end as u64);
+                    break;
+                }
+                now = arrival;
+                x.on_ack(chunk, bytes.len() as u64, now);
+            }
+        }
+        assert!(partial > 0, "the burst plan must cut a chunk short");
     }
 
     #[test]

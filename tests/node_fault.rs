@@ -204,7 +204,7 @@ props! {
             posts.push((id, dst, DST_VA + i as u64 * 3 * PAGE_SIZE, len));
         }
 
-        let mut oracle = build(1, RunnerKind::Sequential);
+        let oracle = build(1, RunnerKind::Sequential);
         let expect = oracle.digest();
         for &(id, dst, va, len) in &posts {
             let x = expect.xfers.iter().find(|x| x.id == id).expect("digest carries every post");
