@@ -14,23 +14,24 @@ echo "== tests (workspace, offline) =="
 cargo test -q --offline --workspace
 
 echo "== VA property/explorer replay (pinned seed) =="
-# Deterministic replay of the virtual-address DMA property suites —
-# local (va_dma) and remote (remote_va_dma, fault_injection NACK tests)
-# — under a pinned seed so a CI failure names a reproducible case.
-UDMA_PROP_SEED=3603 cargo test -q --offline \
-  --test va_dma --test remote_va_dma --test fault_injection
+# Deterministic replay of the local virtual-address DMA property suite
+# under a pinned seed so a CI failure names a reproducible case.
+UDMA_PROP_SEED=3603 cargo test -q --offline --test va_dma
 
 echo "== translation-pipeline replay (pinned seed) =="
-# Second seed over the VA suites aimed at the pipeline additions: the
-# pipelined-vs-demand oracle equivalence property and the
-# prefetch/shootdown race explorer (DESIGN.md §4e, E15).
-UDMA_PROP_SEED=3605 cargo test -q --offline --test va_dma --test remote_va_dma
+# Second seed over the VA suite aimed at the pipeline additions: the
+# pipelined-vs-demand oracle equivalence property (DESIGN.md §4e, E15).
+UDMA_PROP_SEED=3605 cargo test -q --offline --test va_dma
 
-echo "== lossy-link chaos replay (pinned seed) =="
-# Seeded chaos replay of the go-back-N/watchdog/breaker suite: the
-# FaultyLink acceptance property (chaos vs lossless oracle) and the
-# retry/service/watchdog interleaving explorer, pinned for bisection.
-UDMA_PROP_SEED=3604 cargo test -q --offline --test lossy_link
+echo "== remote VA and lossy-link replay on ClusterSim (pinned seed) =="
+# Seeded replay of the cluster-simulation remote suites: the
+# straight-line protection oracle, the announced one-NACK range and the
+# receive-side swap-in (remote_va_dma), the chaos-vs-lossless-oracle
+# acceptance property and the lossless-plan zero-delta pin
+# (lossy_link), and the per-fault-kind chaos tests (fault_injection),
+# pinned for bisection (DESIGN.md §4c, §4d).
+UDMA_PROP_SEED=3604 cargo test -q --offline \
+  --test remote_va_dma --test lossy_link --test fault_injection
 
 echo "== sharded determinism replay (pinned seed) =="
 # Differential replay of the sharded sim core: sequential oracle vs the
@@ -67,11 +68,14 @@ UDMA_PROP_SEED=3610 cargo test -q --offline \
 
 echo "== descriptor-ring replay (pinned seed) =="
 # Seeded replay of the doorbell-batched descriptor rings: the
-# batched-N ≡ N-sequential-posts differential property, the exhaustive
-# doorbell × steal × crash interleaving explorer, the depth-1
-# zero-delta pin against the per-post baseline, the E20 amortization
-# shape, and the save-refuses-pending-ring regression (E20,
-# DESIGN.md §4j).
+# batched-N ≡ N-sequential-posts differential property, the raw-slot
+# ring adversary property (every kind code, wild links, lengths and
+# tails: no panic, every non-launch a counted reject, only the posting
+# context's writable frames change), the exhaustive doorbell × steal ×
+# fault-service explorer, the chain-overflow and retired-kind
+# regressions, the depth-1 zero-delta pin against the per-post
+# baseline, the E20 amortization shape, and the save-refuses-pending-
+# ring regression (E20, DESIGN.md §4j).
 UDMA_PROP_SEED=3611 cargo test -q --offline --test descring --test ctx_virt
 
 echo "== sim core self-bench (events/sec) =="

@@ -1,5 +1,5 @@
-//! E14 — reliable delivery over a lossy link: what the go-back-N layer
-//! salvages as the drop rate rises, and what the retry budget buys.
+//! E14 — reliable delivery over a lossy cluster link: what the go-back-N
+//! layer salvages as the drop rate rises, and what the retry budget buys.
 
 use std::hint::black_box;
 use udma_workloads::lossy_link_sweep;

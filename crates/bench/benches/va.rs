@@ -1,12 +1,13 @@
 //! E11–E13, E15 — virtual-address DMA: IOTLB capacity, the cost of page
-//! faults taken mid-transfer, the cross-link remote-fault path, and the
-//! translation pipeline (prefetch, batched walks, chunk coalescing).
+//! faults taken mid-transfer, the cross-link remote-fault path on the
+//! cluster simulation, and the translation pipeline (prefetch, batched
+//! walks, chunk coalescing, announced remote ranges).
 
 use std::hint::black_box;
 use udma_nic::LinkModel;
 use udma_testkit::bench::{run_target, BenchConfig};
 use udma_workloads::{
-    fault_rate_sweep, iotlb_sweep, pipeline_sweep, remote_fault_sweep, remote_pipeline_sweep,
+    fault_rate_sweep, iotlb_sweep, pipeline_sweep, remote_announce_sweep, remote_fault_sweep,
 };
 
 fn main() {
@@ -30,12 +31,11 @@ fn main() {
     for row in remote_fault_sweep(&links, &[0, 50, 100], 8) {
         println!(
             "E13 {:<15} {:>3}% prefaulted: {:>2} NACKs, nack stall {:>7.2} µs, \
-             stall {:>8.2} µs, completion {:>9.2} µs",
+             completion {:>9.2} µs",
             row.link,
             row.prefaulted_pct,
             row.remote_faults,
             row.nack_stall.as_us(),
-            row.stall.as_us(),
             row.completion.as_us()
         );
     }
@@ -53,13 +53,12 @@ fn main() {
             row.completion.as_us()
         );
     }
-    for row in remote_pipeline_sweep(&[0, 2, 8], &[64], &[1, 8], 8) {
+    for row in remote_announce_sweep(64, 8) {
         println!(
-            "E15 remote depth {:>2} × {:>3} entries × coalesce {:>2}: {:>3} chunks, \
-             {:>2} NACKs, stall {:>8.2} µs, completion {:>9.2} µs",
-            row.depth,
+            "E15 {:<15} × {:>3} entries: {:>3} chunks, {:>2} NACKs, stall {:>8.2} µs, \
+             completion {:>9.2} µs",
+            row.variant,
             row.entries,
-            row.max_coalesce,
             row.chunks,
             row.nacks,
             row.stall.as_us(),
@@ -112,9 +111,9 @@ fn main() {
                 }),
             ),
             (
-                "E15_remote_pipeline_sweep",
+                "E15_remote_announce_sweep",
                 Box::new(|| {
-                    let rows = remote_pipeline_sweep(&[0, 4], &[64], &[1], 4);
+                    let rows = remote_announce_sweep(64, 4);
                     // An announced cold range costs one NACK round trip
                     // instead of one per page (acceptance: E15).
                     assert_eq!(rows[0].nacks, 4);

@@ -473,7 +473,6 @@ fn e14_lossy_link(loss_pcts: &[u32], budgets: &[u32], pages: u64, transfers: u32
             "budget",
             "completed",
             "aborted",
-            "breaker trips",
             "retransmits",
             "goodput (MB/s)",
             "p99 completion (µs)",
@@ -485,7 +484,6 @@ fn e14_lossy_link(loss_pcts: &[u32], budgets: &[u32], pages: u64, transfers: u32
             row.retry_budget.to_string(),
             format!("{}/{}", row.completed, row.transfers),
             row.link_failed.to_string(),
-            row.breaker_trips.to_string(),
             row.retransmits.to_string(),
             format!("{:.2}", row.goodput_mb_s),
             format!("{:.2}", row.p99_completion.as_us()),
@@ -512,7 +510,7 @@ fn e15_translation_pipeline(pages: u64) {
     );
     let rows = udma_workloads::pipeline_sweep(&[0, 2, 8], &[8, 64], &[1, 8], pages)
         .into_iter()
-        .chain(udma_workloads::remote_pipeline_sweep(&[0, 8], &[64], &[1, 8], pages));
+        .chain(udma_workloads::remote_announce_sweep(64, pages));
     for row in rows {
         t.row_owned(vec![
             row.variant.to_string(),

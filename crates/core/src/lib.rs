@@ -76,7 +76,7 @@ pub use report::Table;
 pub use request::DmaRequest;
 pub use sharded::{
     AckEffect, ClusterConfig, ClusterDigest, ClusterSim, EventKind, LaunchWire, LogLine,
-    NodeDigest, XferDigest,
+    NodeDigest, NodeLinkStats, XferDigest,
 };
 pub use trace_report::device_trace_report;
 pub use va::{emit_virt_dma, SwapRefused, VaMode, VirtDmaSetup};

@@ -16,14 +16,13 @@ use udma_cpu::{
 };
 use udma_mem::{PageTable, Perms, PhysAddr, PhysLayout, PhysMemory, VirtAddr, PAGE_SIZE};
 use udma_nic::{
-    Cluster, CrashStats, Destination, DmaDescriptor, DmaEngine, EngineConfig, FaultPlan,
-    FaultyLinkStats, HealthState, HealthStats, Initiator, LinkModel, NodeLinkStats, RejectReason,
-    ReliabilityConfig, RemoteVaTarget, RingConfig, RingLaunch, RingStats, SharedCluster,
-    TransferRecord, VirtState, VirtTransfer,
+    Cluster, Destination, DmaDescriptor, DmaEngine, EngineConfig, Initiator, LinkModel,
+    RejectReason, RingConfig, RingLaunch, RingStats, SharedCluster, TransferRecord, VirtState,
+    VirtTransfer,
 };
 use udma_os::{
     pin_range, Acquired, CtxCache, CtxCacheConfig, CtxGrant, FaultResolution, FaultService, Kernel,
-    LPid, MappedBuffer, QosClass, RemoteFaultService, RemoteSwapRefused, ShadowMode,
+    LPid, MappedBuffer, QosClass, ShadowMode,
 };
 
 /// PAL function index of the installed user-level DMA call (§2.7).
@@ -66,13 +65,6 @@ pub struct MachineConfig {
     /// Virtual-address DMA subsystem (NI-side IOMMU/IOTLB). `None` —
     /// the default — leaves the machine exactly as the paper built it.
     pub virt_dma: Option<VirtDmaSetup>,
-    /// Seeded fault plan for the outgoing link. `None` — the default —
-    /// keeps the link lossless and the remote data path byte-for-byte
-    /// identical to a machine built before chaos existed.
-    pub link_chaos: Option<FaultPlan>,
-    /// Link-reliability tunables: go-back-N framing, ACK timeout, retry
-    /// budget, watchdog deadline and circuit-breaker threshold.
-    pub reliability: ReliabilityConfig,
     /// Cache-coherence model. The default ([`CoherenceMode::Flat`])
     /// keeps the data cache timing-only, exactly as the paper's testbed
     /// measured it; the other modes make it carry data and force DMA to
@@ -98,8 +90,6 @@ impl MachineConfig {
             remote_nodes: 0,
             remote_node_bytes: 1 << 20,
             virt_dma: None,
-            link_chaos: None,
-            reliability: ReliabilityConfig::default(),
             coherence: CoherenceSetup::default(),
         }
     }
@@ -221,16 +211,6 @@ impl ProcessEnv {
     }
 }
 
-/// One persistent grant record: what a remote node's OS wrote down
-/// before exposing a buffer, and therefore what its reboot replays.
-#[derive(Clone, Copy, Debug)]
-struct RemoteGrant {
-    asid: u32,
-    va: VirtAddr,
-    pages: u64,
-    perms: Perms,
-}
-
 /// The assembled workstation.
 pub struct Machine {
     config: MachineConfig,
@@ -241,14 +221,6 @@ pub struct Machine {
     cluster: Option<SharedCluster>,
     envs: Vec<ProcessEnv>,
     fault_service: FaultService,
-    /// One OS per remote node, answering NACKed receive-side faults
-    /// (populated when both `remote_nodes > 0` and `virt_dma` are set).
-    remote_os: Vec<RemoteFaultService>,
-    /// Persistent (on-"disk") grant records, one ledger per remote
-    /// node: everything [`Machine::grant_remote_buffer`] exposed. A
-    /// reboot replays this ledger — it is the only node-local state
-    /// that survives a [`Machine::crash_remote_node`].
-    remote_grants: Vec<Vec<RemoteGrant>>,
     /// Context virtualization: the OS context cache multiplexing
     /// logical processes onto the NI's register contexts (enabled by
     /// [`Machine::enable_ctx_virtualization`]).
@@ -280,14 +252,10 @@ impl Machine {
             EngineConfig {
                 num_contexts: config.num_contexts,
                 link: config.link,
-                reliability: config.reliability,
                 ..EngineConfig::default()
             },
             config.method.protocol(),
         );
-        if let Some(plan) = config.link_chaos {
-            engine.core_mut().attach_link_chaos(plan);
-        }
         bus.attach_nic(Box::new(engine.clone()));
         let kernel = Kernel::new(
             config.layout,
@@ -334,16 +302,6 @@ impl Machine {
             }
             None => FaultService::default(),
         };
-        // Virtual-address RDMA: every remote node gets a receive-side
-        // IOMMU and an OS of its own to answer NACKed faults.
-        let mut remote_os = Vec::new();
-        if let (Some(setup), Some(c)) = (config.virt_dma, &cluster) {
-            c.borrow_mut().enable_virt(setup.iotlb);
-            remote_os = (0..config.remote_nodes)
-                .map(|_| RemoteFaultService::new(config.remote_node_bytes, setup.fault_costs))
-                .collect();
-        }
-        let remote_grants = vec![Vec::new(); remote_os.len()];
         Machine {
             config,
             bus,
@@ -353,8 +311,6 @@ impl Machine {
             cluster,
             envs: Vec::new(),
             fault_service,
-            remote_os,
-            remote_grants,
             ctx_cache: None,
             coherence,
         }
@@ -839,7 +795,7 @@ impl Machine {
             if t.is_terminal() {
                 return t.state;
             }
-            if self.service_va_faults() == 0 && self.service_remote_faults() == 0 {
+            if self.service_va_faults() == 0 {
                 let now = self.executor.now();
                 self.engine.core_mut().resume_virt(id, now);
             }
@@ -870,325 +826,6 @@ impl Machine {
             .vm_mut()
             .swap_out(asid.unwrap_or(pid.as_u32()), pt, page)
             .map_err(|_| SwapRefused::NotMapped)
-    }
-
-    // ---- virtual-address *remote* DMA -------------------------------
-
-    /// The OS of remote node `node` (statistics, swap ledger).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine has no such node or no [`VirtDmaSetup`].
-    pub fn remote_fault_service(&self, node: u32) -> &RemoteFaultService {
-        &self.remote_os[node as usize]
-    }
-
-    /// Exposes `pages` fresh frames of remote `node` at `va` in the
-    /// node's address space `asid` — the far-side process offering
-    /// memory for incoming RDMA. Creates the node's IOMMU context; under
-    /// [`VaMode::PinOnPost`] the whole buffer is registered (pinned)
-    /// into the node's IOMMU immediately, so incoming transfers never
-    /// NACK.
-    ///
-    /// # Panics
-    ///
-    /// Panics without `remote_nodes > 0` + `virt_dma`, or if the node's
-    /// memory is exhausted.
-    pub fn grant_remote_buffer(
-        &mut self,
-        node: u32,
-        asid: u32,
-        va: VirtAddr,
-        pages: u64,
-        perms: Perms,
-    ) -> MappedBuffer {
-        let cluster = self.cluster.clone().expect("grant_remote_buffer needs remote_nodes > 0");
-        let setup = self.config.virt_dma.expect("grant_remote_buffer needs virt_dma");
-        let os = self.remote_os.get_mut(node as usize).expect("no such remote node");
-        let buf = os.expose(asid, va, pages, perms).expect("remote buffer mapping failed");
-        // The grant is persistent state: a reboot replays it.
-        self.remote_grants[node as usize].push(RemoteGrant { asid, va, pages, perms });
-        let mut cl = cluster.borrow_mut();
-        let iommu = cl.node_iommu_mut(node).expect("virt_dma equips every node");
-        iommu.create_context(asid);
-        if setup.mode == VaMode::PinOnPost {
-            os.pin_into(asid, buf.va, buf.len(), iommu)
-                .expect("pin-on-post registration of a just-exposed remote buffer");
-        }
-        buf
-    }
-
-    /// Posts a virtual-address DMA on behalf of `pid` whose destination
-    /// is a VA in address space `remote_asid` on cluster node `node`.
-    /// The source translates on the local IOMMU, the destination on the
-    /// node's receive-side IOMMU; remote faults NACK back over the link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine has no [`VirtDmaSetup`] or the process has
-    /// no register context.
-    pub fn post_virt_remote(
-        &mut self,
-        pid: Pid,
-        src: VirtAddr,
-        node: u32,
-        remote_asid: u32,
-        dst: VirtAddr,
-        size: u64,
-    ) -> Result<usize, RejectReason> {
-        let asid =
-            self.envs[pid.as_u32() as usize].ctx.expect("virtual-address DMA needs a context").ctx;
-        let now = self.executor.now();
-        let to = RemoteVaTarget { node, asid: remote_asid };
-        self.engine.core_mut().post_virt_dma_remote(asid, src, to, dst, size, now)
-    }
-
-    /// Drains every node's NACK queue through that node's OS: each fault
-    /// is serviced against the node's own page tables, then the sender's
-    /// paused transfer is resumed (resolved) or failed (unresolvable).
-    /// Returns the number of faults serviced.
-    pub fn service_remote_faults(&mut self) -> u64 {
-        let Some(cluster) = self.cluster.clone() else {
-            return 0;
-        };
-        let mut serviced = 0;
-        for node in 0..self.remote_os.len() as u32 {
-            loop {
-                let Some(pending) = cluster.borrow_mut().pop_fault(node) else {
-                    break;
-                };
-                serviced += 1;
-                let now = self.executor.now();
-                let (resolution, cost) = {
-                    let mut cl = cluster.borrow_mut();
-                    let announced = cl.announcement(node, pending.xfer);
-                    let iommu = cl.node_iommu_mut(node).expect("remote faults imply node IOMMUs");
-                    let os = &mut self.remote_os[node as usize];
-                    match announced {
-                        // The sender announced the transfer's whole
-                        // destination range: service it in one kernel
-                        // entry so the device takes one NACK for the
-                        // range, not one per page.
-                        Some(a) => os.service_announced(&pending.fault, a.va, a.len, iommu),
-                        None => os.service(&pending.fault, iommu),
-                    }
-                };
-                let mut core = self.engine.core_mut();
-                match resolution {
-                    FaultResolution::Unresolvable => {
-                        core.fail_virt(pending.xfer, now + cost);
-                    }
-                    FaultResolution::Mapped | FaultResolution::SwappedIn => {
-                        core.resume_virt(pending.xfer, now + cost);
-                    }
-                }
-            }
-        }
-        serviced
-    }
-
-    /// The model swapper on a remote node: takes one page of the node's
-    /// address space `asid` out (PTE into the node's swap ledger, node
-    /// IOMMU translation shot down). Refuses pages the node's IOMMU
-    /// holds pinned.
-    ///
-    /// # Errors
-    ///
-    /// [`RemoteSwapRefused`] naming why the page stayed resident.
-    ///
-    /// # Panics
-    ///
-    /// Panics without `remote_nodes > 0` + `virt_dma`.
-    pub fn swap_out_remote(
-        &mut self,
-        node: u32,
-        asid: u32,
-        va: VirtAddr,
-    ) -> Result<(), RemoteSwapRefused> {
-        let cluster = self.cluster.clone().expect("swap_out_remote needs remote_nodes > 0");
-        let mut cl = cluster.borrow_mut();
-        let iommu = cl.node_iommu_mut(node).expect("virt_dma equips every node");
-        self.remote_os[node as usize].swap_out(asid, va.page(), iommu)
-    }
-
-    // ---- lossy-link reliability -------------------------------------
-
-    /// Chaos-link counters (frames dropped, duplicated, reordered,
-    /// corrupted; control packets lost), when a
-    /// [`MachineConfig::link_chaos`] plan is attached.
-    pub fn link_chaos_stats(&self) -> Option<FaultyLinkStats> {
-        self.engine.core().link_chaos_stats()
-    }
-
-    /// Receive-side delivery counters of remote `node` (bytes accepted,
-    /// retransmitted frames seen, CRC drops, duplicates ignored).
-    pub fn node_link_stats(&self, node: u32) -> NodeLinkStats {
-        self.cluster.as_ref().map(|c| c.borrow().link_stats(node)).unwrap_or_default()
-    }
-
-    /// Whether the circuit breaker has tripped: after
-    /// [`ReliabilityConfig::breaker_threshold`] consecutive link-failed
-    /// remote transfers, new remote posts fail fast with
-    /// [`RejectReason::LinkDown`] until [`Machine::link_repair`].
-    pub fn link_down(&self) -> bool {
-        self.engine.core().link_down()
-    }
-
-    /// Clears the circuit breaker (the operator repaired the link).
-    pub fn link_repair(&mut self) {
-        self.engine.core_mut().link_repair();
-    }
-
-    /// Runs the transfer watchdog at the current simulation time: every
-    /// non-terminal remote transfer with no byte progress for longer
-    /// than [`ReliabilityConfig::watchdog`] is aborted with
-    /// [`VirtState::LinkFailed`] (status [`udma_nic::DMA_LINK_FAILED`]),
-    /// leaving exactly the contiguous in-order prefix delivered. Returns
-    /// the aborted transfer ids.
-    pub fn link_watchdog(&mut self) -> Vec<usize> {
-        let now = self.executor.now();
-        self.link_watchdog_at(now)
-    }
-
-    /// Runs the transfer watchdog at an explicit instant (tests model a
-    /// later inspection without running programs to advance the clock).
-    pub fn link_watchdog_at(&mut self, now: SimTime) -> Vec<usize> {
-        self.engine.core_mut().link_watchdog(now)
-    }
-
-    // ---- node fault domain ------------------------------------------
-
-    /// Crashes remote `node`: it goes silent, its NACK backlog and
-    /// announced receive windows are fenced, and its OS fault service —
-    /// page tables, pin ledger, swap ledger, statistics — dies with it.
-    /// Only the persistent grant records survive, and only
-    /// [`Machine::reboot_remote_node`] replays them.
-    ///
-    /// # Panics
-    ///
-    /// Panics without `remote_nodes > 0`, or if the node does not exist.
-    pub fn crash_remote_node(&mut self, node: u32) {
-        let cluster = self.cluster.clone().expect("crash_remote_node needs remote_nodes > 0");
-        cluster.borrow_mut().crash_node(node);
-        // The node's OS state is volatile: a fresh service replaces it
-        // (the reboot re-exposes from the persistent grant ledger).
-        if let Some(setup) = self.config.virt_dma {
-            if let Some(os) = self.remote_os.get_mut(node as usize) {
-                *os = RemoteFaultService::new(self.config.remote_node_bytes, setup.fault_costs);
-            }
-        }
-    }
-
-    /// Reboots a crashed remote `node` under a new incarnation epoch:
-    /// fresh zeroed memory and a fresh receive-side IOMMU, then the
-    /// recovery handshake — every persistent grant record is re-exposed
-    /// (and re-pinned under [`VaMode::PinOnPost`]) through the node's
-    /// new OS. Returns the new epoch; senders learn it from their next
-    /// [`Machine::probe_remote_node`].
-    ///
-    /// # Panics
-    ///
-    /// Panics without `remote_nodes > 0`, or if the node is not crashed.
-    pub fn reboot_remote_node(&mut self, node: u32) -> u64 {
-        let cluster = self.cluster.clone().expect("reboot_remote_node needs remote_nodes > 0");
-        let inc = cluster.borrow_mut().reboot_node(node);
-        let Some(setup) = self.config.virt_dma else {
-            return inc;
-        };
-        let grants = self.remote_grants.get(node as usize).cloned().unwrap_or_default();
-        let os = &mut self.remote_os[node as usize];
-        let mut cl = cluster.borrow_mut();
-        for g in &grants {
-            let iommu = cl.node_iommu_mut(node).expect("virt_dma equips every node");
-            let buf = os
-                .expose(g.asid, g.va, g.pages, g.perms)
-                .expect("replaying a grant that fit before the crash");
-            iommu.create_context(g.asid);
-            let pinned = setup.mode == VaMode::PinOnPost;
-            if pinned {
-                os.pin_into(g.asid, buf.va, buf.len(), iommu)
-                    .expect("re-pinning a replayed grant into a fresh IOMMU");
-            }
-            cl.note_regrant(node);
-            if pinned {
-                cl.note_repin(node);
-            }
-        }
-        inc
-    }
-
-    /// Hangs remote `node`'s NI engine: frames to it vanish but state
-    /// survives; [`Machine::unhang_remote_node`] lets paused transfers
-    /// resume where they stopped.
-    ///
-    /// # Panics
-    ///
-    /// Panics without `remote_nodes > 0`, or if the node does not exist.
-    pub fn hang_remote_node(&mut self, node: u32) {
-        let cluster = self.cluster.clone().expect("hang_remote_node needs remote_nodes > 0");
-        cluster.borrow_mut().hang_node(node);
-    }
-
-    /// Ends an NI-engine hang on remote `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics without `remote_nodes > 0`, or if the node does not exist.
-    pub fn unhang_remote_node(&mut self, node: u32) {
-        let cluster = self.cluster.clone().expect("unhang_remote_node needs remote_nodes > 0");
-        cluster.borrow_mut().unhang_node(node);
-    }
-
-    /// Whether remote `node` is powered and answering.
-    pub fn remote_node_up(&self, node: u32) -> bool {
-        self.cluster.as_ref().is_some_and(|c| c.borrow().node_responsive(node))
-    }
-
-    /// Remote `node`'s current incarnation epoch.
-    pub fn remote_node_incarnation(&self, node: u32) -> u64 {
-        self.cluster.as_ref().map_or(0, |c| c.borrow().node_incarnation(node))
-    }
-
-    /// Remote `node`'s failure accounting (crashes, reboots, fenced
-    /// frames, replayed grants).
-    pub fn remote_crash_stats(&self, node: u32) -> CrashStats {
-        self.cluster.as_ref().map_or_else(CrashStats::default, |c| c.borrow().crash_stats(node))
-    }
-
-    /// This machine's health verdict on destination `node`.
-    pub fn node_health(&self, node: u32) -> HealthState {
-        self.engine.core().node_health(node)
-    }
-
-    /// Failure-detector counters summed over every destination.
-    pub fn node_health_stats(&self) -> HealthStats {
-        self.engine.core().health_stats()
-    }
-
-    /// Probes remote `node` (the OS-level Ping after the detector
-    /// tripped): on an answer the detector moves `Down → Recovering`
-    /// and the second element reports whether the node's incarnation
-    /// epoch advanced — i.e. it rebooted and pre-crash receive state is
-    /// gone, so paused transfers must repost, not resume.
-    pub fn probe_remote_node(&mut self, node: u32) -> (HealthState, bool) {
-        let now = self.executor.now();
-        self.engine.core_mut().probe_node(node, now)
-    }
-
-    /// Runs the node-level watchdog at the current simulation time:
-    /// every non-terminal remote transfer whose destination is
-    /// unresponsive past the ACK lease aborts with
-    /// [`VirtState::NodeDown`] (status [`udma_nic::DMA_NODE_DOWN`]),
-    /// keeping exactly its delivered in-order prefix. Returns the
-    /// aborted transfer ids.
-    pub fn node_watchdog(&mut self) -> Vec<usize> {
-        let now = self.executor.now();
-        self.node_watchdog_at(now)
-    }
-
-    /// Runs the node-level watchdog at an explicit instant.
-    pub fn node_watchdog_at(&mut self, now: SimTime) -> Vec<usize> {
-        self.engine.core_mut().node_watchdog(now)
     }
 }
 

@@ -35,8 +35,8 @@ use udma_iommu::{Asid, Iommu, IotlbConfig, IotlbStats};
 use udma_mem::{Access, MemFault, Perms, PhysAddr, PhysMemory, VirtAddr, VirtPage, PAGE_SIZE};
 use udma_nic::{
     CrashKind, CrashPlan, CrashStats, Crc32, DstAnnouncement, Envelope, FaultPlan, FaultyLink,
-    HealthConfig, HealthState, HealthStats, LinkModel, NackVerdict, NetMsg, NodeLinkStats,
-    PeerHealth, ReliabilityConfig, SendXfer, XferCounters, XferId, XferState,
+    HealthConfig, HealthState, HealthStats, LinkModel, NackVerdict, NetMsg, PeerHealth,
+    ReliabilityConfig, SendXfer, XferCounters, XferId, XferState,
 };
 use udma_os::{
     FaultCosts, FaultResolution, FaultServiceStats, RemoteFaultService, RemoteSwapRefused,
@@ -397,6 +397,24 @@ impl std::fmt::Display for EventKind {
             EventKind::Ping { from } => write!(f, "ping from n{from}"),
         }
     }
+}
+
+/// What a node's receive-side delivery engine saw cross the (possibly
+/// lossy) link: the counters the go-back-N layer reports per deposit.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NodeLinkStats {
+    /// Reliable deliveries addressed to this node.
+    pub deliveries: u64,
+    /// Bytes accepted in order (the deposited payload).
+    pub bytes_accepted: u64,
+    /// Data frames retransmitted to this node.
+    pub retransmits: u64,
+    /// Frames discarded for a bad CRC — none of these were ever acked.
+    pub crc_dropped: u64,
+    /// Duplicate frames ignored (cumulative ACK already covered them).
+    pub dup_ignored: u64,
+    /// Out-of-order frames a go-back-N receiver discards.
+    pub ooo_discarded: u64,
 }
 
 /// Everything observable about one node after a run.

@@ -5,18 +5,13 @@ use crate::descring::{
     DescDst, DescRing, DmaDescriptor, RingConfig, RingImage, RingLaunch, RingStats,
     DESC_FLAG_CHAIN, DESC_FLAG_FRAG, DESC_WORDS,
 };
-use crate::faulty::{ControlFate, FaultPlan, FaultyLinkStats, ReliabilityConfig};
-use crate::health::{HealthConfig, HealthState, PeerHealth};
 use crate::regs::{self, MAX_CONTEXTS};
-use crate::virt::{
-    PendingFault, RemoteVaTarget, VirtDmaConfig, VirtStage, VirtState, VirtStats, VirtTransfer,
-};
+use crate::virt::{PendingFault, VirtDmaConfig, VirtStage, VirtState, VirtStats, VirtTransfer};
 use crate::{
-    AtomicOp, CtxBusy, CtxImage, CtxStats, Destination, DmaMover, DstAnnouncement, Initiator,
-    LinkModel, RegisterContext, RejectReason, RemoteDst, SharedCluster, TransferRecord,
-    DMA_FAILURE, DMA_LINK_FAILED, DMA_NODE_DOWN,
+    AtomicOp, CtxBusy, CtxImage, CtxStats, Destination, DmaMover, Initiator, LinkModel,
+    RegisterContext, RejectReason, RemoteDst, SharedCluster, TransferRecord, DMA_FAILURE,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use udma_bus::{SharedMemory, SimTime};
 use udma_iommu::{Asid, IoFault, IoFaultKind, Iommu, IotlbConfig};
 use udma_mem::{Access, PhysAddr, PhysFrame, PhysLayout, VirtAddr, PAGE_SIZE};
@@ -41,10 +36,6 @@ pub struct EngineConfig {
     /// Extra device latency of a keyed shadow store (the FPGA compares
     /// the key against its table before acknowledging).
     pub key_check_latency: SimTime,
-    /// Link-reliability tunables (go-back-N framing, watchdog deadline,
-    /// circuit breaker). Only consulted once a chaos plan is attached;
-    /// the watchdog and breaker guard remote transfers either way.
-    pub reliability: ReliabilityConfig,
 }
 
 impl Default for EngineConfig {
@@ -53,7 +44,6 @@ impl Default for EngineConfig {
             num_contexts: 4,
             link: LinkModel::default(),
             key_check_latency: SimTime::from_ns(120),
-            reliability: ReliabilityConfig::default(),
         }
     }
 }
@@ -121,18 +111,6 @@ pub struct EngineCore {
     virt_stage: Vec<VirtStage>,
     virt_stats: VirtStats,
     ctx_stats: CtxStats,
-    // Link reliability: watchdog deadline + circuit breaker.
-    reliability: ReliabilityConfig,
-    /// Consecutive link-failed remote transfers (reset by a remote
-    /// completion or a repair).
-    link_failures_row: u32,
-    /// Circuit breaker: remote posts fail fast while tripped.
-    link_down: bool,
-    // Node fault domain: per-destination failure detector.
-    health: HealthConfig,
-    /// One detector per destination node (`BTreeMap` so iteration — and
-    /// therefore every derived digest — is deterministic).
-    peer_health: BTreeMap<u32, PeerHealth>,
     // Doorbell-batched descriptor rings (present once enabled).
     ring_config: Option<RingConfig>,
     rings: Vec<DescRing>,
@@ -147,8 +125,7 @@ impl EngineCore {
     /// Panics if `config.num_contexts` exceeds [`MAX_CONTEXTS`] or is 0.
     pub fn new(layout: PhysLayout, mem: SharedMemory, config: EngineConfig) -> Self {
         assert!((1..=MAX_CONTEXTS).contains(&config.num_contexts), "context count out of range");
-        let mut mover = DmaMover::new(mem.clone(), config.link);
-        mover.set_reliability(config.reliability);
+        let mover = DmaMover::new(mem.clone(), config.link);
         EngineCore {
             layout,
             mem,
@@ -174,11 +151,6 @@ impl EngineCore {
             virt_stage: vec![VirtStage::default(); config.num_contexts as usize],
             virt_stats: VirtStats::default(),
             ctx_stats: CtxStats::default(),
-            reliability: config.reliability,
-            link_failures_row: 0,
-            link_down: false,
-            health: HealthConfig::from_reliability(&config.reliability),
-            peer_health: BTreeMap::new(),
             ring_config: None,
             rings: vec![DescRing::default(); config.num_contexts as usize],
             ring_stats: RingStats::default(),
@@ -310,8 +282,7 @@ impl EngineCore {
     /// Whether `ctx`'s descriptor ring has queued or live work at
     /// `now`: descriptors posted but not yet doorbelled, a dequeued
     /// batch whose fetch-staggered launches have not all fired, or a
-    /// ring-launched transfer (physical or virtual) still observable on
-    /// the wire. Queued work makes the context unstealable exactly like
+    /// ring-launched transfer still observable on the wire. Queued work makes the context unstealable exactly like
     /// a busy register file — the ring's contents belong to the process
     /// whose ASID the dequeue will translate under.
     ///
@@ -324,12 +295,6 @@ impl EngineCore {
             return false;
         }
         if r.pending() > 0 || now < r.drain_until {
-            return true;
-        }
-        if r.live_phys
-            .iter()
-            .any(|&i| self.mover.record(i).is_some_and(|rec| rec.remaining_at(now) > 0))
-        {
             return true;
         }
         r.live_virt
@@ -464,172 +429,6 @@ impl EngineCore {
         self.mover.is_coherent()
     }
 
-    // ---- link reliability -------------------------------------------
-
-    /// Wraps the cluster link in seeded chaos: every remote transfer
-    /// from now on is carried by the go-back-N reliability protocol
-    /// across the faults `plan` scripts.
-    pub fn attach_link_chaos(&mut self, plan: FaultPlan) {
-        self.mover.attach_chaos(plan);
-    }
-
-    /// Everything the chaos link has done, if one is attached.
-    pub fn link_chaos_stats(&self) -> Option<FaultyLinkStats> {
-        self.mover.chaos_stats()
-    }
-
-    /// The reliability tunables in force.
-    pub fn reliability(&self) -> ReliabilityConfig {
-        self.reliability
-    }
-
-    /// Whether the remote path is circuit-broken.
-    pub fn link_down(&self) -> bool {
-        self.link_down
-    }
-
-    /// Consecutive link-failed remote transfers so far (the breaker
-    /// trips at [`ReliabilityConfig::breaker_threshold`]).
-    pub fn link_failures_row(&self) -> u32 {
-        self.link_failures_row
-    }
-
-    /// Clears the circuit breaker: remote posts are accepted again.
-    /// This is the OS-level repair action after the operator (or a
-    /// probe) decided the link is healthy.
-    pub fn link_repair(&mut self) {
-        self.link_down = false;
-        self.link_failures_row = 0;
-    }
-
-    /// Books one link-failed abort: trips the breaker after
-    /// `breaker_threshold` consecutive failures.
-    fn note_link_failure(&mut self) {
-        self.link_failures_row += 1;
-        if self.link_failures_row >= self.reliability.breaker_threshold {
-            self.link_down = true;
-        }
-    }
-
-    /// Aborts every non-terminal *remote* transfer that has made no
-    /// byte progress within the watchdog deadline: its state becomes
-    /// [`VirtState::LinkFailed`] (status loads return
-    /// [`DMA_LINK_FAILED`]), with exactly the contiguous in-order
-    /// prefix delivered. Returns the aborted transfer ids. Local
-    /// transfers are never watched — they cannot lose frames.
-    pub fn link_watchdog(&mut self, now: SimTime) -> Vec<usize> {
-        let deadline = self.reliability.watchdog;
-        let mut aborted = Vec::new();
-        for id in 0..self.virt_xfers.len() {
-            let t = self.virt_xfers[id];
-            if t.remote.is_none() || t.is_terminal() {
-                continue;
-            }
-            if now.saturating_sub(t.last_progress) > deadline {
-                // Attribute the stall correctly: a silent *node* is a
-                // node failure, not a link failure — the breaker must
-                // not trip for a peer that merely crashed.
-                let rt = t.remote.expect("filtered above");
-                let node_dead =
-                    self.mover.cluster().is_some_and(|c| !c.borrow().node_responsive(rt.node));
-                let x = &mut self.virt_xfers[id];
-                if node_dead {
-                    x.state = VirtState::NodeDown;
-                    x.finished = Some(x.clock.max(now));
-                    self.virt_stats.node_down += 1;
-                    self.peer_health.entry(rt.node).or_default().on_deadline(now);
-                } else {
-                    x.state = VirtState::LinkFailed;
-                    x.finished = Some(x.clock.max(now));
-                    self.virt_stats.link_failed += 1;
-                    self.note_link_failure();
-                }
-                self.retire_announcement(id);
-                aborted.push(id);
-            }
-        }
-        aborted
-    }
-
-    // ---- node fault domain ------------------------------------------
-
-    /// The failure-detector tunables in force (derived from
-    /// [`ReliabilityConfig`] at construction).
-    pub fn health_config(&self) -> HealthConfig {
-        self.health
-    }
-
-    /// This sender's health verdict on destination `node`. Nodes never
-    /// sent to are trivially `Up`.
-    pub fn node_health(&self, node: u32) -> HealthState {
-        self.peer_health.get(&node).map_or(HealthState::Up, |p| p.state())
-    }
-
-    /// The full per-destination detector, if one exists.
-    pub fn peer_health(&self, node: u32) -> Option<&PeerHealth> {
-        self.peer_health.get(&node)
-    }
-
-    /// Detector counters summed over every destination.
-    pub fn health_stats(&self) -> crate::HealthStats {
-        let mut total = crate::HealthStats::default();
-        for p in self.peer_health.values() {
-            total.absorb(&p.stats);
-        }
-        total
-    }
-
-    /// Node-level watchdog: aborts every non-terminal remote transfer
-    /// whose destination is unresponsive and whose last byte progress
-    /// is older than the ACK lease. Aborted transfers read
-    /// [`DMA_NODE_DOWN`] and keep exactly their delivered in-order
-    /// prefix; the destination's detector goes straight to
-    /// [`HealthState::Down`]. Returns the aborted ids.
-    pub fn node_watchdog(&mut self, now: SimTime) -> Vec<usize> {
-        let lease = self.health.lease;
-        let mut aborted = Vec::new();
-        for id in 0..self.virt_xfers.len() {
-            let t = self.virt_xfers[id];
-            let Some(rt) = t.remote else { continue };
-            if t.is_terminal() {
-                continue;
-            }
-            let node_dead =
-                self.mover.cluster().is_some_and(|c| !c.borrow().node_responsive(rt.node));
-            if node_dead && now.saturating_sub(t.last_progress) > lease {
-                let x = &mut self.virt_xfers[id];
-                x.state = VirtState::NodeDown;
-                x.finished = Some(x.clock.max(now));
-                self.virt_stats.node_down += 1;
-                self.peer_health.entry(rt.node).or_default().on_deadline(now);
-                self.retire_announcement(id);
-                aborted.push(id);
-            }
-        }
-        aborted
-    }
-
-    /// Probes destination `node` (the OS-level Ping after the detector
-    /// tripped): if the node answers, its current incarnation is
-    /// learned — `Down → Recovering` — and a `true` second element
-    /// reports that the epoch *advanced*, i.e. the peer rebooted and
-    /// every pre-crash receive window there is gone.
-    pub fn probe_node(&mut self, node: u32, _now: SimTime) -> (HealthState, bool) {
-        let answer = self.mover.cluster().and_then(|c| {
-            let cl = c.borrow();
-            cl.node_responsive(node).then(|| cl.node_incarnation(node))
-        });
-        let ph = self.peer_health.entry(node).or_default();
-        ph.stats.probes += 1;
-        match answer {
-            Some(inc) => {
-                let advanced = ph.on_alive(inc);
-                (ph.state(), advanced)
-            }
-            None => (ph.state(), false),
-        }
-    }
-
     /// The one checked launch sequence every initiation path funnels
     /// through: validates via the mover (zero-size, page-cross, range),
     /// books the started/rejected statistics exactly once, and returns
@@ -646,9 +445,7 @@ impl EngineCore {
         now: SimTime,
     ) -> Result<usize, RejectReason> {
         let started = match dst {
-            LaunchDst::Remote(rd) => {
-                self.mover.start_remote(src, rd, size, initiator, multipage_ok, now)
-            }
+            LaunchDst::Remote(rd) => self.mover.start_remote(src, rd, size, initiator, now),
             LaunchDst::Local(dst) => self.mover.start(src, dst, size, initiator, multipage_ok, now),
         };
         match started {
@@ -675,10 +472,6 @@ impl EngineCore {
         initiator: Initiator,
         now: SimTime,
     ) -> Result<usize, RejectReason> {
-        if self.link_down {
-            self.note_reject(RejectReason::LinkDown);
-            return Err(RejectReason::LinkDown);
-        }
         self.launch_checked(
             src,
             LaunchDst::Remote(RemoteDst { node, addr }),
@@ -884,67 +677,6 @@ impl EngineCore {
         size: u64,
         now: SimTime,
     ) -> Result<usize, RejectReason> {
-        self.post_virt_common(asid, src, dst, None, size, now)
-    }
-
-    /// Posts a virtual-address DMA whose destination is a virtual
-    /// address on a *remote* cluster node: the source translates on this
-    /// engine's IOMMU, `dst` on the receive-side IOMMU of `to.node`
-    /// (address space `to.asid` there). A receive-side fault is NACKed
-    /// back over the link and pauses the transfer at the page boundary,
-    /// exactly like a local fault.
-    ///
-    /// # Errors
-    ///
-    /// [`RejectReason::BadRange`] when no cluster is attached, the node
-    /// does not exist, or the node has no receive-side IOMMU;
-    /// [`RejectReason::ZeroSize`] for an empty transfer;
-    /// [`RejectReason::LinkDown`] while the circuit breaker is tripped
-    /// (fail fast until [`EngineCore::link_repair`]);
-    /// [`RejectReason::NodeDown`] while this sender's failure detector
-    /// holds the destination [`HealthState::Down`] (fail fast until a
-    /// probe or the peer's own Hello moves it to `Recovering`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has no IOMMU ([`EngineCore::enable_iommu`]).
-    pub fn post_virt_dma_remote(
-        &mut self,
-        asid: Asid,
-        src: VirtAddr,
-        to: RemoteVaTarget,
-        dst: VirtAddr,
-        size: u64,
-        now: SimTime,
-    ) -> Result<usize, RejectReason> {
-        if self.link_down {
-            self.note_reject(RejectReason::LinkDown);
-            return Err(RejectReason::LinkDown);
-        }
-        if let Some(ph) = self.peer_health.get_mut(&to.node) {
-            if !ph.admit() {
-                self.note_reject(RejectReason::NodeDown);
-                return Err(RejectReason::NodeDown);
-            }
-        }
-        let reachable =
-            self.mover.cluster().is_some_and(|c| c.borrow().node_iommu(to.node).is_some());
-        if !reachable {
-            self.note_reject(RejectReason::BadRange);
-            return Err(RejectReason::BadRange);
-        }
-        self.post_virt_common(asid, src, dst, Some(to), size, now)
-    }
-
-    fn post_virt_common(
-        &mut self,
-        asid: Asid,
-        src: VirtAddr,
-        dst: VirtAddr,
-        remote: Option<RemoteVaTarget>,
-        size: u64,
-        now: SimTime,
-    ) -> Result<usize, RejectReason> {
         assert!(self.iommu.is_some(), "virtual-address DMA requires enable_iommu");
         if size == 0 {
             self.note_reject(RejectReason::ZeroSize);
@@ -956,7 +688,6 @@ impl EngineCore {
             asid,
             src,
             dst,
-            remote,
             size,
             moved: 0,
             chunks: 0,
@@ -966,42 +697,11 @@ impl EngineCore {
             clock: now,
             finished: None,
             stall: SimTime::ZERO,
-            nacks: 0,
-            nack_stall: SimTime::ZERO,
-            retransmits: 0,
-            link_timeouts: 0,
-            link_stall: SimTime::ZERO,
-            last_progress: now,
         });
         self.virt_prefetch.push(0);
         self.virt_stats.posted += 1;
-        // With prefetch on, a remote transfer's first frame announces
-        // the full destination range: the receiving node prewalks ahead
-        // of the deposits, and its OS can service a cold range in one
-        // NACK round trip instead of one per page.
-        if self.virt_config.prefetch.depth > 0 {
-            if let Some(rt) = remote {
-                let cluster = self.mover.cluster().expect("remote post validated cluster");
-                cluster.borrow_mut().announce(
-                    rt.node,
-                    id,
-                    DstAnnouncement { asid: rt.asid, va: dst, len: size },
-                );
-            }
-        }
         self.pump_virt(id);
         Ok(id)
-    }
-
-    /// Drops a remote transfer's receive-side announcement once the
-    /// transfer reaches a terminal state.
-    fn retire_announcement(&mut self, id: usize) {
-        let t = self.virt_xfers[id];
-        if let Some(rt) = t.remote {
-            if let Some(cluster) = self.mover.cluster() {
-                cluster.borrow_mut().retire_announcement(rt.node, id);
-            }
-        }
     }
 
     /// Streams chunks of transfer `id` until it completes or faults.
@@ -1022,50 +722,7 @@ impl EngineCore {
                 x.state = VirtState::Complete;
                 x.finished = Some(x.clock);
                 self.virt_stats.completed += 1;
-                // A remote completion proves the link carries traffic:
-                // the breaker's consecutive-failure count starts over.
-                if t.remote.is_some() {
-                    self.link_failures_row = 0;
-                }
-                self.retire_announcement(id);
                 return;
-            }
-            // A silent destination: the next chunk's frames fly into
-            // the void and the sender's ACK lease expires, over and
-            // over. Charge one lease per miss until the detector trips
-            // `Down`, then abort with exactly the in-order prefix that
-            // was delivered before the failure.
-            if let Some(rt) = t.remote {
-                let responsive =
-                    self.mover.cluster().is_some_and(|c| c.borrow().node_responsive(rt.node));
-                if !responsive {
-                    let cluster =
-                        self.mover.cluster().expect("remote virt transfer without cluster");
-                    let lease = self.health.lease.max(self.reliability.ack_timeout);
-                    loop {
-                        cluster.borrow_mut().note_dropped(rt.node);
-                        let x = &mut self.virt_xfers[id];
-                        x.clock += lease;
-                        x.stall += lease;
-                        x.link_stall += lease;
-                        x.link_timeouts += 1;
-                        self.virt_stats.link_timeouts += 1;
-                        let miss_at = x.clock;
-                        let st = self
-                            .peer_health
-                            .entry(rt.node)
-                            .or_default()
-                            .on_miss(&self.health, miss_at);
-                        if st == HealthState::Down {
-                            let x = &mut self.virt_xfers[id];
-                            x.state = VirtState::NodeDown;
-                            x.finished = Some(x.clock);
-                            self.virt_stats.node_down += 1;
-                            self.retire_announcement(id);
-                            return;
-                        }
-                    }
-                }
             }
             let src_va = VirtAddr::new(t.src.as_u64() + t.moved);
             let dst_va = VirtAddr::new(t.dst.as_u64() + t.moved);
@@ -1075,36 +732,16 @@ impl EngineCore {
 
             // Pipeline stages 1 and 2: once the cursor reaches the end
             // of the prewalked window, walk the next `depth` pages of
-            // every range this transfer still translates and prefill
-            // the IOTLBs ahead of the chunk stream. The whole batch is
-            // charged at the amortized rate — the walks pipeline behind
-            // one another; only a demand miss blocks a chunk for the
-            // full walk latency.
+            // both ranges and prefill the IOTLB ahead of the chunk
+            // stream. The whole batch is charged at the amortized rate —
+            // the walks pipeline behind one another; only a demand miss
+            // blocks a chunk for the full walk latency.
             let pf = self.virt_config.prefetch;
             if pf.depth > 0 && t.moved >= self.virt_prefetch[id] {
                 let span = (pf.depth * PAGE_SIZE).min(t.size - t.moved);
                 let iommu = self.iommu.as_mut().expect("pump without IOMMU");
-                let mut batch = iommu.prewalk_range(t.asid, src_va, span, Access::Read);
-                match t.remote {
-                    None => {
-                        batch += iommu.prewalk_range(t.asid, dst_va, span, Access::Write);
-                    }
-                    Some(rt) => {
-                        // Receive-side prefetch: the announced dst range
-                        // lets the node's IOMMU walk ahead of the
-                        // arriving deposits. Best-effort — a cold page
-                        // still NACKs on the demand translate below.
-                        let cluster =
-                            self.mover.cluster().expect("remote virt transfer without cluster");
-                        batch += cluster.borrow_mut().prewalk(
-                            rt.node,
-                            rt.asid,
-                            dst_va,
-                            span,
-                            Access::Write,
-                        );
-                    }
-                }
+                let batch = iommu.prewalk_range(t.asid, src_va, span, Access::Read)
+                    + iommu.prewalk_range(t.asid, dst_va, span, Access::Write);
                 self.virt_prefetch[id] = t.moved + span;
                 if batch > 0 {
                     let cost = self.virt_config.walk_latency
@@ -1117,15 +754,13 @@ impl EngineCore {
                 }
             }
 
-            // The source always translates on the sender's own IOMMU; a
-            // purely local transfer translates its destination there too.
+            // Both ends translate on this engine's IOMMU, the source
+            // first; the destination only once the source resolved.
             let iommu = self.iommu.as_mut().expect("pump without IOMMU");
             let misses_before = iommu.stats().tlb.misses;
-            let src_res = iommu.translate(t.asid, src_va, Access::Read);
-            let local_dst_res = match (t.remote, src_res) {
-                (None, Ok(_)) => Some(iommu.translate(t.asid, dst_va, Access::Write)),
-                _ => None,
-            };
+            let translated = iommu.translate(t.asid, src_va, Access::Read).and_then(|src_pa| {
+                iommu.translate(t.asid, dst_va, Access::Write).map(|dst_pa| (src_pa, dst_pa))
+            });
             let walks = iommu.stats().tlb.misses - misses_before;
             let walk_cost = SimTime::from_ps(self.virt_config.walk_latency.as_ps() * walks);
             {
@@ -1133,82 +768,13 @@ impl EngineCore {
                 x.clock += walk_cost;
                 x.stall += walk_cost;
             }
-            let src_pa = match src_res {
-                Ok(pa) => pa,
+            let (src_pa, dst_pa) = match translated {
+                Ok(pas) => pas,
                 Err(fault) => {
                     self.virt_xfers[id].state = VirtState::Faulted(fault);
                     self.virt_faults.push_back(PendingFault { xfer: id, fault });
                     self.virt_stats.faults += 1;
                     return;
-                }
-            };
-            let dst_pa = match t.remote {
-                None => match local_dst_res.expect("local destination translated") {
-                    Ok(pa) => pa,
-                    Err(fault) => {
-                        self.virt_xfers[id].state = VirtState::Faulted(fault);
-                        self.virt_faults.push_back(PendingFault { xfer: id, fault });
-                        self.virt_stats.faults += 1;
-                        return;
-                    }
-                },
-                Some(rt) => {
-                    // Receive-side translation on the node's IOMMU. Its
-                    // walk cost charges the sender's clock like a local
-                    // walk: the packet waits at the NI while it walks.
-                    let cluster =
-                        self.mover.cluster().expect("remote virt transfer without cluster");
-                    let (res, rwalks) = {
-                        let mut cl = cluster.borrow_mut();
-                        let before =
-                            cl.node_iommu(rt.node).expect("validated at post").stats().tlb.misses;
-                        let res = cl.translate(rt.node, rt.asid, dst_va, Access::Write);
-                        let after =
-                            cl.node_iommu(rt.node).expect("validated at post").stats().tlb.misses;
-                        (res, after - before)
-                    };
-                    let rcost = SimTime::from_ps(self.virt_config.walk_latency.as_ps() * rwalks);
-                    {
-                        let x = &mut self.virt_xfers[id];
-                        x.clock += rcost;
-                        x.stall += rcost;
-                    }
-                    match res {
-                        Ok(pa) => pa,
-                        Err(fault) => {
-                            // The node NACKs the faulting packet back to
-                            // the sender: the fault queues on the *node*
-                            // for its OS, and the sender pays the wire
-                            // latency both ways, then pauses at the page
-                            // boundary exactly like a local fault.
-                            let one_way = self.mover.link().latency();
-                            let rtt = one_way + one_way;
-                            // The notification itself rides the lossy
-                            // wire: it may vanish (bounded retries
-                            // recover) or arrive twice (the node's
-                            // fault service must be idempotent).
-                            let copies = match self.mover.chaos_mut().map(|f| f.control_fate()) {
-                                None | Some(ControlFate::Deliver) => 1,
-                                Some(ControlFate::Drop) => 0,
-                                Some(ControlFate::Duplicate) => 2,
-                            };
-                            for _ in 0..copies {
-                                cluster
-                                    .borrow_mut()
-                                    .push_fault(rt.node, PendingFault { xfer: id, fault });
-                            }
-                            let x = &mut self.virt_xfers[id];
-                            x.state = VirtState::Faulted(fault);
-                            x.clock += rtt;
-                            x.stall += rtt;
-                            x.nack_stall += rtt;
-                            x.nacks += 1;
-                            self.virt_stats.faults += 1;
-                            self.virt_stats.remote_faults += 1;
-                            self.virt_stats.nacks += 1;
-                            return;
-                        }
-                    }
                 }
             };
 
@@ -1231,29 +797,12 @@ impl EngineCore {
                     let next_src = VirtAddr::new(src_va.as_u64() + chunk).page();
                     let next_dst = VirtAddr::new(dst_va.as_u64() + chunk).page();
                     let iommu = self.iommu.as_mut().expect("pump without IOMMU");
-                    let src_ok = iommu
-                        .probe(t.asid, next_src, Access::Read)
-                        .is_some_and(|f| f.base().as_u64() == src_pa.as_u64() + chunk);
-                    if !src_ok {
-                        break;
-                    }
-                    let dst_frame = match t.remote {
-                        None => iommu.probe(t.asid, next_dst, Access::Write),
-                        Some(rt) => {
-                            let cluster =
-                                self.mover.cluster().expect("remote virt transfer without cluster");
-                            let f = cluster.borrow_mut().probe(
-                                rt.node,
-                                rt.asid,
-                                next_dst,
-                                Access::Write,
-                            );
-                            f
-                        }
+                    let follows = |frame: Option<PhysFrame>, pa: PhysAddr| {
+                        frame.is_some_and(|f| f.base().as_u64() == pa.as_u64() + chunk)
                     };
-                    let dst_ok =
-                        dst_frame.is_some_and(|f| f.base().as_u64() == dst_pa.as_u64() + chunk);
-                    if !dst_ok {
+                    if !follows(iommu.probe(t.asid, next_src, Access::Read), src_pa)
+                        || !follows(iommu.probe(t.asid, next_dst, Access::Write), dst_pa)
+                    {
                         break;
                     }
                     chunk += ext;
@@ -1264,62 +813,23 @@ impl EngineCore {
 
             let clock = self.virt_xfers[id].clock;
             let initiator = Initiator::VirtDma { asid: t.asid };
-            let dst = match t.remote {
-                Some(rt) => LaunchDst::Remote(RemoteDst { node: rt.node, addr: dst_pa }),
-                None => LaunchDst::Local(dst_pa),
-            };
             let started = self
-                .launch_checked(src_pa, dst, chunk, initiator, coalesced, clock)
+                .launch_checked(
+                    src_pa,
+                    LaunchDst::Local(dst_pa),
+                    chunk,
+                    initiator,
+                    coalesced,
+                    clock,
+                )
                 .map(|idx| self.mover.record(idx).expect("just started").finished);
             match started {
                 Ok(finished) => {
                     self.virt_stats.chunks += 1;
-                    let delivery =
-                        if t.remote.is_some() { self.mover.last_delivery() } else { None };
                     let x = &mut self.virt_xfers[id];
                     x.chunks += 1;
                     x.clock = finished;
-                    match delivery {
-                        // The chunk crossed a chaos link: only the
-                        // in-order prefix the receiver acked counts,
-                        // and every recovery cost lands on the books.
-                        Some(o) => {
-                            x.moved += o.delivered;
-                            x.retransmits += o.retransmits;
-                            x.link_timeouts += o.timeouts;
-                            x.link_stall += o.stall;
-                            x.stall += o.stall;
-                            if o.delivered > 0 {
-                                x.last_progress = finished;
-                                if let Some(rt) = t.remote {
-                                    self.peer_health
-                                        .entry(rt.node)
-                                        .or_default()
-                                        .on_progress(finished);
-                                }
-                            }
-                            self.virt_stats.retransmits += o.retransmits as u64;
-                            self.virt_stats.link_timeouts += o.timeouts as u64;
-                            if !o.completed {
-                                // Retransmit budget ran dry: the link
-                                // layer gives up cleanly at the exact
-                                // delivered prefix.
-                                x.state = VirtState::LinkFailed;
-                                x.finished = Some(finished);
-                                self.virt_stats.link_failed += 1;
-                                self.note_link_failure();
-                                self.retire_announcement(id);
-                                return;
-                            }
-                        }
-                        None => {
-                            x.moved += chunk;
-                            x.last_progress = finished;
-                            if let Some(rt) = t.remote {
-                                self.peer_health.entry(rt.node).or_default().on_progress(finished);
-                            }
-                        }
-                    }
+                    x.moved += chunk;
                 }
                 Err(_) => {
                     // Translation succeeded but the frame is not backed by
@@ -1336,7 +846,6 @@ impl EngineCore {
                     x.state = VirtState::Failed(fault);
                     x.finished = Some(x.clock);
                     self.virt_stats.failed += 1;
-                    self.retire_announcement(id);
                     return;
                 }
             }
@@ -1359,7 +868,6 @@ impl EngineCore {
             x.state = VirtState::Failed(fault);
             x.finished = Some(x.clock.max(now));
             self.virt_stats.failed += 1;
-            self.retire_announcement(id);
             return self.virt_xfers[id].state;
         }
         let backoff = self.virt_config.retry.backoff_after(t.retries);
@@ -1393,22 +901,17 @@ impl EngineCore {
             t.state = VirtState::Failed(fault);
             t.finished = Some(t.clock.max(now));
             self.virt_stats.failed += 1;
-            self.retire_announcement(id);
         }
         self.virt_xfers[id].state
     }
 
     /// Status of a virtual-address transfer, in the paper's status-load
-    /// convention: bytes remaining, 0 = complete, `-1` = failed, `-2` =
-    /// aborted by the link layer ([`DMA_LINK_FAILED`]), `-4` = aborted
-    /// because the destination node died ([`DMA_NODE_DOWN`]).
+    /// convention: bytes remaining, 0 = complete, `-1` = failed.
     pub fn virt_status(&self, id: usize, now: SimTime) -> u64 {
         match self.virt_xfers.get(id) {
             None => DMA_FAILURE,
             Some(t) => match t.state {
                 VirtState::Failed(_) => DMA_FAILURE,
-                VirtState::LinkFailed => DMA_LINK_FAILED,
-                VirtState::NodeDown => DMA_NODE_DOWN,
                 _ => t.remaining_at(now),
             },
         }
@@ -1581,11 +1084,13 @@ impl EngineCore {
     /// destination plus the accumulated offset; consumed fragment slots
     /// are skipped by the main scan.
     ///
-    /// Protection holds per descriptor: local and remote-VA launches
-    /// translate through the IOMMU under the posting context's ASID,
-    /// and remote-physical launches translate their source the same
-    /// way. A descriptor the process could not have posted through the
-    /// register path is rejected (and counted), never launched.
+    /// Every slot word is user-written, so protection holds per
+    /// descriptor: each launch translates through the IOMMU under the
+    /// posting context's ASID, exactly like a register-path post. Every
+    /// fetched slot yields exactly one entry in the returned list — a
+    /// launch, or a reject counted in [`RingStats::rejected`] and the
+    /// engine's reject statistics. A tail more than one ring's worth of
+    /// slots past the head is clamped: the ring cannot hold more.
     pub fn ring_doorbell(&mut self, ctx: u32, tail: u64, now: SimTime) -> Vec<RingLaunch> {
         let mut out = Vec::new();
         if self.ring_config.is_none() || !self.has_context(ctx) {
@@ -1597,26 +1102,20 @@ impl EngineCore {
             return out;
         }
         let fetch = self.ring_config.expect("checked above").fetch_latency;
-        // Prune drained launches so the live lists (and the busy check)
-        // stay proportional to in-flight work, not ring history.
-        {
-            let mut live_phys = std::mem::take(&mut self.rings[ctx as usize].live_phys);
-            live_phys
-                .retain(|&i| self.mover.record(i).is_some_and(|rec| rec.remaining_at(now) > 0));
-            let mut live_virt = std::mem::take(&mut self.rings[ctx as usize].live_virt);
-            live_virt.retain(|&id| self.virt_xfers.get(id).is_some_and(|x| virt_xfer_pins(x, now)));
+        // Prune drained launches so the live list (and the busy check)
+        // stays proportional to in-flight work, not ring history.
+        let mut live_virt = std::mem::take(&mut self.rings[ctx as usize].live_virt);
+        live_virt.retain(|&id| self.virt_xfers.get(id).is_some_and(|x| virt_xfer_pins(x, now)));
+        let tail = {
             let r = &mut self.rings[ctx as usize];
-            r.live_phys = live_phys;
             r.live_virt = live_virt;
-        }
-        {
             // A raw doorbell (CPU wrote the slots itself) advances the
-            // posted cursor past anything the post helper tracked.
-            let r = &mut self.rings[ctx as usize];
-            if tail > r.posted {
-                r.posted = tail;
-            }
-        }
+            // posted cursor past anything the post helper tracked, but
+            // never more than a ring's worth past the head.
+            let tail = tail.min(r.head.saturating_add(u64::from(r.capacity)));
+            r.posted = r.posted.max(tail);
+            tail
+        };
         let mut clock = now;
         loop {
             let (head, limit, capacity) = {
@@ -1634,52 +1133,52 @@ impl EngineCore {
             }
             clock += fetch;
             self.ring_stats.fetched += 1;
-            let Some(desc) = self.fetch_desc(ctx, rel as u32) else {
-                self.ring_stats.rejected += 1;
-                self.note_reject(RejectReason::BadRange);
-                out.push(RingLaunch::Rejected(RejectReason::BadRange));
+            // An undecodable slot, or a fragment no chain head claimed,
+            // launches nothing.
+            let Some(desc) =
+                self.fetch_desc(ctx, rel as u32).filter(|d| d.flags & DESC_FLAG_FRAG == 0)
+            else {
+                self.ring_reject(&mut out, 1);
                 continue;
             };
-            if desc.flags & DESC_FLAG_FRAG != 0 {
-                // An unconsumed fragment reached by the main scan: its
-                // chain head never claimed it — nothing to launch.
-                continue;
-            }
             // Gather chain: the head descriptor is fragment 0, its link
             // names the next fragment slot. The walk is bounded by the
             // ring capacity, so a link cycle cannot wedge the engine.
             let mut frags = vec![(desc.src, desc.len, 0u64)];
-            let mut offset = desc.len;
+            let mut walked = 0u64;
             let mut chain_ok = true;
             if desc.flags & DESC_FLAG_CHAIN != 0 {
                 let mut link = desc.link;
-                let mut steps = 0u32;
+                let mut offset = desc.len;
                 while let Some(slot) = link {
-                    steps += 1;
-                    if slot >= capacity || steps > capacity {
+                    if slot >= capacity || walked >= u64::from(capacity) {
                         chain_ok = false;
                         break;
                     }
                     clock += fetch;
                     self.ring_stats.fetched += 1;
-                    let Some(f) = self.fetch_desc(ctx, slot) else {
+                    walked += 1;
+                    let Some(f) =
+                        self.fetch_desc(ctx, slot).filter(|f| f.flags & DESC_FLAG_FRAG != 0)
+                    else {
                         chain_ok = false;
                         break;
                     };
-                    if f.flags & DESC_FLAG_FRAG == 0 {
-                        chain_ok = false;
-                        break;
-                    }
                     self.rings[ctx as usize].consumed[slot as usize] = true;
                     frags.push((f.src, f.len, offset));
-                    offset += f.len;
+                    // Lengths are user-written: a gather offset that
+                    // overflows refuses the chain instead of wrapping.
+                    let Some(next) = offset.checked_add(f.len) else {
+                        chain_ok = false;
+                        break;
+                    };
+                    offset = next;
                     link = f.link;
                 }
             }
             if !chain_ok {
-                self.ring_stats.rejected += 1;
-                self.note_reject(RejectReason::BadRange);
-                out.push(RingLaunch::Rejected(RejectReason::BadRange));
+                // The head and every fragment the walk fetched.
+                self.ring_reject(&mut out, 1 + walked);
                 continue;
             }
             let in_chain = frags.len() > 1;
@@ -1694,14 +1193,6 @@ impl EngineCore {
                             self.ring_stats.chained += 1;
                         }
                     }
-                    RingLaunch::Phys(idx) => {
-                        self.rings[ctx as usize].live_phys.push(idx);
-                        self.contexts[ctx as usize].set_last_transfer(idx);
-                        self.ring_stats.launched += 1;
-                        if in_chain && i > 0 {
-                            self.ring_stats.chained += 1;
-                        }
-                    }
                     RingLaunch::Rejected(_) => self.ring_stats.rejected += 1,
                 }
                 out.push(launch);
@@ -1710,6 +1201,16 @@ impl EngineCore {
         let r = &mut self.rings[ctx as usize];
         r.drain_until = r.drain_until.max(clock);
         out
+    }
+
+    /// Refuses `slots` fetched ring slots as `BadRange`: each counts once
+    /// in the ring and engine statistics and appears once in `out`.
+    fn ring_reject(&mut self, out: &mut Vec<RingLaunch>, slots: u64) {
+        for _ in 0..slots {
+            self.ring_stats.rejected += 1;
+            self.note_reject(RejectReason::BadRange);
+            out.push(RingLaunch::Rejected(RejectReason::BadRange));
+        }
     }
 
     /// Fetches and decodes the descriptor in relative slot `rel` of
@@ -1728,9 +1229,9 @@ impl EngineCore {
     }
 
     /// Launches one dequeued descriptor (or chain fragment) at launch
-    /// clock `at`, reusing the existing checked paths per destination
-    /// kind. `offset` is the fragment's accumulated gather offset into
-    /// the destination.
+    /// clock `at` through the register path's checked VA post. `offset`
+    /// is the fragment's accumulated gather offset into the destination;
+    /// a destination past the end of the address space is refused.
     fn ring_launch(
         &mut self,
         ctx: u32,
@@ -1740,48 +1241,14 @@ impl EngineCore {
         len: u64,
         at: SimTime,
     ) -> RingLaunch {
-        match dst {
-            DescDst::Local(va) => {
-                match self.post_virt_dma(ctx, src, VirtAddr::new(va.as_u64() + offset), len, at) {
-                    Ok(id) => RingLaunch::Virt(id),
-                    Err(reason) => RingLaunch::Rejected(reason),
-                }
-            }
-            DescDst::RemoteVirt { node, asid, va } => {
-                let to = RemoteVaTarget { node, asid };
-                let dst_va = VirtAddr::new(va.as_u64() + offset);
-                match self.post_virt_dma_remote(ctx, src, to, dst_va, len, at) {
-                    Ok(id) => RingLaunch::Virt(id),
-                    Err(reason) => RingLaunch::Rejected(reason),
-                }
-            }
-            DescDst::Remote { node, addr } => {
-                // SHRIMP-1-style pre-proved physical destination: only
-                // the source translates, under the posting context's
-                // ASID (single-page rule holds per fragment).
-                let iommu = self.iommu.as_mut().expect("rings require enable_iommu");
-                let Ok(src_pa) = iommu.translate(ctx, src, Access::Read) else {
-                    self.note_reject(RejectReason::BadRange);
-                    return RingLaunch::Rejected(RejectReason::BadRange);
-                };
-                if self.link_down {
-                    self.note_reject(RejectReason::LinkDown);
-                    return RingLaunch::Rejected(RejectReason::LinkDown);
-                }
-                let dst_pa = PhysAddr::new(addr.as_u64() + offset);
-                let rd = RemoteDst { node, addr: dst_pa };
-                match self.launch_checked(
-                    src_pa,
-                    LaunchDst::Remote(rd),
-                    len,
-                    Initiator::Context(ctx),
-                    false,
-                    at,
-                ) {
-                    Ok(idx) => RingLaunch::Phys(idx),
-                    Err(reason) => RingLaunch::Rejected(reason),
-                }
-            }
+        let DescDst::Local(va) = dst;
+        let Some(dst) = va.as_u64().checked_add(offset) else {
+            self.note_reject(RejectReason::BadRange);
+            return RingLaunch::Rejected(RejectReason::BadRange);
+        };
+        match self.post_virt_dma(ctx, src, VirtAddr::new(dst), len, at) {
+            Ok(id) => RingLaunch::Virt(id),
+            Err(reason) => RingLaunch::Rejected(reason),
         }
     }
 
@@ -1796,11 +1263,10 @@ impl EngineCore {
 
 /// Whether a virtual transfer still pins its initiating context at
 /// `now`: live states (running, or faulted awaiting OS service) always
-/// pin; terminal states (complete, failed, link-failed, node-down) pin
-/// only until the simulated instant they settled — a transfer that
-/// already reached its outcome can never again observe the register
-/// file, so holding the context hostage past `finished` would wedge
-/// the steal path forever after a node death.
+/// pin; terminal states (complete, failed) pin only until the simulated
+/// instant they settled — a transfer that already reached its outcome
+/// can never again observe the register file, so holding the context
+/// hostage past `finished` would wedge the steal path forever.
 fn virt_xfer_pins(x: &VirtTransfer, now: SimTime) -> bool {
     match x.state {
         VirtState::Running | VirtState::Faulted(_) => true,
@@ -2180,177 +1646,6 @@ mod tests {
         assert_eq!(c.iommu().unwrap().stats().tlb.hits, 2);
     }
 
-    /// A virt core attached to a 2-node cluster with receive-side
-    /// IOMMUs; node 0's ASID 7 maps VA pages 0..4 → node frames 2..6.
-    fn remote_virt_core() -> (EngineCore, crate::SharedCluster) {
-        let mut c = virt_core();
-        let mut cluster = crate::Cluster::new(2, 1 << 16);
-        cluster.enable_virt(IotlbConfig::default());
-        let iommu = cluster.node_iommu_mut(0).unwrap();
-        iommu.create_context(7);
-        for p in 0..4u64 {
-            iommu
-                .map(
-                    7,
-                    udma_mem::VirtPage::new(p),
-                    PhysFrame::new(2 + p),
-                    udma_mem::Perms::READ_WRITE,
-                    true,
-                )
-                .unwrap();
-        }
-        let shared = cluster.shared();
-        c.attach_cluster(shared.clone());
-        (c, shared)
-    }
-
-    #[test]
-    fn remote_virt_dma_translates_on_the_receive_side() {
-        let (mut c, cluster) = remote_virt_core();
-        c.mem.borrow_mut().write_u64(PhysAddr::new(8 * PAGE_SIZE + 0x40), 0xFEED).unwrap();
-        // 1.5 pages from local VA 0x40 to node 0's VA 0x40 in ASID 7.
-        let id = c
-            .post_virt_dma_remote(
-                1,
-                VirtAddr::new(0x40),
-                RemoteVaTarget { node: 0, asid: 7 },
-                VirtAddr::new(0x40),
-                PAGE_SIZE + PAGE_SIZE / 2,
-                SimTime::ZERO,
-            )
-            .unwrap();
-        let t = *c.virt_xfer(id).unwrap();
-        assert_eq!(t.state, VirtState::Complete);
-        assert_eq!(t.nacks, 0);
-        // The first word landed in node 0's frame 2 (VA page 0 there),
-        // read back via the node's physical memory.
-        assert_eq!(cluster.borrow().read_u64(0, PhysFrame::new(2).base() + 0x40).unwrap(), 0xFEED);
-        // Every chunk is a remote deposit on node 0.
-        for rec in c.mover().records() {
-            assert_eq!(rec.remote_node, Some(0));
-            assert_eq!(rec.initiator, Initiator::VirtDma { asid: 1 });
-        }
-    }
-
-    #[test]
-    fn remote_fault_nacks_back_and_pauses_at_the_boundary() {
-        let (mut c, cluster) = remote_virt_core();
-        // Node 0's VA page 1 is not mapped: second chunk faults remotely.
-        cluster
-            .borrow_mut()
-            .node_iommu_mut(0)
-            .unwrap()
-            .unmap(7, udma_mem::VirtPage::new(1))
-            .unwrap();
-        let id = c
-            .post_virt_dma_remote(
-                1,
-                VirtAddr::new(0),
-                RemoteVaTarget { node: 0, asid: 7 },
-                VirtAddr::new(0),
-                2 * PAGE_SIZE,
-                SimTime::ZERO,
-            )
-            .unwrap();
-        let t = *c.virt_xfer(id).unwrap();
-        assert!(matches!(t.state, VirtState::Faulted(_)));
-        assert_eq!(t.moved, PAGE_SIZE, "pauses exactly at the page boundary");
-        assert_eq!(t.nacks, 1);
-        // NACK cost = wire latency out and back.
-        let one_way = c.mover().link().latency();
-        assert_eq!(t.nack_stall, one_way + one_way);
-        assert!(t.stall >= t.nack_stall);
-        // The fault queued on the *node*, not the local engine.
-        assert_eq!(c.fault_backlog(), 0);
-        assert_eq!(cluster.borrow().fault_backlog(0), 1);
-        let pending = cluster.borrow_mut().pop_fault(0).unwrap();
-        assert_eq!(pending.xfer, id);
-        assert_eq!(pending.fault.asid, 7);
-        assert_eq!(c.virt_stats().remote_faults, 1);
-        assert_eq!(c.virt_stats().nacks, 1);
-        // Node's OS maps the page; the sender's retry completes.
-        cluster
-            .borrow_mut()
-            .node_iommu_mut(0)
-            .unwrap()
-            .map(
-                7,
-                udma_mem::VirtPage::new(1),
-                PhysFrame::new(3),
-                udma_mem::Perms::READ_WRITE,
-                true,
-            )
-            .unwrap();
-        assert_eq!(c.resume_virt(id, SimTime::from_us(10)), VirtState::Complete);
-        assert_eq!(c.virt_xfer(id).unwrap().moved, 2 * PAGE_SIZE);
-    }
-
-    #[test]
-    fn unserviced_remote_fault_fails_cleanly() {
-        let (mut c, cluster) = remote_virt_core();
-        cluster
-            .borrow_mut()
-            .node_iommu_mut(0)
-            .unwrap()
-            .unmap(7, udma_mem::VirtPage::new(1))
-            .unwrap();
-        let id = c
-            .post_virt_dma_remote(
-                1,
-                VirtAddr::new(0),
-                RemoteVaTarget { node: 0, asid: 7 },
-                VirtAddr::new(0),
-                2 * PAGE_SIZE,
-                SimTime::ZERO,
-            )
-            .unwrap();
-        let max = c.virt_config().retry.max_retries;
-        let mut state = c.virt_xfer(id).unwrap().state;
-        let mut resumes = 0;
-        while matches!(state, VirtState::Faulted(_)) {
-            state = c.resume_virt(id, SimTime::ZERO);
-            resumes += 1;
-            assert!(resumes <= max + 1, "remote resume loop did not terminate");
-        }
-        assert!(matches!(state, VirtState::Failed(_)));
-        assert_eq!(c.virt_status(id, SimTime::from_us(100)), DMA_FAILURE);
-        // No byte past the faulting boundary, ever.
-        assert_eq!(c.virt_xfer(id).unwrap().moved, PAGE_SIZE);
-        // Each fruitless retry re-NACKed over the link.
-        assert_eq!(c.virt_xfer(id).unwrap().nacks, 1 + max);
-    }
-
-    #[test]
-    fn remote_virt_post_requires_a_virt_enabled_node() {
-        let mut c = virt_core();
-        // No cluster at all.
-        let err = c
-            .post_virt_dma_remote(
-                1,
-                VirtAddr::new(0),
-                RemoteVaTarget { node: 0, asid: 7 },
-                VirtAddr::new(0),
-                8,
-                SimTime::ZERO,
-            )
-            .unwrap_err();
-        assert_eq!(err, RejectReason::BadRange);
-        // Cluster without enable_virt.
-        c.attach_cluster(crate::Cluster::new(1, 1 << 16).shared());
-        let err = c
-            .post_virt_dma_remote(
-                1,
-                VirtAddr::new(0),
-                RemoteVaTarget { node: 0, asid: 7 },
-                VirtAddr::new(0),
-                8,
-                SimTime::ZERO,
-            )
-            .unwrap_err();
-        assert_eq!(err, RejectReason::BadRange);
-        assert_eq!(c.stats().rejected_for(RejectReason::BadRange), 2);
-    }
-
     #[test]
     #[should_panic(expected = "requires enable_iommu")]
     fn virt_post_without_iommu_panics() {
@@ -2418,22 +1713,19 @@ mod tests {
     #[test]
     fn ring_fetch_latency_staggers_the_launch_clock() {
         let mut c = ring_core();
-        // Remote-physical descriptors launch exactly at the ring clock
-        // (no IOMMU walk costs folded into the chunk launch time).
-        c.attach_cluster(crate::Cluster::new(2, 1 << 16).shared());
+        // Warm both translations first so the ring's chunks pay no walk
+        // and launch exactly at the ring clock.
+        c.post_virt_dma(1, VirtAddr::new(0), VirtAddr::new(8 * PAGE_SIZE), 8, SimTime::ZERO)
+            .unwrap();
         for i in 0..4u64 {
-            let desc = DmaDescriptor::new(
-                VirtAddr::new(0x40 * i),
-                DescDst::Remote { node: 1, addr: PhysAddr::new(0x400 + 0x40 * i) },
-                8,
-            );
-            c.ring_post(1, &desc, SimTime::ZERO).unwrap();
+            c.ring_post(1, &local_desc(0x40 * i, 8 * PAGE_SIZE + 0x40 * i, 8), SimTime::ZERO)
+                .unwrap();
         }
         c.ring_doorbell(1, 4, SimTime::ZERO);
         let fetch = RingConfig::default().fetch_latency;
         // Chunk k of the batch launched at (k+1)·fetch: the engine pays
         // one descriptor fetch per launch, the CPU paid one doorbell.
-        let starts: Vec<SimTime> = c.mover().records().iter().map(|r| r.started).collect();
+        let starts: Vec<SimTime> = c.mover().records()[1..].iter().map(|r| r.started).collect();
         assert_eq!(starts.len(), 4);
         for (k, s) in starts.iter().enumerate() {
             assert_eq!(*s, SimTime::from_ps(fetch.as_ps() * (k as u64 + 1)));
@@ -2503,33 +1795,6 @@ mod tests {
         assert!(!c.ring(1).registered());
         assert!(c.ring_doorbell(1, 16, SimTime::ZERO).is_empty());
         assert_eq!(c.stats().rejected_for(RejectReason::RingFull), 3);
-    }
-
-    #[test]
-    fn ring_remote_phys_descriptor_translates_source_only() {
-        let mut c = ring_core();
-        let cluster = crate::Cluster::new(2, 1 << 16).shared();
-        c.attach_cluster(cluster.clone());
-        c.mem.borrow_mut().write_u64(PhysAddr::new(8 * PAGE_SIZE), 0x5151).unwrap();
-        let desc = DmaDescriptor::new(
-            VirtAddr::new(0),
-            DescDst::Remote { node: 1, addr: PhysAddr::new(0x400) },
-            8,
-        );
-        c.ring_post(1, &desc, SimTime::ZERO).unwrap();
-        let launches = c.ring_doorbell(1, 1, SimTime::ZERO);
-        assert!(matches!(launches[..], [RingLaunch::Phys(_)]));
-        assert_eq!(cluster.borrow().read_u64(1, PhysAddr::new(0x400)).unwrap(), 0x5151);
-        // An unmapped source VA is rejected at dequeue, never launched.
-        let bad = DmaDescriptor::new(
-            VirtAddr::new(64 * PAGE_SIZE),
-            DescDst::Remote { node: 1, addr: PhysAddr::new(0x800) },
-            8,
-        );
-        c.ring_post(1, &bad, SimTime::ZERO).unwrap();
-        let launches = c.ring_doorbell(1, 2, SimTime::ZERO);
-        assert!(matches!(launches[..], [RingLaunch::Rejected(RejectReason::BadRange)]));
-        assert_eq!(c.ring_stats().rejected, 1);
     }
 
     #[test]

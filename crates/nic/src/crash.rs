@@ -4,9 +4,9 @@
 //! crash-and-reboot that loses all volatile NI/OS state, an NI-engine
 //! hang that drops frames but keeps state, or an OS fault-service stall
 //! that defers NACK servicing — at a fixed simulated time. Plans are
-//! plain data so the same schedule replays identically in the
-//! single-machine `Cluster` world and in the sharded `ClusterSim`, and
-//! so a property harness can shrink over them.
+//! plain data so the same schedule replays identically at every shard
+//! count of the `ClusterSim`, and so a property harness can shrink over
+//! them.
 //!
 //! The state-partitioning question MProtect raises — *exactly which*
 //! NI/OS state survives a reboot — is answered here, explicitly:

@@ -30,7 +30,6 @@
 
 use crate::status::RejectReason;
 use udma_bus::SimTime;
-use udma_iommu::Asid;
 use udma_mem::{PhysAddr, VirtAddr};
 
 /// Words per in-memory descriptor.
@@ -45,42 +44,26 @@ pub const DESC_FLAG_CHAIN: u64 = 1 << 0;
 /// dequeue scan skips it; only a chain walk consumes it.
 pub const DESC_FLAG_FRAG: u64 = 1 << 1;
 
+/// Kind code of a local destination, the only kind the engine decodes.
+/// Codes 1 and 2 once named remote-physical and remote-VA destinations;
+/// a slot carrying either now decodes like any unknown kind, and the
+/// dequeue refuses it as a counted reject.
 const KIND_LOCAL: u64 = 0;
-const KIND_REMOTE_PHYS: u64 = 1;
-const KIND_REMOTE_VIRT: u64 = 2;
+const KIND_MASK: u64 = 0b11;
 
 const FLAG_SHIFT: u32 = 2;
 const FLAG_MASK: u64 = 0b11;
-const NODE_SHIFT: u32 = 4;
-const ASID_SHIFT: u32 = 20;
 const LINK_SHIFT: u32 = 36;
 const FIELD_MASK: u64 = 0xFFFF;
 
-/// Where a descriptor's data lands — the in-memory mirror of every
-/// destination kind the register paths accept.
+/// Where a descriptor's data lands. Rings are a local initiation path:
+/// remote transfers go through the cluster simulation, whose receiving
+/// node checks every deposit against its own grant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DescDst {
     /// A local virtual address, translated by this engine's IOMMU under
     /// the posting context's ASID.
     Local(VirtAddr),
-    /// A *physical* address on a remote node — the SHRIMP-1-style
-    /// pre-proved destination; only the source needs translation.
-    Remote {
-        /// Destination node within the cluster.
-        node: u32,
-        /// Physical address in that node's memory.
-        addr: PhysAddr,
-    },
-    /// A virtual address on a remote node, translated there by the
-    /// receive-side IOMMU (the `CTX_VIRT_*` remote path).
-    RemoteVirt {
-        /// Destination node within the cluster.
-        node: u32,
-        /// Address space on that node.
-        asid: Asid,
-        /// Destination VA in that address space.
-        va: VirtAddr,
-    },
 }
 
 /// One user-posted DMA descriptor: what a single keyed register
@@ -90,7 +73,7 @@ pub struct DmaDescriptor {
     /// Source virtual address (translated at dequeue under the posting
     /// context's ASID).
     pub src: VirtAddr,
-    /// Destination (any kind the register paths accept).
+    /// Destination.
     pub dst: DescDst,
     /// Bytes to transfer.
     pub len: u64,
@@ -108,22 +91,14 @@ impl DmaDescriptor {
     }
 
     /// Encodes the descriptor into its four in-memory words:
-    /// `[src, dst, len, ctl]` where `ctl` packs kind, flags, node, asid
-    /// and the (link+1) slot index.
+    /// `[src, dst, len, ctl]` where `ctl` packs the kind, the flags and
+    /// the (link+1) slot index.
     ///
     /// # Panics
     ///
-    /// Panics if a node, asid or link index overflows its 16-bit field.
+    /// Panics if a link index overflows its 16-bit field.
     pub fn encode(&self) -> [u64; DESC_WORDS] {
-        let (kind, dst_word, node, asid) = match self.dst {
-            DescDst::Local(va) => (KIND_LOCAL, va.as_u64(), 0, 0),
-            DescDst::Remote { node, addr } => (KIND_REMOTE_PHYS, addr.as_u64(), node as u64, 0),
-            DescDst::RemoteVirt { node, asid, va } => {
-                (KIND_REMOTE_VIRT, va.as_u64(), node as u64, asid as u64)
-            }
-        };
-        assert!(node <= FIELD_MASK, "node id too wide for a descriptor");
-        assert!(asid <= FIELD_MASK, "asid too wide for a descriptor");
+        let DescDst::Local(va) = self.dst;
         let link = match self.link {
             None => 0,
             Some(slot) => {
@@ -131,30 +106,22 @@ impl DmaDescriptor {
                 slot as u64 + 1
             }
         };
-        let ctl = kind
-            | ((self.flags & FLAG_MASK) << FLAG_SHIFT)
-            | (node << NODE_SHIFT)
-            | (asid << ASID_SHIFT)
-            | (link << LINK_SHIFT);
-        [self.src.as_u64(), dst_word, self.len, ctl]
+        let ctl = KIND_LOCAL | ((self.flags & FLAG_MASK) << FLAG_SHIFT) | (link << LINK_SHIFT);
+        [self.src.as_u64(), va.as_u64(), self.len, ctl]
     }
 
     /// Decodes four in-memory words back into a descriptor. `None` when
-    /// the kind field is not a destination the engine knows.
+    /// the kind field is not a destination the engine knows; bits
+    /// outside the kind, flag and link fields are ignored.
     pub fn decode(words: [u64; DESC_WORDS]) -> Option<Self> {
         let [src, dst_word, len, ctl] = words;
-        let node = ((ctl >> NODE_SHIFT) & FIELD_MASK) as u32;
-        let asid = ((ctl >> ASID_SHIFT) & FIELD_MASK) as Asid;
-        let dst = match ctl & 0b11 {
-            KIND_LOCAL => DescDst::Local(VirtAddr::new(dst_word)),
-            KIND_REMOTE_PHYS => DescDst::Remote { node, addr: PhysAddr::new(dst_word) },
-            KIND_REMOTE_VIRT => DescDst::RemoteVirt { node, asid, va: VirtAddr::new(dst_word) },
-            _ => return None,
-        };
+        if ctl & KIND_MASK != KIND_LOCAL {
+            return None;
+        }
         let link_raw = (ctl >> LINK_SHIFT) & FIELD_MASK;
         Some(DmaDescriptor {
             src: VirtAddr::new(src),
-            dst,
+            dst: DescDst::Local(VirtAddr::new(dst_word)),
             len,
             flags: (ctl >> FLAG_SHIFT) & FLAG_MASK,
             link: link_raw.checked_sub(1).map(|s| s as u32),
@@ -203,8 +170,6 @@ pub enum RingLaunch {
     /// Launched as a virtual-address transfer (id into the engine's
     /// virt-transfer table — poll [`crate::EngineCore::virt_status`]).
     Virt(usize),
-    /// Launched as a physical transfer (mover record index).
-    Phys(usize),
     /// Refused; the reason is also counted in the engine stats.
     Rejected(RejectReason),
 }
@@ -232,9 +197,6 @@ pub struct DescRing {
     pub(crate) drain_until: SimTime,
     /// Live virtual transfers launched from this ring.
     pub(crate) live_virt: Vec<usize>,
-    /// Live physical transfers (mover record indices) launched from
-    /// this ring.
-    pub(crate) live_phys: Vec<usize>,
 }
 
 impl DescRing {
@@ -299,19 +261,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn encode_decode_round_trip_all_kinds() {
+    fn encode_decode_round_trip() {
         let descs = [
             DmaDescriptor::new(VirtAddr::new(0x1000), DescDst::Local(VirtAddr::new(0x9000)), 64),
             DmaDescriptor {
                 src: VirtAddr::new(0x2000),
-                dst: DescDst::Remote { node: 3, addr: PhysAddr::new(0x4000) },
+                dst: DescDst::Local(VirtAddr::new(0x4000)),
                 len: 128,
                 flags: DESC_FLAG_CHAIN,
                 link: Some(5),
             },
             DmaDescriptor {
                 src: VirtAddr::new(0x3000),
-                dst: DescDst::RemoteVirt { node: 1, asid: 7, va: VirtAddr::new(0x8000) },
+                dst: DescDst::Local(VirtAddr::new(0x8000)),
                 len: 8,
                 flags: DESC_FLAG_FRAG,
                 link: None,
@@ -323,8 +285,10 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_unknown_kind() {
-        assert_eq!(DmaDescriptor::decode([0, 0, 8, 0b11]), None);
+    fn decode_rejects_every_kind_but_local() {
+        for kind in 1..4u64 {
+            assert_eq!(DmaDescriptor::decode([0, 0, 8, kind]), None, "kind {kind}");
+        }
     }
 
     #[test]
@@ -348,16 +312,5 @@ mod tests {
         assert_eq!(r.slot_addr(0), PhysAddr::new(0x8000));
         assert_eq!(r.slot_addr(3), PhysAddr::new(0x8000 + 3 * DESC_BYTES));
         assert_eq!(r.pending(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "node id")]
-    fn encode_wide_node_panics() {
-        let d = DmaDescriptor::new(
-            VirtAddr::new(0),
-            DescDst::Remote { node: 0x1_0000, addr: PhysAddr::new(0) },
-            8,
-        );
-        let _ = d.encode();
     }
 }

@@ -223,18 +223,6 @@ pub enum FrameFate {
     Corrupt,
 }
 
-/// What the link did to a control message (a NACKed fault
-/// notification crossing back to the sender's OS path).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ControlFate {
-    /// Arrived once.
-    Deliver,
-    /// Vanished; the bounded retry on the transfer recovers.
-    Drop,
-    /// Arrived twice; the fault service must be idempotent.
-    Duplicate,
-}
-
 /// Counters of everything the chaos link ever did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultyLinkStats {
@@ -250,16 +238,12 @@ pub struct FaultyLinkStats {
     pub corrupted: u64,
     /// ACK/NACK frames lost on the return path.
     pub acks_dropped: u64,
-    /// Fault notifications (NACK control messages) lost outright.
-    pub nacks_dropped: u64,
-    /// Fault notifications delivered twice.
-    pub nacks_duplicated: u64,
 }
 
-/// The seeded chaos wrapper around the cluster link: every message the
-/// engine sends through [`crate::DmaMover::start_remote`] consults this
-/// for its fate. Deterministic — replaying the same plan against the
-/// same traffic yields the same faults.
+/// The seeded chaos wrapper around a node's sending link: every data
+/// frame the node sends, and every ACK it waits for, consults this for
+/// its fate. Deterministic — replaying the same plan against the same
+/// traffic yields the same faults.
 #[derive(Clone, Debug)]
 pub struct FaultyLink {
     plan: FaultPlan,
@@ -341,27 +325,12 @@ impl FaultyLink {
         }
         lost
     }
-
-    /// Decides the fate of a fault-notification control message (the
-    /// NACK a remote node sends when its receive-side IOMMU faults).
-    pub fn control_fate(&mut self) -> ControlFate {
-        let r = self.rng.gen_f64();
-        if r < self.plan.drop {
-            self.stats.nacks_dropped += 1;
-            ControlFate::Drop
-        } else if r < self.plan.drop + self.plan.duplicate {
-            self.stats.nacks_duplicated += 1;
-            ControlFate::Duplicate
-        } else {
-            ControlFate::Deliver
-        }
-    }
 }
 
 /// Tunables of the reliability layer: framing, the go-back-N window,
-/// the retransmit policy, the watchdog deadline and the circuit
-/// breaker. One struct so "how robust is the remote path" is configured
-/// in one place.
+/// the retransmit policy, and the thresholds the per-destination
+/// failure detector derives from them. One struct so "how robust is the
+/// remote path" is configured in one place.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReliabilityConfig {
     /// Frame payload size in bytes.
@@ -374,11 +343,11 @@ pub struct ReliabilityConfig {
     /// the per-round (doubling) backoff — the link-level twin of the
     /// virtual-address unit's resume policy.
     pub retry: RetryPolicy,
-    /// Watchdog: a non-terminal remote transfer whose last byte
-    /// progress is older than this is aborted with `DMA_LINK_FAILED`.
+    /// No-progress horizon the failure detector's ACK lease derives from
+    /// ([`crate::HealthConfig::from_reliability`]: lease = watchdog / 16).
     pub watchdog: SimTime,
-    /// Consecutive link-failed transfers before the engine
-    /// circuit-breaks the remote path (`DMA_LINK_DOWN` on new posts).
+    /// Consecutive ACK-lease misses before a destination is held `Down`
+    /// and transfers to it fail fast.
     pub breaker_threshold: u32,
 }
 
@@ -664,25 +633,6 @@ mod tests {
         let a = deliver(&link, &rel, &mut FaultyLink::new(plan), len);
         let b = deliver(&link, &rel, &mut FaultyLink::new(plan), len);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn control_fates_follow_the_plan() {
-        let mut calm = FaultyLink::new(FaultPlan::lossless(1));
-        for _ in 0..16 {
-            assert_eq!(calm.control_fate(), ControlFate::Deliver);
-        }
-        let mut stormy = FaultyLink::new(FaultPlan::lossless(1).with_drop(0.5).with_duplicate(0.5));
-        let mut seen = [0u32; 2];
-        for _ in 0..64 {
-            match stormy.control_fate() {
-                ControlFate::Drop => seen[0] += 1,
-                ControlFate::Duplicate => seen[1] += 1,
-                ControlFate::Deliver => unreachable!("p(drop) + p(dup) = 1"),
-            }
-        }
-        assert!(seen[0] > 0 && seen[1] > 0);
-        assert_eq!(stormy.stats().nacks_dropped + stormy.stats().nacks_duplicated, 64);
     }
 
     #[test]

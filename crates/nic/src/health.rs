@@ -1,11 +1,10 @@
 //! Per-destination node health: the failure detector and its state
 //! machine.
 //!
-//! The PR 4 link layer already survives a *lossy* link (go-back-N,
-//! watchdog, circuit breaker); this module generalizes the breaker from
-//! "the link to everywhere" to "this particular peer". Every sender
-//! keeps one [`PeerHealth`] per destination and drives it from
-//! ACK-lease outcomes:
+//! The go-back-N link layer survives a *lossy* link; this module
+//! survives a *silent peer*, acting as a circuit breaker per
+//! destination. Every sender keeps one [`PeerHealth`] per destination
+//! and drives it from ACK-lease outcomes:
 //!
 //! ```text
 //!        lease miss ×suspect_after        lease miss ×down_after
@@ -16,10 +15,9 @@
 //!    └──────────────────────── (back to Up) ◄────────────── Recovering
 //! ```
 //!
-//! `Down` is the fail-fast state: new posts targeting the peer are
-//! rejected with [`crate::RejectReason::NodeDown`] and in-flight
-//! transfers abort with [`crate::DMA_NODE_DOWN`], delivering exactly
-//! their in-order prefix. Probes (bounded by the shared
+//! `Down` is the fail-fast state: transfers toward the peer, launching
+//! or in flight, end [`crate::XferState::NodeDown`], delivering exactly
+//! their in-order acked prefix. Probes (bounded by the shared
 //! [`RetryPolicy`]) and the rebooted peer's own Hello broadcast move
 //! the peer to `Recovering`; the first completed byte of progress
 //! closes the loop back to `Up`.
@@ -45,10 +43,9 @@ pub enum HealthState {
 }
 
 /// Failure-detector tunables. Built
-/// [`from_reliability`](HealthConfig::from_reliability) so the one
-/// `breaker_threshold` the PR 4 circuit breaker trips on is also the
-/// `Down` threshold here — the health machine *is* the breaker,
-/// per-destination.
+/// [`from_reliability`](HealthConfig::from_reliability) so
+/// `ReliabilityConfig::breaker_threshold` is the `Down` threshold — the
+/// health machine *is* the remote path's breaker, per destination.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HealthConfig {
     /// ACK lease: how long after a chunk launch the sender waits for
@@ -68,9 +65,9 @@ pub struct HealthConfig {
 
 impl HealthConfig {
     /// Derives the detector from the link-reliability knobs: the lease
-    /// is a fraction of the PR 4 no-progress watchdog (tighter, since a
-    /// lease watches one chunk, not a whole transfer), the `Down`
-    /// threshold *is* the breaker threshold, and probes reuse the
+    /// is a fraction of the no-progress horizon `watchdog` (tighter,
+    /// since a lease watches one chunk, not a whole transfer), the
+    /// `Down` threshold is `breaker_threshold`, and probes reuse the
     /// link's retry policy.
     pub fn from_reliability(rel: &ReliabilityConfig) -> Self {
         HealthConfig {
@@ -188,22 +185,6 @@ impl PeerHealth {
                 }
             }
             HealthState::Down => {}
-        }
-        self.state
-    }
-
-    /// The PR 4 no-progress watchdog deadline blew with the peer
-    /// unresponsive — conclusive failure, straight to `Down` (the
-    /// deadline is an order of magnitude longer than a lease, so there
-    /// is no Suspect grace left to give).
-    pub fn on_deadline(&mut self, now: SimTime) -> HealthState {
-        self.stats.misses += 1;
-        self.misses_in_row = 0;
-        if self.state != HealthState::Down {
-            self.state = HealthState::Down;
-            self.stats.downs += 1;
-            self.down_since = Some(now);
-            self.probes_sent = 0;
         }
         self.state
     }

@@ -49,24 +49,19 @@ pub use descring::{
 pub use engine::DmaEngine;
 pub use engine_core::{EngineConfig, EngineCore, EngineStats, LaunchDst};
 pub use faulty::{
-    crc32, deliver, Burst, ControlFate, Crc32, DeliveryOutcome, FaultPlan, FaultyLink,
-    FaultyLinkStats, FrameFate, ReliabilityConfig, MAX_BURSTS,
+    crc32, deliver, Burst, Crc32, DeliveryOutcome, FaultPlan, FaultyLink, FaultyLinkStats,
+    FrameFate, ReliabilityConfig, MAX_BURSTS,
 };
 pub use health::{HealthConfig, HealthState, HealthStats, PeerHealth};
 pub use link::{LinkModel, RetryPolicy};
 pub use mover::{DmaMover, RemoteDst, TransferRecord};
 pub use net::{
-    ChunkBytes, Envelope, NackVerdict, NetMsg, SendXfer, XferCounters, XferId, XferState,
+    ChunkBytes, DstAnnouncement, Envelope, NackVerdict, NetMsg, SendXfer, XferCounters, XferId,
+    XferState,
 };
 pub use protocol::{InitiationProtocol, ProtocolKind};
-pub use remote::{
-    Cluster, Destination, DstAnnouncement, NodeLinkStats, RemoteError, SharedCluster,
-};
-pub use status::{
-    Initiator, RejectReason, DMA_FAILURE, DMA_LINK_DOWN, DMA_LINK_FAILED, DMA_NODE_DOWN,
-    DMA_PENDING, DMA_STARTED,
-};
+pub use remote::{Cluster, Destination, RemoteError, SharedCluster};
+pub use status::{Initiator, RejectReason, DMA_FAILURE, DMA_PENDING, DMA_STARTED};
 pub use virt::{
-    PendingFault, PrefetchConfig, RemoteVaTarget, VirtDmaConfig, VirtStage, VirtState, VirtStats,
-    VirtTransfer,
+    PendingFault, PrefetchConfig, VirtDmaConfig, VirtStage, VirtState, VirtStats, VirtTransfer,
 };

@@ -1,8 +1,5 @@
 //! The DMA data mover: validates and performs transfers.
 
-use crate::faulty::{
-    deliver, DeliveryOutcome, FaultPlan, FaultyLink, FaultyLinkStats, ReliabilityConfig,
-};
 use crate::{Destination, Initiator, LinkModel, RejectReason, SharedCluster};
 use udma_bus::{SharedCoherence, SharedMemory, SimTime};
 use udma_mem::{PhysAddr, PAGE_SIZE};
@@ -74,14 +71,6 @@ pub struct DmaMover {
     link: LinkModel,
     cluster: Option<SharedCluster>,
     records: Vec<TransferRecord>,
-    /// Chaos wrapper over the cluster link. While attached, every
-    /// remote transfer runs the go-back-N reliability protocol instead
-    /// of the ideal wire.
-    faulty: Option<FaultyLink>,
-    reliability: ReliabilityConfig,
-    /// Outcome of the most recent reliable remote transfer (None when
-    /// the ideal wire carried it).
-    last_delivery: Option<DeliveryOutcome>,
     /// When attached, the engine is a *coherent* bus master: every read
     /// snoops Modified lines out of the CPU caches and every write
     /// invalidates them. Unattached (the non-coherent mode), the engine
@@ -99,9 +88,6 @@ impl DmaMover {
             link,
             cluster: None,
             records: Vec::new(),
-            faulty: None,
-            reliability: ReliabilityConfig::default(),
-            last_delivery: None,
             coherence: None,
             snoop_time: SimTime::ZERO,
         }
@@ -129,45 +115,6 @@ impl DmaMover {
     /// Attaches the cluster of remote nodes reachable over the link.
     pub fn attach_cluster(&mut self, cluster: SharedCluster) {
         self.cluster = Some(cluster);
-    }
-
-    /// Wraps the cluster link in seeded chaos: from now on every remote
-    /// transfer is framed, checksummed and carried by go-back-N across
-    /// the faults `plan` scripts.
-    pub fn attach_chaos(&mut self, plan: FaultPlan) {
-        self.faulty = Some(FaultyLink::new(plan));
-    }
-
-    /// Sets the reliability tunables (framing, window, timeouts).
-    pub fn set_reliability(&mut self, rel: ReliabilityConfig) {
-        self.reliability = rel;
-    }
-
-    /// The reliability tunables in force.
-    pub fn reliability(&self) -> ReliabilityConfig {
-        self.reliability
-    }
-
-    /// Whether a chaos plan wraps the link.
-    pub fn has_chaos(&self) -> bool {
-        self.faulty.is_some()
-    }
-
-    /// Everything the chaos link has done, if one is attached.
-    pub fn chaos_stats(&self) -> Option<FaultyLinkStats> {
-        self.faulty.as_ref().map(|f| f.stats())
-    }
-
-    /// Mutable chaos link (the engine consults it for control-message
-    /// fates).
-    pub fn chaos_mut(&mut self) -> Option<&mut FaultyLink> {
-        self.faulty.as_mut()
-    }
-
-    /// Outcome of the most recent remote transfer that ran the
-    /// reliability protocol (None when the ideal wire carried it).
-    pub fn last_delivery(&self) -> Option<DeliveryOutcome> {
-        self.last_delivery
     }
 
     /// The attached cluster, if any.
@@ -246,12 +193,9 @@ impl DmaMover {
     }
 
     /// Validates and performs a transfer whose destination is a page on a
-    /// remote cluster node (SHRIMP-1's mapped-out pages, §2.4). Source
-    /// rules are as for [`start`](Self::start): `multipage_ok` is true
-    /// only when the caller has validated every page of both ranges
-    /// (the kernel path, or the virt engine's coalescer after proving
-    /// the pages physically contiguous on both ends); otherwise the
-    /// deposit is bounded to one page on each side.
+    /// remote cluster node (SHRIMP-1's mapped-out pages, §2.4) over the
+    /// ideal link. The deposit is bounded to one page on each side: the
+    /// shadow mechanism proved access to one page per address.
     ///
     /// # Errors
     ///
@@ -263,18 +207,15 @@ impl DmaMover {
         dst: RemoteDst,
         size: u64,
         initiator: Initiator,
-        multipage_ok: bool,
         now: SimTime,
     ) -> Result<&TransferRecord, RejectReason> {
         let RemoteDst { node, addr } = dst;
         if size == 0 {
             return Err(RejectReason::ZeroSize);
         }
-        if !multipage_ok {
-            let crosses = |a: PhysAddr| (a.as_u64() % PAGE_SIZE) + size > PAGE_SIZE;
-            if crosses(src) || crosses(addr) {
-                return Err(RejectReason::PageCross);
-            }
+        let crosses = |a: PhysAddr| size > PAGE_SIZE - a.as_u64() % PAGE_SIZE;
+        if crosses(src) || crosses(addr) {
+            return Err(RejectReason::PageCross);
         }
         let mut buf = vec![0u8; size as usize];
         // Source-side snoop: a remote post must not ship bytes the CPU
@@ -291,39 +232,14 @@ impl DmaMover {
         };
         self.snoop_time += src_snoop;
         let cluster = self.cluster.as_ref().ok_or(RejectReason::BadRange)?;
-        self.last_delivery = None;
-        let (deposited, finished) = match &mut self.faulty {
-            // Chaos attached: the go-back-N layer frames, checksums and
-            // retransmits; only the in-order prefix the receiver acked
-            // is deposited, and the sender's clock carries every
-            // retransmission and stall.
-            Some(faulty) => {
-                let outcome = deliver(&self.link, &self.reliability, faulty, size);
-                if outcome.delivered > 0 {
-                    cluster
-                        .borrow_mut()
-                        .deposit(node, addr, &buf[..outcome.delivered as usize])
-                        .map_err(|_| RejectReason::BadRange)?;
-                }
-                cluster.borrow_mut().note_delivery(node, &outcome);
-                self.last_delivery = Some(outcome);
-                (outcome.delivered, now + outcome.elapsed + src_snoop)
-            }
-            None => {
-                cluster
-                    .borrow_mut()
-                    .deposit(node, addr, &buf)
-                    .map_err(|_| RejectReason::BadRange)?;
-                (size, now + self.link.transfer_time(size) + src_snoop)
-            }
-        };
+        cluster.borrow_mut().deposit(node, addr, &buf).map_err(|_| RejectReason::BadRange)?;
         let rec = TransferRecord {
             src,
             dst: addr,
             remote_node: Some(node),
-            size: deposited,
+            size,
             started: now,
-            finished,
+            finished: now + self.link.transfer_time(size) + src_snoop,
             initiator,
         };
         self.records.push(rec);

@@ -18,7 +18,6 @@
 
 use crate::faulty::{deliver, DeliveryOutcome, FaultyLink, ReliabilityConfig};
 use crate::link::{LinkModel, RetryPolicy};
-use crate::remote::DstAnnouncement;
 use std::fmt;
 use std::ops::{Deref, Range};
 use std::sync::Arc;
@@ -40,6 +39,21 @@ impl fmt::Display for XferId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}.x{}", self.node, self.index)
     }
+}
+
+/// A transfer's destination range, carried by [`NetMsg::Announce`] ahead
+/// of its first data chunk. When a page of the range faults, the
+/// receiving node's OS can service the *entire remaining range* in one
+/// go, so a cold contiguous buffer costs one NACK round trip instead of
+/// one per page.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DstAnnouncement {
+    /// Destination address space on the node.
+    pub asid: Asid,
+    /// Start of the announced destination range.
+    pub va: VirtAddr,
+    /// Length of the announced range in bytes.
+    pub len: u64,
 }
 
 /// A chunk's payload on the wire: a shared view `range` into the
@@ -197,13 +211,13 @@ pub enum XferState {
     Complete,
     /// A NACK was unresolvable or the NACK retry budget ran dry.
     Failed,
-    /// The link layer's retry budget ran dry mid-chunk (`DMA_LINK_FAILED`
-    /// in the single-machine world); an in-order prefix may have landed.
+    /// The link layer's retry budget ran dry mid-chunk; an in-order
+    /// prefix may have landed.
     LinkFailed,
-    /// The destination node failed (crash, hang, or lease expiry) —
-    /// `DMA_NODE_DOWN` in the single-machine world. Exactly the
-    /// in-order prefix acked before the failure was delivered, and if
-    /// the node rebooted even that prefix died with its volatile state.
+    /// The destination node failed (crash, hang, or lease expiry).
+    /// Exactly the in-order prefix acked before the failure was
+    /// delivered, and if the node rebooted even that prefix died with
+    /// its volatile state.
     NodeDown,
 }
 
@@ -217,8 +231,7 @@ impl XferState {
     }
 }
 
-/// Wire/accounting counters of one sender-side transfer — the sharded
-/// analogue of the single-machine `VirtStats` slice a transfer owns.
+/// Wire/accounting counters of one sender-side transfer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct XferCounters {
     /// Bytes that arrived in order at the destination (acked bytes plus

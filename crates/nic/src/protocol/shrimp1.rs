@@ -55,13 +55,6 @@ impl InitiationProtocol for Shrimp1 {
                 Initiator::Anonymous,
                 now,
             ),
-            // SHRIMP-1 mapped-out pages are proven physical at map-out
-            // time; a virtual remote destination has no place in this
-            // protocol's table.
-            Destination::RemoteVirt { .. } => {
-                core.note_reject(RejectReason::BadRange);
-                Err(RejectReason::BadRange)
-            }
         };
         self.last_status = match result {
             Ok(_) => DMA_STARTED,

@@ -14,28 +14,6 @@ pub const DMA_STARTED: u64 = 0;
 /// is progressing correctly.
 pub const DMA_PENDING: u64 = 1;
 
-/// Returned by a status load when a remote transfer was aborted by the
-/// link watchdog: the link stopped making forward progress (retry budget
-/// exhausted or deadline passed), and exactly the contiguous in-order
-/// prefix of the transfer was delivered. Distinct from [`DMA_FAILURE`]
-/// (`-2`) so software can tell a protection failure from a transport
-/// failure.
-pub const DMA_LINK_FAILED: u64 = u64::MAX - 1;
-
-/// Returned when the remote path is circuit-broken: too many consecutive
-/// link-failed transfers, so the engine fails new remote posts fast
-/// (`-3`) until the OS repairs the link.
-pub const DMA_LINK_DOWN: u64 = u64::MAX - 2;
-
-/// Returned by a status load when a remote transfer was aborted because
-/// its *destination node* failed (crash, NI hang, or lease timeout) —
-/// as opposed to the link between two live nodes ([`DMA_LINK_FAILED`]).
-/// Exactly the contiguous in-order prefix was delivered; after the node
-/// reboots under a new incarnation, any delivered prefix predating the
-/// crash is gone with the node's volatile state, so the sender must
-/// re-post from scratch (`-4`).
-pub const DMA_NODE_DOWN: u64 = u64::MAX - 3;
-
 /// Who asked the engine to start a transfer (bookkeeping for tests and
 /// statistics; carries no protocol authority).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,13 +65,6 @@ pub enum RejectReason {
     MissingArgs,
     /// Source and destination context ids disagree (§3.2 pairwise check).
     CtxMismatch,
-    /// The remote path is circuit-broken after consecutive link-failed
-    /// transfers; posts fail fast until the link is repaired.
-    LinkDown,
-    /// The destination node's health state machine holds it `Down`
-    /// (crashed, hung, or lease-expired); posts targeting it fail fast
-    /// until a probe or reboot announcement moves it to `Recovering`.
-    NodeDown,
     /// The context's descriptor ring is full (or no ring is registered):
     /// the post must wait for the engine to dequeue, or fall back to a
     /// register-path initiation.
@@ -110,8 +81,6 @@ impl fmt::Display for RejectReason {
             RejectReason::BadSequence => "shadow access out of protocol order",
             RejectReason::MissingArgs => "initiation with missing arguments",
             RejectReason::CtxMismatch => "source/destination context mismatch",
-            RejectReason::LinkDown => "remote link circuit-broken",
-            RejectReason::NodeDown => "destination node is down",
             RejectReason::RingFull => "descriptor ring full or unregistered",
         };
         f.write_str(s)
@@ -124,8 +93,7 @@ mod tests {
 
     #[test]
     fn status_constants_are_distinct() {
-        let all =
-            [DMA_FAILURE, DMA_STARTED, DMA_PENDING, DMA_LINK_FAILED, DMA_LINK_DOWN, DMA_NODE_DOWN];
+        let all = [DMA_FAILURE, DMA_STARTED, DMA_PENDING];
         for (i, a) in all.iter().enumerate() {
             for b in &all[i + 1..] {
                 assert_ne!(a, b);
@@ -136,9 +104,6 @@ mod tests {
     #[test]
     fn failure_is_minus_one() {
         assert_eq!(DMA_FAILURE as i64, -1);
-        assert_eq!(DMA_LINK_FAILED as i64, -2);
-        assert_eq!(DMA_LINK_DOWN as i64, -3);
-        assert_eq!(DMA_NODE_DOWN as i64, -4);
     }
 
     #[test]
@@ -148,6 +113,6 @@ mod tests {
         assert_eq!(Initiator::Anonymous.to_string(), "anon");
         assert_eq!(Initiator::VirtDma { asid: 3 }.to_string(), "va3");
         assert!(RejectReason::PageCross.to_string().contains("page boundary"));
-        assert!(RejectReason::NodeDown.to_string().contains("node is down"));
+        assert!(RejectReason::RingFull.to_string().contains("ring full"));
     }
 }

@@ -18,7 +18,7 @@ use udma_mem::VirtAddr;
 /// streaming cursor and how many physically-contiguous pages it will
 /// merge into one mover chunk. The default is the demand baseline —
 /// depth 0, no coalescing — so every demand-translation number (E11,
-/// E13) is unchanged unless a workload opts in.
+/// E12) is unchanged unless a workload opts in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PrefetchConfig {
     /// Pages of each range (src and dst) prewalked ahead of the cursor
@@ -102,28 +102,6 @@ pub enum VirtState {
     /// unresolvable. The fault is the report; no partial page was
     /// written.
     Failed(IoFault),
-    /// Aborted by the link layer: the retransmit budget ran dry or the
-    /// watchdog saw no forward progress within its deadline. Exactly the
-    /// contiguous in-order prefix (`moved`) was delivered; a status load
-    /// returns [`crate::DMA_LINK_FAILED`].
-    LinkFailed,
-    /// Aborted by the node fault domain: the destination node crashed,
-    /// hung, or let its lease expire. Exactly the contiguous in-order
-    /// prefix (`moved`) was delivered *before* the failure; if the node
-    /// rebooted, that prefix died with its volatile state and the sender
-    /// must re-post. A status load returns [`crate::DMA_NODE_DOWN`].
-    NodeDown,
-}
-
-/// The remote end of a virtual-address transfer whose destination lives
-/// on another workstation: the cluster node and the address space the
-/// destination VA is translated in **by the receiving NI**.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RemoteVaTarget {
-    /// Destination node within the cluster.
-    pub node: u32,
-    /// Address space on that node (independent of local ASIDs).
-    pub asid: Asid,
 }
 
 /// One virtual-address transfer, as tracked by the engine.
@@ -135,12 +113,8 @@ pub struct VirtTransfer {
     pub asid: Asid,
     /// Source virtual address.
     pub src: VirtAddr,
-    /// Destination virtual address. For a remote transfer this is a VA
-    /// in the *remote* address space named by `remote`.
+    /// Destination virtual address.
     pub dst: VirtAddr,
-    /// Remote destination, when the transfer crosses the link
-    /// (`None` = both ends local).
-    pub remote: Option<RemoteVaTarget>,
     /// Total bytes requested.
     pub size: u64,
     /// Bytes fully transferred (always a prefix; always ends at a page
@@ -162,24 +136,6 @@ pub struct VirtTransfer {
     /// Time lost to walks, fault services and backoff (excluded wire
     /// time) — the fault-path cost the E12 sweep reports.
     pub stall: SimTime,
-    /// NACKs received from the remote node (remote transfers only).
-    pub nacks: u32,
-    /// Time lost to NACK round trips alone — wire latency out and back
-    /// for every remote fault, the cross-link cost E13 isolates. Always
-    /// a subset of `stall`.
-    pub nack_stall: SimTime,
-    /// Data frames retransmitted by the go-back-N layer (remote
-    /// transfers over a lossy link only).
-    pub retransmits: u32,
-    /// Retransmit-timer expiries the go-back-N layer charged.
-    pub link_timeouts: u32,
-    /// Time lost to retransmit timeouts and link-level backoff alone —
-    /// the E14 cost. Always a subset of `stall`.
-    pub link_stall: SimTime,
-    /// When the transfer last made byte progress (= `started` until the
-    /// first chunk lands). The watchdog aborts a non-terminal remote
-    /// transfer whose `last_progress` is older than its deadline.
-    pub last_progress: SimTime,
 }
 
 impl VirtTransfer {
@@ -200,13 +156,7 @@ impl VirtTransfer {
 
     /// Whether the transfer reached a terminal state.
     pub fn is_terminal(&self) -> bool {
-        matches!(
-            self.state,
-            VirtState::Complete
-                | VirtState::Failed(_)
-                | VirtState::LinkFailed
-                | VirtState::NodeDown
-        )
+        matches!(self.state, VirtState::Complete | VirtState::Failed(_))
     }
 }
 
@@ -234,22 +184,6 @@ pub struct VirtStats {
     pub retries: u64,
     /// Page-bounded chunks issued.
     pub chunks: u64,
-    /// Faults raised by a *remote* node's receive-side IOMMU (a subset
-    /// of `faults`).
-    pub remote_faults: u64,
-    /// NACK packets that crossed the link back to this sender.
-    pub nacks: u64,
-    /// Transfers aborted by the link layer (watchdog deadline or
-    /// retransmit budget) — a subset of neither `completed` nor
-    /// `failed`.
-    pub link_failed: u64,
-    /// Data frames retransmitted by the go-back-N layer.
-    pub retransmits: u64,
-    /// Retransmit-timer expiries charged by the go-back-N layer.
-    pub link_timeouts: u64,
-    /// Transfers aborted because their destination *node* failed
-    /// (crash/hang/lease expiry) — disjoint from `link_failed`.
-    pub node_down: u64,
 }
 
 /// Per-context staging registers for the `CTX_VIRT_*` window.
@@ -274,7 +208,6 @@ mod tests {
             asid: 1,
             src: VirtAddr::new(0),
             dst: VirtAddr::new(0),
-            remote: None,
             size: 1000,
             moved: 600,
             chunks: 1,
@@ -284,12 +217,6 @@ mod tests {
             clock: SimTime::from_us(6),
             finished: None,
             stall: SimTime::ZERO,
-            nacks: 0,
-            nack_stall: SimTime::ZERO,
-            retransmits: 0,
-            link_timeouts: 0,
-            link_stall: SimTime::ZERO,
-            last_progress: SimTime::ZERO,
         };
         // At the clock: only the unmoved tail remains.
         assert_eq!(t.remaining_at(SimTime::from_us(6)), 400);

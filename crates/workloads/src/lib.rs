@@ -76,6 +76,6 @@ pub use sharded::{
 };
 pub use sweeps::{atomic_comparison, bus_sweep, BusSweepRow};
 pub use va::{
-    fault_rate_sweep, iotlb_sweep, pipeline_sweep, remote_fault_sweep, remote_pipeline_sweep,
+    fault_rate_sweep, iotlb_sweep, pipeline_sweep, remote_announce_sweep, remote_fault_sweep,
     FaultRateRow, IotlbSweepRow, PipelineRow, RemoteFaultRow,
 };

@@ -1,19 +1,17 @@
 //! Lossy-link reliability workload (E14).
 //!
-//! [`lossy_link_sweep`] drives a stream of remote virtual-address
-//! transfers over a seeded chaos link for every (loss-rate, retry-budget)
-//! pair and reports what the go-back-N layer salvages: goodput, tail
-//! (p99) completion latency, retransmit volume, link-layer aborts and
-//! circuit-breaker trips. The sweep is fully deterministic — the fault
+//! [`lossy_link_sweep`] drives a stream of remote transfers between the
+//! two nodes of a [`ClusterSim`] over a seeded chaos link for every
+//! (loss-rate, retry-budget) pair and reports what the go-back-N layer
+//! salvages: goodput, tail (p99) completion latency, retransmit volume
+//! and link-layer aborts. The sweep is fully deterministic — the fault
 //! plan's PRNG seed is derived from the grid point, so every run of the
 //! same grid reproduces the same packet story.
 
-use udma::{DmaMethod, Machine, MachineConfig, ProcessSpec, VirtDmaSetup};
+use udma::{ClusterConfig, ClusterSim};
 use udma_bus::SimTime;
-use udma_cpu::ProgramBuilder;
-use udma_iommu::IotlbConfig;
 use udma_mem::{Perms, VirtAddr, PAGE_SIZE};
-use udma_nic::{FaultPlan, RejectReason, ReliabilityConfig, RetryPolicy, VirtState};
+use udma_nic::{FaultPlan, ReliabilityConfig, RetryPolicy, XferState};
 
 /// Address space and base VA the remote node exposes for E14.
 const REMOTE_ASID: u32 = 14;
@@ -30,10 +28,8 @@ pub struct LossyLinkRow {
     pub transfers: u32,
     /// Transfers that completed (all bytes delivered, bit-exact).
     pub completed: u32,
-    /// Transfers aborted `DMA_LINK_FAILED` (retry budget exhausted).
+    /// Transfers that ended `LinkFailed` (retry budget exhausted).
     pub link_failed: u32,
-    /// Times the circuit breaker tripped (and was repaired) mid-stream.
-    pub breaker_trips: u32,
     /// Data frames retransmitted across the whole stream.
     pub retransmits: u64,
     /// Bytes that actually arrived (completions plus in-order prefixes).
@@ -49,13 +45,14 @@ pub struct LossyLinkRow {
 }
 
 /// Experiment E14: for every (loss %, retry budget) pair, streams
-/// `transfers` sequential `pages`-page transfers into a remote node over
-/// a chaos link dropping that fraction of data frames (ACKs share the
-/// same fate), with the go-back-N retransmit budget set to the pair's
-/// budget. Pin-on-post on both sides, so the link layer is the only
-/// source of disturbance. Goodput falls and the p99 tail stretches as
-/// loss rises; a larger budget converts aborts into (slower)
-/// completions, trading tail latency for delivery.
+/// `transfers` sequential `pages`-page transfers from node 0 into node 1
+/// over a chaos link dropping that fraction of data frames (ACKs share
+/// the same fate), with the go-back-N retransmit budget set to the
+/// pair's budget; each transfer posts when the previous one settled.
+/// Pin-on-post, so the link layer is the only source of disturbance.
+/// Goodput falls and the p99 tail stretches as loss rises; a larger
+/// budget converts aborts into (slower) completions, trading tail
+/// latency for delivery.
 pub fn lossy_link_sweep(
     loss_pcts: &[u32],
     retry_budgets: &[u32],
@@ -68,29 +65,16 @@ pub fn lossy_link_sweep(
             // One seed per grid point: deterministic, yet decorrelated
             // across points.
             let seed = 0xE14_0000 + (loss as u64) * 101 + budget as u64;
-            let plan = FaultPlan::lossless(seed).with_drop(loss.min(99) as f64 / 100.0);
-            let rel = ReliabilityConfig {
+            let mut cfg = ClusterConfig::new(2);
+            cfg.pin_on_post = true;
+            cfg.chaos = Some(FaultPlan::lossless(seed).with_drop(loss.min(99) as f64 / 100.0));
+            cfg.reliability = ReliabilityConfig {
                 retry: RetryPolicy::new(budget, SimTime::from_us(5)),
                 ..ReliabilityConfig::default()
             };
-            let mut m = Machine::new(MachineConfig {
-                virt_dma: Some(VirtDmaSetup::pin_on_post(IotlbConfig::default())),
-                remote_nodes: 1,
-                link_chaos: Some(plan),
-                reliability: rel,
-                ..MachineConfig::new(DmaMethod::Kernel)
-            });
-            let pid = m.spawn(&ProcessSpec::two_buffers_of(pages), |_| {
-                ProgramBuilder::new().halt().build()
-            });
-            m.grant_remote_buffer(
-                0,
-                REMOTE_ASID,
-                VirtAddr::new(REMOTE_VA),
-                pages,
-                Perms::READ_WRITE,
-            );
-            let src = m.env(pid).buffer(0).va;
+            let mut sim = ClusterSim::new(cfg);
+            let va = VirtAddr::new(REMOTE_VA);
+            sim.grant(1, REMOTE_ASID, va, pages, Perms::READ_WRITE).expect("fresh node has room");
 
             let mut row = LossyLinkRow {
                 loss_pct: loss,
@@ -98,7 +82,6 @@ pub fn lossy_link_sweep(
                 transfers,
                 completed: 0,
                 link_failed: 0,
-                breaker_trips: 0,
                 retransmits: 0,
                 delivered_bytes: 0,
                 goodput_mb_s: 0.0,
@@ -107,47 +90,25 @@ pub fn lossy_link_sweep(
             };
             let mut completions: Vec<SimTime> = Vec::new();
             let mut total_time = SimTime::ZERO;
+            let mut at = SimTime::ZERO;
             for _ in 0..transfers {
-                let id = match m.post_virt_remote(
-                    pid,
-                    src,
-                    0,
-                    REMOTE_ASID,
-                    VirtAddr::new(REMOTE_VA),
-                    pages * PAGE_SIZE,
-                ) {
-                    Ok(id) => id,
-                    Err(RejectReason::LinkDown) => {
-                        // The breaker tripped: repair and repost, as an
-                        // operator (or a failover layer) would.
-                        row.breaker_trips += 1;
-                        m.link_repair();
-                        m.post_virt_remote(
-                            pid,
-                            src,
-                            0,
-                            REMOTE_ASID,
-                            VirtAddr::new(REMOTE_VA),
-                            pages * PAGE_SIZE,
-                        )
-                        .expect("repost after repair")
-                    }
-                    Err(other) => panic!("unexpected reject: {other}"),
-                };
-                let state = m.run_virt(id, (8 * pages + 32) as u32);
-                let t = m.virt_xfer(id).expect("transfer exists");
-                row.delivered_bytes += t.moved;
-                row.retransmits += u64::from(t.retransmits);
-                let duration = t.finished.expect("terminal state").saturating_sub(t.started);
+                let id = sim.post(0, 1, REMOTE_ASID, va, pages * PAGE_SIZE, at);
+                sim.run();
+                let x = sim.xfer(id);
+                let finished = x.finished.expect("a crash-free transfer settles");
+                let duration = finished - x.posted_at;
+                row.delivered_bytes += x.counters.moved;
+                row.retransmits += x.counters.retransmits;
                 total_time += duration;
-                match state {
-                    VirtState::Complete => {
+                match x.state {
+                    XferState::Complete => {
                         row.completed += 1;
                         completions.push(duration);
                     }
-                    VirtState::LinkFailed => row.link_failed += 1,
+                    XferState::LinkFailed => row.link_failed += 1,
                     other => panic!("non-terminal end state {other:?}"),
                 }
+                at = finished;
             }
             if total_time > SimTime::ZERO {
                 row.goodput_mb_s =
@@ -179,10 +140,8 @@ mod tests {
         assert_eq!(r.completed, 6);
         assert_eq!(r.link_failed, 0);
         assert_eq!(r.retransmits, 0);
-        assert_eq!(r.breaker_trips, 0);
         assert_eq!(r.delivered_bytes, 6 * 2 * PAGE_SIZE);
-        // With zero loss the tail is only the first transfer's cold
-        // IOTLB walks away from the mean — well under a microsecond.
+        // With zero loss every transfer takes the same time.
         assert!(r.p99_completion >= r.mean_completion);
         assert!((r.p99_completion - r.mean_completion) < SimTime::from_us(5));
     }

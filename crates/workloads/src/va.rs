@@ -10,22 +10,25 @@
 //! * [`fault_rate_sweep`] (E12) — end-to-end transfer cost as a function
 //!   of how many of its pages must be demand-faulted in by the OS
 //!   mid-transfer;
-//! * [`remote_fault_sweep`] (E13) — the *cross-link* fault path: cost of
-//!   a transfer into a remote node's virtual memory as a function of the
-//!   remote-fault rate and the link model, isolating the NACK round-trip
-//!   term that scales with wire latency;
-//! * [`pipeline_sweep`] / [`remote_pipeline_sweep`] (E15) — the
+//! * [`remote_fault_sweep`] (E13) — the *cross-link* fault path on the
+//!   cluster simulation: cost of a transfer into a remote node's virtual
+//!   memory as a function of the remote-fault rate and the link model,
+//!   isolating the NACK round-trip term that scales with wire latency;
+//! * [`pipeline_sweep`] / [`remote_announce_sweep`] (E15) — the
 //!   translation pipeline: prefetch depth × IOTLB capacity × chunk
-//!   coalescing, locally (blocking walks hidden behind batched prewalks)
-//!   and across the link (one NACK round trip for a cold range instead
-//!   of one per page).
+//!   coalescing locally (blocking walks hidden behind batched
+//!   prewalks), and the announced destination range across the link
+//!   (one NACK round trip for a cold range instead of one per page).
 
-use udma::{DmaMethod, Machine, MachineConfig, ProcessSpec, VirtDmaSetup};
+use udma::{
+    ClusterConfig, ClusterSim, DmaMethod, Machine, MachineConfig, ProcessSpec, VirtDmaSetup,
+    XferDigest,
+};
 use udma_bus::SimTime;
 use udma_cpu::ProgramBuilder;
 use udma_iommu::IotlbConfig;
 use udma_mem::{Perms, VirtAddr, PAGE_SIZE};
-use udma_nic::{LinkModel, PrefetchConfig, VirtState};
+use udma_nic::{LinkModel, PrefetchConfig, VirtState, XferState};
 
 /// One IOTLB-capacity point of the E11 sweep.
 #[derive(Clone, Copy, Debug)]
@@ -145,32 +148,54 @@ pub struct RemoteFaultRow {
     pub link: &'static str,
     /// One-way wire latency of that link.
     pub link_latency: SimTime,
-    /// Percentage of the destination's page pairs resident in the
-    /// *node's* I/O page table before the measured transfer.
+    /// Percentage of the destination's pages registered in the *node's*
+    /// I/O page table before the measured transfer.
     pub prefaulted_pct: u32,
     /// Receive-side faults the measured transfer raised (each one
     /// crossed the link as a NACK).
     pub remote_faults: u64,
-    /// Time lost to NACK round trips alone (2 × wire latency each).
+    /// The NACK round trips' wire share: 2 × wire latency per NACK.
     pub nack_stall: SimTime,
-    /// Total engine-side overhead (walks, NACKs, service waits,
-    /// backoff).
-    pub stall: SimTime,
     /// Total modeled duration, post to completion.
     pub completion: SimTime,
 }
 
-/// Address space and base VA the remote node exposes for E13.
+/// Address space and base VA the destination node exposes for E13/E15.
 const REMOTE_ASID: u32 = 7;
 const REMOTE_VA: u64 = 32 * PAGE_SIZE;
 
-/// Experiment E13: posts one `pages`-page transfer into a remote node's
-/// virtual memory for every (link, prefaulted-fraction) pair. The
-/// destination pages *not* warmed up fault on the node's receive-side
-/// IOMMU, NACK back over the link (2 × wire latency each), get serviced
-/// by the node's OS, and complete on the sender's retry — so `nack_stall`
-/// grows with both the fault rate and the link's latency, which is
-/// exactly the cross-link term the local E12 sweep cannot see.
+/// Node 1 of a two-node `cfg` cluster exposes `pages` pages at
+/// [`REMOTE_VA`], the first `warm_pages` of them registered (pinned) as
+/// a prior transfer's fault service would have left them; node 0 then
+/// posts one transfer covering the buffer. Returns the cluster after
+/// the run and the transfer's outcome.
+fn remote_transfer(cfg: ClusterConfig, pages: u64, warm_pages: u64) -> (ClusterSim, XferDigest) {
+    let mut sim = ClusterSim::new(cfg);
+    let va = VirtAddr::new(REMOTE_VA);
+    sim.grant(1, REMOTE_ASID, va, pages, Perms::READ_WRITE).expect("fresh node has room");
+    if warm_pages > 0 {
+        sim.pin(1, REMOTE_ASID, va, warm_pages * PAGE_SIZE).expect("exposed pages pin");
+    }
+    let id = sim.post(0, 1, REMOTE_ASID, va, pages * PAGE_SIZE, SimTime::ZERO);
+    sim.run();
+    let x = sim.xfer(id);
+    assert_eq!(x.state, XferState::Complete, "granted destination pages always resolve");
+    (sim, x)
+}
+
+/// Post-to-completion time of a completed transfer.
+fn completion(x: &XferDigest) -> SimTime {
+    x.finished.expect("complete") - x.posted_at
+}
+
+/// Experiment E13: for every (link, prefaulted-fraction) pair, one
+/// `pages`-page transfer from node 0 of a two-node [`ClusterSim`] into
+/// node 1's virtual memory. Destination pages *not* registered
+/// beforehand fault on node 1's receive-side IOMMU; node 1's OS services
+/// each before its NACK departs, and the sender resends the chunk — so
+/// the NACK count grows with the fault rate and each NACK's wire round
+/// trip with the link's latency, the cross-link term the local E12 sweep
+/// cannot see.
 pub fn remote_fault_sweep(
     links: &[LinkModel],
     prefaulted_pcts: &[u32],
@@ -179,65 +204,16 @@ pub fn remote_fault_sweep(
     let mut rows = Vec::new();
     for &link in links {
         for &pct in prefaulted_pcts {
-            let config = MachineConfig {
-                virt_dma: Some(VirtDmaSetup::default()),
-                remote_nodes: 1,
-                link,
-                ..MachineConfig::new(DmaMethod::Kernel)
-            };
-            let mut m = Machine::new(config);
-            let pid = m.spawn(&ProcessSpec::two_buffers_of(pages), |_| {
-                ProgramBuilder::new().halt().build()
-            });
-            let src = m.env(pid).buffer(0).va;
-            let dst = m
-                .grant_remote_buffer(
-                    0,
-                    REMOTE_ASID,
-                    VirtAddr::new(REMOTE_VA),
-                    pages,
-                    Perms::READ_WRITE,
-                )
-                .va;
-            // Warm-up: a minimal transfer per prefaulted page makes the
-            // node's OS map-and-pin it, as a prior transfer would. The
-            // local source pages are warmed for *every* page so only the
-            // receive side faults during the measured run.
-            for p in 0..pages {
-                let id = m
-                    .post_virt(pid, src + p * PAGE_SIZE, src + p * PAGE_SIZE, 8)
-                    .expect("local warm-up post");
-                assert_eq!(m.run_virt(id, 16), VirtState::Complete);
-            }
             let warm = pages * u64::from(pct.min(100)) / 100;
-            for p in 0..warm {
-                let id = m
-                    .post_virt_remote(
-                        pid,
-                        src + p * PAGE_SIZE,
-                        0,
-                        REMOTE_ASID,
-                        dst + p * PAGE_SIZE,
-                        8,
-                    )
-                    .expect("remote warm-up post");
-                assert_eq!(m.run_virt(id, 16), VirtState::Complete);
-            }
-            let before = m.engine().core().virt_stats().remote_faults;
-            let id = m
-                .post_virt_remote(pid, src, 0, REMOTE_ASID, dst, pages * PAGE_SIZE)
-                .expect("measured post");
-            let rounds = (4 * pages + 16) as u32;
-            assert_eq!(m.run_virt(id, rounds), VirtState::Complete);
-            let t = m.virt_xfer(id).expect("transfer exists");
+            let (_, x) =
+                remote_transfer(ClusterConfig { link, ..ClusterConfig::new(2) }, pages, warm);
             rows.push(RemoteFaultRow {
                 link: link.name(),
                 link_latency: link.latency(),
                 prefaulted_pct: pct,
-                remote_faults: m.engine().core().virt_stats().remote_faults - before,
-                nack_stall: t.nack_stall,
-                stall: t.stall,
-                completion: t.finished.expect("complete") - t.started,
+                remote_faults: x.counters.nacks,
+                nack_stall: SimTime::from_ps(2 * link.latency().as_ps() * x.counters.nacks),
+                completion: completion(&x),
             });
         }
     }
@@ -247,16 +223,18 @@ pub fn remote_fault_sweep(
 /// One (variant, depth, capacity, coalescing) point of the E15 sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct PipelineRow {
-    /// `"local"` or `"remote"`.
+    /// `"local"`, `"remote"` or `"remote+announce"`.
     pub variant: &'static str,
     /// Prefetch depth in pages (0 = demand translation only).
     pub depth: u64,
-    /// IOTLB entries (sender *and*, for the remote variant, node side).
+    /// IOTLB entries (the sender's locally, the receiving node's for the
+    /// remote variants).
     pub entries: usize,
     /// Maximum pages coalesced into one chunk (1 = no coalescing).
     pub max_coalesce: u64,
-    /// Sender-IOTLB misses during the measured transfer — each one a
-    /// *blocking* full-latency walk on the demand path.
+    /// IOTLB misses during the measured transfer — locally each one a
+    /// *blocking* full-latency walk on the demand path; for the remote
+    /// variants, the receiving node's misses.
     pub misses: u64,
     /// IOTLB entries installed by prewalk (amortized batch rate).
     pub prefetch_fills: u64,
@@ -265,9 +243,11 @@ pub struct PipelineRow {
     pub prefetch_hidden: u64,
     /// Mover chunks issued (coalescing shrinks this).
     pub chunks: u64,
-    /// Receive-side NACKs that crossed the link (remote variant only).
+    /// Receive-side NACKs that crossed the link (remote variants only).
     pub nacks: u64,
-    /// Engine-side overhead: walks, fault pauses, NACK round trips.
+    /// Engine-side overhead: walks and fault pauses locally; for the
+    /// remote variants, completion minus the same transfer into a
+    /// pre-registered buffer.
     pub stall: SimTime,
     /// Total modeled duration, post to completion.
     pub completion: SimTime,
@@ -318,74 +298,38 @@ pub fn pipeline_sweep(
 }
 
 /// Experiment E15 (remote): one `pages`-page transfer into a *cold*
-/// remote buffer per (depth, capacity, coalescing) combination. The
-/// local source is fully warmed first, so every fault is receive-side.
-/// On the demand path (`depth == 0`) each cold page NACKs back over the
-/// link; with prefetch enabled the sender announces the destination
-/// range at post time and the node's OS services the whole range on the
-/// first NACK — so the cold-range cost collapses to exactly one round
-/// trip.
-pub fn remote_pipeline_sweep(
-    depths: &[u64],
-    entries: &[usize],
-    coalesce: &[u64],
-    pages: u64,
-) -> Vec<PipelineRow> {
-    let mut rows = Vec::new();
-    for &n in entries {
-        for &d in depths {
-            for &mc in coalesce {
-                let mut setup = VirtDmaSetup::demand(IotlbConfig::fully_associative(n));
-                setup.virt.prefetch = PrefetchConfig::pipelined(d, mc);
-                let config = MachineConfig {
-                    virt_dma: Some(setup),
-                    remote_nodes: 1,
-                    ..MachineConfig::new(DmaMethod::Kernel)
-                };
-                let mut m = Machine::new(config);
-                let pid = m.spawn(&ProcessSpec::two_buffers_of(pages), |_| {
-                    ProgramBuilder::new().halt().build()
-                });
-                let src = m.env(pid).buffer(0).va;
-                let dst = m
-                    .grant_remote_buffer(
-                        0,
-                        REMOTE_ASID,
-                        VirtAddr::new(REMOTE_VA),
-                        pages,
-                        Perms::READ_WRITE,
-                    )
-                    .va;
-                for p in 0..pages {
-                    let id = m
-                        .post_virt(pid, src + p * PAGE_SIZE, src + p * PAGE_SIZE, 8)
-                        .expect("local warm-up post");
-                    assert_eq!(m.run_virt(id, 16), VirtState::Complete);
-                }
-                let stats_before = m.engine().core().virt_stats();
-                let id = m
-                    .post_virt_remote(pid, src, 0, REMOTE_ASID, dst, pages * PAGE_SIZE)
-                    .expect("measured post");
-                assert_eq!(m.run_virt(id, (4 * pages + 16) as u32), VirtState::Complete);
-                let t = m.virt_xfer(id).expect("transfer exists");
-                let stats = m.engine().core().virt_stats();
-                rows.push(PipelineRow {
-                    variant: "remote",
-                    depth: d,
-                    entries: n,
-                    max_coalesce: mc,
-                    misses: 0,
-                    prefetch_fills: 0,
-                    prefetch_hidden: 0,
-                    chunks: stats.chunks - stats_before.chunks,
-                    nacks: stats.nacks - stats_before.nacks,
-                    stall: t.stall,
-                    completion: t.finished.expect("complete") - t.started,
-                });
+/// remote buffer, with the destination announcement off and on, on a
+/// fully associative receive-side IOTLB of `entries` entries. Without
+/// the announcement every cold page NACKs; with it the first NACK hands
+/// the node's OS the whole range, so exactly one round trip remains.
+/// The remote path has no sender-side prewalk or coalescing, so `depth`
+/// and `max_coalesce` stay at their off values.
+pub fn remote_announce_sweep(entries: usize, pages: u64) -> Vec<PipelineRow> {
+    let cfg = |announce| ClusterConfig {
+        iotlb: IotlbConfig::fully_associative(entries),
+        announce,
+        ..ClusterConfig::new(2)
+    };
+    let (_, warm) = remote_transfer(cfg(false), pages, pages);
+    [false, true]
+        .into_iter()
+        .map(|announce| {
+            let (sim, x) = remote_transfer(cfg(announce), pages, 0);
+            PipelineRow {
+                variant: if announce { "remote+announce" } else { "remote" },
+                depth: 0,
+                entries,
+                max_coalesce: 1,
+                misses: sim.digest().nodes[1].iotlb.tlb.misses,
+                prefetch_fills: 0,
+                prefetch_hidden: 0,
+                chunks: x.counters.launches - x.counters.nacks,
+                nacks: x.counters.nacks,
+                stall: completion(&x).saturating_sub(completion(&warm)),
+                completion: completion(&x),
             }
-        }
-    }
-    rows
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -430,7 +374,9 @@ mod tests {
         // 10× the fast one (50 µs vs 5 µs one-way).
         assert_eq!(rows[0].nack_stall, SimTime::from_us(4 * 2 * 5));
         assert_eq!(rows[2].nack_stall, SimTime::from_us(4 * 2 * 50));
-        assert!(rows[2].completion > rows[3].completion);
+        // End to end every fault costs more than its wire round trip.
+        assert!(rows[0].completion - rows[1].completion > rows[0].nack_stall);
+        assert!(rows[2].completion - rows[3].completion > rows[2].nack_stall);
     }
 
     #[test]
@@ -452,9 +398,10 @@ mod tests {
 
     #[test]
     fn announced_cold_remote_range_costs_one_nack() {
-        let rows = remote_pipeline_sweep(&[0, 4], &[64], &[1], 4);
+        let rows = remote_announce_sweep(64, 4);
         assert_eq!(rows[0].nacks, 4, "demand path NACKs once per cold page");
         assert_eq!(rows[1].nacks, 1, "announced range collapses to a single NACK");
+        assert_eq!((rows[0].chunks, rows[1].chunks), (4, 4));
         assert!(rows[1].stall < rows[0].stall);
         assert!(rows[1].completion < rows[0].completion);
     }

@@ -1,81 +1,58 @@
-//! Reliable delivery over a lossy link (DESIGN.md §4d): a seeded chaos
-//! plan drops a quarter of the data frames crossing the cluster link,
-//! and the go-back-N layer retransmits until every byte lands anyway.
-//! Then a scripted burst outage kills the link mid-transfer: the
-//! transfer aborts `DMA_LINK_FAILED` with exactly its in-order prefix,
-//! repeated aborts trip the circuit breaker (`LinkDown` fail-fast), and
-//! `link_repair()` brings the path back.
+//! Reliable delivery over a lossy link (DESIGN.md §4d) on the cluster
+//! simulation: a seeded chaos plan drops a quarter of the data frames
+//! node 0 sends, and the go-back-N layer retransmits until every byte
+//! lands anyway. Then a scripted burst outage kills the link
+//! mid-transfer: the transfer ends `LinkFailed` with exactly its
+//! in-order prefix deposited and nothing past it.
 //!
 //! ```text
 //! cargo run --release --example lossy_link
 //! ```
 
-use udma::{DmaMethod, Machine, MachineConfig, ProcessSpec, VirtDmaSetup};
-use udma_iommu::IotlbConfig;
+use udma::{ClusterConfig, ClusterSim, XferDigest};
+use udma_bus::SimTime;
 use udma_mem::{Perms, VirtAddr, PAGE_SIZE};
-use udma_nic::{FaultPlan, RejectReason, VirtState, DMA_LINK_FAILED};
+use udma_nic::{FaultPlan, XferState};
 
-const NODE: u32 = 0;
+const NODE: u32 = 1;
 const REMOTE_ASID: u32 = 9;
 const REMOTE_VA: u64 = 32 * PAGE_SIZE;
 const PAGES: u64 = 2;
+const LEN: u64 = PAGES * PAGE_SIZE;
 
-fn machine(plan: FaultPlan) -> (Machine, udma_cpu::Pid, VirtAddr, Vec<u8>) {
-    let mut m = Machine::new(MachineConfig {
-        virt_dma: Some(VirtDmaSetup::pin_on_post(IotlbConfig::default())),
-        remote_nodes: 1,
-        link_chaos: Some(plan),
-        ..MachineConfig::new(DmaMethod::Kernel)
-    });
-    let pid = m.spawn(&ProcessSpec::two_buffers_of(PAGES), |_| {
-        udma_cpu::ProgramBuilder::new().halt().build()
-    });
-    m.grant_remote_buffer(NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), PAGES, Perms::READ_WRITE);
-    let src_va = m.env(pid).buffer(0).va;
-    let src_frame = m.env(pid).buffer(0).first_frame;
-    let data: Vec<u8> = (0..PAGES * PAGE_SIZE).map(|i| (i % 251) as u8).collect();
-    m.memory().borrow_mut().write_bytes(src_frame.base(), &data).unwrap();
-    (m, pid, src_va, data)
-}
-
-/// Read the deposit back out of the node's frames via its IOMMU tables.
-fn remote_bytes(m: &Machine, len: usize) -> Vec<u8> {
-    let cluster = m.cluster().unwrap();
-    let cl = cluster.borrow();
-    let mut got = vec![0u8; len];
-    for p in 0..PAGES {
-        let va = VirtAddr::new(REMOTE_VA + p * PAGE_SIZE);
-        let pa = cl
-            .node_iommu(NODE)
-            .unwrap()
-            .table(REMOTE_ASID)
-            .and_then(|t| t.entry(va.page()))
-            .map(|e| e.frame.base())
+/// Runs one `LEN`-byte transfer from node 0 into node 1's pinned buffer
+/// over a sending link carrying `plan`; returns the cluster, the
+/// transfer's outcome and the bytes node 1 holds.
+fn transfer(plan: FaultPlan) -> (ClusterSim, XferDigest, Vec<u8>) {
+    let mut cfg = ClusterConfig::new(2);
+    cfg.pin_on_post = true;
+    cfg.chaos = Some(plan);
+    let mut sim = ClusterSim::new(cfg);
+    let va = VirtAddr::new(REMOTE_VA);
+    sim.grant(NODE, REMOTE_ASID, va, PAGES, Perms::READ_WRITE).expect("fresh node has room");
+    let id = sim.post(0, NODE, REMOTE_ASID, va, LEN, SimTime::ZERO);
+    sim.run();
+    let mut got = vec![0u8; LEN as usize];
+    for (p, page) in got.chunks_mut(PAGE_SIZE as usize).enumerate() {
+        let pa = sim
+            .probe(NODE, REMOTE_ASID, va + p as u64 * PAGE_SIZE)
             .expect("pin-on-post registered every page");
-        let lo = (p * PAGE_SIZE) as usize;
-        cl.read(NODE, pa, &mut got[lo..lo + PAGE_SIZE as usize]).unwrap();
+        sim.read_mem(NODE, pa, page).expect("frame in node RAM");
     }
-    got
-}
-
-fn post(m: &mut Machine, pid: udma_cpu::Pid, src: VirtAddr) -> Result<usize, RejectReason> {
-    m.post_virt_remote(pid, src, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), PAGES * PAGE_SIZE)
+    let x = sim.xfer(id);
+    (sim, x, got)
 }
 
 fn main() {
     // 1. A 25% frame-drop link: go-back-N retransmits until every byte
     //    lands, bit-exact, at the cost of timeouts and link stall.
-    let (mut m, pid, src, data) = machine(FaultPlan::lossless(0xC0C0A).with_drop(0.25));
-    let id = post(&mut m, pid, src).unwrap();
-    let state = m.run_virt(id, 64);
-    let t = m.virt_xfer(id).unwrap();
-    let chaos = m.link_chaos_stats().unwrap();
-    let node = m.node_link_stats(NODE);
+    let (sim, x, got) = transfer(FaultPlan::lossless(0xC0C0A).with_drop(0.25));
+    let node = sim.digest().nodes[NODE as usize].link;
     println!("25% frame drop:");
-    println!("  transfer : {state:?}, {} bytes moved", t.moved);
+    println!("  transfer : {:?}, {} bytes moved", x.state, x.counters.moved);
     println!(
-        "  link     : {} frames sent, {} dropped by chaos, {} retransmitted, {} timeouts",
-        chaos.data_frames, chaos.dropped, t.retransmits, t.link_timeouts
+        "  link     : {} bytes on the wire for {LEN}, {} frames retransmitted",
+        x.counters.wire_bytes, x.counters.retransmits
     );
     println!(
         "  node     : {} bytes accepted, {} dup ignored, {} out-of-order discarded",
@@ -83,58 +60,29 @@ fn main() {
     );
     println!(
         "  stall    : {:.2} µs charged to the retransmit/backoff ladder",
-        t.link_stall.as_us()
+        x.counters.stall.as_us()
     );
-    assert_eq!(state, VirtState::Complete);
-    assert_eq!(remote_bytes(&m, data.len()), data, "deposit must be bit-exact");
-    println!("  data     : {} bytes verified on node {NODE}\n", data.len());
+    assert_eq!(x.state, XferState::Complete);
+    assert_eq!(got, ClusterSim::expected_payload(x.id, LEN), "deposit must be bit-exact");
+    println!("  data     : {LEN} bytes verified on node {NODE}\n");
 
     // 2. A burst outage swallows everything after the first 3 frames:
-    //    the retry budget burns out, the transfer aborts with exactly
-    //    its in-order prefix, and repeated aborts trip the breaker.
-    let mtu = m.engine().core().reliability().mtu;
-    let threshold = m.engine().core().reliability().breaker_threshold;
-    let (mut m, pid, src, data) = machine(FaultPlan::lossless(0xDEAD).with_burst(3, u64::MAX));
-    println!("burst outage after 3 frames (breaker threshold {threshold}):");
-    let mut last_status = 0;
-    for round in 1..=threshold {
-        let id = post(&mut m, pid, src).expect("link still up");
-        let state = m.run_virt(id, 64);
-        let t = m.virt_xfer(id).unwrap();
-        let now = m.time();
-        last_status = m.engine().core_mut().virt_status(id, now);
-        assert_eq!(state, VirtState::LinkFailed);
-        // The burst position is global to the plan, so only the first
-        // transfer gets its 3 frames through; later rounds move nothing.
-        let expect = if round == 1 { 3 * mtu } else { 0 };
-        assert_eq!(t.moved, expect, "deposit is exactly the in-order prefix");
-        println!(
-            "  abort {round}: LinkFailed after {} bytes ({} retransmit rounds), status -{}",
-            t.moved,
-            t.retransmits,
-            u64::MAX - last_status + 1
-        );
-    }
-    assert_eq!(last_status, DMA_LINK_FAILED);
-    assert!(m.link_down(), "{threshold} consecutive aborts trip the breaker");
-    let prefix = &remote_bytes(&m, data.len())[..(3 * mtu) as usize];
-    assert_eq!(prefix, &data[..(3 * mtu) as usize]);
-
-    // 3. Breaker open: new posts fail fast instead of burning a full
-    //    retry budget each. Repair arms the path again.
-    match post(&mut m, pid, src) {
-        Err(RejectReason::LinkDown) => println!("  breaker  : post rejected LinkDown (fail-fast)"),
-        other => panic!("expected LinkDown, got {other:?}"),
-    }
-    m.link_repair();
-    println!("  repair   : link_repair() called, breaker reset");
-
-    // The chaos plan's burst is positional (frames 3..), so a repaired
-    // link with a fresh plan delivers again end to end.
-    let (mut m, pid, src, data) = machine(FaultPlan::lossless(0xFEED));
-    let id = post(&mut m, pid, src).unwrap();
-    let state = m.run_virt(id, 64);
-    assert_eq!(state, VirtState::Complete);
-    assert_eq!(remote_bytes(&m, data.len()), data);
-    println!("  recovery : lossless plan, transfer Complete, bytes verified\n");
+    //    the retry budget burns out and the transfer ends with exactly
+    //    its in-order prefix.
+    let mtu = sim.config().reliability.mtu;
+    let (_, x, got) = transfer(FaultPlan::lossless(0xDEAD).with_burst(3, u64::MAX));
+    println!("burst outage after 3 frames:");
+    println!(
+        "  transfer : {:?} after {} bytes ({} frames retransmitted, {:.2} µs stall)",
+        x.state,
+        x.counters.moved,
+        x.counters.retransmits,
+        x.counters.stall.as_us()
+    );
+    assert_eq!(x.state, XferState::LinkFailed);
+    assert_eq!(x.counters.moved, 3 * mtu, "deposit is exactly the in-order prefix");
+    let cut = (3 * mtu) as usize;
+    assert_eq!(got[..cut], ClusterSim::expected_payload(x.id, LEN)[..cut]);
+    assert!(got[cut..].iter().all(|&b| b == 0), "nothing lands past the abort point");
+    println!("  data     : {cut}-byte prefix verified, nothing past it");
 }

@@ -4,20 +4,23 @@
 //!
 //! Locally, prewalk batches hide the per-miss blocking page-table walks
 //! and the coalescer merges physically-contiguous pages into fewer
-//! mover chunks. Across the link, the sender announces the destination
-//! range at post time, so a cold remote buffer costs exactly one NACK
-//! round trip instead of one per page.
+//! mover chunks. Across the link (on the cluster simulation), a
+//! transfer that announces its destination range makes a cold remote
+//! buffer cost exactly one NACK round trip instead of one per page.
 //!
 //! ```text
 //! cargo run --release --example prefetch
 //! ```
 
-use udma::{DmaMethod, Machine, MachineConfig, ProcessSpec, VirtDmaSetup};
+use udma::{
+    ClusterConfig, ClusterSim, DmaMethod, Machine, MachineConfig, ProcessSpec, VirtDmaSetup,
+};
+use udma_bus::SimTime;
 use udma_iommu::IotlbConfig;
 use udma_mem::{Perms, VirtAddr, PAGE_SIZE};
 use udma_nic::PrefetchConfig;
 
-const NODE: u32 = 0;
+const NODE: u32 = 1;
 const REMOTE_ASID: u32 = 7;
 const REMOTE_VA: u64 = 32 * PAGE_SIZE;
 const PAGES: u64 = 8;
@@ -53,41 +56,25 @@ fn local(label: &str, prefetch: PrefetchConfig) {
     );
 }
 
-fn remote(label: &str, prefetch: PrefetchConfig) {
-    let mut setup = VirtDmaSetup::default();
-    setup.virt.prefetch = prefetch;
-    let mut m = Machine::new(MachineConfig {
-        virt_dma: Some(setup),
-        remote_nodes: 1,
-        ..MachineConfig::new(DmaMethod::Kernel)
-    });
-    let pid = m.spawn(&ProcessSpec::two_buffers_of(PAGES), |_| {
-        udma_cpu::ProgramBuilder::new().halt().build()
-    });
-    m.grant_remote_buffer(NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), PAGES, Perms::READ_WRITE);
-    let src = m.env(pid).buffer(0).va;
-    // Warm the local source so every stall below is receive-side.
-    for p in 0..PAGES {
-        let warm = m.post_virt(pid, src + p * PAGE_SIZE, src + p * PAGE_SIZE, 8).unwrap();
-        m.run_virt(warm, 16);
-    }
-    let id = m
-        .post_virt_remote(pid, src, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), PAGES * PAGE_SIZE)
-        .unwrap();
-    let state = m.run_virt(id, 64);
+fn remote(label: &str, announce: bool) {
+    let mut cfg = ClusterConfig::new(2);
+    cfg.announce = announce;
+    let mut sim = ClusterSim::new(cfg);
+    let va = VirtAddr::new(REMOTE_VA);
+    sim.grant(NODE, REMOTE_ASID, va, PAGES, Perms::READ_WRITE).expect("fresh node has room");
+    let id = sim.post(0, NODE, REMOTE_ASID, va, PAGES * PAGE_SIZE, SimTime::ZERO);
+    sim.run();
 
-    let t = m.virt_xfer(id).unwrap();
-    let node_os = m.remote_fault_service(NODE).stats();
+    let x = sim.xfer(id);
+    let node_os = sim.digest().nodes[NODE as usize].faults;
     println!("remote | {label}:");
     println!(
-        "  {state:?}, {} NACKs (stall {:.2} µs), node OS serviced {} ({} range-prefilled), \
-         total stall {:.2} µs, completion {:.2} µs",
-        t.nacks,
-        t.nack_stall.as_us(),
+        "  {:?}, {} NACKs, node OS serviced {} ({} range-prefilled), completion {:.2} µs",
+        x.state,
+        x.counters.nacks,
         node_os.serviced,
         node_os.range_prefilled,
-        t.stall.as_us(),
-        (t.finished.unwrap() - t.started).as_us()
+        (x.finished.expect("terminal") - x.posted_at).as_us()
     );
 }
 
@@ -96,6 +83,6 @@ fn main() {
     local("prefetch depth 4 (batched, pipelined walks)", PrefetchConfig::depth(4));
     local("prefetch 4 + coalesce 4 (fewer, larger chunks)", PrefetchConfig::pipelined(4, 4));
     println!();
-    remote("pipeline off (one NACK per cold page)", PrefetchConfig::default());
-    remote("announced range (one NACK for the whole buffer)", PrefetchConfig::depth(4));
+    remote("announce off (one NACK per cold page)", false);
+    remote("announce on (one NACK for the whole buffer)", true);
 }

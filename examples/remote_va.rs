@@ -1,95 +1,64 @@
-//! Remote virtual-address DMA walkthrough: a local process posts a
-//! multi-page transfer whose destination is a *virtual* address in
-//! another workstation's address space. The receiving node's IOMMU
-//! translates; a cold translation NACKs back over the link, the sender
-//! pauses at the page boundary, the remote node's OS services the fault,
-//! and the sender retries.
+//! Remote virtual-address DMA walkthrough on the cluster simulation:
+//! node 0 posts a multi-page transfer whose destination is a *virtual*
+//! address in node 1's address space. The receiving node's IOMMU
+//! translates; a cold translation is serviced by node 1's OS and NACKed
+//! back, the sender resends the chunk, and the deposit completes.
 //!
 //! ```text
 //! cargo run --release --example remote_va
 //! ```
 
-use udma::{DmaMethod, Machine, MachineConfig, ProcessSpec, VirtDmaSetup};
-use udma_iommu::IotlbConfig;
+use udma::{ClusterConfig, ClusterSim};
+use udma_bus::SimTime;
 use udma_mem::{Perms, VirtAddr, PAGE_SIZE};
 
-const NODE: u32 = 0;
+const NODE: u32 = 1;
 const REMOTE_ASID: u32 = 7;
 const REMOTE_VA: u64 = 32 * PAGE_SIZE;
 const PAGES: u64 = 4;
 
-fn run(label: &str, setup: VirtDmaSetup) {
-    let mut m = Machine::new(MachineConfig {
-        virt_dma: Some(setup),
-        remote_nodes: 1,
-        ..MachineConfig::new(DmaMethod::Kernel)
-    });
-    let pid = m.spawn(&ProcessSpec::two_buffers_of(PAGES), |env| {
-        let _ = env;
-        udma_cpu::ProgramBuilder::new().halt().build()
-    });
+fn run(label: &str, pin_on_post: bool) {
+    let mut cfg = ClusterConfig::new(2);
+    cfg.pin_on_post = pin_on_post;
+    let mut sim = ClusterSim::new(cfg);
     // The far-side process offers a buffer for incoming RDMA.
-    m.grant_remote_buffer(NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), PAGES, Perms::READ_WRITE);
+    let va = VirtAddr::new(REMOTE_VA);
+    sim.grant(NODE, REMOTE_ASID, va, PAGES, Perms::READ_WRITE).expect("fresh node has room");
+    let len = PAGES * PAGE_SIZE;
+    let id = sim.post(0, NODE, REMOTE_ASID, va, len, SimTime::ZERO);
+    sim.run();
 
-    // Seed the local source frames.
-    let src_va = m.env(pid).buffer(0).va;
-    let src_frame = m.env(pid).buffer(0).first_frame;
-    let data: Vec<u8> = (0..PAGES * PAGE_SIZE).map(|i| (i % 251) as u8).collect();
-    m.memory().borrow_mut().write_bytes(src_frame.base(), &data).unwrap();
-
-    let id = m
-        .post_virt_remote(
-            pid,
-            src_va,
-            NODE,
-            REMOTE_ASID,
-            VirtAddr::new(REMOTE_VA),
-            data.len() as u64,
-        )
-        .unwrap();
-    let state = m.run_virt(id, 64);
-
-    let t = m.virt_xfer(id).unwrap();
-    let vstats = m.engine().core().virt_stats();
-    let node_os = m.remote_fault_service(NODE).stats();
+    let x = sim.xfer(id);
+    let node_os = sim.digest().nodes[NODE as usize].faults;
     println!("{label}:");
-    println!("  transfer : {state:?}, {} bytes in {} chunks", t.moved, t.chunks);
     println!(
-        "  link     : {} NACKs, NACK stall {:.2} µs (of {:.2} µs total stall)",
-        t.nacks,
-        t.nack_stall.as_us(),
-        t.stall.as_us()
+        "  transfer : {:?}, {} bytes in {} chunk launches",
+        x.state, x.counters.moved, x.counters.launches
+    );
+    println!(
+        "  link     : {} NACKs, completion {:.2} µs",
+        x.counters.nacks,
+        (x.finished.expect("terminal") - x.posted_at).as_us()
     );
     println!(
         "  node OS  : {} serviced ({} mapped, {} swapped in, {} unresolvable)",
         node_os.serviced, node_os.mapped, node_os.swapped_in, node_os.unresolvable
     );
-    println!("  engine   : {} remote faults, {} retries", vstats.remote_faults, vstats.retries);
 
-    // Verify the bytes actually landed in the remote process's frames.
-    let cluster = m.cluster().unwrap();
-    let cl = cluster.borrow();
-    let mut got = vec![0u8; data.len()];
-    for p in 0..PAGES {
-        let va = VirtAddr::new(REMOTE_VA + p * PAGE_SIZE);
-        let pa = cl
-            .node_iommu(NODE)
-            .unwrap()
-            .table(REMOTE_ASID)
-            .and_then(|t| t.entry(va.page()))
-            .map(|e| e.frame.base())
+    // Verify the bytes landed in the remote process's frames.
+    let want = ClusterSim::expected_payload(id, len);
+    for (p, page) in want.chunks(PAGE_SIZE as usize).enumerate() {
+        let pa = sim
+            .probe(NODE, REMOTE_ASID, va + p as u64 * PAGE_SIZE)
             .expect("page translated after the transfer");
-        let lo = (p * PAGE_SIZE) as usize;
-        cl.read(NODE, pa, &mut got[lo..lo + PAGE_SIZE as usize]).unwrap();
+        let mut got = vec![0u8; page.len()];
+        sim.read_mem(NODE, pa, &mut got).expect("frame in node RAM");
+        assert_eq!(got, page, "remote deposit mismatch");
     }
-    assert_eq!(got, data, "remote deposit mismatch");
-    println!("  data     : {} bytes verified on node {NODE}\n", data.len());
+    println!("  data     : {len} bytes verified on node {NODE}\n");
 }
 
 fn main() {
-    run("demand paging (cold node I/O page table, one NACK per page)", VirtDmaSetup::default());
-    run(
-        "pin-on-post (remote buffer registered at grant, zero NACKs)",
-        VirtDmaSetup::pin_on_post(IotlbConfig::default()),
-    );
+    run("demand paging (cold node I/O page table, one NACK per page)", false);
+    run("pin-on-post (remote buffer registered at grant, zero NACKs)", true);
 }

@@ -1,9 +1,11 @@
 //! Doorbell-batched descriptor rings end to end: the batched-vs-
-//! sequential oracle property, exhaustive interleaving coverage of the
-//! doorbell-ring vs context-steal vs node-crash race, and the E20
-//! acceptance bounds — depth-1 posts pin to the pre-ring per-post cost
-//! with zero SimTime delta, and per-transfer initiation cost falls
-//! monotonically toward the fetch asymptote as queue depth grows.
+//! sequential oracle property, the raw-slot ring adversary property,
+//! exhaustive interleaving coverage of the doorbell-ring vs
+//! context-steal vs fault-service race, the chain-overflow and retired
+//! remote-kind regressions, and the E20 acceptance bounds — depth-1
+//! posts pin to the pre-ring per-post cost with zero SimTime delta, and
+//! per-transfer initiation cost falls monotonically toward the fetch
+//! asymptote as queue depth grows.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -12,12 +14,17 @@ use udma_bus::{SharedMemory, SimTime};
 use udma_iommu::IotlbConfig;
 use udma_mem::{Perms, PhysAddr, PhysFrame, PhysLayout, PhysMemory, VirtAddr, VirtPage, PAGE_SIZE};
 use udma_nic::{
-    Cluster, CtxBusy, DescDst, DmaDescriptor, EngineConfig, EngineCore, RingConfig, RingLaunch,
-    VirtDmaConfig, DMA_NODE_DOWN,
+    CtxBusy, DescDst, DmaDescriptor, EngineConfig, EngineCore, RejectReason, RingConfig,
+    RingLaunch, VirtDmaConfig, DESC_BYTES, DESC_FLAG_CHAIN, DESC_FLAG_FRAG, DMA_FAILURE,
 };
+use udma_testkit::prop::{any, vec};
 use udma_testkit::sched::{explore, Budget};
 use udma_testkit::{prop_assert, prop_assert_eq, props};
 use udma_workloads::{e20_depth_grid, ring_initiation_sweep};
+
+/// Host-physical base of the ring [`ring_engine`] registers for
+/// context 1.
+const RING_BASE: u64 = 0x40000;
 
 /// An engine with the IOMMU on, context 1 mapped (VA pages 0..4 →
 /// frames 8..12 for sources, VA pages 8..12 → frames 16..20 for
@@ -41,9 +48,30 @@ fn ring_engine() -> (EngineCore, SharedMemory) {
             .unwrap();
     }
     core.enable_rings(RingConfig::default());
-    core.set_ring_base(1, 0x40000);
+    core.set_ring_base(1, RING_BASE);
     core.set_ring_ctl(1, 64);
     (core, mem)
+}
+
+/// Whether context 1 maps `frame` writable in [`ring_engine`].
+fn writable_frame(frame: u64) -> bool {
+    (8..12).contains(&frame) || (16..20).contains(&frame)
+}
+
+/// Writes one raw four-word slot into context 1's ring, the way a
+/// process's own stores would.
+fn write_slot(mem: &SharedMemory, slot: u64, words: [u64; 4]) {
+    for (w, word) in words.iter().enumerate() {
+        let pa = PhysAddr::new(RING_BASE + slot * DESC_BYTES + 8 * w as u64);
+        mem.borrow_mut().write_u64(pa, *word).unwrap();
+    }
+}
+
+/// Fails every queued I/O fault — the OS found each unresolvable.
+fn fail_queued_faults(core: &mut EngineCore, now: SimTime) {
+    while let Some(p) = core.pop_fault() {
+        core.fail_virt(p.xfer, now);
+    }
 }
 
 props! {
@@ -98,7 +126,7 @@ props! {
         // Oracle: the same transfers, one register-window post each.
         let mut oracle_ids = Vec::new();
         for d in &descs {
-            let DescDst::Local(dst) = d.dst else { unreachable!() };
+            let DescDst::Local(dst) = d.dst;
             oracle_ids.push(oracle.post_virt_dma(1, d.src, dst, d.len, SimTime::ZERO).unwrap());
         }
 
@@ -131,60 +159,167 @@ props! {
     }
 }
 
-/// The doorbell-ring vs context-steal vs node-crash race, explored
-/// exhaustively (90 interleavings). Thread V posts two remote-VA
-/// descriptors and rings the doorbell, then drains; thread S (the OS)
-/// tries to steal context 1 at every point; thread C crashes the
-/// destination node. Invariants on every schedule:
+props! {
+    config(cases = 64);
+
+    /// Ring adversary (the ring slice of the protection invariant): the
+    /// process writes raw 4-word slots — every kind code 0–3 (1 and 2
+    /// once named remote destinations), random flags, garbage node/asid
+    /// bits, random chain links, lengths up to `u64::MAX` — and rings a
+    /// doorbell whose tail may lie far past anything posted. Whatever
+    /// the slots say: nothing panics, every fetched slot either launches
+    /// or is a counted reject, and the only bytes that change lie in
+    /// frames context 1 maps writable (every other frame holds sentinel
+    /// bytes that must survive).
+    fn raw_ring_slots_stay_inside_the_posting_context(
+        slots in vec((0u64..4, any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()), 1..9),
+        tail_pick in any::<u64>(),
+    ) {
+        let (mut core, mem) = ring_engine();
+        let frames = mem.borrow().size() / PAGE_SIZE;
+        for f in 0..frames {
+            let fill: Vec<u8> = (0..PAGE_SIZE)
+                .map(|i| if writable_frame(f) { (f * 31 + i) as u8 } else { 0xA5 })
+                .collect();
+            mem.borrow_mut().write_bytes(PhysAddr::new(f * PAGE_SIZE), &fill).unwrap();
+        }
+        let n = slots.len() as u64;
+        for (i, &(kind, ctl, src, dst, len)) in slots.iter().enumerate() {
+            // Mostly addresses context 1 maps, sometimes raw words.
+            let src = if src & 3 != 0 { (src >> 2) % (4 * PAGE_SIZE) } else { src };
+            let dst = if dst & 3 != 0 { 8 * PAGE_SIZE + (dst >> 2) % (4 * PAGE_SIZE) } else { dst };
+            let len = match len & 3 {
+                0 => (len >> 2) % (3 * PAGE_SIZE),
+                1 => u64::MAX,
+                2 => u64::MAX - (len >> 2) % 64,
+                _ => len,
+            };
+            // The kind code, random flag and node/asid bits, then a
+            // chain link naming one of the first few slots (0 = none).
+            let link = (ctl >> 40) % (n + 2);
+            write_slot(&mem, i as u64, [src, dst, len, kind | (ctl & 0xF_FFFF_FFFC) | (link << 36)]);
+        }
+        let tail = match tail_pick & 3 {
+            0 => n,
+            1 => n + (tail_pick >> 2) % 128,
+            2 => u64::MAX,
+            _ => tail_pick >> 2,
+        };
+        let mut before = vec![0u8; (frames * PAGE_SIZE) as usize];
+        mem.borrow().read_bytes(PhysAddr::new(0), &mut before).unwrap();
+
+        let launches = core.ring_doorbell(1, tail, SimTime::ZERO);
+
+        let s = core.ring_stats();
+        prop_assert_eq!(launches.len() as u64, s.fetched, "one outcome per fetched slot");
+        prop_assert_eq!(
+            s.launched + s.rejected,
+            s.fetched,
+            "a slot that does not launch is a counted reject"
+        );
+        let refused = launches.iter().filter(|l| matches!(l, RingLaunch::Rejected(_))).count();
+        prop_assert_eq!(refused as u64, s.rejected);
+        prop_assert!(core.stats().rejected() >= s.rejected, "ring rejects reach the engine");
+        let mut after = vec![0u8; before.len()];
+        mem.borrow().read_bytes(PhysAddr::new(0), &mut after).unwrap();
+        for f in (0..frames).filter(|&f| !writable_frame(f)) {
+            let r = (f * PAGE_SIZE) as usize..((f + 1) * PAGE_SIZE) as usize;
+            prop_assert!(before[r.clone()] == after[r], "frame {} changed but is not mapped", f);
+        }
+    }
+}
+
+/// Regression: a chain whose user-written lengths overflow `u64` (a head
+/// of `len = u64::MAX` plus one 8-byte fragment) used to panic debug
+/// builds in the gather-offset sum. Both fetched slots are refused as
+/// counted `BadRange` rejects and nothing is deposited.
+#[test]
+fn overflowing_chain_lengths_are_rejected_not_panicked() {
+    let (mut core, mem) = ring_engine();
+    let mut head = DmaDescriptor::new(
+        VirtAddr::new(0),
+        DescDst::Local(VirtAddr::new(8 * PAGE_SIZE)),
+        u64::MAX,
+    );
+    head.flags = DESC_FLAG_CHAIN;
+    head.link = Some(1);
+    let mut frag = DmaDescriptor::new(VirtAddr::new(0x100), DescDst::Local(VirtAddr::new(0)), 8);
+    frag.flags = DESC_FLAG_FRAG;
+    core.ring_post(1, &head, SimTime::ZERO).unwrap();
+    core.ring_post(1, &frag, SimTime::ZERO).unwrap();
+
+    let launches = core.ring_doorbell(1, 2, SimTime::ZERO);
+    assert_eq!(launches, vec![RingLaunch::Rejected(RejectReason::BadRange); 2]);
+    let s = core.ring_stats();
+    assert_eq!((s.fetched, s.launched, s.rejected), (2, 0, 2));
+    assert_eq!(core.stats().rejected_for(RejectReason::BadRange), 2);
+    assert_eq!(core.virt_stats().posted, 0);
+    let mut dst = vec![0u8; (4 * PAGE_SIZE) as usize];
+    mem.borrow().read_bytes(PhysAddr::new(16 * PAGE_SIZE), &mut dst).unwrap();
+    assert!(dst.iter().all(|&b| b == 0), "a refused chain deposited bytes");
+}
+
+/// Kind codes 1 and 2 once named remote-physical and remote-VA
+/// destinations. A raw slot carrying either is now an unknown kind: it
+/// is refused as a counted `BadRange` reject and deposits nothing.
+#[test]
+fn retired_remote_kind_codes_are_counted_rejects() {
+    let (mut core, mem) = ring_engine();
+    mem.borrow_mut().write_u64(PhysAddr::new(8 * PAGE_SIZE), 0x5151).unwrap();
+    // Source VA 0 (mapped); destination word naming frame 16's base.
+    write_slot(&mem, 0, [0, 16 * PAGE_SIZE, 8, 1]);
+    write_slot(&mem, 1, [0, 16 * PAGE_SIZE, 8, 2]);
+    let launches = core.ring_doorbell(1, 2, SimTime::ZERO);
+    assert_eq!(launches, vec![RingLaunch::Rejected(RejectReason::BadRange); 2]);
+    let s = core.ring_stats();
+    assert_eq!((s.fetched, s.launched, s.rejected), (2, 0, 2));
+    assert_eq!(core.stats().rejected_for(RejectReason::BadRange), 2);
+    assert_eq!(mem.borrow().read_u64(PhysAddr::new(16 * PAGE_SIZE)).unwrap(), 0);
+    assert_eq!(core.virt_stats().posted, 0);
+}
+
+/// The doorbell-ring vs context-steal vs fault-service race, explored
+/// exhaustively (90 interleavings). Thread V posts two local
+/// descriptors — one clean, one whose source context 1 does not map —
+/// rings the doorbell, then lets time pass; thread S (the OS) tries to
+/// steal context 1 at every point; thread F (the OS fault service)
+/// fails whatever fault is queued. Invariants on every schedule:
 /// * a save succeeds iff the context was not busy at that instant, and
-///   a denial while ring work is queued or draining names the ring;
-/// * transfers complete iff the crash landed after the doorbell, and a
-///   completed transfer's bytes are intact on the destination node;
+///   a denial while ring work is queued, draining or faulted names the
+///   ring;
+/// * the clean transfer completes with its bytes intact and the faulted
+///   one fails with nothing deposited;
 /// * once the batch settles the context is always stealable again.
 #[test]
-fn doorbell_vs_steal_vs_crash_exhaustive() {
+fn doorbell_vs_steal_exhaustive() {
     const LEN: u64 = 256;
     let report = explore(&[2, 2, 2], Budget::new(1_000, 0), |schedule| {
         let (mut core, mem) = ring_engine();
-        let mut cluster = Cluster::new(2, 1 << 16);
-        cluster.enable_virt(IotlbConfig::default());
-        let iommu = cluster.node_iommu_mut(0).unwrap();
-        iommu.create_context(7);
-        for p in 0..4u64 {
-            iommu.map(7, VirtPage::new(p), PhysFrame::new(2 + p), Perms::READ_WRITE, true).unwrap();
-        }
-        let shared = cluster.shared();
-        core.attach_cluster(shared.clone());
         core.set_key(1, 0xBEEF);
-
-        let payload: Vec<u8> = (0..2 * LEN as usize).map(|i| (i * 13 + 7) as u8).collect();
+        let payload: Vec<u8> = (0..LEN as usize).map(|i| (i * 13 + 7) as u8).collect();
         mem.borrow_mut().write_bytes(PhysAddr::new(8 * PAGE_SIZE), &payload).unwrap();
+        let batch = [
+            DmaDescriptor::new(VirtAddr::new(0), DescDst::Local(VirtAddr::new(8 * PAGE_SIZE)), LEN),
+            // VA page 6 is not mapped for context 1: this one faults.
+            DmaDescriptor::new(
+                VirtAddr::new(6 * PAGE_SIZE),
+                DescDst::Local(VirtAddr::new(9 * PAGE_SIZE)),
+                LEN,
+            ),
+        ];
 
         let mut now = SimTime::ZERO;
         let mut v_step = 0;
-        let mut c_step = 0;
-        let mut crashed_before_doorbell = false;
-        let mut doorbelled = false;
         let mut launches = Vec::new();
         for &actor in schedule {
             match actor {
                 0 => {
                     // Victim: post the batch and ring once, then drain.
                     if v_step == 0 {
-                        for i in 0..2u64 {
-                            let desc = DmaDescriptor::new(
-                                VirtAddr::new(i * LEN),
-                                DescDst::RemoteVirt {
-                                    node: 0,
-                                    asid: 7,
-                                    va: VirtAddr::new(i * LEN),
-                                },
-                                LEN,
-                            );
-                            core.ring_post(1, &desc, now).unwrap();
+                        for d in &batch {
+                            core.ring_post(1, d, now).unwrap();
                         }
                         launches = core.ring_doorbell(1, 2, now);
-                        doorbelled = true;
                     } else {
                         now = SimTime::from_us(100_000);
                     }
@@ -204,63 +339,32 @@ fn doorbell_vs_steal_vs_crash_exhaustive() {
                         }
                     }
                 }
-                _ => {
-                    // Crash injector: the destination node dies once.
-                    if c_step == 0 {
-                        shared.borrow_mut().crash_node(0);
-                        crashed_before_doorbell = !doorbelled;
-                    }
-                    c_step += 1;
-                }
+                _ => fail_queued_faults(&mut core, now),
             }
         }
 
+        // The OS services whatever fault the schedule left queued.
         let late = SimTime::from_us(200_000);
-        assert_eq!(launches.len(), 2, "both descriptors must dequeue");
-        for (i, l) in launches.iter().enumerate() {
-            if crashed_before_doorbell {
-                // The dequeue hits a dead node: the first descriptor's
-                // transfer times out and trips the peer-health detector
-                // to Down; once tripped, later descriptors are rejected
-                // on the spot. Either way the outcome names the node.
-                match l {
-                    RingLaunch::Virt(id) => {
-                        let status = core.virt_status(*id, late);
-                        if status != DMA_NODE_DOWN {
-                            return Some(format!(
-                                "crash preceded the doorbell, status {status:#x}"
-                            ));
-                        }
-                    }
-                    RingLaunch::Rejected(udma_nic::RejectReason::NodeDown) => {}
-                    other => {
-                        return Some(format!("crash preceded the doorbell, launched as {other:?}"))
-                    }
-                }
-                continue;
-            }
-            let RingLaunch::Virt(id) = l else {
-                return Some(format!("remote-VA descriptor launched as {l:?}"));
-            };
-            // The batch drained ahead of the crash: both transfers
-            // completed, and the deposits landed whole in node 0's
-            // frames before it went dark.
-            let status = core.virt_status(*id, late);
-            if status != 0 {
-                return Some(format!("batch launched pre-crash, status {status:#x}"));
-            }
-            let base = 2 * PAGE_SIZE + i as u64 * LEN;
-            for w in 0..LEN / 8 {
-                let got = shared.borrow().read_u64(0, PhysAddr::new(base + w * 8)).unwrap();
-                let off = (i as u64 * LEN + w * 8) as usize;
-                let want = u64::from_le_bytes(payload[off..off + 8].try_into().unwrap());
-                if got != want {
-                    return Some(format!("deposit {i} word {w} corrupted"));
-                }
-            }
+        fail_queued_faults(&mut core, late);
+        let [RingLaunch::Virt(good), RingLaunch::Virt(bad)] = launches[..] else {
+            return Some(format!("batch launched as {launches:?}"));
+        };
+        if core.virt_status(good, late) != 0 {
+            return Some("the clean transfer did not complete".into());
+        }
+        let mut got = vec![0u8; LEN as usize];
+        mem.borrow().read_bytes(PhysAddr::new(16 * PAGE_SIZE), &mut got).unwrap();
+        if got != payload {
+            return Some("the clean transfer's bytes are corrupted".into());
+        }
+        if core.virt_status(bad, late) != DMA_FAILURE {
+            return Some("the faulted transfer did not fail".into());
+        }
+        if mem.borrow().read_u64(PhysAddr::new(17 * PAGE_SIZE)).unwrap() != 0 {
+            return Some("the faulted transfer deposited bytes".into());
         }
         // The settled batch releases the context: terminal states
-        // (complete or node-down) never wedge the steal path.
+        // (complete or failed) never wedge the steal path.
         if core.save_context(1, late).is_err() {
             return Some("context unstealable after the batch settled".into());
         }

@@ -122,207 +122,52 @@ fn register_window_decode_hole_faults_only_the_writer() {
     assert_ne!(m.reg(clean, Reg::R0), udma_nic::DMA_FAILURE);
 }
 
-// ---- cross-link NACK loss and duplication --------------------------
+// ---- data-frame chaos on the cluster link --------------------------
 
-use udma::{MachineConfig, ProcessSpec as Spec, VirtDmaSetup};
-use udma_mem::{PhysAddr, VirtAddr, PAGE_SIZE};
-use udma_nic::VirtState;
+use udma::{ClusterConfig, ClusterSim, XferDigest};
+use udma_bus::SimTime;
+use udma_mem::{VirtAddr, PAGE_SIZE};
+use udma_nic::{FaultPlan, XferState};
 
-const NODE: u32 = 0;
+const NODE: u32 = 1;
 const REMOTE_ASID: u32 = 7;
 const REMOTE_VA: u64 = 32 * PAGE_SIZE;
 
-/// A remote-capable machine with a two-page remote grant and warm local
-/// source translations, carrying `pages` pages of seeded data.
-fn remote_setup(pages: u64) -> (Machine, udma_cpu::Pid, Vec<u8>) {
-    let mut m = Machine::new(MachineConfig {
-        virt_dma: Some(VirtDmaSetup::default()),
-        remote_nodes: 1,
-        ..MachineConfig::new(DmaMethod::Kernel)
-    });
-    let pid = m.spawn(&Spec::two_buffers_of(pages), |_| ProgramBuilder::new().halt().build());
-    m.grant_remote_buffer(
-        NODE,
-        REMOTE_ASID,
-        VirtAddr::new(REMOTE_VA),
-        pages,
-        udma_mem::Perms::READ_WRITE,
-    );
-    let src = m.env(pid).buffer(0).va;
-    let src_frame = m.env(pid).buffer(0).first_frame;
-    let data: Vec<u8> = (0..pages * PAGE_SIZE).map(|i| (i % 249) as u8).collect();
-    m.memory().borrow_mut().write_bytes(src_frame.base(), &data).unwrap();
-    for p in 0..pages {
-        let warm = m.post_virt(pid, src + p * PAGE_SIZE, src + p * PAGE_SIZE, 8).unwrap();
-        assert_eq!(m.run_virt(warm, 16), VirtState::Complete);
-    }
-    (m, pid, data)
-}
-
-/// A lost NACK: the sender's pause is never serviced, so the bounded
-/// backoff must terminate the transfer in `max_retries + 1` resumes —
-/// with a `-1` status, never a success over the partial deposit, and not
-/// one byte past the faulting page boundary.
-#[test]
-fn dropped_nack_terminates_bounded_with_failure_not_partial_success() {
-    let (mut m, pid, data) = remote_setup(2);
-    let src = m.env(pid).buffer(0).va;
-    // Warm the remote translation of page 0 only, so the measured
-    // transfer deposits one page and then NACKs on page 1.
-    let warm =
-        m.post_virt_remote(pid, src, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), 8).unwrap();
-    assert_eq!(m.run_virt(warm, 16), VirtState::Complete);
-
-    let id = m
-        .post_virt_remote(pid, src, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), 2 * PAGE_SIZE)
-        .unwrap();
-    let max_retries = m.engine().core().virt_config().retry.max_retries;
-    let cluster = m.cluster().unwrap();
-
-    let mut resumes = 0;
-    loop {
-        // The link eats every NACK: the node OS never hears about the
-        // fault, and the sender retries blind.
-        while cluster.borrow_mut().pop_fault(NODE).is_some() {}
-        let now = m.time();
-        let state = m.engine().core_mut().resume_virt(id, now);
-        resumes += 1;
-        if matches!(state, VirtState::Failed(_)) {
-            break;
-        }
-        assert!(resumes < 32, "bounded backoff never terminated");
-    }
-    assert_eq!(resumes, max_retries as u64 + 1);
-
-    let t = m.virt_xfer(id).unwrap();
-    assert_eq!(t.moved, PAGE_SIZE, "failure must sit exactly on the page boundary");
-    let now = m.time();
-    assert_eq!(m.engine().core_mut().virt_status(id, now), udma_nic::DMA_FAILURE);
-
-    // Page 0 of the grant holds the prefix (plus the 8-byte warm-up
-    // rewrite of the same bytes); page 1's frame never saw a byte.
-    let cl = cluster.borrow();
-    let frame = |p: u64| {
-        cl.node_iommu(NODE)
-            .and_then(|i| i.table(REMOTE_ASID))
-            .and_then(|t| t.entry(VirtAddr::new(REMOTE_VA + p * PAGE_SIZE).page()))
-            .map(|e| e.frame.base())
-            .unwrap()
-    };
-    let mut got = vec![0u8; PAGE_SIZE as usize];
-    cl.read(NODE, frame(0), &mut got).unwrap();
-    assert_eq!(got, data[..PAGE_SIZE as usize], "deposited prefix corrupted");
-    // Page 1 never translated: its would-be frame (contiguous after
-    // page 0's) is still all zero.
-    let mut past = vec![0u8; PAGE_SIZE as usize];
-    cl.read(NODE, PhysAddr::new(frame(0).as_u64() + PAGE_SIZE), &mut past).unwrap();
-    assert!(past.iter().all(|&b| b == 0), "bytes leaked past the faulting boundary");
-}
-
-/// A duplicated NACK: the node OS services the same fault twice. The
-/// second service must be idempotent — the transfer still completes,
-/// and the destination page is deposited exactly once.
-#[test]
-fn duplicated_nack_is_serviced_idempotently() {
-    let (mut m, pid, data) = remote_setup(1);
-    let src = m.env(pid).buffer(0).va;
-    let id = m
-        .post_virt_remote(pid, src, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), PAGE_SIZE)
-        .unwrap();
-    let cluster = m.cluster().unwrap();
-    // The link delivers the NACK twice.
-    let nack = cluster.borrow_mut().pop_fault(NODE).unwrap();
-    cluster.borrow_mut().push_fault(NODE, nack);
-    cluster.borrow_mut().push_fault(NODE, nack);
-    assert_eq!(cluster.borrow().fault_backlog(NODE), 2);
-
-    assert_eq!(m.service_remote_faults(), 2);
-    assert_eq!(m.virt_xfer(id).unwrap().state, VirtState::Complete);
-    // Both deliveries were serviced, one mapped the page, and the mover
-    // deposited the destination exactly once.
-    assert_eq!(m.remote_fault_service(NODE).stats().serviced, 2);
-    let deposits: Vec<_> =
-        m.transfers().iter().filter(|r| r.remote_node == Some(NODE)).cloned().collect();
-    assert_eq!(deposits.len(), 1);
-    assert_eq!(deposits[0].size, PAGE_SIZE);
-
-    let cl = cluster.borrow();
-    let frame = cl
-        .node_iommu(NODE)
-        .and_then(|i| i.table(REMOTE_ASID))
-        .and_then(|t| t.entry(VirtAddr::new(REMOTE_VA).page()))
-        .map(|e| e.frame.base())
-        .unwrap();
-    let mut got = vec![0u8; PAGE_SIZE as usize];
-    cl.read(NODE, frame, &mut got).unwrap();
-    assert_eq!(got, data, "duplicate service corrupted the deposit");
-}
-
-// ---- data-frame chaos: drops, duplicates, reorders, corruption -----
-
-use udma_nic::{FaultPlan, DMA_LINK_FAILED};
-
-/// A remote-capable machine whose outgoing link runs a seeded fault
-/// plan. Pin-on-post on both sides so no VA fault can NACK — every
-/// observed disturbance is the link layer's own.
-fn chaos_setup(pages: u64, plan: FaultPlan) -> (Machine, udma_cpu::Pid, Vec<u8>) {
-    let mut m = Machine::new(MachineConfig {
-        virt_dma: Some(VirtDmaSetup::pin_on_post(udma_iommu::IotlbConfig::default())),
-        remote_nodes: 1,
-        link_chaos: Some(plan),
-        ..MachineConfig::new(DmaMethod::Kernel)
-    });
-    let pid = m.spawn(&Spec::two_buffers_of(pages), |_| ProgramBuilder::new().halt().build());
-    m.grant_remote_buffer(
-        NODE,
-        REMOTE_ASID,
-        VirtAddr::new(REMOTE_VA),
-        pages,
-        udma_mem::Perms::READ_WRITE,
-    );
-    let src_frame = m.env(pid).buffer(0).first_frame;
-    let data: Vec<u8> = (0..pages * PAGE_SIZE).map(|i| (i % 251) as u8).collect();
-    m.memory().borrow_mut().write_bytes(src_frame.base(), &data).unwrap();
-    (m, pid, data)
-}
-
-/// Bytes the remote grant holds, read through the node's IOMMU.
-fn remote_bytes(m: &Machine, pages: u64) -> Vec<u8> {
-    let cluster = m.cluster().unwrap();
-    let cl = cluster.borrow();
+/// Runs one `pages`-page transfer from node 0 into node 1 over a sending
+/// link running `plan`. Pin-on-post, so no VA fault can NACK — every
+/// observed disturbance is the link layer's own. Returns the cluster,
+/// the transfer's outcome and the bytes node 1 holds.
+fn chaos_transfer(pages: u64, plan: FaultPlan) -> (ClusterSim, XferDigest, Vec<u8>) {
+    let mut cfg = ClusterConfig::new(2);
+    cfg.node_bytes = 1 << 18;
+    cfg.pin_on_post = true;
+    cfg.chaos = Some(plan);
+    let mut sim = ClusterSim::new(cfg);
+    let va = VirtAddr::new(REMOTE_VA);
+    sim.grant(NODE, REMOTE_ASID, va, pages, Perms::READ_WRITE).unwrap();
+    let id = sim.post(0, NODE, REMOTE_ASID, va, pages * PAGE_SIZE, SimTime::ZERO);
+    sim.run();
     let mut got = vec![0u8; (pages * PAGE_SIZE) as usize];
-    for p in 0..pages {
-        let frame = cl
-            .node_iommu(NODE)
-            .and_then(|i| i.table(REMOTE_ASID))
-            .and_then(|t| t.entry(VirtAddr::new(REMOTE_VA + p * PAGE_SIZE).page()))
-            .map(|e| e.frame.base())
-            .unwrap();
-        let s = (p * PAGE_SIZE) as usize;
-        cl.read(NODE, frame, &mut got[s..s + PAGE_SIZE as usize]).unwrap();
+    for (p, page) in got.chunks_mut(PAGE_SIZE as usize).enumerate() {
+        let pa = sim.probe(NODE, REMOTE_ASID, va + p as u64 * PAGE_SIZE).expect("pinned page");
+        sim.read_mem(NODE, pa, page).unwrap();
     }
-    got
+    let x = sim.xfer(id);
+    (sim, x, got)
 }
 
 /// Dropped data frames force go-back-N retransmits, but every byte
 /// still lands, in order and bit-exact.
 #[test]
 fn dropped_data_frames_retransmit_until_every_byte_lands() {
-    let (mut m, pid, data) = chaos_setup(2, FaultPlan::lossless(0xD0D0).with_drop(0.25));
-    let src = m.env(pid).buffer(0).va;
-    let id = m
-        .post_virt_remote(pid, src, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), 2 * PAGE_SIZE)
-        .unwrap();
-    assert_eq!(m.run_virt(id, 64), VirtState::Complete);
-
-    let t = m.virt_xfer(id).unwrap();
-    assert_eq!(t.moved, 2 * PAGE_SIZE);
-    assert!(t.retransmits > 0, "a 25% loss rate must cost retransmits");
-    assert!(t.link_stall > udma_bus::SimTime::ZERO, "recovery time must be charged");
-    let chaos = m.link_chaos_stats().unwrap();
-    assert!(chaos.dropped > 0);
-    assert!(m.node_link_stats(NODE).retransmits > 0);
-    assert_eq!(remote_bytes(&m, 2), data, "retransmission corrupted the deposit");
+    let (sim, x, got) = chaos_transfer(2, FaultPlan::lossless(0xD0D0).with_drop(0.25));
+    assert_eq!(x.state, XferState::Complete);
+    assert_eq!(x.counters.moved, 2 * PAGE_SIZE);
+    assert!(x.counters.retransmits > 0, "a 25% loss rate must cost retransmits");
+    assert!(x.counters.stall > SimTime::ZERO, "recovery time must be charged");
+    assert!(sim.digest().nodes[NODE as usize].link.retransmits > 0);
+    let want = ClusterSim::expected_payload(x.id, 2 * PAGE_SIZE);
+    assert_eq!(got, want, "retransmission corrupted the deposit");
 }
 
 /// Duplicated and reordered frames are absorbed by the sequence-number
@@ -331,19 +176,13 @@ fn dropped_data_frames_retransmit_until_every_byte_lands() {
 #[test]
 fn duplicated_and_reordered_frames_never_corrupt_the_deposit() {
     let plan = FaultPlan::lossless(0xBEEF).with_duplicate(0.2).with_reorder(0.2);
-    let (mut m, pid, data) = chaos_setup(2, plan);
-    let src = m.env(pid).buffer(0).va;
-    let id = m
-        .post_virt_remote(pid, src, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), 2 * PAGE_SIZE)
-        .unwrap();
-    assert_eq!(m.run_virt(id, 64), VirtState::Complete);
-
-    let chaos = m.link_chaos_stats().unwrap();
-    assert!(chaos.duplicated > 0 && chaos.reordered > 0, "plan must actually fire");
-    let node = m.node_link_stats(NODE);
+    let (sim, x, got) = chaos_transfer(2, plan);
+    assert_eq!(x.state, XferState::Complete);
+    let node = sim.digest().nodes[NODE as usize].link;
     assert!(node.dup_ignored > 0, "receiver must have seen (and ignored) duplicates");
     assert!(node.ooo_discarded > 0, "receiver must have discarded out-of-order frames");
-    assert_eq!(remote_bytes(&m, 2), data, "reordering corrupted the deposit");
+    let want = ClusterSim::expected_payload(x.id, 2 * PAGE_SIZE);
+    assert_eq!(got, want, "reordering corrupted the deposit");
 }
 
 /// A corrupted frame is *never* acknowledged: the CRC catches every one,
@@ -351,44 +190,28 @@ fn duplicated_and_reordered_frames_never_corrupt_the_deposit() {
 /// lands. The deposit is bit-exact.
 #[test]
 fn corrupted_frames_are_dropped_by_crc_and_never_acked() {
-    let (mut m, pid, data) = chaos_setup(2, FaultPlan::lossless(0xC4C4).with_corrupt(0.3));
-    let src = m.env(pid).buffer(0).va;
-    let id = m
-        .post_virt_remote(pid, src, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), 2 * PAGE_SIZE)
-        .unwrap();
-    assert_eq!(m.run_virt(id, 64), VirtState::Complete);
-
-    let chaos = m.link_chaos_stats().unwrap();
-    assert!(chaos.corrupted > 0, "plan must actually fire");
-    // Every mangled frame was caught by the CRC — none was acked into
-    // the deposit, so the received bytes are exactly the source bytes.
-    assert_eq!(m.node_link_stats(NODE).crc_dropped, chaos.corrupted);
-    assert_eq!(remote_bytes(&m, 2), data, "a corrupted frame slipped past the CRC");
+    let (sim, x, got) = chaos_transfer(2, FaultPlan::lossless(0xC4C4).with_corrupt(0.3));
+    assert_eq!(x.state, XferState::Complete);
+    assert!(sim.digest().nodes[NODE as usize].link.crc_dropped > 0, "plan must actually fire");
+    assert!(x.counters.retransmits > 0, "a dropped corrupt frame is sent again");
+    let want = ClusterSim::expected_payload(x.id, 2 * PAGE_SIZE);
+    assert_eq!(got, want, "a corrupted frame slipped past the CRC");
 }
 
-/// A burst outage longer than the retry budget aborts the transfer with
-/// `DMA_LINK_FAILED`, leaving *exactly* the contiguous in-order prefix —
-/// the frames acked before the outage — and not one byte more.
+/// A burst outage longer than the retry budget ends the transfer
+/// `LinkFailed`, leaving *exactly* the contiguous in-order prefix — the
+/// frames acked before the outage — and not one byte more.
 #[test]
 fn burst_outage_aborts_with_exact_in_order_prefix() {
     // Frames 0..3 deliver; the outage swallows everything after.
-    let (mut m, pid, data) = chaos_setup(1, FaultPlan::lossless(1).with_burst(3, 1_000_000));
-    let mtu = m.config().reliability.mtu;
-    let src = m.env(pid).buffer(0).va;
-    let id = m
-        .post_virt_remote(pid, src, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), PAGE_SIZE)
-        .unwrap();
-
-    let t = m.virt_xfer(id).unwrap();
-    assert_eq!(t.state, VirtState::LinkFailed);
-    assert_eq!(t.moved, 3 * mtu, "prefix must be exactly the acked frames");
-    assert!(t.link_timeouts > 0);
-    let now = m.time();
-    assert_eq!(m.engine().core_mut().virt_status(id, now), DMA_LINK_FAILED);
-
-    let got = remote_bytes(&m, 1);
+    let (sim, x, got) = chaos_transfer(1, FaultPlan::lossless(1).with_burst(3, 1_000_000));
+    let mtu = sim.config().reliability.mtu;
+    assert_eq!(x.state, XferState::LinkFailed);
+    assert_eq!(x.counters.moved, 3 * mtu, "prefix must be exactly the acked frames");
+    assert!(x.counters.stall > SimTime::ZERO, "the retry ladder must be charged");
+    let want = ClusterSim::expected_payload(x.id, PAGE_SIZE);
     let cut = (3 * mtu) as usize;
-    assert_eq!(&got[..cut], &data[..cut], "in-order prefix corrupted");
+    assert_eq!(&got[..cut], &want[..cut], "in-order prefix corrupted");
     assert!(got[cut..].iter().all(|&b| b == 0), "bytes leaked past the abort point");
 }
 

@@ -1,62 +1,41 @@
-//! Reliable delivery over a lossy link, end to end: the acceptance
-//! property against a lossless oracle machine, the zero-overhead
-//! guarantee of an attached-but-quiet chaos plan, the transfer
-//! watchdog, the circuit breaker, and exhaustive interleaving coverage
-//! of {sender retry, fault service, watchdog}.
+//! Reliable delivery over a lossy link, end to end on the cluster
+//! simulation: the acceptance property against a lossless oracle
+//! cluster, and the zero-overhead guarantee of an attached-but-quiet
+//! chaos plan.
 
-use udma::{DmaMethod, Machine, MachineConfig, ProcessSpec, VirtDmaSetup};
+use udma::{ClusterConfig, ClusterSim};
 use udma_bus::SimTime;
-use udma_cpu::ProgramBuilder;
-use udma_iommu::IotlbConfig;
 use udma_mem::{Perms, VirtAddr, PAGE_SIZE};
-use udma_nic::{
-    FaultPlan, RejectReason, ReliabilityConfig, RetryPolicy, VirtState, DMA_LINK_FAILED,
-};
-use udma_testkit::sched::{explore, Budget};
+use udma_nic::{FaultPlan, ReliabilityConfig, RetryPolicy, XferState};
 use udma_testkit::{prop_assert, prop_assert_eq, props};
 
-const NODE: u32 = 0;
+const NODE: u32 = 1;
 const REMOTE_ASID: u32 = 7;
 const REMOTE_VA: u64 = 32 * PAGE_SIZE;
 
-/// A remote-capable machine, pin-on-post on both sides (no VA fault can
-/// NACK — every disturbance is the link layer's), with `pages` pages of
-/// seeded source data and a matching remote grant.
-fn lossy_machine(
-    pages: u64,
-    chaos: Option<FaultPlan>,
-    rel: ReliabilityConfig,
-) -> (Machine, udma_cpu::Pid, Vec<u8>) {
-    let mut m = Machine::new(MachineConfig {
-        virt_dma: Some(VirtDmaSetup::pin_on_post(IotlbConfig::default())),
-        remote_nodes: 1,
-        link_chaos: chaos,
-        reliability: rel,
-        ..MachineConfig::new(DmaMethod::Kernel)
-    });
-    let pid =
-        m.spawn(&ProcessSpec::two_buffers_of(pages), |_| ProgramBuilder::new().halt().build());
-    m.grant_remote_buffer(NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), pages, Perms::READ_WRITE);
-    let src_frame = m.env(pid).buffer(0).first_frame;
-    let data: Vec<u8> = (0..pages * PAGE_SIZE).map(|i| (i.wrapping_mul(31) % 253) as u8).collect();
-    m.memory().borrow_mut().write_bytes(src_frame.base(), &data).unwrap();
-    (m, pid, data)
+/// A two-node cluster, pin-on-post (no VA fault can NACK — every
+/// disturbance is the link layer's), whose node 1 exposes `pages` pages.
+fn lossy_cluster(pages: u64, chaos: Option<FaultPlan>, rel: ReliabilityConfig) -> ClusterSim {
+    let mut cfg = ClusterConfig::new(2);
+    cfg.node_bytes = 1 << 18;
+    cfg.pin_on_post = true;
+    cfg.chaos = chaos;
+    cfg.reliability = rel;
+    let mut sim = ClusterSim::new(cfg);
+    sim.grant(NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), pages, Perms::READ_WRITE).unwrap();
+    sim
 }
 
-/// Bytes the remote grant holds, read through the node's IOMMU.
-fn remote_bytes(m: &Machine, pages: u64) -> Vec<u8> {
-    let cluster = m.cluster().unwrap();
-    let cl = cluster.borrow();
+/// Bytes node 1's grant holds, read page by page through its resident
+/// translations. A page no deposit ever translated holds no bytes and
+/// reads as zeros.
+fn remote_bytes(sim: &ClusterSim, pages: u64) -> Vec<u8> {
     let mut got = vec![0u8; (pages * PAGE_SIZE) as usize];
-    for p in 0..pages {
-        let frame = cl
-            .node_iommu(NODE)
-            .and_then(|i| i.table(REMOTE_ASID))
-            .and_then(|t| t.entry(VirtAddr::new(REMOTE_VA + p * PAGE_SIZE).page()))
-            .map(|e| e.frame.base())
-            .unwrap();
-        let s = (p * PAGE_SIZE) as usize;
-        cl.read(NODE, frame, &mut got[s..s + PAGE_SIZE as usize]).unwrap();
+    for (p, page) in got.chunks_mut(PAGE_SIZE as usize).enumerate() {
+        let va = VirtAddr::new(REMOTE_VA + p as u64 * PAGE_SIZE);
+        if let Some(pa) = sim.probe(NODE, REMOTE_ASID, va) {
+            sim.read_mem(NODE, pa, page).unwrap();
+        }
     }
     got
 }
@@ -66,9 +45,9 @@ props! {
 
     /// Acceptance property: under ANY seeded fault plan with loss < 1
     /// and any retry budget, every remote transfer either completes
-    /// byte-identical to a lossless oracle machine, or aborts with
-    /// `DMA_LINK_FAILED` leaving exactly a contiguous in-order prefix.
-    /// A plan with zero fault probability adds zero extra `SimTime`.
+    /// byte-identical to a lossless oracle cluster, or ends `LinkFailed`
+    /// leaving exactly a contiguous in-order prefix. A plan with zero
+    /// fault probability adds zero extra `SimTime`.
     fn chaos_transfers_match_the_lossless_oracle(
         seed in 0u64..100_000,
         drop_pct in 0u32..45,
@@ -84,36 +63,26 @@ props! {
             ..ReliabilityConfig::default()
         };
         let size = pages * PAGE_SIZE;
+        let mut sim = lossy_cluster(pages, Some(plan), rel);
+        let mut oracle = lossy_cluster(pages, None, rel);
+        let id = sim.post(0, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), size, SimTime::ZERO);
+        let oid = oracle.post(0, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), size, SimTime::ZERO);
+        sim.run();
+        oracle.run();
 
-        let (mut m, pid, data) = lossy_machine(pages, Some(plan), rel);
-        let (mut oracle, opid, odata) = lossy_machine(pages, None, rel);
-        prop_assert_eq!(&data, &odata);
-
-        let src = m.env(pid).buffer(0).va;
-        let id = m
-            .post_virt_remote(pid, src, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), size)
-            .unwrap();
-        let state = m.run_virt(id, 256);
-
-        let osrc = oracle.env(opid).buffer(0).va;
-        let oid = oracle
-            .post_virt_remote(opid, osrc, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), size)
-            .unwrap();
-        prop_assert_eq!(oracle.run_virt(oid, 256), VirtState::Complete);
-
-        let t = m.virt_xfer(id).unwrap();
-        let got = remote_bytes(&m, pages);
-        match state {
-            VirtState::Complete => {
-                prop_assert_eq!(t.moved, size);
-                prop_assert!(got == remote_bytes(&oracle, pages),
-                    "completed transfer deviates from the oracle bytes");
+        let (x, ox) = (sim.xfer(id), oracle.xfer(oid));
+        prop_assert_eq!(ox.state, XferState::Complete);
+        let want = ClusterSim::expected_payload(id, size);
+        prop_assert!(remote_bytes(&oracle, pages) == want, "the oracle deposit is not the payload");
+        let got = remote_bytes(&sim, pages);
+        match x.state {
+            XferState::Complete => {
+                prop_assert_eq!(x.counters.moved, size);
+                prop_assert!(got == want, "completed transfer deviates from the oracle bytes");
             }
-            VirtState::LinkFailed => {
-                let now = m.time();
-                prop_assert_eq!(m.engine().core_mut().virt_status(id, now), DMA_LINK_FAILED);
-                let cut = t.moved as usize;
-                prop_assert!(got[..cut] == data[..cut], "in-order prefix corrupted");
+            XferState::LinkFailed => {
+                let cut = x.counters.moved as usize;
+                prop_assert!(got[..cut] == want[..cut], "in-order prefix corrupted");
                 prop_assert!(got[cut..].iter().all(|&b| b == 0),
                     "bytes leaked past the abort point");
             }
@@ -123,231 +92,36 @@ props! {
         // A quiet plan is free: identical completion instant, no
         // retransmits, no link stall — the framing costs nothing extra.
         if drop_pct == 0 && corrupt_pct == 0 {
-            prop_assert_eq!(state, VirtState::Complete);
-            prop_assert_eq!(t.retransmits, 0);
-            prop_assert_eq!(t.link_stall, SimTime::ZERO);
-            prop_assert_eq!(t.finished, oracle.virt_xfer(oid).unwrap().finished,
-                "a zero-loss plan must add zero SimTime");
+            prop_assert_eq!(x.state, XferState::Complete);
+            prop_assert_eq!(x.counters.retransmits, 0);
+            prop_assert_eq!(x.counters.stall, SimTime::ZERO);
+            prop_assert_eq!(x.finished, ox.finished, "a zero-loss plan must add zero SimTime");
         }
     }
 }
 
-/// A lossless chaos plan attached to the link costs exactly nothing
-/// against a machine built without one: same completion instant, same
-/// stall, byte-identical deposit.
+/// A lossless chaos plan on the sending link costs exactly nothing
+/// against a cluster built without one: over multi-chunk transfers, the
+/// same finish times, no stall, and an identical digest.
 #[test]
 fn attached_lossless_plan_adds_zero_sim_time() {
-    let rel = ReliabilityConfig::default();
-    let (mut a, apid, data) = lossy_machine(3, Some(FaultPlan::lossless(42)), rel);
-    let (mut b, bpid, _) = lossy_machine(3, None, rel);
-    let size = 3 * PAGE_SIZE;
-
-    let asrc = a.env(apid).buffer(0).va;
-    let aid =
-        a.post_virt_remote(apid, asrc, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), size).unwrap();
-    assert_eq!(a.run_virt(aid, 64), VirtState::Complete);
-    let bsrc = b.env(bpid).buffer(0).va;
-    let bid =
-        b.post_virt_remote(bpid, bsrc, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), size).unwrap();
-    assert_eq!(b.run_virt(bid, 64), VirtState::Complete);
-
-    let ta = a.virt_xfer(aid).unwrap();
-    let tb = b.virt_xfer(bid).unwrap();
-    assert_eq!(ta.finished, tb.finished, "framing must be free on a clean link");
-    assert_eq!(ta.stall, tb.stall);
-    assert_eq!(ta.retransmits, 0);
-    assert_eq!(remote_bytes(&a, 3), data);
-}
-
-/// The watchdog aborts a remote transfer stuck without forward progress
-/// (here: a NACKed fault the OS never services) once — and only once —
-/// its deadline passes, leaving the exact delivered prefix.
-#[test]
-fn watchdog_aborts_stalled_transfer_after_deadline() {
-    // Demand mode: the cold remote page NACKs and the transfer pauses.
-    let mut m = Machine::new(MachineConfig {
-        virt_dma: Some(VirtDmaSetup::default()),
-        remote_nodes: 1,
-        ..MachineConfig::new(DmaMethod::Kernel)
-    });
-    let pid = m.spawn(&ProcessSpec::two_buffers(), |_| ProgramBuilder::new().halt().build());
-    m.grant_remote_buffer(NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), 1, Perms::READ_WRITE);
-    let src = m.env(pid).buffer(0).va;
-    let id = m
-        .post_virt_remote(pid, src, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), PAGE_SIZE)
-        .unwrap();
-    assert!(matches!(m.virt_xfer(id).unwrap().state, VirtState::Faulted(_)));
-
-    let deadline = m.config().reliability.watchdog;
-    let posted = m.virt_xfer(id).unwrap().last_progress;
-    // Before the deadline: the watchdog leaves the transfer alone.
-    assert!(m.link_watchdog_at(posted + deadline).is_empty());
-    assert!(matches!(m.virt_xfer(id).unwrap().state, VirtState::Faulted(_)));
-    // Past the deadline: aborted, prefix exact (nothing was delivered).
-    assert_eq!(m.link_watchdog_at(posted + deadline + SimTime::from_us(1)), vec![id]);
-    let t = m.virt_xfer(id).unwrap();
-    assert_eq!(t.state, VirtState::LinkFailed);
-    assert_eq!(t.moved, 0);
-    let now = m.time();
-    assert_eq!(m.engine().core_mut().virt_status(id, now), DMA_LINK_FAILED);
-    // A second pass finds nothing new; a late fault service cannot
-    // resurrect the aborted transfer.
-    assert!(m.link_watchdog_at(posted + deadline + SimTime::from_us(2)).is_empty());
-    m.service_remote_faults();
-    assert_eq!(m.virt_xfer(id).unwrap().state, VirtState::LinkFailed);
-}
-
-/// After `breaker_threshold` consecutive link-failed transfers the
-/// machine circuit-breaks: remote posts fail fast with
-/// `RejectReason::LinkDown` until `link_repair()`.
-#[test]
-fn consecutive_aborts_trip_the_breaker_and_repair_clears_it() {
-    // A permanent outage from the first frame on.
-    let (mut m, pid, _) = lossy_machine(
-        1,
-        Some(FaultPlan::lossless(5).with_burst(0, u64::MAX)),
-        ReliabilityConfig::default(),
-    );
-    let threshold = m.config().reliability.breaker_threshold;
-    let src = m.env(pid).buffer(0).va;
-    for i in 0..threshold {
-        assert!(!m.link_down(), "breaker tripped early, after {i} aborts");
-        let id = m
-            .post_virt_remote(pid, src, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), PAGE_SIZE)
-            .unwrap();
-        assert_eq!(m.virt_xfer(id).unwrap().state, VirtState::LinkFailed);
+    let run = |chaos: Option<FaultPlan>| {
+        let mut sim = lossy_cluster(3, chaos, ReliabilityConfig::default());
+        let va = VirtAddr::new(REMOTE_VA);
+        sim.post(0, NODE, REMOTE_ASID, va, 3 * PAGE_SIZE, SimTime::ZERO);
+        sim.post(0, NODE, REMOTE_ASID, va + 100, PAGE_SIZE + 7, SimTime::from_us(40));
+        sim.run();
+        sim.digest()
+    };
+    let quiet = run(Some(FaultPlan::lossless(42)));
+    let bare = run(None);
+    for (a, b) in quiet.xfers.iter().zip(&bare.xfers) {
+        assert_eq!(a.state, XferState::Complete);
+        assert_eq!(a.finished, b.finished, "framing must be free on a clean link");
+        assert_eq!(a.counters.stall, SimTime::ZERO);
+        assert_eq!(a.counters.retransmits, 0);
     }
-    assert!(m.link_down(), "{threshold} consecutive aborts must trip the breaker");
-    // Fail-fast: the post is rejected before any bytes move.
-    assert_eq!(
-        m.post_virt_remote(pid, src, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), PAGE_SIZE),
-        Err(RejectReason::LinkDown)
-    );
-    // Purely local transfers are unaffected by the breaker.
-    let local = m.post_virt(pid, src, m.env(pid).buffer(1).va, 64).unwrap();
-    assert_eq!(m.run_virt(local, 16), VirtState::Complete);
-
-    m.link_repair();
-    assert!(!m.link_down());
-    assert!(m
-        .post_virt_remote(pid, src, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), PAGE_SIZE)
-        .is_ok());
-}
-
-/// A remote completion between aborts heals the breaker: the count is
-/// of *consecutive* failures, not cumulative ones.
-#[test]
-fn remote_completion_resets_the_breaker_count() {
-    // The outage swallows exactly two transfers' worth of retransmit
-    // rounds, then the link turns clean: 7 rounds × 8 frames each.
-    let outage = 2 * 7 * 8;
-    let (mut m, pid, data) = lossy_machine(
-        1,
-        Some(FaultPlan::lossless(9).with_burst(0, outage)),
-        ReliabilityConfig::default(),
-    );
-    let src = m.env(pid).buffer(0).va;
-    for _ in 0..2 {
-        let id = m
-            .post_virt_remote(pid, src, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), PAGE_SIZE)
-            .unwrap();
-        assert_eq!(m.virt_xfer(id).unwrap().state, VirtState::LinkFailed);
+    if let Some(diff) = bare.diff(&quiet) {
+        panic!("an attached lossless plan changed the run:\n{diff}");
     }
-    assert_eq!(m.engine().core().link_failures_row(), 2);
-    assert!(!m.link_down(), "two aborts sit below the default threshold of 3");
-    // The link is clean again: this one completes and heals the row.
-    let id = m
-        .post_virt_remote(pid, src, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), PAGE_SIZE)
-        .unwrap();
-    assert_eq!(m.run_virt(id, 64), VirtState::Complete);
-    assert_eq!(m.engine().core().link_failures_row(), 0);
-    assert!(!m.link_down());
-    assert_eq!(remote_bytes(&m, 1), data);
-}
-
-/// Exhaustive interleaving of {sender retry, fault service, watchdog}
-/// over a one-page remote transfer paused on a NACK: under EVERY
-/// schedule the transfer reaches exactly one terminal verdict — no
-/// schedule loses the completion, and none produces both a completion
-/// and a link abort (double completion).
-#[test]
-fn no_retry_service_watchdog_interleaving_double_completes_or_loses_one() {
-    // Thread 0: two spontaneous sender retries (timer fires).
-    // Thread 1: two fault-service drains (the ACK/NACK answer arrives).
-    // Thread 2: one watchdog sweep past the deadline.
-    let lens = [2usize, 2, 1];
-    let exploration = explore(&lens, Budget::new(2_000, 0xE14), |schedule| {
-        let mut m = Machine::new(MachineConfig {
-            virt_dma: Some(VirtDmaSetup::default()),
-            remote_nodes: 1,
-            ..MachineConfig::new(DmaMethod::Kernel)
-        });
-        let pid = m.spawn(&ProcessSpec::two_buffers(), |_| ProgramBuilder::new().halt().build());
-        m.grant_remote_buffer(NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), 1, Perms::READ_WRITE);
-        let src = m.env(pid).buffer(0).va;
-        let src_frame = m.env(pid).buffer(0).first_frame;
-        let data: Vec<u8> = (0..PAGE_SIZE).map(|i| (i % 247) as u8).collect();
-        m.memory().borrow_mut().write_bytes(src_frame.base(), &data).unwrap();
-        // Warm the local source translation so only the receive side
-        // faults under the schedule.
-        let warm = m.post_virt(pid, src, src, 8).unwrap();
-        assert_eq!(m.run_virt(warm, 16), VirtState::Complete);
-        let id = m
-            .post_virt_remote(pid, src, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), PAGE_SIZE)
-            .unwrap();
-        let deadline = m.config().reliability.watchdog + SimTime::from_us(1);
-        let before = m.engine().core().virt_stats();
-
-        for &actor in schedule {
-            match actor {
-                0 => {
-                    let now = m.time();
-                    m.engine().core_mut().resume_virt(id, now);
-                }
-                1 => {
-                    m.service_remote_faults();
-                }
-                _ => {
-                    let t = m.virt_xfer(id).unwrap();
-                    m.link_watchdog_at(t.last_progress + deadline);
-                }
-            }
-        }
-        // Drain whatever the schedule left queued.
-        let state = m.run_virt(id, 64);
-
-        // Exactly one terminal verdict: the completion and link-abort
-        // counters together moved by exactly one, matching the state.
-        let after = m.engine().core().virt_stats();
-        let completions = after.completed - before.completed;
-        let aborts = after.link_failed - before.link_failed;
-        if completions + aborts != 1 {
-            return Some(format!("{completions} completions + {aborts} aborts under one transfer"));
-        }
-        match state {
-            VirtState::Complete => {
-                let t = m.virt_xfer(id).unwrap();
-                if t.moved != PAGE_SIZE {
-                    return Some(format!("completed with {} of {} bytes", t.moved, PAGE_SIZE));
-                }
-            }
-            VirtState::LinkFailed => {
-                // The watchdog won the race before the service: legal,
-                // but the prefix must be exact (nothing was delivered).
-                if m.virt_xfer(id).unwrap().moved != 0 {
-                    return Some("aborted transfer claims moved bytes it never delivered".into());
-                }
-            }
-            other => return Some(format!("lost completion: end state {other:?}")),
-        }
-        None
-    });
-    assert!(exploration.exhaustive, "30-schedule space must be enumerated exhaustively");
-    assert_eq!(exploration.schedules, 30);
-    assert!(
-        exploration.findings.is_empty(),
-        "violation under schedule {:?}: {}",
-        exploration.findings[0].0,
-        exploration.findings[0].1
-    );
 }
