@@ -94,8 +94,18 @@ cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload
 echo "== clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "== experiments smoke =="
-cargo run --release --offline -p udma-bench --bin experiments -- --smoke > /dev/null
+echo "== experiments smoke vs golden (simulated results) =="
+# The reduced report's simulated numbers are deterministic, so the whole
+# report is diffed against a committed golden after masking the only
+# host-dependent fields (E16 wall, events/s, speedup, host cores). After
+# an intended change to a simulated number, regenerate the golden with
+#   cargo run --release --offline -p udma-bench --bin experiments -- --smoke \
+#     | awk -f crates/bench/golden/mask-host.awk > crates/bench/golden/experiments-smoke.md
+# and explain every moved number in EXPERIMENTS.md.
+mkdir -p target
+cargo run --release --offline -p udma-bench --bin experiments -- --smoke \
+  | awk -f crates/bench/golden/mask-host.awk > target/experiments-smoke.md
+diff -u crates/bench/golden/experiments-smoke.md target/experiments-smoke.md
 echo "smoke OK"
 
 echo "== benches (BENCH json) =="

@@ -163,18 +163,17 @@ impl Bus {
             }
             Region::NicRegs { .. } | Region::Shadow => {
                 let nic = self.nic.as_deref_mut().ok_or(MemFault::BusError { pa: txn.paddr })?;
-                let data = match txn.op {
+                let (data, device) = match txn.op {
                     BusOp::Read => {
                         self.stats.device_reads += 1;
-                        nic.read(txn.paddr, txn.tag, now)?
+                        (nic.read(txn.paddr, txn.tag, now)?, SimTime::ZERO)
                     }
                     BusOp::Write => {
                         self.stats.device_writes += 1;
-                        nic.write(txn.paddr, txn.data, txn.tag, now)?;
-                        0
+                        (0, nic.write(txn.paddr, txn.data, txn.tag, now)?)
                     }
                 };
-                let cost = self.timing.time_for(txn.op) + nic.extra_latency();
+                let cost = self.timing.time_for(txn.op) + device;
                 self.stats.device_busy += cost;
                 (data, cost)
             }
@@ -221,12 +220,9 @@ mod tests {
             data: u64,
             _tag: u32,
             _now: SimTime,
-        ) -> Result<(), MemFault> {
+        ) -> Result<SimTime, MemFault> {
             self.last = data;
-            Ok(())
-        }
-        fn extra_latency(&mut self) -> SimTime {
-            self.latency
+            Ok(self.latency)
         }
     }
 
@@ -259,12 +255,13 @@ mod tests {
         let pa = b.layout().nic_base;
         let (_, w) = b.access(BusTxn::write(pa, 0xAB, 2), SimTime::ZERO).unwrap();
         assert_eq!(w, SimTime::from_ns(500)); // 480 bus + 20 device
+                                              // Reads carry no device-side latency: only writes return one.
         let (v, r) = b.access(BusTxn::read(pa, 2), SimTime::ZERO).unwrap();
         assert_eq!(v, !0xABu64);
-        assert_eq!(r, SimTime::from_ns(500));
+        assert_eq!(r, SimTime::from_ns(480));
         assert_eq!(b.stats().device_reads, 1);
         assert_eq!(b.stats().device_writes, 1);
-        assert_eq!(b.stats().device_busy, SimTime::from_ns(1000));
+        assert_eq!(b.stats().device_busy, SimTime::from_ns(980));
     }
 
     #[test]

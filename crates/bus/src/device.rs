@@ -31,20 +31,20 @@ pub trait BusDevice {
     /// window that they do not decode.
     fn read(&mut self, paddr: PhysAddr, tag: u32, now: SimTime) -> Result<u64, MemFault>;
 
-    /// Handles an uncached write of a 64-bit word.
+    /// Handles an uncached write of a 64-bit word. Returns the
+    /// device-side latency the write incurred beyond the bus transfer
+    /// itself (e.g. a DMA engine checking a key); usually zero.
     ///
     /// # Errors
     ///
     /// As for [`read`](Self::read).
-    fn write(&mut self, paddr: PhysAddr, data: u64, tag: u32, now: SimTime)
-        -> Result<(), MemFault>;
-
-    /// Extra device-side latency the last transaction incurred beyond the
-    /// bus transfer itself (e.g. a DMA engine checking a key). Polled by
-    /// the bus after each access; default none.
-    fn extra_latency(&mut self) -> SimTime {
-        SimTime::ZERO
-    }
+    fn write(
+        &mut self,
+        paddr: PhysAddr,
+        data: u64,
+        tag: u32,
+        now: SimTime,
+    ) -> Result<SimTime, MemFault>;
 }
 
 /// The memory controller: adapts [`PhysMemory`] to the bus.
@@ -76,8 +76,9 @@ impl BusDevice for RamDevice {
         data: u64,
         _tag: u32,
         _now: SimTime,
-    ) -> Result<(), MemFault> {
-        self.mem.borrow_mut().write_u64(paddr, data)
+    ) -> Result<SimTime, MemFault> {
+        self.mem.borrow_mut().write_u64(paddr, data)?;
+        Ok(SimTime::ZERO)
     }
 }
 
@@ -93,7 +94,8 @@ mod tests {
     fn ram_device_round_trip() {
         let mem = shared(1 << 20);
         let mut dev = RamDevice::new(Rc::clone(&mem));
-        dev.write(PhysAddr::new(0x100), 7, 0, SimTime::ZERO).unwrap();
+        // RAM acknowledges a write with no device-side latency.
+        assert_eq!(dev.write(PhysAddr::new(0x100), 7, 0, SimTime::ZERO), Ok(SimTime::ZERO));
         assert_eq!(dev.read(PhysAddr::new(0x100), 0, SimTime::ZERO).unwrap(), 7);
         // Visible through the shared handle too (what a DMA mover sees).
         assert_eq!(mem.borrow().read_u64(PhysAddr::new(0x100)).unwrap(), 7);
@@ -104,11 +106,5 @@ mod tests {
         let mut dev = RamDevice::new(shared(1 << 13));
         assert!(dev.read(PhysAddr::new(1 << 20), 0, SimTime::ZERO).is_err());
         assert!(dev.write(PhysAddr::new(0x101), 0, 0, SimTime::ZERO).is_err());
-    }
-
-    #[test]
-    fn default_extra_latency_is_zero() {
-        let mut dev = RamDevice::new(shared(1 << 13));
-        assert_eq!(dev.extra_latency(), SimTime::ZERO);
     }
 }

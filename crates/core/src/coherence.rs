@@ -24,7 +24,7 @@
 use crate::Machine;
 use udma_bus::{CacheConfig, CoherenceStats, CoherenceTiming, SharedCoherence, SimTime};
 use udma_mem::PhysAddr;
-use udma_nic::{RejectReason, TransferRecord};
+use udma_nic::{Destination, Initiator, RejectReason, TransferRecord};
 
 /// How DMA and the CPU cache relate on this machine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -194,8 +194,15 @@ impl Machine {
             _ => (SimTime::ZERO, 0, 0),
         };
         let now = self.time();
-        let idx = self.engine().core_mut().start_kernel_dma_direct(src, dst, size, now)?;
-        let record = *self.engine().core().mover().record(idx).expect("just started");
+        let (idx, _) = self.engine().core_mut().launch_checked(
+            src,
+            Destination::Local(dst),
+            size,
+            Initiator::Kernel,
+            true,
+            now,
+        )?;
+        let record = self.engine().core().mover().records()[idx];
         let (completion_extra, invalidate_lines) = match mode {
             CoherenceMode::NonCoherent => {
                 let (lines, t) = self.invalidate_range(dst, size);

@@ -675,7 +675,7 @@ impl Machine {
 
     /// Snapshot of a virtual-address transfer.
     pub fn virt_xfer(&self, id: usize) -> Option<VirtTransfer> {
-        self.engine.core().virt_xfer(id).copied()
+        self.engine.core().virt_xfers().get(id).copied()
     }
 
     // ---- doorbell-batched descriptor rings ---------------------------
@@ -723,8 +723,7 @@ impl Machine {
     /// Panics if `pid` has no register context.
     pub fn post_ring(&mut self, pid: Pid, desc: &DmaDescriptor) -> Result<u64, RejectReason> {
         let ctx = self.envs[pid.as_u32() as usize].ctx.expect("ring post needs a context").ctx;
-        let now = self.executor.now();
-        self.engine.core_mut().ring_post(ctx, desc, now)
+        self.engine.core_mut().ring_post(ctx, desc)
     }
 
     /// Rings `pid`'s doorbell — the programmatic twin of the single
@@ -737,7 +736,7 @@ impl Machine {
     pub fn ring_doorbell(&mut self, pid: Pid) -> Vec<RingLaunch> {
         let ctx = self.envs[pid.as_u32() as usize].ctx.expect("doorbell needs a context").ctx;
         let now = self.executor.now();
-        let tail = self.engine.core().ring(ctx).posted();
+        let tail = self.engine.core().rings().map_or(0, |r| r.ring(ctx).posted);
         self.engine.core_mut().ring_doorbell(ctx, tail, now)
     }
 
@@ -753,7 +752,11 @@ impl Machine {
     pub fn service_va_faults(&mut self) -> u64 {
         let mut serviced = 0;
         loop {
-            let Some(pending) = self.engine.core_mut().pop_fault() else {
+            let mut core = self.engine.core_mut();
+            let Some(virt) = core.virt_mut() else {
+                return serviced;
+            };
+            let Some(pending) = virt.pop_fault() else {
                 return serviced;
             };
             serviced += 1;
@@ -763,11 +766,10 @@ impl Machine {
                 .iter()
                 .find(|e| e.ctx.map(|g| g.ctx) == Some(pending.fault.asid))
                 .map(|e| e.pid);
-            let mut core = self.engine.core_mut();
             let (resolution, cost) = match pid {
                 Some(pid) => {
                     let pt = self.executor.process_mut(pid).page_table_mut();
-                    let iommu = core.iommu_mut().expect("virt faults imply an IOMMU");
+                    let iommu = &mut virt.iommu;
                     self.fault_service.service(&pending.fault, pt, self.kernel.vm_mut(), iommu)
                 }
                 // An ASID no process owns: nothing to consult, fail it.
@@ -775,7 +777,7 @@ impl Machine {
             };
             match resolution {
                 FaultResolution::Unresolvable => {
-                    core.fail_virt(pending.xfer, now + cost);
+                    virt.fail(pending.xfer, now + cost);
                 }
                 FaultResolution::Mapped | FaultResolution::SwappedIn => {
                     core.resume_virt(pending.xfer, now + cost);

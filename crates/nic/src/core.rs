@@ -1,30 +1,17 @@
 //! The engine core: registers, contexts, key table, statistics, and the
 //! services protocols build on.
 
-use crate::descring::{
-    DescDst, DescRing, DmaDescriptor, RingConfig, RingImage, RingLaunch, RingStats,
-    DESC_FLAG_CHAIN, DESC_FLAG_FRAG, DESC_WORDS,
-};
-use crate::regs::{self, MAX_CONTEXTS};
-use crate::virt::{PendingFault, VirtDmaConfig, VirtStage, VirtState, VirtStats, VirtTransfer};
+use crate::descring::{DmaDescriptor, RingConfig, RingLaunch, RingStats, RingUnit};
+use crate::regs::MAX_CONTEXTS;
+use crate::virt::{VirtDmaConfig, VirtState, VirtStats, VirtTransfer, VirtUnit};
 use crate::{
     AtomicOp, CtxBusy, CtxImage, CtxStats, Destination, DmaMover, Initiator, LinkModel,
-    RegisterContext, RejectReason, RemoteDst, SharedCluster, TransferRecord, DMA_FAILURE,
+    RegisterContext, RejectReason, SharedCluster, TransferRecord, DMA_FAILURE,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use udma_bus::{SharedMemory, SimTime};
-use udma_iommu::{Asid, IoFault, IoFaultKind, Iommu, IotlbConfig};
-use udma_mem::{Access, PhysAddr, PhysFrame, PhysLayout, VirtAddr, PAGE_SIZE};
-
-/// Physical destination of a checked launch: memory on this node, or
-/// a `(node, addr)` pair on a remote peer.
-#[derive(Clone, Copy, Debug)]
-pub enum LaunchDst {
-    /// Same-node physical memory.
-    Local(PhysAddr),
-    /// A remote peer's physical memory.
-    Remote(RemoteDst),
-}
+use udma_iommu::{Asid, Iommu, IotlbConfig};
+use udma_mem::{PhysAddr, PhysFrame, PhysLayout, VirtAddr};
 
 /// Configuration of the DMA engine.
 #[derive(Clone, Copy, Debug)]
@@ -75,20 +62,60 @@ impl EngineStats {
     }
 }
 
+/// The back-end every initiation path shares: physical memory, the data
+/// mover and the engine counters each launch books. The register
+/// protocols, the kernel driver and the VA and ring units are
+/// front-ends over it.
+#[derive(Clone, Debug)]
+pub(crate) struct Backend {
+    pub(crate) mem: SharedMemory,
+    pub(crate) mover: DmaMover,
+    pub(crate) stats: EngineStats,
+}
+
+impl Backend {
+    /// Counts a refused initiation and hands the reason back.
+    pub(crate) fn reject(&mut self, reason: RejectReason) -> RejectReason {
+        *self.stats.rejects.entry(reason).or_insert(0) += 1;
+        reason
+    }
+
+    /// See [`EngineCore::launch_checked`].
+    pub(crate) fn launch(
+        &mut self,
+        src: PhysAddr,
+        dst: Destination,
+        size: u64,
+        initiator: Initiator,
+        multipage_ok: bool,
+        now: SimTime,
+    ) -> Result<(usize, SimTime), RejectReason> {
+        let launched = match dst {
+            Destination::Local(dst) => {
+                self.mover.start(src, dst, size, initiator, multipage_ok, now)
+            }
+            Destination::Remote { node, addr } => {
+                self.mover.start_remote(src, node, addr, size, initiator, now)
+            }
+        };
+        launched.map_err(|reason| self.reject(reason)).inspect(|_| self.stats.started += 1)
+    }
+}
+
 /// Shared engine state: everything below the protocol state machines.
+/// The register contexts, key table and kernel-path registers are the
+/// paper's engine (§3.1–3.3); the virtual-address unit is optional and
+/// owns its own state, including the descriptor-ring unit.
 #[derive(Clone, Debug)]
 pub struct EngineCore {
     layout: PhysLayout,
-    mem: SharedMemory,
-    mover: DmaMover,
+    back: Backend,
     contexts: Vec<RegisterContext>,
     key_table: Vec<u64>,
-    stats: EngineStats,
     /// SHRIMP-1 mapped-out table: source frame → destination page base
     /// (local or on a remote node).
     mapped_out: HashMap<PhysFrame, Destination>,
     key_check_latency: SimTime,
-    pending_extra: SimTime,
     // Kernel-path DMA registers (Figure 1).
     dma_source: u64,
     dma_dest: u64,
@@ -98,23 +125,9 @@ pub struct EngineCore {
     atomic_op1: u64,
     atomic_op2: u64,
     atomic_result: u64,
-    // Virtual-address DMA unit (present when the engine has an IOMMU).
-    iommu: Option<Iommu>,
-    virt_config: VirtDmaConfig,
-    virt_xfers: Vec<VirtTransfer>,
-    /// Per-transfer prewalk window end: the byte offset (from the
-    /// transfer's start) up to which the prefetcher has already issued
-    /// walks. Refilled when the cursor catches up; reset to the cursor
-    /// on resume so a serviced fault re-primes the window.
-    virt_prefetch: Vec<u64>,
-    virt_faults: VecDeque<PendingFault>,
-    virt_stage: Vec<VirtStage>,
-    virt_stats: VirtStats,
     ctx_stats: CtxStats,
-    // Doorbell-batched descriptor rings (present once enabled).
-    ring_config: Option<RingConfig>,
-    rings: Vec<DescRing>,
-    ring_stats: RingStats,
+    /// The virtual-address unit, present once an IOMMU is fitted.
+    virt: Option<VirtUnit>,
 }
 
 impl EngineCore {
@@ -128,14 +141,11 @@ impl EngineCore {
         let mover = DmaMover::new(mem.clone(), config.link);
         EngineCore {
             layout,
-            mem,
-            mover,
+            back: Backend { mem, mover, stats: EngineStats::default() },
             contexts: vec![RegisterContext::new(); config.num_contexts as usize],
             key_table: vec![0; config.num_contexts as usize],
-            stats: EngineStats::default(),
             mapped_out: HashMap::new(),
             key_check_latency: config.key_check_latency,
-            pending_extra: SimTime::ZERO,
             dma_source: 0,
             dma_dest: 0,
             dma_status: DMA_FAILURE,
@@ -143,17 +153,8 @@ impl EngineCore {
             atomic_op1: 0,
             atomic_op2: 0,
             atomic_result: 0,
-            iommu: None,
-            virt_config: VirtDmaConfig::default(),
-            virt_xfers: Vec::new(),
-            virt_prefetch: Vec::new(),
-            virt_faults: VecDeque::new(),
-            virt_stage: vec![VirtStage::default(); config.num_contexts as usize],
-            virt_stats: VirtStats::default(),
             ctx_stats: CtxStats::default(),
-            ring_config: None,
-            rings: vec![DescRing::default(); config.num_contexts as usize],
-            ring_stats: RingStats::default(),
+            virt: None,
         }
     }
 
@@ -169,42 +170,38 @@ impl EngineCore {
 
     /// Engine counters.
     pub fn stats(&self) -> &EngineStats {
-        &self.stats
+        &self.back.stats
     }
 
     /// Counts a key mismatch (keyed protocol).
     pub fn note_key_mismatch(&mut self) {
-        self.stats.key_mismatches += 1;
+        self.back.stats.key_mismatches += 1;
     }
 
     /// Counts a sequence reset (repeated-passing protocol).
     pub fn note_sequence_reset(&mut self) {
-        self.stats.sequence_resets += 1;
+        self.back.stats.sequence_resets += 1;
     }
 
     /// Counts a rejected initiation.
     pub fn note_reject(&mut self, reason: RejectReason) {
-        *self.stats.rejects.entry(reason).or_insert(0) += 1;
+        self.back.reject(reason);
     }
 
-    /// Charges the key-check latency to the current bus transaction.
-    pub fn charge_key_check(&mut self) {
-        self.pending_extra += self.key_check_latency;
-    }
-
-    /// Takes (and clears) extra latency accumulated by the last access.
-    pub fn take_pending_extra(&mut self) -> SimTime {
-        std::mem::take(&mut self.pending_extra)
+    /// Device-side latency of a keyed shadow store: what the key check
+    /// adds before the engine acknowledges the bus write.
+    pub fn key_check_latency(&self) -> SimTime {
+        self.key_check_latency
     }
 
     /// The transfer history.
     pub fn mover(&self) -> &DmaMover {
-        &self.mover
+        &self.back.mover
     }
 
     /// Clears transfer history (long benchmark runs).
     pub fn clear_transfer_records(&mut self) {
-        self.mover.clear_records();
+        self.back.mover.clear_records();
     }
 
     /// One register context.
@@ -251,121 +248,69 @@ impl EngineCore {
         self.ctx_stats
     }
 
-    /// Whether `ctx` still has a transfer it can observe on the wire:
-    /// its last physical transfer has bytes remaining at `now`, or its
-    /// last virtual-address transfer is running, faulted, or draining.
-    /// A busy context must not be spilled — the DMA engine's streaming
-    /// state (cursor, chunk registers) cannot be checkpointed mid-burst,
-    /// and a faulted VA transfer still owns its resume path.
+    /// Why `ctx` still has a transfer it can observe on the wire at
+    /// `now`, or `None` when it is idle. A busy context must not be
+    /// spilled — the DMA engine's streaming state (cursor, chunk
+    /// registers) cannot be checkpointed mid-burst, and a faulted VA
+    /// transfer still owns its resume path.
     ///
-    /// # Panics
-    ///
-    /// Panics if `ctx` is out of range.
-    pub fn context_busy(&self, ctx: u32, now: SimTime) -> bool {
-        if let Some(idx) = self.contexts[ctx as usize].last_transfer() {
-            if let Some(rec) = self.mover.record(idx) {
-                if rec.remaining_at(now) > 0 {
-                    return true;
-                }
-            }
+    /// Ring work takes precedence: a ring-launched transfer also
+    /// registers as the context's last VA transfer, but the ring is the
+    /// root cause the OS must wait out ([`VirtUnit`]'s ring pending
+    /// rule). Then the context's last physical transfer with bytes
+    /// remaining, then its last VA transfer if running, faulted or
+    /// still draining.
+    pub fn busy_reason(&self, ctx: u32, now: SimTime) -> Option<CtxBusy> {
+        let virt = self.virt.as_ref();
+        if virt.is_some_and(|v| v.ring_pending(ctx, now)) {
+            Some(CtxBusy::RingPending)
+        } else if self.context_transfer(ctx).is_some_and(|r| r.remaining_at(now) > 0) {
+            Some(CtxBusy::Transfer)
+        } else if virt.is_some_and(|v| v.last_pins(ctx, now)) {
+            Some(CtxBusy::VirtTransfer)
+        } else {
+            None
         }
-        if let Some(id) = self.virt_stage[ctx as usize].last {
-            if let Some(x) = self.virt_xfers.get(id) {
-                if virt_xfer_pins(x, now) {
-                    return true;
-                }
-            }
-        }
-        self.ring_pending(ctx, now)
     }
 
-    /// Whether `ctx`'s descriptor ring has queued or live work at
-    /// `now`: descriptors posted but not yet doorbelled, a dequeued
-    /// batch whose fetch-staggered launches have not all fired, or a
-    /// ring-launched transfer still observable on the wire. Queued work makes the context unstealable exactly like
-    /// a busy register file — the ring's contents belong to the process
-    /// whose ASID the dequeue will translate under.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ctx` is out of range.
-    pub fn ring_pending(&self, ctx: u32, now: SimTime) -> bool {
-        let r = &self.rings[ctx as usize];
-        if !r.registered() {
-            return false;
-        }
-        if r.pending() > 0 || now < r.drain_until {
-            return true;
-        }
-        r.live_virt
-            .iter()
-            .any(|&id| self.virt_xfers.get(id).is_some_and(|x| virt_xfer_pins(x, now)))
+    /// Whether `ctx` is busy at `now` ([`Self::busy_reason`]).
+    pub fn context_busy(&self, ctx: u32, now: SimTime) -> bool {
+        self.busy_reason(ctx, now).is_some()
     }
 
     /// Spills `ctx` into an OS-held [`CtxImage`]: snapshots the key, the
-    /// register file and the `CTX_VIRT_*` staging window, then clears
-    /// the slot (key 0 = unprogrammed, so a stale keyed store from the
-    /// evicted process misses and is dropped — the §3.1 protection
-    /// argument keeps holding across steals).
+    /// register file, the `CTX_VIRT_*` staging window and the ring
+    /// registration, then clears the slot (key 0 = unprogrammed, so a
+    /// stale keyed store from the evicted process misses and is dropped
+    /// — the §3.1 protection argument keeps holding across steals).
     ///
     /// # Errors
     ///
     /// [`CtxBusy`] when the context can still observe an in-flight
-    /// transfer ([`Self::context_busy`]); the denial is counted.
+    /// transfer ([`Self::busy_reason`]); the denial is counted.
     ///
     /// # Panics
     ///
     /// Panics if `ctx` is out of range.
     pub fn save_context(&mut self, ctx: u32, now: SimTime) -> Result<CtxImage, CtxBusy> {
-        if self.context_busy(ctx, now) {
+        if let Some(reason) = self.busy_reason(ctx, now) {
             self.ctx_stats.busy_denials += 1;
-            let phys_busy = self.contexts[ctx as usize]
-                .last_transfer()
-                .and_then(|i| self.mover.record(i))
-                .is_some_and(|r| r.remaining_at(now) > 0);
-            let virt_busy = self.virt_stage[ctx as usize]
-                .last
-                .is_some_and(|id| self.virt_xfers.get(id).is_some_and(|x| virt_xfer_pins(x, now)));
-            // Ring work takes precedence: a ring-launched transfer also
-            // registers as the context's last (virt) transfer, but the
-            // ring is the root cause the OS must wait out.
-            return Err(if self.ring_pending(ctx, now) {
-                CtxBusy::RingPending
-            } else if phys_busy {
-                CtxBusy::Transfer
-            } else if virt_busy {
-                CtxBusy::VirtTransfer
-            } else {
-                CtxBusy::RingPending
-            });
+            return Err(reason);
         }
         let i = ctx as usize;
-        let ring = self.rings[i].registered().then(|| RingImage {
-            base: self.rings[i].base.as_u64(),
-            capacity: self.rings[i].capacity,
-            cursor: self.rings[i].head,
-        });
-        let image = CtxImage {
-            key: self.key_table[i],
-            regs: self.contexts[i],
-            virt: self.virt_stage[i],
-            ring,
-        };
+        let (virt, ring) = self.virt.as_mut().map_or_else(Default::default, |v| v.spill(ctx));
+        let image = CtxImage { key: self.key_table[i], regs: self.contexts[i], virt, ring };
         self.key_table[i] = 0;
         self.contexts[i] = RegisterContext::new();
-        self.virt_stage[i] = VirtStage::default();
-        // Deregister the ring with the slot: a stale doorbell from the
-        // evicted process must find nothing to dequeue, the same way its
-        // stale keyed stores miss the scrubbed key.
-        self.rings[i] = DescRing::default();
         self.ctx_stats.spills += 1;
         Ok(image)
     }
 
     /// Refills `ctx` from a spilled [`CtxImage`] (key table, register
-    /// file, `CTX_VIRT_*` window). The inverse of
+    /// file, `CTX_VIRT_*` window, ring registration). The inverse of
     /// [`Self::save_context`]: a spilled-then-refilled context is
-    /// observationally identical to one that was never evicted.
+    /// observationally identical to one that was never evicted. Parts
+    /// of the image for a unit this engine lacks are dropped.
     ///
     /// # Panics
     ///
@@ -375,18 +320,9 @@ impl EngineCore {
         assert!(i < self.contexts.len(), "context out of range");
         self.key_table[i] = image.key;
         self.contexts[i] = image.regs;
-        self.virt_stage[i] = image.virt;
-        self.rings[i] = match image.ring {
-            None => DescRing::default(),
-            Some(ri) => DescRing {
-                base: PhysAddr::new(ri.base),
-                capacity: ri.capacity,
-                head: ri.cursor,
-                posted: ri.cursor,
-                consumed: vec![false; ri.capacity as usize],
-                ..DescRing::default()
-            },
-        };
+        if let Some(v) = self.virt.as_mut() {
+            v.fill(ctx, image);
+        }
         self.ctx_stats.fills += 1;
     }
 
@@ -414,72 +350,42 @@ impl EngineCore {
 
     /// Attaches the remote cluster the link reaches.
     pub fn attach_cluster(&mut self, cluster: SharedCluster) {
-        self.mover.attach_cluster(cluster);
+        self.back.mover.attach_cluster(cluster);
     }
 
     /// Makes the engine a snooping (coherent) bus master on the host's
     /// coherence domain: every DMA read/write from now on snoops the
     /// CPU caches (see [`DmaMover::attach_coherence`]).
     pub fn attach_coherence(&mut self, coherence: udma_bus::SharedCoherence) {
-        self.mover.attach_coherence(coherence);
+        self.back.mover.attach_coherence(coherence);
     }
 
     /// Whether the engine snoops the coherence bus.
     pub fn is_coherent(&self) -> bool {
-        self.mover.is_coherent()
+        self.back.mover.is_coherent()
     }
 
     /// The one checked launch sequence every initiation path funnels
     /// through: validates via the mover (zero-size, page-cross, range),
     /// books the started/rejected statistics exactly once, and returns
-    /// the mover record index. The register paths, the kernel driver,
-    /// the virtual-address chunk stream and the descriptor-ring dequeue
-    /// all end here instead of keeping their own near-copies.
+    /// the mover record index and the time the last byte arrives. The
+    /// register paths, the kernel driver, the virtual-address chunk
+    /// stream and the descriptor-ring dequeue all end here instead of
+    /// keeping their own near-copies.
+    ///
+    /// # Errors
+    ///
+    /// The counted [`RejectReason`] when nothing was transferred.
     pub fn launch_checked(
         &mut self,
         src: PhysAddr,
-        dst: LaunchDst,
+        dst: Destination,
         size: u64,
         initiator: Initiator,
         multipage_ok: bool,
         now: SimTime,
-    ) -> Result<usize, RejectReason> {
-        let started = match dst {
-            LaunchDst::Remote(rd) => self.mover.start_remote(src, rd, size, initiator, now),
-            LaunchDst::Local(dst) => self.mover.start(src, dst, size, initiator, multipage_ok, now),
-        };
-        match started {
-            Ok(_) => {
-                self.stats.started += 1;
-                Ok(self.mover.last_index().expect("just started"))
-            }
-            Err(reason) => {
-                self.note_reject(reason);
-                Err(reason)
-            }
-        }
-    }
-
-    /// Starts a user-level transfer into a remote node's memory.
-    ///
-    /// Returns the mover record index on success.
-    pub fn start_user_dma_remote(
-        &mut self,
-        src: PhysAddr,
-        node: u32,
-        addr: PhysAddr,
-        size: u64,
-        initiator: Initiator,
-        now: SimTime,
-    ) -> Result<usize, RejectReason> {
-        self.launch_checked(
-            src,
-            LaunchDst::Remote(RemoteDst { node, addr }),
-            size,
-            initiator,
-            false,
-            now,
-        )
+    ) -> Result<(usize, SimTime), RejectReason> {
+        self.back.launch(src, dst, size, initiator, multipage_ok, now)
     }
 
     /// Starts a user-level transfer (single-page rule enforced).
@@ -493,22 +399,8 @@ impl EngineCore {
         initiator: Initiator,
         now: SimTime,
     ) -> Result<usize, RejectReason> {
-        self.launch_checked(src, LaunchDst::Local(dst), size, initiator, false, now)
-    }
-
-    /// Starts a kernel-validated transfer directly (multi-page allowed,
-    /// [`Initiator::Kernel`]) without staging the privileged
-    /// `DMA_SOURCE`/`DMA_DEST` registers — the programmatic twin of
-    /// [`start_kernel_dma`](Self::start_kernel_dma) for callers that
-    /// want the record index and the reject reason.
-    pub fn start_kernel_dma_direct(
-        &mut self,
-        src: PhysAddr,
-        dst: PhysAddr,
-        size: u64,
-        now: SimTime,
-    ) -> Result<usize, RejectReason> {
-        self.launch_checked(src, LaunchDst::Local(dst), size, Initiator::Kernel, true, now)
+        let launched = self.back.launch(src, Destination::Local(dst), size, initiator, false, now);
+        launched.map(|(index, _)| index)
     }
 
     // ---- privileged (kernel-path) registers -------------------------
@@ -528,16 +420,9 @@ impl EngineCore {
     /// range, so multi-page transfers are allowed.
     pub fn start_kernel_dma(&mut self, size: u64, now: SimTime) {
         let src = PhysAddr::new(self.dma_source);
-        let dst = PhysAddr::new(self.dma_dest);
-        self.dma_status = match self.launch_checked(
-            src,
-            LaunchDst::Local(dst),
-            size,
-            Initiator::Kernel,
-            true,
-            now,
-        ) {
-            Ok(idx) => self.mover.record(idx).expect("just started").size,
+        let dst = Destination::Local(PhysAddr::new(self.dma_dest));
+        self.dma_status = match self.back.launch(src, dst, size, Initiator::Kernel, true, now) {
+            Ok(_) => size,
             Err(_) => DMA_FAILURE,
         };
     }
@@ -548,7 +433,8 @@ impl EngineCore {
         if self.dma_status == DMA_FAILURE {
             return DMA_FAILURE;
         }
-        self.mover
+        self.back
+            .mover
             .records()
             .iter()
             .rev()
@@ -590,13 +476,13 @@ impl EngineCore {
     /// Executes an atomic operation against memory (shared by the kernel
     /// path and the user-level context paths).
     pub fn exec_atomic(&mut self, op: AtomicOp, addr: PhysAddr, op1: u64, op2: u64) -> Option<u64> {
-        match op.apply(&self.mem, addr, op1, op2) {
+        match op.apply(&self.back.mem, addr, op1, op2) {
             Ok(old) => {
-                self.stats.atomics += 1;
+                self.back.stats.atomics += 1;
                 Some(old)
             }
             Err(_) => {
-                self.note_reject(RejectReason::BadRange);
+                self.back.reject(RejectReason::BadRange);
                 None
             }
         }
@@ -607,54 +493,38 @@ impl EngineCore {
     /// Equips the engine with an IOMMU, enabling the `CTX_VIRT_*`
     /// context-page window and [`EngineCore::post_virt_dma`].
     pub fn enable_iommu(&mut self, iotlb: IotlbConfig, config: VirtDmaConfig) {
-        self.iommu = Some(Iommu::new(iotlb));
-        self.virt_config = config;
+        self.virt = Some(VirtUnit::new(iotlb, config, self.contexts.len()));
     }
 
-    /// Whether the engine has an IOMMU (= virtual-address DMA decodes).
-    pub fn virt_enabled(&self) -> bool {
-        self.iommu.is_some()
+    /// The virtual-address unit, if the engine has an IOMMU.
+    pub fn virt(&self) -> Option<&VirtUnit> {
+        self.virt.as_ref()
+    }
+
+    /// Mutable virtual-address unit (fault service, transfer failure).
+    pub fn virt_mut(&mut self) -> Option<&mut VirtUnit> {
+        self.virt.as_mut()
     }
 
     /// The IOMMU, if enabled.
     pub fn iommu(&self) -> Option<&Iommu> {
-        self.iommu.as_ref()
+        self.virt.as_ref().map(|v| &v.iommu)
     }
 
     /// Mutable IOMMU (the OS maps/unmaps/pins through this).
     pub fn iommu_mut(&mut self) -> Option<&mut Iommu> {
-        self.iommu.as_mut()
+        self.virt.as_mut().map(|v| &mut v.iommu)
     }
 
-    /// The virtual-address unit's tunables.
-    pub fn virt_config(&self) -> VirtDmaConfig {
-        self.virt_config
-    }
-
-    /// Counters of the virtual-address unit.
+    /// Counters of the virtual-address unit (zero without one).
     pub fn virt_stats(&self) -> VirtStats {
-        self.virt_stats
+        self.virt.as_ref().map(|v| v.stats).unwrap_or_default()
     }
 
-    /// One virtual-address transfer.
-    pub fn virt_xfer(&self, id: usize) -> Option<&VirtTransfer> {
-        self.virt_xfers.get(id)
-    }
-
-    /// All virtual-address transfers, in posting order.
+    /// All virtual-address transfers, in posting order (none without
+    /// the unit).
     pub fn virt_xfers(&self) -> &[VirtTransfer] {
-        &self.virt_xfers
-    }
-
-    /// Takes the oldest unserviced I/O fault (the OS fault service polls
-    /// this; hardware would raise an interrupt).
-    pub fn pop_fault(&mut self) -> Option<PendingFault> {
-        self.virt_faults.pop_front()
-    }
-
-    /// Unserviced I/O faults queued for the OS.
-    pub fn fault_backlog(&self) -> usize {
-        self.virt_faults.len()
+        self.virt.as_ref().map_or(&[], |v| &v.xfers)
     }
 
     /// Posts a virtual-address DMA for address space `asid` and streams
@@ -677,179 +547,10 @@ impl EngineCore {
         size: u64,
         now: SimTime,
     ) -> Result<usize, RejectReason> {
-        assert!(self.iommu.is_some(), "virtual-address DMA requires enable_iommu");
-        if size == 0 {
-            self.note_reject(RejectReason::ZeroSize);
-            return Err(RejectReason::ZeroSize);
-        }
-        let id = self.virt_xfers.len();
-        self.virt_xfers.push(VirtTransfer {
-            id,
-            asid,
-            src,
-            dst,
-            size,
-            moved: 0,
-            chunks: 0,
-            retries: 0,
-            state: VirtState::Running,
-            started: now,
-            clock: now,
-            finished: None,
-            stall: SimTime::ZERO,
-        });
-        self.virt_prefetch.push(0);
-        self.virt_stats.posted += 1;
-        self.pump_virt(id);
-        Ok(id)
-    }
-
-    /// Streams chunks of transfer `id` until it completes or faults.
-    ///
-    /// Each chunk ends at the nearest source *or* destination page
-    /// boundary, so every chunk obeys the mover's user-level single-page
-    /// rule on both sides, and a fault pauses the transfer exactly at a
-    /// page boundary: the moved prefix is fully delivered, nothing past
-    /// it is touched.
-    fn pump_virt(&mut self, id: usize) {
-        loop {
-            let t = self.virt_xfers[id];
-            if t.state != VirtState::Running {
-                return;
-            }
-            if t.moved >= t.size {
-                let x = &mut self.virt_xfers[id];
-                x.state = VirtState::Complete;
-                x.finished = Some(x.clock);
-                self.virt_stats.completed += 1;
-                return;
-            }
-            let src_va = VirtAddr::new(t.src.as_u64() + t.moved);
-            let dst_va = VirtAddr::new(t.dst.as_u64() + t.moved);
-            let chunk = (t.size - t.moved)
-                .min(PAGE_SIZE - src_va.page_offset())
-                .min(PAGE_SIZE - dst_va.page_offset());
-
-            // Pipeline stages 1 and 2: once the cursor reaches the end
-            // of the prewalked window, walk the next `depth` pages of
-            // both ranges and prefill the IOTLB ahead of the chunk
-            // stream. The whole batch is charged at the amortized rate —
-            // the walks pipeline behind one another; only a demand miss
-            // blocks a chunk for the full walk latency.
-            let pf = self.virt_config.prefetch;
-            if pf.depth > 0 && t.moved >= self.virt_prefetch[id] {
-                let span = (pf.depth * PAGE_SIZE).min(t.size - t.moved);
-                let iommu = self.iommu.as_mut().expect("pump without IOMMU");
-                let batch = iommu.prewalk_range(t.asid, src_va, span, Access::Read)
-                    + iommu.prewalk_range(t.asid, dst_va, span, Access::Write);
-                self.virt_prefetch[id] = t.moved + span;
-                if batch > 0 {
-                    let cost = self.virt_config.walk_latency
-                        + SimTime::from_ps(
-                            self.virt_config.walk_pipelined_latency.as_ps() * (batch - 1),
-                        );
-                    let x = &mut self.virt_xfers[id];
-                    x.clock += cost;
-                    x.stall += cost;
-                }
-            }
-
-            // Both ends translate on this engine's IOMMU, the source
-            // first; the destination only once the source resolved.
-            let iommu = self.iommu.as_mut().expect("pump without IOMMU");
-            let misses_before = iommu.stats().tlb.misses;
-            let translated = iommu.translate(t.asid, src_va, Access::Read).and_then(|src_pa| {
-                iommu.translate(t.asid, dst_va, Access::Write).map(|dst_pa| (src_pa, dst_pa))
-            });
-            let walks = iommu.stats().tlb.misses - misses_before;
-            let walk_cost = SimTime::from_ps(self.virt_config.walk_latency.as_ps() * walks);
-            {
-                let x = &mut self.virt_xfers[id];
-                x.clock += walk_cost;
-                x.stall += walk_cost;
-            }
-            let (src_pa, dst_pa) = match translated {
-                Ok(pas) => pas,
-                Err(fault) => {
-                    self.virt_xfers[id].state = VirtState::Faulted(fault);
-                    self.virt_faults.push_back(PendingFault { xfer: id, fault });
-                    self.virt_stats.faults += 1;
-                    return;
-                }
-            };
-
-            // Pipeline stage 3: chunk coalescing. Extend the chunk over
-            // following pages while their translations are already
-            // IOTLB-resident, permission-compatible and physically
-            // contiguous with the chunk on *both* ends. Probes count
-            // hits (the frames feed the merged chunk) but never misses,
-            // so the demand walk-cost accounting is untouched; any
-            // lookahead failure just ends the merge and leaves the
-            // demand path to translate — or fault — at that boundary.
-            let mut chunk = chunk;
-            let mut coalesced = false;
-            if pf.max_coalesce > 1 && src_va.page_offset() == dst_va.page_offset() {
-                let mut pages = 1;
-                while pages < pf.max_coalesce && t.moved + chunk < t.size {
-                    // Equal offsets: the chunk ends at a page start of
-                    // both ranges, so the lookahead walks whole pages.
-                    let ext = (t.size - t.moved - chunk).min(PAGE_SIZE);
-                    let next_src = VirtAddr::new(src_va.as_u64() + chunk).page();
-                    let next_dst = VirtAddr::new(dst_va.as_u64() + chunk).page();
-                    let iommu = self.iommu.as_mut().expect("pump without IOMMU");
-                    let follows = |frame: Option<PhysFrame>, pa: PhysAddr| {
-                        frame.is_some_and(|f| f.base().as_u64() == pa.as_u64() + chunk)
-                    };
-                    if !follows(iommu.probe(t.asid, next_src, Access::Read), src_pa)
-                        || !follows(iommu.probe(t.asid, next_dst, Access::Write), dst_pa)
-                    {
-                        break;
-                    }
-                    chunk += ext;
-                    pages += 1;
-                    coalesced = true;
-                }
-            }
-
-            let clock = self.virt_xfers[id].clock;
-            let initiator = Initiator::VirtDma { asid: t.asid };
-            let started = self
-                .launch_checked(
-                    src_pa,
-                    LaunchDst::Local(dst_pa),
-                    chunk,
-                    initiator,
-                    coalesced,
-                    clock,
-                )
-                .map(|idx| self.mover.record(idx).expect("just started").finished);
-            match started {
-                Ok(finished) => {
-                    self.virt_stats.chunks += 1;
-                    let x = &mut self.virt_xfers[id];
-                    x.chunks += 1;
-                    x.clock = finished;
-                    x.moved += chunk;
-                }
-                Err(_) => {
-                    // Translation succeeded but the frame is not backed by
-                    // installed RAM — an OS mapping bug (the reject was
-                    // counted by the checked launch). Surface it as an
-                    // unmapped-page failure rather than wedging.
-                    let fault = IoFault {
-                        asid: t.asid,
-                        va: src_va,
-                        access: Access::Read,
-                        kind: IoFaultKind::Unmapped,
-                    };
-                    let x = &mut self.virt_xfers[id];
-                    x.state = VirtState::Failed(fault);
-                    x.finished = Some(x.clock);
-                    self.virt_stats.failed += 1;
-                    return;
-                }
-            }
-        }
+        let Some(virt) = self.virt.as_mut() else {
+            panic!("virtual-address DMA requires enable_iommu");
+        };
+        virt.post(asid, src, dst, size, now, &mut self.back)
     }
 
     /// Resumes a faulted transfer (the OS calls this after servicing the
@@ -857,102 +558,23 @@ impl EngineCore {
     /// absent OS). Each fruitless resume doubles the backoff; after
     /// [`RetryPolicy::max_retries`](crate::RetryPolicy) consecutive
     /// attempts with no progress the transfer fails with its reported
-    /// fault.
+    /// fault. Any other state is returned unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine has no IOMMU or no transfer `id` was posted.
     pub fn resume_virt(&mut self, id: usize, now: SimTime) -> VirtState {
-        let t = self.virt_xfers[id];
-        let VirtState::Faulted(fault) = t.state else {
-            return t.state;
+        let Some(virt) = self.virt.as_mut() else {
+            panic!("no virtual-address transfer {id} to resume");
         };
-        if self.virt_config.retry.exhausted(t.retries) {
-            let x = &mut self.virt_xfers[id];
-            x.state = VirtState::Failed(fault);
-            x.finished = Some(x.clock.max(now));
-            self.virt_stats.failed += 1;
-            return self.virt_xfers[id].state;
-        }
-        let backoff = self.virt_config.retry.backoff_after(t.retries);
-        let moved_before = t.moved;
-        {
-            let x = &mut self.virt_xfers[id];
-            x.retries += 1;
-            x.state = VirtState::Running;
-            let resume_at = x.clock.max(now) + backoff;
-            x.stall += resume_at - x.clock;
-            x.clock = resume_at;
-            // Re-prime the prefetch window at the cursor: the fault
-            // service may have mapped pages the aborted window skipped.
-            self.virt_prefetch[id] = x.moved;
-        }
-        self.virt_stats.retries += 1;
-        self.pump_virt(id);
-        let x = &mut self.virt_xfers[id];
-        if x.moved > moved_before {
-            x.retries = 0;
-        }
-        x.state
+        virt.resume(id, now, &mut self.back)
     }
 
-    /// Fails a faulted transfer outright (the OS found the fault
-    /// unresolvable — e.g. the VA is simply not part of the posting
-    /// address space).
-    pub fn fail_virt(&mut self, id: usize, now: SimTime) -> VirtState {
-        let t = &mut self.virt_xfers[id];
-        if let VirtState::Faulted(fault) = t.state {
-            t.state = VirtState::Failed(fault);
-            t.finished = Some(t.clock.max(now));
-            self.virt_stats.failed += 1;
-        }
-        self.virt_xfers[id].state
-    }
-
-    /// Status of a virtual-address transfer, in the paper's status-load
-    /// convention: bytes remaining, 0 = complete, `-1` = failed.
-    pub fn virt_status(&self, id: usize, now: SimTime) -> u64 {
-        match self.virt_xfers.get(id) {
-            None => DMA_FAILURE,
-            Some(t) => match t.state {
-                VirtState::Failed(_) => DMA_FAILURE,
-                _ => t.remaining_at(now),
-            },
-        }
-    }
-
-    /// Store to a `CTX_VIRT_*` offset of context `ctx`'s page.
+    /// Store to a `CTX_VIRT_*` offset of context `ctx`'s page (ignored
+    /// without the unit).
     pub fn ctx_virt_store(&mut self, ctx: u32, off: u64, data: u64, now: SimTime) {
-        if !self.has_context(ctx) {
-            return;
-        }
-        match off {
-            regs::CTX_VIRT_SRC => self.virt_stage[ctx as usize].src = Some(data),
-            regs::CTX_VIRT_DST => self.virt_stage[ctx as usize].dst = Some(data),
-            regs::CTX_VIRT_GO => {
-                let stage = self.virt_stage[ctx as usize];
-                let (Some(src), Some(dst)) = (stage.src, stage.dst) else {
-                    self.note_reject(RejectReason::MissingArgs);
-                    self.virt_stage[ctx as usize].last = None;
-                    return;
-                };
-                let posted =
-                    self.post_virt_dma(ctx, VirtAddr::new(src), VirtAddr::new(dst), data, now).ok();
-                self.virt_stage[ctx as usize].last = posted;
-            }
-            _ => {}
-        }
-    }
-
-    /// Load from a `CTX_VIRT_*` offset of context `ctx`'s page.
-    pub fn ctx_virt_load(&self, ctx: u32, off: u64, now: SimTime) -> u64 {
-        let Some(stage) = self.virt_stage.get(ctx as usize) else {
-            return DMA_FAILURE;
-        };
-        match off {
-            regs::CTX_VIRT_SRC => stage.src.unwrap_or(0),
-            regs::CTX_VIRT_DST => stage.dst.unwrap_or(0),
-            regs::CTX_VIRT_GO => match stage.last {
-                Some(id) => self.virt_status(id, now),
-                None => DMA_FAILURE,
-            },
-            _ => DMA_FAILURE,
+        if let Some(virt) = self.virt.as_mut() {
+            virt.ctx_store(ctx, off, data, now, &mut self.back);
         }
     }
 
@@ -967,56 +589,25 @@ impl EngineCore {
     ///
     /// Panics if the engine has no IOMMU ([`EngineCore::enable_iommu`]).
     pub fn enable_rings(&mut self, config: RingConfig) {
-        assert!(self.iommu.is_some(), "descriptor rings require enable_iommu");
-        self.ring_config = Some(config);
+        let Some(virt) = self.virt.as_mut() else {
+            panic!("descriptor rings require enable_iommu");
+        };
+        virt.rings = Some(RingUnit::new(config, self.contexts.len()));
     }
 
-    /// Whether the descriptor-ring unit is enabled.
-    pub fn rings_enabled(&self) -> bool {
-        self.ring_config.is_some()
+    /// The descriptor-ring unit, if enabled.
+    pub fn rings(&self) -> Option<&RingUnit> {
+        self.virt.as_ref().and_then(|v| v.rings.as_ref())
     }
 
-    /// The ring tunables in force, if enabled.
-    pub fn ring_config(&self) -> Option<RingConfig> {
-        self.ring_config
+    /// Mutable descriptor-ring unit (the privileged ring tables).
+    pub fn rings_mut(&mut self) -> Option<&mut RingUnit> {
+        self.virt.as_mut().and_then(|v| v.rings.as_mut())
     }
 
-    /// Counters of the descriptor-ring unit.
+    /// Counters of the descriptor-ring unit (zero without one).
     pub fn ring_stats(&self) -> RingStats {
-        self.ring_stats
-    }
-
-    /// Context `ctx`'s ring state (geometry, cursors).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ctx` is out of range.
-    pub fn ring(&self, ctx: u32) -> &DescRing {
-        &self.rings[ctx as usize]
-    }
-
-    /// Privileged `RING_BASE_TABLE` write: stages the host-physical
-    /// base of context `ctx`'s ring. Out-of-range writes are ignored,
-    /// like key-table writes.
-    pub fn set_ring_base(&mut self, ctx: u32, base: u64) {
-        if let Some(r) = self.rings.get_mut(ctx as usize) {
-            r.base = PhysAddr::new(base);
-        }
-    }
-
-    /// Privileged `RING_CTL_TABLE` write: registers the ring with
-    /// `capacity` slots over the staged base (0 deregisters). Resets
-    /// the cursors — registration starts an empty ring.
-    pub fn set_ring_ctl(&mut self, ctx: u32, capacity: u64) {
-        if let Some(r) = self.rings.get_mut(ctx as usize) {
-            let cap = capacity.min(u32::MAX as u64) as u32;
-            *r = DescRing {
-                base: r.base,
-                capacity: cap,
-                consumed: vec![false; cap as usize],
-                ..DescRing::default()
-            };
-        }
+        self.rings().map(|r| r.stats).unwrap_or_default()
     }
 
     /// The user-library post helper: encodes `desc` into the next free
@@ -1027,50 +618,16 @@ impl EngineCore {
     ///
     /// # Errors
     ///
-    /// [`RejectReason::RingFull`] when no ring is registered for `ctx`
-    /// or all `capacity` slots hold undequeued descriptors;
-    /// [`RejectReason::BadRange`] when the registered window leaves
-    /// installed RAM. Both are counted like every engine reject.
-    pub fn ring_post(
-        &mut self,
-        ctx: u32,
-        desc: &DmaDescriptor,
-        _now: SimTime,
-    ) -> Result<u64, RejectReason> {
-        if self.ring_config.is_none()
-            || !self.has_context(ctx)
-            || !self.rings[ctx as usize].registered()
-        {
-            self.note_reject(RejectReason::RingFull);
-            return Err(RejectReason::RingFull);
-        }
-        let r = &self.rings[ctx as usize];
-        if r.posted - r.head >= r.capacity as u64 {
-            self.note_reject(RejectReason::RingFull);
-            return Err(RejectReason::RingFull);
-        }
-        let slot = r.posted;
-        let addr = r.slot_addr((slot % r.capacity as u64) as u32);
-        let words = desc.encode();
-        for (w, word) in words.iter().enumerate() {
-            let wrote =
-                self.mem.borrow_mut().write_u64(PhysAddr::new(addr.as_u64() + 8 * w as u64), *word);
-            if wrote.is_err() {
-                self.note_reject(RejectReason::BadRange);
-                return Err(RejectReason::BadRange);
-            }
-        }
-        self.rings[ctx as usize].posted = slot + 1;
-        self.ring_stats.posted += 1;
-        Ok(slot)
-    }
-
-    /// `CTX_RING_DB` load: descriptors posted but not yet dequeued.
-    pub fn ring_db_load(&self, ctx: u32) -> u64 {
-        match self.rings.get(ctx as usize) {
-            Some(r) if r.registered() => r.pending(),
-            _ => DMA_FAILURE,
-        }
+    /// [`RejectReason::RingFull`] when rings are off, no ring is
+    /// registered for `ctx`, or all `capacity` slots hold undequeued
+    /// descriptors; [`RejectReason::BadRange`] when the registered
+    /// window leaves installed RAM. Both are counted like every engine
+    /// reject.
+    pub fn ring_post(&mut self, ctx: u32, desc: &DmaDescriptor) -> Result<u64, RejectReason> {
+        let rings = self.virt.as_mut().and_then(|v| v.rings.as_mut());
+        let posted =
+            rings.map_or(Err(RejectReason::RingFull), |r| r.post(ctx, desc, &self.back.mem));
+        posted.map_err(|reason| self.back.reject(reason))
     }
 
     /// The doorbell: dequeues, translates and launches every
@@ -1079,10 +636,10 @@ impl EngineCore {
     /// [`RingConfig::fetch_latency`] to the *launch clock*, so a batch
     /// of N descriptors launches back-to-back at `now + k·fetch` — the
     /// CPU paid one uncached store for all of them; that is the whole
-    /// amortization. A [`DESC_FLAG_CHAIN`] head walks its fragment
-    /// chain and gather-launches every fragment at the head's
-    /// destination plus the accumulated offset; consumed fragment slots
-    /// are skipped by the main scan.
+    /// amortization. A [`DESC_FLAG_CHAIN`](crate::DESC_FLAG_CHAIN) head
+    /// walks its fragment chain and gather-launches every fragment at
+    /// the head's destination plus the accumulated offset; consumed
+    /// fragment slots are skipped by the main scan.
     ///
     /// Every slot word is user-written, so protection holds per
     /// descriptor: each launch translates through the IOMMU under the
@@ -1091,164 +648,11 @@ impl EngineCore {
     /// launch, or a reject counted in [`RingStats::rejected`] and the
     /// engine's reject statistics. A tail more than one ring's worth of
     /// slots past the head is clamped: the ring cannot hold more.
+    /// Without the ring unit a doorbell does nothing.
     pub fn ring_doorbell(&mut self, ctx: u32, tail: u64, now: SimTime) -> Vec<RingLaunch> {
-        let mut out = Vec::new();
-        if self.ring_config.is_none() || !self.has_context(ctx) {
-            return out;
-        }
-        self.ring_stats.doorbells += 1;
-        if !self.rings[ctx as usize].registered() {
-            self.note_reject(RejectReason::RingFull);
-            return out;
-        }
-        let fetch = self.ring_config.expect("checked above").fetch_latency;
-        // Prune drained launches so the live list (and the busy check)
-        // stays proportional to in-flight work, not ring history.
-        let mut live_virt = std::mem::take(&mut self.rings[ctx as usize].live_virt);
-        live_virt.retain(|&id| self.virt_xfers.get(id).is_some_and(|x| virt_xfer_pins(x, now)));
-        let tail = {
-            let r = &mut self.rings[ctx as usize];
-            r.live_virt = live_virt;
-            // A raw doorbell (CPU wrote the slots itself) advances the
-            // posted cursor past anything the post helper tracked, but
-            // never more than a ring's worth past the head.
-            let tail = tail.min(r.head.saturating_add(u64::from(r.capacity)));
-            r.posted = r.posted.max(tail);
-            tail
-        };
-        let mut clock = now;
-        loop {
-            let (head, limit, capacity) = {
-                let r = &self.rings[ctx as usize];
-                (r.head, tail.min(r.posted), r.capacity)
-            };
-            if head >= limit {
-                break;
-            }
-            let rel = (head % capacity as u64) as usize;
-            self.rings[ctx as usize].head = head + 1;
-            if self.rings[ctx as usize].consumed[rel] {
-                self.rings[ctx as usize].consumed[rel] = false;
-                continue;
-            }
-            clock += fetch;
-            self.ring_stats.fetched += 1;
-            // An undecodable slot, or a fragment no chain head claimed,
-            // launches nothing.
-            let Some(desc) =
-                self.fetch_desc(ctx, rel as u32).filter(|d| d.flags & DESC_FLAG_FRAG == 0)
-            else {
-                self.ring_reject(&mut out, 1);
-                continue;
-            };
-            // Gather chain: the head descriptor is fragment 0, its link
-            // names the next fragment slot. The walk is bounded by the
-            // ring capacity, so a link cycle cannot wedge the engine.
-            let mut frags = vec![(desc.src, desc.len, 0u64)];
-            let mut walked = 0u64;
-            let mut chain_ok = true;
-            if desc.flags & DESC_FLAG_CHAIN != 0 {
-                let mut link = desc.link;
-                let mut offset = desc.len;
-                while let Some(slot) = link {
-                    if slot >= capacity || walked >= u64::from(capacity) {
-                        chain_ok = false;
-                        break;
-                    }
-                    clock += fetch;
-                    self.ring_stats.fetched += 1;
-                    walked += 1;
-                    let Some(f) =
-                        self.fetch_desc(ctx, slot).filter(|f| f.flags & DESC_FLAG_FRAG != 0)
-                    else {
-                        chain_ok = false;
-                        break;
-                    };
-                    self.rings[ctx as usize].consumed[slot as usize] = true;
-                    frags.push((f.src, f.len, offset));
-                    // Lengths are user-written: a gather offset that
-                    // overflows refuses the chain instead of wrapping.
-                    let Some(next) = offset.checked_add(f.len) else {
-                        chain_ok = false;
-                        break;
-                    };
-                    offset = next;
-                    link = f.link;
-                }
-            }
-            if !chain_ok {
-                // The head and every fragment the walk fetched.
-                self.ring_reject(&mut out, 1 + walked);
-                continue;
-            }
-            let in_chain = frags.len() > 1;
-            for (i, (src, len, off)) in frags.into_iter().enumerate() {
-                let launch = self.ring_launch(ctx, src, desc.dst, off, len, clock);
-                match launch {
-                    RingLaunch::Virt(id) => {
-                        self.rings[ctx as usize].live_virt.push(id);
-                        self.virt_stage[ctx as usize].last = Some(id);
-                        self.ring_stats.launched += 1;
-                        if in_chain && i > 0 {
-                            self.ring_stats.chained += 1;
-                        }
-                    }
-                    RingLaunch::Rejected(_) => self.ring_stats.rejected += 1,
-                }
-                out.push(launch);
-            }
-        }
-        let r = &mut self.rings[ctx as usize];
-        r.drain_until = r.drain_until.max(clock);
-        out
-    }
-
-    /// Refuses `slots` fetched ring slots as `BadRange`: each counts once
-    /// in the ring and engine statistics and appears once in `out`.
-    fn ring_reject(&mut self, out: &mut Vec<RingLaunch>, slots: u64) {
-        for _ in 0..slots {
-            self.ring_stats.rejected += 1;
-            self.note_reject(RejectReason::BadRange);
-            out.push(RingLaunch::Rejected(RejectReason::BadRange));
-        }
-    }
-
-    /// Fetches and decodes the descriptor in relative slot `rel` of
-    /// context `ctx`'s ring (the engine-initiated host-memory read the
-    /// per-descriptor fetch latency models).
-    fn fetch_desc(&self, ctx: u32, rel: u32) -> Option<DmaDescriptor> {
-        let base = self.rings[ctx as usize].slot_addr(rel);
-        let mut words = [0u64; DESC_WORDS];
-        {
-            let mem = self.mem.borrow();
-            for (w, word) in words.iter_mut().enumerate() {
-                *word = mem.read_u64(PhysAddr::new(base.as_u64() + 8 * w as u64)).ok()?;
-            }
-        }
-        DmaDescriptor::decode(words)
-    }
-
-    /// Launches one dequeued descriptor (or chain fragment) at launch
-    /// clock `at` through the register path's checked VA post. `offset`
-    /// is the fragment's accumulated gather offset into the destination;
-    /// a destination past the end of the address space is refused.
-    fn ring_launch(
-        &mut self,
-        ctx: u32,
-        src: VirtAddr,
-        dst: DescDst,
-        offset: u64,
-        len: u64,
-        at: SimTime,
-    ) -> RingLaunch {
-        let DescDst::Local(va) = dst;
-        let Some(dst) = va.as_u64().checked_add(offset) else {
-            self.note_reject(RejectReason::BadRange);
-            return RingLaunch::Rejected(RejectReason::BadRange);
-        };
-        match self.post_virt_dma(ctx, src, VirtAddr::new(dst), len, at) {
-            Ok(id) => RingLaunch::Virt(id),
-            Err(reason) => RingLaunch::Rejected(reason),
+        match self.virt.as_mut() {
+            Some(virt) => virt.doorbell(ctx, tail, now, &mut self.back),
+            None => Vec::new(),
         }
     }
 
@@ -1257,28 +661,17 @@ impl EngineCore {
         self.contexts
             .get(ctx as usize)
             .and_then(|c| c.last_transfer())
-            .and_then(|i| self.mover.record(i))
-    }
-}
-
-/// Whether a virtual transfer still pins its initiating context at
-/// `now`: live states (running, or faulted awaiting OS service) always
-/// pin; terminal states (complete, failed) pin only until the simulated
-/// instant they settled — a transfer that already reached its outcome
-/// can never again observe the register file, so holding the context
-/// hostage past `finished` would wedge the steal path forever.
-fn virt_xfer_pins(x: &VirtTransfer, now: SimTime) -> bool {
-    match x.state {
-        VirtState::Running | VirtState::Faulted(_) => true,
-        _ => x.finished.is_some_and(|f| now < f),
+            .and_then(|i| self.back.mover.record(i))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{regs, DescDst, DESC_FLAG_CHAIN, DESC_FLAG_FRAG};
     use std::cell::RefCell;
     use std::rc::Rc;
+    use udma_iommu::IoFaultKind;
     use udma_mem::{PhysMemory, PAGE_SIZE};
 
     fn core() -> EngineCore {
@@ -1379,6 +772,27 @@ mod tests {
     }
 
     #[test]
+    fn save_refused_while_virt_transfer_paused_at_fault() {
+        let mut c = virt_core();
+        // Second source page unmapped: the GO posts, moves one page and
+        // pauses at the fault, still owning its resume path.
+        c.iommu_mut().unwrap().unmap(1, udma_mem::VirtPage::new(1)).unwrap();
+        c.ctx_virt_store(1, regs::CTX_VIRT_SRC, 0, SimTime::ZERO);
+        c.ctx_virt_store(1, regs::CTX_VIRT_DST, 8 * PAGE_SIZE, SimTime::ZERO);
+        c.ctx_virt_store(1, regs::CTX_VIRT_GO, 2 * PAGE_SIZE, SimTime::ZERO);
+        assert!(matches!(c.virt_xfers()[0].state, VirtState::Faulted(_)));
+        // No wire time can drain a paused transfer.
+        let later = SimTime::from_us(100_000);
+        assert_eq!(c.busy_reason(1, later), Some(CtxBusy::VirtTransfer));
+        assert_eq!(c.save_context(1, later), Err(CtxBusy::VirtTransfer));
+        assert_eq!(c.ctx_stats().busy_denials, 1);
+        // Failing the transfer settles it; after that instant the slot spills.
+        c.virt_mut().unwrap().fail(0, later);
+        let image = c.save_context(1, later + SimTime::from_us(1)).unwrap();
+        assert_eq!(image.virt.last, Some(0));
+    }
+
+    #[test]
     fn steal_and_starvation_notes() {
         let mut c = core();
         c.note_ctx_steal();
@@ -1391,12 +805,12 @@ mod tests {
     #[test]
     fn kernel_atomic_path() {
         let mut c = core();
-        c.mem.borrow_mut().write_u64(PhysAddr::new(0x100), 40).unwrap();
+        c.back.mem.borrow_mut().write_u64(PhysAddr::new(0x100), 40).unwrap();
         c.set_atomic_addr(0x100);
         c.set_atomic_op1(2);
         c.exec_kernel_atomic(AtomicOp::Add.code());
         assert_eq!(c.kernel_atomic_result(), 40);
-        assert_eq!(c.mem.borrow().read_u64(PhysAddr::new(0x100)).unwrap(), 42);
+        assert_eq!(c.back.mem.borrow().read_u64(PhysAddr::new(0x100)).unwrap(), 42);
         assert_eq!(c.stats().atomics, 1);
 
         c.exec_kernel_atomic(99);
@@ -1419,14 +833,15 @@ mod tests {
         let mut c = core();
         let cluster = crate::Cluster::new(2, 1 << 16).shared();
         c.attach_cluster(cluster.clone());
-        c.mem.borrow_mut().write_u64(PhysAddr::new(0x2000), 0x77).unwrap();
-        let idx = c
-            .start_user_dma_remote(
+        c.back.mem.borrow_mut().write_u64(PhysAddr::new(0x2000), 0x77).unwrap();
+        let dst = Destination::Remote { node: 1, addr: PhysAddr::new(0x400) };
+        let (idx, _) = c
+            .launch_checked(
                 PhysAddr::new(0x2000),
-                1,
-                PhysAddr::new(0x400),
+                dst,
                 8,
                 Initiator::Anonymous,
+                false,
                 SimTime::ZERO,
             )
             .unwrap();
@@ -1439,27 +854,18 @@ mod tests {
     #[test]
     fn remote_dma_without_cluster_is_rejected() {
         let mut c = core();
+        let dst = Destination::Remote { node: 0, addr: PhysAddr::new(0) };
         let err = c
-            .start_user_dma_remote(
+            .launch_checked(
                 PhysAddr::new(0x2000),
-                0,
-                PhysAddr::new(0),
+                dst,
                 8,
                 Initiator::Anonymous,
+                false,
                 SimTime::ZERO,
             )
             .unwrap_err();
         assert_eq!(err, RejectReason::BadRange);
-    }
-
-    #[test]
-    fn pending_extra_latency_accumulates_and_clears() {
-        let mut c = core();
-        assert_eq!(c.take_pending_extra(), SimTime::ZERO);
-        c.charge_key_check();
-        c.charge_key_check();
-        assert_eq!(c.take_pending_extra(), SimTime::from_ns(240));
-        assert_eq!(c.take_pending_extra(), SimTime::ZERO);
     }
 
     fn virt_core() -> EngineCore {
@@ -1495,12 +901,12 @@ mod tests {
     #[test]
     fn virt_dma_splits_at_page_boundaries() {
         let mut c = virt_core();
-        c.mem.borrow_mut().write_u64(PhysAddr::new(8 * PAGE_SIZE + 0x100), 0xABCD).unwrap();
+        c.back.mem.borrow_mut().write_u64(PhysAddr::new(8 * PAGE_SIZE + 0x100), 0xABCD).unwrap();
         // 2.5 pages, starting mid-page: chunks must never cross a page.
         let src = VirtAddr::new(0x100);
         let dst = VirtAddr::new(8 * PAGE_SIZE + 0x100);
         let id = c.post_virt_dma(1, src, dst, 2 * PAGE_SIZE + 128, SimTime::ZERO).unwrap();
-        let t = *c.virt_xfer(id).unwrap();
+        let t = c.virt_xfers()[id];
         assert_eq!(t.state, VirtState::Complete);
         assert_eq!(t.moved, 2 * PAGE_SIZE + 128);
         assert_eq!(t.chunks, 3); // (PAGE-0x100) + PAGE + (128+0x100)
@@ -1510,8 +916,11 @@ mod tests {
             assert!(rec.dst.page_offset() + rec.size <= PAGE_SIZE);
         }
         // The data actually landed (frame 16 = VA page 8).
-        assert_eq!(c.mem.borrow().read_u64(PhysAddr::new(16 * PAGE_SIZE + 0x100)).unwrap(), 0xABCD);
-        assert_eq!(c.virt_status(id, SimTime::from_us(100_000)), 0);
+        assert_eq!(
+            c.back.mem.borrow().read_u64(PhysAddr::new(16 * PAGE_SIZE + 0x100)).unwrap(),
+            0xABCD
+        );
+        assert_eq!(c.virt().unwrap().status(id, SimTime::from_us(100_000)), 0);
     }
 
     #[test]
@@ -1528,11 +937,11 @@ mod tests {
                 SimTime::ZERO,
             )
             .unwrap();
-        let t = *c.virt_xfer(id).unwrap();
+        let t = c.virt_xfers()[id];
         assert!(matches!(t.state, VirtState::Faulted(_)));
         // Exactly the first page moved; nothing past the fault.
         assert_eq!(t.moved, PAGE_SIZE);
-        let pending = c.pop_fault().unwrap();
+        let pending = c.virt_mut().unwrap().pop_fault().unwrap();
         assert_eq!(pending.xfer, id);
         assert_eq!(pending.fault.va.page(), udma_mem::VirtPage::new(1));
         assert_eq!(pending.fault.kind, IoFaultKind::Unmapped);
@@ -1549,7 +958,7 @@ mod tests {
             .unwrap();
         let state = c.resume_virt(id, SimTime::from_us(5));
         assert_eq!(state, VirtState::Complete);
-        assert_eq!(c.virt_xfer(id).unwrap().moved, 2 * PAGE_SIZE);
+        assert_eq!(c.virt_xfers()[id].moved, 2 * PAGE_SIZE);
         assert_eq!(c.virt_stats().faults, 1);
         assert_eq!(c.virt_stats().retries, 1);
     }
@@ -1561,8 +970,8 @@ mod tests {
         let id = c
             .post_virt_dma(1, VirtAddr::new(0), VirtAddr::new(8 * PAGE_SIZE), 64, SimTime::ZERO)
             .unwrap();
-        let max = c.virt_config().retry.max_retries;
-        let mut state = c.virt_xfer(id).unwrap().state;
+        let max = c.virt().unwrap().config().retry.max_retries;
+        let mut state = c.virt_xfers()[id].state;
         let mut resumes = 0;
         while matches!(state, VirtState::Faulted(_)) {
             state = c.resume_virt(id, SimTime::ZERO);
@@ -1571,10 +980,10 @@ mod tests {
         }
         assert!(matches!(state, VirtState::Failed(_)));
         assert_eq!(resumes, max + 1);
-        assert_eq!(c.virt_status(id, SimTime::from_us(100)), DMA_FAILURE);
-        assert_eq!(c.virt_xfer(id).unwrap().moved, 0);
+        assert_eq!(c.virt().unwrap().status(id, SimTime::from_us(100)), DMA_FAILURE);
+        assert_eq!(c.virt_xfers()[id].moved, 0);
         // Backoff showed up as stall time.
-        assert!(c.virt_xfer(id).unwrap().stall > SimTime::ZERO);
+        assert!(c.virt_xfers()[id].stall > SimTime::ZERO);
     }
 
     #[test]
@@ -1590,10 +999,10 @@ mod tests {
                 SimTime::ZERO,
             )
             .unwrap();
-        let state = c.fail_virt(id, SimTime::from_us(1));
+        let state = c.virt_mut().unwrap().fail(id, SimTime::from_us(1));
         assert!(matches!(state, VirtState::Failed(_)));
-        assert_eq!(c.virt_xfer(id).unwrap().moved, PAGE_SIZE);
-        assert_eq!(c.virt_status(id, SimTime::from_us(1)), DMA_FAILURE);
+        assert_eq!(c.virt_xfers()[id].moved, PAGE_SIZE);
+        assert_eq!(c.virt().unwrap().status(id, SimTime::from_us(1)), DMA_FAILURE);
         // Further resumes do nothing.
         assert_eq!(c.resume_virt(id, SimTime::from_us(2)), state);
     }
@@ -1604,18 +1013,18 @@ mod tests {
         let now = SimTime::ZERO;
         // GO before staging: rejected with MissingArgs.
         c.ctx_virt_store(1, regs::CTX_VIRT_GO, 64, now);
-        assert_eq!(c.ctx_virt_load(1, regs::CTX_VIRT_GO, now), DMA_FAILURE);
+        assert_eq!(c.virt().unwrap().ctx_load(1, regs::CTX_VIRT_GO, now), DMA_FAILURE);
         assert_eq!(c.stats().rejected_for(RejectReason::MissingArgs), 1);
 
         c.ctx_virt_store(1, regs::CTX_VIRT_SRC, 0x40, now);
         c.ctx_virt_store(1, regs::CTX_VIRT_DST, 8 * PAGE_SIZE, now);
         c.ctx_virt_store(1, regs::CTX_VIRT_GO, 64, now);
-        assert_eq!(c.ctx_virt_load(1, regs::CTX_VIRT_SRC, now), 0x40);
-        assert_eq!(c.ctx_virt_load(1, regs::CTX_VIRT_GO, SimTime::from_us(100_000)), 0);
+        assert_eq!(c.virt().unwrap().ctx_load(1, regs::CTX_VIRT_SRC, now), 0x40);
+        assert_eq!(c.virt().unwrap().ctx_load(1, regs::CTX_VIRT_GO, SimTime::from_us(100_000)), 0);
         assert_eq!(c.virt_stats().posted, 1);
         // Unknown context: store ignored, load fails.
         c.ctx_virt_store(9, regs::CTX_VIRT_GO, 64, now);
-        assert_eq!(c.ctx_virt_load(9, regs::CTX_VIRT_GO, now), DMA_FAILURE);
+        assert_eq!(c.virt().unwrap().ctx_load(9, regs::CTX_VIRT_GO, now), DMA_FAILURE);
     }
 
     #[test]
@@ -1630,7 +1039,7 @@ mod tests {
                 SimTime::ZERO,
             )
             .unwrap();
-        let cold = c.virt_xfer(id1).unwrap().stall;
+        let cold = c.virt_xfers()[id1].stall;
         let id2 = c
             .post_virt_dma(
                 1,
@@ -1640,7 +1049,7 @@ mod tests {
                 SimTime::ZERO,
             )
             .unwrap();
-        let warm = c.virt_xfer(id2).unwrap().stall;
+        let warm = c.virt_xfers()[id2].stall;
         assert!(cold > SimTime::ZERO);
         assert_eq!(warm, SimTime::ZERO);
         assert_eq!(c.iommu().unwrap().stats().tlb.hits, 2);
@@ -1667,8 +1076,8 @@ mod tests {
     fn ring_core() -> EngineCore {
         let mut c = virt_core();
         c.enable_rings(RingConfig::default());
-        c.set_ring_base(1, 0x40000);
-        c.set_ring_ctl(1, 16);
+        c.rings_mut().unwrap().set_base(1, 0x40000);
+        c.rings_mut().unwrap().set_ctl(1, 16);
         c
     }
 
@@ -1681,28 +1090,28 @@ mod tests {
         let mut c = ring_core();
         // Three sources in VA page 0, destinations in VA page 8.
         for i in 0..3u64 {
-            c.mem
+            c.back
+                .mem
                 .borrow_mut()
                 .write_u64(PhysAddr::new(8 * PAGE_SIZE + 0x40 * i), 0xA0 + i)
                 .unwrap();
-            let slot =
-                c.ring_post(1, &local_desc(0x40 * i, 8 * PAGE_SIZE + 0x100 * i, 8), SimTime::ZERO);
+            let slot = c.ring_post(1, &local_desc(0x40 * i, 8 * PAGE_SIZE + 0x100 * i, 8));
             assert_eq!(slot, Ok(i));
         }
-        assert_eq!(c.ring(1).pending(), 3);
-        assert_eq!(c.ring_db_load(1), 3);
+        assert_eq!(c.rings().unwrap().ring(1).pending(), 3);
+        assert_eq!(c.rings().unwrap().db_load(1), 3);
 
         let launches = c.ring_doorbell(1, 3, SimTime::ZERO);
         assert_eq!(launches.len(), 3);
         for l in &launches {
             assert!(matches!(l, RingLaunch::Virt(_)));
         }
-        assert_eq!(c.ring(1).pending(), 0);
-        assert_eq!(c.ring_db_load(1), 0);
+        assert_eq!(c.rings().unwrap().ring(1).pending(), 0);
+        assert_eq!(c.rings().unwrap().db_load(1), 0);
         // The bytes landed (frame 16 = dst VA page 8).
         for i in 0..3u64 {
             assert_eq!(
-                c.mem.borrow().read_u64(PhysAddr::new(16 * PAGE_SIZE + 0x100 * i)).unwrap(),
+                c.back.mem.borrow().read_u64(PhysAddr::new(16 * PAGE_SIZE + 0x100 * i)).unwrap(),
                 0xA0 + i
             );
         }
@@ -1718,8 +1127,7 @@ mod tests {
         c.post_virt_dma(1, VirtAddr::new(0), VirtAddr::new(8 * PAGE_SIZE), 8, SimTime::ZERO)
             .unwrap();
         for i in 0..4u64 {
-            c.ring_post(1, &local_desc(0x40 * i, 8 * PAGE_SIZE + 0x40 * i, 8), SimTime::ZERO)
-                .unwrap();
+            c.ring_post(1, &local_desc(0x40 * i, 8 * PAGE_SIZE + 0x40 * i, 8)).unwrap();
         }
         c.ring_doorbell(1, 4, SimTime::ZERO);
         let fetch = RingConfig::default().fetch_latency;
@@ -1730,7 +1138,7 @@ mod tests {
         for (k, s) in starts.iter().enumerate() {
             assert_eq!(*s, SimTime::from_ps(fetch.as_ps() * (k as u64 + 1)));
         }
-        assert_eq!(c.ring(1).drain_until(), SimTime::from_ps(fetch.as_ps() * 4));
+        assert_eq!(c.rings().unwrap().ring(1).drain_until, SimTime::from_ps(fetch.as_ps() * 4));
     }
 
     #[test]
@@ -1738,7 +1146,8 @@ mod tests {
         let mut c = ring_core();
         // Three 8-byte fragments scattered across VA page 0.
         for (i, off) in [0x00u64, 0x200, 0x400].iter().enumerate() {
-            c.mem
+            c.back
+                .mem
                 .borrow_mut()
                 .write_u64(PhysAddr::new(8 * PAGE_SIZE + off), 0xF0 + i as u64)
                 .unwrap();
@@ -1752,13 +1161,13 @@ mod tests {
         f1.link = Some(2);
         let mut f2 = local_desc(0x400, 0, 8);
         f2.flags = DESC_FLAG_FRAG;
-        c.ring_post(1, &head, SimTime::ZERO).unwrap();
-        c.ring_post(1, &f1, SimTime::ZERO).unwrap();
-        c.ring_post(1, &f2, SimTime::ZERO).unwrap();
+        c.ring_post(1, &head).unwrap();
+        c.ring_post(1, &f1).unwrap();
+        c.ring_post(1, &f2).unwrap();
         // A plain descriptor after the chain: the main scan must skip
         // the consumed fragment slots and still launch this one.
-        c.mem.borrow_mut().write_u64(PhysAddr::new(8 * PAGE_SIZE + 0x600), 0x99).unwrap();
-        c.ring_post(1, &local_desc(0x600, 8 * PAGE_SIZE + 0x800, 8), SimTime::ZERO).unwrap();
+        c.back.mem.borrow_mut().write_u64(PhysAddr::new(8 * PAGE_SIZE + 0x600), 0x99).unwrap();
+        c.ring_post(1, &local_desc(0x600, 8 * PAGE_SIZE + 0x800, 8)).unwrap();
 
         let launches = c.ring_doorbell(1, 4, SimTime::ZERO);
         // 3 gather fragments + 1 plain launch; no rejects.
@@ -1767,32 +1176,35 @@ mod tests {
         // The gather landed contiguously at the head's destination.
         for i in 0..3u64 {
             assert_eq!(
-                c.mem.borrow().read_u64(PhysAddr::new(16 * PAGE_SIZE + 8 * i)).unwrap(),
+                c.back.mem.borrow().read_u64(PhysAddr::new(16 * PAGE_SIZE + 8 * i)).unwrap(),
                 0xF0 + i
             );
         }
-        assert_eq!(c.mem.borrow().read_u64(PhysAddr::new(16 * PAGE_SIZE + 0x800)).unwrap(), 0x99);
+        assert_eq!(
+            c.back.mem.borrow().read_u64(PhysAddr::new(16 * PAGE_SIZE + 0x800)).unwrap(),
+            0x99
+        );
         let s = c.ring_stats();
         assert_eq!((s.fetched, s.launched, s.chained, s.rejected), (4, 4, 2, 0));
-        assert_eq!(c.ring(1).pending(), 0);
+        assert_eq!(c.rings().unwrap().ring(1).pending(), 0);
     }
 
     #[test]
     fn ring_full_and_unregistered_posts_reject() {
         let mut c = ring_core();
         // Context 0 has no ring registered.
-        let err = c.ring_post(0, &local_desc(0, 8 * PAGE_SIZE, 8), SimTime::ZERO).unwrap_err();
+        let err = c.ring_post(0, &local_desc(0, 8 * PAGE_SIZE, 8)).unwrap_err();
         assert_eq!(err, RejectReason::RingFull);
         // Fill context 1's 16 slots; the 17th post bounces.
         for _ in 0..16 {
-            c.ring_post(1, &local_desc(0, 8 * PAGE_SIZE, 8), SimTime::ZERO).unwrap();
+            c.ring_post(1, &local_desc(0, 8 * PAGE_SIZE, 8)).unwrap();
         }
-        let err = c.ring_post(1, &local_desc(0, 8 * PAGE_SIZE, 8), SimTime::ZERO).unwrap_err();
+        let err = c.ring_post(1, &local_desc(0, 8 * PAGE_SIZE, 8)).unwrap_err();
         assert_eq!(err, RejectReason::RingFull);
         assert_eq!(c.stats().rejected_for(RejectReason::RingFull), 2);
         // Deregister: further doorbells reject too.
-        c.set_ring_ctl(1, 0);
-        assert!(!c.ring(1).registered());
+        c.rings_mut().unwrap().set_ctl(1, 0);
+        assert!(!c.rings().unwrap().ring(1).registered());
         assert!(c.ring_doorbell(1, 16, SimTime::ZERO).is_empty());
         assert_eq!(c.stats().rejected_for(RejectReason::RingFull), 3);
     }
@@ -1801,7 +1213,7 @@ mod tests {
     fn save_refused_while_ring_pending_then_spills_with_image() {
         let mut c = ring_core();
         c.set_key(1, 0x1234);
-        c.ring_post(1, &local_desc(0, 8 * PAGE_SIZE, 64), SimTime::ZERO).unwrap();
+        c.ring_post(1, &local_desc(0, 8 * PAGE_SIZE, 64)).unwrap();
         // Posted but undoorbelled work pins the context.
         assert!(c.context_busy(1, SimTime::ZERO));
         assert_eq!(c.save_context(1, SimTime::ZERO), Err(CtxBusy::RingPending));
@@ -1817,14 +1229,14 @@ mod tests {
         let ring = image.ring.unwrap();
         assert_eq!((ring.base, ring.capacity, ring.cursor), (0x40000, 16, 1));
         // …and the evicted slot no longer decodes doorbells.
-        assert!(!c.ring(1).registered());
+        assert!(!c.rings().unwrap().ring(1).registered());
         assert!(c.ring_doorbell(1, 5, later).is_empty());
 
         // Restore into another slot: cursors converge, ring re-arms.
         c.restore_context(2, &image);
-        assert!(c.ring(2).registered());
-        assert_eq!(c.ring(2).head(), 1);
-        assert_eq!(c.ring(2).posted(), 1);
+        assert!(c.rings().unwrap().ring(2).registered());
+        assert_eq!(c.rings().unwrap().ring(2).head, 1);
+        assert_eq!(c.rings().unwrap().ring(2).posted, 1);
         c.iommu_mut().unwrap().create_context(2);
         c.iommu_mut()
             .unwrap()
@@ -1846,7 +1258,7 @@ mod tests {
                 true,
             )
             .unwrap();
-        c.ring_post(2, &local_desc(0x8, 8 * PAGE_SIZE + 0x8, 8), later).unwrap();
+        c.ring_post(2, &local_desc(0x8, 8 * PAGE_SIZE + 0x8, 8)).unwrap();
         let launches = c.ring_doorbell(2, 2, later);
         assert!(matches!(launches[..], [RingLaunch::Virt(_)]));
     }

@@ -28,8 +28,10 @@
 //! deposits every fragment at the head's destination plus the
 //! accumulated offset — one doorbell, one destination, many fragments.
 
+use crate::engine_core::Backend;
 use crate::status::RejectReason;
-use udma_bus::SimTime;
+use crate::{VirtUnit, DMA_FAILURE};
+use udma_bus::{SharedMemory, SimTime};
 use udma_mem::{PhysAddr, VirtAddr};
 
 /// Words per in-memory descriptor.
@@ -168,7 +170,7 @@ pub struct RingStats {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RingLaunch {
     /// Launched as a virtual-address transfer (id into the engine's
-    /// virt-transfer table — poll [`crate::EngineCore::virt_status`]).
+    /// virt-transfer table — poll [`crate::VirtUnit::status`]).
     Virt(usize),
     /// Refused; the reason is also counted in the engine stats.
     Rejected(RejectReason),
@@ -181,20 +183,20 @@ pub enum RingLaunch {
 #[derive(Clone, Debug, Default)]
 pub struct DescRing {
     /// Host-physical base of slot 0.
-    pub(crate) base: PhysAddr,
+    pub base: PhysAddr,
     /// Slots in the ring (0 = not registered).
-    pub(crate) capacity: u32,
+    pub capacity: u32,
     /// Absolute index of the next slot the engine will fetch.
-    pub(crate) head: u64,
+    pub head: u64,
     /// Absolute index one past the last posted slot (tracked by the
     /// engine-side post helper; a raw doorbell advances it too).
-    pub(crate) posted: u64,
+    pub posted: u64,
     /// Relative slots already consumed as chain fragments — the main
     /// dequeue scan skips (and clears) them.
     pub(crate) consumed: Vec<bool>,
     /// When the last dequeued batch finishes launching (fetch-staggered
     /// launch clock of the final descriptor).
-    pub(crate) drain_until: SimTime,
+    pub drain_until: SimTime,
     /// Live virtual transfers launched from this ring.
     pub(crate) live_virt: Vec<usize>,
 }
@@ -205,39 +207,290 @@ impl DescRing {
         self.capacity > 0
     }
 
-    /// Host-physical base of slot 0.
-    pub fn base(&self) -> PhysAddr {
-        self.base
-    }
-
-    /// Slots in the ring.
-    pub fn capacity(&self) -> u32 {
-        self.capacity
-    }
-
-    /// Absolute index of the next slot the engine will fetch.
-    pub fn head(&self) -> u64 {
-        self.head
-    }
-
-    /// Absolute index one past the last posted slot.
-    pub fn posted(&self) -> u64 {
-        self.posted
-    }
-
     /// Descriptors posted but not yet doorbelled/dequeued.
     pub fn pending(&self) -> u64 {
         self.posted - self.head
     }
 
-    /// When the last dequeued batch finishes launching.
-    pub fn drain_until(&self) -> SimTime {
-        self.drain_until
+    /// A freshly registered ring of `capacity` slots at `base`, both
+    /// cursors at `cursor`.
+    fn registered_at(base: PhysAddr, capacity: u32, cursor: u64) -> Self {
+        let consumed = vec![false; capacity as usize];
+        DescRing { base, capacity, head: cursor, posted: cursor, consumed, ..DescRing::default() }
     }
 
     /// Host-physical address of relative slot `rel`.
     pub fn slot_addr(&self, rel: u32) -> PhysAddr {
         PhysAddr::new(self.base.as_u64() + rel as u64 * DESC_BYTES)
+    }
+
+    /// Fetches and decodes the descriptor in relative slot `rel` (the
+    /// engine-initiated host-memory read the per-descriptor fetch
+    /// latency models).
+    fn fetch(&self, rel: u32, mem: &SharedMemory) -> Option<DmaDescriptor> {
+        let base = self.slot_addr(rel);
+        let mut words = [0u64; DESC_WORDS];
+        let mem = mem.borrow();
+        for (w, word) in words.iter_mut().enumerate() {
+            *word = mem.read_u64(PhysAddr::new(base.as_u64() + 8 * w as u64)).ok()?;
+        }
+        DmaDescriptor::decode(words)
+    }
+}
+
+/// The descriptor-ring unit: the tunables, one ring per register context
+/// and the counters. It exists only inside a [`VirtUnit`], because
+/// descriptors carry virtual addresses translated at dequeue time.
+#[derive(Clone, Debug)]
+pub struct RingUnit {
+    config: RingConfig,
+    rings: Vec<DescRing>,
+    pub(crate) stats: RingStats,
+}
+
+impl RingUnit {
+    /// A unit with `contexts` unregistered rings.
+    pub(crate) fn new(config: RingConfig, contexts: usize) -> Self {
+        RingUnit { config, rings: vec![DescRing::default(); contexts], stats: RingStats::default() }
+    }
+
+    /// Context `ctx`'s ring state (geometry, cursors).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctx` is out of range.
+    pub fn ring(&self, ctx: u32) -> &DescRing {
+        &self.rings[ctx as usize]
+    }
+
+    /// Privileged `RING_BASE_TABLE` write: stages the host-physical
+    /// base of context `ctx`'s ring. Out-of-range writes are ignored,
+    /// like key-table writes.
+    pub fn set_base(&mut self, ctx: u32, base: u64) {
+        if let Some(r) = self.rings.get_mut(ctx as usize) {
+            r.base = PhysAddr::new(base);
+        }
+    }
+
+    /// Privileged `RING_CTL_TABLE` write: registers the ring with
+    /// `capacity` slots over the staged base (0 deregisters). Resets
+    /// the cursors — registration starts an empty ring.
+    pub fn set_ctl(&mut self, ctx: u32, capacity: u64) {
+        if let Some(r) = self.rings.get_mut(ctx as usize) {
+            *r = DescRing::registered_at(r.base, capacity.min(u32::MAX as u64) as u32, 0);
+        }
+    }
+
+    /// `CTX_RING_DB` load: descriptors posted but not yet dequeued.
+    pub fn db_load(&self, ctx: u32) -> u64 {
+        self.rings
+            .get(ctx as usize)
+            .filter(|r| r.registered())
+            .map_or(DMA_FAILURE, DescRing::pending)
+    }
+
+    /// Encodes `desc` into `ctx`'s next free slot and advances the
+    /// posted cursor; see [`crate::EngineCore::ring_post`].
+    pub(crate) fn post(
+        &mut self,
+        ctx: u32,
+        desc: &DmaDescriptor,
+        mem: &SharedMemory,
+    ) -> Result<u64, RejectReason> {
+        let Some(r) = self.rings.get_mut(ctx as usize).filter(|r| r.registered()) else {
+            return Err(RejectReason::RingFull);
+        };
+        if r.pending() >= u64::from(r.capacity) {
+            return Err(RejectReason::RingFull);
+        }
+        let slot = r.posted;
+        let addr = r.slot_addr((slot % u64::from(r.capacity)) as u32);
+        for (w, word) in desc.encode().iter().enumerate() {
+            let at = PhysAddr::new(addr.as_u64() + 8 * w as u64);
+            mem.borrow_mut().write_u64(at, *word).map_err(|_| RejectReason::BadRange)?;
+        }
+        r.posted = slot + 1;
+        self.stats.posted += 1;
+        Ok(slot)
+    }
+
+    /// Deregisters `ctx`'s ring, returning its registration if it had
+    /// one. Only quiescent rings are spilled, so the head is the whole
+    /// dynamic state.
+    pub(crate) fn spill(&mut self, ctx: u32) -> Option<RingImage> {
+        let r = std::mem::take(&mut self.rings[ctx as usize]);
+        r.registered().then(|| RingImage {
+            base: r.base.as_u64(),
+            capacity: r.capacity,
+            cursor: r.head,
+        })
+    }
+
+    /// Reinstalls a spilled registration (or none) in slot `ctx`.
+    pub(crate) fn fill(&mut self, ctx: u32, image: Option<RingImage>) {
+        self.rings[ctx as usize] = image.map_or_else(DescRing::default, |ri| {
+            DescRing::registered_at(PhysAddr::new(ri.base), ri.capacity, ri.cursor)
+        });
+    }
+}
+
+impl VirtUnit {
+    /// Whether `ctx`'s ring has queued or live work at `now`:
+    /// descriptors posted but not yet doorbelled, a dequeued batch whose
+    /// fetch-staggered launches have not all fired, or a ring-launched
+    /// transfer still observable on the wire. Queued work makes the
+    /// context unstealable exactly like a busy register file — the
+    /// ring's contents belong to the process whose ASID the dequeue will
+    /// translate under.
+    pub(crate) fn ring_pending(&self, ctx: u32, now: SimTime) -> bool {
+        let Some(r) = self.rings.as_ref().and_then(|u| u.rings.get(ctx as usize)) else {
+            return false;
+        };
+        r.registered()
+            && (r.pending() > 0
+                || now < r.drain_until
+                || r.live_virt.iter().any(|&id| self.pins(id, now)))
+    }
+
+    /// The doorbell; see [`crate::EngineCore::ring_doorbell`].
+    pub(crate) fn doorbell(
+        &mut self,
+        ctx: u32,
+        tail: u64,
+        now: SimTime,
+        back: &mut Backend,
+    ) -> Vec<RingLaunch> {
+        // The ring unit is lent out for the dequeue so each launch can
+        // post through this unit while the cursors advance; it goes back
+        // before returning.
+        let Some(mut unit) = self.rings.take() else {
+            return Vec::new();
+        };
+        let out = self.dequeue(&mut unit, ctx, tail, now, back);
+        self.rings = Some(unit);
+        out
+    }
+
+    fn dequeue(
+        &mut self,
+        unit: &mut RingUnit,
+        ctx: u32,
+        tail: u64,
+        now: SimTime,
+        back: &mut Backend,
+    ) -> Vec<RingLaunch> {
+        let mut out = Vec::new();
+        let Some(ring) = unit.rings.get_mut(ctx as usize) else {
+            return out;
+        };
+        let stats = &mut unit.stats;
+        stats.doorbells += 1;
+        if !ring.registered() {
+            back.reject(RejectReason::RingFull);
+            return out;
+        }
+        let fetch = unit.config.fetch_latency;
+        // Prune drained launches so the live list (and the busy check)
+        // stays proportional to in-flight work, not ring history.
+        ring.live_virt.retain(|&id| self.pins(id, now));
+        // A raw doorbell (CPU wrote the slots itself) advances the
+        // posted cursor past anything the post helper tracked, but never
+        // more than a ring's worth past the head.
+        let tail = tail.min(ring.head.saturating_add(u64::from(ring.capacity)));
+        ring.posted = ring.posted.max(tail);
+        let capacity = ring.capacity;
+        let mut clock = now;
+        while ring.head < tail {
+            let rel = (ring.head % u64::from(capacity)) as usize;
+            ring.head += 1;
+            if std::mem::take(&mut ring.consumed[rel]) {
+                continue;
+            }
+            clock += fetch;
+            stats.fetched += 1;
+            // An undecodable slot, or a fragment no chain head claimed,
+            // launches nothing.
+            let Some(desc) =
+                ring.fetch(rel as u32, &back.mem).filter(|d| d.flags & DESC_FLAG_FRAG == 0)
+            else {
+                refuse(stats, back, &mut out, 1);
+                continue;
+            };
+            // Gather chain: the head descriptor is fragment 0, its link
+            // names the next fragment slot. The walk is bounded by the
+            // ring capacity, so a link cycle cannot wedge the engine.
+            let mut frags = vec![(desc.src, desc.len, 0u64)];
+            let mut walked = 0u64;
+            let mut chain_ok = true;
+            if desc.flags & DESC_FLAG_CHAIN != 0 {
+                let mut link = desc.link;
+                let mut offset = desc.len;
+                while let Some(slot) = link {
+                    if slot >= capacity || walked >= u64::from(capacity) {
+                        chain_ok = false;
+                        break;
+                    }
+                    clock += fetch;
+                    stats.fetched += 1;
+                    walked += 1;
+                    let Some(f) =
+                        ring.fetch(slot, &back.mem).filter(|f| f.flags & DESC_FLAG_FRAG != 0)
+                    else {
+                        chain_ok = false;
+                        break;
+                    };
+                    ring.consumed[slot as usize] = true;
+                    frags.push((f.src, f.len, offset));
+                    // Lengths are user-written: a gather offset that
+                    // overflows refuses the chain instead of wrapping.
+                    let Some(next) = offset.checked_add(f.len) else {
+                        chain_ok = false;
+                        break;
+                    };
+                    offset = next;
+                    link = f.link;
+                }
+            }
+            if !chain_ok {
+                // The head and every fragment the walk fetched.
+                refuse(stats, back, &mut out, 1 + walked);
+                continue;
+            }
+            // Each fragment launches through the register path's checked
+            // VA post at the head's destination plus its gather offset; a
+            // destination past the end of the address space is refused.
+            let DescDst::Local(dst) = desc.dst;
+            for (i, (src, len, off)) in frags.into_iter().enumerate() {
+                let posted = match dst.as_u64().checked_add(off) {
+                    None => Err(back.reject(RejectReason::BadRange)),
+                    Some(dst) => self.post(ctx, src, VirtAddr::new(dst), len, clock, back),
+                };
+                out.push(match posted {
+                    Ok(id) => {
+                        ring.live_virt.push(id);
+                        self.stage[ctx as usize].last = Some(id);
+                        stats.launched += 1;
+                        stats.chained += u64::from(i > 0);
+                        RingLaunch::Virt(id)
+                    }
+                    Err(reason) => {
+                        stats.rejected += 1;
+                        RingLaunch::Rejected(reason)
+                    }
+                });
+            }
+        }
+        ring.drain_until = ring.drain_until.max(clock);
+        out
+    }
+}
+
+/// Refuses `slots` fetched ring slots as `BadRange`: each counts once in
+/// the ring and engine statistics and appears once in `out`.
+fn refuse(stats: &mut RingStats, back: &mut Backend, out: &mut Vec<RingLaunch>, slots: u64) {
+    for _ in 0..slots {
+        stats.rejected += 1;
+        out.push(RingLaunch::Rejected(back.reject(RejectReason::BadRange)));
     }
 }
 

@@ -75,33 +75,30 @@ impl BusDevice for DmaEngine {
         data: u64,
         _tag: u32,
         now: SimTime,
-    ) -> Result<(), MemFault> {
+    ) -> Result<SimTime, MemFault> {
         let mut inner = self.inner.borrow_mut();
         let Inner { core, protocol } = &mut *inner;
+        let bus_error = MemFault::BusError { pa: paddr };
         match core.layout().region_of(paddr) {
             Region::Shadow => {
-                let (pa, ctx) =
-                    core.layout().shadow.decode(paddr).ok_or(MemFault::BusError { pa: paddr })?;
-                protocol.shadow_store(core, pa, ctx, data, now);
-                Ok(())
+                let (pa, ctx) = core.layout().shadow.decode(paddr).ok_or(bus_error)?;
+                Ok(protocol.shadow_store(core, pa, ctx, data, now))
             }
             Region::NicRegs { offset } => {
                 if let Some((ctx, off)) = regs::decode_ctx_offset(offset) {
                     // The virtual-address window shadows part of each
                     // context page, but only decodes on IOMMU-equipped
                     // engines; otherwise the protocol sees the store.
-                    if core.virt_enabled() && regs::is_virt_offset(off) {
-                        core.ctx_virt_store(ctx, off, data, now);
-                        return Ok(());
-                    }
                     // The doorbell likewise shadows a context-page slot
                     // and only decodes on ring-enabled engines.
-                    if core.rings_enabled() && regs::is_ring_offset(off) {
+                    if core.virt().is_some() && regs::is_virt_offset(off) {
+                        core.ctx_virt_store(ctx, off, data, now);
+                    } else if core.rings().is_some() && regs::is_ring_offset(off) {
                         core.ring_doorbell(ctx, data, now);
-                        return Ok(());
+                    } else {
+                        protocol.ctx_store(core, ctx, off, data, now);
                     }
-                    protocol.ctx_store(core, ctx, off, data, now);
-                    return Ok(());
+                    return Ok(SimTime::ZERO);
                 }
                 match offset {
                     regs::DMA_SOURCE => core.set_dma_source(data),
@@ -113,26 +110,27 @@ impl BusDevice for DmaEngine {
                     regs::ATOMIC_OPERAND1 => core.set_atomic_op1(data),
                     regs::ATOMIC_OPERAND2 => core.set_atomic_op2(data),
                     regs::ATOMIC_CMD => core.exec_kernel_atomic(data),
-                    o if o >= regs::KEY_TABLE_BASE
-                        && o < regs::KEY_TABLE_BASE + 8 * regs::MAX_CONTEXTS as u64 =>
-                    {
-                        core.set_key(((o - regs::KEY_TABLE_BASE) / 8) as u32, data);
+                    // The per-context privileged tables. The ring tables
+                    // belong to the ring unit: on an engine without one
+                    // they do not decode at all.
+                    o => {
+                        let table = regs::MAX_CONTEXTS as u64 * 8;
+                        let slot =
+                            |base| (o.wrapping_sub(base) < table).then(|| (o - base) as u32 / 8);
+                        if let Some(ctx) = slot(regs::KEY_TABLE_BASE) {
+                            core.set_key(ctx, data);
+                        } else if let Some(ctx) = slot(regs::RING_BASE_TABLE) {
+                            core.rings_mut().ok_or(bus_error)?.set_base(ctx, data);
+                        } else if let Some(ctx) = slot(regs::RING_CTL_TABLE) {
+                            core.rings_mut().ok_or(bus_error)?.set_ctl(ctx, data);
+                        } else {
+                            return Err(bus_error);
+                        }
                     }
-                    o if o >= regs::RING_BASE_TABLE
-                        && o < regs::RING_BASE_TABLE + 8 * regs::MAX_CONTEXTS as u64 =>
-                    {
-                        core.set_ring_base(((o - regs::RING_BASE_TABLE) / 8) as u32, data);
-                    }
-                    o if o >= regs::RING_CTL_TABLE
-                        && o < regs::RING_CTL_TABLE + 8 * regs::MAX_CONTEXTS as u64 =>
-                    {
-                        core.set_ring_ctl(((o - regs::RING_CTL_TABLE) / 8) as u32, data);
-                    }
-                    _ => return Err(MemFault::BusError { pa: paddr }),
                 }
-                Ok(())
+                Ok(SimTime::ZERO)
             }
-            _ => Err(MemFault::BusError { pa: paddr }),
+            _ => Err(bus_error),
         }
     }
 
@@ -147,13 +145,13 @@ impl BusDevice for DmaEngine {
             }
             Region::NicRegs { offset } => {
                 if let Some((ctx, off)) = regs::decode_ctx_offset(offset) {
-                    if core.virt_enabled() && regs::is_virt_offset(off) {
-                        return Ok(core.ctx_virt_load(ctx, off, now));
-                    }
-                    if core.rings_enabled() && regs::is_ring_offset(off) {
-                        return Ok(core.ring_db_load(ctx));
-                    }
-                    return Ok(protocol.ctx_load(core, ctx, off, now));
+                    return Ok(match (core.virt(), core.rings()) {
+                        (Some(virt), _) if regs::is_virt_offset(off) => {
+                            virt.ctx_load(ctx, off, now)
+                        }
+                        (_, Some(rings)) if regs::is_ring_offset(off) => rings.db_load(ctx),
+                        _ => protocol.ctx_load(core, ctx, off, now),
+                    });
                 }
                 match offset {
                     regs::DMA_STATUS => Ok(core.kernel_dma_status(now)),
@@ -173,10 +171,6 @@ impl BusDevice for DmaEngine {
             }
             _ => Err(MemFault::BusError { pa: paddr }),
         }
-    }
-
-    fn extra_latency(&mut self) -> SimTime {
-        self.inner.borrow_mut().core.take_pending_extra()
     }
 }
 
@@ -289,11 +283,11 @@ mod tests {
         // OS-side registration through the privileged tables.
         e.write(base + regs::RING_BASE_TABLE + 8, 0x40000, 0, SimTime::ZERO).unwrap();
         e.write(base + regs::RING_CTL_TABLE + 8, 16, 0, SimTime::ZERO).unwrap();
-        assert!(e.core().ring(1).registered());
+        assert!(e.core().rings().unwrap().ring(1).registered());
 
         let desc =
             DmaDescriptor::new(VirtAddr::new(0), DescDst::Local(VirtAddr::new(8 * PAGE_SIZE)), 8);
-        e.core_mut().ring_post(1, &desc, SimTime::ZERO).unwrap();
+        e.core_mut().ring_post(1, &desc).unwrap();
         let db = base + regs::ctx_page_offset(1) + regs::CTX_RING_DB;
         assert_eq!(e.read(db, 0, SimTime::ZERO).unwrap(), 1);
         // The doorbell store itself drives the dequeue.
@@ -302,7 +296,38 @@ mod tests {
         assert_eq!(e.core().ring_stats().launched, 1);
         // Writing 0 to the control slot deregisters.
         e.write(base + regs::RING_CTL_TABLE + 8, 0, 0, SimTime::ZERO).unwrap();
-        assert!(!e.core().ring(1).registered());
+        assert!(!e.core().rings().unwrap().ring(1).registered());
+    }
+
+    #[test]
+    fn ring_tables_do_not_decode_without_the_ring_unit() {
+        use crate::VirtDmaConfig;
+        use udma_iommu::IotlbConfig;
+
+        let (mut e, layout) = engine(ProtocolKind::KeyBased);
+        let base = layout.nic_base + regs::RING_BASE_TABLE + 8;
+        let ctl = layout.nic_base + regs::RING_CTL_TABLE + 8;
+        // No IOMMU, then an IOMMU but no rings: the tables are absent.
+        assert!(e.write(base, 0x40000, 0, SimTime::ZERO).is_err());
+        e.core_mut().enable_iommu(IotlbConfig::default(), VirtDmaConfig::default());
+        assert!(e.write(ctl, 16, 0, SimTime::ZERO).is_err());
+        assert!(e.core().rings().is_none());
+        // Nothing staged before the unit existed survives into it.
+        e.core_mut().enable_rings(crate::RingConfig::default());
+        assert!(!e.core().rings().unwrap().ring(1).registered());
+        assert_eq!(e.write(ctl, 16, 0, SimTime::ZERO), Ok(SimTime::ZERO));
+        assert_eq!(e.core().rings().unwrap().ring(1).base, PhysAddr::new(0));
+    }
+
+    #[test]
+    fn keyed_shadow_store_returns_the_key_check_latency() {
+        let (mut e, layout) = engine(ProtocolKind::KeyBased);
+        let shadow = layout.shadow.shadow_paddr(PhysAddr::new(2 * PAGE_SIZE)).unwrap();
+        let check = EngineConfig::default().key_check_latency;
+        assert_eq!(e.write(shadow, 0, 0, SimTime::ZERO), Ok(check));
+        // Other windows acknowledge with no device-side latency.
+        let base = layout.nic_base;
+        assert_eq!(e.write(base + regs::DMA_SOURCE, 0, 0, SimTime::ZERO), Ok(SimTime::ZERO));
     }
 
     #[test]

@@ -43,18 +43,18 @@ pub use atomic::AtomicOp;
 pub use context::{CtxBusy, CtxImage, CtxStats, RegisterContext};
 pub use crash::{CrashKind, CrashPlan, CrashStats};
 pub use descring::{
-    DescDst, DescRing, DmaDescriptor, RingConfig, RingImage, RingLaunch, RingStats, DESC_BYTES,
-    DESC_FLAG_CHAIN, DESC_FLAG_FRAG, DESC_WORDS,
+    DescDst, DescRing, DmaDescriptor, RingConfig, RingImage, RingLaunch, RingStats, RingUnit,
+    DESC_BYTES, DESC_FLAG_CHAIN, DESC_FLAG_FRAG, DESC_WORDS,
 };
 pub use engine::DmaEngine;
-pub use engine_core::{EngineConfig, EngineCore, EngineStats, LaunchDst};
+pub use engine_core::{EngineConfig, EngineCore, EngineStats};
 pub use faulty::{
     crc32, deliver, Burst, Crc32, DeliveryOutcome, FaultPlan, FaultyLink, FaultyLinkStats,
     FrameFate, ReliabilityConfig, MAX_BURSTS,
 };
 pub use health::{HealthConfig, HealthState, HealthStats, PeerHealth};
 pub use link::{LinkModel, RetryPolicy};
-pub use mover::{DmaMover, RemoteDst, TransferRecord};
+pub use mover::{DmaMover, TransferRecord};
 pub use net::{
     ChunkBytes, DstAnnouncement, Envelope, NackVerdict, NetMsg, SendXfer, XferCounters, XferId,
     XferState,
@@ -64,4 +64,5 @@ pub use remote::{Cluster, Destination, RemoteError, SharedCluster};
 pub use status::{Initiator, RejectReason, DMA_FAILURE, DMA_PENDING, DMA_STARTED};
 pub use virt::{
     PendingFault, PrefetchConfig, VirtDmaConfig, VirtStage, VirtState, VirtStats, VirtTransfer,
+    VirtUnit,
 };

@@ -24,16 +24,6 @@ pub struct TransferRecord {
     pub initiator: Initiator,
 }
 
-/// Destination of a cross-link deposit: a physical address on a
-/// specific cluster node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RemoteDst {
-    /// Receiving node's index within the cluster.
-    pub node: u32,
-    /// Physical address in that node's memory.
-    pub addr: PhysAddr,
-}
-
 impl TransferRecord {
     /// Where the transfer landed.
     pub fn destination(&self) -> Destination {
@@ -76,21 +66,12 @@ pub struct DmaMover {
     /// invalidates them. Unattached (the non-coherent mode), the engine
     /// reads and writes raw memory and software must flush around it.
     coherence: Option<SharedCoherence>,
-    /// Total snoop time the engine's transfers have paid.
-    snoop_time: SimTime,
 }
 
 impl DmaMover {
     /// Creates a mover over the machine's memory and link.
     pub fn new(mem: SharedMemory, link: LinkModel) -> Self {
-        DmaMover {
-            mem,
-            link,
-            cluster: None,
-            records: Vec::new(),
-            coherence: None,
-            snoop_time: SimTime::ZERO,
-        }
+        DmaMover { mem, link, cluster: None, records: Vec::new(), coherence: None }
     }
 
     /// Makes the engine a snooping (coherent) bus master: transfers pull
@@ -106,20 +87,9 @@ impl DmaMover {
         self.coherence.is_some()
     }
 
-    /// Total snoop time the engine's transfers have paid (zero when not
-    /// coherent).
-    pub fn snoop_time(&self) -> SimTime {
-        self.snoop_time
-    }
-
     /// Attaches the cluster of remote nodes reachable over the link.
     pub fn attach_cluster(&mut self, cluster: SharedCluster) {
         self.cluster = Some(cluster);
-    }
-
-    /// The attached cluster, if any.
-    pub fn cluster(&self) -> Option<SharedCluster> {
-        self.cluster.clone()
     }
 
     /// The link model in force.
@@ -127,7 +97,8 @@ impl DmaMover {
         self.link
     }
 
-    /// Validates and performs a transfer.
+    /// Validates and performs a transfer. Returns the new record's index
+    /// and the time its last byte arrives.
     ///
     /// `multipage_ok` is true only for the kernel path, which has checked
     /// the entire range page by page (Figure 1's `check_size`); the
@@ -145,22 +116,16 @@ impl DmaMover {
         initiator: Initiator,
         multipage_ok: bool,
         now: SimTime,
-    ) -> Result<&TransferRecord, RejectReason> {
+    ) -> Result<(usize, SimTime), RejectReason> {
         if size == 0 {
             return Err(RejectReason::ZeroSize);
         }
-        if !multipage_ok {
-            let crosses = |a: PhysAddr| (a.as_u64() % PAGE_SIZE) + size > PAGE_SIZE;
-            if crosses(src) || crosses(dst) {
-                return Err(RejectReason::PageCross);
-            }
+        if !multipage_ok && (crosses_page(src, size) || crosses_page(dst, size)) {
+            return Err(RejectReason::PageCross);
         }
-        {
-            let limit = self.mem.borrow().size();
-            let ok = |a: PhysAddr| a.as_u64().checked_add(size).is_some_and(|e| e <= limit);
-            if !ok(src) || !ok(dst) {
-                return Err(RejectReason::BadRange);
-            }
+        let limit = self.mem.borrow().size();
+        if !fits(src, size, limit) || !fits(dst, size, limit) {
+            return Err(RejectReason::BadRange);
         }
         let snoop = match &self.coherence {
             // Coherent engine: the read side intervenes on Modified
@@ -178,8 +143,7 @@ impl DmaMover {
                 SimTime::ZERO
             }
         };
-        self.snoop_time += snoop;
-        let rec = TransferRecord {
+        Ok(self.push(TransferRecord {
             src,
             dst,
             remote_node: None,
@@ -187,15 +151,16 @@ impl DmaMover {
             started: now,
             finished: now + self.link.transfer_time(size) + snoop,
             initiator,
-        };
-        self.records.push(rec);
-        Ok(self.records.last().expect("just pushed"))
+        }))
     }
 
     /// Validates and performs a transfer whose destination is a page on a
     /// remote cluster node (SHRIMP-1's mapped-out pages, §2.4) over the
     /// ideal link. The deposit is bounded to one page on each side: the
     /// shadow mechanism proved access to one page per address.
+    ///
+    /// Every check runs before the source snoop, so a refused launch
+    /// leaves the CPU caches exactly as it found them.
     ///
     /// # Errors
     ///
@@ -204,18 +169,22 @@ impl DmaMover {
     pub fn start_remote(
         &mut self,
         src: PhysAddr,
-        dst: RemoteDst,
+        node: u32,
+        addr: PhysAddr,
         size: u64,
         initiator: Initiator,
         now: SimTime,
-    ) -> Result<&TransferRecord, RejectReason> {
-        let RemoteDst { node, addr } = dst;
+    ) -> Result<(usize, SimTime), RejectReason> {
         if size == 0 {
             return Err(RejectReason::ZeroSize);
         }
-        let crosses = |a: PhysAddr| size > PAGE_SIZE - a.as_u64() % PAGE_SIZE;
-        if crosses(src) || crosses(addr) {
+        if crosses_page(src, size) || crosses_page(addr, size) {
             return Err(RejectReason::PageCross);
+        }
+        let cluster = self.cluster.as_ref().ok_or(RejectReason::BadRange)?;
+        let node_size = cluster.borrow().node_size(node).ok_or(RejectReason::BadRange)?;
+        if !fits(src, size, self.mem.borrow().size()) || !fits(addr, size, node_size) {
+            return Err(RejectReason::BadRange);
         }
         let mut buf = vec![0u8; size as usize];
         // Source-side snoop: a remote post must not ship bytes the CPU
@@ -230,10 +199,8 @@ impl DmaMover {
                 SimTime::ZERO
             }
         };
-        self.snoop_time += src_snoop;
-        let cluster = self.cluster.as_ref().ok_or(RejectReason::BadRange)?;
         cluster.borrow_mut().deposit(node, addr, &buf).map_err(|_| RejectReason::BadRange)?;
-        let rec = TransferRecord {
+        Ok(self.push(TransferRecord {
             src,
             dst: addr,
             remote_node: Some(node),
@@ -241,19 +208,18 @@ impl DmaMover {
             started: now,
             finished: now + self.link.transfer_time(size) + src_snoop,
             initiator,
-        };
+        }))
+    }
+
+    /// Records a performed transfer; returns its index and finish time.
+    fn push(&mut self, rec: TransferRecord) -> (usize, SimTime) {
         self.records.push(rec);
-        Ok(self.records.last().expect("just pushed"))
+        (self.records.len() - 1, rec.finished)
     }
 
     /// Every transfer performed so far, in start order.
     pub fn records(&self) -> &[TransferRecord] {
         &self.records
-    }
-
-    /// Index of the most recent transfer, if any.
-    pub fn last_index(&self) -> Option<usize> {
-        self.records.len().checked_sub(1)
     }
 
     /// The record at `index`.
@@ -265,6 +231,16 @@ impl DmaMover {
     pub fn clear_records(&mut self) {
         self.records.clear();
     }
+}
+
+/// Whether `size` bytes from `a` run past the end of `a`'s page.
+fn crosses_page(a: PhysAddr, size: u64) -> bool {
+    size > PAGE_SIZE - a.as_u64() % PAGE_SIZE
+}
+
+/// Whether `size` bytes from `a` lie inside `limit` bytes of memory.
+fn fits(a: PhysAddr, size: u64, limit: u64) -> bool {
+    a.as_u64().checked_add(size).is_some_and(|end| end <= limit)
 }
 
 #[cfg(test)]
@@ -284,7 +260,7 @@ mod tests {
         let mut m = mover();
         let mem = m.mem.clone();
         mem.borrow_mut().write_bytes(PhysAddr::new(0x1000), b"hello dma").unwrap();
-        let rec = m
+        let (index, finished) = m
             .start(
                 PhysAddr::new(0x1000),
                 PhysAddr::new(0x4000),
@@ -294,12 +270,13 @@ mod tests {
                 SimTime::ZERO,
             )
             .unwrap();
-        assert_eq!(rec.size, 9);
+        assert_eq!(index, 0);
+        assert_eq!(m.records()[0].size, 9);
+        assert_eq!(m.records()[0].finished, finished);
         let mut buf = [0u8; 9];
         mem.borrow().read_bytes(PhysAddr::new(0x4000), &mut buf).unwrap();
         assert_eq!(&buf, b"hello dma");
         assert_eq!(m.records().len(), 1);
-        assert_eq!(m.last_index(), Some(0));
     }
 
     #[test]
@@ -355,16 +332,16 @@ mod tests {
     fn remaining_decreases_linearly() {
         let mut m = mover();
         // 1 Gb/s, no latency: 1000 bytes = 8 µs.
-        let rec = *m
-            .start(
-                PhysAddr::new(0),
-                PhysAddr::new(0x4000),
-                1000,
-                Initiator::Kernel,
-                true,
-                SimTime::ZERO,
-            )
-            .unwrap();
+        m.start(
+            PhysAddr::new(0),
+            PhysAddr::new(0x4000),
+            1000,
+            Initiator::Kernel,
+            true,
+            SimTime::ZERO,
+        )
+        .unwrap();
+        let rec = m.records()[0];
         assert_eq!(rec.remaining_at(SimTime::ZERO), 1000);
         assert_eq!(rec.remaining_at(SimTime::from_us(4)), 500);
         assert_eq!(rec.remaining_at(SimTime::from_us(8)), 0);
@@ -388,7 +365,7 @@ mod tests {
             .agent_write(cpu, PhysAddr::new(0x1000), &0xFEEDu64.to_le_bytes())
             .unwrap();
         assert_eq!(mem.borrow().read_u64(PhysAddr::new(0x1000)).unwrap(), 0);
-        let rec = *m
+        let (_, finished) = m
             .start(
                 PhysAddr::new(0x1000),
                 PhysAddr::new(0x4000),
@@ -401,9 +378,38 @@ mod tests {
         // The snoop pulled the Modified line, so the DMA saw fresh data.
         assert_eq!(mem.borrow().read_u64(PhysAddr::new(0x4000)).unwrap(), 0xFEED);
         let intervention = shared.borrow().timing().intervention;
-        assert_eq!(m.snoop_time(), intervention);
-        assert_eq!(rec.finished, m.link().transfer_time(8) + intervention);
+        assert_eq!(shared.borrow().stats().snoop_time, intervention);
+        assert_eq!(finished, m.link().transfer_time(8) + intervention);
         shared.borrow().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn refused_remote_launch_does_not_snoop() {
+        use udma_bus::{CacheConfig, CoherenceDomain, CoherenceTiming, MesiState};
+        let mem: SharedMemory = Rc::new(RefCell::new(PhysMemory::new(1 << 20)));
+        let shared = CoherenceDomain::new(mem.clone(), CoherenceTiming::default()).shared();
+        let cpu = shared.borrow_mut().add_agent(CacheConfig::alpha_21064());
+        let mut m = DmaMover::new(mem, LinkModel::new("test", 1_000_000_000, SimTime::ZERO));
+        m.attach_coherence(shared.clone());
+        let src = PhysAddr::new(0x1000);
+        shared.borrow_mut().agent_write(cpu, src, &0xFEEDu64.to_le_bytes()).unwrap();
+        let before = shared.borrow().stats();
+        let start = |m: &mut DmaMover, node, addr| {
+            m.start_remote(src, node, PhysAddr::new(addr), 8, Initiator::Kernel, SimTime::ZERO)
+        };
+        // No cluster attached, then a missing node, then a destination
+        // past the end of an existing node's memory.
+        assert_eq!(start(&mut m, 0, 0), Err(RejectReason::BadRange));
+        m.attach_cluster(crate::Cluster::new(2, 1 << 13).shared());
+        assert_eq!(start(&mut m, 5, 0), Err(RejectReason::BadRange));
+        assert_eq!(start(&mut m, 1, 1 << 13), Err(RejectReason::BadRange));
+        // Nothing was snooped: the CPU still holds the line Modified.
+        assert_eq!(shared.borrow().stats(), before);
+        assert_eq!(shared.borrow().cache(cpu).state_of(src), MesiState::Modified);
+        assert!(m.records().is_empty());
+        // A valid launch does intervene.
+        assert!(start(&mut m, 1, 0).is_ok());
+        assert_eq!(shared.borrow().cache(cpu).state_of(src), MesiState::Shared);
     }
 
     #[test]
@@ -413,6 +419,5 @@ mod tests {
             .unwrap();
         m.clear_records();
         assert!(m.records().is_empty());
-        assert_eq!(m.last_index(), None);
     }
 }

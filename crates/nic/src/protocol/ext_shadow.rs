@@ -48,12 +48,13 @@ impl InitiationProtocol for ExtShadow {
         ctx: u32,
         size: u64,
         _now: SimTime,
-    ) {
+    ) -> SimTime {
         if !core.has_context(ctx) {
             core.note_reject(RejectReason::CtxMismatch);
-            return;
+        } else {
+            self.pending[ctx as usize] = Some((pa, size));
         }
-        self.pending[ctx as usize] = Some((pa, size));
+        SimTime::ZERO
     }
 
     fn shadow_load(&mut self, core: &mut EngineCore, pa: PhysAddr, ctx: u32, now: SimTime) -> u64 {
@@ -150,8 +151,9 @@ impl InitiationProtocol for ExtShadowPairwise {
         ctx: u32,
         size: u64,
         _now: SimTime,
-    ) {
+    ) -> SimTime {
         self.pending = Some((pa, size, ctx));
+        SimTime::ZERO
     }
 
     fn shadow_load(&mut self, core: &mut EngineCore, pa: PhysAddr, ctx: u32, now: SimTime) -> u64 {

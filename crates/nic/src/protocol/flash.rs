@@ -46,8 +46,9 @@ impl InitiationProtocol for Flash {
         _ctx: u32,
         size: u64,
         _now: SimTime,
-    ) {
+    ) -> SimTime {
         self.pending.insert(self.current_pid, (pa, size));
+        SimTime::ZERO
     }
 
     fn shadow_load(&mut self, core: &mut EngineCore, pa: PhysAddr, _ctx: u32, now: SimTime) -> u64 {

@@ -42,14 +42,15 @@ impl InitiationProtocol for KeyBased {
         _ctx: u32,
         data: u64,
         _now: SimTime,
-    ) {
-        core.charge_key_check();
+    ) -> SimTime {
         let (key, ctx) = decode_key_ctx(data);
         if !core.has_context(ctx) || core.key(ctx) != key {
             core.note_key_mismatch();
-            return;
+        } else {
+            core.context_mut(ctx).push_addr(pa);
         }
-        core.context_mut(ctx).push_addr(pa);
+        // The FPGA compares the key before acknowledging, match or not.
+        core.key_check_latency()
     }
 
     fn shadow_load(
@@ -223,8 +224,18 @@ mod tests {
     #[test]
     fn key_check_charges_device_latency() {
         let (mut p, mut core) = world();
+        let check = EngineConfig::default().key_check_latency;
+        assert!(check > SimTime::ZERO);
         let key = encode_key_ctx(0xFEED_BEEF, 1);
-        p.shadow_store(&mut core, PhysAddr::new(PAGE_SIZE), 0, key, SimTime::ZERO);
-        assert!(core.take_pending_extra() > SimTime::ZERO);
+        assert_eq!(
+            p.shadow_store(&mut core, PhysAddr::new(PAGE_SIZE), 0, key, SimTime::ZERO),
+            check
+        );
+        // A mismatching key is compared too, so it pays the same check.
+        let wrong = encode_key_ctx(0xBAD, 1);
+        assert_eq!(
+            p.shadow_store(&mut core, PhysAddr::new(PAGE_SIZE), 0, wrong, SimTime::ZERO),
+            check
+        );
     }
 }

@@ -137,7 +137,8 @@ pub trait InitiationProtocol {
     /// A store hit the shadow window. `pa` is the decoded plain physical
     /// address, `ctx` the context id embedded in the shadow address
     /// (always 0 unless the OS created extended-shadow mappings), `data`
-    /// the store payload.
+    /// the store payload. Returns the device-side latency the store
+    /// incurred before the engine acknowledged it (the key check).
     fn shadow_store(
         &mut self,
         core: &mut EngineCore,
@@ -145,7 +146,7 @@ pub trait InitiationProtocol {
         ctx: u32,
         data: u64,
         now: SimTime,
-    );
+    ) -> SimTime;
 
     /// A load hit the shadow window; returns the load's data (a status
     /// code or byte count).
@@ -204,7 +205,8 @@ impl InitiationProtocol for KernelOnly {
         _ctx: u32,
         _d: u64,
         _n: SimTime,
-    ) {
+    ) -> SimTime {
+        SimTime::ZERO
     }
 
     fn shadow_load(

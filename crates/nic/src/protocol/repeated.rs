@@ -144,8 +144,9 @@ impl InitiationProtocol for Repeated {
         _ctx: u32,
         data: u64,
         now: SimTime,
-    ) {
+    ) -> SimTime {
         let _ = self.on_access(core, Acc::St, pa, data, now);
+        SimTime::ZERO
     }
 
     fn shadow_load(&mut self, core: &mut EngineCore, pa: PhysAddr, _ctx: u32, now: SimTime) -> u64 {

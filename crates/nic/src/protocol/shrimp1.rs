@@ -37,29 +37,24 @@ impl InitiationProtocol for Shrimp1 {
         _ctx: u32,
         size: u64,
         now: SimTime,
-    ) {
-        let Some(dst_base) = core.mapped_out(pa.page()) else {
-            core.note_reject(RejectReason::MissingArgs);
-            self.last_status = DMA_FAILURE;
-            return;
-        };
-        let result = match dst_base {
-            Destination::Local(base) => {
-                core.start_user_dma(pa, base + pa.page_offset(), size, Initiator::Anonymous, now)
+    ) -> SimTime {
+        let dst = match core.mapped_out(pa.page()) {
+            Some(Destination::Local(base)) => Destination::Local(base + pa.page_offset()),
+            Some(Destination::Remote { node, addr }) => {
+                Destination::Remote { node, addr: addr + pa.page_offset() }
             }
-            Destination::Remote { node, addr } => core.start_user_dma_remote(
-                pa,
-                node,
-                addr + pa.page_offset(),
-                size,
-                Initiator::Anonymous,
-                now,
-            ),
+            None => {
+                core.note_reject(RejectReason::MissingArgs);
+                self.last_status = DMA_FAILURE;
+                return SimTime::ZERO;
+            }
         };
-        self.last_status = match result {
-            Ok(_) => DMA_STARTED,
-            Err(_) => DMA_FAILURE,
-        };
+        self.last_status =
+            match core.launch_checked(pa, dst, size, Initiator::Anonymous, false, now) {
+                Ok(_) => DMA_STARTED,
+                Err(_) => DMA_FAILURE,
+            };
+        SimTime::ZERO
     }
 
     fn shadow_load(

@@ -44,8 +44,9 @@ impl InitiationProtocol for Shrimp2 {
         _ctx: u32,
         size: u64,
         _now: SimTime,
-    ) {
+    ) -> SimTime {
         self.pending = Some((pa, size));
+        SimTime::ZERO
     }
 
     fn shadow_load(&mut self, core: &mut EngineCore, pa: PhysAddr, _ctx: u32, now: SimTime) -> u64 {

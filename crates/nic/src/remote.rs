@@ -80,9 +80,9 @@ impl Cluster {
         self.nodes.is_empty()
     }
 
-    /// Whether `node` exists.
-    pub fn has_node(&self, node: u32) -> bool {
-        (node as usize) < self.nodes.len()
+    /// Bytes of memory installed on `node`, if it exists.
+    pub fn node_size(&self, node: u32) -> Option<u64> {
+        self.nodes.get(node as usize).map(PhysMemory::size)
     }
 
     fn node(&self, node: u32) -> Result<&PhysMemory, RemoteError> {
@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn missing_node_and_bad_offset_are_distinct_errors() {
         let mut c = Cluster::new(1, 1 << 13);
-        assert!(!c.has_node(1));
+        assert_eq!((c.node_size(0), c.node_size(1)), (Some(1 << 13), None));
         // No such node: NoSuchNode, carrying the node id.
         assert_eq!(c.deposit(1, PhysAddr::new(0), b"x"), Err(RemoteError::NoSuchNode { node: 1 }));
         let mut b = [0u8; 1];

@@ -81,7 +81,7 @@ props! {
         for (i, a) in stream.iter().enumerate() {
             match a.kind {
                 Kind::St => {
-                    fsm.shadow_store(&mut core, pa(a.page), 0, a.data, SimTime::ZERO)
+                    fsm.shadow_store(&mut core, pa(a.page), 0, a.data, SimTime::ZERO);
                 }
                 Kind::Ld => {
                     let status = fsm.shadow_load(&mut core, pa(a.page), 0, SimTime::ZERO);
@@ -146,7 +146,7 @@ props! {
         for (i, a) in stream.iter().enumerate() {
             match a.kind {
                 Kind::St => {
-                    fsm.shadow_store(&mut core, pa(a.page), 0, a.data, SimTime::ZERO)
+                    fsm.shadow_store(&mut core, pa(a.page), 0, a.data, SimTime::ZERO);
                 }
                 Kind::Ld => {
                     if fsm.shadow_load(&mut core, pa(a.page), 0, SimTime::ZERO) == DMA_STARTED {

@@ -93,7 +93,8 @@ impl Kernel {
     /// touches its ring memory and its context-page doorbell.
     ///
     /// Returns `false` (and programs nothing) when the window does not
-    /// fit the buffer or the buffer is not writable.
+    /// fit the buffer or the buffer is not writable, and `false` when
+    /// the NI has no ring unit (its ring tables do not decode).
     pub fn register_ring(
         &mut self,
         grant: &CtxGrant,
@@ -111,19 +112,21 @@ impl Kernel {
         let tag = 0;
         let base_reg = self.nic_base + regs::RING_BASE_TABLE + 8 * grant.ctx as u64;
         let ctl_reg = self.nic_base + regs::RING_CTL_TABLE + 8 * grant.ctx as u64;
-        bus.access(BusTxn::write(base_reg, buf.first_frame.base().as_u64(), tag), now)
-            .expect("ring base table is always decodable");
-        bus.access(BusTxn::write(ctl_reg, capacity, tag), now)
-            .expect("ring control table is always decodable");
-        true
+        let programmed = bus
+            .access(BusTxn::write(base_reg, buf.first_frame.base().as_u64(), tag), now)
+            .and_then(|_| bus.access(BusTxn::write(ctl_reg, capacity, tag), now));
+        if programmed.is_err() {
+            self.stats.failed_syscalls += 1;
+        }
+        programmed.is_ok()
     }
 
     /// Deregisters `grant`'s ring (a single privileged control write of
-    /// zero); stale doorbells then find nothing to dequeue.
+    /// zero); stale doorbells then find nothing to dequeue. An NI
+    /// without a ring unit has nothing to deregister.
     pub fn deregister_ring(&mut self, grant: &CtxGrant, bus: &mut Bus, now: SimTime) {
         let ctl_reg = self.nic_base + regs::RING_CTL_TABLE + 8 * grant.ctx as u64;
-        bus.access(BusTxn::write(ctl_reg, 0, 0), now)
-            .expect("ring control table is always decodable");
+        let _ = bus.access(BusTxn::write(ctl_reg, 0, 0), now);
     }
 
     /// Pages a byte range touches (for translation-cost accounting).
@@ -471,7 +474,7 @@ mod tests {
         let max = PAGE_SIZE / udma_nic::DESC_BYTES;
         assert!(!kernel.register_ring(&g, &buf, max + 1, &mut bus, SimTime::ZERO));
         assert!(!kernel.register_ring(&g, &buf, 0, &mut bus, SimTime::ZERO));
-        assert!(!engine.core().ring(g.ctx).registered());
+        assert!(!engine.core().rings().unwrap().ring(g.ctx).registered());
         // A read-only buffer can't back a ring the process must write.
         let ro = kernel
             .vm_mut()
@@ -481,13 +484,34 @@ mod tests {
 
         assert!(kernel.register_ring(&g, &buf, max, &mut bus, SimTime::ZERO));
         let core = engine.core();
-        let ring = core.ring(g.ctx);
+        let ring = core.rings().unwrap().ring(g.ctx);
         assert!(ring.registered());
-        assert_eq!(ring.base(), buf.first_frame.base());
-        assert_eq!(ring.capacity() as u64, max);
+        assert_eq!(ring.base, buf.first_frame.base());
+        assert_eq!(ring.capacity as u64, max);
         drop(core);
         kernel.deregister_ring(&g, &mut bus, SimTime::ZERO);
-        assert!(!engine.core().ring(g.ctx).registered());
+        assert!(!engine.core().rings().unwrap().ring(g.ctx).registered());
+    }
+
+    #[test]
+    fn register_ring_fails_without_a_ring_unit() {
+        let (mut kernel, mut bus, engine) = machine(SwitchPolicy::Vanilla);
+        let g = kernel.grant_context(Pid::new(1), &mut bus, SimTime::ZERO).unwrap();
+        let mut pt = PageTable::new();
+        let buf = kernel
+            .vm_mut()
+            .map_buffer(
+                &mut pt,
+                VirtAddr::new(0x4000),
+                1,
+                Perms::READ_WRITE,
+                crate::ShadowMode::None,
+            )
+            .unwrap();
+        // The ring tables do not decode, so the kernel reports failure.
+        assert!(!kernel.register_ring(&g, &buf, 4, &mut bus, SimTime::ZERO));
+        assert_eq!(kernel.stats().failed_syscalls, 1);
+        assert!(engine.core().rings().is_none());
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use udma::{CoherenceSetup, DmaMethod, Machine, MachineConfig};
 use udma_mem::PhysAddr;
+use udma_nic::{Destination, Initiator};
 use udma_workloads::{coherence_cost_sweep, false_sharing_adversary, mode_label};
 
 fn main() {
@@ -41,7 +42,8 @@ fn main() {
     drop(domain);
     // A forgetful driver posts without the flush bracket...
     let now = m.time();
-    m.engine().core_mut().start_kernel_dma_direct(src, dst, 8, now).unwrap();
+    let dst_local = Destination::Local(dst);
+    m.engine().core_mut().launch_checked(src, dst_local, 8, Initiator::Kernel, true, now).unwrap();
     let mut stale = [0u8; 8];
     m.memory().borrow().read_bytes(dst, &mut stale).unwrap();
     println!("raw post, no flush:      dst = {stale:02x?}   <- stale memory, not the producer");

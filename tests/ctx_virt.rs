@@ -7,8 +7,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use udma::{DmaMethod, Machine, MachineConfig, PostPath};
 use udma_bus::{SharedMemory, SimTime};
+use udma_iommu::IotlbConfig;
 use udma_mem::{PhysAddr, PhysLayout, PhysMemory};
-use udma_nic::{regs, CtxBusy, EngineConfig, EngineCore, Initiator};
+use udma_nic::{regs, CtxBusy, EngineConfig, EngineCore, Initiator, VirtDmaConfig};
 use udma_os::{ArbiterConfig, CtxCacheConfig, CtxVictimPolicy, QosClass};
 use udma_testkit::sched::{explore, Budget};
 use udma_testkit::{prop_assert_eq, props};
@@ -42,8 +43,11 @@ props! {
     ) {
         let (mut subject, _smem) = engine(4);
         let (mut oracle, _omem) = engine(4);
-        subject.set_key(0, key);
-        oracle.set_key(0, key);
+        for core in [&mut subject, &mut oracle] {
+            // The CTX_VIRT_* staging window belongs to the VA unit.
+            core.enable_iommu(IotlbConfig::default(), VirtDmaConfig::default());
+            core.set_key(0, key);
+        }
 
         let mut op_bits = ops;
         let mut spills = spill_mask;
@@ -84,13 +88,13 @@ props! {
         prop_assert_eq!(subject.key(0), oracle.key(0), "key must survive");
         prop_assert_eq!(*subject.context(0), *oracle.context(0), "register file must survive");
         prop_assert_eq!(
-            subject.ctx_virt_load(0, regs::CTX_VIRT_SRC, SimTime::ZERO),
-            oracle.ctx_virt_load(0, regs::CTX_VIRT_SRC, SimTime::ZERO),
+            subject.virt().unwrap().ctx_load(0, regs::CTX_VIRT_SRC, SimTime::ZERO),
+            oracle.virt().unwrap().ctx_load(0, regs::CTX_VIRT_SRC, SimTime::ZERO),
             "CTX_VIRT_SRC must survive"
         );
         prop_assert_eq!(
-            subject.ctx_virt_load(0, regs::CTX_VIRT_DST, SimTime::ZERO),
-            oracle.ctx_virt_load(0, regs::CTX_VIRT_DST, SimTime::ZERO),
+            subject.virt().unwrap().ctx_load(0, regs::CTX_VIRT_DST, SimTime::ZERO),
+            oracle.virt().unwrap().ctx_load(0, regs::CTX_VIRT_DST, SimTime::ZERO),
             "CTX_VIRT_DST must survive"
         );
 
@@ -394,12 +398,13 @@ fn save_refuses_pending_ring_descriptors() {
             .unwrap();
     }
     core.enable_rings(RingConfig::default());
-    core.set_ring_base(1, 0x40000);
-    core.set_ring_ctl(1, 16);
+    let rings = core.rings_mut().unwrap();
+    rings.set_base(1, 0x40000);
+    rings.set_ctl(1, 16);
 
     let desc =
         DmaDescriptor::new(VirtAddr::new(0), DescDst::Local(VirtAddr::new(8 * PAGE_SIZE)), 64);
-    core.ring_post(1, &desc, SimTime::ZERO).unwrap();
+    core.ring_post(1, &desc).unwrap();
     // Posted but undoorbelled: the descriptor would be lost to a spill.
     assert!(core.context_busy(1, SimTime::ZERO));
     assert_eq!(core.save_context(1, SimTime::ZERO), Err(CtxBusy::RingPending));

@@ -48,8 +48,9 @@ fn ring_engine() -> (EngineCore, SharedMemory) {
             .unwrap();
     }
     core.enable_rings(RingConfig::default());
-    core.set_ring_base(1, RING_BASE);
-    core.set_ring_ctl(1, 64);
+    let rings = core.rings_mut().unwrap();
+    rings.set_base(1, RING_BASE);
+    rings.set_ctl(1, 64);
     (core, mem)
 }
 
@@ -69,8 +70,9 @@ fn write_slot(mem: &SharedMemory, slot: u64, words: [u64; 4]) {
 
 /// Fails every queued I/O fault — the OS found each unresolvable.
 fn fail_queued_faults(core: &mut EngineCore, now: SimTime) {
-    while let Some(p) = core.pop_fault() {
-        core.fail_virt(p.xfer, now);
+    let virt = core.virt_mut().unwrap();
+    while let Some(p) = virt.pop_fault() {
+        virt.fail(p.xfer, now);
     }
 }
 
@@ -118,7 +120,7 @@ props! {
 
         // Subject: N ring posts, one doorbell.
         for d in &descs {
-            subject.ring_post(1, d, SimTime::ZERO).unwrap();
+            subject.ring_post(1, d).unwrap();
         }
         let launches = subject.ring_doorbell(1, n, SimTime::ZERO);
         prop_assert_eq!(launches.len(), n as usize, "every descriptor must launch");
@@ -139,8 +141,8 @@ props! {
             );
             let RingLaunch::Virt(sid) = l else { unreachable!() };
             prop_assert_eq!(
-                subject.virt_status(*sid, late),
-                oracle.virt_status(*oid, late),
+                subject.virt().unwrap().status(*sid, late),
+                oracle.virt().unwrap().status(*oid, late),
                 "status must match"
             );
         }
@@ -245,8 +247,8 @@ fn overflowing_chain_lengths_are_rejected_not_panicked() {
     head.link = Some(1);
     let mut frag = DmaDescriptor::new(VirtAddr::new(0x100), DescDst::Local(VirtAddr::new(0)), 8);
     frag.flags = DESC_FLAG_FRAG;
-    core.ring_post(1, &head, SimTime::ZERO).unwrap();
-    core.ring_post(1, &frag, SimTime::ZERO).unwrap();
+    core.ring_post(1, &head).unwrap();
+    core.ring_post(1, &frag).unwrap();
 
     let launches = core.ring_doorbell(1, 2, SimTime::ZERO);
     assert_eq!(launches, vec![RingLaunch::Rejected(RejectReason::BadRange); 2]);
@@ -317,7 +319,7 @@ fn doorbell_vs_steal_exhaustive() {
                     // Victim: post the batch and ring once, then drain.
                     if v_step == 0 {
                         for d in &batch {
-                            core.ring_post(1, d, now).unwrap();
+                            core.ring_post(1, d).unwrap();
                         }
                         launches = core.ring_doorbell(1, 2, now);
                     } else {
@@ -349,7 +351,7 @@ fn doorbell_vs_steal_exhaustive() {
         let [RingLaunch::Virt(good), RingLaunch::Virt(bad)] = launches[..] else {
             return Some(format!("batch launched as {launches:?}"));
         };
-        if core.virt_status(good, late) != 0 {
+        if core.virt().unwrap().status(good, late) != 0 {
             return Some("the clean transfer did not complete".into());
         }
         let mut got = vec![0u8; LEN as usize];
@@ -357,7 +359,7 @@ fn doorbell_vs_steal_exhaustive() {
         if got != payload {
             return Some("the clean transfer's bytes are corrupted".into());
         }
-        if core.virt_status(bad, late) != DMA_FAILURE {
+        if core.virt().unwrap().status(bad, late) != DMA_FAILURE {
             return Some("the faulted transfer did not fail".into());
         }
         if mem.borrow().read_u64(PhysAddr::new(17 * PAGE_SIZE)).unwrap() != 0 {

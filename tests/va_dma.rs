@@ -93,7 +93,7 @@ fn unresolvable_fault_fails_cleanly() {
     // Status reads as the paper's -1 and the destination was never
     // touched.
     let now = m.time();
-    assert_eq!(m.engine().core_mut().virt_status(id, now), DMA_FAILURE);
+    assert_eq!(m.engine().core().virt().unwrap().status(id, now), DMA_FAILURE);
     let dst_frame = m.env(pid).buffer(1).first_frame;
     assert_eq!(m.memory().borrow().read_u64(dst_frame.base()).unwrap(), 0);
 }
@@ -104,7 +104,7 @@ fn retry_budget_exhausts_to_failure_without_os_service() {
     let pid = m.spawn(&ProcessSpec::two_buffers_of(1), |_| ProgramBuilder::new().halt().build());
     let (src, dst) = (m.env(pid).buffer(0).va, m.env(pid).buffer(1).va);
     let id = m.post_virt(pid, src, dst, 64).unwrap();
-    let max_retries = m.engine().core().virt_config().retry.max_retries;
+    let max_retries = m.engine().core().virt().unwrap().config().retry.max_retries;
 
     // Model a lost fault: the OS never services it, the engine retries
     // on its own with bounded backoff until the budget runs out.
@@ -112,7 +112,7 @@ fn retry_budget_exhausts_to_failure_without_os_service() {
     loop {
         let state = {
             let mut core = m.engine().core_mut();
-            core.pop_fault();
+            core.virt_mut().unwrap().pop_fault();
             core.resume_virt(id, SimTime::ZERO)
         };
         resumes += 1;
@@ -123,7 +123,7 @@ fn retry_budget_exhausts_to_failure_without_os_service() {
     }
     assert_eq!(resumes, max_retries as u64 + 1);
     let now = m.time();
-    assert_eq!(m.engine().core_mut().virt_status(id, now), DMA_FAILURE);
+    assert_eq!(m.engine().core().virt().unwrap().status(id, now), DMA_FAILURE);
     // Nothing moved: the first page never resolved.
     assert_eq!(m.virt_xfer(id).unwrap().moved, 0);
 }
@@ -392,7 +392,7 @@ fn no_interleaving_of_fault_pause_and_context_switch_leaks_bytes() {
     let report = explore(build, 10_000, |m| {
         let v = Pid::new(0);
         // Transfer 0 is the warm-up; 1 is the program's.
-        let t = *m.engine().core().virt_xfer(1).unwrap();
+        let t = m.engine().core().virt_xfers()[1];
         if !matches!(t.state, VirtState::Faulted(_)) {
             return Some(format!("expected a fault pause, got {:?}", t.state));
         }
