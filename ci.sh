@@ -91,6 +91,12 @@ echo "== repository benchmark smoke (output checks) =="
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload all --smoke \
   > /dev/null
 
+echo "== non-test line counts (informational) =="
+# Lines before each file's first #[cfg(test)], for the cluster module and
+# udma-nic, so the line-count claims in CHANGES.md and ROADMAP.md can be
+# reproduced. Gates nothing.
+scripts/loc.sh crates/core/src/cluster crates/nic/src || true
+
 echo "== clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

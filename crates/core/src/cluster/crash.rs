@@ -1,4 +1,5 @@
-//! Seeded node-failure injection: crash plans and their accounting.
+//! The node fault domain: seeded crash plans, the per-node fault state
+//! they arm, and its accounting.
 //!
 //! A [`CrashPlan`] scripts one failure of one node — a full
 //! crash-and-reboot that loses all volatile NI/OS state, an NI-engine
@@ -20,12 +21,21 @@
 //! | sender-side in-flight transfers    | no (aborted `NodeDown`)          |
 //! | incarnation counter                | bumped (monotonic)               |
 //! | link emission counter (`seq`)      | yes (link-level serial)          |
+//! | NI hang state                      | no (a rebooted NI runs)          |
 //!
 //! A [`CrashKind::NiHang`] keeps *everything* and merely drops frames
 //! for its duration, so transfers may resume where they paused; a
 //! [`CrashKind::FaultStall`] only delays the NACK path.
+//!
+//! The state a failure acts on lives in a [`FaultDomain`] per node,
+//! which only [`ClusterSim::inject_crash`](super::ClusterSim::inject_crash)
+//! creates: a cluster with no plan carries no fault state at all.
 
+use super::event::EventKind;
+use super::health::{HealthState, HealthStats, PeerHealth};
+use std::collections::BTreeMap;
 use udma_bus::SimTime;
+use udma_nic::Envelope;
 
 /// What kind of node failure a [`CrashPlan`] injects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -110,6 +120,87 @@ pub struct CrashStats {
     pub regrants: u64,
     /// Pin records replayed (re-pinned) during reboots.
     pub repins: u64,
+}
+
+/// One node's fault state: power, NI hang, incarnation, fault-service
+/// stall, its failure detector per peer, and the accounting.
+#[derive(Clone, Debug, Default)]
+pub(super) struct FaultDomain {
+    /// Crashed and not yet rebooted.
+    pub(super) down: bool,
+    /// NI engine hung: frames to and from the node vanish, state stays.
+    pub(super) hung: bool,
+    /// Incarnation epoch, bumped by every reboot.
+    pub(super) inc: u64,
+    /// Fault-service stall: NACK servicing is deferred until here.
+    pub(super) stall_until: SimTime,
+    /// This node's failure detector, one per destination peer
+    /// (`BTreeMap` for deterministic aggregation).
+    peers: BTreeMap<u32, PeerHealth>,
+    /// Node-failure accounting.
+    pub(super) stats: CrashStats,
+    /// Outage durations this node's detector measured end-to-end (peer
+    /// went `Down` → first byte of progress after recovery).
+    pub(super) recovery_samples: Vec<SimTime>,
+}
+
+impl FaultDomain {
+    /// The detector's record of `peer`, created on first contact.
+    pub(super) fn peer(&mut self, peer: u32) -> &mut PeerHealth {
+        self.peers.entry(peer).or_default()
+    }
+
+    /// What the detector believes about `peer`.
+    pub(super) fn health(&self, peer: u32) -> HealthState {
+        self.peers.get(&peer).map_or(HealthState::Up, |p| p.state())
+    }
+
+    /// The incarnation this node believes `peer` is at (what it stamps
+    /// as `dst_inc` on envelopes to `peer`).
+    pub(super) fn believed_inc(&self, peer: u32) -> u64 {
+        self.peers.get(&peer).map_or(0, |p| p.incarnation())
+    }
+
+    /// The detector's counters, summed over every peer.
+    pub(super) fn health_stats(&self) -> HealthStats {
+        let mut sum = HealthStats::default();
+        for p in self.peers.values() {
+            sum.absorb(&p.stats);
+        }
+        sum
+    }
+
+    /// Fresh byte progress from `peer`: clears its miss streak and, if
+    /// it had been down, closes the outage sample.
+    pub(super) fn on_progress(&mut self, peer: u32, now: SimTime) {
+        if let Some(outage) = self.peer(peer).on_progress(now) {
+            self.recovery_samples.push(outage);
+        }
+    }
+
+    /// Screens an arriving frame: `Some` names why it is dropped before
+    /// it touches receive or transfer state. A dead or hung node hears
+    /// nothing. A stateful frame aimed at a previous life of this node,
+    /// or sent by a previous life of the peer, is a ghost and is fenced;
+    /// Hello/Ping/Pong are exempt, since they are how epochs propagate.
+    pub(super) fn screen(&mut self, env: &Envelope) -> Option<EventKind> {
+        if self.down || self.hung {
+            self.stats.dropped_down += 1;
+            return Some(EventKind::FrameDropped);
+        }
+        if !env.msg.stateful() {
+            return None;
+        }
+        if env.dst_inc != self.inc {
+            self.stats.fenced += 1;
+            return Some(EventKind::FencedForInc { sent_for: env.dst_inc, current: self.inc });
+        }
+        if self.peer(env.src_node).note_epoch(env.src_inc) {
+            self.stats.fenced += 1;
+            return Some(EventKind::FencedStale { inc: env.src_inc, from: env.src_node });
+        }
+        None
+    }
 }
 
 #[cfg(test)]

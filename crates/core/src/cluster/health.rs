@@ -7,7 +7,7 @@
 //! and drives it from ACK-lease outcomes:
 //!
 //! ```text
-//!        lease miss ×suspect_after        lease miss ×down_after
+//!        lease miss ×SUSPECT_AFTER        lease miss ×DOWN_AFTER
 //!   Up ───────────────────────► Suspect ───────────────────────► Down
 //!    ▲                              │                              │
 //!    │ byte progress                │ byte progress                │ Pong / Hello
@@ -16,20 +16,27 @@
 //! ```
 //!
 //! `Down` is the fail-fast state: transfers toward the peer, launching
-//! or in flight, end [`crate::XferState::NodeDown`], delivering exactly
-//! their in-order acked prefix. Probes (bounded by the shared
-//! [`RetryPolicy`]) and the rebooted peer's own Hello broadcast move
+//! or in flight, end [`udma_nic::XferState::NodeDown`], delivering
+//! exactly their in-order acked prefix. Probes (bounded by the link's
+//! own [`RetryPolicy`]) and the rebooted peer's own Hello broadcast move
 //! the peer to `Recovering`; the first completed byte of progress
-//! closes the loop back to `Up`.
+//! closes the loop back to `Up`. The one tunable is the lease itself,
+//! [`ClusterConfig::ack_lease`](super::ClusterConfig::ack_lease).
 
-use crate::faulty::ReliabilityConfig;
-use crate::link::RetryPolicy;
 use udma_bus::SimTime;
+use udma_nic::RetryPolicy;
+
+/// Consecutive lease misses that move `Up → Suspect`.
+const SUSPECT_AFTER: u32 = 1;
+
+/// Consecutive lease misses that move a peer to `Down`.
+const DOWN_AFTER: u32 = 3;
 
 /// Health of one destination node, as seen by one sender.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum HealthState {
     /// Leases are being met; posts flow normally.
+    #[default]
     Up,
     /// One or more leases missed; the sender keeps retransmitting but
     /// the peer is on notice.
@@ -40,49 +47,6 @@ pub enum HealthState {
     /// A probe answered or the peer announced a reboot; transfers may
     /// relaunch, and the first byte of progress confirms `Up`.
     Recovering,
-}
-
-/// Failure-detector tunables. Built
-/// [`from_reliability`](HealthConfig::from_reliability) so
-/// `ReliabilityConfig::breaker_threshold` is the `Down` threshold — the
-/// health machine *is* the remote path's breaker, per destination.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HealthConfig {
-    /// ACK lease: how long after a chunk launch the sender waits for
-    /// byte progress before counting a miss. Must exceed a chunk's
-    /// worst-case round trip (serialisation + NACK service + backoff)
-    /// or a merely-slow peer gets declared dead.
-    pub lease: SimTime,
-    /// Consecutive misses that move `Up → Suspect`.
-    pub suspect_after: u32,
-    /// Consecutive misses that move `Suspect → Down`. Reuses
-    /// [`ReliabilityConfig::breaker_threshold`].
-    pub down_after: u32,
-    /// Probe schedule once `Down`: bounded attempts with doubling
-    /// backoff, the same policy shape every retry layer shares.
-    pub probe: RetryPolicy,
-}
-
-impl HealthConfig {
-    /// Derives the detector from the link-reliability knobs: the lease
-    /// is a fraction of the no-progress horizon `watchdog` (tighter,
-    /// since a lease watches one chunk, not a whole transfer), the
-    /// `Down` threshold is `breaker_threshold`, and probes reuse the
-    /// link's retry policy.
-    pub fn from_reliability(rel: &ReliabilityConfig) -> Self {
-        HealthConfig {
-            lease: SimTime::from_ps(rel.watchdog.as_ps() / 16),
-            suspect_after: 1,
-            down_after: rel.breaker_threshold,
-            probe: rel.retry,
-        }
-    }
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig::from_reliability(&ReliabilityConfig::default())
-    }
 }
 
 /// Aggregate detector counters (per sender, summed over peers in the
@@ -113,8 +77,8 @@ impl HealthStats {
 }
 
 /// One sender's view of one destination node.
-#[derive(Clone, Copy, Debug)]
-pub struct PeerHealth {
+#[derive(Clone, Copy, Debug, Default)]
+pub(super) struct PeerHealth {
     state: HealthState,
     /// Consecutive lease misses (reset on progress).
     misses_in_row: u32,
@@ -125,41 +89,23 @@ pub struct PeerHealth {
     /// When the peer went `Down`, for recovery-latency accounting.
     down_since: Option<SimTime>,
     /// Detector counters.
-    pub stats: HealthStats,
-}
-
-impl Default for PeerHealth {
-    fn default() -> Self {
-        PeerHealth {
-            state: HealthState::Up,
-            misses_in_row: 0,
-            incarnation: 0,
-            probes_sent: 0,
-            down_since: None,
-            stats: HealthStats::default(),
-        }
-    }
+    pub(super) stats: HealthStats,
 }
 
 impl PeerHealth {
     /// Current state.
-    pub fn state(&self) -> HealthState {
+    pub(super) fn state(&self) -> HealthState {
         self.state
     }
 
     /// Highest incarnation epoch seen from the peer.
-    pub fn incarnation(&self) -> u64 {
+    pub(super) fn incarnation(&self) -> u64 {
         self.incarnation
-    }
-
-    /// When the peer went `Down`, while it still is.
-    pub fn down_since(&self) -> Option<SimTime> {
-        self.down_since
     }
 
     /// Whether a new post targeting the peer should fail fast. Counts
     /// the rejection when it should.
-    pub fn admit(&mut self) -> bool {
+    pub(super) fn admit(&mut self) -> bool {
         if self.state == HealthState::Down {
             self.stats.fail_fast += 1;
             return false;
@@ -170,17 +116,17 @@ impl PeerHealth {
     /// An ACK lease expired without byte progress. Returns the state
     /// after the miss; the caller aborts in-flight transfers when it
     /// sees `Down`.
-    pub fn on_miss(&mut self, cfg: &HealthConfig, now: SimTime) -> HealthState {
+    pub(super) fn on_miss(&mut self, now: SimTime) -> HealthState {
         self.stats.misses += 1;
         self.misses_in_row += 1;
         match self.state {
             HealthState::Up | HealthState::Recovering | HealthState::Suspect => {
-                if self.misses_in_row >= cfg.down_after {
+                if self.misses_in_row >= DOWN_AFTER {
                     self.state = HealthState::Down;
                     self.stats.downs += 1;
                     self.down_since = Some(now);
                     self.probes_sent = 0;
-                } else if self.misses_in_row >= cfg.suspect_after {
+                } else if self.misses_in_row >= SUSPECT_AFTER {
                     self.state = HealthState::Suspect;
                 }
             }
@@ -192,7 +138,7 @@ impl PeerHealth {
     /// Byte progress from the peer: leases are being met again.
     /// Returns the duration of the outage this progress ended, if it
     /// ended one (the recovery-latency sample).
-    pub fn on_progress(&mut self, now: SimTime) -> Option<SimTime> {
+    pub(super) fn on_progress(&mut self, now: SimTime) -> Option<SimTime> {
         self.misses_in_row = 0;
         let was_down = self.down_since.take();
         if matches!(self.state, HealthState::Down | HealthState::Recovering) {
@@ -206,7 +152,7 @@ impl PeerHealth {
     /// Moves `Down → Recovering` and returns `true` when the epoch
     /// *advanced* — the caller must then treat all pre-epoch progress
     /// toward the peer as lost.
-    pub fn on_alive(&mut self, inc: u64) -> bool {
+    pub(super) fn on_alive(&mut self, inc: u64) -> bool {
         let advanced = inc > self.incarnation;
         self.incarnation = self.incarnation.max(inc);
         if matches!(self.state, HealthState::Down) {
@@ -219,7 +165,7 @@ impl PeerHealth {
     /// Records a frame from the peer with epoch `inc` and tells whether
     /// it is stale (older than an epoch this sender has already seen) —
     /// stale frames are fenced, never merged.
-    pub fn note_epoch(&mut self, inc: u64) -> bool {
+    pub(super) fn note_epoch(&mut self, inc: u64) -> bool {
         if inc < self.incarnation {
             return true;
         }
@@ -228,14 +174,14 @@ impl PeerHealth {
     }
 
     /// Whether to probe now, and when to try again: consumes one probe
-    /// attempt and returns the backoff until the next. `None` once the
-    /// budget is exhausted (the peer's own Hello is then the only way
-    /// back) or when the peer is not `Down`.
-    pub fn next_probe(&mut self, cfg: &HealthConfig) -> Option<SimTime> {
-        if self.state != HealthState::Down || cfg.probe.exhausted(self.probes_sent) {
+    /// attempt of `policy` and returns the backoff until the next.
+    /// `None` once the budget is exhausted (the peer's own Hello is then
+    /// the only way back) or when the peer is not `Down`.
+    pub(super) fn next_probe(&mut self, policy: &RetryPolicy) -> Option<SimTime> {
+        if self.state != HealthState::Down || policy.exhausted(self.probes_sent) {
             return None;
         }
-        let backoff = cfg.probe.backoff_after(self.probes_sent);
+        let backoff = policy.backoff_after(self.probes_sent);
         self.probes_sent += 1;
         self.stats.probes += 1;
         Some(backoff)
@@ -245,38 +191,25 @@ impl PeerHealth {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Satellite pin: the PR 4 circuit-breaker trip threshold is a
-    /// `ReliabilityConfig` field and its historical default is 3 — and
-    /// the health machine's `Down` threshold reuses exactly that field.
-    #[test]
-    fn breaker_threshold_default_is_three_and_reused() {
-        let rel = ReliabilityConfig::default();
-        assert_eq!(rel.breaker_threshold, 3);
-        let cfg = HealthConfig::from_reliability(&rel);
-        assert_eq!(cfg.down_after, rel.breaker_threshold);
-        assert_eq!(cfg.probe, rel.retry);
-        assert_eq!(HealthConfig::default(), cfg);
-    }
+    use udma_nic::ReliabilityConfig;
 
     #[test]
     fn misses_walk_up_suspect_down_and_progress_resets() {
-        let cfg = HealthConfig::default();
         let mut p = PeerHealth::default();
         assert_eq!(p.state(), HealthState::Up);
         assert!(p.admit());
-        assert_eq!(p.on_miss(&cfg, SimTime::from_us(1)), HealthState::Suspect);
-        assert_eq!(p.on_miss(&cfg, SimTime::from_us(2)), HealthState::Suspect);
-        assert_eq!(p.on_miss(&cfg, SimTime::from_us(3)), HealthState::Down);
+        assert_eq!(p.on_miss(SimTime::from_us(1)), HealthState::Suspect);
+        assert_eq!(p.on_miss(SimTime::from_us(2)), HealthState::Suspect);
+        assert_eq!(p.on_miss(SimTime::from_us(3)), HealthState::Down, "down after exactly 3");
         assert!(!p.admit(), "down peers fail fast");
         assert_eq!(p.stats.fail_fast, 1);
-        assert_eq!(p.down_since(), Some(SimTime::from_us(3)));
+        assert_eq!(p.down_since, Some(SimTime::from_us(3)));
         // Progress ends the outage and reports its length.
         assert_eq!(p.on_progress(SimTime::from_us(10)), Some(SimTime::from_us(7)));
         assert_eq!(p.state(), HealthState::Up);
         assert_eq!(p.stats.recoveries, 1);
         // A lone miss only suspects; progress clears it silently.
-        p.on_miss(&cfg, SimTime::from_us(11));
+        p.on_miss(SimTime::from_us(11));
         assert_eq!(p.state(), HealthState::Suspect);
         assert_eq!(p.on_progress(SimTime::from_us(12)), None);
         assert_eq!(p.state(), HealthState::Up);
@@ -284,10 +217,9 @@ mod tests {
 
     #[test]
     fn hello_recovers_and_advances_the_epoch() {
-        let cfg = HealthConfig::default();
         let mut p = PeerHealth::default();
         for t in 1..=3 {
-            p.on_miss(&cfg, SimTime::from_us(t));
+            p.on_miss(SimTime::from_us(t));
         }
         assert_eq!(p.state(), HealthState::Down);
         assert!(p.on_alive(1), "first reboot advances the epoch");
@@ -303,22 +235,21 @@ mod tests {
 
     #[test]
     fn probes_are_bounded_by_the_shared_retry_policy() {
-        let rel = ReliabilityConfig::default();
-        let cfg = HealthConfig::from_reliability(&rel);
+        let retry = ReliabilityConfig::default().retry;
         let mut p = PeerHealth::default();
         for t in 1..=3 {
-            p.on_miss(&cfg, SimTime::from_us(t));
+            p.on_miss(SimTime::from_us(t));
         }
         let mut sent = 0;
-        while let Some(backoff) = p.next_probe(&cfg) {
-            assert_eq!(backoff, cfg.probe.backoff_after(sent));
+        while let Some(backoff) = p.next_probe(&retry) {
+            assert_eq!(backoff, retry.backoff_after(sent));
             sent += 1;
-            assert!(sent <= cfg.probe.max_retries, "probe loop must terminate");
+            assert!(sent <= retry.max_retries, "probe loop must terminate");
         }
-        assert_eq!(sent, cfg.probe.max_retries);
+        assert_eq!(sent, retry.max_retries);
         assert_eq!(p.stats.probes, u64::from(sent));
         // Not down — no probes.
         let mut up = PeerHealth::default();
-        assert_eq!(up.next_probe(&cfg), None);
+        assert_eq!(up.next_probe(&retry), None);
     }
 }

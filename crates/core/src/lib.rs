@@ -44,6 +44,7 @@
 #![warn(missing_docs)]
 
 mod attack;
+mod cluster;
 mod coherence;
 mod crossover;
 mod ctx_virt;
@@ -54,12 +55,16 @@ mod measure;
 mod method;
 mod report;
 mod request;
-mod sharded;
 mod trace_report;
 mod va;
 
 pub use attack::{
     explore, explore_bounded, explore_sampled, schedule_space, Budget, ExploreReport, Finding,
+};
+pub use cluster::{
+    AckEffect, ClusterConfig, ClusterDigest, ClusterSim, CrashKind, CrashPlan, CrashStats,
+    EventKind, HealthState, HealthStats, LaunchWire, LogLine, NodeDigest, NodeLinkStats,
+    RemoteSwapRefused, XferDigest,
 };
 pub use coherence::{CoherenceMode, CoherenceSetup, CoherentPostReport};
 pub use crossover::{crossover_rows, os_bound_message_size, CrossoverRow};
@@ -74,9 +79,5 @@ pub use measure::{
 pub use method::DmaMethod;
 pub use report::Table;
 pub use request::DmaRequest;
-pub use sharded::{
-    AckEffect, ClusterConfig, ClusterDigest, ClusterSim, EventKind, LaunchWire, LogLine,
-    NodeDigest, NodeLinkStats, XferDigest,
-};
 pub use trace_report::device_trace_report;
 pub use va::{emit_virt_dma, SwapRefused, VaMode, VirtDmaSetup};

@@ -327,10 +327,10 @@ impl FaultyLink {
     }
 }
 
-/// Tunables of the reliability layer: framing, the go-back-N window,
-/// the retransmit policy, and the thresholds the per-destination
-/// failure detector derives from them. One struct so "how robust is the
-/// remote path" is configured in one place.
+/// Tunables of the reliability layer: framing, the go-back-N window and
+/// the retransmit policy, which the cluster's failure detector also
+/// probes under. One struct so "how robust is the link" is configured
+/// in one place.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReliabilityConfig {
     /// Frame payload size in bytes.
@@ -343,12 +343,6 @@ pub struct ReliabilityConfig {
     /// the per-round (doubling) backoff — the link-level twin of the
     /// virtual-address unit's resume policy.
     pub retry: RetryPolicy,
-    /// No-progress horizon the failure detector's ACK lease derives from
-    /// ([`crate::HealthConfig::from_reliability`]: lease = watchdog / 16).
-    pub watchdog: SimTime,
-    /// Consecutive ACK-lease misses before a destination is held `Down`
-    /// and transfers to it fail fast.
-    pub breaker_threshold: u32,
 }
 
 impl Default for ReliabilityConfig {
@@ -359,8 +353,6 @@ impl Default for ReliabilityConfig {
             // Two ATM-class round trips of headroom.
             ack_timeout: SimTime::from_us(40),
             retry: RetryPolicy::new(6, SimTime::from_us(5)),
-            watchdog: SimTime::from_us(20_000),
-            breaker_threshold: 3,
         }
     }
 }

@@ -17,19 +17,29 @@
 //! * the [`DmaMover`], which validates and performs transfers and models
 //!   their completion time over a configurable [`LinkModel`];
 //! * the [`AtomicOp`] unit of §3.5.
+//!
+//! [`EngineCore`] is that paper engine. The later extensions are
+//! optional units it owns: the virtual-address unit ([`VirtUnit`]: the
+//! IOMMU, translated transfers and their fault queue) and, inside it,
+//! the doorbell-batched descriptor rings ([`RingUnit`]).
+//!
+//! The crate also models the wire between boards: the [`LinkModel`],
+//! the seeded chaos link with its go-back-N delivery engine
+//! ([`FaultyLink`], [`deliver`]), and the frames and sender-side
+//! transfer state machine ([`Envelope`], [`SendXfer`]) a cluster node
+//! sends over it. The cluster itself — nodes, their OS, fault domain
+//! and failure detector — lives in `udma::ClusterSim`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod atomic;
 mod context;
-mod crash;
 mod descring;
 mod engine;
 #[path = "core.rs"]
 mod engine_core;
 mod faulty;
-mod health;
 mod link;
 mod mover;
 mod net;
@@ -41,7 +51,6 @@ mod virt;
 
 pub use atomic::AtomicOp;
 pub use context::{CtxBusy, CtxImage, CtxStats, RegisterContext};
-pub use crash::{CrashKind, CrashPlan, CrashStats};
 pub use descring::{
     DescDst, DescRing, DmaDescriptor, RingConfig, RingImage, RingLaunch, RingStats, RingUnit,
     DESC_BYTES, DESC_FLAG_CHAIN, DESC_FLAG_FRAG, DESC_WORDS,
@@ -52,7 +61,6 @@ pub use faulty::{
     crc32, deliver, Burst, Crc32, DeliveryOutcome, FaultPlan, FaultyLink, FaultyLinkStats,
     FrameFate, ReliabilityConfig, MAX_BURSTS,
 };
-pub use health::{HealthConfig, HealthState, HealthStats, PeerHealth};
 pub use link::{LinkModel, RetryPolicy};
 pub use mover::{DmaMover, TransferRecord};
 pub use net::{

@@ -27,7 +27,6 @@ mod ctx_cache;
 mod fault_service;
 mod kernel;
 mod keys;
-mod remote_fault;
 mod syscalls;
 mod vm;
 
@@ -38,7 +37,6 @@ pub use ctx_cache::{
 pub use fault_service::{pin_range, FaultCosts, FaultResolution, FaultService, FaultServiceStats};
 pub use kernel::{Kernel, KernelStats};
 pub use keys::{CtxGrant, KeyRegistry};
-pub use remote_fault::{RemoteFaultService, RemoteSwapRefused};
 pub use syscalls::{Sys, SYS_ATOMIC, SYS_DMA, SYS_NOOP};
 pub use vm::{MappedBuffer, ShadowMode, VmManager, CTX_PAGE_VA_BASE};
 

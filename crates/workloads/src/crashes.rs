@@ -15,11 +15,11 @@
 //! the fault domain costs nothing until the first [`CrashPlan`] arms
 //! it.
 
-use udma::{ClusterConfig, ClusterSim};
+use udma::{ClusterConfig, ClusterSim, CrashPlan};
 use udma_bus::sim::RunnerKind;
 use udma_bus::SimTime;
 use udma_mem::{Perms, VirtAddr, PAGE_SIZE};
-use udma_nic::{CrashPlan, XferState};
+use udma_nic::XferState;
 
 /// The one ASID the workload's buffers live in on every node.
 pub const CRASH_ASID: u32 = 2;
@@ -96,7 +96,7 @@ pub fn build_crash_cluster(w: &CrashWorkload, shards: usize, runner: RunnerKind)
     cfg.runner = runner;
     cfg.pin_on_post = true;
     cfg.announce = true;
-    cfg.health.lease = w.lease;
+    cfg.ack_lease = w.lease;
     let mut sim = ClusterSim::new(cfg);
     for node in 0..w.nodes {
         for slot in 0..w.xfers_per_node {

@@ -8,11 +8,11 @@
 //! cargo run --release --example node_failure
 //! ```
 
-use udma::{ClusterConfig, ClusterSim};
+use udma::{ClusterConfig, ClusterSim, CrashPlan};
 use udma_bus::sim::RunnerKind;
 use udma_bus::SimTime;
 use udma_mem::{Perms, VirtAddr, PAGE_SIZE};
-use udma_nic::{CrashPlan, XferState};
+use udma_nic::XferState;
 
 const ASID: u32 = 1;
 const VA: u64 = 16 * PAGE_SIZE;
@@ -27,7 +27,7 @@ fn build(shards: usize, runner: RunnerKind) -> ClusterSim {
     cfg.announce = true;
     cfg.record_log = true;
     // A tight ACK lease so detection happens inside the example's span.
-    cfg.health.lease = SimTime::from_us(200);
+    cfg.ack_lease = SimTime::from_us(200);
     let mut sim = ClusterSim::new(cfg);
     for node in 0..NODES {
         sim.grant(node, ASID, VirtAddr::new(VA), 8, Perms::READ_WRITE).expect("fresh region");

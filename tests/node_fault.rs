@@ -16,11 +16,11 @@
 //!   bit for bit at every shard count, for random plans and exhaustively
 //!   across the crash-timing race window.
 
-use udma::{ClusterConfig, ClusterSim};
+use udma::{ClusterConfig, ClusterSim, CrashPlan, CrashStats, HealthState, HealthStats};
 use udma_bus::sim::RunnerKind;
 use udma_bus::SimTime;
 use udma_mem::{Perms, VirtAddr, PAGE_SIZE};
-use udma_nic::{CrashPlan, CrashStats, HealthState, HealthStats, XferId, XferState};
+use udma_nic::{XferId, XferState};
 use udma_testkit::prop::vec;
 use udma_testkit::sched::{explore, Budget};
 use udma_testkit::{prop_assert, prop_assert_eq, props};
@@ -35,7 +35,7 @@ fn cluster(nodes: u32, lease_us: u64, pages: u64) -> ClusterSim {
     cfg.pin_on_post = true;
     cfg.record_log = true;
     cfg.node_bytes = 1 << 19;
-    cfg.health.lease = SimTime::from_us(lease_us);
+    cfg.ack_lease = SimTime::from_us(lease_us);
     let mut sim = ClusterSim::new(cfg);
     for node in 0..nodes {
         sim.grant(node, ASID, VirtAddr::new(DST_VA), pages, Perms::READ_WRITE).unwrap();
@@ -162,7 +162,7 @@ props! {
             cfg.pin_on_post = true;
             cfg.record_log = true;
             cfg.node_bytes = 1 << 19;
-            cfg.health.lease = SimTime::from_us(120);
+            cfg.ack_lease = SimTime::from_us(120);
             let mut sim = ClusterSim::new(cfg);
             for node in 0..NODES {
                 // Room for 8 posts × 3 pages of disjoint ranges.
@@ -250,7 +250,7 @@ fn crash_timing_race_is_exhaustively_deterministic() {
         cfg.pin_on_post = true;
         cfg.record_log = true;
         cfg.node_bytes = 1 << 18;
-        cfg.health.lease = SimTime::from_us(100);
+        cfg.ack_lease = SimTime::from_us(100);
         let mut sim = ClusterSim::new(cfg);
         for node in 0..4 {
             sim.grant(node, ASID, VirtAddr::new(DST_VA), 8, Perms::READ_WRITE).unwrap();

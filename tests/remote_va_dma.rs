@@ -3,11 +3,10 @@
 //! cold start, swap-in on the receive side, and the protection property
 //! against a straight-line oracle.
 
-use udma::{ClusterConfig, ClusterSim, EventKind};
+use udma::{ClusterConfig, ClusterSim, EventKind, RemoteSwapRefused};
 use udma_bus::SimTime;
 use udma_mem::{Perms, PhysAddr, VirtAddr, PAGE_SIZE};
 use udma_nic::{XferId, XferState};
-use udma_os::RemoteSwapRefused;
 use udma_testkit::prop::any;
 use udma_testkit::{prop_assert, prop_assert_eq, props};
 

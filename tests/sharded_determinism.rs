@@ -8,12 +8,12 @@
 //! message names the scenario, the seed and the first diverging sim
 //! event so the run can be replayed and bisected.
 
-use udma::{ClusterConfig, ClusterSim};
+use udma::{ClusterConfig, ClusterSim, CrashPlan};
 use udma_bus::sim::RunnerKind;
 use udma_bus::SimTime;
 use udma_iommu::Asid;
 use udma_mem::{Perms, VirtAddr, PAGE_SIZE};
-use udma_nic::{CrashPlan, FaultPlan, XferState};
+use udma_nic::{FaultPlan, XferState};
 use udma_testkit::rng::TestRng;
 
 const ASID: Asid = 3;
@@ -147,7 +147,7 @@ fn build_crashy(seed: u64, shards: usize, runner: RunnerKind) -> ClusterSim {
     cfg.announce = true;
     // Tight lease so detection, fail-fast and probing all happen inside
     // the workload's own time span.
-    cfg.health.lease = SimTime::from_us(150);
+    cfg.ack_lease = SimTime::from_us(150);
     let mut sim = ClusterSim::new(cfg);
     let mut rng = TestRng::seed_from_u64(seed);
     for node in 0..NODES {

@@ -12,10 +12,10 @@
 //! - **Inspection is free**: [`ClusterSim::probe`] counts nothing and
 //!   touches no replacement state, so it leaves the digest unchanged.
 
-use udma::{ClusterConfig, ClusterSim};
+use udma::{ClusterConfig, ClusterSim, CrashPlan};
 use udma_bus::SimTime;
 use udma_mem::{Perms, VirtAddr, PAGE_SIZE};
-use udma_nic::{crc32, CrashPlan, FaultPlan};
+use udma_nic::{crc32, FaultPlan};
 
 const ASID: u32 = 7;
 const DST_VA: u64 = 16 * PAGE_SIZE;
@@ -33,7 +33,7 @@ fn chaos_crash_run(record_log: bool, lease_us: u64) -> ClusterSim {
     cfg.record_log = record_log;
     cfg.announce = true;
     cfg.node_bytes = 1 << 19;
-    cfg.health.lease = SimTime::from_us(lease_us);
+    cfg.ack_lease = SimTime::from_us(lease_us);
     cfg.chaos = Some(
         FaultPlan::lossless(0x601D)
             .with_drop(0.1)
