@@ -341,7 +341,7 @@ fn trend_projection() {
 fn now_broadcast() {
     let mut t = Table::new(
         "NOW fan-out — SHRIMP-1 broadcast to remote nodes (1 KiB per node)",
-        &["nodes", "initiation total (µs)", "completion (µs)", "verified"],
+        &["nodes", "initiation total (µs)", "completion, last ACK (µs)", "verified"],
     );
     for nodes in [1u32, 2, 4, 8] {
         let r = udma_workloads::broadcast(nodes, 1024);
@@ -759,6 +759,7 @@ fn main() {
         e8_crossover(50);
         e9_atomics(50);
         e10_key_guessing();
+        now_broadcast();
         e13_remote_va(4);
         e14_lossy_link(&[0, 25], &[2, 6], 2, 6);
         e15_translation_pipeline(4);

@@ -43,7 +43,8 @@ COMMANDS
   messaging   [--method M] [--words W] [--count N]
   trace       [--method M]                   decoded device trace of one DMA
   pingpong    [--rounds N]                   msg-layer round-trip latency
-  broadcast   [--nodes K] [--bytes B]        SHRIMP-1 fan-out to remote nodes
+  broadcast   [--nodes K] [--bytes B]        SHRIMP-1 fan-out to K cluster nodes,
+                                             delivered through each receiver's IOMMU
   help                                       this text
 
 METHODS  kernel | shrimp1 | shrimp2 | shrimp2-unpatched | flash |
@@ -259,7 +260,7 @@ fn run() -> Result<(), String> {
             let bytes = get_u64(&flags, "bytes", 1024)?;
             let r = udma_workloads::broadcast(nodes, bytes);
             println!(
-                "{} nodes × {} B: initiations done at {:.2} µs, last byte at {:.2} µs, verified: {}",
+                "{} nodes × {} B: initiations done at {:.2} µs, last ACK at {:.2} µs, verified: {}",
                 r.nodes,
                 r.bytes_per_node,
                 r.initiation_time.as_us(),

@@ -1,8 +1,11 @@
 //! The sharded cluster simulation: every node a full sender.
 //!
 //! The single-machine [`Machine`](crate::Machine) world advances one
-//! sequential clock and models remote nodes as passive memories behind
-//! the sender's DMA engine. This module is the cluster-scale
+//! sequential clock and has no remote nodes of its own: a SHRIMP-1 page
+//! mapped out to another workstation queues its bytes as a
+//! [`RemoteSend`](udma_nic::RemoteSend), and a `ClusterSim` with the
+//! workstation as one of its nodes delivers it
+//! ([`ClusterSim::post_bytes`]). This module is the cluster-scale
 //! re-architecture on top of the deterministic sim kernel in
 //! [`udma_bus::sim`]: a [`ClusterSim`] partitions its nodes over
 //! shards, and each node owns its *complete* local state in three units
@@ -235,6 +238,29 @@ impl ClusterDigest {
     }
 }
 
+/// Why [`ClusterSim::post_bytes`] refused a transfer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PostError {
+    /// The cluster has no node with this index.
+    NoSuchNode {
+        /// The requested node index.
+        node: u32,
+    },
+    /// The payload is empty.
+    Empty,
+}
+
+impl std::fmt::Display for PostError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PostError::NoSuchNode { node } => write!(f, "node {node} out of range"),
+            PostError::Empty => f.write_str("zero-byte transfer"),
+        }
+    }
+}
+
+impl std::error::Error for PostError {}
+
 /// A cluster of user-level-DMA nodes on the sharded deterministic
 /// simulation core. Build, [`grant`](Self::grant) destination buffers,
 /// [`post`](Self::post) transfers, [`run`](Self::run), then compare
@@ -455,8 +481,10 @@ impl ClusterSim {
     }
 
     /// Posts a transfer of `len` deterministic pattern bytes from
-    /// `src_node` into `(asid, va)` on `dst_node`, launching at `at`.
-    /// Returns the transfer's cluster-wide id.
+    /// `src_node` into `(asid, va)` on `dst_node`, launching at `at`:
+    /// [`post_bytes`](Self::post_bytes) with the
+    /// [`expected_payload`](Self::expected_payload). Returns the
+    /// transfer's cluster-wide id.
     ///
     /// # Panics
     ///
@@ -470,14 +498,42 @@ impl ClusterSim {
         len: u64,
         at: SimTime,
     ) -> XferId {
-        assert!(src_node < self.cfg.nodes && dst_node < self.cfg.nodes, "node out of range");
-        assert!(len > 0, "zero-byte transfer");
+        let index = self.node_ref(src_node).link.xfers.len() as u32;
+        let payload = pattern_bytes(XferId { node: src_node, index }, len);
+        self.post_bytes(src_node, dst_node, asid, va, payload, at).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Posts a transfer of `bytes` from `src_node` into `(asid, va)` on
+    /// `dst_node`, launching at `at`. Returns the transfer's
+    /// cluster-wide id. The receiver's IOMMU decides where the bytes
+    /// land: a page `asid` never granted NACKs and fails the transfer.
+    ///
+    /// # Errors
+    ///
+    /// [`PostError::NoSuchNode`] for a node out of range,
+    /// [`PostError::Empty`] for an empty payload. A refused post
+    /// changes nothing.
+    pub fn post_bytes(
+        &mut self,
+        src_node: u32,
+        dst_node: u32,
+        asid: Asid,
+        va: VirtAddr,
+        bytes: Vec<u8>,
+        at: SimTime,
+    ) -> Result<XferId, PostError> {
+        if let Some(node) = [src_node, dst_node].into_iter().find(|&n| n >= self.cfg.nodes) {
+            return Err(PostError::NoSuchNode { node });
+        }
+        if bytes.is_empty() {
+            return Err(PostError::Empty);
+        }
         let xfers = &mut self.node_mut(src_node).link.xfers;
         let id = XferId { node: src_node, index: xfers.len() as u32 };
-        xfers.push(SendXfer::new(id, dst_node, asid, va, pattern_bytes(id, len), at));
+        xfers.push(SendXfer::new(id, dst_node, asid, va, bytes, at));
         self.schedule(src_node, at, Work::Launch { index: id.index });
         self.posted += 1;
-        id
+        Ok(id)
     }
 
     /// The deterministic payload a [`post`](Self::post) generated —
@@ -733,6 +789,31 @@ mod tests {
             assert_eq!(sim.probe(node, ASID, VirtAddr::new(DST_VA)), None);
         }
         assert_eq!(sim.read_mem(2, pa, &mut buf), Ok(()));
+    }
+
+    /// A send a user configuration can name — a node out of range, an
+    /// empty payload — is refused with an error and leaves the cluster
+    /// untouched.
+    #[test]
+    fn a_refused_post_bytes_is_an_error_and_changes_nothing() {
+        let mut sim = granted(ClusterConfig::new(2), 1);
+        let before = sim.digest();
+        let va = VirtAddr::new(DST_VA);
+        assert_eq!(
+            sim.post_bytes(0, 2, ASID, va, vec![1; 8], SimTime::ZERO),
+            Err(PostError::NoSuchNode { node: 2 })
+        );
+        assert_eq!(
+            sim.post_bytes(u32::MAX, 1, ASID, va, vec![1; 8], SimTime::ZERO),
+            Err(PostError::NoSuchNode { node: u32::MAX })
+        );
+        assert_eq!(
+            sim.post_bytes(0, 1, ASID, va, Vec::new(), SimTime::ZERO),
+            Err(PostError::Empty)
+        );
+        sim.run();
+        assert_eq!(sim.posted(), 0);
+        assert_eq!(sim.digest(), before);
     }
 
     /// The detector's one knob keeps the lease the removed health

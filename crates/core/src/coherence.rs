@@ -24,7 +24,7 @@
 use crate::Machine;
 use udma_bus::{CacheConfig, CoherenceStats, CoherenceTiming, SharedCoherence, SimTime};
 use udma_mem::PhysAddr;
-use udma_nic::{Destination, Initiator, RejectReason, TransferRecord};
+use udma_nic::{Initiator, RejectReason, TransferRecord};
 
 /// How DMA and the CPU cache relate on this machine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -196,7 +196,7 @@ impl Machine {
         let now = self.time();
         let (idx, _) = self.engine().core_mut().launch_checked(
             src,
-            Destination::Local(dst),
+            dst,
             size,
             Initiator::Kernel,
             true,

@@ -63,7 +63,7 @@ pub use attack::{
 };
 pub use cluster::{
     AckEffect, ClusterConfig, ClusterDigest, ClusterSim, CrashKind, CrashPlan, CrashStats,
-    EventKind, HealthState, HealthStats, LaunchWire, LogLine, NodeDigest, NodeLinkStats,
+    EventKind, HealthState, HealthStats, LaunchWire, LogLine, NodeDigest, NodeLinkStats, PostError,
     RemoteSwapRefused, XferDigest,
 };
 pub use coherence::{CoherenceMode, CoherenceSetup, CoherentPostReport};

@@ -14,11 +14,11 @@ use udma_cpu::{
     CostModel, Executor, Operand, Pid, ProcState, Program, ProgramBuilder, Reg, RunOutcome,
     RunToCompletion, Scheduler,
 };
+use udma_iommu::Asid;
 use udma_mem::{PageTable, Perms, PhysAddr, PhysLayout, PhysMemory, VirtAddr, PAGE_SIZE};
 use udma_nic::{
-    Cluster, Destination, DmaDescriptor, DmaEngine, EngineConfig, Initiator, LinkModel,
-    RejectReason, RingConfig, RingLaunch, RingStats, SharedCluster, TransferRecord, VirtState,
-    VirtTransfer,
+    Destination, DmaDescriptor, DmaEngine, EngineConfig, Initiator, LinkModel, RejectReason,
+    RemoteSend, RingConfig, RingLaunch, RingStats, TransferRecord, VirtState, VirtTransfer,
 };
 use udma_os::{
     pin_range, Acquired, CtxCache, CtxCacheConfig, CtxGrant, FaultResolution, FaultService, Kernel,
@@ -58,10 +58,6 @@ pub struct MachineConfig {
     /// Significant bits in generated keys (61 in the paper's layout;
     /// shrink to make key-guessing experiments tractable).
     pub key_bits: u32,
-    /// Remote workstations reachable over the link (0 = standalone).
-    pub remote_nodes: u32,
-    /// Memory per remote node in bytes.
-    pub remote_node_bytes: u64,
     /// Virtual-address DMA subsystem (NI-side IOMMU/IOTLB). `None` —
     /// the default — leaves the machine exactly as the paper built it.
     pub virt_dma: Option<VirtDmaSetup>,
@@ -87,8 +83,6 @@ impl MachineConfig {
             num_contexts: 4,
             key_seed: 0x5EED,
             key_bits: 61,
-            remote_nodes: 0,
-            remote_node_bytes: 1 << 20,
             virt_dma: None,
             coherence: CoherenceSetup::default(),
         }
@@ -139,9 +133,12 @@ pub struct ProcessSpec {
     /// of the destination buffer.
     pub mapped_out: Vec<(usize, usize)>,
     /// SHRIMP-1 mapped-out links to *remote* nodes:
-    /// `(src_buffer, node, remote_base_addr)` — page `i` of the source
-    /// buffer maps out to `remote_base_addr + i·PAGE_SIZE` on `node`.
-    pub mapped_out_remote: Vec<(usize, u32, u64)>,
+    /// `(src_buffer, node, asid, va)` — page `i` of the source buffer
+    /// maps out to `va + i·PAGE_SIZE` in address space `asid` on
+    /// cluster node `node`. A store to such a page queues a
+    /// [`RemoteSend`] ([`Machine::take_remote_sends`]); the receiver's
+    /// IOMMU must map the page, or the delivery fails there.
+    pub mapped_out_remote: Vec<(usize, u32, Asid, VirtAddr)>,
 }
 
 impl ProcessSpec {
@@ -218,7 +215,6 @@ pub struct Machine {
     executor: Executor,
     kernel: Kernel,
     engine: DmaEngine,
-    cluster: Option<SharedCluster>,
     envs: Vec<ProcessEnv>,
     fault_service: FaultService,
     /// Context virtualization: the OS context cache multiplexing
@@ -265,11 +261,6 @@ impl Machine {
             config.key_seed,
             config.key_bits,
         );
-        let cluster = (config.remote_nodes > 0).then(|| {
-            let c = Cluster::new(config.remote_nodes, config.remote_node_bytes).shared();
-            engine.core_mut().attach_cluster(c.clone());
-            c
-        });
         let mut executor = Executor::with_cache(config.cost, config.wb_policy, config.cache);
         if config.method.needs_pal() {
             // PAL_DMA(r1 = shadow(vdst), r2 = size, r3 = shadow(vsrc)):
@@ -308,7 +299,6 @@ impl Machine {
             executor,
             kernel,
             engine,
-            cluster,
             envs: Vec::new(),
             fault_service,
             ctx_cache: None,
@@ -412,20 +402,14 @@ impl Machine {
             }
         }
         // SHRIMP-1 mapped-out table (remote twins on cluster nodes).
-        for &(src_i, node, base) in &spec.mapped_out_remote {
-            assert!(
-                self.cluster.is_some(),
-                "mapped_out_remote needs remote_nodes > 0 in the MachineConfig"
-            );
+        for &(src_i, node, asid, va) in &spec.mapped_out_remote {
             let src = &buffers[src_i];
             let mut core = self.engine.core_mut();
             for p in 0..src.pages {
+                let va = va + p * PAGE_SIZE;
                 core.set_mapped_out(
                     src.first_frame.offset(p),
-                    Destination::Remote {
-                        node,
-                        addr: udma_mem::PhysAddr::new(base + p * PAGE_SIZE),
-                    },
+                    Destination::Remote { node, asid, va },
                 );
             }
         }
@@ -635,12 +619,16 @@ impl Machine {
         self.bus.memory()
     }
 
-    /// The remote cluster, when `remote_nodes > 0` was configured.
-    pub fn cluster(&self) -> Option<SharedCluster> {
-        self.cluster.clone()
+    /// Takes the SHRIMP-1 sends to remote twins started since the last
+    /// call, in launch order. Post each to a `ClusterSim` with
+    /// [`ClusterSim::post_bytes`](crate::ClusterSim::post_bytes): the
+    /// status the process read is final at initiation, so the cluster
+    /// can run after the machine.
+    pub fn take_remote_sends(&mut self) -> Vec<RemoteSend> {
+        self.engine.core_mut().take_remote_sends()
     }
 
-    /// Snapshot of all transfers the engine performed.
+    /// Snapshot of all local transfers the engine performed.
     pub fn transfers(&self) -> Vec<TransferRecord> {
         self.engine.core().mover().records().to_vec()
     }

@@ -6,7 +6,7 @@ use crate::regs::MAX_CONTEXTS;
 use crate::virt::{VirtDmaConfig, VirtState, VirtStats, VirtTransfer, VirtUnit};
 use crate::{
     AtomicOp, CtxBusy, CtxImage, CtxStats, Destination, DmaMover, Initiator, LinkModel,
-    RegisterContext, RejectReason, SharedCluster, TransferRecord, DMA_FAILURE,
+    RegisterContext, RejectReason, RemoteSend, TransferRecord, DMA_FAILURE,
 };
 use std::collections::HashMap;
 use udma_bus::{SharedMemory, SimTime};
@@ -62,13 +62,12 @@ impl EngineStats {
     }
 }
 
-/// The back-end every initiation path shares: physical memory, the data
-/// mover and the engine counters each launch books. The register
-/// protocols, the kernel driver and the VA and ring units are
-/// front-ends over it.
+/// The back-end every initiation path shares: the data mover (which
+/// holds the engine's one memory handle) and the engine counters each
+/// launch books. The register protocols, the kernel driver and the VA
+/// and ring units are front-ends over it.
 #[derive(Clone, Debug)]
 pub(crate) struct Backend {
-    pub(crate) mem: SharedMemory,
     pub(crate) mover: DmaMover,
     pub(crate) stats: EngineStats,
 }
@@ -84,20 +83,19 @@ impl Backend {
     pub(crate) fn launch(
         &mut self,
         src: PhysAddr,
-        dst: Destination,
+        dst: PhysAddr,
         size: u64,
         initiator: Initiator,
         multipage_ok: bool,
         now: SimTime,
     ) -> Result<(usize, SimTime), RejectReason> {
-        let launched = match dst {
-            Destination::Local(dst) => {
-                self.mover.start(src, dst, size, initiator, multipage_ok, now)
-            }
-            Destination::Remote { node, addr } => {
-                self.mover.start_remote(src, node, addr, size, initiator, now)
-            }
-        };
+        let launched = self.mover.start(src, dst, size, initiator, multipage_ok, now);
+        self.book(launched)
+    }
+
+    /// Books a launch attempt: a start on success, a counted reject
+    /// otherwise.
+    fn book<T>(&mut self, launched: Result<T, RejectReason>) -> Result<T, RejectReason> {
         launched.map_err(|reason| self.reject(reason)).inspect(|_| self.stats.started += 1)
     }
 }
@@ -113,7 +111,7 @@ pub struct EngineCore {
     contexts: Vec<RegisterContext>,
     key_table: Vec<u64>,
     /// SHRIMP-1 mapped-out table: source frame → destination page base
-    /// (local or on a remote node).
+    /// (local, or a granted page on a cluster node).
     mapped_out: HashMap<PhysFrame, Destination>,
     key_check_latency: SimTime,
     // Kernel-path DMA registers (Figure 1).
@@ -138,10 +136,9 @@ impl EngineCore {
     /// Panics if `config.num_contexts` exceeds [`MAX_CONTEXTS`] or is 0.
     pub fn new(layout: PhysLayout, mem: SharedMemory, config: EngineConfig) -> Self {
         assert!((1..=MAX_CONTEXTS).contains(&config.num_contexts), "context count out of range");
-        let mover = DmaMover::new(mem.clone(), config.link);
         EngineCore {
             layout,
-            back: Backend { mem, mover, stats: EngineStats::default() },
+            back: Backend { mover: DmaMover::new(mem, config.link), stats: EngineStats::default() },
             contexts: vec![RegisterContext::new(); config.num_contexts as usize],
             key_table: vec![0; config.num_contexts as usize],
             mapped_out: HashMap::new(),
@@ -343,16 +340,6 @@ impl EngineCore {
         self.mapped_out.insert(src, dst_base);
     }
 
-    /// SHRIMP-1 lookup: the fixed destination for `src_frame`.
-    pub fn mapped_out(&self, src_frame: PhysFrame) -> Option<Destination> {
-        self.mapped_out.get(&src_frame).copied()
-    }
-
-    /// Attaches the remote cluster the link reaches.
-    pub fn attach_cluster(&mut self, cluster: SharedCluster) {
-        self.back.mover.attach_cluster(cluster);
-    }
-
     /// Makes the engine a snooping (coherent) bus master on the host's
     /// coherence domain: every DMA read/write from now on snoops the
     /// CPU caches (see [`DmaMover::attach_coherence`]).
@@ -365,13 +352,13 @@ impl EngineCore {
         self.back.mover.is_coherent()
     }
 
-    /// The one checked launch sequence every initiation path funnels
-    /// through: validates via the mover (zero-size, page-cross, range),
-    /// books the started/rejected statistics exactly once, and returns
-    /// the mover record index and the time the last byte arrives. The
-    /// register paths, the kernel driver, the virtual-address chunk
-    /// stream and the descriptor-ring dequeue all end here instead of
-    /// keeping their own near-copies.
+    /// The one checked launch sequence every local initiation path
+    /// funnels through: validates via the mover (zero-size, page-cross,
+    /// range), books the started/rejected statistics exactly once, and
+    /// returns the mover record index and the time the last byte
+    /// arrives. The register paths, the kernel driver, the
+    /// virtual-address chunk stream and the descriptor-ring dequeue all
+    /// end here instead of keeping their own near-copies.
     ///
     /// # Errors
     ///
@@ -379,13 +366,50 @@ impl EngineCore {
     pub fn launch_checked(
         &mut self,
         src: PhysAddr,
-        dst: Destination,
+        dst: PhysAddr,
         size: u64,
         initiator: Initiator,
         multipage_ok: bool,
         now: SimTime,
     ) -> Result<(usize, SimTime), RejectReason> {
         self.back.launch(src, dst, size, initiator, multipage_ok, now)
+    }
+
+    /// The SHRIMP-1 launch (§2.4): `size` bytes at `src` go to the fixed
+    /// twin of `src`'s page, at the same in-page offset. A local twin is
+    /// a checked user-level copy. A remote twin's source is read
+    /// (snooped when coherent) and queued as a [`RemoteSend`] for
+    /// [`take_remote_sends`](Self::take_remote_sends): it books a start
+    /// but no [`TransferRecord`], because the cluster times the
+    /// delivery.
+    ///
+    /// # Errors
+    ///
+    /// The counted [`RejectReason`]: [`RejectReason::MissingArgs`] for a
+    /// page with no twin, otherwise why the mover refused.
+    pub(crate) fn launch_mapped_out(
+        &mut self,
+        src: PhysAddr,
+        size: u64,
+        now: SimTime,
+    ) -> Result<(), RejectReason> {
+        let off = src.page_offset();
+        match self.mapped_out.get(&src.page()).copied() {
+            Some(Destination::Local(base)) => {
+                let dst = base + off;
+                self.back.launch(src, dst, size, Initiator::Anonymous, false, now).map(drop)
+            }
+            Some(Destination::Remote { node, asid, va }) => {
+                let sent = self.back.mover.send(src, node, asid, va + off, size, now);
+                self.back.book(sent)
+            }
+            None => Err(self.back.reject(RejectReason::MissingArgs)),
+        }
+    }
+
+    /// Takes every remote send started so far, in launch order.
+    pub fn take_remote_sends(&mut self) -> Vec<RemoteSend> {
+        self.back.mover.take_sends()
     }
 
     /// Starts a user-level transfer (single-page rule enforced).
@@ -399,7 +423,7 @@ impl EngineCore {
         initiator: Initiator,
         now: SimTime,
     ) -> Result<usize, RejectReason> {
-        let launched = self.back.launch(src, Destination::Local(dst), size, initiator, false, now);
+        let launched = self.back.launch(src, dst, size, initiator, false, now);
         launched.map(|(index, _)| index)
     }
 
@@ -420,7 +444,7 @@ impl EngineCore {
     /// range, so multi-page transfers are allowed.
     pub fn start_kernel_dma(&mut self, size: u64, now: SimTime) {
         let src = PhysAddr::new(self.dma_source);
-        let dst = Destination::Local(PhysAddr::new(self.dma_dest));
+        let dst = PhysAddr::new(self.dma_dest);
         self.dma_status = match self.back.launch(src, dst, size, Initiator::Kernel, true, now) {
             Ok(_) => size,
             Err(_) => DMA_FAILURE,
@@ -476,7 +500,7 @@ impl EngineCore {
     /// Executes an atomic operation against memory (shared by the kernel
     /// path and the user-level context paths).
     pub fn exec_atomic(&mut self, op: AtomicOp, addr: PhysAddr, op1: u64, op2: u64) -> Option<u64> {
-        match op.apply(&self.back.mem, addr, op1, op2) {
+        match op.apply(self.back.mover.mem(), addr, op1, op2) {
             Ok(old) => {
                 self.back.stats.atomics += 1;
                 Some(old)
@@ -626,7 +650,7 @@ impl EngineCore {
     pub fn ring_post(&mut self, ctx: u32, desc: &DmaDescriptor) -> Result<u64, RejectReason> {
         let rings = self.virt.as_mut().and_then(|v| v.rings.as_mut());
         let posted =
-            rings.map_or(Err(RejectReason::RingFull), |r| r.post(ctx, desc, &self.back.mem));
+            rings.map_or(Err(RejectReason::RingFull), |r| r.post(ctx, desc, self.back.mover.mem()));
         posted.map_err(|reason| self.back.reject(reason))
     }
 
@@ -805,67 +829,16 @@ mod tests {
     #[test]
     fn kernel_atomic_path() {
         let mut c = core();
-        c.back.mem.borrow_mut().write_u64(PhysAddr::new(0x100), 40).unwrap();
+        c.back.mover.mem().borrow_mut().write_u64(PhysAddr::new(0x100), 40).unwrap();
         c.set_atomic_addr(0x100);
         c.set_atomic_op1(2);
         c.exec_kernel_atomic(AtomicOp::Add.code());
         assert_eq!(c.kernel_atomic_result(), 40);
-        assert_eq!(c.back.mem.borrow().read_u64(PhysAddr::new(0x100)).unwrap(), 42);
+        assert_eq!(c.back.mover.mem().borrow().read_u64(PhysAddr::new(0x100)).unwrap(), 42);
         assert_eq!(c.stats().atomics, 1);
 
         c.exec_kernel_atomic(99);
         assert_eq!(c.kernel_atomic_result(), DMA_FAILURE);
-    }
-
-    #[test]
-    fn mapped_out_table() {
-        let mut c = core();
-        c.set_mapped_out(PhysFrame::new(3), Destination::Local(PhysAddr::new(0x8000)));
-        assert_eq!(
-            c.mapped_out(PhysFrame::new(3)),
-            Some(Destination::Local(PhysAddr::new(0x8000)))
-        );
-        assert_eq!(c.mapped_out(PhysFrame::new(4)), None);
-    }
-
-    #[test]
-    fn remote_user_dma_deposits_on_the_node() {
-        let mut c = core();
-        let cluster = crate::Cluster::new(2, 1 << 16).shared();
-        c.attach_cluster(cluster.clone());
-        c.back.mem.borrow_mut().write_u64(PhysAddr::new(0x2000), 0x77).unwrap();
-        let dst = Destination::Remote { node: 1, addr: PhysAddr::new(0x400) };
-        let (idx, _) = c
-            .launch_checked(
-                PhysAddr::new(0x2000),
-                dst,
-                8,
-                Initiator::Anonymous,
-                false,
-                SimTime::ZERO,
-            )
-            .unwrap();
-        assert_eq!(cluster.borrow().read_u64(1, PhysAddr::new(0x400)).unwrap(), 0x77);
-        let rec = c.mover().record(idx).unwrap();
-        assert_eq!(rec.remote_node, Some(1));
-        assert_eq!(rec.destination(), Destination::Remote { node: 1, addr: PhysAddr::new(0x400) });
-    }
-
-    #[test]
-    fn remote_dma_without_cluster_is_rejected() {
-        let mut c = core();
-        let dst = Destination::Remote { node: 0, addr: PhysAddr::new(0) };
-        let err = c
-            .launch_checked(
-                PhysAddr::new(0x2000),
-                dst,
-                8,
-                Initiator::Anonymous,
-                false,
-                SimTime::ZERO,
-            )
-            .unwrap_err();
-        assert_eq!(err, RejectReason::BadRange);
     }
 
     fn virt_core() -> EngineCore {
@@ -901,7 +874,12 @@ mod tests {
     #[test]
     fn virt_dma_splits_at_page_boundaries() {
         let mut c = virt_core();
-        c.back.mem.borrow_mut().write_u64(PhysAddr::new(8 * PAGE_SIZE + 0x100), 0xABCD).unwrap();
+        c.back
+            .mover
+            .mem()
+            .borrow_mut()
+            .write_u64(PhysAddr::new(8 * PAGE_SIZE + 0x100), 0xABCD)
+            .unwrap();
         // 2.5 pages, starting mid-page: chunks must never cross a page.
         let src = VirtAddr::new(0x100);
         let dst = VirtAddr::new(8 * PAGE_SIZE + 0x100);
@@ -917,7 +895,7 @@ mod tests {
         }
         // The data actually landed (frame 16 = VA page 8).
         assert_eq!(
-            c.back.mem.borrow().read_u64(PhysAddr::new(16 * PAGE_SIZE + 0x100)).unwrap(),
+            c.back.mover.mem().borrow().read_u64(PhysAddr::new(16 * PAGE_SIZE + 0x100)).unwrap(),
             0xABCD
         );
         assert_eq!(c.virt().unwrap().status(id, SimTime::from_us(100_000)), 0);
@@ -1091,7 +1069,8 @@ mod tests {
         // Three sources in VA page 0, destinations in VA page 8.
         for i in 0..3u64 {
             c.back
-                .mem
+                .mover
+                .mem()
                 .borrow_mut()
                 .write_u64(PhysAddr::new(8 * PAGE_SIZE + 0x40 * i), 0xA0 + i)
                 .unwrap();
@@ -1111,7 +1090,12 @@ mod tests {
         // The bytes landed (frame 16 = dst VA page 8).
         for i in 0..3u64 {
             assert_eq!(
-                c.back.mem.borrow().read_u64(PhysAddr::new(16 * PAGE_SIZE + 0x100 * i)).unwrap(),
+                c.back
+                    .mover
+                    .mem()
+                    .borrow()
+                    .read_u64(PhysAddr::new(16 * PAGE_SIZE + 0x100 * i))
+                    .unwrap(),
                 0xA0 + i
             );
         }
@@ -1147,7 +1131,8 @@ mod tests {
         // Three 8-byte fragments scattered across VA page 0.
         for (i, off) in [0x00u64, 0x200, 0x400].iter().enumerate() {
             c.back
-                .mem
+                .mover
+                .mem()
                 .borrow_mut()
                 .write_u64(PhysAddr::new(8 * PAGE_SIZE + off), 0xF0 + i as u64)
                 .unwrap();
@@ -1166,7 +1151,12 @@ mod tests {
         c.ring_post(1, &f2).unwrap();
         // A plain descriptor after the chain: the main scan must skip
         // the consumed fragment slots and still launch this one.
-        c.back.mem.borrow_mut().write_u64(PhysAddr::new(8 * PAGE_SIZE + 0x600), 0x99).unwrap();
+        c.back
+            .mover
+            .mem()
+            .borrow_mut()
+            .write_u64(PhysAddr::new(8 * PAGE_SIZE + 0x600), 0x99)
+            .unwrap();
         c.ring_post(1, &local_desc(0x600, 8 * PAGE_SIZE + 0x800, 8)).unwrap();
 
         let launches = c.ring_doorbell(1, 4, SimTime::ZERO);
@@ -1176,12 +1166,17 @@ mod tests {
         // The gather landed contiguously at the head's destination.
         for i in 0..3u64 {
             assert_eq!(
-                c.back.mem.borrow().read_u64(PhysAddr::new(16 * PAGE_SIZE + 8 * i)).unwrap(),
+                c.back
+                    .mover
+                    .mem()
+                    .borrow()
+                    .read_u64(PhysAddr::new(16 * PAGE_SIZE + 8 * i))
+                    .unwrap(),
                 0xF0 + i
             );
         }
         assert_eq!(
-            c.back.mem.borrow().read_u64(PhysAddr::new(16 * PAGE_SIZE + 0x800)).unwrap(),
+            c.back.mover.mem().borrow().read_u64(PhysAddr::new(16 * PAGE_SIZE + 0x800)).unwrap(),
             0x99
         );
         let s = c.ring_stats();

@@ -411,7 +411,7 @@ impl VirtUnit {
             // An undecodable slot, or a fragment no chain head claimed,
             // launches nothing.
             let Some(desc) =
-                ring.fetch(rel as u32, &back.mem).filter(|d| d.flags & DESC_FLAG_FRAG == 0)
+                ring.fetch(rel as u32, back.mover.mem()).filter(|d| d.flags & DESC_FLAG_FRAG == 0)
             else {
                 refuse(stats, back, &mut out, 1);
                 continue;
@@ -433,8 +433,9 @@ impl VirtUnit {
                     clock += fetch;
                     stats.fetched += 1;
                     walked += 1;
-                    let Some(f) =
-                        ring.fetch(slot, &back.mem).filter(|f| f.flags & DESC_FLAG_FRAG != 0)
+                    let Some(f) = ring
+                        .fetch(slot, back.mover.mem())
+                        .filter(|f| f.flags & DESC_FLAG_FRAG != 0)
                     else {
                         chain_ok = false;
                         break;

@@ -14,8 +14,11 @@
 //!   store+load, FLASH, key-based (§3.1), extended shadow addressing
 //!   (§3.2) and repeated passing of arguments in its 3-, 4- and
 //!   5-instruction variants (§3.3);
-//! * the [`DmaMover`], which validates and performs transfers and models
-//!   their completion time over a configurable [`LinkModel`];
+//! * the [`DmaMover`], which validates and performs local transfers and
+//!   models their completion time over a configurable [`LinkModel`];
+//!   a SHRIMP-1 page mapped out to another node instead reads its
+//!   source and queues a [`RemoteSend`], which `udma::ClusterSim`
+//!   delivers through the receiver's IOMMU;
 //! * the [`AtomicOp`] unit of §3.5.
 //!
 //! [`EngineCore`] is that paper engine. The later extensions are
@@ -45,7 +48,6 @@ mod mover;
 mod net;
 pub mod protocol;
 pub mod regs;
-mod remote;
 mod status;
 mod virt;
 
@@ -62,13 +64,12 @@ pub use faulty::{
     FrameFate, ReliabilityConfig, MAX_BURSTS,
 };
 pub use link::{LinkModel, RetryPolicy};
-pub use mover::{DmaMover, TransferRecord};
+pub use mover::{Destination, DmaMover, RemoteSend, TransferRecord};
 pub use net::{
     ChunkBytes, DstAnnouncement, Envelope, NackVerdict, NetMsg, SendXfer, XferCounters, XferId,
     XferState,
 };
 pub use protocol::{InitiationProtocol, ProtocolKind};
-pub use remote::{Cluster, Destination, RemoteError, SharedCluster};
 pub use status::{Initiator, RejectReason, DMA_FAILURE, DMA_PENDING, DMA_STARTED};
 pub use virt::{
     PendingFault, PrefetchConfig, VirtDmaConfig, VirtStage, VirtState, VirtStats, VirtTransfer,

@@ -1,19 +1,54 @@
 //! The DMA data mover: validates and performs transfers.
 
-use crate::{Destination, Initiator, LinkModel, RejectReason, SharedCluster};
+use crate::{Initiator, LinkModel, RejectReason};
 use udma_bus::{SharedCoherence, SharedMemory, SimTime};
-use udma_mem::{PhysAddr, PAGE_SIZE};
+use udma_iommu::Asid;
+use udma_mem::{PhysAddr, VirtAddr, PAGE_SIZE};
 
-/// A transfer the mover performed.
+/// Where a SHRIMP-1 mapped-out page sends its bytes: a page of this
+/// workstation's memory, or a page of an address space a cluster node
+/// granted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Destination {
+    /// This workstation's own memory.
+    Local(PhysAddr),
+    /// A page of address space `asid` on cluster node `node`, named by
+    /// virtual address: the receiver's IOMMU decides where, and whether,
+    /// the bytes land.
+    Remote {
+        /// Cluster node index.
+        node: u32,
+        /// Address space the receiver granted.
+        asid: Asid,
+        /// Virtual address in that address space.
+        va: VirtAddr,
+    },
+}
+
+/// A remote send the mover started: the source bytes, read at launch,
+/// bound for a virtual address on another node. The cluster simulation
+/// (`udma::ClusterSim`) carries them through the receiver's IOMMU.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RemoteSend {
+    /// Destination cluster node.
+    pub node: u32,
+    /// Destination address space on that node.
+    pub asid: Asid,
+    /// Destination virtual address.
+    pub va: VirtAddr,
+    /// The payload, as the source held it at launch.
+    pub bytes: Vec<u8>,
+    /// When the bytes leave: the launch time plus any source snoop.
+    pub at: SimTime,
+}
+
+/// A local transfer the mover performed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TransferRecord {
     /// Source physical address.
     pub src: PhysAddr,
-    /// Destination physical address (on the remote node when
-    /// `remote_node` is set).
+    /// Destination physical address.
     pub dst: PhysAddr,
-    /// Cluster node the bytes were deposited on, if not local.
-    pub remote_node: Option<u32>,
     /// Bytes transferred.
     pub size: u64,
     /// When the transfer was started.
@@ -25,14 +60,6 @@ pub struct TransferRecord {
 }
 
 impl TransferRecord {
-    /// Where the transfer landed.
-    pub fn destination(&self) -> Destination {
-        match self.remote_node {
-            Some(node) => Destination::Remote { node, addr: self.dst },
-            None => Destination::Local(self.dst),
-        }
-    }
-
     /// Bytes still in flight at time `now` (linear wire model; 0 once the
     /// transfer has finished). This is what a register-context status
     /// load returns: "the number of bytes that need to be transferred
@@ -47,8 +74,9 @@ impl TransferRecord {
     }
 }
 
-/// Performs transfers against shared physical memory, records them, and
-/// models their completion times over a [`LinkModel`].
+/// Performs local transfers against shared physical memory, records
+/// them, and models their completion times over a [`LinkModel`]; queues
+/// remote sends for the cluster to deliver.
 ///
 /// Data is copied eagerly (the simulation needs memory to be consistent
 /// immediately); only *timing* is spread over the wire. The paper's own
@@ -59,8 +87,8 @@ impl TransferRecord {
 pub struct DmaMover {
     mem: SharedMemory,
     link: LinkModel,
-    cluster: Option<SharedCluster>,
     records: Vec<TransferRecord>,
+    outbox: Vec<RemoteSend>,
     /// When attached, the engine is a *coherent* bus master: every read
     /// snoops Modified lines out of the CPU caches and every write
     /// invalidates them. Unattached (the non-coherent mode), the engine
@@ -71,7 +99,13 @@ pub struct DmaMover {
 impl DmaMover {
     /// Creates a mover over the machine's memory and link.
     pub fn new(mem: SharedMemory, link: LinkModel) -> Self {
-        DmaMover { mem, link, cluster: None, records: Vec::new(), coherence: None }
+        DmaMover { mem, link, records: Vec::new(), outbox: Vec::new(), coherence: None }
+    }
+
+    /// The memory the engine moves bytes in (descriptor rings and
+    /// atomics address it too).
+    pub(crate) fn mem(&self) -> &SharedMemory {
+        &self.mem
     }
 
     /// Makes the engine a snooping (coherent) bus master: transfers pull
@@ -85,11 +119,6 @@ impl DmaMover {
     /// Whether the engine snoops the coherence bus.
     pub fn is_coherent(&self) -> bool {
         self.coherence.is_some()
-    }
-
-    /// Attaches the cluster of remote nodes reachable over the link.
-    pub fn attach_cluster(&mut self, cluster: SharedCluster) {
-        self.cluster = Some(cluster);
     }
 
     /// The link model in force.
@@ -120,104 +149,81 @@ impl DmaMover {
         if size == 0 {
             return Err(RejectReason::ZeroSize);
         }
-        if !multipage_ok && (crosses_page(src, size) || crosses_page(dst, size)) {
+        if !multipage_ok && (crosses_page(src.as_u64(), size) || crosses_page(dst.as_u64(), size)) {
             return Err(RejectReason::PageCross);
         }
         let limit = self.mem.borrow().size();
         if !fits(src, size, limit) || !fits(dst, size, limit) {
             return Err(RejectReason::BadRange);
         }
-        let snoop = match &self.coherence {
-            // Coherent engine: the read side intervenes on Modified
-            // lines, the write side invalidates holders; both charge
-            // extra wire time on this record.
-            Some(domain) => {
-                let mut buf = vec![0u8; size as usize];
-                let mut d = domain.borrow_mut();
-                let r = d.dma_read(src, &mut buf).map_err(|_| RejectReason::BadRange)?;
-                let w = d.dma_write(dst, &buf).map_err(|_| RejectReason::BadRange)?;
-                r + w
-            }
-            None => {
-                self.mem.borrow_mut().copy(src, dst, size).map_err(|_| RejectReason::BadRange)?;
-                SimTime::ZERO
-            }
-        };
-        Ok(self.push(TransferRecord {
-            src,
-            dst,
-            remote_node: None,
-            size,
-            started: now,
-            finished: now + self.link.transfer_time(size) + snoop,
-            initiator,
-        }))
+        let (buf, read) = self.read_source(src, size)?;
+        // A coherent write invalidates the CPU's copies of the
+        // destination lines and charges that time on this record.
+        let write = match &self.coherence {
+            Some(domain) => domain.borrow_mut().dma_write(dst, &buf),
+            None => self.mem.borrow_mut().write_bytes(dst, &buf).map(|()| SimTime::ZERO),
+        }
+        .map_err(|_| RejectReason::BadRange)?;
+        let finished = now + self.link.transfer_time(size) + (read + write);
+        self.records.push(TransferRecord { src, dst, size, started: now, finished, initiator });
+        Ok((self.records.len() - 1, finished))
     }
 
-    /// Validates and performs a transfer whose destination is a page on a
-    /// remote cluster node (SHRIMP-1's mapped-out pages, §2.4) over the
-    /// ideal link. The deposit is bounded to one page on each side: the
-    /// shadow mechanism proved access to one page per address.
+    /// Starts a send of `size` bytes at `src` to `(asid, va)` on cluster
+    /// node `node` (SHRIMP-1's mapped-out pages on another workstation,
+    /// §2.4): reads the source now and queues the bytes in the outbox.
+    /// The send is bounded to one page on each side, because the shadow
+    /// mechanism proved access to one page per address. Whether the
+    /// destination page exists is the receiver's IOMMU's decision, not
+    /// the sender's.
     ///
-    /// Every check runs before the source snoop, so a refused launch
+    /// Every check runs before the source snoop, so a refused send
     /// leaves the CPU caches exactly as it found them.
     ///
     /// # Errors
     ///
-    /// The [`RejectReason`] explaining why nothing was transferred
-    /// (`BadRange` also covers a missing cluster or node).
-    pub fn start_remote(
+    /// The [`RejectReason`] explaining why nothing was sent.
+    pub(crate) fn send(
         &mut self,
         src: PhysAddr,
         node: u32,
-        addr: PhysAddr,
+        asid: Asid,
+        va: VirtAddr,
         size: u64,
-        initiator: Initiator,
         now: SimTime,
-    ) -> Result<(usize, SimTime), RejectReason> {
+    ) -> Result<(), RejectReason> {
         if size == 0 {
             return Err(RejectReason::ZeroSize);
         }
-        if crosses_page(src, size) || crosses_page(addr, size) {
+        if crosses_page(src.as_u64(), size) || crosses_page(va.as_u64(), size) {
             return Err(RejectReason::PageCross);
         }
-        let cluster = self.cluster.as_ref().ok_or(RejectReason::BadRange)?;
-        let node_size = cluster.borrow().node_size(node).ok_or(RejectReason::BadRange)?;
-        if !fits(src, size, self.mem.borrow().size()) || !fits(addr, size, node_size) {
+        if !fits(src, size, self.mem.borrow().size()) {
             return Err(RejectReason::BadRange);
         }
+        let (bytes, read) = self.read_source(src, size)?;
+        self.outbox.push(RemoteSend { node, asid, va, bytes, at: now + read });
+        Ok(())
+    }
+
+    /// Reads `size` bytes at `src`. A coherent engine snoops Modified
+    /// lines out of the CPU caches first; the snoop time is returned
+    /// with the bytes.
+    fn read_source(&self, src: PhysAddr, size: u64) -> Result<(Vec<u8>, SimTime), RejectReason> {
         let mut buf = vec![0u8; size as usize];
-        // Source-side snoop: a remote post must not ship bytes the CPU
-        // still holds Modified. (The destination node's coherence is the
-        // receiver's problem.)
-        let src_snoop = match &self.coherence {
-            Some(domain) => {
-                domain.borrow_mut().dma_read(src, &mut buf).map_err(|_| RejectReason::BadRange)?
-            }
-            None => {
-                self.mem.borrow().read_bytes(src, &mut buf).map_err(|_| RejectReason::BadRange)?;
-                SimTime::ZERO
-            }
+        let read = match &self.coherence {
+            Some(domain) => domain.borrow_mut().dma_read(src, &mut buf),
+            None => self.mem.borrow().read_bytes(src, &mut buf).map(|()| SimTime::ZERO),
         };
-        cluster.borrow_mut().deposit(node, addr, &buf).map_err(|_| RejectReason::BadRange)?;
-        Ok(self.push(TransferRecord {
-            src,
-            dst: addr,
-            remote_node: Some(node),
-            size,
-            started: now,
-            finished: now + self.link.transfer_time(size) + src_snoop,
-            initiator,
-        }))
+        read.map(|t| (buf, t)).map_err(|_| RejectReason::BadRange)
     }
 
-    /// Records a performed transfer; returns its index and finish time.
-    fn push(&mut self, rec: TransferRecord) -> (usize, SimTime) {
-        self.records.push(rec);
-        (self.records.len() - 1, rec.finished)
+    /// Takes every queued remote send, in launch order.
+    pub(crate) fn take_sends(&mut self) -> Vec<RemoteSend> {
+        std::mem::take(&mut self.outbox)
     }
 
-    /// Every transfer performed so far, in start order.
+    /// Every local transfer performed so far, in start order.
     pub fn records(&self) -> &[TransferRecord] {
         &self.records
     }
@@ -233,9 +239,9 @@ impl DmaMover {
     }
 }
 
-/// Whether `size` bytes from `a` run past the end of `a`'s page.
-fn crosses_page(a: PhysAddr, size: u64) -> bool {
-    size > PAGE_SIZE - a.as_u64() % PAGE_SIZE
+/// Whether `size` bytes from address `a` run past the end of its page.
+fn crosses_page(a: u64, size: u64) -> bool {
+    size > PAGE_SIZE - a % PAGE_SIZE
 }
 
 /// Whether `size` bytes from `a` lie inside `limit` bytes of memory.
@@ -394,22 +400,27 @@ mod tests {
         let src = PhysAddr::new(0x1000);
         shared.borrow_mut().agent_write(cpu, src, &0xFEEDu64.to_le_bytes()).unwrap();
         let before = shared.borrow().stats();
-        let start = |m: &mut DmaMover, node, addr| {
-            m.start_remote(src, node, PhysAddr::new(addr), 8, Initiator::Kernel, SimTime::ZERO)
+        let send = |m: &mut DmaMover, src, va, size| {
+            m.send(src, 1, 3, VirtAddr::new(va), size, SimTime::ZERO)
         };
-        // No cluster attached, then a missing node, then a destination
-        // past the end of an existing node's memory.
-        assert_eq!(start(&mut m, 0, 0), Err(RejectReason::BadRange));
-        m.attach_cluster(crate::Cluster::new(2, 1 << 13).shared());
-        assert_eq!(start(&mut m, 5, 0), Err(RejectReason::BadRange));
-        assert_eq!(start(&mut m, 1, 1 << 13), Err(RejectReason::BadRange));
+        // An empty send, a destination crossing its page, and a source
+        // past the end of memory.
+        assert_eq!(send(&mut m, src, 0, 0), Err(RejectReason::ZeroSize));
+        assert_eq!(send(&mut m, src, PAGE_SIZE - 4, 8), Err(RejectReason::PageCross));
+        assert_eq!(send(&mut m, PhysAddr::new(1 << 20), 0, 8), Err(RejectReason::BadRange));
         // Nothing was snooped: the CPU still holds the line Modified.
         assert_eq!(shared.borrow().stats(), before);
         assert_eq!(shared.borrow().cache(cpu).state_of(src), MesiState::Modified);
-        assert!(m.records().is_empty());
-        // A valid launch does intervene.
-        assert!(start(&mut m, 1, 0).is_ok());
+        assert!(m.take_sends().is_empty());
+        // A valid send does intervene, and ships the cached bytes.
+        assert!(send(&mut m, src, 0x40, 8).is_ok());
         assert_eq!(shared.borrow().cache(cpu).state_of(src), MesiState::Shared);
+        let sent = m.take_sends();
+        assert_eq!(sent.len(), 1);
+        assert_eq!((sent[0].node, sent[0].asid, sent[0].va), (1, 3, VirtAddr::new(0x40)));
+        assert_eq!(sent[0].bytes, 0xFEEDu64.to_le_bytes());
+        assert_eq!(sent[0].at, shared.borrow().timing().intervention);
+        assert!(m.records().is_empty(), "a remote send books no local record");
     }
 
     #[test]

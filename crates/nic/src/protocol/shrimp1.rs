@@ -1,7 +1,7 @@
 //! SHRIMP-1: mapped-out pages (§2.4).
 
 use crate::protocol::{InitiationProtocol, ProtocolKind};
-use crate::{Destination, EngineCore, Initiator, RejectReason, DMA_FAILURE, DMA_STARTED};
+use crate::{EngineCore, DMA_FAILURE, DMA_STARTED};
 use udma_bus::SimTime;
 use udma_mem::PhysAddr;
 
@@ -38,22 +38,10 @@ impl InitiationProtocol for Shrimp1 {
         size: u64,
         now: SimTime,
     ) -> SimTime {
-        let dst = match core.mapped_out(pa.page()) {
-            Some(Destination::Local(base)) => Destination::Local(base + pa.page_offset()),
-            Some(Destination::Remote { node, addr }) => {
-                Destination::Remote { node, addr: addr + pa.page_offset() }
-            }
-            None => {
-                core.note_reject(RejectReason::MissingArgs);
-                self.last_status = DMA_FAILURE;
-                return SimTime::ZERO;
-            }
+        self.last_status = match core.launch_mapped_out(pa, size, now) {
+            Ok(()) => DMA_STARTED,
+            Err(_) => DMA_FAILURE,
         };
-        self.last_status =
-            match core.launch_checked(pa, dst, size, Initiator::Anonymous, false, now) {
-                Ok(_) => DMA_STARTED,
-                Err(_) => DMA_FAILURE,
-            };
         SimTime::ZERO
     }
 
@@ -73,10 +61,10 @@ impl InitiationProtocol for Shrimp1 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EngineConfig;
+    use crate::{Destination, EngineConfig, RejectReason};
     use std::cell::RefCell;
     use std::rc::Rc;
-    use udma_mem::{PhysLayout, PhysMemory, PAGE_SIZE};
+    use udma_mem::{PhysLayout, PhysMemory, VirtAddr, PAGE_SIZE};
 
     fn world() -> (Shrimp1, EngineCore) {
         let layout = PhysLayout::default();
@@ -96,6 +84,24 @@ mod tests {
         // Destination preserves the in-page offset.
         assert_eq!(rec.dst, PhysAddr::new(40 * PAGE_SIZE + 0x40));
         assert_eq!(rec.size, 128);
+    }
+
+    #[test]
+    fn store_to_remote_twin_queues_a_send_and_books_no_record() {
+        let (mut p, mut core) = world();
+        let src = PhysAddr::new(2 * PAGE_SIZE);
+        let va = VirtAddr::new(16 * PAGE_SIZE);
+        core.set_mapped_out(src.page(), Destination::Remote { node: 1, asid: 5, va });
+        p.shadow_store(&mut core, src + 0x40, 0, 32, SimTime::from_us(3));
+        assert_eq!(p.shadow_load(&mut core, src, 0, SimTime::ZERO), DMA_STARTED);
+        assert_eq!(core.stats().started, 1);
+        assert!(core.mover().records().is_empty(), "the cluster times a remote send");
+        let sends = core.take_remote_sends();
+        assert_eq!(sends.len(), 1);
+        // The in-page offset carries over to the remote VA.
+        assert_eq!((sends[0].node, sends[0].asid, sends[0].va), (1, 5, va + 0x40));
+        assert_eq!((sends[0].bytes.len(), sends[0].at), (32, SimTime::from_us(3)));
+        assert!(core.take_remote_sends().is_empty(), "the drain empties the outbox");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::descring::{RingImage, RingUnit};
 use crate::engine_core::Backend;
 use crate::link::RetryPolicy;
 use crate::regs;
-use crate::{CtxImage, Destination, Initiator, RejectReason, DMA_FAILURE};
+use crate::{CtxImage, Initiator, RejectReason, DMA_FAILURE};
 use std::collections::VecDeque;
 use udma_bus::SimTime;
 use udma_iommu::{Asid, IoFault, IoFaultKind, Iommu, IotlbConfig};
@@ -408,14 +408,7 @@ impl VirtUnit {
 
             let x = &mut self.xfers[id];
             let initiator = Initiator::VirtDma { asid: t.asid };
-            match back.launch(
-                src_pa,
-                Destination::Local(dst_pa),
-                chunk,
-                initiator,
-                coalesced,
-                x.clock,
-            ) {
+            match back.launch(src_pa, dst_pa, chunk, initiator, coalesced, x.clock) {
                 Ok((_, finished)) => {
                     self.stats.chunks += 1;
                     x.chunks += 1;

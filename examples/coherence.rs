@@ -8,7 +8,7 @@
 
 use udma::{CoherenceSetup, DmaMethod, Machine, MachineConfig};
 use udma_mem::PhysAddr;
-use udma_nic::{Destination, Initiator};
+use udma_nic::Initiator;
 use udma_workloads::{coherence_cost_sweep, false_sharing_adversary, mode_label};
 
 fn main() {
@@ -42,8 +42,7 @@ fn main() {
     drop(domain);
     // A forgetful driver posts without the flush bracket...
     let now = m.time();
-    let dst_local = Destination::Local(dst);
-    m.engine().core_mut().launch_checked(src, dst_local, 8, Initiator::Kernel, true, now).unwrap();
+    m.engine().core_mut().launch_checked(src, dst, 8, Initiator::Kernel, true, now).unwrap();
     let mut stale = [0u8; 8];
     m.memory().borrow().read_bytes(dst, &mut stale).unwrap();
     println!("raw post, no flush:      dst = {stale:02x?}   <- stale memory, not the producer");

@@ -18,7 +18,7 @@ use udma::{
 use udma_bus::{CacheConfig, CoherenceDomain, CoherenceTiming, SharedCoherence, SimTime};
 use udma_cpu::{ProgramBuilder, Reg};
 use udma_mem::{PhysAddr, PhysMemory};
-use udma_nic::{Destination, Initiator};
+use udma_nic::Initiator;
 use udma_testkit::prop::vec;
 use udma_testkit::sched::{explore, Budget};
 use udma_testkit::{prop_assert, prop_assert_eq, props};
@@ -272,9 +272,8 @@ fn missing_flush_moves_stale_bytes_and_the_bracket_fixes_it() {
             // The raw post: exactly what a driver that forgot the
             // flush would run.
             let now = m.time();
-            let dst_local = Destination::Local(dst);
             let mut core = m.engine().core_mut();
-            core.launch_checked(src, dst_local, 64, Initiator::Kernel, true, now).unwrap();
+            core.launch_checked(src, dst, 64, Initiator::Kernel, true, now).unwrap();
         }
         let mut got = vec![0u8; 64];
         m.memory().borrow().read_bytes(dst, &mut got).unwrap();
