@@ -14,9 +14,10 @@
 //! go-back-N transfers it posted, the windows announced to it) and,
 //! once a [`CrashPlan`] is injected, its fault domain (`crash`). All
 //! cross-node traffic (data chunks, ACK/NACK, destination
-//! announcements) travels as [`Envelope`](udma_nic::Envelope)s over
-//! explicit latency-stamped channels, even between nodes that happen
-//! to share a shard.
+//! announcements) travels as latency-stamped
+//! [`Envelope`](udma_nic::Envelope)s: over an explicit channel to
+//! another shard, or straight into the event queue of the sender's own
+//! shard. Both paths refuse an arrival inside the lookahead.
 //!
 //! # Why the result is independent of the shard count
 //!
@@ -46,8 +47,7 @@ pub use node_os::RemoteSwapRefused;
 use crash::FaultDomain;
 use link::LinkUnit;
 use node_os::NodeOs;
-use shard::{Node, Outbox, Shard, Work};
-use std::collections::BinaryHeap;
+use shard::{EventQueue, Node, Outbox, Shard, Work};
 use std::time::{Duration, Instant};
 use udma_bus::sim::{ChannelBuilder, RunReport, RunnerKind, SimReceiver, SimRunner, SimSender};
 use udma_bus::SimTime;
@@ -279,7 +279,7 @@ pub struct ClusterSim {
 impl ClusterSim {
     /// Builds the cluster: every node gets its memory, IOMMU, node OS
     /// and (under chaos) its own decorrelated chaos-link PRNG; every
-    /// ordered shard pair gets a channel.
+    /// ordered pair of distinct shards gets a channel.
     ///
     /// # Panics
     ///
@@ -289,15 +289,20 @@ impl ClusterSim {
         cfg.shards = cfg.shards.clamp(1, cfg.nodes as usize);
         let num_shards = cfg.shards;
         let builder = ChannelBuilder::new(cfg.link.latency());
-        // Channel matrix: tx[src][dst] pairs with rx[dst][src].
-        let mut tx_grid: Vec<Vec<SimSender<Envelope>>> =
+        // Channels between distinct shards: tx[src][dst] pairs with one
+        // of rx[dst]. A shard's frames to its own nodes take no channel.
+        let mut tx_grid: Vec<Vec<Option<SimSender<Envelope>>>> =
             (0..num_shards).map(|_| Vec::new()).collect();
         let mut rx_grid: Vec<Vec<SimReceiver<Envelope>>> =
             (0..num_shards).map(|_| Vec::new()).collect();
         for (src, tx_row) in tx_grid.iter_mut().enumerate() {
-            for rx_row in &mut rx_grid {
+            for (dst, rx_row) in rx_grid.iter_mut().enumerate() {
+                if src == dst {
+                    tx_row.push(None);
+                    continue;
+                }
                 let (tx, rx) = builder.channel(src);
-                tx_row.push(tx);
+                tx_row.push(Some(tx));
                 rx_row.push(rx);
             }
         }
@@ -311,7 +316,7 @@ impl ClusterSim {
                 out: Outbox {
                     cfg,
                     tx,
-                    queue: BinaryHeap::new(),
+                    queue: EventQueue::default(),
                     log: cfg.record_log.then(Vec::new),
                 },
             })

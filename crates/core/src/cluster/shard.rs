@@ -24,8 +24,8 @@ use udma_os::FaultResolution;
 /// Work a node schedules for itself, or a frame addressed to it.
 #[derive(Clone, Debug)]
 pub(super) enum Work {
-    /// A cross-node message that arrived over a channel; it runs on its
-    /// `dst_node`. Every other kind runs on the node that queued it.
+    /// A cross-node message; it runs on its `dst_node`. Every other
+    /// kind runs on the node that queued it.
     Net(Envelope),
     /// Launch (or relaunch) the next chunk of a local transfer.
     Launch {
@@ -49,48 +49,65 @@ pub(super) enum Work {
     Probe { peer: u32 },
 }
 
-/// A queued event with the layout-invariant ordering key.
-#[derive(Clone, Debug)]
-pub(super) struct Ordered {
-    at: SimTime,
-    src_node: u32,
-    seq: u64,
-    work: Work,
+/// The ordering key of a queued event, `(at, src_node, seq)`, plus the
+/// slab slot holding its work. `(src_node, seq)` names exactly one
+/// event, so the slot never decides the order.
+type Key = (SimTime, u32, u64, u32);
+
+/// A shard's event queue: a min-heap of ordering keys over a slab of
+/// queued [`Work`] with a free list. A heap sift moves a key, never the
+/// work (a data frame's whole envelope), and a popped event's slot is
+/// reused by the next push.
+#[derive(Debug, Default)]
+pub(super) struct EventQueue {
+    heap: BinaryHeap<Reverse<Key>>,
+    slab: Vec<Option<Work>>,
+    free: Vec<u32>,
 }
 
-impl Ordered {
-    fn key(&self) -> (SimTime, u32, u64) {
-        (self.at, self.src_node, self.seq)
+impl EventQueue {
+    /// Queues `work` under the key `(at, src_node, seq)`.
+    pub(super) fn push(&mut self, at: SimTime, src_node: u32, seq: u64, work: Work) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(work);
+                slot
+            }
+            None => {
+                self.slab.push(Some(work));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.heap.push(Reverse((at, src_node, seq, slot)));
     }
-}
 
-impl PartialEq for Ordered {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
+    /// The earliest queued event's time.
+    fn next_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((at, ..))| *at)
     }
-}
 
-impl Eq for Ordered {}
-
-impl PartialOrd for Ordered {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Ordered {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
+    /// Removes and returns the earliest event, `(at, src_node, seq,
+    /// work)`, if it lies strictly before `horizon`.
+    fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, u32, u64, Work)> {
+        if self.next_time()? >= horizon {
+            return None;
+        }
+        let Reverse((at, src_node, seq, slot)) = self.heap.pop()?;
+        let work = self.slab[slot as usize].take().expect("a queued key's slot holds its work");
+        self.free.push(slot);
+        Some((at, src_node, seq, work))
     }
 }
 
 /// Everything of a shard a node handler may touch besides its own node:
-/// the configuration, the channel senders (one per shard, self
-/// included), the event queue and the optional event log.
+/// the configuration, the channel senders to the other shards, the
+/// event queue and the optional event log.
 pub(super) struct Outbox {
     pub(super) cfg: ClusterConfig,
-    pub(super) tx: Vec<SimSender<Envelope>>,
-    pub(super) queue: BinaryHeap<Reverse<Ordered>>,
+    /// `tx[s]` carries frames to shard `s`; `None` at this shard's own
+    /// index, whose frames go straight into `queue`.
+    pub(super) tx: Vec<Option<SimSender<Envelope>>>,
+    pub(super) queue: EventQueue,
     pub(super) log: Option<Vec<LogLine>>,
 }
 
@@ -105,6 +122,30 @@ impl Outbox {
     /// When a frame sent at `at` arrives over the bare wire.
     fn hop(&self, at: SimTime) -> SimTime {
         at + self.cfg.link.latency()
+    }
+
+    /// Sends `env` at `at`, arriving at `arrival`: over the channel to
+    /// the destination's shard, or straight into this shard's queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arrival < at + latency`, on either path — a frame that
+    /// landed inside the round that sent it would break the lookahead
+    /// contract the runner's determinism rests on.
+    fn send(&mut self, at: SimTime, arrival: SimTime, env: Envelope) {
+        match &mut self.tx[env.dst_node as usize % self.cfg.shards] {
+            Some(tx) => {
+                tx.send_arriving(at, arrival, env);
+            }
+            None => {
+                let latency = self.cfg.link.latency();
+                assert!(
+                    arrival >= at + latency,
+                    "lookahead violation: arrival {arrival} < now {at} + latency {latency}"
+                );
+                self.queue.push(arrival, env.src_node, env.seq, Work::Net(env));
+            }
+        }
     }
 }
 
@@ -134,7 +175,7 @@ impl Node {
     }
 
     /// Stamps `msg` with this node's next emission serial and
-    /// incarnation and sends it to `dst`'s shard, arriving at `arrival`.
+    /// incarnation and sends it to `dst`, arriving at `arrival`.
     /// A hung NI ran (and billed) the send, but no frame leaves the
     /// board.
     fn emit(
@@ -151,9 +192,7 @@ impl Node {
             Envelope { src_node: self.id, dst_node: dst, seq, src_inc: self.inc(), dst_inc, msg };
         match &mut self.fault {
             Some(fd) if fd.hung => fd.stats.dropped_down += 1,
-            _ => {
-                out.tx[dst as usize % out.cfg.shards].send_arriving(at, arrival, env);
-            }
+            _ => out.send(at, arrival, env),
         }
     }
 
@@ -161,7 +200,7 @@ impl Node {
     /// serial.
     pub(super) fn schedule(&mut self, out: &mut Outbox, at: SimTime, work: Work) {
         let seq = self.link.next_seq();
-        out.queue.push(Reverse(Ordered { at, src_node: self.id, seq, work }));
+        out.queue.push(at, self.id, seq, work);
     }
 
     fn on_launch(&mut self, out: &mut Outbox, at: SimTime, seq: u64, index: u32) {
@@ -495,8 +534,7 @@ impl Node {
 }
 
 /// One shard: the nodes it owns (node `n` at index `n / shards`), its
-/// receive channel endpoints (one per shard, self included) and its
-/// outbox.
+/// receive channel endpoints (one per other shard) and its outbox.
 pub(super) struct Shard {
     pub(super) nodes: Vec<Node>,
     pub(super) rx: Vec<SimReceiver<Envelope>>,
@@ -506,8 +544,7 @@ pub(super) struct Shard {
 
 impl Shard {
     /// Processes one event on the node it is addressed to.
-    fn dispatch(&mut self, ev: Ordered) {
-        let Ordered { at, src_node, seq, work } = ev;
+    fn dispatch(&mut self, at: SimTime, src_node: u32, seq: u64, work: Work) {
         let target = match &work {
             Work::Net(env) => env.dst_node,
             _ => src_node,
@@ -531,29 +568,110 @@ impl SimComponent for Shard {
             r.drain_into(&mut self.scratch);
         }
         for m in self.scratch.drain(..) {
-            self.out.queue.push(Reverse(Ordered {
-                at: m.at,
-                src_node: m.payload.src_node,
-                seq: m.payload.seq,
-                work: Work::Net(m.payload),
-            }));
+            let env = m.payload;
+            self.out.queue.push(m.at, env.src_node, env.seq, Work::Net(env));
         }
     }
 
     fn next_time(&self) -> Option<SimTime> {
-        self.out.queue.peek().map(|Reverse(ev)| ev.at)
+        self.out.queue.next_time()
     }
 
     fn advance(&mut self, horizon: SimTime) -> u64 {
         let mut done = 0;
-        while let Some(Reverse(ev)) = self.out.queue.peek() {
-            if ev.at >= horizon {
-                break;
-            }
-            let Reverse(ev) = self.out.queue.pop().expect("peeked");
-            self.dispatch(ev);
+        while let Some((at, src_node, seq, work)) = self.out.queue.pop_before(horizon) {
+            self.dispatch(at, src_node, seq, work);
             done += 1;
         }
         done
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use udma_testkit::prop::vec;
+    use udma_testkit::{prop_assert, prop_assert_eq, props};
+
+    props! {
+        config(cases = 128);
+
+        /// Random pushes and pops, most of them on a handful of equal
+        /// times: every pop returns the least queued `(at, src_node,
+        /// seq)` before its horizon, and the slab never outgrows the
+        /// most events ever in flight at once.
+        fn queue_pops_in_key_order_and_reuses_slots(
+            ops in vec((0u8..3, 0u64..4, 0u32..3), 0..200)
+        ) {
+            let mut q = EventQueue::default();
+            let mut model: Vec<(SimTime, u32, u64, u32)> = Vec::new();
+            let mut seqs = [0u64; 3];
+            let (mut pushed, mut peak) = (0u32, 0usize);
+            for &(op, t, src) in &ops {
+                if op < 2 {
+                    // A push from `src`, keyed by its next serial.
+                    let (at, seq) = (SimTime::from_ps(t), seqs[src as usize]);
+                    seqs[src as usize] += 1;
+                    q.push(at, src, seq, Work::Launch { index: pushed });
+                    model.push((at, src, seq, pushed));
+                    pushed += 1;
+                    peak = peak.max(model.len());
+                } else {
+                    let horizon = SimTime::from_ps(t + 1);
+                    let least = model.iter().copied().min().filter(|k| k.0 < horizon);
+                    model.retain(|k| Some(*k) != least);
+                    let got = q.pop_before(horizon).map(|(at, src, seq, work)| match work {
+                        Work::Launch { index } => (at, src, seq, index),
+                        other => panic!("queued only launches, popped {other:?}"),
+                    });
+                    prop_assert_eq!(got, least);
+                }
+                prop_assert!(q.slab.len() <= peak, "slab {} > peak {peak}", q.slab.len());
+            }
+            // Draining the rest pops it in sorted order.
+            model.sort_unstable();
+            let mut rest = Vec::new();
+            while let Some((at, src, seq, work)) = q.pop_before(SimTime::from_ps(u64::MAX)) {
+                let Work::Launch { index } = work else { panic!("queued only launches") };
+                rest.push((at, src, seq, index));
+            }
+            prop_assert_eq!(rest, model);
+        }
+    }
+
+    fn lone_node(cfg: &ClusterConfig) -> (Node, Outbox) {
+        let node = Node {
+            id: 0,
+            os: NodeOs::new(cfg.node_bytes, cfg.iotlb, cfg.costs),
+            link: LinkUnit::new(None),
+            fault: None,
+        };
+        let out = Outbox { cfg: *cfg, tx: vec![None], queue: EventQueue::default(), log: None };
+        (node, out)
+    }
+
+    #[test]
+    fn a_frame_to_the_own_shard_is_queued_at_its_arrival() {
+        let cfg = ClusterConfig::new(2);
+        let (mut node, mut out) = lone_node(&cfg);
+        let at = SimTime::from_us(10);
+        let arrival = at + cfg.link.latency();
+        node.emit(&mut out, at, arrival, 1, 0, NetMsg::Ping);
+        assert_eq!(out.queue.next_time(), Some(arrival));
+        assert!(out.queue.pop_before(arrival).is_none(), "nothing lands before its arrival");
+        let (popped_at, src, seq, work) =
+            out.queue.pop_before(arrival + SimTime::from_ps(1)).unwrap();
+        assert_eq!((popped_at, src, seq), (arrival, 0, 0));
+        assert!(matches!(work, Work::Net(Envelope { dst_node: 1, msg: NetMsg::Ping, .. })));
+    }
+
+    #[test]
+    #[should_panic(expected = "lookahead violation")]
+    fn an_early_arrival_to_the_own_shard_panics_like_a_channel_send() {
+        let cfg = ClusterConfig::new(2);
+        let (mut node, mut out) = lone_node(&cfg);
+        let at = SimTime::from_us(10);
+        let early = at + cfg.link.latency() - SimTime::from_ps(1);
+        node.emit(&mut out, at, early, 1, 0, NetMsg::Ping);
     }
 }

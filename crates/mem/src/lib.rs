@@ -4,7 +4,8 @@
 //!
 //! * typed physical and virtual addresses ([`PhysAddr`], [`VirtAddr`]) and
 //!   page/frame numbers ([`VirtPage`], [`PhysFrame`]),
-//! * byte-addressable sparse [`PhysMemory`] with a [`FrameAllocator`],
+//! * byte-addressable [`PhysMemory`], materialised frame by frame on
+//!   first write, with a [`FrameAllocator`],
 //! * per-process [`PageTable`]s with protection bits ([`Perms`]),
 //! * a small [`Tlb`] with hit/miss statistics, and
 //! * the *shadow addressing* arithmetic ([`ShadowLayout`]) that every

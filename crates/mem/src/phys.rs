@@ -1,13 +1,16 @@
 //! Physical memory and frame allocation.
 
 use crate::{MemFault, PhysAddr, PhysFrame, PAGE_SHIFT, PAGE_SIZE};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-/// Byte-addressable physical memory, stored sparsely one frame at a time.
+/// Byte-addressable physical memory, stored one frame at a time in a
+/// table indexed by frame number.
 ///
-/// Frames are materialised (zero-filled) on first touch, so a machine with
-/// a multi-gigabyte physical address space costs only what it actually
-/// uses. All multi-byte accesses are little-endian, like the Alpha.
+/// A frame is materialised on its first write, and the table grows to
+/// the highest frame written, so a machine with a multi-gigabyte
+/// physical address space pays a pointer per frame up to that one plus
+/// the frames it actually uses. Unwritten memory reads as zero. All
+/// multi-byte accesses are little-endian, like the Alpha.
 ///
 /// ```
 /// use udma_mem::{PhysMemory, PhysAddr};
@@ -23,7 +26,8 @@ use std::collections::{BTreeSet, HashMap};
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct PhysMemory {
-    frames: HashMap<u64, Box<[u8]>>,
+    /// `frames[n]` is frame `n`'s bytes, `None` until first written.
+    frames: Vec<Option<Box<[u8]>>>,
     size: u64,
     /// When `Some((line_bytes, set))`, every write marks the cache lines
     /// it covers. Coherence tests and the writeback accounting use this
@@ -36,7 +40,7 @@ impl PhysMemory {
     /// pages). Accesses at or beyond `size` raise [`MemFault::BusError`].
     pub fn new(size: u64) -> Self {
         let size = size.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-        PhysMemory { frames: HashMap::new(), size, dirty: None }
+        PhysMemory { frames: Vec::new(), size, dirty: None }
     }
 
     /// Starts tracking writes at `line_bytes` granularity. Any lines
@@ -88,7 +92,7 @@ impl PhysMemory {
 
     /// Number of frames actually materialised so far.
     pub fn resident_frames(&self) -> usize {
-        self.frames.len()
+        self.frames.iter().filter(|f| f.is_some()).count()
     }
 
     fn check(&self, pa: PhysAddr, len: u64) -> Result<(), MemFault> {
@@ -99,8 +103,23 @@ impl PhysMemory {
         Ok(())
     }
 
-    fn frame_mut(&mut self, frame: u64) -> &mut [u8] {
-        self.frames.entry(frame).or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice())
+    /// Writes `bytes` at offset `off` of frame `frame`. A fresh frame is
+    /// built in one pass: zeros before the range, the bytes, zeros after.
+    fn write_frame(&mut self, frame: u64, off: usize, bytes: &[u8]) {
+        let frame = frame as usize;
+        if frame >= self.frames.len() {
+            self.frames.resize(frame + 1, None);
+        }
+        match &mut self.frames[frame] {
+            Some(data) => data[off..off + bytes.len()].copy_from_slice(bytes),
+            slot @ None => {
+                let mut data = Vec::with_capacity(PAGE_SIZE as usize);
+                data.resize(off, 0);
+                data.extend_from_slice(bytes);
+                data.resize(PAGE_SIZE as usize, 0);
+                *slot = Some(data.into_boxed_slice());
+            }
+        }
     }
 
     /// Reads `buf.len()` bytes starting at `pa`, crossing frame boundaries
@@ -118,7 +137,7 @@ impl PhysMemory {
             let frame = addr >> PAGE_SHIFT;
             let off = (addr & (PAGE_SIZE - 1)) as usize;
             let chunk = ((PAGE_SIZE as usize) - off).min(buf.len() - done);
-            match self.frames.get(&frame) {
+            match self.frames.get(frame as usize).and_then(Option::as_deref) {
                 Some(data) => buf[done..done + chunk].copy_from_slice(&data[off..off + chunk]),
                 None => buf[done..done + chunk].fill(0),
             }
@@ -143,7 +162,7 @@ impl PhysMemory {
             let frame = addr >> PAGE_SHIFT;
             let off = (addr & (PAGE_SIZE - 1)) as usize;
             let chunk = ((PAGE_SIZE as usize) - off).min(buf.len() - done);
-            self.frame_mut(frame)[off..off + chunk].copy_from_slice(&buf[done..done + chunk]);
+            self.write_frame(frame, off, &buf[done..done + chunk]);
             done += chunk;
             addr += chunk as u64;
         }
@@ -278,6 +297,72 @@ mod tests {
         mem.read_bytes(pa, &mut back).unwrap();
         assert_eq!(back, data);
         assert_eq!(mem.resident_frames(), 2);
+    }
+
+    #[test]
+    fn write_inside_a_fresh_frame_leaves_zeros_around_it() {
+        let mut mem = PhysMemory::new(1 << 20);
+        mem.write_bytes(PhysAddr::new(3 * PAGE_SIZE + 100), &[0xAB; 20]).unwrap();
+        let mut frame = vec![0xFFu8; PAGE_SIZE as usize];
+        mem.read_bytes(PhysAddr::new(3 * PAGE_SIZE), &mut frame).unwrap();
+        assert!(frame[..100].iter().all(|&b| b == 0));
+        assert!(frame[100..120].iter().all(|&b| b == 0xAB));
+        assert!(frame[120..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn write_spanning_three_fresh_frames_reads_back() {
+        let mut mem = PhysMemory::new(1 << 20);
+        let pa = PhysAddr::new(2 * PAGE_SIZE - 8);
+        let data: Vec<u8> = (0..PAGE_SIZE + 16).map(|i| (i % 251) as u8 + 1).collect();
+        mem.write_bytes(pa, &data).unwrap();
+        assert_eq!(mem.resident_frames(), 3);
+        let mut back = vec![0u8; data.len()];
+        mem.read_bytes(pa, &mut back).unwrap();
+        assert_eq!(back, data);
+    }
+
+    #[test]
+    fn untouched_frame_below_a_written_one_reads_as_zeros() {
+        let mut mem = PhysMemory::new(1 << 20);
+        mem.write_u64(PhysAddr::new(9 * PAGE_SIZE), 7).unwrap();
+        let mut buf = [0xFFu8; 64];
+        mem.read_bytes(PhysAddr::new(4 * PAGE_SIZE + 8), &mut buf).unwrap();
+        assert_eq!(buf, [0u8; 64]);
+        assert_eq!(mem.resident_frames(), 1);
+    }
+
+    #[test]
+    fn write_to_the_last_frame_works() {
+        let mut mem = PhysMemory::new(4 * PAGE_SIZE);
+        let pa = PhysAddr::new(4 * PAGE_SIZE - 8);
+        mem.write_u64(pa, 0x1122_3344_5566_7788).unwrap();
+        assert_eq!(mem.read_u64(pa).unwrap(), 0x1122_3344_5566_7788);
+        assert_eq!(mem.resident_frames(), 1);
+    }
+
+    #[test]
+    fn out_of_range_write_materialises_no_frame() {
+        let mut mem = PhysMemory::new(4 * PAGE_SIZE);
+        let pa = PhysAddr::new(4 * PAGE_SIZE);
+        assert_eq!(mem.write_bytes(pa, &[1u8; 8]), Err(MemFault::BusError { pa }));
+        let pa = PhysAddr::new(4 * PAGE_SIZE - 4);
+        assert_eq!(mem.write_bytes(pa, &[1u8; 8]), Err(MemFault::BusError { pa }));
+        assert_eq!(mem.resident_frames(), 0);
+        assert!(mem.frames.is_empty(), "a refused write grows no table");
+    }
+
+    #[test]
+    fn resident_frames_counts_only_written_frames() {
+        let mut mem = PhysMemory::new(1 << 20);
+        assert_eq!(mem.resident_frames(), 0);
+        mem.write_u64(PhysAddr::new(5 * PAGE_SIZE), 1).unwrap();
+        mem.write_u64(PhysAddr::new(5 * PAGE_SIZE + 8), 2).unwrap();
+        assert_eq!(mem.resident_frames(), 1, "frames 0..5 are table slots, not frames");
+        mem.write_u64(PhysAddr::new(PAGE_SIZE), 3).unwrap();
+        let mut buf = [0u8; 8];
+        mem.read_bytes(PhysAddr::new(2 * PAGE_SIZE), &mut buf).unwrap();
+        assert_eq!(mem.resident_frames(), 2, "reads materialise nothing");
     }
 
     #[test]

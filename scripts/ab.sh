@@ -1,0 +1,76 @@
+#!/usr/bin/env bash
+# A/B of the repository benchmark: the committed tree at PARENT_REV
+# against the working tree, in alternating pairs of runs.
+#
+#   scripts/ab.sh PARENT_REV WORKLOAD PAIRS [BENCHMARK_ARGS...]
+#
+# Builds the benchmark from a clean copy of PARENT_REV under target/ab/
+# and from the working tree, then runs PAIRS pairs of one WORKLOAD at the
+# benchmark's default run length (BENCHMARK_ARGS, e.g. `--seed 11`, go to
+# both sides). Pair i runs the parent first when i is even and the
+# change first when i is odd, so slow drift of the host falls on both
+# sides. Prints every pair, then each side's median and quartiles of
+# host_xfers_per_ref and setup_s, and the number of pairs in which the
+# change had the higher host_xfers_per_ref.
+#
+# Informational only: it takes minutes, and host noise would make a gate
+# on it flaky, so ci.sh does not run it.
+set -euo pipefail
+if [ $# -lt 3 ]; then
+  echo "usage: $0 PARENT_REV WORKLOAD PAIRS [BENCHMARK_ARGS...]" >&2
+  exit 2
+fi
+rev=$1 workload=$2 pairs=$3
+shift 3
+cd "$(dirname "$0")/.."
+root=$(pwd)
+ab=$root/target/ab
+parent=$ab/parent-src
+rm -rf "$parent"
+mkdir -p "$parent"
+git archive "$rev" | tar -x -C "$parent"
+
+build() { # SRC_DIR OUT_BIN
+  cargo build --release --offline --quiet --manifest-path "$1/benchmark/Cargo.toml"
+  cp "$1/benchmark/target/release/udma-benchmark" "$2"
+}
+echo "building parent ($(git rev-parse --short "$rev")) and change (working tree)" >&2
+build "$parent" "$ab/parent.bin"
+build "$root" "$ab/change.bin"
+
+metric() { # NAME < benchmark output
+  awk -v w="$workload" -v m="$1" '$1 == "METRIC" && $2 == w && $3 == m { print $4 }'
+}
+: >"$ab/runs.txt"
+for ((i = 0; i < pairs; i++)); do
+  if ((i % 2 == 0)); then order="parent change"; else order="change parent"; fi
+  for side in $order; do
+    out=$("$ab/$side.bin" --workload "$workload" "$@" 2>/dev/null) || {
+      echo "$side run failed in pair $i" >&2
+      exit 1
+    }
+    printf '%s %s %s %s\n' "$side" "$i" "$(metric host_xfers_per_ref <<<"$out")" \
+      "$(metric setup_s <<<"$out")" >>"$ab/runs.txt"
+  done
+  awk -v i="$i" '$2 == i { v[$1] = $3 } END {
+    printf "pair %2d  parent %.4f  change %.4f\n", i, v["parent"], v["change"] }' "$ab/runs.txt"
+done
+
+quartiles() { # SIDE COLUMN -> "q1 median q3" (linear interpolation)
+  awk -v s="$1" -v c="$2" '$1 == s { print $c }' "$ab/runs.txt" | sort -g | awk '
+    { x[NR] = $1 }
+    function q(p,   h, lo) { h = 1 + (NR - 1) * p; lo = int(h); return x[lo] + (h - lo) * (x[lo + 1] - x[lo]) }
+    END { x[NR + 1] = x[NR]; printf "%.6g %.6g %.6g", q(0.25), q(0.5), q(0.75) }'
+}
+echo "workload $workload, $pairs pairs${*:+, args: $*}"
+printf '%-20s %-7s %10s %10s %10s\n' metric side q1 median q3
+for m in "host_xfers_per_ref 3" "setup_s 4"; do
+  set -- $m
+  for side in parent change; do
+    read -r q1 med q3 <<<"$(quartiles "$side" "$2")"
+    printf '%-20s %-7s %10s %10s %10s\n' "$1" "$side" "$q1" "$med" "$q3"
+  done
+done
+awk '{ v[$2, $1] = $3; n[$2] = 1 } END {
+  for (i in n) { total++; if (v[i, "change"] > v[i, "parent"]) wins++ }
+  printf "change wins %d of %d pairs on host_xfers_per_ref\n", wins, total }' "$ab/runs.txt"
