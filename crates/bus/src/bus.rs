@@ -1,9 +1,7 @@
 //! The bus: address decoding, routing, timing and statistics.
 
-use crate::{
-    BusDevice, BusOp, BusTiming, BusTrace, BusTxn, RamDevice, SharedMemory, SimTime, TraceEvent,
-};
-use udma_mem::{MemFault, PhysLayout, Region};
+use crate::{BusDevice, BusOp, BusTiming, BusTrace, BusTxn, MemPort, SimTime, TraceEvent};
+use udma_mem::{MemFault, PhysAddr, PhysLayout, Region};
 
 /// Counters kept by the bus.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -35,48 +33,38 @@ impl BusStats {
 /// latency. This matches the machine the paper measures: the expensive
 /// thing about every DMA-initiation protocol is its *uncached
 /// TurboChannel transactions*.
-pub struct Bus {
+///
+/// The bus owns the machine's memory port and its NIC, typed so the
+/// machine reaches its own engine; the CPU and the kernel take `&mut Bus`,
+/// which a `&mut Bus<N>` coerces to.
+pub struct Bus<N: ?Sized = dyn BusDevice> {
     layout: PhysLayout,
-    ram: RamDevice,
-    nic: Option<Box<dyn BusDevice>>,
+    mem: MemPort,
     timing: BusTiming,
     ram_latency: SimTime,
     trace: BusTrace,
     stats: BusStats,
+    nic: N,
 }
 
-impl std::fmt::Debug for Bus {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Bus")
-            .field("layout", &self.layout)
-            .field("timing", &self.timing)
-            .field("nic_attached", &self.nic.is_some())
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
-impl Bus {
-    /// Creates a bus over `layout`, backed by shared RAM, with the given
-    /// I/O-bus timing.
-    pub fn new(layout: PhysLayout, mem: SharedMemory, timing: BusTiming) -> Self {
+impl<N: BusDevice> Bus<N> {
+    /// Creates a bus over `layout` with the given I/O-bus timing, owning
+    /// the memory port and the NIC ([`NoNic`](crate::NoNic) for none).
+    pub fn new(layout: PhysLayout, mem: MemPort, timing: BusTiming, nic: N) -> Self {
         layout.validate();
         Bus {
             layout,
-            ram: RamDevice::new(mem),
-            nic: None,
+            mem,
             timing,
             ram_latency: SimTime::from_ns(180),
             trace: BusTrace::default(),
             stats: BusStats::default(),
+            nic,
         }
     }
+}
 
-    /// Attaches the NIC/DMA engine. Replaces any previous device.
-    pub fn attach_nic(&mut self, nic: Box<dyn BusDevice>) {
-        self.nic = Some(nic);
-    }
-
+impl<N: BusDevice + ?Sized> Bus<N> {
     /// The physical layout the bus decodes with.
     pub fn layout(&self) -> &PhysLayout {
         &self.layout
@@ -92,15 +80,30 @@ impl Bus {
         self.ram_latency
     }
 
-    /// Shared handle to physical memory (for DMA movers and test setup).
-    pub fn memory(&self) -> SharedMemory {
-        self.ram.memory()
+    /// The memory port.
+    pub fn port(&self) -> &MemPort {
+        &self.mem
     }
 
-    /// Mutable access to the attached NIC, for configuration and
-    /// inspection by the machine owner (not by simulated software).
-    pub fn nic_mut(&mut self) -> Option<&mut (dyn BusDevice + 'static)> {
-        self.nic.as_deref_mut()
+    /// The memory port, mutably (seeding memory, CPU-cache operations).
+    pub fn port_mut(&mut self) -> &mut MemPort {
+        &mut self.mem
+    }
+
+    /// The NIC, for inspection by the machine owner.
+    pub fn nic(&self) -> &N {
+        &self.nic
+    }
+
+    /// The NIC, mutably, for configuration by the machine owner.
+    pub fn nic_mut(&mut self) -> &mut N {
+        &mut self.nic
+    }
+
+    /// The NIC and the memory port at once, for engine work the machine
+    /// owner posts directly (not through a bus transaction).
+    pub fn nic_and_port(&mut self) -> (&mut N, &mut MemPort) {
+        (&mut self.nic, &mut self.mem)
     }
 
     /// The transaction trace.
@@ -124,18 +127,28 @@ impl Bus {
         self.trace.clear();
     }
 
-    /// Accounting-only entry for coherent agents whose data path bypasses
-    /// the bus (the line lives in a cache, not in RAM): bumps the RAM
-    /// counters exactly as [`access`](Self::access) would, so flat and
-    /// coherent runs of the same program report identical traffic.
-    pub fn note_ram_access(&mut self, op: BusOp) {
-        match op {
-            BusOp::Read => self.stats.ram_reads += 1,
-            BusOp::Write => self.stats.ram_writes += 1,
-        }
+    /// A cacheable CPU load of the RAM word at `pa` through the port's
+    /// CPU side ([`MemPort::cpu_read`]), counted and traced.
+    ///
+    /// # Errors
+    ///
+    /// Memory faults propagate (misaligned, outside installed RAM).
+    pub fn cpu_read(
+        &mut self,
+        pa: PhysAddr,
+        tag: u32,
+        now: SimTime,
+    ) -> Result<(u64, bool, SimTime), MemFault> {
+        self.stats.ram_reads += 1;
+        let read = self.mem.cpu_read(pa)?;
+        self.record(BusTxn::read(pa, tag), read.0, now);
+        Ok(read)
     }
 
-    /// Performs one transaction at simulation time `now`.
+    /// Performs one transaction at simulation time `now`. RAM goes
+    /// through the CPU side of the memory port and costs the DRAM latency
+    /// plus any coherence time; the NIC windows cost the I/O-bus time
+    /// plus the device's own latency.
     ///
     /// Returns the data (for reads; zero for writes) and the time the
     /// access occupied.
@@ -143,34 +156,27 @@ impl Bus {
     /// # Errors
     ///
     /// [`MemFault::BusError`] for unmapped physical addresses or if a NIC
-    /// window is addressed with no NIC attached; device faults propagate.
+    /// window is addressed with no NIC fitted; device faults propagate.
     pub fn access(&mut self, txn: BusTxn, now: SimTime) -> Result<(u64, SimTime), MemFault> {
-        let region = self.layout.region_of(txn.paddr);
-        let (data, cost) = match region {
+        let (data, cost) = match self.layout.region_of(txn.paddr) {
+            Region::Ram { .. } if txn.op == BusOp::Read => {
+                let (data, _, extra) = self.cpu_read(txn.paddr, txn.tag, now)?;
+                return Ok((data, self.ram_latency + extra));
+            }
             Region::Ram { .. } => {
-                let data = match txn.op {
-                    BusOp::Read => {
-                        self.stats.ram_reads += 1;
-                        self.ram.read(txn.paddr, txn.tag, now)?
-                    }
-                    BusOp::Write => {
-                        self.stats.ram_writes += 1;
-                        self.ram.write(txn.paddr, txn.data, txn.tag, now)?;
-                        0
-                    }
-                };
-                (data, self.ram_latency)
+                self.stats.ram_writes += 1;
+                (0, self.ram_latency + self.mem.cpu_write(txn.paddr, txn.data)?)
             }
             Region::NicRegs { .. } | Region::Shadow => {
-                let nic = self.nic.as_deref_mut().ok_or(MemFault::BusError { pa: txn.paddr })?;
+                let (nic, mem) = (&mut self.nic, &mut self.mem);
                 let (data, device) = match txn.op {
                     BusOp::Read => {
                         self.stats.device_reads += 1;
-                        (nic.read(txn.paddr, txn.tag, now)?, SimTime::ZERO)
+                        (nic.read(txn.paddr, txn.tag, now, mem)?, SimTime::ZERO)
                     }
                     BusOp::Write => {
                         self.stats.device_writes += 1;
-                        (0, nic.write(txn.paddr, txn.data, txn.tag, now)?)
+                        (0, nic.write(txn.paddr, txn.data, txn.tag, now, mem)?)
                     }
                 };
                 let cost = self.timing.time_for(txn.op) + device;
@@ -179,6 +185,11 @@ impl Bus {
             }
             Region::Unmapped => return Err(MemFault::BusError { pa: txn.paddr }),
         };
+        self.record(txn, data, now);
+        Ok((data, cost))
+    }
+
+    fn record(&mut self, txn: BusTxn, data: u64, now: SimTime) {
         self.trace.record(TraceEvent {
             time: now,
             op: txn.op,
@@ -186,21 +197,23 @@ impl Bus {
             data: if txn.op == BusOp::Write { txn.data } else { data },
             tag: txn.tag,
         });
-        Ok((data, cost))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    use udma_mem::{PhysAddr, PhysMemory};
+    use crate::NoNic;
+    use udma_mem::PhysMemory;
 
-    fn bus() -> Bus {
+    fn bus_with<N: BusDevice>(nic: N) -> Bus<N> {
         let layout = PhysLayout::default();
-        let mem = Rc::new(RefCell::new(PhysMemory::new(layout.ram_size)));
-        Bus::new(layout, mem, BusTiming::turbochannel())
+        let mem = MemPort::flat(PhysMemory::new(layout.ram_size));
+        Bus::new(layout, mem, BusTiming::turbochannel(), nic)
+    }
+
+    fn bus() -> Bus<NoNic> {
+        bus_with(NoNic)
     }
 
     /// A scratch NIC that remembers the last write and answers reads with
@@ -211,7 +224,13 @@ mod tests {
     }
 
     impl BusDevice for EchoNic {
-        fn read(&mut self, _pa: PhysAddr, _tag: u32, _now: SimTime) -> Result<u64, MemFault> {
+        fn read(
+            &mut self,
+            _: PhysAddr,
+            _: u32,
+            _: SimTime,
+            _: &mut MemPort,
+        ) -> Result<u64, MemFault> {
             Ok(!self.last)
         }
         fn write(
@@ -220,6 +239,7 @@ mod tests {
             data: u64,
             _tag: u32,
             _now: SimTime,
+            _mem: &mut MemPort,
         ) -> Result<SimTime, MemFault> {
             self.last = data;
             Ok(self.latency)
@@ -250,8 +270,7 @@ mod tests {
 
     #[test]
     fn nic_routing_and_timing() {
-        let mut b = bus();
-        b.attach_nic(Box::new(EchoNic { last: 0, latency: SimTime::from_ns(20) }));
+        let mut b = bus_with(EchoNic { last: 0, latency: SimTime::from_ns(20) });
         let pa = b.layout().nic_base;
         let (_, w) = b.access(BusTxn::write(pa, 0xAB, 2), SimTime::ZERO).unwrap();
         assert_eq!(w, SimTime::from_ns(500)); // 480 bus + 20 device
@@ -266,8 +285,7 @@ mod tests {
 
     #[test]
     fn shadow_window_routes_to_nic() {
-        let mut b = bus();
-        b.attach_nic(Box::new(EchoNic { last: 0, latency: SimTime::ZERO }));
+        let mut b = bus_with(EchoNic { last: 0, latency: SimTime::ZERO });
         let s = b.layout().shadow.shadow_paddr(PhysAddr::new(0x2000)).unwrap();
         b.access(BusTxn::write(s, 5, 3), SimTime::ZERO).unwrap();
         assert_eq!(b.stats().device_writes, 1);

@@ -6,7 +6,7 @@
 //! caches and buffers ("successive DMA operations were done to(from)
 //! different addresses, so as to eliminate any caching effects", §3.4),
 //! so the simulator models one — for *timing only*: data always comes
-//! from [`crate::SharedMemory`], which keeps DMA traffic coherent by
+//! from memory (see [`crate::MemPort`]), which keeps DMA traffic coherent by
 //! construction (the engine writes memory directly; a stale cache line
 //! can cost the model nothing but time, never correctness).
 //!

@@ -1,7 +1,7 @@
 //! A data-carrying MESI snooping cache model.
 //!
-//! [`crate::DataCache`] is timing-only: data always comes from
-//! [`SharedMemory`], so DMA is coherent by construction and a stale line
+//! [`crate::DataCache`] is timing-only: data always comes from memory,
+//! so DMA is coherent by construction and a stale line
 //! can cost the model nothing but time. The paper leans on that same
 //! simplification ("successive DMA operations were done to(from)
 //! different addresses, so as to eliminate any caching effects", §3.4).
@@ -12,7 +12,8 @@
 //!
 //! * [`CoherentCache`] — one per caching agent (CPU cores; the NI never
 //!   allocates), holding line data in Modified/Exclusive/Shared state;
-//! * [`CoherenceDomain`] — the snoop bus: agent reads/writes broadcast
+//! * [`CoherenceDomain`] — the snoop bus over memory the caller lends
+//!   to each operation: agent reads/writes broadcast
 //!   BusRd/BusRdX/BusUpgrade, DMA ports snoop without allocating, and
 //!   software [`flush_range`](CoherenceDomain::flush_range) /
 //!   [`invalidate_range`](CoherenceDomain::invalidate_range) charge the
@@ -39,8 +40,8 @@
 //! explorer in `tests/coherence.rs` enumerates).
 
 use crate::cache::CacheConfig;
-use crate::{CacheStats, SharedMemory, SimTime};
-use udma_mem::{MemFault, PhysAddr};
+use crate::{CacheStats, SimTime};
+use udma_mem::{MemFault, PhysAddr, PhysMemory};
 
 /// Index of a caching agent within a [`CoherenceDomain`].
 pub type AgentId = usize;
@@ -286,30 +287,20 @@ impl CoherentCache {
     }
 }
 
-/// The snoop bus: every caching agent plus the coherent DMA port, over
-/// one shared backing memory.
+/// The snoop bus: every caching agent plus the coherent DMA port. The
+/// backing memory is not the domain's: every operation that reaches it
+/// takes it as a parameter.
 #[derive(Clone, Debug)]
 pub struct CoherenceDomain {
-    mem: SharedMemory,
     caches: Vec<CoherentCache>,
     timing: CoherenceTiming,
     stats: CoherenceStats,
 }
 
-/// Shared handle to a [`CoherenceDomain`] (single-threaded simulation,
-/// same justification as [`SharedMemory`]).
-pub type SharedCoherence = std::rc::Rc<std::cell::RefCell<CoherenceDomain>>;
-
 impl CoherenceDomain {
-    /// Creates an empty domain over the machine's memory.
-    pub fn new(mem: SharedMemory, timing: CoherenceTiming) -> Self {
-        CoherenceDomain { mem, caches: Vec::new(), timing, stats: CoherenceStats::default() }
-    }
-
-    /// Wraps the domain in the shared handle the executor and the DMA
-    /// mover hold.
-    pub fn shared(self) -> SharedCoherence {
-        std::rc::Rc::new(std::cell::RefCell::new(self))
+    /// Creates an empty domain.
+    pub fn new(timing: CoherenceTiming) -> Self {
+        CoherenceDomain { caches: Vec::new(), timing, stats: CoherenceStats::default() }
     }
 
     /// Adds a caching agent with the given geometry, returning its id.
@@ -337,11 +328,6 @@ impl CoherenceDomain {
         &self.caches[agent]
     }
 
-    /// The backing memory handle.
-    pub fn memory(&self) -> SharedMemory {
-        std::rc::Rc::clone(&self.mem)
-    }
-
     fn line_bytes_of(&self, agent: AgentId) -> u64 {
         self.caches[agent].config.line_bytes
     }
@@ -357,9 +343,14 @@ impl CoherenceDomain {
         t
     }
 
-    fn write_line_back(&mut self, base: u64, data: &[u8]) -> Result<(), MemFault> {
+    fn write_line_back(
+        &mut self,
+        base: u64,
+        data: &[u8],
+        mem: &mut PhysMemory,
+    ) -> Result<(), MemFault> {
         self.stats.writebacks += 1;
-        self.mem.borrow_mut().write_bytes(PhysAddr::new(base), data)
+        mem.write_bytes(PhysAddr::new(base), data)
     }
 
     /// Writes back a peer's Modified copy of `base` (if any) and leaves
@@ -369,6 +360,7 @@ impl CoherenceDomain {
         requester: Option<AgentId>,
         base: u64,
         after: MesiState,
+        mem: &mut PhysMemory,
     ) -> Result<bool, MemFault> {
         for i in 0..self.caches.len() {
             if Some(i) == requester {
@@ -378,7 +370,7 @@ impl CoherenceDomain {
                 self.caches[i].probe(base).is_some_and(|l| l.state == MesiState::Modified);
             if holds_m {
                 let (b, _, data) = self.caches[i].take(base).expect("probe just hit");
-                self.write_line_back(b, &data)?;
+                self.write_line_back(b, &data, mem)?;
                 if after != MesiState::Invalid {
                     // Re-insert clean; no eviction can happen (slot just
                     // freed).
@@ -430,10 +422,11 @@ impl CoherenceDomain {
     fn evict_victim(
         &mut self,
         victim: Option<(u64, MesiState, Box<[u8]>)>,
+        mem: &mut PhysMemory,
     ) -> Result<SimTime, MemFault> {
         match victim {
             Some((base, MesiState::Modified, data)) => {
-                self.write_line_back(base, &data)?;
+                self.write_line_back(base, &data, mem)?;
                 Ok(self.charge(self.timing.writeback))
             }
             _ => Ok(SimTime::ZERO),
@@ -453,6 +446,7 @@ impl CoherenceDomain {
         agent: AgentId,
         pa: PhysAddr,
         buf: &mut [u8],
+        mem: &mut PhysMemory,
     ) -> Result<(bool, SimTime), MemFault> {
         let line_bytes = self.line_bytes_of(agent);
         let mut extra = SimTime::ZERO;
@@ -474,20 +468,20 @@ impl CoherenceDomain {
                 // memory is updated on the way past); clean peers
                 // downgrade to Shared.
                 self.stats.bus_rd += 1;
-                if self.snoop_flush_modified(Some(agent), base, MesiState::Shared)? {
+                if self.snoop_flush_modified(Some(agent), base, MesiState::Shared, mem)? {
                     extra += self.charge(self.timing.intervention);
                 } else {
                     self.snoop_downgrade(Some(agent), base);
                 }
                 let shared = self.any_peer_holds(Some(agent), base);
                 let mut data = vec![0u8; line_bytes as usize].into_boxed_slice();
-                self.mem.borrow().read_bytes(PhysAddr::new(base), &mut data)?;
+                mem.read_bytes(PhysAddr::new(base), &mut data)?;
                 let off = (lo - base) as usize;
                 dst.copy_from_slice(&data[off..off + dst.len()]);
                 if self.caches[agent].config.ways > 0 {
                     let state = if shared { MesiState::Shared } else { MesiState::Exclusive };
                     let victim = self.caches[agent].insert(base, state, data);
-                    extra += self.evict_victim(victim)?;
+                    extra += self.evict_victim(victim, mem)?;
                 }
             }
             base += line_bytes;
@@ -508,21 +502,16 @@ impl CoherenceDomain {
         agent: AgentId,
         pa: PhysAddr,
         bytes: &[u8],
+        mem: &mut PhysMemory,
     ) -> Result<(bool, SimTime), MemFault> {
         if self.caches[agent].config.ways == 0 {
             self.caches[agent].stats.misses += 1;
-            let extra = self.dma_write_inner(pa, bytes, false)?;
+            let extra = self.dma_write_inner(pa, bytes, false, mem)?;
             return Ok((false, extra));
         }
         // Bounds-check the whole range up front so a partially-applied
         // store cannot leave a line allocated for unbacked memory.
-        {
-            let mem = self.mem.borrow();
-            let end = pa.checked_add(bytes.len() as u64).ok_or(MemFault::BusError { pa })?;
-            if end.as_u64() > mem.size() {
-                return Err(MemFault::BusError { pa });
-            }
-        }
+        check_range(pa, bytes.len(), mem)?;
         let line_bytes = self.line_bytes_of(agent);
         let mut extra = SimTime::ZERO;
         let mut all_hit = true;
@@ -557,17 +546,17 @@ impl CoherenceDomain {
                     // BusRdX: fetch the line for ownership; a Modified
                     // peer writes back first, everyone else drops it.
                     self.stats.bus_rdx += 1;
-                    if self.snoop_flush_modified(Some(agent), base, MesiState::Invalid)? {
+                    if self.snoop_flush_modified(Some(agent), base, MesiState::Invalid, mem)? {
                         extra += self.charge(self.timing.intervention);
                     }
                     if self.snoop_invalidate(Some(agent), base) > 0 {
                         extra += self.charge(self.timing.invalidate);
                     }
                     let mut data = vec![0u8; line_bytes as usize].into_boxed_slice();
-                    self.mem.borrow().read_bytes(PhysAddr::new(base), &mut data)?;
+                    mem.read_bytes(PhysAddr::new(base), &mut data)?;
                     data[off..off + src.len()].copy_from_slice(src);
                     let victim = self.caches[agent].insert(base, MesiState::Modified, data);
-                    extra += self.evict_victim(victim)?;
+                    extra += self.evict_victim(victim, mem)?;
                 }
             }
             base += line_bytes;
@@ -582,19 +571,24 @@ impl CoherenceDomain {
     /// # Errors
     ///
     /// [`MemFault::BusError`] if the range leaves installed memory.
-    pub fn dma_read(&mut self, pa: PhysAddr, buf: &mut [u8]) -> Result<SimTime, MemFault> {
+    pub fn dma_read(
+        &mut self,
+        pa: PhysAddr,
+        buf: &mut [u8],
+        mem: &mut PhysMemory,
+    ) -> Result<SimTime, MemFault> {
         let line_bytes = self.dma_line_bytes();
         let mut extra = SimTime::ZERO;
         let (start, end) = (pa.as_u64(), pa.as_u64() + buf.len() as u64);
         let mut base = start & !(line_bytes - 1);
         while base < end {
             self.stats.dma_reads += 1;
-            if self.snoop_flush_modified(None, base, MesiState::Shared)? {
+            if self.snoop_flush_modified(None, base, MesiState::Shared, mem)? {
                 extra += self.charge(self.timing.intervention);
             }
             base += line_bytes;
         }
-        self.mem.borrow().read_bytes(pa, buf)?;
+        mem.read_bytes(pa, buf)?;
         Ok(extra)
     }
 
@@ -606,8 +600,13 @@ impl CoherenceDomain {
     /// # Errors
     ///
     /// [`MemFault::BusError`] if the range leaves installed memory.
-    pub fn dma_write(&mut self, pa: PhysAddr, bytes: &[u8]) -> Result<SimTime, MemFault> {
-        self.dma_write_inner(pa, bytes, true)
+    pub fn dma_write(
+        &mut self,
+        pa: PhysAddr,
+        bytes: &[u8],
+        mem: &mut PhysMemory,
+    ) -> Result<SimTime, MemFault> {
+        self.dma_write_inner(pa, bytes, true, mem)
     }
 
     fn dma_write_inner(
@@ -615,14 +614,9 @@ impl CoherenceDomain {
         pa: PhysAddr,
         bytes: &[u8],
         count_stat: bool,
+        mem: &mut PhysMemory,
     ) -> Result<SimTime, MemFault> {
-        {
-            let mem = self.mem.borrow();
-            let end = pa.checked_add(bytes.len() as u64).ok_or(MemFault::BusError { pa })?;
-            if end.as_u64() > mem.size() {
-                return Err(MemFault::BusError { pa });
-            }
-        }
+        check_range(pa, bytes.len(), mem)?;
         let line_bytes = self.dma_line_bytes();
         let mut extra = SimTime::ZERO;
         let (start, end) = (pa.as_u64(), pa.as_u64() + bytes.len() as u64);
@@ -635,7 +629,7 @@ impl CoherenceDomain {
             if !full {
                 // Partial-line write: a Modified holder's bytes outside
                 // the DMA range must reach memory before ours do.
-                if self.snoop_flush_modified(None, base, MesiState::Invalid)? {
+                if self.snoop_flush_modified(None, base, MesiState::Invalid, mem)? {
                     extra += self.charge(self.timing.writeback);
                 }
             }
@@ -644,7 +638,7 @@ impl CoherenceDomain {
             }
             base += line_bytes;
         }
-        self.mem.borrow_mut().write_bytes(pa, bytes)?;
+        mem.write_bytes(pa, bytes)?;
         Ok(extra)
     }
 
@@ -654,7 +648,13 @@ impl CoherenceDomain {
     /// line of the range (the loop runs whether or not the line is
     /// resident), plus a writeback per dirty line. Returns
     /// `(lines_swept, dirty_lines, time)`.
-    pub fn flush_range(&mut self, agent: AgentId, pa: PhysAddr, len: u64) -> (u64, u64, SimTime) {
+    pub fn flush_range(
+        &mut self,
+        agent: AgentId,
+        pa: PhysAddr,
+        len: u64,
+        mem: &mut PhysMemory,
+    ) -> (u64, u64, SimTime) {
         let line_bytes = self.line_bytes_of(agent);
         let mut time = SimTime::ZERO;
         let mut lines = 0;
@@ -668,7 +668,7 @@ impl CoherenceDomain {
                 if state == MesiState::Modified {
                     dirty += 1;
                     // The range was validated when the line was filled.
-                    self.write_line_back(b, &data).expect("resident line is backed");
+                    self.write_line_back(b, &data, mem).expect("resident line is backed");
                     time += self.charge(self.timing.writeback);
                 }
             }
@@ -702,10 +702,10 @@ impl CoherenceDomain {
     /// Writes back and drops every line of `agent`'s cache (context
     /// switch on a machine without address-space tags). Not charged —
     /// the executor's switch path already prices switches; stats only.
-    pub fn flush_all(&mut self, agent: AgentId) {
+    pub fn flush_all(&mut self, agent: AgentId, mem: &mut PhysMemory) {
         for (base, state, data) in self.caches[agent].drain() {
             if state == MesiState::Modified {
-                self.write_line_back(base, &data).expect("resident line is backed");
+                self.write_line_back(base, &data, mem).expect("resident line is backed");
             }
         }
     }
@@ -713,13 +713,13 @@ impl CoherenceDomain {
     /// Writes every Modified line of every cache back to memory, leaving
     /// the lines resident and clean (Exclusive). Test/inspection surface:
     /// after `sync`, the flat memory image is the authoritative state.
-    pub fn sync(&mut self) {
+    pub fn sync(&mut self, mem: &mut PhysMemory) {
         for agent in 0..self.caches.len() {
             let resident = self.caches[agent].resident();
             for (base, state) in resident {
                 if state == MesiState::Modified {
                     let (b, _, data) = self.caches[agent].take(base).expect("resident");
-                    self.write_line_back(b, &data).expect("resident line is backed");
+                    self.write_line_back(b, &data, mem).expect("resident line is backed");
                     let evicted = self.caches[agent].insert(b, MesiState::Exclusive, data);
                     debug_assert!(evicted.is_none());
                 }
@@ -739,7 +739,7 @@ impl CoherenceDomain {
     /// # Errors
     ///
     /// A human-readable description of the first violation.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    pub fn check_invariants(&self, mem: &PhysMemory) -> Result<(), String> {
         use std::collections::HashMap;
         let mut holders: HashMap<u64, Vec<(AgentId, MesiState)>> = HashMap::new();
         for (i, c) in self.caches.iter().enumerate() {
@@ -747,7 +747,6 @@ impl CoherenceDomain {
                 holders.entry(base).or_default().push((i, state));
             }
         }
-        let mem = self.mem.borrow();
         for (base, who) in holders {
             let exclusive = who
                 .iter()
@@ -775,20 +774,26 @@ impl CoherenceDomain {
     }
 }
 
+/// Whether `len` bytes at `pa` lie inside installed memory.
+fn check_range(pa: PhysAddr, len: usize, mem: &PhysMemory) -> Result<(), MemFault> {
+    let end = pa.checked_add(len as u64).ok_or(MemFault::BusError { pa })?;
+    if end.as_u64() > mem.size() {
+        return Err(MemFault::BusError { pa });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    use udma_mem::PhysMemory;
 
-    fn domain(agents: usize) -> (CoherenceDomain, Vec<AgentId>) {
-        let mem: SharedMemory = Rc::new(RefCell::new(PhysMemory::new(1 << 20)));
-        let mut d = CoherenceDomain::new(mem, CoherenceTiming::default());
+    fn domain(agents: usize) -> (CoherenceDomain, PhysMemory, Vec<AgentId>) {
+        let mem = PhysMemory::new(1 << 20);
+        let mut d = CoherenceDomain::new(CoherenceTiming::default());
         let ids = (0..agents)
             .map(|_| d.add_agent(CacheConfig { sets: 8, ways: 2, line_bytes: 32 }))
             .collect();
-        (d, ids)
+        (d, mem, ids)
     }
 
     fn pa(v: u64) -> PhysAddr {
@@ -797,207 +802,205 @@ mod tests {
 
     #[test]
     fn read_fills_exclusive_then_peer_read_shares() {
-        let (mut d, a) = domain(2);
+        let (mut d, mut mem, a) = domain(2);
         let mut b = [0u8; 8];
-        d.agent_read(a[0], pa(0x100), &mut b).unwrap();
+        d.agent_read(a[0], pa(0x100), &mut b, &mut mem).unwrap();
         assert_eq!(d.cache(a[0]).state_of(pa(0x100)), MesiState::Exclusive);
-        d.agent_read(a[1], pa(0x104), &mut b[..4]).unwrap();
+        d.agent_read(a[1], pa(0x104), &mut b[..4], &mut mem).unwrap();
         assert_eq!(d.cache(a[0]).state_of(pa(0x100)), MesiState::Shared);
         assert_eq!(d.cache(a[1]).state_of(pa(0x100)), MesiState::Shared);
-        d.check_invariants().unwrap();
+        d.check_invariants(&mem).unwrap();
     }
 
     #[test]
     fn write_is_cached_not_in_memory_until_writeback() {
-        let (mut d, a) = domain(1);
-        d.agent_write(a[0], pa(0x200), &7u64.to_le_bytes()).unwrap();
+        let (mut d, mut mem, a) = domain(1);
+        d.agent_write(a[0], pa(0x200), &7u64.to_le_bytes(), &mut mem).unwrap();
         assert_eq!(d.cache(a[0]).state_of(pa(0x200)), MesiState::Modified);
-        assert_eq!(d.memory().borrow().read_u64(pa(0x200)).unwrap(), 0, "memory still stale");
+        assert_eq!(mem.read_u64(pa(0x200)).unwrap(), 0, "memory still stale");
         let mut b = [0u8; 8];
-        d.agent_read(a[0], pa(0x200), &mut b).unwrap();
+        d.agent_read(a[0], pa(0x200), &mut b, &mut mem).unwrap();
         assert_eq!(u64::from_le_bytes(b), 7, "own cache serves the store");
-        d.sync();
-        assert_eq!(d.memory().borrow().read_u64(pa(0x200)).unwrap(), 7);
+        d.sync(&mut mem);
+        assert_eq!(mem.read_u64(pa(0x200)).unwrap(), 7);
         assert_eq!(d.cache(a[0]).state_of(pa(0x200)), MesiState::Exclusive);
-        d.check_invariants().unwrap();
+        d.check_invariants(&mem).unwrap();
     }
 
     #[test]
     fn peer_read_of_modified_line_intervenes() {
-        let (mut d, a) = domain(2);
-        d.agent_write(a[0], pa(0x300), &1u64.to_le_bytes()).unwrap();
+        let (mut d, mut mem, a) = domain(2);
+        d.agent_write(a[0], pa(0x300), &1u64.to_le_bytes(), &mut mem).unwrap();
         let mut b = [0u8; 8];
-        let (_, extra) = d.agent_read(a[1], pa(0x300), &mut b).unwrap();
+        let (_, extra) = d.agent_read(a[1], pa(0x300), &mut b, &mut mem).unwrap();
         assert_eq!(u64::from_le_bytes(b), 1, "intervention supplied the dirty data");
         assert_eq!(extra, d.timing().intervention);
         assert_eq!(d.stats().interventions, 1);
         assert_eq!(d.cache(a[0]).state_of(pa(0x300)), MesiState::Shared);
         assert_eq!(d.cache(a[1]).state_of(pa(0x300)), MesiState::Shared);
-        assert_eq!(d.memory().borrow().read_u64(pa(0x300)).unwrap(), 1, "writeback on the way");
-        d.check_invariants().unwrap();
+        assert_eq!(mem.read_u64(pa(0x300)).unwrap(), 1, "writeback on the way");
+        d.check_invariants(&mem).unwrap();
     }
 
     #[test]
     fn shared_write_upgrades_and_invalidates_peers() {
-        let (mut d, a) = domain(2);
+        let (mut d, mut mem, a) = domain(2);
         let mut b = [0u8; 8];
-        d.agent_read(a[0], pa(0x400), &mut b).unwrap();
-        d.agent_read(a[1], pa(0x400), &mut b).unwrap();
-        let (hit, extra) = d.agent_write(a[0], pa(0x400), &9u64.to_le_bytes()).unwrap();
+        d.agent_read(a[0], pa(0x400), &mut b, &mut mem).unwrap();
+        d.agent_read(a[1], pa(0x400), &mut b, &mut mem).unwrap();
+        let (hit, extra) = d.agent_write(a[0], pa(0x400), &9u64.to_le_bytes(), &mut mem).unwrap();
         assert!(hit, "upgrade is a hit");
         assert_eq!(extra, d.timing().invalidate);
         assert_eq!(d.stats().upgrades, 1);
         assert_eq!(d.cache(a[1]).state_of(pa(0x400)), MesiState::Invalid);
         assert_eq!(d.cache(a[0]).state_of(pa(0x400)), MesiState::Modified);
-        d.check_invariants().unwrap();
+        d.check_invariants(&mem).unwrap();
     }
 
     #[test]
     fn write_miss_with_modified_peer_pulls_then_owns() {
-        let (mut d, a) = domain(2);
-        d.agent_write(a[0], pa(0x500), &0xAAu64.to_le_bytes()).unwrap();
+        let (mut d, mut mem, a) = domain(2);
+        d.agent_write(a[0], pa(0x500), &0xAAu64.to_le_bytes(), &mut mem).unwrap();
         // Peer writes a *different word of the same line*: the merge must
         // keep a0's word.
-        d.agent_write(a[1], pa(0x508), &0xBBu64.to_le_bytes()).unwrap();
+        d.agent_write(a[1], pa(0x508), &0xBBu64.to_le_bytes(), &mut mem).unwrap();
         assert_eq!(d.cache(a[0]).state_of(pa(0x500)), MesiState::Invalid);
         assert_eq!(d.cache(a[1]).state_of(pa(0x500)), MesiState::Modified);
         let mut b = [0u8; 8];
-        d.agent_read(a[1], pa(0x500), &mut b).unwrap();
+        d.agent_read(a[1], pa(0x500), &mut b, &mut mem).unwrap();
         assert_eq!(u64::from_le_bytes(b), 0xAA, "earlier store survived the ownership transfer");
-        d.check_invariants().unwrap();
+        d.check_invariants(&mem).unwrap();
     }
 
     #[test]
     fn eviction_writes_back_dirty_victim() {
-        let (mut d, a) = domain(1);
+        let (mut d, mut mem, a) = domain(1);
         // 8 sets × 32-byte lines, 2 ways: three lines with the same set
         // index force an eviction.
         let stride = 8 * 32;
-        d.agent_write(a[0], pa(0), &5u64.to_le_bytes()).unwrap();
-        d.agent_write(a[0], pa(stride), &6u64.to_le_bytes()).unwrap();
-        d.agent_write(a[0], pa(2 * stride), &7u64.to_le_bytes()).unwrap();
+        d.agent_write(a[0], pa(0), &5u64.to_le_bytes(), &mut mem).unwrap();
+        d.agent_write(a[0], pa(stride), &6u64.to_le_bytes(), &mut mem).unwrap();
+        d.agent_write(a[0], pa(2 * stride), &7u64.to_le_bytes(), &mut mem).unwrap();
         assert_eq!(d.stats().writebacks, 1);
-        assert_eq!(d.memory().borrow().read_u64(pa(0)).unwrap(), 5, "LRU victim written back");
-        d.check_invariants().unwrap();
+        assert_eq!(mem.read_u64(pa(0)).unwrap(), 5, "LRU victim written back");
+        d.check_invariants(&mem).unwrap();
     }
 
     #[test]
     fn dma_read_pulls_modified_lines() {
-        let (mut d, a) = domain(1);
-        d.agent_write(a[0], pa(0x600), &0x11u64.to_le_bytes()).unwrap();
+        let (mut d, mut mem, a) = domain(1);
+        d.agent_write(a[0], pa(0x600), &0x11u64.to_le_bytes(), &mut mem).unwrap();
         let mut buf = [0u8; 8];
-        let extra = d.dma_read(pa(0x600), &mut buf).unwrap();
+        let extra = d.dma_read(pa(0x600), &mut buf, &mut mem).unwrap();
         assert_eq!(u64::from_le_bytes(buf), 0x11);
         assert_eq!(extra, d.timing().intervention);
         assert_eq!(d.cache(a[0]).state_of(pa(0x600)), MesiState::Shared);
-        d.check_invariants().unwrap();
+        d.check_invariants(&mem).unwrap();
     }
 
     #[test]
     fn dma_write_invalidates_sharers_and_merges_partial_lines() {
-        let (mut d, a) = domain(1);
+        let (mut d, mut mem, a) = domain(1);
         // CPU dirties bytes 8..16 of the line; DMA writes bytes 0..8.
-        d.agent_write(a[0], pa(0x708), &0xCCu64.to_le_bytes()).unwrap();
-        let extra = d.dma_write(pa(0x700), &0xDDu64.to_le_bytes()).unwrap();
+        d.agent_write(a[0], pa(0x708), &0xCCu64.to_le_bytes(), &mut mem).unwrap();
+        let extra = d.dma_write(pa(0x700), &0xDDu64.to_le_bytes(), &mut mem).unwrap();
         assert!(extra >= d.timing().writeback, "partial overlap forces the writeback first");
         assert_eq!(d.cache(a[0]).state_of(pa(0x700)), MesiState::Invalid);
-        let mem = d.memory();
-        assert_eq!(mem.borrow().read_u64(pa(0x700)).unwrap(), 0xDD);
-        assert_eq!(mem.borrow().read_u64(pa(0x708)).unwrap(), 0xCC, "CPU bytes survived");
-        d.check_invariants().unwrap();
+        assert_eq!(mem.read_u64(pa(0x700)).unwrap(), 0xDD);
+        assert_eq!(mem.read_u64(pa(0x708)).unwrap(), 0xCC, "CPU bytes survived");
+        d.check_invariants(&mem).unwrap();
     }
 
     #[test]
     fn dma_write_of_full_line_skips_the_writeback() {
-        let (mut d, a) = domain(1);
-        d.agent_write(a[0], pa(0x800), &[1u8; 32]).unwrap();
-        let extra = d.dma_write(pa(0x800), &[2u8; 32]).unwrap();
+        let (mut d, mut mem, a) = domain(1);
+        d.agent_write(a[0], pa(0x800), &[1u8; 32], &mut mem).unwrap();
+        let extra = d.dma_write(pa(0x800), &[2u8; 32], &mut mem).unwrap();
         // Full-line overwrite: the dirty data is dead, only the
         // invalidation is charged.
         assert_eq!(extra, d.timing().invalidate);
         assert_eq!(d.stats().writebacks, 0);
-        assert_eq!(d.memory().borrow().read_u64(pa(0x800)).unwrap(), u64::from_le_bytes([2; 8]));
-        d.check_invariants().unwrap();
+        assert_eq!(mem.read_u64(pa(0x800)).unwrap(), u64::from_le_bytes([2; 8]));
+        d.check_invariants(&mem).unwrap();
     }
 
     #[test]
     fn flush_range_charges_per_line_and_writes_back_dirty() {
-        let (mut d, a) = domain(1);
-        d.agent_write(a[0], pa(0x900), &3u64.to_le_bytes()).unwrap();
-        let (lines, dirty, time) = d.flush_range(a[0], pa(0x900), 4 * 32);
+        let (mut d, mut mem, a) = domain(1);
+        d.agent_write(a[0], pa(0x900), &3u64.to_le_bytes(), &mut mem).unwrap();
+        let (lines, dirty, time) = d.flush_range(a[0], pa(0x900), 4 * 32, &mut mem);
         assert_eq!((lines, dirty), (4, 1));
         let t = d.timing();
         assert_eq!(time, SimTime::from_ps(4 * t.flush_line.as_ps() + t.writeback.as_ps()));
-        assert_eq!(d.memory().borrow().read_u64(pa(0x900)).unwrap(), 3);
+        assert_eq!(mem.read_u64(pa(0x900)).unwrap(), 3);
         assert_eq!(d.cache(a[0]).state_of(pa(0x900)), MesiState::Invalid);
     }
 
     #[test]
     fn invalidate_range_discards_without_writeback() {
-        let (mut d, a) = domain(1);
-        d.agent_write(a[0], pa(0xA00), &4u64.to_le_bytes()).unwrap();
+        let (mut d, mut mem, a) = domain(1);
+        d.agent_write(a[0], pa(0xA00), &4u64.to_le_bytes(), &mut mem).unwrap();
         let (lines, time) = d.invalidate_range(a[0], pa(0xA00), 32);
         assert_eq!(lines, 1);
         assert_eq!(time, d.timing().invalidate_line);
         assert_eq!(d.stats().writebacks, 0);
         assert_eq!(d.cache(a[0]).state_of(pa(0xA00)), MesiState::Invalid);
         // The dirty data was deliberately dropped.
-        assert_eq!(d.memory().borrow().read_u64(pa(0xA00)).unwrap(), 0);
+        assert_eq!(mem.read_u64(pa(0xA00)).unwrap(), 0);
     }
 
     #[test]
     fn disabled_agents_add_zero_time_and_zero_traffic() {
-        let mem: SharedMemory = Rc::new(RefCell::new(PhysMemory::new(1 << 20)));
-        let mut d = CoherenceDomain::new(mem, CoherenceTiming::default());
+        let mut mem = PhysMemory::new(1 << 20);
+        let mut d = CoherenceDomain::new(CoherenceTiming::default());
         let a = d.add_agent(CacheConfig::disabled());
         let mut b = [0u8; 8];
-        let (hit, extra) = d.agent_read(a, pa(0x100), &mut b).unwrap();
+        let (hit, extra) = d.agent_read(a, pa(0x100), &mut b, &mut mem).unwrap();
         assert!(!hit);
         assert_eq!(extra, SimTime::ZERO);
-        let (hit, extra) = d.agent_write(a, pa(0x100), &1u64.to_le_bytes()).unwrap();
+        let (hit, extra) = d.agent_write(a, pa(0x100), &1u64.to_le_bytes(), &mut mem).unwrap();
         assert!(!hit);
         assert_eq!(extra, SimTime::ZERO);
         // ways == 0 writes go straight to memory (uncached master).
-        assert_eq!(d.memory().borrow().read_u64(pa(0x100)).unwrap(), 1);
+        assert_eq!(mem.read_u64(pa(0x100)).unwrap(), 1);
         let mut buf = [0u8; 8];
-        assert_eq!(d.dma_read(pa(0x100), &mut buf).unwrap(), SimTime::ZERO);
-        assert_eq!(d.dma_write(pa(0x100), &buf).unwrap(), SimTime::ZERO);
+        assert_eq!(d.dma_read(pa(0x100), &mut buf, &mut mem).unwrap(), SimTime::ZERO);
+        assert_eq!(d.dma_write(pa(0x100), &buf, &mut mem).unwrap(), SimTime::ZERO);
         assert_eq!(d.stats().coherence_traffic(), 0);
         assert_eq!(d.stats().snoop_time, SimTime::ZERO);
-        d.check_invariants().unwrap();
+        d.check_invariants(&mem).unwrap();
     }
 
     #[test]
     fn out_of_range_accesses_fault() {
-        let (mut d, a) = domain(1);
+        let (mut d, mut mem, a) = domain(1);
         let far = pa(1 << 20);
         let mut b = [0u8; 8];
-        assert!(d.agent_read(a[0], far, &mut b).is_err());
-        assert!(d.agent_write(a[0], far, &b).is_err());
-        assert!(d.dma_read(far, &mut b).is_err());
-        assert!(d.dma_write(far, &b).is_err());
+        assert!(d.agent_read(a[0], far, &mut b, &mut mem).is_err());
+        assert!(d.agent_write(a[0], far, &b, &mut mem).is_err());
+        assert!(d.dma_read(far, &mut b, &mut mem).is_err());
+        assert!(d.dma_write(far, &b, &mut mem).is_err());
     }
 
     #[test]
     fn flush_all_writes_back_everything() {
-        let (mut d, a) = domain(1);
-        d.agent_write(a[0], pa(0x40), &8u64.to_le_bytes()).unwrap();
-        d.agent_write(a[0], pa(0x80), &9u64.to_le_bytes()).unwrap();
-        d.flush_all(a[0]);
+        let (mut d, mut mem, a) = domain(1);
+        d.agent_write(a[0], pa(0x40), &8u64.to_le_bytes(), &mut mem).unwrap();
+        d.agent_write(a[0], pa(0x80), &9u64.to_le_bytes(), &mut mem).unwrap();
+        d.flush_all(a[0], &mut mem);
         assert!(d.cache(a[0]).resident().is_empty());
-        let mem = d.memory();
-        assert_eq!(mem.borrow().read_u64(pa(0x40)).unwrap(), 8);
-        assert_eq!(mem.borrow().read_u64(pa(0x80)).unwrap(), 9);
+        assert_eq!(mem.read_u64(pa(0x40)).unwrap(), 8);
+        assert_eq!(mem.read_u64(pa(0x80)).unwrap(), 9);
     }
 
     #[test]
     fn invariant_checker_catches_a_violation() {
-        let (mut d, a) = domain(2);
+        let (mut d, mut mem, a) = domain(2);
         let mut b = [0u8; 8];
-        d.agent_read(a[0], pa(0x100), &mut b).unwrap();
+        d.agent_read(a[0], pa(0x100), &mut b, &mut mem).unwrap();
         // Corrupt memory behind the domain's back: the clean Exclusive
         // copy no longer matches.
-        d.memory().borrow_mut().write_u64(pa(0x100), 0xBAD).unwrap();
-        assert!(d.check_invariants().is_err());
+        mem.write_u64(pa(0x100), 0xBAD).unwrap();
+        assert!(d.check_invariants(&mem).is_err());
     }
 }

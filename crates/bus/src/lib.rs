@@ -10,6 +10,9 @@
 //!   discussion),
 //! * [`Bus`] — address decoding to RAM and a pluggable NIC
 //!   ([`BusDevice`]), with a transaction [`trace`](BusTrace) and counters,
+//! * [`MemPort`] — the one owner of the machine's memory: a CPU side
+//!   through the CPU's cache and an engine side that snoops only in
+//!   [`CoherenceMode::Coherent`],
 //! * [`WriteBuffer`] — the CPU-side write buffer whose *collapsing* and
 //!   *load-servicing* behaviour is exactly the hazard of the paper's
 //!   footnote 6 ("some hardware devices may attempt to collapse successive
@@ -33,6 +36,7 @@ mod bus;
 mod cache;
 mod coherence;
 mod device;
+mod port;
 pub mod sim;
 mod time;
 mod timing;
@@ -43,9 +47,9 @@ pub use bus::{Bus, BusStats};
 pub use cache::{CacheConfig, CacheStats, DataCache};
 pub use coherence::{
     AgentId, CoherenceDomain, CoherenceStats, CoherenceTiming, CoherentCache, MesiState,
-    SharedCoherence,
 };
-pub use device::{BusDevice, RamDevice, SharedMemory};
+pub use device::{BusDevice, NoNic};
+pub use port::{CoherenceMode, MemPort};
 pub use sim::{ChannelBuilder, RunReport, RunnerKind, ShardId, SimComponent, SimRunner, Stamped};
 pub use time::{Clock, SimTime};
 pub use timing::BusTiming;

@@ -22,25 +22,10 @@
 //! the time went in a [`CoherentPostReport`].
 
 use crate::Machine;
-use udma_bus::{CacheConfig, CoherenceStats, CoherenceTiming, SharedCoherence, SimTime};
+pub use udma_bus::CoherenceMode;
+use udma_bus::{CoherenceStats, CoherenceTiming, SimTime};
 use udma_mem::PhysAddr;
 use udma_nic::{Initiator, RejectReason, TransferRecord};
-
-/// How DMA and the CPU cache relate on this machine.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CoherenceMode {
-    /// The pre-coherence model: memory is flat, the data cache is
-    /// timing-only, DMA is coherent by construction and pays nothing.
-    #[default]
-    Flat,
-    /// The CPU cache carries real data; the engine bypasses it. Correct
-    /// DMA requires software flush/invalidate around every transfer —
-    /// skipping the flush observably moves stale bytes.
-    NonCoherent,
-    /// The CPU cache carries real data; the engine snoops the bus, so
-    /// transfers are always correct and pay per-touched-line snoop time.
-    Coherent,
-}
 
 /// Coherence configuration on [`MachineConfig`](crate::MachineConfig).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -103,14 +88,9 @@ impl CoherentPostReport {
 }
 
 impl Machine {
-    /// The coherence domain, when the machine runs in a non-`Flat` mode.
-    pub fn coherence(&self) -> Option<SharedCoherence> {
-        self.coherence_domain()
-    }
-
     /// Snoop-bus counters (zeroes in `Flat` mode).
     pub fn coherence_stats(&self) -> CoherenceStats {
-        self.coherence_domain().map(|d| d.borrow().stats()).unwrap_or_default()
+        self.bus().port().coherence_stats()
     }
 
     /// The MESI safety invariants over every cache in the domain
@@ -119,11 +99,8 @@ impl Machine {
     /// # Errors
     ///
     /// A human-readable description of the first violation.
-    pub fn check_coherence_invariants(&self) -> Result<(), String> {
-        match self.coherence_domain() {
-            Some(d) => d.borrow().check_invariants(),
-            None => Ok(()),
-        }
+    pub fn check_coherence_invariants(&mut self) -> Result<(), String> {
+        self.bus_mut().port_mut().check_invariants()
     }
 
     /// Software flush (writeback + invalidate) of `[pa, pa + len)` from
@@ -132,10 +109,7 @@ impl Machine {
     /// range. Returns `(lines_swept, dirty_lines, time_charged)`; a
     /// no-op returning zeroes in `Flat` mode.
     pub fn flush_range(&mut self, pa: PhysAddr, len: u64) -> (u64, u64, SimTime) {
-        let Some((domain, agent)) = self.cpu_coherence() else {
-            return (0, 0, SimTime::ZERO);
-        };
-        let (lines, dirty, time) = domain.borrow_mut().flush_range(agent, pa, len);
+        let (lines, dirty, time) = self.bus_mut().port_mut().flush_range(pa, len);
         self.advance_time(time);
         (lines, dirty, time)
     }
@@ -145,10 +119,7 @@ impl Machine {
     /// after a non-coherent DMA wrote the range. Returns
     /// `(lines_swept, time_charged)`; a no-op in `Flat` mode.
     pub fn invalidate_range(&mut self, pa: PhysAddr, len: u64) -> (u64, SimTime) {
-        let Some((domain, agent)) = self.cpu_coherence() else {
-            return (0, SimTime::ZERO);
-        };
-        let (lines, time) = domain.borrow_mut().invalidate_range(agent, pa, len);
+        let (lines, time) = self.bus_mut().port_mut().invalidate_range(pa, len);
         self.advance_time(time);
         (lines, time)
     }
@@ -157,9 +128,7 @@ impl Machine {
     /// Test/inspection surface (not charged): after this, the flat
     /// memory image is authoritative. No-op in `Flat` mode.
     pub fn cache_sync(&mut self) {
-        if let Some(domain) = self.coherence_domain() {
-            domain.borrow_mut().sync();
-        }
+        self.bus_mut().port_mut().sync();
     }
 
     /// Posts a kernel-validated physical DMA the *correct* way for the
@@ -194,14 +163,9 @@ impl Machine {
             _ => (SimTime::ZERO, 0, 0),
         };
         let now = self.time();
-        let (idx, _) = self.engine().core_mut().launch_checked(
-            src,
-            dst,
-            size,
-            Initiator::Kernel,
-            true,
-            now,
-        )?;
+        let (engine, mem) = self.bus_mut().nic_and_port();
+        let (idx, _) =
+            engine.core_mut().launch_checked(src, dst, size, Initiator::Kernel, now, mem)?;
         let record = self.engine().core().mover().records()[idx];
         let (completion_extra, invalidate_lines) = match mode {
             CoherenceMode::NonCoherent => {
@@ -230,14 +194,6 @@ impl Machine {
             record,
         })
     }
-
-    /// The geometry the CPU coherence agent runs with (the machine's
-    /// cache config), when a domain exists.
-    pub fn coherent_cache_config(&self) -> Option<CacheConfig> {
-        let (domain, agent) = self.cpu_coherence()?;
-        let cfg = domain.borrow().cache(agent).config();
-        Some(cfg)
-    }
 }
 
 #[cfg(test)]
@@ -257,7 +213,7 @@ mod tests {
     #[test]
     fn flat_machine_has_no_domain_and_noop_surface() {
         let mut m = machine(CoherenceSetup::flat());
-        assert!(m.coherence().is_none());
+        assert!(m.bus().port().coherence().is_none());
         assert_eq!(m.flush_range(PhysAddr::new(0), 4096), (0, 0, SimTime::ZERO));
         assert_eq!(m.invalidate_range(PhysAddr::new(0), 4096), (0, SimTime::ZERO));
         assert_eq!(m.coherence_stats(), CoherenceStats::default());
@@ -308,16 +264,9 @@ mod tests {
             (env.buffer(0).first_frame.base(), env.buffer(1).first_frame.base())
         };
         // Dirty 3 source lines in the CPU cache only.
-        let (domain, agent) = {
-            let d = m.coherence().unwrap();
-            let a = m.executor().coherence().unwrap().1;
-            (d, a)
-        };
         for i in 0..3u64 {
-            domain
-                .borrow_mut()
-                .agent_write(agent, PhysAddr::new(src.as_u64() + i * 32), &[0xA5u8; 8])
-                .unwrap();
+            let word = u64::from_le_bytes([0xA5u8; 8]);
+            m.bus_mut().port_mut().cpu_write(PhysAddr::new(src.as_u64() + i * 32), word).unwrap();
         }
         let report = m.post_dma_coherence_aware(src, dst, 4096).unwrap();
         assert_eq!(report.interventions, 3, "one intervention per touched dirty line");

@@ -1,15 +1,11 @@
 //! The simulated workstation: substrates wired together.
 
-use crate::coherence::{CoherenceMode, CoherenceSetup};
+use crate::coherence::CoherenceSetup;
 use crate::ctx_virt::{LogicalPost, PostPath};
 use crate::va::{SwapRefused, VaMode, VirtDmaSetup};
 use crate::DmaMethod;
 use std::cell::RefCell;
-use std::rc::Rc;
-use udma_bus::{
-    AgentId, Bus, BusTiming, CacheConfig, CoherenceDomain, SharedCoherence, SharedMemory, SimTime,
-    WriteBufferPolicy,
-};
+use udma_bus::{Bus, BusTiming, CacheConfig, MemPort, SimTime, WriteBufferPolicy};
 use udma_cpu::{
     CostModel, Executor, Operand, Pid, ProcState, Program, ProgramBuilder, Reg, RunOutcome,
     RunToCompletion, Scheduler,
@@ -17,8 +13,9 @@ use udma_cpu::{
 use udma_iommu::Asid;
 use udma_mem::{PageTable, Perms, PhysAddr, PhysLayout, PhysMemory, VirtAddr, PAGE_SIZE};
 use udma_nic::{
-    Destination, DmaDescriptor, DmaEngine, EngineConfig, Initiator, LinkModel, RejectReason,
-    RemoteSend, RingConfig, RingLaunch, RingStats, TransferRecord, VirtState, VirtTransfer,
+    Destination, DmaDescriptor, DmaEngine, EngineConfig, EngineCore, Initiator, LinkModel,
+    RejectReason, RemoteSend, RingConfig, RingLaunch, RingStats, TransferRecord, VirtState,
+    VirtTransfer,
 };
 use udma_os::{
     pin_range, Acquired, CtxCache, CtxCacheConfig, CtxGrant, FaultResolution, FaultService, Kernel,
@@ -47,7 +44,8 @@ pub struct MachineConfig {
     pub link: LinkModel,
     /// Write-buffer behaviour.
     pub wb_policy: WriteBufferPolicy,
-    /// Data-cache geometry (timing only).
+    /// Data-cache geometry (timing only on a flat machine; the CPU's
+    /// coherence agent otherwise).
     pub cache: CacheConfig,
     /// Physical address map.
     pub layout: PhysLayout,
@@ -61,10 +59,11 @@ pub struct MachineConfig {
     /// Virtual-address DMA subsystem (NI-side IOMMU/IOTLB). `None` —
     /// the default — leaves the machine exactly as the paper built it.
     pub virt_dma: Option<VirtDmaSetup>,
-    /// Cache-coherence model. The default ([`CoherenceMode::Flat`])
-    /// keeps the data cache timing-only, exactly as the paper's testbed
-    /// measured it; the other modes make it carry data and force DMA to
-    /// deal with it (software flushes or hardware snooping).
+    /// Cache-coherence model. The default
+    /// ([`CoherenceMode::Flat`](crate::CoherenceMode::Flat)) keeps the
+    /// data cache timing-only, exactly as the paper's testbed measured
+    /// it; the other modes make it carry data and force DMA to deal with
+    /// it (software flushes or hardware snooping).
     pub coherence: CoherenceSetup,
 }
 
@@ -208,22 +207,29 @@ impl ProcessEnv {
     }
 }
 
-/// The assembled workstation.
+/// Compile-time check: the engine and the CPU hold no shared handle, so
+/// each can move into a `Send` [`SimComponent`](udma_bus::SimComponent).
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<EngineCore>();
+    send::<DmaEngine>();
+    send::<Executor>();
+};
+
+/// The assembled workstation. The bus is the one owner of the memory
+/// port (RAM and, on a cached machine, the coherence domain) and of the
+/// DMA engine; everything else borrows them from it.
 pub struct Machine {
     config: MachineConfig,
-    bus: Bus,
+    bus: Bus<DmaEngine>,
     executor: Executor,
     kernel: Kernel,
-    engine: DmaEngine,
     envs: Vec<ProcessEnv>,
     fault_service: FaultService,
     /// Context virtualization: the OS context cache multiplexing
     /// logical processes onto the NI's register contexts (enabled by
     /// [`Machine::enable_ctx_virtualization`]).
     ctx_cache: Option<CtxCache>,
-    /// The MESI coherence domain and the CPU's agent id in it
-    /// (`None` in [`CoherenceMode::Flat`]).
-    coherence: Option<(SharedCoherence, AgentId)>,
 }
 
 impl std::fmt::Debug for Machine {
@@ -239,12 +245,8 @@ impl std::fmt::Debug for Machine {
 impl Machine {
     /// Builds a machine from a configuration.
     pub fn new(config: MachineConfig) -> Self {
-        config.layout.validate();
-        let mem: SharedMemory = Rc::new(RefCell::new(PhysMemory::new(config.layout.ram_size)));
-        let mut bus = Bus::new(config.layout, Rc::clone(&mem), config.bus_timing);
-        let engine = DmaEngine::new(
+        let mut engine = DmaEngine::new(
             config.layout,
-            mem,
             EngineConfig {
                 num_contexts: config.num_contexts,
                 link: config.link,
@@ -252,7 +254,20 @@ impl Machine {
             },
             config.method.protocol(),
         );
-        bus.attach_nic(Box::new(engine.clone()));
+        let fault_service = match config.virt_dma {
+            Some(setup) => {
+                engine.core_mut().enable_iommu(setup.iotlb, setup.virt);
+                FaultService::new(setup.fault_costs)
+            }
+            None => FaultService::default(),
+        };
+        // Both non-flat coherence modes make the CPU a data-carrying MESI
+        // agent (so stale-data hazards are real, not assumed); only
+        // `Coherent` also puts the engine side of the port on the snoop
+        // bus.
+        let (mode, timing) = (config.coherence.mode, config.coherence.timing);
+        let mem = MemPort::new(PhysMemory::new(config.layout.ram_size), config.cache, mode, timing);
+        let bus = Bus::new(config.layout, mem, config.bus_timing, engine);
         let kernel = Kernel::new(
             config.layout,
             config.cost,
@@ -261,7 +276,7 @@ impl Machine {
             config.key_seed,
             config.key_bits,
         );
-        let mut executor = Executor::with_cache(config.cost, config.wb_policy, config.cache);
+        let mut executor = Executor::new(config.cost, config.wb_policy);
         if config.method.needs_pal() {
             // PAL_DMA(r1 = shadow(vdst), r2 = size, r3 = shadow(vsrc)):
             // the SHRIMP-2 sequence, uninterruptible (§2.7).
@@ -271,39 +286,7 @@ impl Machine {
                 .build();
             executor.install_pal(PAL_DMA, pal);
         }
-        // Coherence: both non-flat modes attach the CPU as a data-carrying
-        // MESI agent (so stale-data hazards are real, not assumed); only
-        // `Coherent` additionally puts the engine's mover on the snoop bus.
-        let coherence = match config.coherence.mode {
-            CoherenceMode::Flat => None,
-            mode => {
-                let shared = CoherenceDomain::new(bus.memory(), config.coherence.timing).shared();
-                let agent = shared.borrow_mut().add_agent(config.cache);
-                executor.attach_coherence(Rc::clone(&shared), agent);
-                if mode == CoherenceMode::Coherent {
-                    engine.core_mut().attach_coherence(Rc::clone(&shared));
-                }
-                Some((shared, agent))
-            }
-        };
-        let fault_service = match config.virt_dma {
-            Some(setup) => {
-                engine.core_mut().enable_iommu(setup.iotlb, setup.virt);
-                FaultService::new(setup.fault_costs)
-            }
-            None => FaultService::default(),
-        };
-        Machine {
-            config,
-            bus,
-            executor,
-            kernel,
-            engine,
-            envs: Vec::new(),
-            fault_service,
-            ctx_cache: None,
-            coherence,
-        }
+        Machine { config, bus, executor, kernel, envs: Vec::new(), fault_service, ctx_cache: None }
     }
 
     /// A machine with the default (paper-testbed) configuration.
@@ -377,7 +360,7 @@ impl Machine {
         // Virtual-address DMA: the granted context id doubles as the
         // process's ASID in the NI-side IOMMU.
         if let (Some(setup), Some(g)) = (self.config.virt_dma, ctx) {
-            let mut core = self.engine.core_mut();
+            let core = self.bus.nic_mut().core_mut();
             let iommu = core.iommu_mut().expect("virt_dma config enables the IOMMU");
             iommu.create_context(g.ctx);
             if setup.mode == VaMode::PinOnPost {
@@ -393,7 +376,7 @@ impl Machine {
             let src = &buffers[src_i];
             let dst = &buffers[dst_i];
             assert!(dst.pages >= src.pages, "mapped-out target too small");
-            let mut core = self.engine.core_mut();
+            let core = self.bus.nic_mut().core_mut();
             for p in 0..src.pages {
                 core.set_mapped_out(
                     src.first_frame.offset(p),
@@ -404,7 +387,7 @@ impl Machine {
         // SHRIMP-1 mapped-out table (remote twins on cluster nodes).
         for &(src_i, node, asid, va) in &spec.mapped_out_remote {
             let src = &buffers[src_i];
-            let mut core = self.engine.core_mut();
+            let core = self.bus.nic_mut().core_mut();
             for p in 0..src.pages {
                 let va = va + p * PAGE_SIZE;
                 core.set_mapped_out(
@@ -453,16 +436,6 @@ impl Machine {
         self.executor.now()
     }
 
-    /// The coherence domain, when one exists.
-    pub(crate) fn coherence_domain(&self) -> Option<SharedCoherence> {
-        self.coherence.as_ref().map(|(d, _)| Rc::clone(d))
-    }
-
-    /// The coherence domain and the CPU's agent id in it.
-    pub(crate) fn cpu_coherence(&self) -> Option<(SharedCoherence, AgentId)> {
-        self.coherence.as_ref().map(|(d, a)| (Rc::clone(d), *a))
-    }
-
     /// Charges externally-computed time (software coherence loops)
     /// against the machine clock.
     pub(crate) fn advance_time(&mut self, dt: SimTime) {
@@ -481,7 +454,13 @@ impl Machine {
 
     /// The DMA engine (stats, transfer records, protocol kind).
     pub fn engine(&self) -> &DmaEngine {
-        &self.engine
+        self.bus.nic()
+    }
+
+    /// The DMA engine, mutably (configuration the owner programs
+    /// directly: keys, mapped-out pages, IOMMU mappings).
+    pub fn engine_mut(&mut self) -> &mut DmaEngine {
+        self.bus.nic_mut()
     }
 
     /// The kernel (stats, switch policy).
@@ -562,17 +541,18 @@ impl Machine {
     ) -> LogicalPost {
         let cache = self.ctx_cache.as_mut().expect("call enable_ctx_virtualization first");
         let cost = &self.config.cost;
-        let mut core = self.engine.core_mut();
-        let acq = cache.acquire(p, &mut core, now);
+        let (engine, mem) = self.bus.nic_and_port();
+        let core = engine.core_mut();
+        let acq = cache.acquire(p, core, now);
         match acq {
             Acquired::Hit { ctx } | Acquired::Filled { ctx, .. } => {
                 // The keyed user-level sequence: two keyed address
                 // stores, the size store, one status load (§3.1).
                 let user = SimTime::from_ps(cost.mem_instr().as_ps() * 4);
                 let initiation = acq.cost() + user;
-                let record = core
-                    .start_user_dma(src, dst, size, Initiator::Context(ctx), now + initiation)
-                    .ok();
+                let at = now + initiation;
+                let record =
+                    core.start_user_dma(src, dst, size, Initiator::Context(ctx), at, mem).ok();
                 if let Some(idx) = record {
                     core.context_mut(ctx).set_last_transfer(idx);
                 }
@@ -591,8 +571,8 @@ impl Machine {
                     + 2 * pages * cost.translation().as_ps()
                     + 4 * cost.mem_instr().as_ps();
                 let initiation = acq.cost() + SimTime::from_ps(kernel_path);
-                let record =
-                    core.start_user_dma(src, dst, size, Initiator::Kernel, now + initiation).ok();
+                let at = now + initiation;
+                let record = core.start_user_dma(src, dst, size, Initiator::Kernel, at, mem).ok();
                 let throttled = matches!(acq, Acquired::Throttled { .. });
                 LogicalPost { path: PostPath::KernelFallback { throttled }, initiation, record }
             }
@@ -600,12 +580,12 @@ impl Machine {
     }
 
     /// The bus (trace, counters).
-    pub fn bus(&self) -> &Bus {
+    pub fn bus(&self) -> &Bus<DmaEngine> {
         &self.bus
     }
 
     /// Mutable bus access (enable tracing before a run).
-    pub fn bus_mut(&mut self) -> &mut Bus {
+    pub fn bus_mut(&mut self) -> &mut Bus<DmaEngine> {
         &mut self.bus
     }
 
@@ -614,9 +594,16 @@ impl Machine {
         &self.executor
     }
 
-    /// Shared physical memory (seed/inspect data in tests).
-    pub fn memory(&self) -> SharedMemory {
-        self.bus.memory()
+    /// Physical memory, bypassing every cache (seed/inspect data in
+    /// tests). The simulator itself never borrows this cell: it reaches
+    /// memory through the bus's port.
+    pub fn memory(&self) -> &RefCell<PhysMemory> {
+        self.bus.port().ram()
+    }
+
+    /// Physical memory, bypassing every cache.
+    pub fn memory_mut(&mut self) -> &mut PhysMemory {
+        self.bus.port_mut().ram_mut()
     }
 
     /// Takes the SHRIMP-1 sends to remote twins started since the last
@@ -625,12 +612,12 @@ impl Machine {
     /// status the process read is final at initiation, so the cluster
     /// can run after the machine.
     pub fn take_remote_sends(&mut self) -> Vec<RemoteSend> {
-        self.engine.core_mut().take_remote_sends()
+        self.engine_mut().core_mut().take_remote_sends()
     }
 
     /// Snapshot of all local transfers the engine performed.
     pub fn transfers(&self) -> Vec<TransferRecord> {
-        self.engine.core().mover().records().to_vec()
+        self.engine().core().mover().records().to_vec()
     }
 
     // ---- virtual-address DMA ----------------------------------------
@@ -658,12 +645,13 @@ impl Machine {
         let asid =
             self.envs[pid.as_u32() as usize].ctx.expect("virtual-address DMA needs a context").ctx;
         let now = self.executor.now();
-        self.engine.core_mut().post_virt_dma(asid, src, dst, size, now)
+        let (engine, mem) = self.bus.nic_and_port();
+        engine.core_mut().post_virt_dma(asid, src, dst, size, now, mem)
     }
 
     /// Snapshot of a virtual-address transfer.
     pub fn virt_xfer(&self, id: usize) -> Option<VirtTransfer> {
-        self.engine.core().virt_xfers().get(id).copied()
+        self.engine().core().virt_xfers().get(id).copied()
     }
 
     // ---- doorbell-batched descriptor rings ---------------------------
@@ -682,7 +670,7 @@ impl Machine {
             self.config.virt_dma.is_some(),
             "descriptor rings need a VirtDmaSetup: the engine translates descriptors through the IOMMU"
         );
-        self.engine.core_mut().enable_rings(config);
+        self.engine_mut().core_mut().enable_rings(config);
     }
 
     /// OS-mediated ring registration (the §3.2 grant path): validates
@@ -711,7 +699,8 @@ impl Machine {
     /// Panics if `pid` has no register context.
     pub fn post_ring(&mut self, pid: Pid, desc: &DmaDescriptor) -> Result<u64, RejectReason> {
         let ctx = self.envs[pid.as_u32() as usize].ctx.expect("ring post needs a context").ctx;
-        self.engine.core_mut().ring_post(ctx, desc)
+        let (engine, mem) = self.bus.nic_and_port();
+        engine.core_mut().ring_post(ctx, desc, mem)
     }
 
     /// Rings `pid`'s doorbell — the programmatic twin of the single
@@ -724,13 +713,15 @@ impl Machine {
     pub fn ring_doorbell(&mut self, pid: Pid) -> Vec<RingLaunch> {
         let ctx = self.envs[pid.as_u32() as usize].ctx.expect("doorbell needs a context").ctx;
         let now = self.executor.now();
-        let tail = self.engine.core().rings().map_or(0, |r| r.ring(ctx).posted);
-        self.engine.core_mut().ring_doorbell(ctx, tail, now)
+        let (engine, mem) = self.bus.nic_and_port();
+        let core = engine.core_mut();
+        let tail = core.rings().map_or(0, |r| r.ring(ctx).posted);
+        core.ring_doorbell(ctx, tail, now, mem)
     }
 
     /// Counters of the NI's descriptor-ring unit.
     pub fn ring_stats(&self) -> RingStats {
-        self.engine.core().ring_stats()
+        self.engine().core().ring_stats()
     }
 
     /// Drains the engine's I/O fault queue through the OS fault service:
@@ -740,7 +731,8 @@ impl Machine {
     pub fn service_va_faults(&mut self) -> u64 {
         let mut serviced = 0;
         loop {
-            let mut core = self.engine.core_mut();
+            let (engine, mem) = self.bus.nic_and_port();
+            let core = engine.core_mut();
             let Some(virt) = core.virt_mut() else {
                 return serviced;
             };
@@ -768,7 +760,7 @@ impl Machine {
                     virt.fail(pending.xfer, now + cost);
                 }
                 FaultResolution::Mapped | FaultResolution::SwappedIn => {
-                    core.resume_virt(pending.xfer, now + cost);
+                    core.resume_virt(pending.xfer, now + cost, mem);
                 }
             }
         }
@@ -787,7 +779,8 @@ impl Machine {
             }
             if self.service_va_faults() == 0 {
                 let now = self.executor.now();
-                self.engine.core_mut().resume_virt(id, now);
+                let (engine, mem) = self.bus.nic_and_port();
+                engine.core_mut().resume_virt(id, now, mem);
             }
         }
         self.virt_xfer(id).map(|t| t.state).unwrap_or(VirtState::Running)
@@ -804,7 +797,7 @@ impl Machine {
     pub fn swap_out_va(&mut self, pid: Pid, va: VirtAddr) -> Result<(), SwapRefused> {
         let page = va.page();
         let asid = self.envs[pid.as_u32() as usize].ctx.map(|g| g.ctx);
-        let mut core = self.engine.core_mut();
+        let core = self.bus.nic_mut().core_mut();
         if let (Some(asid), Some(iommu)) = (asid, core.iommu_mut()) {
             if iommu.table(asid).and_then(|t| t.entry(page)).is_some_and(|e| e.pinned) {
                 return Err(SwapRefused::Pinned);

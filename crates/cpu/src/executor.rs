@@ -5,10 +5,7 @@ use crate::{
     CostModel, Instr, Operand, Pid, Process, Program, Reg, Scheduler, SwitchReason, TrapHandler,
 };
 use std::collections::HashMap;
-use udma_bus::{
-    AgentId, Bus, BusOp, BusTxn, CacheConfig, CacheStats, DataCache, PendingStore, SharedCoherence,
-    SimTime, WriteBuffer, WriteBufferPolicy,
-};
+use udma_bus::{Bus, BusTxn, PendingStore, SimTime, WriteBuffer, WriteBufferPolicy};
 use udma_mem::{Access, MemFault, PageTable, Tlb, TlbStats};
 
 /// Counters kept by the executor.
@@ -37,24 +34,17 @@ pub struct RunOutcome {
 }
 
 /// The CPU: owns the processes, the TLB, the write buffer and the PAL
-/// function table, and advances simulated time as it executes.
+/// function table, and advances simulated time as it executes. Its data
+/// cache sits behind the CPU side of the bus's memory port.
 pub struct Executor {
     processes: Vec<Process>,
     tlb: Tlb,
     wb: WriteBuffer,
-    dcache: DataCache,
     cost: CostModel,
     now: SimTime,
     current: Option<Pid>,
     pal: HashMap<u16, Program>,
     stats: ExecStats,
-    /// When attached, cacheable loads and retired stores go through this
-    /// agent of a data-carrying coherence domain instead of the
-    /// timing-only `dcache` + flat RAM: the cache holds real line
-    /// contents, so a DMA engine that bypasses it can observably read
-    /// stale data. Base costs are unchanged (hit cycles / RAM latency);
-    /// only coherence extras are added.
-    coherence: Option<(SharedCoherence, AgentId)>,
 }
 
 impl std::fmt::Debug for Executor {
@@ -72,37 +62,16 @@ impl Executor {
     /// Creates an executor with the given cost model and write-buffer
     /// policy.
     pub fn new(cost: CostModel, wb_policy: WriteBufferPolicy) -> Self {
-        Self::with_cache(cost, wb_policy, CacheConfig::alpha_21064())
-    }
-
-    /// Creates an executor with an explicit data-cache geometry (use
-    /// [`CacheConfig::disabled`] for a cache-less machine).
-    pub fn with_cache(cost: CostModel, wb_policy: WriteBufferPolicy, cache: CacheConfig) -> Self {
         Executor {
             processes: Vec::new(),
             tlb: Tlb::default(),
             wb: WriteBuffer::new(wb_policy),
-            dcache: DataCache::new(cache),
             cost,
             now: SimTime::ZERO,
             current: None,
             pal: HashMap::new(),
             stats: ExecStats::default(),
-            coherence: None,
         }
-    }
-
-    /// Routes this CPU's cacheable data traffic through `agent` of a
-    /// coherence domain (see the `coherence` field). The timing-only
-    /// `dcache` stops being consulted; [`dcache_stats`](Self::dcache_stats)
-    /// reports the domain agent's counters instead.
-    pub fn attach_coherence(&mut self, domain: SharedCoherence, agent: AgentId) {
-        self.coherence = Some((domain, agent));
-    }
-
-    /// The attached coherence domain and agent id, if any.
-    pub fn coherence(&self) -> Option<(SharedCoherence, AgentId)> {
-        self.coherence.clone()
     }
 
     /// Spawns a ready process and returns its pid (pids are dense,
@@ -169,14 +138,6 @@ impl Executor {
         self.tlb.stats()
     }
 
-    /// Data-cache counters (the coherence agent's when one is attached).
-    pub fn dcache_stats(&self) -> CacheStats {
-        match &self.coherence {
-            Some((domain, agent)) => domain.borrow().cache(*agent).stats(),
-            None => self.dcache.stats(),
-        }
-    }
-
     /// The write buffer (inspect collapse/forward counters in tests).
     pub fn write_buffer(&self) -> &WriteBuffer {
         &self.wb
@@ -222,13 +183,10 @@ impl Executor {
         };
         // Kernel entry implies a barrier: pending stores retire in order.
         self.retire_all(bus);
+        // No address-space tags: a switch drops the TLB and the whole
+        // data cache (writing dirty lines back on a cached machine).
         self.tlb.flush_all();
-        self.dcache.flush_all();
-        if let Some((domain, agent)) = self.coherence.clone() {
-            // No address-space tags: a switch writes back and drops the
-            // whole data cache, exactly like the timing-only model.
-            domain.borrow_mut().flush_all(agent);
-        }
+        bus.port_mut().cpu_flush_all();
         if from.is_some() {
             self.now += self.cost.context_switch();
             self.stats.context_switches += 1;
@@ -440,60 +398,34 @@ impl Executor {
             }
         };
         self.now += self.cost.mem_instr();
-        let mut cache_hit = None;
-        if bus.layout().is_device(pa) {
+        let tag = self.processes[idx].pid().as_u32();
+        let loaded = if bus.layout().is_device(pa) {
             // Uncached device loads are strongly ordered with respect to
             // buffered stores (TurboChannel semantics): retire the write
             // buffer before the load reaches the NIC. Same-address
             // *stores* can still collapse in the buffer — the hazard the
-            // paper's memory barriers guard against.
+            // paper's memory barriers guard against. The bus prices it.
             self.retire_all(bus);
+            bus.access(BusTxn::read(pa, tag), self.now)
         } else if let Some(data) = self.wb.service_load(pa) {
             // Forwarded from the write buffer: never reaches the bus.
             self.processes[idx].set_reg(dst, data);
             return Ok(());
-        } else if let Some((domain, agent)) = self.coherence.clone() {
-            // Coherent load: data comes from the agent's cache (which may
-            // hold lines memory has never seen). The bus still accounts
-            // the access — counted before the alignment check, exactly
-            // where the flat path counts it. Alignment rules match the
-            // RAM device's.
-            bus.note_ram_access(BusOp::Read);
-            if !pa.is_aligned_to(8) {
-                self.kill(idx, MemFault::Misaligned { addr: pa.as_u64(), size: 8 });
-                return Err(());
-            }
-            let mut b = [0u8; 8];
-            match domain.borrow_mut().agent_read(agent, pa, &mut b) {
-                Ok((hit, extra)) => {
-                    self.now += if hit {
-                        self.cost.cycles(self.cost.dcache_hit_cycles)
-                    } else {
-                        bus.ram_latency()
-                    };
-                    self.now += extra;
-                    self.processes[idx].set_reg(dst, u64::from_le_bytes(b));
-                    return Ok(());
-                }
-                Err(f) => {
-                    self.kill(idx, f);
-                    return Err(());
-                }
-            }
         } else {
-            // Cacheable load: the cache decides the *time*; the data
-            // still comes from memory (the cache is tags-only, so DMA
-            // writes can never be observed stale).
-            cache_hit = Some(self.dcache.access(pa));
-        }
-        let tag = self.processes[idx].pid().as_u32();
-        match bus.access(BusTxn::read(pa, tag), self.now) {
-            Ok((data, t)) => {
-                self.now += match cache_hit {
-                    Some(true) => self.cost.cycles(self.cost.dcache_hit_cycles),
-                    Some(false) => bus.ram_latency(),
-                    None => t, // device access: the bus priced it
+            // Cacheable load through the CPU's cache: a hit costs the hit
+            // cycles, a miss the DRAM latency, plus any coherence time.
+            bus.cpu_read(pa, tag, self.now).map(|(data, hit, extra)| {
+                let base = if hit {
+                    self.cost.cycles(self.cost.dcache_hit_cycles)
+                } else {
+                    bus.ram_latency()
                 };
+                (data, base + extra)
+            })
+        };
+        match loaded {
+            Ok((data, t)) => {
+                self.now += t;
                 self.processes[idx].set_reg(dst, data);
                 Ok(())
             }
@@ -532,24 +464,10 @@ impl Executor {
         Ok(())
     }
 
+    /// Retires one buffered store. A RAM store goes through the CPU side
+    /// of the memory port (into the cache on a cached machine) and costs
+    /// the DRAM latency plus any ownership time.
     fn retire(&mut self, p: PendingStore, bus: &mut Bus) -> Result<(), MemFault> {
-        if !bus.layout().is_device(p.paddr) {
-            if let Some((domain, agent)) = self.coherence.clone() {
-                // Coherent store retirement: the data lands in the
-                // agent's cache (Modified), not in memory; base cost is
-                // the same DRAM latency the flat bus charges, plus
-                // whatever ownership cost the snoop incurred. Counted on
-                // the bus like a flat retirement.
-                bus.note_ram_access(BusOp::Write);
-                if !p.paddr.is_aligned_to(8) {
-                    return Err(MemFault::Misaligned { addr: p.paddr.as_u64(), size: 8 });
-                }
-                let (_, extra) =
-                    domain.borrow_mut().agent_write(agent, p.paddr, &p.data.to_le_bytes())?;
-                self.now += bus.ram_latency() + extra;
-                return Ok(());
-            }
-        }
         let (_, t) = bus.access(p.into_txn(), self.now)?;
         self.now += t;
         Ok(())
@@ -574,15 +492,18 @@ mod tests {
     use super::*;
     use crate::NullTrapHandler;
     use crate::{ProcState, ProgramBuilder, RunToCompletion};
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    use udma_bus::BusTiming;
+    use udma_bus::{BusTiming, CacheConfig, CoherenceMode, CoherenceTiming, MemPort, NoNic};
     use udma_mem::{FrameAllocator, Perms, PhysLayout, PhysMemory, VirtAddr, VirtPage};
 
-    fn world() -> (Bus, PageTable) {
+    fn world() -> (Bus<NoNic>, PageTable) {
+        world_in(CoherenceMode::Flat)
+    }
+
+    fn world_in(mode: CoherenceMode) -> (Bus<NoNic>, PageTable) {
         let layout = PhysLayout::default();
-        let mem = Rc::new(RefCell::new(PhysMemory::new(layout.ram_size)));
-        let bus = Bus::new(layout, mem, BusTiming::turbochannel());
+        let ram = PhysMemory::new(layout.ram_size);
+        let mem = MemPort::new(ram, CacheConfig::alpha_21064(), mode, CoherenceTiming::default());
+        let bus = Bus::new(layout, mem, BusTiming::turbochannel(), NoNic);
         let mut pt = PageTable::new();
         let mut alloc = FrameAllocator::new(1 << 20);
         for p in 0..4u64 {
@@ -789,8 +710,7 @@ mod tests {
         let out = ex.run(&mut sched, &mut NullTrapHandler, &mut bus, 100);
         assert!(out.finished);
         assert!(ex.stats().context_switches >= 1);
-        let mem = bus.memory();
-        let val = mem.borrow().read_u64(shared.base()).unwrap();
+        let val = bus.port_mut().ram_mut().read_u64(shared.base()).unwrap();
         assert_eq!(val, 2);
     }
 
@@ -864,13 +784,9 @@ mod tests {
 
     #[test]
     fn coherent_executor_keeps_stores_in_cache_until_flush() {
-        use udma_bus::{CoherenceDomain, CoherenceTiming, MesiState};
-        let (mut bus, pt) = world();
-        let domain = CoherenceDomain::new(bus.memory(), CoherenceTiming::default());
-        let shared = domain.shared();
-        let agent = shared.borrow_mut().add_agent(CacheConfig::alpha_21064());
+        use udma_bus::MesiState;
+        let (mut bus, pt) = world_in(CoherenceMode::Coherent);
         let mut ex = exec();
-        ex.attach_coherence(shared.clone(), agent);
         let prog = ProgramBuilder::new()
             .store(0x100u64, 0xABu64)
             .mb()
@@ -885,24 +801,20 @@ mod tests {
         assert_eq!(ex.process(pid).reg(Reg::R1), 0xAB);
         let frame0 =
             ex.process(pid).page_table().translate(VirtAddr::new(0x100), Access::Read).unwrap();
-        assert_eq!(shared.borrow().cache(agent).state_of(frame0), MesiState::Modified);
-        assert_eq!(bus.memory().borrow().read_u64(frame0).unwrap(), 0);
-        assert_eq!(ex.dcache_stats().hits, 1, "agent counters visible via dcache_stats");
-        shared.borrow().check_invariants().unwrap();
+        let (domain, agent) = bus.port().coherence().unwrap();
+        assert_eq!(domain.cache(agent).state_of(frame0), MesiState::Modified);
+        assert_eq!(bus.port_mut().ram_mut().read_u64(frame0).unwrap(), 0);
+        assert_eq!(bus.port().cpu_cache_stats().hits, 1, "agent counters behind the CPU side");
+        bus.port_mut().check_invariants().unwrap();
         // A context switch (here: flushing by hand) publishes it.
-        shared.borrow_mut().flush_all(agent);
-        assert_eq!(bus.memory().borrow().read_u64(frame0).unwrap(), 0xAB);
+        bus.port_mut().cpu_flush_all();
+        assert_eq!(bus.port_mut().ram_mut().read_u64(frame0).unwrap(), 0xAB);
     }
 
     #[test]
     fn coherent_executor_preserves_fault_semantics() {
-        use udma_bus::{CoherenceDomain, CoherenceTiming};
-        let (mut bus, pt) = world();
-        let domain = CoherenceDomain::new(bus.memory(), CoherenceTiming::default());
-        let shared = domain.shared();
-        let agent = shared.borrow_mut().add_agent(CacheConfig::alpha_21064());
+        let (mut bus, pt) = world_in(CoherenceMode::Coherent);
         let mut ex = exec();
-        ex.attach_coherence(shared, agent);
         // Misaligned load kills the process, as on the flat path.
         let prog = ProgramBuilder::new().load(Reg::R1, 0x101u64).halt().build();
         let pid = ex.spawn(prog, pt);

@@ -4,9 +4,7 @@
 use udma_testkit::prop::{any, vec, Just, Strategy};
 use udma_testkit::{one_of, prop_assert, prop_assert_eq, props};
 
-use std::cell::RefCell;
-use std::rc::Rc;
-use udma_bus::{Bus, BusTiming, WriteBufferPolicy};
+use udma_bus::{Bus, BusTiming, MemPort, NoNic, WriteBufferPolicy};
 use udma_cpu::{
     CostModel, Executor, Instr, NullTrapHandler, Operand, Program, Reg, RunToCompletion,
 };
@@ -120,10 +118,10 @@ fn instrs() -> impl Strategy<Value = Vec<Instr>> {
     })
 }
 
-fn machine() -> (Executor, Bus, PageTable) {
+fn machine() -> (Executor, Bus<NoNic>, PageTable) {
     let layout = PhysLayout::default();
-    let mem = Rc::new(RefCell::new(PhysMemory::new(layout.ram_size)));
-    let bus = Bus::new(layout, mem, BusTiming::turbochannel());
+    let mem = MemPort::flat(PhysMemory::new(layout.ram_size));
+    let bus = Bus::new(layout, mem, BusTiming::turbochannel(), NoNic);
     let mut pt = PageTable::new();
     let mut alloc = FrameAllocator::with_range(1, 16);
     pt.map(VirtPage::new(0), alloc.alloc().unwrap(), Perms::READ_WRITE).unwrap();
@@ -156,10 +154,10 @@ props! {
         // Memory: the executor drains the write buffer at end of run, so
         // the page must match the reference word for word.
         prop_assert!(ex.write_buffer().is_empty());
-        let mem = bus.memory();
+        let mem = bus.port_mut().ram_mut();
         for (w, &want) in expect_mem.iter().enumerate() {
             let pa = frame.base() + (w as u64) * 8;
-            let got = mem.borrow().read_u64(pa).unwrap();
+            let got = mem.read_u64(pa).unwrap();
             prop_assert_eq!(got, want, "word {} differs", w);
         }
     }

@@ -4,7 +4,7 @@
 //! data without a round trip through the kernel. Each operation takes one
 //! physical address, up to two data operands, and returns the old value.
 
-use udma_bus::SharedMemory;
+use udma_bus::MemPort;
 use udma_mem::{MemFault, PhysAddr};
 
 /// An atomic read-modify-write operation on a 64-bit word.
@@ -39,7 +39,9 @@ impl AtomicOp {
         }
     }
 
-    /// Applies the operation to memory, returning the old value.
+    /// Applies the operation to memory through the engine side of the
+    /// port, returning the old value. A coherent engine snoops both bus
+    /// cycles, so a CPU's Modified copy of the word is read, not lost.
     ///
     /// The engine executes this in a single step of the simulation, which
     /// models the hardware's indivisible bus cycle pair.
@@ -49,13 +51,12 @@ impl AtomicOp {
     /// Propagates the memory fault if the address is bad.
     pub fn apply(
         self,
-        mem: &SharedMemory,
+        mem: &mut MemPort,
         addr: PhysAddr,
         operand1: u64,
         operand2: u64,
     ) -> Result<u64, MemFault> {
-        let mut mem = mem.borrow_mut();
-        let old = mem.read_u64(addr)?;
+        let old = mem.dma_read_u64(addr)?;
         let new = match self {
             AtomicOp::Add => old.wrapping_add(operand1),
             AtomicOp::FetchStore => operand1,
@@ -67,7 +68,7 @@ impl AtomicOp {
                 }
             }
         };
-        mem.write_u64(addr, new)?;
+        mem.dma_write_u64(addr, new)?;
         Ok(old)
     }
 }
@@ -75,49 +76,47 @@ impl AtomicOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
     use udma_mem::PhysMemory;
 
-    fn mem_with(addr: u64, value: u64) -> SharedMemory {
-        let mem = Rc::new(RefCell::new(PhysMemory::new(1 << 16)));
-        mem.borrow_mut().write_u64(PhysAddr::new(addr), value).unwrap();
+    fn mem_with(addr: u64, value: u64) -> MemPort {
+        let mut mem = MemPort::flat(PhysMemory::new(1 << 16));
+        mem.ram_mut().write_u64(PhysAddr::new(addr), value).unwrap();
         mem
     }
 
     #[test]
     fn add_returns_old_and_updates() {
-        let mem = mem_with(0x100, 10);
-        let old = AtomicOp::Add.apply(&mem, PhysAddr::new(0x100), 5, 0).unwrap();
+        let mut mem = mem_with(0x100, 10);
+        let old = AtomicOp::Add.apply(&mut mem, PhysAddr::new(0x100), 5, 0).unwrap();
         assert_eq!(old, 10);
-        assert_eq!(mem.borrow().read_u64(PhysAddr::new(0x100)).unwrap(), 15);
+        assert_eq!(mem.ram_mut().read_u64(PhysAddr::new(0x100)).unwrap(), 15);
     }
 
     #[test]
     fn add_wraps() {
-        let mem = mem_with(0x100, u64::MAX);
-        AtomicOp::Add.apply(&mem, PhysAddr::new(0x100), 1, 0).unwrap();
-        assert_eq!(mem.borrow().read_u64(PhysAddr::new(0x100)).unwrap(), 0);
+        let mut mem = mem_with(0x100, u64::MAX);
+        AtomicOp::Add.apply(&mut mem, PhysAddr::new(0x100), 1, 0).unwrap();
+        assert_eq!(mem.ram_mut().read_u64(PhysAddr::new(0x100)).unwrap(), 0);
     }
 
     #[test]
     fn fetch_store_swaps() {
-        let mem = mem_with(0x100, 7);
-        let old = AtomicOp::FetchStore.apply(&mem, PhysAddr::new(0x100), 99, 0).unwrap();
+        let mut mem = mem_with(0x100, 7);
+        let old = AtomicOp::FetchStore.apply(&mut mem, PhysAddr::new(0x100), 99, 0).unwrap();
         assert_eq!(old, 7);
-        assert_eq!(mem.borrow().read_u64(PhysAddr::new(0x100)).unwrap(), 99);
+        assert_eq!(mem.ram_mut().read_u64(PhysAddr::new(0x100)).unwrap(), 99);
     }
 
     #[test]
     fn compare_swap_success_and_failure() {
-        let mem = mem_with(0x100, 5);
-        let old = AtomicOp::CompareSwap.apply(&mem, PhysAddr::new(0x100), 5, 50).unwrap();
+        let mut mem = mem_with(0x100, 5);
+        let old = AtomicOp::CompareSwap.apply(&mut mem, PhysAddr::new(0x100), 5, 50).unwrap();
         assert_eq!(old, 5);
-        assert_eq!(mem.borrow().read_u64(PhysAddr::new(0x100)).unwrap(), 50);
+        assert_eq!(mem.ram_mut().read_u64(PhysAddr::new(0x100)).unwrap(), 50);
 
-        let old = AtomicOp::CompareSwap.apply(&mem, PhysAddr::new(0x100), 5, 99).unwrap();
+        let old = AtomicOp::CompareSwap.apply(&mut mem, PhysAddr::new(0x100), 5, 99).unwrap();
         assert_eq!(old, 50); // compare failed, unchanged
-        assert_eq!(mem.borrow().read_u64(PhysAddr::new(0x100)).unwrap(), 50);
+        assert_eq!(mem.ram_mut().read_u64(PhysAddr::new(0x100)).unwrap(), 50);
     }
 
     #[test]
@@ -131,8 +130,8 @@ mod tests {
 
     #[test]
     fn bad_address_faults() {
-        let mem = mem_with(0x100, 5);
-        assert!(AtomicOp::Add.apply(&mem, PhysAddr::new(1 << 40), 1, 0).is_err());
-        assert!(AtomicOp::Add.apply(&mem, PhysAddr::new(0x101), 1, 0).is_err());
+        let mut mem = mem_with(0x100, 5);
+        assert!(AtomicOp::Add.apply(&mut mem, PhysAddr::new(1 << 40), 1, 0).is_err());
+        assert!(AtomicOp::Add.apply(&mut mem, PhysAddr::new(0x101), 1, 0).is_err());
     }
 }

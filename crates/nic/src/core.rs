@@ -9,7 +9,7 @@ use crate::{
     RegisterContext, RejectReason, RemoteSend, TransferRecord, DMA_FAILURE,
 };
 use std::collections::HashMap;
-use udma_bus::{SharedMemory, SimTime};
+use udma_bus::{MemPort, SimTime};
 use udma_iommu::{Asid, Iommu, IotlbConfig};
 use udma_mem::{PhysAddr, PhysFrame, PhysLayout, VirtAddr};
 
@@ -60,43 +60,11 @@ impl EngineStats {
     pub fn rejected_for(&self, reason: RejectReason) -> u64 {
         self.rejects.get(&reason).copied().unwrap_or(0)
     }
-}
 
-/// The back-end every initiation path shares: the data mover (which
-/// holds the engine's one memory handle) and the engine counters each
-/// launch books. The register protocols, the kernel driver and the VA
-/// and ring units are front-ends over it.
-#[derive(Clone, Debug)]
-pub(crate) struct Backend {
-    pub(crate) mover: DmaMover,
-    pub(crate) stats: EngineStats,
-}
-
-impl Backend {
     /// Counts a refused initiation and hands the reason back.
     pub(crate) fn reject(&mut self, reason: RejectReason) -> RejectReason {
-        *self.stats.rejects.entry(reason).or_insert(0) += 1;
+        *self.rejects.entry(reason).or_insert(0) += 1;
         reason
-    }
-
-    /// See [`EngineCore::launch_checked`].
-    pub(crate) fn launch(
-        &mut self,
-        src: PhysAddr,
-        dst: PhysAddr,
-        size: u64,
-        initiator: Initiator,
-        multipage_ok: bool,
-        now: SimTime,
-    ) -> Result<(usize, SimTime), RejectReason> {
-        let launched = self.mover.start(src, dst, size, initiator, multipage_ok, now);
-        self.book(launched)
-    }
-
-    /// Books a launch attempt: a start on success, a counted reject
-    /// otherwise.
-    fn book<T>(&mut self, launched: Result<T, RejectReason>) -> Result<T, RejectReason> {
-        launched.map_err(|reason| self.reject(reason)).inspect(|_| self.stats.started += 1)
     }
 }
 
@@ -104,10 +72,15 @@ impl Backend {
 /// The register contexts, key table and kernel-path registers are the
 /// paper's engine (§3.1–3.3); the virtual-address unit is optional and
 /// owns its own state, including the descriptor-ring unit.
+///
+/// The engine holds no memory: each operation that moves bytes takes the
+/// machine's [`MemPort`] and lends it, with the mover and the counters,
+/// to the back-end every initiation path ends in.
 #[derive(Clone, Debug)]
 pub struct EngineCore {
     layout: PhysLayout,
-    back: Backend,
+    mover: DmaMover,
+    stats: EngineStats,
     contexts: Vec<RegisterContext>,
     key_table: Vec<u64>,
     /// SHRIMP-1 mapped-out table: source frame → destination page base
@@ -129,16 +102,17 @@ pub struct EngineCore {
 }
 
 impl EngineCore {
-    /// Creates the core over the machine's memory.
+    /// Creates the core.
     ///
     /// # Panics
     ///
     /// Panics if `config.num_contexts` exceeds [`MAX_CONTEXTS`] or is 0.
-    pub fn new(layout: PhysLayout, mem: SharedMemory, config: EngineConfig) -> Self {
+    pub fn new(layout: PhysLayout, config: EngineConfig) -> Self {
         assert!((1..=MAX_CONTEXTS).contains(&config.num_contexts), "context count out of range");
         EngineCore {
             layout,
-            back: Backend { mover: DmaMover::new(mem, config.link), stats: EngineStats::default() },
+            mover: DmaMover::new(config.link),
+            stats: EngineStats::default(),
             contexts: vec![RegisterContext::new(); config.num_contexts as usize],
             key_table: vec![0; config.num_contexts as usize],
             mapped_out: HashMap::new(),
@@ -167,22 +141,22 @@ impl EngineCore {
 
     /// Engine counters.
     pub fn stats(&self) -> &EngineStats {
-        &self.back.stats
+        &self.stats
     }
 
     /// Counts a key mismatch (keyed protocol).
     pub fn note_key_mismatch(&mut self) {
-        self.back.stats.key_mismatches += 1;
+        self.stats.key_mismatches += 1;
     }
 
     /// Counts a sequence reset (repeated-passing protocol).
     pub fn note_sequence_reset(&mut self) {
-        self.back.stats.sequence_resets += 1;
+        self.stats.sequence_resets += 1;
     }
 
     /// Counts a rejected initiation.
     pub fn note_reject(&mut self, reason: RejectReason) {
-        self.back.reject(reason);
+        self.stats.reject(reason);
     }
 
     /// Device-side latency of a keyed shadow store: what the key check
@@ -193,12 +167,12 @@ impl EngineCore {
 
     /// The transfer history.
     pub fn mover(&self) -> &DmaMover {
-        &self.back.mover
+        &self.mover
     }
 
     /// Clears transfer history (long benchmark runs).
     pub fn clear_transfer_records(&mut self) {
-        self.back.mover.clear_records();
+        self.mover.clear_records();
     }
 
     /// One register context.
@@ -340,25 +314,11 @@ impl EngineCore {
         self.mapped_out.insert(src, dst_base);
     }
 
-    /// Makes the engine a snooping (coherent) bus master on the host's
-    /// coherence domain: every DMA read/write from now on snoops the
-    /// CPU caches (see [`DmaMover::attach_coherence`]).
-    pub fn attach_coherence(&mut self, coherence: udma_bus::SharedCoherence) {
-        self.back.mover.attach_coherence(coherence);
-    }
-
-    /// Whether the engine snoops the coherence bus.
-    pub fn is_coherent(&self) -> bool {
-        self.back.mover.is_coherent()
-    }
-
-    /// The one checked launch sequence every local initiation path
-    /// funnels through: validates via the mover (zero-size, page-cross,
-    /// range), books the started/rejected statistics exactly once, and
-    /// returns the mover record index and the time the last byte
-    /// arrives. The register paths, the kernel driver, the
-    /// virtual-address chunk stream and the descriptor-ring dequeue all
-    /// end here instead of keeping their own near-copies.
+    /// A checked launch of a transfer whose whole range the caller
+    /// validated (the kernel's `check_size`, Figure 1), so it may cross
+    /// pages: the back-end launch every local initiation path ends in.
+    /// Returns the mover record index and the time the last byte
+    /// arrives.
     ///
     /// # Errors
     ///
@@ -369,10 +329,10 @@ impl EngineCore {
         dst: PhysAddr,
         size: u64,
         initiator: Initiator,
-        multipage_ok: bool,
         now: SimTime,
+        mem: &mut MemPort,
     ) -> Result<(usize, SimTime), RejectReason> {
-        self.back.launch(src, dst, size, initiator, multipage_ok, now)
+        self.mover.lend(&mut self.stats, mem).launch(src, dst, size, initiator, true, now)
     }
 
     /// The SHRIMP-1 launch (§2.4): `size` bytes at `src` go to the fixed
@@ -392,24 +352,25 @@ impl EngineCore {
         src: PhysAddr,
         size: u64,
         now: SimTime,
+        mem: &mut MemPort,
     ) -> Result<(), RejectReason> {
         let off = src.page_offset();
-        match self.mapped_out.get(&src.page()).copied() {
+        let dst = self.mapped_out.get(&src.page()).copied();
+        let mut back = self.mover.lend(&mut self.stats, mem);
+        match dst {
             Some(Destination::Local(base)) => {
-                let dst = base + off;
-                self.back.launch(src, dst, size, Initiator::Anonymous, false, now).map(drop)
+                back.launch(src, base + off, size, Initiator::Anonymous, false, now).map(drop)
             }
             Some(Destination::Remote { node, asid, va }) => {
-                let sent = self.back.mover.send(src, node, asid, va + off, size, now);
-                self.back.book(sent)
+                back.send(src, node, asid, va + off, size, now)
             }
-            None => Err(self.back.reject(RejectReason::MissingArgs)),
+            None => Err(back.reject(RejectReason::MissingArgs)),
         }
     }
 
     /// Takes every remote send started so far, in launch order.
     pub fn take_remote_sends(&mut self) -> Vec<RemoteSend> {
-        self.back.mover.take_sends()
+        self.mover.take_sends()
     }
 
     /// Starts a user-level transfer (single-page rule enforced).
@@ -422,8 +383,10 @@ impl EngineCore {
         size: u64,
         initiator: Initiator,
         now: SimTime,
+        mem: &mut MemPort,
     ) -> Result<usize, RejectReason> {
-        let launched = self.back.launch(src, dst, size, initiator, false, now);
+        let launched =
+            self.mover.lend(&mut self.stats, mem).launch(src, dst, size, initiator, false, now);
         launched.map(|(index, _)| index)
     }
 
@@ -442,10 +405,10 @@ impl EngineCore {
     /// Write to `DMA_SIZE`: starts a kernel-level DMA with the staged
     /// source/destination. The kernel has already validated the whole
     /// range, so multi-page transfers are allowed.
-    pub fn start_kernel_dma(&mut self, size: u64, now: SimTime) {
+    pub fn start_kernel_dma(&mut self, size: u64, now: SimTime, mem: &mut MemPort) {
         let src = PhysAddr::new(self.dma_source);
         let dst = PhysAddr::new(self.dma_dest);
-        self.dma_status = match self.back.launch(src, dst, size, Initiator::Kernel, true, now) {
+        self.dma_status = match self.launch_checked(src, dst, size, Initiator::Kernel, now, mem) {
             Ok(_) => size,
             Err(_) => DMA_FAILURE,
         };
@@ -457,8 +420,7 @@ impl EngineCore {
         if self.dma_status == DMA_FAILURE {
             return DMA_FAILURE;
         }
-        self.back
-            .mover
+        self.mover
             .records()
             .iter()
             .rev()
@@ -483,11 +445,10 @@ impl EngineCore {
     }
 
     /// Write to `ATOMIC_CMD`: executes the staged kernel-path atomic.
-    pub fn exec_kernel_atomic(&mut self, code: u64) {
+    pub fn exec_kernel_atomic(&mut self, code: u64, mem: &mut MemPort) {
+        let (addr, op1, op2) = (PhysAddr::new(self.atomic_addr), self.atomic_op1, self.atomic_op2);
         self.atomic_result = match AtomicOp::from_code(code) {
-            Some(op) => self
-                .exec_atomic(op, PhysAddr::new(self.atomic_addr), self.atomic_op1, self.atomic_op2)
-                .unwrap_or(DMA_FAILURE),
+            Some(op) => self.exec_atomic(op, addr, op1, op2, mem).unwrap_or(DMA_FAILURE),
             None => DMA_FAILURE,
         };
     }
@@ -497,16 +458,25 @@ impl EngineCore {
         self.atomic_result
     }
 
-    /// Executes an atomic operation against memory (shared by the kernel
-    /// path and the user-level context paths).
-    pub fn exec_atomic(&mut self, op: AtomicOp, addr: PhysAddr, op1: u64, op2: u64) -> Option<u64> {
-        match op.apply(self.back.mover.mem(), addr, op1, op2) {
+    /// Executes an atomic operation against memory through the port's
+    /// engine side (shared by the kernel path and the user-level context
+    /// paths). The initiation is not charged the snoop time; the port's
+    /// coherence statistics count it.
+    pub fn exec_atomic(
+        &mut self,
+        op: AtomicOp,
+        addr: PhysAddr,
+        op1: u64,
+        op2: u64,
+        mem: &mut MemPort,
+    ) -> Option<u64> {
+        match op.apply(mem, addr, op1, op2) {
             Ok(old) => {
-                self.back.stats.atomics += 1;
+                self.stats.atomics += 1;
                 Some(old)
             }
             Err(_) => {
-                self.back.reject(RejectReason::BadRange);
+                self.stats.reject(RejectReason::BadRange);
                 None
             }
         }
@@ -570,11 +540,12 @@ impl EngineCore {
         dst: VirtAddr,
         size: u64,
         now: SimTime,
+        mem: &mut MemPort,
     ) -> Result<usize, RejectReason> {
         let Some(virt) = self.virt.as_mut() else {
             panic!("virtual-address DMA requires enable_iommu");
         };
-        virt.post(asid, src, dst, size, now, &mut self.back)
+        virt.post(asid, src, dst, size, now, &mut self.mover.lend(&mut self.stats, mem))
     }
 
     /// Resumes a faulted transfer (the OS calls this after servicing the
@@ -587,18 +558,25 @@ impl EngineCore {
     /// # Panics
     ///
     /// Panics if the engine has no IOMMU or no transfer `id` was posted.
-    pub fn resume_virt(&mut self, id: usize, now: SimTime) -> VirtState {
+    pub fn resume_virt(&mut self, id: usize, now: SimTime, mem: &mut MemPort) -> VirtState {
         let Some(virt) = self.virt.as_mut() else {
             panic!("no virtual-address transfer {id} to resume");
         };
-        virt.resume(id, now, &mut self.back)
+        virt.resume(id, now, &mut self.mover.lend(&mut self.stats, mem))
     }
 
     /// Store to a `CTX_VIRT_*` offset of context `ctx`'s page (ignored
     /// without the unit).
-    pub fn ctx_virt_store(&mut self, ctx: u32, off: u64, data: u64, now: SimTime) {
+    pub fn ctx_virt_store(
+        &mut self,
+        ctx: u32,
+        off: u64,
+        data: u64,
+        now: SimTime,
+        mem: &mut MemPort,
+    ) {
         if let Some(virt) = self.virt.as_mut() {
-            virt.ctx_store(ctx, off, data, now, &mut self.back);
+            virt.ctx_store(ctx, off, data, now, &mut self.mover.lend(&mut self.stats, mem));
         }
     }
 
@@ -635,9 +613,9 @@ impl EngineCore {
     }
 
     /// The user-library post helper: encodes `desc` into the next free
-    /// ring slot in host memory (four plain word stores — the cheap
-    /// part the doorbell amortizes over) and advances the posted
-    /// cursor. Returns the absolute slot index; the descriptor does
+    /// ring slot in host memory (four word stores through the port's
+    /// engine side — the cheap part the doorbell amortizes over) and
+    /// advances the posted cursor. Returns the absolute slot index; the descriptor does
     /// nothing until a doorbell covers it.
     ///
     /// # Errors
@@ -647,11 +625,15 @@ impl EngineCore {
     /// descriptors; [`RejectReason::BadRange`] when the registered
     /// window leaves installed RAM. Both are counted like every engine
     /// reject.
-    pub fn ring_post(&mut self, ctx: u32, desc: &DmaDescriptor) -> Result<u64, RejectReason> {
+    pub fn ring_post(
+        &mut self,
+        ctx: u32,
+        desc: &DmaDescriptor,
+        mem: &mut MemPort,
+    ) -> Result<u64, RejectReason> {
         let rings = self.virt.as_mut().and_then(|v| v.rings.as_mut());
-        let posted =
-            rings.map_or(Err(RejectReason::RingFull), |r| r.post(ctx, desc, self.back.mover.mem()));
-        posted.map_err(|reason| self.back.reject(reason))
+        let posted = rings.map_or(Err(RejectReason::RingFull), |r| r.post(ctx, desc, mem));
+        posted.map_err(|reason| self.stats.reject(reason))
     }
 
     /// The doorbell: dequeues, translates and launches every
@@ -673,9 +655,15 @@ impl EngineCore {
     /// engine's reject statistics. A tail more than one ring's worth of
     /// slots past the head is clamped: the ring cannot hold more.
     /// Without the ring unit a doorbell does nothing.
-    pub fn ring_doorbell(&mut self, ctx: u32, tail: u64, now: SimTime) -> Vec<RingLaunch> {
+    pub fn ring_doorbell(
+        &mut self,
+        ctx: u32,
+        tail: u64,
+        now: SimTime,
+        mem: &mut MemPort,
+    ) -> Vec<RingLaunch> {
         match self.virt.as_mut() {
-            Some(virt) => virt.doorbell(ctx, tail, now, &mut self.back),
+            Some(virt) => virt.doorbell(ctx, tail, now, &mut self.mover.lend(&mut self.stats, mem)),
             None => Vec::new(),
         }
     }
@@ -685,7 +673,7 @@ impl EngineCore {
         self.contexts
             .get(ctx as usize)
             .and_then(|c| c.last_transfer())
-            .and_then(|i| self.back.mover.record(i))
+            .and_then(|i| self.mover.record(i))
     }
 }
 
@@ -693,23 +681,21 @@ impl EngineCore {
 mod tests {
     use super::*;
     use crate::{regs, DescDst, DESC_FLAG_CHAIN, DESC_FLAG_FRAG};
-    use std::cell::RefCell;
-    use std::rc::Rc;
     use udma_iommu::IoFaultKind;
     use udma_mem::{PhysMemory, PAGE_SIZE};
 
-    fn core() -> EngineCore {
+    fn core() -> (EngineCore, MemPort) {
         let layout = PhysLayout::default();
-        let mem = Rc::new(RefCell::new(PhysMemory::new(1 << 22)));
-        EngineCore::new(layout, mem, EngineConfig::default())
+        let mem = MemPort::flat(PhysMemory::new(1 << 22));
+        (EngineCore::new(layout, EngineConfig::default()), mem)
     }
 
     #[test]
     fn kernel_dma_round_trip() {
-        let mut c = core();
+        let (mut c, mut mem) = core();
         c.set_dma_source(0x2000);
         c.set_dma_dest(0x6000);
-        c.start_kernel_dma(256, SimTime::ZERO);
+        c.start_kernel_dma(256, SimTime::ZERO, &mut mem);
         assert_eq!(c.stats().started, 1);
         // Far in the future the transfer is complete.
         assert_eq!(c.kernel_dma_status(SimTime::from_us(10_000)), 0);
@@ -717,27 +703,29 @@ mod tests {
 
     #[test]
     fn kernel_dma_failure_status() {
-        let mut c = core();
+        let (mut c, mut mem) = core();
         c.set_dma_source(0x2000);
         c.set_dma_dest(0x6000);
-        c.start_kernel_dma(0, SimTime::ZERO);
+        c.start_kernel_dma(0, SimTime::ZERO, &mut mem);
         assert_eq!(c.kernel_dma_status(SimTime::ZERO), DMA_FAILURE);
         assert_eq!(c.stats().rejected_for(RejectReason::ZeroSize), 1);
     }
 
     #[test]
     fn user_dma_rejects_page_cross() {
-        let mut c = core();
+        let (mut c, mut mem) = core();
         let src = PhysAddr::new(PAGE_SIZE - 8);
         let dst = PhysAddr::new(4 * PAGE_SIZE);
-        let err = c.start_user_dma(src, dst, 64, Initiator::Anonymous, SimTime::ZERO).unwrap_err();
+        let err = c
+            .start_user_dma(src, dst, 64, Initiator::Anonymous, SimTime::ZERO, &mut mem)
+            .unwrap_err();
         assert_eq!(err, RejectReason::PageCross);
         assert_eq!(c.stats().rejected(), 1);
     }
 
     #[test]
     fn keys_and_contexts() {
-        let mut c = core();
+        let (mut c, _) = core();
         assert_eq!(c.num_contexts(), 4);
         c.set_key(2, 0xDEAD);
         assert_eq!(c.key(2), 0xDEAD);
@@ -751,7 +739,7 @@ mod tests {
 
     #[test]
     fn save_restore_round_trip() {
-        let mut c = core();
+        let (mut c, _) = core();
         c.set_key(1, 0xBEEF);
         c.context_mut(1).push_addr(PhysAddr::new(0x2000));
         c.context_mut(1).push_addr(PhysAddr::new(0x1000));
@@ -772,7 +760,7 @@ mod tests {
 
     #[test]
     fn save_refused_while_transfer_in_flight() {
-        let mut c = core();
+        let (mut c, mut mem) = core();
         let idx = c
             .start_user_dma(
                 PhysAddr::new(0x2000),
@@ -780,6 +768,7 @@ mod tests {
                 256,
                 Initiator::Context(0),
                 SimTime::ZERO,
+                &mut mem,
             )
             .unwrap();
         c.context_mut(0).set_last_transfer(idx);
@@ -797,13 +786,13 @@ mod tests {
 
     #[test]
     fn save_refused_while_virt_transfer_paused_at_fault() {
-        let mut c = virt_core();
+        let (mut c, mut mem) = virt_core();
         // Second source page unmapped: the GO posts, moves one page and
         // pauses at the fault, still owning its resume path.
         c.iommu_mut().unwrap().unmap(1, udma_mem::VirtPage::new(1)).unwrap();
-        c.ctx_virt_store(1, regs::CTX_VIRT_SRC, 0, SimTime::ZERO);
-        c.ctx_virt_store(1, regs::CTX_VIRT_DST, 8 * PAGE_SIZE, SimTime::ZERO);
-        c.ctx_virt_store(1, regs::CTX_VIRT_GO, 2 * PAGE_SIZE, SimTime::ZERO);
+        c.ctx_virt_store(1, regs::CTX_VIRT_SRC, 0, SimTime::ZERO, &mut mem);
+        c.ctx_virt_store(1, regs::CTX_VIRT_DST, 8 * PAGE_SIZE, SimTime::ZERO, &mut mem);
+        c.ctx_virt_store(1, regs::CTX_VIRT_GO, 2 * PAGE_SIZE, SimTime::ZERO, &mut mem);
         assert!(matches!(c.virt_xfers()[0].state, VirtState::Faulted(_)));
         // No wire time can drain a paused transfer.
         let later = SimTime::from_us(100_000);
@@ -818,7 +807,7 @@ mod tests {
 
     #[test]
     fn steal_and_starvation_notes() {
-        let mut c = core();
+        let (mut c, _) = core();
         c.note_ctx_steal();
         c.note_ctx_steal();
         c.note_ctx_starvation();
@@ -828,21 +817,21 @@ mod tests {
 
     #[test]
     fn kernel_atomic_path() {
-        let mut c = core();
-        c.back.mover.mem().borrow_mut().write_u64(PhysAddr::new(0x100), 40).unwrap();
+        let (mut c, mut mem) = core();
+        mem.ram_mut().write_u64(PhysAddr::new(0x100), 40).unwrap();
         c.set_atomic_addr(0x100);
         c.set_atomic_op1(2);
-        c.exec_kernel_atomic(AtomicOp::Add.code());
+        c.exec_kernel_atomic(AtomicOp::Add.code(), &mut mem);
         assert_eq!(c.kernel_atomic_result(), 40);
-        assert_eq!(c.back.mover.mem().borrow().read_u64(PhysAddr::new(0x100)).unwrap(), 42);
+        assert_eq!(mem.ram_mut().read_u64(PhysAddr::new(0x100)).unwrap(), 42);
         assert_eq!(c.stats().atomics, 1);
 
-        c.exec_kernel_atomic(99);
+        c.exec_kernel_atomic(99, &mut mem);
         assert_eq!(c.kernel_atomic_result(), DMA_FAILURE);
     }
 
-    fn virt_core() -> EngineCore {
-        let mut c = core();
+    fn virt_core() -> (EngineCore, MemPort) {
+        let (mut c, mem) = core();
         c.enable_iommu(IotlbConfig::default(), VirtDmaConfig::default());
         let iommu = c.iommu_mut().unwrap();
         iommu.create_context(1);
@@ -868,22 +857,18 @@ mod tests {
                 )
                 .unwrap();
         }
-        c
+        (c, mem)
     }
 
     #[test]
     fn virt_dma_splits_at_page_boundaries() {
-        let mut c = virt_core();
-        c.back
-            .mover
-            .mem()
-            .borrow_mut()
-            .write_u64(PhysAddr::new(8 * PAGE_SIZE + 0x100), 0xABCD)
-            .unwrap();
+        let (mut c, mut mem) = virt_core();
+        mem.ram_mut().write_u64(PhysAddr::new(8 * PAGE_SIZE + 0x100), 0xABCD).unwrap();
         // 2.5 pages, starting mid-page: chunks must never cross a page.
         let src = VirtAddr::new(0x100);
         let dst = VirtAddr::new(8 * PAGE_SIZE + 0x100);
-        let id = c.post_virt_dma(1, src, dst, 2 * PAGE_SIZE + 128, SimTime::ZERO).unwrap();
+        let id =
+            c.post_virt_dma(1, src, dst, 2 * PAGE_SIZE + 128, SimTime::ZERO, &mut mem).unwrap();
         let t = c.virt_xfers()[id];
         assert_eq!(t.state, VirtState::Complete);
         assert_eq!(t.moved, 2 * PAGE_SIZE + 128);
@@ -894,16 +879,13 @@ mod tests {
             assert!(rec.dst.page_offset() + rec.size <= PAGE_SIZE);
         }
         // The data actually landed (frame 16 = VA page 8).
-        assert_eq!(
-            c.back.mover.mem().borrow().read_u64(PhysAddr::new(16 * PAGE_SIZE + 0x100)).unwrap(),
-            0xABCD
-        );
+        assert_eq!(mem.ram_mut().read_u64(PhysAddr::new(16 * PAGE_SIZE + 0x100)).unwrap(), 0xABCD);
         assert_eq!(c.virt().unwrap().status(id, SimTime::from_us(100_000)), 0);
     }
 
     #[test]
     fn virt_fault_pauses_at_the_boundary_and_resumes() {
-        let mut c = virt_core();
+        let (mut c, mut mem) = virt_core();
         // Second source page (VA page 1) is not mapped.
         c.iommu_mut().unwrap().unmap(1, udma_mem::VirtPage::new(1)).unwrap();
         let id = c
@@ -913,6 +895,7 @@ mod tests {
                 VirtAddr::new(8 * PAGE_SIZE),
                 2 * PAGE_SIZE,
                 SimTime::ZERO,
+                &mut mem,
             )
             .unwrap();
         let t = c.virt_xfers()[id];
@@ -934,7 +917,7 @@ mod tests {
                 true,
             )
             .unwrap();
-        let state = c.resume_virt(id, SimTime::from_us(5));
+        let state = c.resume_virt(id, SimTime::from_us(5), &mut mem);
         assert_eq!(state, VirtState::Complete);
         assert_eq!(c.virt_xfers()[id].moved, 2 * PAGE_SIZE);
         assert_eq!(c.virt_stats().faults, 1);
@@ -943,16 +926,23 @@ mod tests {
 
     #[test]
     fn virt_retries_are_bounded() {
-        let mut c = virt_core();
+        let (mut c, mut mem) = virt_core();
         c.iommu_mut().unwrap().unmap(1, udma_mem::VirtPage::new(0)).unwrap();
         let id = c
-            .post_virt_dma(1, VirtAddr::new(0), VirtAddr::new(8 * PAGE_SIZE), 64, SimTime::ZERO)
+            .post_virt_dma(
+                1,
+                VirtAddr::new(0),
+                VirtAddr::new(8 * PAGE_SIZE),
+                64,
+                SimTime::ZERO,
+                &mut mem,
+            )
             .unwrap();
         let max = c.virt().unwrap().config().retry.max_retries;
         let mut state = c.virt_xfers()[id].state;
         let mut resumes = 0;
         while matches!(state, VirtState::Faulted(_)) {
-            state = c.resume_virt(id, SimTime::ZERO);
+            state = c.resume_virt(id, SimTime::ZERO, &mut mem);
             resumes += 1;
             assert!(resumes <= max + 1, "resume loop did not terminate");
         }
@@ -966,7 +956,7 @@ mod tests {
 
     #[test]
     fn virt_fail_is_terminal_and_preserves_prefix_rule() {
-        let mut c = virt_core();
+        let (mut c, mut mem) = virt_core();
         c.iommu_mut().unwrap().unmap(1, udma_mem::VirtPage::new(1)).unwrap();
         let id = c
             .post_virt_dma(
@@ -975,6 +965,7 @@ mod tests {
                 VirtAddr::new(8 * PAGE_SIZE),
                 2 * PAGE_SIZE,
                 SimTime::ZERO,
+                &mut mem,
             )
             .unwrap();
         let state = c.virt_mut().unwrap().fail(id, SimTime::from_us(1));
@@ -982,32 +973,32 @@ mod tests {
         assert_eq!(c.virt_xfers()[id].moved, PAGE_SIZE);
         assert_eq!(c.virt().unwrap().status(id, SimTime::from_us(1)), DMA_FAILURE);
         // Further resumes do nothing.
-        assert_eq!(c.resume_virt(id, SimTime::from_us(2)), state);
+        assert_eq!(c.resume_virt(id, SimTime::from_us(2), &mut mem), state);
     }
 
     #[test]
     fn ctx_virt_window_posts_and_reports() {
-        let mut c = virt_core();
+        let (mut c, mut mem) = virt_core();
         let now = SimTime::ZERO;
         // GO before staging: rejected with MissingArgs.
-        c.ctx_virt_store(1, regs::CTX_VIRT_GO, 64, now);
+        c.ctx_virt_store(1, regs::CTX_VIRT_GO, 64, now, &mut mem);
         assert_eq!(c.virt().unwrap().ctx_load(1, regs::CTX_VIRT_GO, now), DMA_FAILURE);
         assert_eq!(c.stats().rejected_for(RejectReason::MissingArgs), 1);
 
-        c.ctx_virt_store(1, regs::CTX_VIRT_SRC, 0x40, now);
-        c.ctx_virt_store(1, regs::CTX_VIRT_DST, 8 * PAGE_SIZE, now);
-        c.ctx_virt_store(1, regs::CTX_VIRT_GO, 64, now);
+        c.ctx_virt_store(1, regs::CTX_VIRT_SRC, 0x40, now, &mut mem);
+        c.ctx_virt_store(1, regs::CTX_VIRT_DST, 8 * PAGE_SIZE, now, &mut mem);
+        c.ctx_virt_store(1, regs::CTX_VIRT_GO, 64, now, &mut mem);
         assert_eq!(c.virt().unwrap().ctx_load(1, regs::CTX_VIRT_SRC, now), 0x40);
         assert_eq!(c.virt().unwrap().ctx_load(1, regs::CTX_VIRT_GO, SimTime::from_us(100_000)), 0);
         assert_eq!(c.virt_stats().posted, 1);
         // Unknown context: store ignored, load fails.
-        c.ctx_virt_store(9, regs::CTX_VIRT_GO, 64, now);
+        c.ctx_virt_store(9, regs::CTX_VIRT_GO, 64, now, &mut mem);
         assert_eq!(c.virt().unwrap().ctx_load(9, regs::CTX_VIRT_GO, now), DMA_FAILURE);
     }
 
     #[test]
     fn virt_iotlb_hits_skip_the_walk_cost() {
-        let mut c = virt_core();
+        let (mut c, mut mem) = virt_core();
         let id1 = c
             .post_virt_dma(
                 1,
@@ -1015,6 +1006,7 @@ mod tests {
                 VirtAddr::new(8 * PAGE_SIZE),
                 PAGE_SIZE,
                 SimTime::ZERO,
+                &mut mem,
             )
             .unwrap();
         let cold = c.virt_xfers()[id1].stall;
@@ -1025,6 +1017,7 @@ mod tests {
                 VirtAddr::new(8 * PAGE_SIZE),
                 PAGE_SIZE,
                 SimTime::ZERO,
+                &mut mem,
             )
             .unwrap();
         let warm = c.virt_xfers()[id2].stall;
@@ -1036,27 +1029,25 @@ mod tests {
     #[test]
     #[should_panic(expected = "requires enable_iommu")]
     fn virt_post_without_iommu_panics() {
-        let mut c = core();
-        let _ = c.post_virt_dma(0, VirtAddr::new(0), VirtAddr::new(0), 8, SimTime::ZERO);
+        let (mut c, mut mem) = core();
+        let _ = c.post_virt_dma(0, VirtAddr::new(0), VirtAddr::new(0), 8, SimTime::ZERO, &mut mem);
     }
 
     #[test]
     #[should_panic(expected = "context count")]
     fn too_many_contexts_panics() {
         let layout = PhysLayout::default();
-        let mem = Rc::new(RefCell::new(PhysMemory::new(1 << 20)));
-        let _ =
-            EngineCore::new(layout, mem, EngineConfig { num_contexts: 9, ..Default::default() });
+        let _ = EngineCore::new(layout, EngineConfig { num_contexts: 9, ..Default::default() });
     }
 
     /// A virt-enabled core with rings on and a 16-slot ring registered
     /// for context 1 at physical 0x40000 (clear of the test mappings).
-    fn ring_core() -> EngineCore {
-        let mut c = virt_core();
+    fn ring_core() -> (EngineCore, MemPort) {
+        let (mut c, mem) = virt_core();
         c.enable_rings(RingConfig::default());
         c.rings_mut().unwrap().set_base(1, 0x40000);
         c.rings_mut().unwrap().set_ctl(1, 16);
-        c
+        (c, mem)
     }
 
     fn local_desc(src: u64, dst: u64, len: u64) -> DmaDescriptor {
@@ -1065,22 +1056,18 @@ mod tests {
 
     #[test]
     fn ring_post_then_doorbell_launches_batch() {
-        let mut c = ring_core();
+        let (mut c, mut mem) = ring_core();
         // Three sources in VA page 0, destinations in VA page 8.
         for i in 0..3u64 {
-            c.back
-                .mover
-                .mem()
-                .borrow_mut()
-                .write_u64(PhysAddr::new(8 * PAGE_SIZE + 0x40 * i), 0xA0 + i)
-                .unwrap();
-            let slot = c.ring_post(1, &local_desc(0x40 * i, 8 * PAGE_SIZE + 0x100 * i, 8));
+            mem.ram_mut().write_u64(PhysAddr::new(8 * PAGE_SIZE + 0x40 * i), 0xA0 + i).unwrap();
+            let slot =
+                c.ring_post(1, &local_desc(0x40 * i, 8 * PAGE_SIZE + 0x100 * i, 8), &mut mem);
             assert_eq!(slot, Ok(i));
         }
         assert_eq!(c.rings().unwrap().ring(1).pending(), 3);
         assert_eq!(c.rings().unwrap().db_load(1), 3);
 
-        let launches = c.ring_doorbell(1, 3, SimTime::ZERO);
+        let launches = c.ring_doorbell(1, 3, SimTime::ZERO, &mut mem);
         assert_eq!(launches.len(), 3);
         for l in &launches {
             assert!(matches!(l, RingLaunch::Virt(_)));
@@ -1090,12 +1077,7 @@ mod tests {
         // The bytes landed (frame 16 = dst VA page 8).
         for i in 0..3u64 {
             assert_eq!(
-                c.back
-                    .mover
-                    .mem()
-                    .borrow()
-                    .read_u64(PhysAddr::new(16 * PAGE_SIZE + 0x100 * i))
-                    .unwrap(),
+                mem.ram_mut().read_u64(PhysAddr::new(16 * PAGE_SIZE + 0x100 * i)).unwrap(),
                 0xA0 + i
             );
         }
@@ -1105,15 +1087,22 @@ mod tests {
 
     #[test]
     fn ring_fetch_latency_staggers_the_launch_clock() {
-        let mut c = ring_core();
+        let (mut c, mut mem) = ring_core();
         // Warm both translations first so the ring's chunks pay no walk
         // and launch exactly at the ring clock.
-        c.post_virt_dma(1, VirtAddr::new(0), VirtAddr::new(8 * PAGE_SIZE), 8, SimTime::ZERO)
-            .unwrap();
+        c.post_virt_dma(
+            1,
+            VirtAddr::new(0),
+            VirtAddr::new(8 * PAGE_SIZE),
+            8,
+            SimTime::ZERO,
+            &mut mem,
+        )
+        .unwrap();
         for i in 0..4u64 {
-            c.ring_post(1, &local_desc(0x40 * i, 8 * PAGE_SIZE + 0x40 * i, 8)).unwrap();
+            c.ring_post(1, &local_desc(0x40 * i, 8 * PAGE_SIZE + 0x40 * i, 8), &mut mem).unwrap();
         }
-        c.ring_doorbell(1, 4, SimTime::ZERO);
+        c.ring_doorbell(1, 4, SimTime::ZERO, &mut mem);
         let fetch = RingConfig::default().fetch_latency;
         // Chunk k of the batch launched at (k+1)·fetch: the engine pays
         // one descriptor fetch per launch, the CPU paid one doorbell.
@@ -1127,15 +1116,10 @@ mod tests {
 
     #[test]
     fn ring_gather_chain_deposits_contiguously() {
-        let mut c = ring_core();
+        let (mut c, mut mem) = ring_core();
         // Three 8-byte fragments scattered across VA page 0.
         for (i, off) in [0x00u64, 0x200, 0x400].iter().enumerate() {
-            c.back
-                .mover
-                .mem()
-                .borrow_mut()
-                .write_u64(PhysAddr::new(8 * PAGE_SIZE + off), 0xF0 + i as u64)
-                .unwrap();
+            mem.ram_mut().write_u64(PhysAddr::new(8 * PAGE_SIZE + off), 0xF0 + i as u64).unwrap();
         }
         // Head in slot 0 links fragment slots 1 and 2.
         let mut head = local_desc(0x00, 8 * PAGE_SIZE, 8);
@@ -1146,39 +1130,26 @@ mod tests {
         f1.link = Some(2);
         let mut f2 = local_desc(0x400, 0, 8);
         f2.flags = DESC_FLAG_FRAG;
-        c.ring_post(1, &head).unwrap();
-        c.ring_post(1, &f1).unwrap();
-        c.ring_post(1, &f2).unwrap();
+        c.ring_post(1, &head, &mut mem).unwrap();
+        c.ring_post(1, &f1, &mut mem).unwrap();
+        c.ring_post(1, &f2, &mut mem).unwrap();
         // A plain descriptor after the chain: the main scan must skip
         // the consumed fragment slots and still launch this one.
-        c.back
-            .mover
-            .mem()
-            .borrow_mut()
-            .write_u64(PhysAddr::new(8 * PAGE_SIZE + 0x600), 0x99)
-            .unwrap();
-        c.ring_post(1, &local_desc(0x600, 8 * PAGE_SIZE + 0x800, 8)).unwrap();
+        mem.ram_mut().write_u64(PhysAddr::new(8 * PAGE_SIZE + 0x600), 0x99).unwrap();
+        c.ring_post(1, &local_desc(0x600, 8 * PAGE_SIZE + 0x800, 8), &mut mem).unwrap();
 
-        let launches = c.ring_doorbell(1, 4, SimTime::ZERO);
+        let launches = c.ring_doorbell(1, 4, SimTime::ZERO, &mut mem);
         // 3 gather fragments + 1 plain launch; no rejects.
         assert_eq!(launches.len(), 4);
         assert!(launches.iter().all(|l| matches!(l, RingLaunch::Virt(_))));
         // The gather landed contiguously at the head's destination.
         for i in 0..3u64 {
             assert_eq!(
-                c.back
-                    .mover
-                    .mem()
-                    .borrow()
-                    .read_u64(PhysAddr::new(16 * PAGE_SIZE + 8 * i))
-                    .unwrap(),
+                mem.ram_mut().read_u64(PhysAddr::new(16 * PAGE_SIZE + 8 * i)).unwrap(),
                 0xF0 + i
             );
         }
-        assert_eq!(
-            c.back.mover.mem().borrow().read_u64(PhysAddr::new(16 * PAGE_SIZE + 0x800)).unwrap(),
-            0x99
-        );
+        assert_eq!(mem.ram_mut().read_u64(PhysAddr::new(16 * PAGE_SIZE + 0x800)).unwrap(), 0x99);
         let s = c.ring_stats();
         assert_eq!((s.fetched, s.launched, s.chained, s.rejected), (4, 4, 2, 0));
         assert_eq!(c.rings().unwrap().ring(1).pending(), 0);
@@ -1186,35 +1157,35 @@ mod tests {
 
     #[test]
     fn ring_full_and_unregistered_posts_reject() {
-        let mut c = ring_core();
+        let (mut c, mut mem) = ring_core();
         // Context 0 has no ring registered.
-        let err = c.ring_post(0, &local_desc(0, 8 * PAGE_SIZE, 8)).unwrap_err();
+        let err = c.ring_post(0, &local_desc(0, 8 * PAGE_SIZE, 8), &mut mem).unwrap_err();
         assert_eq!(err, RejectReason::RingFull);
         // Fill context 1's 16 slots; the 17th post bounces.
         for _ in 0..16 {
-            c.ring_post(1, &local_desc(0, 8 * PAGE_SIZE, 8)).unwrap();
+            c.ring_post(1, &local_desc(0, 8 * PAGE_SIZE, 8), &mut mem).unwrap();
         }
-        let err = c.ring_post(1, &local_desc(0, 8 * PAGE_SIZE, 8)).unwrap_err();
+        let err = c.ring_post(1, &local_desc(0, 8 * PAGE_SIZE, 8), &mut mem).unwrap_err();
         assert_eq!(err, RejectReason::RingFull);
         assert_eq!(c.stats().rejected_for(RejectReason::RingFull), 2);
         // Deregister: further doorbells reject too.
         c.rings_mut().unwrap().set_ctl(1, 0);
         assert!(!c.rings().unwrap().ring(1).registered());
-        assert!(c.ring_doorbell(1, 16, SimTime::ZERO).is_empty());
+        assert!(c.ring_doorbell(1, 16, SimTime::ZERO, &mut mem).is_empty());
         assert_eq!(c.stats().rejected_for(RejectReason::RingFull), 3);
     }
 
     #[test]
     fn save_refused_while_ring_pending_then_spills_with_image() {
-        let mut c = ring_core();
+        let (mut c, mut mem) = ring_core();
         c.set_key(1, 0x1234);
-        c.ring_post(1, &local_desc(0, 8 * PAGE_SIZE, 64)).unwrap();
+        c.ring_post(1, &local_desc(0, 8 * PAGE_SIZE, 64), &mut mem).unwrap();
         // Posted but undoorbelled work pins the context.
         assert!(c.context_busy(1, SimTime::ZERO));
         assert_eq!(c.save_context(1, SimTime::ZERO), Err(CtxBusy::RingPending));
         assert_eq!(c.ctx_stats().busy_denials, 1);
 
-        c.ring_doorbell(1, 1, SimTime::ZERO);
+        c.ring_doorbell(1, 1, SimTime::ZERO, &mut mem);
         // Immediately after the doorbell the batch is still draining.
         assert_eq!(c.save_context(1, SimTime::ZERO), Err(CtxBusy::RingPending));
 
@@ -1225,7 +1196,7 @@ mod tests {
         assert_eq!((ring.base, ring.capacity, ring.cursor), (0x40000, 16, 1));
         // …and the evicted slot no longer decodes doorbells.
         assert!(!c.rings().unwrap().ring(1).registered());
-        assert!(c.ring_doorbell(1, 5, later).is_empty());
+        assert!(c.ring_doorbell(1, 5, later, &mut mem).is_empty());
 
         // Restore into another slot: cursors converge, ring re-arms.
         c.restore_context(2, &image);
@@ -1253,15 +1224,15 @@ mod tests {
                 true,
             )
             .unwrap();
-        c.ring_post(2, &local_desc(0x8, 8 * PAGE_SIZE + 0x8, 8)).unwrap();
-        let launches = c.ring_doorbell(2, 2, later);
+        c.ring_post(2, &local_desc(0x8, 8 * PAGE_SIZE + 0x8, 8), &mut mem).unwrap();
+        let launches = c.ring_doorbell(2, 2, later, &mut mem);
         assert!(matches!(launches[..], [RingLaunch::Virt(_)]));
     }
 
     #[test]
     #[should_panic(expected = "require enable_iommu")]
     fn rings_without_iommu_panic() {
-        let mut c = core();
+        let (mut c, _) = core();
         c.enable_rings(RingConfig::default());
     }
 }

@@ -28,10 +28,10 @@
 //! deposits every fragment at the head's destination plus the
 //! accumulated offset — one doorbell, one destination, many fragments.
 
-use crate::engine_core::Backend;
+use crate::mover::Backend;
 use crate::status::RejectReason;
 use crate::{VirtUnit, DMA_FAILURE};
-use udma_bus::{SharedMemory, SimTime};
+use udma_bus::{MemPort, SimTime};
 use udma_mem::{PhysAddr, VirtAddr};
 
 /// Words per in-memory descriptor.
@@ -226,15 +226,16 @@ impl DescRing {
 
     /// Fetches and decodes the descriptor in relative slot `rel` (the
     /// engine-initiated host-memory read the per-descriptor fetch
-    /// latency models).
-    fn fetch(&self, rel: u32, mem: &SharedMemory) -> Option<DmaDescriptor> {
+    /// latency models): one burst through the port's engine side. A
+    /// slot off word alignment fails like a word read would.
+    fn fetch(&self, rel: u32, mem: &mut MemPort) -> Option<DmaDescriptor> {
         let base = self.slot_addr(rel);
-        let mut words = [0u64; DESC_WORDS];
-        let mem = mem.borrow();
-        for (w, word) in words.iter_mut().enumerate() {
-            *word = mem.read_u64(PhysAddr::new(base.as_u64() + 8 * w as u64)).ok()?;
+        let mut bytes = [0u8; DESC_BYTES as usize];
+        if !base.is_aligned_to(8) || mem.dma_read(base, &mut bytes).is_err() {
+            return None;
         }
-        DmaDescriptor::decode(words)
+        let (words, _) = bytes.as_chunks::<8>();
+        DmaDescriptor::decode(std::array::from_fn(|w| u64::from_le_bytes(words[w])))
     }
 }
 
@@ -289,13 +290,14 @@ impl RingUnit {
             .map_or(DMA_FAILURE, DescRing::pending)
     }
 
-    /// Encodes `desc` into `ctx`'s next free slot and advances the
-    /// posted cursor; see [`crate::EngineCore::ring_post`].
+    /// Encodes `desc` into `ctx`'s next free slot, in one burst through
+    /// the port's engine side, and advances the posted cursor; see
+    /// [`crate::EngineCore::ring_post`].
     pub(crate) fn post(
         &mut self,
         ctx: u32,
         desc: &DmaDescriptor,
-        mem: &SharedMemory,
+        mem: &mut MemPort,
     ) -> Result<u64, RejectReason> {
         let Some(r) = self.rings.get_mut(ctx as usize).filter(|r| r.registered()) else {
             return Err(RejectReason::RingFull);
@@ -305,9 +307,12 @@ impl RingUnit {
         }
         let slot = r.posted;
         let addr = r.slot_addr((slot % u64::from(r.capacity)) as u32);
-        for (w, word) in desc.encode().iter().enumerate() {
-            let at = PhysAddr::new(addr.as_u64() + 8 * w as u64);
-            mem.borrow_mut().write_u64(at, *word).map_err(|_| RejectReason::BadRange)?;
+        let mut bytes = [0u8; DESC_BYTES as usize];
+        for (chunk, word) in bytes.as_chunks_mut::<8>().0.iter_mut().zip(desc.encode()) {
+            *chunk = word.to_le_bytes();
+        }
+        if !addr.is_aligned_to(8) || mem.dma_write(addr, &bytes).is_err() {
+            return Err(RejectReason::BadRange);
         }
         r.posted = slot + 1;
         self.stats.posted += 1;
@@ -358,7 +363,7 @@ impl VirtUnit {
         ctx: u32,
         tail: u64,
         now: SimTime,
-        back: &mut Backend,
+        back: &mut Backend<'_>,
     ) -> Vec<RingLaunch> {
         // The ring unit is lent out for the dequeue so each launch can
         // post through this unit while the cursors advance; it goes back
@@ -377,7 +382,7 @@ impl VirtUnit {
         ctx: u32,
         tail: u64,
         now: SimTime,
-        back: &mut Backend,
+        back: &mut Backend<'_>,
     ) -> Vec<RingLaunch> {
         let mut out = Vec::new();
         let Some(ring) = unit.rings.get_mut(ctx as usize) else {
@@ -411,7 +416,7 @@ impl VirtUnit {
             // An undecodable slot, or a fragment no chain head claimed,
             // launches nothing.
             let Some(desc) =
-                ring.fetch(rel as u32, back.mover.mem()).filter(|d| d.flags & DESC_FLAG_FRAG == 0)
+                ring.fetch(rel as u32, back.mem).filter(|d| d.flags & DESC_FLAG_FRAG == 0)
             else {
                 refuse(stats, back, &mut out, 1);
                 continue;
@@ -433,9 +438,8 @@ impl VirtUnit {
                     clock += fetch;
                     stats.fetched += 1;
                     walked += 1;
-                    let Some(f) = ring
-                        .fetch(slot, back.mover.mem())
-                        .filter(|f| f.flags & DESC_FLAG_FRAG != 0)
+                    let Some(f) =
+                        ring.fetch(slot, back.mem).filter(|f| f.flags & DESC_FLAG_FRAG != 0)
                     else {
                         chain_ok = false;
                         break;
@@ -488,7 +492,7 @@ impl VirtUnit {
 
 /// Refuses `slots` fetched ring slots as `BadRange`: each counts once in
 /// the ring and engine statistics and appears once in `out`.
-fn refuse(stats: &mut RingStats, back: &mut Backend, out: &mut Vec<RingLaunch>, slots: u64) {
+fn refuse(stats: &mut RingStats, back: &mut Backend<'_>, out: &mut Vec<RingLaunch>, slots: u64) {
     for _ in 0..slots {
         stats.rejected += 1;
         out.push(RingLaunch::Rejected(back.reject(RejectReason::BadRange)));

@@ -178,6 +178,10 @@ impl FaultPlan {
     /// # Panics
     ///
     /// Panics if all [`MAX_BURSTS`] slots are taken.
+    #[allow(
+        clippy::expect_used,
+        reason = "a plan builder with too many bursts is a configuration error, documented above"
+    )]
     pub fn with_burst(mut self, start: u64, frames: u64) -> Self {
         let slot = self
             .bursts

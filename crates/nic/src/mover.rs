@@ -1,7 +1,7 @@
 //! The DMA data mover: validates and performs transfers.
 
-use crate::{Initiator, LinkModel, RejectReason};
-use udma_bus::{SharedCoherence, SharedMemory, SimTime};
+use crate::{EngineStats, Initiator, LinkModel, RejectReason};
+use udma_bus::{MemPort, SimTime};
 use udma_iommu::Asid;
 use udma_mem::{PhysAddr, VirtAddr, PAGE_SIZE};
 
@@ -74,9 +74,9 @@ impl TransferRecord {
     }
 }
 
-/// Performs local transfers against shared physical memory, records
-/// them, and models their completion times over a [`LinkModel`]; queues
-/// remote sends for the cluster to deliver.
+/// The mover's state: the link that times local transfers, the record
+/// of every transfer performed and the outbox of remote sends. The
+/// engine's back-end borrows it, with the memory port, to move bytes.
 ///
 /// Data is copied eagerly (the simulation needs memory to be consistent
 /// immediately); only *timing* is spread over the wire. The paper's own
@@ -85,137 +85,20 @@ impl TransferRecord {
 /// §3.4 footnote), so eager copy changes nothing observable.
 #[derive(Clone, Debug)]
 pub struct DmaMover {
-    mem: SharedMemory,
     link: LinkModel,
     records: Vec<TransferRecord>,
     outbox: Vec<RemoteSend>,
-    /// When attached, the engine is a *coherent* bus master: every read
-    /// snoops Modified lines out of the CPU caches and every write
-    /// invalidates them. Unattached (the non-coherent mode), the engine
-    /// reads and writes raw memory and software must flush around it.
-    coherence: Option<SharedCoherence>,
 }
 
 impl DmaMover {
-    /// Creates a mover over the machine's memory and link.
-    pub fn new(mem: SharedMemory, link: LinkModel) -> Self {
-        DmaMover { mem, link, records: Vec::new(), outbox: Vec::new(), coherence: None }
-    }
-
-    /// The memory the engine moves bytes in (descriptor rings and
-    /// atomics address it too).
-    pub(crate) fn mem(&self) -> &SharedMemory {
-        &self.mem
-    }
-
-    /// Makes the engine a snooping (coherent) bus master: transfers pull
-    /// Modified lines via intervention on the read side and invalidate
-    /// holders on the write side, with the extra time folded into each
-    /// record's completion.
-    pub fn attach_coherence(&mut self, coherence: SharedCoherence) {
-        self.coherence = Some(coherence);
-    }
-
-    /// Whether the engine snoops the coherence bus.
-    pub fn is_coherent(&self) -> bool {
-        self.coherence.is_some()
+    /// Creates a mover over the machine's link.
+    pub fn new(link: LinkModel) -> Self {
+        DmaMover { link, records: Vec::new(), outbox: Vec::new() }
     }
 
     /// The link model in force.
     pub fn link(&self) -> LinkModel {
         self.link
-    }
-
-    /// Validates and performs a transfer. Returns the new record's index
-    /// and the time its last byte arrives.
-    ///
-    /// `multipage_ok` is true only for the kernel path, which has checked
-    /// the entire range page by page (Figure 1's `check_size`); the
-    /// user-level protocols prove access to a single page per shadow
-    /// address, so their transfers must not cross page boundaries.
-    ///
-    /// # Errors
-    ///
-    /// The [`RejectReason`] explaining why nothing was transferred.
-    pub fn start(
-        &mut self,
-        src: PhysAddr,
-        dst: PhysAddr,
-        size: u64,
-        initiator: Initiator,
-        multipage_ok: bool,
-        now: SimTime,
-    ) -> Result<(usize, SimTime), RejectReason> {
-        if size == 0 {
-            return Err(RejectReason::ZeroSize);
-        }
-        if !multipage_ok && (crosses_page(src.as_u64(), size) || crosses_page(dst.as_u64(), size)) {
-            return Err(RejectReason::PageCross);
-        }
-        let limit = self.mem.borrow().size();
-        if !fits(src, size, limit) || !fits(dst, size, limit) {
-            return Err(RejectReason::BadRange);
-        }
-        let (buf, read) = self.read_source(src, size)?;
-        // A coherent write invalidates the CPU's copies of the
-        // destination lines and charges that time on this record.
-        let write = match &self.coherence {
-            Some(domain) => domain.borrow_mut().dma_write(dst, &buf),
-            None => self.mem.borrow_mut().write_bytes(dst, &buf).map(|()| SimTime::ZERO),
-        }
-        .map_err(|_| RejectReason::BadRange)?;
-        let finished = now + self.link.transfer_time(size) + (read + write);
-        self.records.push(TransferRecord { src, dst, size, started: now, finished, initiator });
-        Ok((self.records.len() - 1, finished))
-    }
-
-    /// Starts a send of `size` bytes at `src` to `(asid, va)` on cluster
-    /// node `node` (SHRIMP-1's mapped-out pages on another workstation,
-    /// §2.4): reads the source now and queues the bytes in the outbox.
-    /// The send is bounded to one page on each side, because the shadow
-    /// mechanism proved access to one page per address. Whether the
-    /// destination page exists is the receiver's IOMMU's decision, not
-    /// the sender's.
-    ///
-    /// Every check runs before the source snoop, so a refused send
-    /// leaves the CPU caches exactly as it found them.
-    ///
-    /// # Errors
-    ///
-    /// The [`RejectReason`] explaining why nothing was sent.
-    pub(crate) fn send(
-        &mut self,
-        src: PhysAddr,
-        node: u32,
-        asid: Asid,
-        va: VirtAddr,
-        size: u64,
-        now: SimTime,
-    ) -> Result<(), RejectReason> {
-        if size == 0 {
-            return Err(RejectReason::ZeroSize);
-        }
-        if crosses_page(src.as_u64(), size) || crosses_page(va.as_u64(), size) {
-            return Err(RejectReason::PageCross);
-        }
-        if !fits(src, size, self.mem.borrow().size()) {
-            return Err(RejectReason::BadRange);
-        }
-        let (bytes, read) = self.read_source(src, size)?;
-        self.outbox.push(RemoteSend { node, asid, va, bytes, at: now + read });
-        Ok(())
-    }
-
-    /// Reads `size` bytes at `src`. A coherent engine snoops Modified
-    /// lines out of the CPU caches first; the snoop time is returned
-    /// with the bytes.
-    fn read_source(&self, src: PhysAddr, size: u64) -> Result<(Vec<u8>, SimTime), RejectReason> {
-        let mut buf = vec![0u8; size as usize];
-        let read = match &self.coherence {
-            Some(domain) => domain.borrow_mut().dma_read(src, &mut buf),
-            None => self.mem.borrow().read_bytes(src, &mut buf).map(|()| SimTime::ZERO),
-        };
-        read.map(|t| (buf, t)).map_err(|_| RejectReason::BadRange)
     }
 
     /// Takes every queued remote send, in launch order.
@@ -237,6 +120,126 @@ impl DmaMover {
     pub fn clear_records(&mut self) {
         self.records.clear();
     }
+
+    /// Lends the mover, with the engine counters and `mem`, as the
+    /// back-end of one engine operation.
+    pub(crate) fn lend<'a>(
+        &'a mut self,
+        stats: &'a mut EngineStats,
+        mem: &'a mut MemPort,
+    ) -> Backend<'a> {
+        Backend { mover: self, stats, mem }
+    }
+}
+
+/// The back-end every initiation path shares, lent to one engine
+/// operation: the mover's state, the engine counters each launch books,
+/// and the memory port the bytes move through. The port's engine side
+/// decides whether a read or write snoops the CPU cache.
+pub(crate) struct Backend<'a> {
+    pub(crate) mover: &'a mut DmaMover,
+    pub(crate) stats: &'a mut EngineStats,
+    pub(crate) mem: &'a mut MemPort,
+}
+
+impl Backend<'_> {
+    /// Counts a refused initiation and hands the reason back.
+    pub(crate) fn reject(&mut self, reason: RejectReason) -> RejectReason {
+        self.stats.reject(reason)
+    }
+
+    /// Books a launch attempt: a start on success, a counted reject
+    /// otherwise.
+    fn book<T>(&mut self, launched: Result<T, RejectReason>) -> Result<T, RejectReason> {
+        launched.map_err(|reason| self.reject(reason)).inspect(|_| self.stats.started += 1)
+    }
+
+    /// Validates, performs and books a local transfer. Returns the new
+    /// record's index and the time its last byte arrives, snoop time
+    /// included. Only paths that checked the whole range pass
+    /// `multipage_ok` (the kernel's `check_size`, Figure 1; a coalesced
+    /// VA chunk): a shadow address proves access to one page only.
+    ///
+    /// # Errors
+    ///
+    /// The counted [`RejectReason`] explaining why nothing moved.
+    pub(crate) fn launch(
+        &mut self,
+        src: PhysAddr,
+        dst: PhysAddr,
+        size: u64,
+        initiator: Initiator,
+        multipage_ok: bool,
+        now: SimTime,
+    ) -> Result<(usize, SimTime), RejectReason> {
+        let limit = self.mem.ram_mut().size();
+        let read = if size == 0 {
+            Err(RejectReason::ZeroSize)
+        } else if !multipage_ok
+            && (crosses_page(src.as_u64(), size) || crosses_page(dst.as_u64(), size))
+        {
+            Err(RejectReason::PageCross)
+        } else if !fits(src, size, limit) || !fits(dst, size, limit) {
+            Err(RejectReason::BadRange)
+        } else {
+            self.read_source(src, size)
+        };
+        let moved = read.and_then(|(buf, read)| {
+            let write = self.mem.dma_write(dst, &buf).map_err(|_| RejectReason::BadRange)?;
+            let finished = now + self.mover.link.transfer_time(size) + read + write;
+            let records = &mut self.mover.records;
+            records.push(TransferRecord { src, dst, size, started: now, finished, initiator });
+            Ok((records.len() - 1, finished))
+        });
+        self.book(moved)
+    }
+
+    /// Starts and books a send of `size` bytes at `src` to `(asid, va)`
+    /// on cluster node `node` (SHRIMP-1's mapped-out pages on another
+    /// workstation, §2.4): reads the source now and queues the bytes.
+    /// One page on each side, as for a user-level launch; whether the
+    /// destination page exists is the receiver's IOMMU's decision. Every
+    /// check runs before the source snoop, so a refused send leaves the
+    /// CPU caches as it found them.
+    ///
+    /// # Errors
+    ///
+    /// The counted [`RejectReason`] explaining why nothing was sent.
+    pub(crate) fn send(
+        &mut self,
+        src: PhysAddr,
+        node: u32,
+        asid: Asid,
+        va: VirtAddr,
+        size: u64,
+        now: SimTime,
+    ) -> Result<(), RejectReason> {
+        let read = if size == 0 {
+            Err(RejectReason::ZeroSize)
+        } else if crosses_page(src.as_u64(), size) || crosses_page(va.as_u64(), size) {
+            Err(RejectReason::PageCross)
+        } else if !fits(src, size, self.mem.ram_mut().size()) {
+            Err(RejectReason::BadRange)
+        } else {
+            self.read_source(src, size)
+        };
+        let sent = read.map(|(bytes, snoop)| {
+            self.mover.outbox.push(RemoteSend { node, asid, va, bytes, at: now + snoop });
+        });
+        self.book(sent)
+    }
+
+    /// Reads `size` bytes at `src` through the port's engine side; the
+    /// snoop time is returned with the bytes.
+    fn read_source(
+        &mut self,
+        src: PhysAddr,
+        size: u64,
+    ) -> Result<(Vec<u8>, SimTime), RejectReason> {
+        let mut buf = vec![0u8; size as usize];
+        let read = self.mem.dma_read(src, &mut buf);
+        read.map(|t| (buf, t)).map_err(|_| RejectReason::BadRange)
+    }
 }
 
 /// Whether `size` bytes from address `a` run past the end of its page.
@@ -252,102 +255,87 @@ fn fits(a: PhysAddr, size: u64, limit: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use udma_bus::{CacheConfig, CoherenceMode, CoherenceTiming, MesiState};
     use udma_mem::PhysMemory;
 
-    fn mover() -> DmaMover {
-        let mem = Rc::new(RefCell::new(PhysMemory::new(1 << 20)));
-        DmaMover::new(mem, LinkModel::new("test", 1_000_000_000, SimTime::ZERO))
+    /// A mover on a 1 Gb/s zero-latency link, fresh counters, and a
+    /// 1 MiB port in `mode`.
+    fn parts(mode: CoherenceMode) -> (DmaMover, EngineStats, MemPort) {
+        let ram = PhysMemory::new(1 << 20);
+        let mem = MemPort::new(ram, CacheConfig::alpha_21064(), mode, CoherenceTiming::default());
+        let link = LinkModel::new("test", 1_000_000_000, SimTime::ZERO);
+        (DmaMover::new(link), EngineStats::default(), mem)
+    }
+
+    /// Lends the parts out as one back-end.
+    fn backend(parts: &mut (DmaMover, EngineStats, MemPort)) -> Backend<'_> {
+        let (mover, stats, mem) = parts;
+        mover.lend(stats, mem)
+    }
+
+    fn pa(v: u64) -> PhysAddr {
+        PhysAddr::new(v)
     }
 
     #[test]
     fn transfer_copies_data_and_records() {
-        let mut m = mover();
-        let mem = m.mem.clone();
-        mem.borrow_mut().write_bytes(PhysAddr::new(0x1000), b"hello dma").unwrap();
-        let (index, finished) = m
-            .start(
-                PhysAddr::new(0x1000),
-                PhysAddr::new(0x4000),
-                9,
-                Initiator::Kernel,
-                true,
-                SimTime::ZERO,
-            )
-            .unwrap();
+        let mut p = parts(CoherenceMode::Flat);
+        p.2.ram_mut().write_bytes(pa(0x1000), b"hello dma").unwrap();
+        let mut b = backend(&mut p);
+        let (index, finished) =
+            b.launch(pa(0x1000), pa(0x4000), 9, Initiator::Kernel, true, SimTime::ZERO).unwrap();
         assert_eq!(index, 0);
-        assert_eq!(m.records()[0].size, 9);
-        assert_eq!(m.records()[0].finished, finished);
+        assert_eq!(b.mover.records()[0].size, 9);
+        assert_eq!(b.mover.records()[0].finished, finished);
         let mut buf = [0u8; 9];
-        mem.borrow().read_bytes(PhysAddr::new(0x4000), &mut buf).unwrap();
+        b.mem.ram_mut().read_bytes(pa(0x4000), &mut buf).unwrap();
         assert_eq!(&buf, b"hello dma");
-        assert_eq!(m.records().len(), 1);
+        assert_eq!(b.mover.records().len(), 1);
+        assert_eq!(b.stats.started, 1);
     }
 
     #[test]
     fn zero_size_rejected() {
-        let mut m = mover();
-        let err = m
-            .start(
-                PhysAddr::new(0),
-                PhysAddr::new(0x2000),
-                0,
-                Initiator::Kernel,
-                true,
-                SimTime::ZERO,
-            )
-            .unwrap_err();
-        assert_eq!(err, RejectReason::ZeroSize);
+        let mut p = parts(CoherenceMode::Flat);
+        let mut b = backend(&mut p);
+        let err = b.launch(pa(0), pa(0x2000), 0, Initiator::Kernel, true, SimTime::ZERO);
+        assert_eq!(err, Err(RejectReason::ZeroSize));
+        assert_eq!(b.stats.rejected_for(RejectReason::ZeroSize), 1);
     }
 
     #[test]
     fn page_cross_rejected_for_user_but_allowed_for_kernel() {
-        let mut m = mover();
-        let src = PhysAddr::new(PAGE_SIZE - 16);
-        let dst = PhysAddr::new(4 * PAGE_SIZE);
+        let mut p = parts(CoherenceMode::Flat);
+        let mut b = backend(&mut p);
+        let src = pa(PAGE_SIZE - 16);
+        let dst = pa(4 * PAGE_SIZE);
         assert_eq!(
-            m.start(src, dst, 64, Initiator::Anonymous, false, SimTime::ZERO).unwrap_err(),
-            RejectReason::PageCross
+            b.launch(src, dst, 64, Initiator::Anonymous, false, SimTime::ZERO),
+            Err(RejectReason::PageCross)
         );
         // Destination crossing also rejected.
         assert_eq!(
-            m.start(dst, src, 64, Initiator::Anonymous, false, SimTime::ZERO).unwrap_err(),
-            RejectReason::PageCross
+            b.launch(dst, src, 64, Initiator::Anonymous, false, SimTime::ZERO),
+            Err(RejectReason::PageCross)
         );
-        assert!(m.start(src, dst, 64, Initiator::Kernel, true, SimTime::ZERO).is_ok());
+        assert!(b.launch(src, dst, 64, Initiator::Kernel, true, SimTime::ZERO).is_ok());
     }
 
     #[test]
     fn out_of_memory_range_rejected() {
-        let mut m = mover();
-        let err = m
-            .start(
-                PhysAddr::new((1 << 20) - 4),
-                PhysAddr::new(0),
-                64,
-                Initiator::Kernel,
-                true,
-                SimTime::ZERO,
-            )
-            .unwrap_err();
-        assert_eq!(err, RejectReason::BadRange);
+        let mut p = parts(CoherenceMode::Flat);
+        let mut b = backend(&mut p);
+        let err = b.launch(pa((1 << 20) - 4), pa(0), 64, Initiator::Kernel, true, SimTime::ZERO);
+        assert_eq!(err, Err(RejectReason::BadRange));
     }
 
     #[test]
     fn remaining_decreases_linearly() {
-        let mut m = mover();
+        let mut p = parts(CoherenceMode::Flat);
+        let mut b = backend(&mut p);
         // 1 Gb/s, no latency: 1000 bytes = 8 µs.
-        m.start(
-            PhysAddr::new(0),
-            PhysAddr::new(0x4000),
-            1000,
-            Initiator::Kernel,
-            true,
-            SimTime::ZERO,
-        )
-        .unwrap();
-        let rec = m.records()[0];
+        b.launch(pa(0), pa(0x4000), 1000, Initiator::Kernel, true, SimTime::ZERO).unwrap();
+        let rec = b.mover.records()[0];
         assert_eq!(rec.remaining_at(SimTime::ZERO), 1000);
         assert_eq!(rec.remaining_at(SimTime::from_us(4)), 500);
         assert_eq!(rec.remaining_at(SimTime::from_us(8)), 0);
@@ -356,79 +344,62 @@ mod tests {
 
     #[test]
     fn coherent_mover_pulls_dirty_lines_and_charges_snoop_time() {
-        use udma_bus::{CacheConfig, CoherenceDomain, CoherenceTiming};
-        let mem: SharedMemory = Rc::new(RefCell::new(PhysMemory::new(1 << 20)));
-        let domain = CoherenceDomain::new(mem.clone(), CoherenceTiming::default());
-        let shared = domain.shared();
-        let cpu = shared.borrow_mut().add_agent(CacheConfig::alpha_21064());
-        let mut m =
-            DmaMover::new(mem.clone(), LinkModel::new("test", 1_000_000_000, SimTime::ZERO));
-        m.attach_coherence(shared.clone());
-        assert!(m.is_coherent());
+        let mut p = parts(CoherenceMode::Coherent);
         // CPU dirties the source in its cache only — memory is stale.
-        shared
-            .borrow_mut()
-            .agent_write(cpu, PhysAddr::new(0x1000), &0xFEEDu64.to_le_bytes())
-            .unwrap();
-        assert_eq!(mem.borrow().read_u64(PhysAddr::new(0x1000)).unwrap(), 0);
-        let (_, finished) = m
-            .start(
-                PhysAddr::new(0x1000),
-                PhysAddr::new(0x4000),
-                8,
-                Initiator::Kernel,
-                true,
-                SimTime::ZERO,
-            )
-            .unwrap();
+        p.2.cpu_write(pa(0x1000), 0xFEED).unwrap();
+        assert_eq!(p.2.ram_mut().read_u64(pa(0x1000)).unwrap(), 0);
+        let mut b = backend(&mut p);
+        let (_, finished) =
+            b.launch(pa(0x1000), pa(0x4000), 8, Initiator::Kernel, true, SimTime::ZERO).unwrap();
         // The snoop pulled the Modified line, so the DMA saw fresh data.
-        assert_eq!(mem.borrow().read_u64(PhysAddr::new(0x4000)).unwrap(), 0xFEED);
-        let intervention = shared.borrow().timing().intervention;
-        assert_eq!(shared.borrow().stats().snoop_time, intervention);
-        assert_eq!(finished, m.link().transfer_time(8) + intervention);
-        shared.borrow().check_invariants().unwrap();
+        assert_eq!(b.mem.ram_mut().read_u64(pa(0x4000)).unwrap(), 0xFEED);
+        let intervention = CoherenceTiming::default().intervention;
+        assert_eq!(b.mem.coherence_stats().snoop_time, intervention);
+        assert_eq!(finished, b.mover.link().transfer_time(8) + intervention);
+        b.mem.check_invariants().unwrap();
     }
 
     #[test]
     fn refused_remote_launch_does_not_snoop() {
-        use udma_bus::{CacheConfig, CoherenceDomain, CoherenceTiming, MesiState};
-        let mem: SharedMemory = Rc::new(RefCell::new(PhysMemory::new(1 << 20)));
-        let shared = CoherenceDomain::new(mem.clone(), CoherenceTiming::default()).shared();
-        let cpu = shared.borrow_mut().add_agent(CacheConfig::alpha_21064());
-        let mut m = DmaMover::new(mem, LinkModel::new("test", 1_000_000_000, SimTime::ZERO));
-        m.attach_coherence(shared.clone());
-        let src = PhysAddr::new(0x1000);
-        shared.borrow_mut().agent_write(cpu, src, &0xFEEDu64.to_le_bytes()).unwrap();
-        let before = shared.borrow().stats();
-        let send = |m: &mut DmaMover, src, va, size| {
-            m.send(src, 1, 3, VirtAddr::new(va), size, SimTime::ZERO)
+        let mut p = parts(CoherenceMode::Coherent);
+        let src = pa(0x1000);
+        p.2.cpu_write(src, 0xFEED).unwrap();
+        let mut b = backend(&mut p);
+        let before = b.mem.coherence_stats();
+        let cpu_state = |b: &Backend| {
+            let (domain, cpu) = b.mem.coherence().unwrap();
+            domain.cache(cpu).state_of(src)
+        };
+        let send = |b: &mut Backend, src, va, size| {
+            b.send(src, 1, 3, VirtAddr::new(va), size, SimTime::ZERO)
         };
         // An empty send, a destination crossing its page, and a source
         // past the end of memory.
-        assert_eq!(send(&mut m, src, 0, 0), Err(RejectReason::ZeroSize));
-        assert_eq!(send(&mut m, src, PAGE_SIZE - 4, 8), Err(RejectReason::PageCross));
-        assert_eq!(send(&mut m, PhysAddr::new(1 << 20), 0, 8), Err(RejectReason::BadRange));
+        assert_eq!(send(&mut b, src, 0, 0), Err(RejectReason::ZeroSize));
+        assert_eq!(send(&mut b, src, PAGE_SIZE - 4, 8), Err(RejectReason::PageCross));
+        assert_eq!(send(&mut b, pa(1 << 20), 0, 8), Err(RejectReason::BadRange));
         // Nothing was snooped: the CPU still holds the line Modified.
-        assert_eq!(shared.borrow().stats(), before);
-        assert_eq!(shared.borrow().cache(cpu).state_of(src), MesiState::Modified);
-        assert!(m.take_sends().is_empty());
+        assert_eq!(b.mem.coherence_stats(), before);
+        assert_eq!(cpu_state(&b), MesiState::Modified);
+        assert!(b.mover.take_sends().is_empty());
         // A valid send does intervene, and ships the cached bytes.
-        assert!(send(&mut m, src, 0x40, 8).is_ok());
-        assert_eq!(shared.borrow().cache(cpu).state_of(src), MesiState::Shared);
-        let sent = m.take_sends();
+        assert!(send(&mut b, src, 0x40, 8).is_ok());
+        assert_eq!(cpu_state(&b), MesiState::Shared);
+        let sent = b.mover.take_sends();
         assert_eq!(sent.len(), 1);
         assert_eq!((sent[0].node, sent[0].asid, sent[0].va), (1, 3, VirtAddr::new(0x40)));
         assert_eq!(sent[0].bytes, 0xFEEDu64.to_le_bytes());
-        assert_eq!(sent[0].at, shared.borrow().timing().intervention);
-        assert!(m.records().is_empty(), "a remote send books no local record");
+        assert_eq!(sent[0].at, CoherenceTiming::default().intervention);
+        assert!(b.mover.records().is_empty(), "a remote send books no local record");
+        assert_eq!((b.stats.started, b.stats.rejected()), (1, 3));
     }
 
     #[test]
     fn clear_records() {
-        let mut m = mover();
-        m.start(PhysAddr::new(0), PhysAddr::new(0x4000), 8, Initiator::Kernel, true, SimTime::ZERO)
-            .unwrap();
-        m.clear_records();
-        assert!(m.records().is_empty());
+        let mut p = parts(CoherenceMode::Flat);
+        let mut b = backend(&mut p);
+        b.launch(pa(0), pa(0x4000), 8, Initiator::Kernel, true, SimTime::ZERO).unwrap();
+        b.mover.clear_records();
+        assert!(b.mover.records().is_empty());
     }
 }

@@ -4,7 +4,7 @@
 use crate::protocol::{InitiationProtocol, ProtocolKind};
 use crate::{EngineCore, Initiator, RejectReason, DMA_FAILURE, DMA_STARTED};
 use std::collections::HashMap;
-use udma_bus::SimTime;
+use udma_bus::{MemPort, SimTime};
 use udma_mem::PhysAddr;
 
 /// The FLASH scheme: "the context switch handler informs the DMA engine
@@ -46,15 +46,23 @@ impl InitiationProtocol for Flash {
         _ctx: u32,
         size: u64,
         _now: SimTime,
+        _mem: &mut MemPort,
     ) -> SimTime {
         self.pending.insert(self.current_pid, (pa, size));
         SimTime::ZERO
     }
 
-    fn shadow_load(&mut self, core: &mut EngineCore, pa: PhysAddr, _ctx: u32, now: SimTime) -> u64 {
+    fn shadow_load(
+        &mut self,
+        core: &mut EngineCore,
+        pa: PhysAddr,
+        _ctx: u32,
+        now: SimTime,
+        mem: &mut MemPort,
+    ) -> u64 {
         match self.pending.remove(&self.current_pid) {
             Some((dst, size)) => {
-                match core.start_user_dma(pa, dst, size, Initiator::Anonymous, now) {
+                match core.start_user_dma(pa, dst, size, Initiator::Anonymous, now, mem) {
                     Ok(_) => DMA_STARTED,
                     Err(_) => DMA_FAILURE,
                 }
@@ -75,31 +83,29 @@ impl InitiationProtocol for Flash {
 mod tests {
     use super::*;
     use crate::EngineConfig;
-    use std::cell::RefCell;
-    use std::rc::Rc;
     use udma_mem::{PhysLayout, PhysMemory, PAGE_SIZE};
 
-    fn world() -> (Flash, EngineCore) {
+    fn world() -> (Flash, EngineCore, MemPort) {
         let layout = PhysLayout::default();
-        let mem = Rc::new(RefCell::new(PhysMemory::new(1 << 22)));
-        (Flash::new(), EngineCore::new(layout, mem, EngineConfig::default()))
+        let mem = MemPort::flat(PhysMemory::new(1 << 22));
+        (Flash::new(), EngineCore::new(layout, EngineConfig::default()), mem)
     }
 
     #[test]
     fn per_process_slots_survive_interleaving_when_kernel_notifies() {
-        let (mut p, mut core) = world();
+        let (mut p, mut core, mut mem) = world();
         let dst_a = PhysAddr::new(4 * PAGE_SIZE);
         let dst_b = PhysAddr::new(5 * PAGE_SIZE);
         let src_a = PhysAddr::new(2 * PAGE_SIZE);
         let src_b = PhysAddr::new(3 * PAGE_SIZE);
 
         p.set_current_pid(1); // kernel patch at dispatch of A
-        p.shadow_store(&mut core, dst_a, 0, 64, SimTime::ZERO);
+        p.shadow_store(&mut core, dst_a, 0, 64, SimTime::ZERO, &mut mem);
         p.set_current_pid(2); // context switch to B
-        p.shadow_store(&mut core, dst_b, 0, 32, SimTime::ZERO);
-        assert_eq!(p.shadow_load(&mut core, src_b, 0, SimTime::ZERO), DMA_STARTED);
+        p.shadow_store(&mut core, dst_b, 0, 32, SimTime::ZERO, &mut mem);
+        assert_eq!(p.shadow_load(&mut core, src_b, 0, SimTime::ZERO, &mut mem), DMA_STARTED);
         p.set_current_pid(1); // back to A
-        assert_eq!(p.shadow_load(&mut core, src_a, 0, SimTime::ZERO), DMA_STARTED);
+        assert_eq!(p.shadow_load(&mut core, src_a, 0, SimTime::ZERO, &mut mem), DMA_STARTED);
 
         let recs = core.mover().records();
         assert_eq!(recs.len(), 2);
@@ -109,24 +115,24 @@ mod tests {
 
     #[test]
     fn without_kernel_notification_arguments_mix() {
-        let (mut p, mut core) = world();
+        let (mut p, mut core, mut mem) = world();
         // Unmodified kernel: current_pid stays 0 for everyone.
         let dst_a = PhysAddr::new(4 * PAGE_SIZE);
         let dst_b = PhysAddr::new(5 * PAGE_SIZE);
         let src_a = PhysAddr::new(2 * PAGE_SIZE);
-        p.shadow_store(&mut core, dst_a, 0, 64, SimTime::ZERO); // A
-        p.shadow_store(&mut core, dst_b, 0, 32, SimTime::ZERO); // B overwrites
-        assert_eq!(p.shadow_load(&mut core, src_a, 0, SimTime::ZERO), DMA_STARTED);
+        p.shadow_store(&mut core, dst_a, 0, 64, SimTime::ZERO, &mut mem); // A
+        p.shadow_store(&mut core, dst_b, 0, 32, SimTime::ZERO, &mut mem); // B overwrites
+        assert_eq!(p.shadow_load(&mut core, src_a, 0, SimTime::ZERO, &mut mem), DMA_STARTED);
         // A's source went to B's destination: SHRIMP-2's race reappears.
         assert_eq!(core.mover().records()[0].dst, dst_b);
     }
 
     #[test]
     fn load_with_no_pending_slot_fails() {
-        let (mut p, mut core) = world();
+        let (mut p, mut core, mut mem) = world();
         p.set_current_pid(7);
         assert_eq!(
-            p.shadow_load(&mut core, PhysAddr::new(PAGE_SIZE), 0, SimTime::ZERO),
+            p.shadow_load(&mut core, PhysAddr::new(PAGE_SIZE), 0, SimTime::ZERO, &mut mem),
             DMA_FAILURE
         );
     }

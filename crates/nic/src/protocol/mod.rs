@@ -32,7 +32,7 @@ pub use shrimp2::Shrimp2;
 use crate::regs;
 use crate::{EngineCore, DMA_FAILURE};
 use std::fmt;
-use udma_bus::SimTime;
+use udma_bus::{MemPort, SimTime};
 use udma_mem::PhysAddr;
 
 /// Which initiation scheme the engine implements.
@@ -129,8 +129,10 @@ impl fmt::Display for ProtocolKind {
     }
 }
 
-/// A protocol state machine inside the engine.
-pub trait InitiationProtocol {
+/// A protocol state machine inside the engine. Every access hands it the
+/// engine core and the memory port the bus lent the engine for that
+/// transaction.
+pub trait InitiationProtocol: Send {
     /// The scheme this machine implements.
     fn kind(&self) -> ProtocolKind;
 
@@ -146,20 +148,43 @@ pub trait InitiationProtocol {
         ctx: u32,
         data: u64,
         now: SimTime,
+        mem: &mut MemPort,
     ) -> SimTime;
 
     /// A load hit the shadow window; returns the load's data (a status
     /// code or byte count).
-    fn shadow_load(&mut self, core: &mut EngineCore, pa: PhysAddr, ctx: u32, now: SimTime) -> u64;
+    fn shadow_load(
+        &mut self,
+        core: &mut EngineCore,
+        pa: PhysAddr,
+        ctx: u32,
+        now: SimTime,
+        mem: &mut MemPort,
+    ) -> u64;
 
     /// A store hit register-context page `ctx` at `offset`.
-    fn ctx_store(&mut self, core: &mut EngineCore, ctx: u32, offset: u64, data: u64, now: SimTime) {
-        let _ = (core, ctx, offset, data, now);
+    fn ctx_store(
+        &mut self,
+        core: &mut EngineCore,
+        ctx: u32,
+        offset: u64,
+        data: u64,
+        now: SimTime,
+        mem: &mut MemPort,
+    ) {
+        let _ = (core, ctx, offset, data, now, mem);
     }
 
     /// A load hit register-context page `ctx` at `offset`; default is
     /// transfer-status polling.
-    fn ctx_load(&mut self, core: &mut EngineCore, ctx: u32, offset: u64, now: SimTime) -> u64 {
+    fn ctx_load(
+        &mut self,
+        core: &mut EngineCore,
+        ctx: u32,
+        offset: u64,
+        now: SimTime,
+        _mem: &mut MemPort,
+    ) -> u64 {
         poll_ctx_status(core, ctx, offset, now)
     }
 
@@ -205,6 +230,7 @@ impl InitiationProtocol for KernelOnly {
         _ctx: u32,
         _d: u64,
         _n: SimTime,
+        _mem: &mut MemPort,
     ) -> SimTime {
         SimTime::ZERO
     }
@@ -215,6 +241,7 @@ impl InitiationProtocol for KernelOnly {
         _pa: PhysAddr,
         _ctx: u32,
         _n: SimTime,
+        _mem: &mut MemPort,
     ) -> u64 {
         DMA_FAILURE
     }

@@ -2,7 +2,7 @@
 
 use crate::protocol::{InitiationProtocol, ProtocolKind};
 use crate::{EngineCore, Initiator, DMA_FAILURE, DMA_PENDING, DMA_STARTED};
-use udma_bus::SimTime;
+use udma_bus::{MemPort, SimTime};
 use udma_mem::PhysAddr;
 
 /// The direction of a shadow access, as the FSM sees it.
@@ -106,6 +106,7 @@ impl Repeated {
         pa: PhysAddr,
         data: u64,
         now: SimTime,
+        mem: &mut MemPort,
     ) -> u64 {
         let pos = self.state.len();
         if kind == self.pattern[pos] && self.constraints_ok(pos, pa, data) {
@@ -113,7 +114,7 @@ impl Repeated {
             if self.state.len() == self.pattern.len() {
                 let (src, dst, size) = self.extract();
                 self.state.clear();
-                return match core.start_user_dma(src, dst, size, Initiator::Anonymous, now) {
+                return match core.start_user_dma(src, dst, size, Initiator::Anonymous, now, mem) {
                     Ok(_) => DMA_STARTED,
                     Err(_) => DMA_FAILURE,
                 };
@@ -144,13 +145,21 @@ impl InitiationProtocol for Repeated {
         _ctx: u32,
         data: u64,
         now: SimTime,
+        mem: &mut MemPort,
     ) -> SimTime {
-        let _ = self.on_access(core, Acc::St, pa, data, now);
+        let _ = self.on_access(core, Acc::St, pa, data, now, mem);
         SimTime::ZERO
     }
 
-    fn shadow_load(&mut self, core: &mut EngineCore, pa: PhysAddr, _ctx: u32, now: SimTime) -> u64 {
-        self.on_access(core, Acc::Ld, pa, 0, now)
+    fn shadow_load(
+        &mut self,
+        core: &mut EngineCore,
+        pa: PhysAddr,
+        _ctx: u32,
+        now: SimTime,
+        mem: &mut MemPort,
+    ) -> u64 {
+        self.on_access(core, Acc::Ld, pa, 0, now, mem)
     }
 }
 
@@ -158,14 +167,12 @@ impl InitiationProtocol for Repeated {
 mod tests {
     use super::*;
     use crate::EngineConfig;
-    use std::cell::RefCell;
-    use std::rc::Rc;
     use udma_mem::{PhysLayout, PhysMemory, PAGE_SIZE};
 
-    fn core() -> EngineCore {
+    fn core() -> (EngineCore, MemPort) {
         let layout = PhysLayout::default();
-        let mem = Rc::new(RefCell::new(PhysMemory::new(1 << 22)));
-        EngineCore::new(layout, mem, EngineConfig::default())
+        let mem = MemPort::flat(PhysMemory::new(1 << 22));
+        (EngineCore::new(layout, EngineConfig::default()), mem)
     }
 
     fn a(page: u64) -> PhysAddr {
@@ -175,13 +182,13 @@ mod tests {
     #[test]
     fn five_instruction_happy_path() {
         let mut p = Repeated::five();
-        let mut c = core();
+        let (mut c, mut mem) = core();
         let (dst, src, size) = (a(4), a(2), 96);
-        p.shadow_store(&mut c, dst, 0, size, SimTime::ZERO);
-        assert_eq!(p.shadow_load(&mut c, src, 0, SimTime::ZERO), DMA_PENDING);
-        p.shadow_store(&mut c, dst, 0, size, SimTime::ZERO);
-        assert_eq!(p.shadow_load(&mut c, src, 0, SimTime::ZERO), DMA_PENDING);
-        assert_eq!(p.shadow_load(&mut c, dst, 0, SimTime::ZERO), DMA_STARTED);
+        p.shadow_store(&mut c, dst, 0, size, SimTime::ZERO, &mut mem);
+        assert_eq!(p.shadow_load(&mut c, src, 0, SimTime::ZERO, &mut mem), DMA_PENDING);
+        p.shadow_store(&mut c, dst, 0, size, SimTime::ZERO, &mut mem);
+        assert_eq!(p.shadow_load(&mut c, src, 0, SimTime::ZERO, &mut mem), DMA_PENDING);
+        assert_eq!(p.shadow_load(&mut c, dst, 0, SimTime::ZERO, &mut mem), DMA_STARTED);
         let rec = &c.mover().records()[0];
         assert_eq!((rec.src, rec.dst, rec.size), (src, dst, size));
     }
@@ -189,12 +196,12 @@ mod tests {
     #[test]
     fn five_instruction_mismatched_source_resets() {
         let mut p = Repeated::five();
-        let mut c = core();
-        p.shadow_store(&mut c, a(4), 0, 64, SimTime::ZERO);
-        assert_eq!(p.shadow_load(&mut c, a(2), 0, SimTime::ZERO), DMA_PENDING);
-        p.shadow_store(&mut c, a(4), 0, 64, SimTime::ZERO);
+        let (mut c, mut mem) = core();
+        p.shadow_store(&mut c, a(4), 0, 64, SimTime::ZERO, &mut mem);
+        assert_eq!(p.shadow_load(&mut c, a(2), 0, SimTime::ZERO, &mut mem), DMA_PENDING);
+        p.shadow_store(&mut c, a(4), 0, 64, SimTime::ZERO, &mut mem);
         // Fourth access loads a *different* source → reset.
-        assert_eq!(p.shadow_load(&mut c, a(3), 0, SimTime::ZERO), DMA_FAILURE);
+        assert_eq!(p.shadow_load(&mut c, a(3), 0, SimTime::ZERO, &mut mem), DMA_FAILURE);
         assert_eq!(p.position(), 0);
         assert!(c.mover().records().is_empty());
         assert_eq!(c.stats().sequence_resets, 1);
@@ -203,11 +210,11 @@ mod tests {
     #[test]
     fn five_instruction_size_mismatch_resets() {
         let mut p = Repeated::five();
-        let mut c = core();
-        p.shadow_store(&mut c, a(4), 0, 64, SimTime::ZERO);
-        assert_eq!(p.shadow_load(&mut c, a(2), 0, SimTime::ZERO), DMA_PENDING);
-        p.shadow_store(&mut c, a(4), 0, 65, SimTime::ZERO); // size differs
-                                                            // The store restarts a sequence at position 1.
+        let (mut c, mut mem) = core();
+        p.shadow_store(&mut c, a(4), 0, 64, SimTime::ZERO, &mut mem);
+        assert_eq!(p.shadow_load(&mut c, a(2), 0, SimTime::ZERO, &mut mem), DMA_PENDING);
+        p.shadow_store(&mut c, a(4), 0, 65, SimTime::ZERO, &mut mem); // size differs
+                                                                      // The store restarts a sequence at position 1.
         assert_eq!(p.position(), 1);
         assert!(c.mover().records().is_empty());
     }
@@ -215,11 +222,11 @@ mod tests {
     #[test]
     fn three_instruction_happy_path() {
         let mut p = Repeated::three();
-        let mut c = core();
+        let (mut c, mut mem) = core();
         let (src, dst, size) = (a(2), a(4), 48);
-        assert_eq!(p.shadow_load(&mut c, src, 0, SimTime::ZERO), DMA_PENDING);
-        p.shadow_store(&mut c, dst, 0, size, SimTime::ZERO);
-        assert_eq!(p.shadow_load(&mut c, src, 0, SimTime::ZERO), DMA_STARTED);
+        assert_eq!(p.shadow_load(&mut c, src, 0, SimTime::ZERO, &mut mem), DMA_PENDING);
+        p.shadow_store(&mut c, dst, 0, size, SimTime::ZERO, &mut mem);
+        assert_eq!(p.shadow_load(&mut c, src, 0, SimTime::ZERO, &mut mem), DMA_STARTED);
         let rec = &c.mover().records()[0];
         assert_eq!((rec.src, rec.dst, rec.size), (src, dst, size));
     }
@@ -228,23 +235,23 @@ mod tests {
     fn figure_5_attack_on_three_instruction_variant() {
         // Victim wants A→B; malicious has read access to C only.
         let mut p = Repeated::three();
-        let mut c = core();
+        let (mut c, mut mem) = core();
         let (addr_a, addr_b, addr_c) = (a(2), a(4), a(6));
         // 1: victim      LOAD  shadow(A)
-        p.shadow_load(&mut c, addr_a, 0, SimTime::ZERO);
+        p.shadow_load(&mut c, addr_a, 0, SimTime::ZERO, &mut mem);
         // 2: malicious   STORE shadow(foo)
-        p.shadow_store(&mut c, a(7), 0, 1, SimTime::ZERO);
+        p.shadow_store(&mut c, a(7), 0, 1, SimTime::ZERO, &mut mem);
         // 3: malicious   LOAD  shadow(foo)  ← "DMA is not started"
         // (the broken load may begin a fresh sequence, but no transfer
         // has happened)
-        assert_ne!(p.shadow_load(&mut c, a(7), 0, SimTime::ZERO), DMA_STARTED);
+        assert_ne!(p.shadow_load(&mut c, a(7), 0, SimTime::ZERO, &mut mem), DMA_STARTED);
         assert!(c.mover().records().is_empty());
         // 4: malicious   LOAD  shadow(C)
-        p.shadow_load(&mut c, addr_c, 0, SimTime::ZERO);
+        p.shadow_load(&mut c, addr_c, 0, SimTime::ZERO, &mut mem);
         // 5: victim      STORE size TO shadow(B)
-        p.shadow_store(&mut c, addr_b, 0, 64, SimTime::ZERO);
+        p.shadow_store(&mut c, addr_b, 0, 64, SimTime::ZERO, &mut mem);
         // 6: malicious   LOAD  shadow(C)   ← DMA C→B is started!
-        assert_eq!(p.shadow_load(&mut c, addr_c, 0, SimTime::ZERO), DMA_STARTED);
+        assert_eq!(p.shadow_load(&mut c, addr_c, 0, SimTime::ZERO, &mut mem), DMA_STARTED);
         let rec = &c.mover().records()[0];
         assert_eq!((rec.src, rec.dst), (addr_c, addr_b));
     }
@@ -253,41 +260,41 @@ mod tests {
     fn figure_6_attack_on_four_instruction_variant() {
         // Victim: ST B, LD A, ST B, LD A; malicious has read access to A.
         let mut p = Repeated::four();
-        let mut c = core();
+        let (mut c, mut mem) = core();
         let (addr_a, addr_b) = (a(2), a(4));
-        p.shadow_store(&mut c, addr_b, 0, 64, SimTime::ZERO); // 1 victim
-        assert_eq!(p.shadow_load(&mut c, addr_a, 0, SimTime::ZERO), DMA_PENDING); // 2 victim
-        p.shadow_store(&mut c, addr_b, 0, 64, SimTime::ZERO); // 3 victim
-                                                              // 4: malicious LOAD shadow(A) completes the sequence → DMA starts
-                                                              // and the *malicious* process gets the success status.
-        assert_eq!(p.shadow_load(&mut c, addr_a, 0, SimTime::ZERO), DMA_STARTED);
+        p.shadow_store(&mut c, addr_b, 0, 64, SimTime::ZERO, &mut mem); // 1 victim
+        assert_eq!(p.shadow_load(&mut c, addr_a, 0, SimTime::ZERO, &mut mem), DMA_PENDING); // 2 victim
+        p.shadow_store(&mut c, addr_b, 0, 64, SimTime::ZERO, &mut mem); // 3 victim
+                                                                        // 4: malicious LOAD shadow(A) completes the sequence → DMA starts
+                                                                        // and the *malicious* process gets the success status.
+        assert_eq!(p.shadow_load(&mut c, addr_a, 0, SimTime::ZERO, &mut mem), DMA_STARTED);
         assert_eq!(c.mover().records().len(), 1);
         // 5: victim's own LOAD shadow(A) is now out of order → it is told
         // the DMA did NOT start (misinformation, Figure 6).
-        assert_eq!(p.shadow_load(&mut c, addr_a, 0, SimTime::ZERO), DMA_FAILURE);
+        assert_eq!(p.shadow_load(&mut c, addr_a, 0, SimTime::ZERO, &mut mem), DMA_FAILURE);
     }
 
     #[test]
     fn reset_access_may_begin_new_sequence() {
         let mut p = Repeated::five();
-        let mut c = core();
-        assert_eq!(p.shadow_load(&mut c, a(2), 0, SimTime::ZERO), DMA_FAILURE);
+        let (mut c, mut mem) = core();
+        assert_eq!(p.shadow_load(&mut c, a(2), 0, SimTime::ZERO, &mut mem), DMA_FAILURE);
         // A store after garbage starts fresh at position 1.
-        p.shadow_store(&mut c, a(4), 0, 64, SimTime::ZERO);
+        p.shadow_store(&mut c, a(4), 0, 64, SimTime::ZERO, &mut mem);
         assert_eq!(p.position(), 1);
     }
 
     #[test]
     fn page_crossing_transfer_still_rejected() {
         let mut p = Repeated::five();
-        let mut c = core();
+        let (mut c, mut mem) = core();
         let dst = PhysAddr::new(4 * PAGE_SIZE + PAGE_SIZE - 8);
         let src = a(2);
-        p.shadow_store(&mut c, dst, 0, 64, SimTime::ZERO);
-        p.shadow_load(&mut c, src, 0, SimTime::ZERO);
-        p.shadow_store(&mut c, dst, 0, 64, SimTime::ZERO);
-        p.shadow_load(&mut c, src, 0, SimTime::ZERO);
-        assert_eq!(p.shadow_load(&mut c, dst, 0, SimTime::ZERO), DMA_FAILURE);
+        p.shadow_store(&mut c, dst, 0, 64, SimTime::ZERO, &mut mem);
+        p.shadow_load(&mut c, src, 0, SimTime::ZERO, &mut mem);
+        p.shadow_store(&mut c, dst, 0, 64, SimTime::ZERO, &mut mem);
+        p.shadow_load(&mut c, src, 0, SimTime::ZERO, &mut mem);
+        assert_eq!(p.shadow_load(&mut c, dst, 0, SimTime::ZERO, &mut mem), DMA_FAILURE);
         assert!(c.mover().records().is_empty());
     }
 }

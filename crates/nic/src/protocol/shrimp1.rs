@@ -2,7 +2,7 @@
 
 use crate::protocol::{InitiationProtocol, ProtocolKind};
 use crate::{EngineCore, DMA_FAILURE, DMA_STARTED};
-use udma_bus::SimTime;
+use udma_bus::{MemPort, SimTime};
 use udma_mem::PhysAddr;
 
 /// The first SHRIMP scheme: every communication page has a fixed
@@ -37,8 +37,9 @@ impl InitiationProtocol for Shrimp1 {
         _ctx: u32,
         size: u64,
         now: SimTime,
+        mem: &mut MemPort,
     ) -> SimTime {
-        self.last_status = match core.launch_mapped_out(pa, size, now) {
+        self.last_status = match core.launch_mapped_out(pa, size, now, mem) {
             Ok(()) => DMA_STARTED,
             Err(_) => DMA_FAILURE,
         };
@@ -51,6 +52,7 @@ impl InitiationProtocol for Shrimp1 {
         _pa: PhysAddr,
         _ctx: u32,
         _now: SimTime,
+        _mem: &mut MemPort,
     ) -> u64 {
         // The compare-and-exchange of the real SHRIMP returns the
         // initiation result; modelled as a status load.
@@ -62,23 +64,21 @@ impl InitiationProtocol for Shrimp1 {
 mod tests {
     use super::*;
     use crate::{Destination, EngineConfig, RejectReason};
-    use std::cell::RefCell;
-    use std::rc::Rc;
     use udma_mem::{PhysLayout, PhysMemory, VirtAddr, PAGE_SIZE};
 
-    fn world() -> (Shrimp1, EngineCore) {
+    fn world() -> (Shrimp1, EngineCore, MemPort) {
         let layout = PhysLayout::default();
-        let mem = Rc::new(RefCell::new(PhysMemory::new(1 << 22)));
-        (Shrimp1::new(), EngineCore::new(layout, mem, EngineConfig::default()))
+        let mem = MemPort::flat(PhysMemory::new(1 << 22));
+        (Shrimp1::new(), EngineCore::new(layout, EngineConfig::default()), mem)
     }
 
     #[test]
     fn store_to_mapped_page_starts_transfer_to_fixed_destination() {
-        let (mut p, mut core) = world();
+        let (mut p, mut core, mut mem) = world();
         let src = PhysAddr::new(2 * PAGE_SIZE);
         core.set_mapped_out(src.page(), Destination::Local(PhysAddr::new(40 * PAGE_SIZE)));
-        p.shadow_store(&mut core, src + 0x40, 0, 128, SimTime::ZERO);
-        assert_eq!(p.shadow_load(&mut core, src, 0, SimTime::ZERO), DMA_STARTED);
+        p.shadow_store(&mut core, src + 0x40, 0, 128, SimTime::ZERO, &mut mem);
+        assert_eq!(p.shadow_load(&mut core, src, 0, SimTime::ZERO, &mut mem), DMA_STARTED);
         let rec = &core.mover().records()[0];
         assert_eq!(rec.src, src + 0x40);
         // Destination preserves the in-page offset.
@@ -88,12 +88,12 @@ mod tests {
 
     #[test]
     fn store_to_remote_twin_queues_a_send_and_books_no_record() {
-        let (mut p, mut core) = world();
+        let (mut p, mut core, mut mem) = world();
         let src = PhysAddr::new(2 * PAGE_SIZE);
         let va = VirtAddr::new(16 * PAGE_SIZE);
         core.set_mapped_out(src.page(), Destination::Remote { node: 1, asid: 5, va });
-        p.shadow_store(&mut core, src + 0x40, 0, 32, SimTime::from_us(3));
-        assert_eq!(p.shadow_load(&mut core, src, 0, SimTime::ZERO), DMA_STARTED);
+        p.shadow_store(&mut core, src + 0x40, 0, 32, SimTime::from_us(3), &mut mem);
+        assert_eq!(p.shadow_load(&mut core, src, 0, SimTime::ZERO, &mut mem), DMA_STARTED);
         assert_eq!(core.stats().started, 1);
         assert!(core.mover().records().is_empty(), "the cluster times a remote send");
         let sends = core.take_remote_sends();
@@ -106,10 +106,10 @@ mod tests {
 
     #[test]
     fn unmapped_source_page_rejected() {
-        let (mut p, mut core) = world();
-        p.shadow_store(&mut core, PhysAddr::new(PAGE_SIZE), 0, 64, SimTime::ZERO);
+        let (mut p, mut core, mut mem) = world();
+        p.shadow_store(&mut core, PhysAddr::new(PAGE_SIZE), 0, 64, SimTime::ZERO, &mut mem);
         assert_eq!(
-            p.shadow_load(&mut core, PhysAddr::new(PAGE_SIZE), 0, SimTime::ZERO),
+            p.shadow_load(&mut core, PhysAddr::new(PAGE_SIZE), 0, SimTime::ZERO, &mut mem),
             DMA_FAILURE
         );
         assert!(core.mover().records().is_empty());
@@ -118,11 +118,11 @@ mod tests {
 
     #[test]
     fn page_crossing_transfer_rejected() {
-        let (mut p, mut core) = world();
+        let (mut p, mut core, mut mem) = world();
         let src = PhysAddr::new(2 * PAGE_SIZE);
         core.set_mapped_out(src.page(), Destination::Local(PhysAddr::new(40 * PAGE_SIZE)));
-        p.shadow_store(&mut core, src + (PAGE_SIZE - 8), 0, 64, SimTime::ZERO);
-        assert_eq!(p.shadow_load(&mut core, src, 0, SimTime::ZERO), DMA_FAILURE);
+        p.shadow_store(&mut core, src + (PAGE_SIZE - 8), 0, 64, SimTime::ZERO, &mut mem);
+        assert_eq!(p.shadow_load(&mut core, src, 0, SimTime::ZERO, &mut mem), DMA_FAILURE);
         assert_eq!(core.stats().rejected_for(RejectReason::PageCross), 1);
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::protocol::{InitiationProtocol, ProtocolKind};
 use crate::{EngineCore, Initiator, RejectReason, DMA_FAILURE, DMA_STARTED};
-use udma_bus::SimTime;
+use udma_bus::{MemPort, SimTime};
 use udma_mem::PhysAddr;
 
 /// The second SHRIMP scheme. A store to `shadow(vdestination)` stages the
@@ -44,15 +44,23 @@ impl InitiationProtocol for Shrimp2 {
         _ctx: u32,
         size: u64,
         _now: SimTime,
+        _mem: &mut MemPort,
     ) -> SimTime {
         self.pending = Some((pa, size));
         SimTime::ZERO
     }
 
-    fn shadow_load(&mut self, core: &mut EngineCore, pa: PhysAddr, _ctx: u32, now: SimTime) -> u64 {
+    fn shadow_load(
+        &mut self,
+        core: &mut EngineCore,
+        pa: PhysAddr,
+        _ctx: u32,
+        now: SimTime,
+        mem: &mut MemPort,
+    ) -> u64 {
         match self.pending.take() {
             Some((dst, size)) => {
-                match core.start_user_dma(pa, dst, size, Initiator::Anonymous, now) {
+                match core.start_user_dma(pa, dst, size, Initiator::Anonymous, now, mem) {
                     Ok(_) => DMA_STARTED,
                     Err(_) => DMA_FAILURE,
                 }
@@ -76,24 +84,22 @@ impl InitiationProtocol for Shrimp2 {
 mod tests {
     use super::*;
     use crate::EngineConfig;
-    use std::cell::RefCell;
-    use std::rc::Rc;
     use udma_mem::{PhysLayout, PhysMemory, PAGE_SIZE};
 
-    fn world() -> (Shrimp2, EngineCore) {
+    fn world() -> (Shrimp2, EngineCore, MemPort) {
         let layout = PhysLayout::default();
-        let mem = Rc::new(RefCell::new(PhysMemory::new(1 << 22)));
-        (Shrimp2::new(), EngineCore::new(layout, mem, EngineConfig::default()))
+        let mem = MemPort::flat(PhysMemory::new(1 << 22));
+        (Shrimp2::new(), EngineCore::new(layout, EngineConfig::default()), mem)
     }
 
     #[test]
     fn store_then_load_transfers() {
-        let (mut p, mut core) = world();
+        let (mut p, mut core, mut mem) = world();
         let dst = PhysAddr::new(4 * PAGE_SIZE);
         let src = PhysAddr::new(2 * PAGE_SIZE);
-        p.shadow_store(&mut core, dst, 0, 256, SimTime::ZERO);
+        p.shadow_store(&mut core, dst, 0, 256, SimTime::ZERO, &mut mem);
         assert!(p.has_pending());
-        let status = p.shadow_load(&mut core, src, 0, SimTime::ZERO);
+        let status = p.shadow_load(&mut core, src, 0, SimTime::ZERO, &mut mem);
         assert_eq!(status, DMA_STARTED);
         assert!(!p.has_pending());
         let rec = &core.mover().records()[0];
@@ -102,8 +108,8 @@ mod tests {
 
     #[test]
     fn load_without_store_fails() {
-        let (mut p, mut core) = world();
-        let status = p.shadow_load(&mut core, PhysAddr::new(PAGE_SIZE), 0, SimTime::ZERO);
+        let (mut p, mut core, mut mem) = world();
+        let status = p.shadow_load(&mut core, PhysAddr::new(PAGE_SIZE), 0, SimTime::ZERO, &mut mem);
         assert_eq!(status, DMA_FAILURE);
         assert_eq!(core.stats().rejected_for(RejectReason::MissingArgs), 1);
     }
@@ -114,13 +120,13 @@ mod tests {
         // src_b → B's transfer uses B's args (fine); then A loads src_a
         // → *fails* (slot empty), or worse if B only stored: A's load
         // pairs with B's destination.
-        let (mut p, mut core) = world();
+        let (mut p, mut core, mut mem) = world();
         let dst_a = PhysAddr::new(4 * PAGE_SIZE);
         let dst_b = PhysAddr::new(5 * PAGE_SIZE);
         let src_a = PhysAddr::new(2 * PAGE_SIZE);
-        p.shadow_store(&mut core, dst_a, 0, 64, SimTime::ZERO); // A
-        p.shadow_store(&mut core, dst_b, 0, 32, SimTime::ZERO); // B overwrites
-        let status = p.shadow_load(&mut core, src_a, 0, SimTime::ZERO); // A resumes
+        p.shadow_store(&mut core, dst_a, 0, 64, SimTime::ZERO, &mut mem); // A
+        p.shadow_store(&mut core, dst_b, 0, 32, SimTime::ZERO, &mut mem); // B overwrites
+        let status = p.shadow_load(&mut core, src_a, 0, SimTime::ZERO, &mut mem); // A resumes
         assert_eq!(status, DMA_STARTED);
         let rec = &core.mover().records()[0];
         // A's data went to B's destination: the paper's race.
@@ -130,10 +136,11 @@ mod tests {
 
     #[test]
     fn abort_clears_pending_half_initiation() {
-        let (mut p, mut core) = world();
-        p.shadow_store(&mut core, PhysAddr::new(4 * PAGE_SIZE), 0, 64, SimTime::ZERO);
+        let (mut p, mut core, mut mem) = world();
+        p.shadow_store(&mut core, PhysAddr::new(4 * PAGE_SIZE), 0, 64, SimTime::ZERO, &mut mem);
         p.abort(); // SHRIMP kernel patch at context switch
-        let status = p.shadow_load(&mut core, PhysAddr::new(2 * PAGE_SIZE), 0, SimTime::ZERO);
+        let status =
+            p.shadow_load(&mut core, PhysAddr::new(2 * PAGE_SIZE), 0, SimTime::ZERO, &mut mem);
         assert_eq!(status, DMA_FAILURE);
         assert!(core.mover().records().is_empty());
     }

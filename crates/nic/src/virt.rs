@@ -10,8 +10,8 @@
 //! engine never writes part of a page and never silently drops a tail.
 
 use crate::descring::{RingImage, RingUnit};
-use crate::engine_core::Backend;
 use crate::link::RetryPolicy;
+use crate::mover::Backend;
 use crate::regs;
 use crate::{CtxImage, Initiator, RejectReason, DMA_FAILURE};
 use std::collections::VecDeque;
@@ -232,7 +232,8 @@ pub struct VirtStage {
 /// `CTX_VIRT_*` staging and the counters. Descriptor rings translate
 /// through the same IOMMU, so the ring unit lives in here too — an
 /// engine cannot have rings without one. Every launch goes through the
-/// engine's shared back-end, which the caller lends to each operation.
+/// engine's back-end, which the caller lends to each operation together
+/// with the memory port.
 #[derive(Clone, Debug)]
 pub struct VirtUnit {
     /// The IOMMU (the OS maps, unmaps and pins through it).
@@ -279,7 +280,7 @@ impl VirtUnit {
         dst: VirtAddr,
         size: u64,
         now: SimTime,
-        back: &mut Backend,
+        back: &mut Backend<'_>,
     ) -> Result<usize, RejectReason> {
         if size == 0 {
             return Err(back.reject(RejectReason::ZeroSize));
@@ -313,7 +314,7 @@ impl VirtUnit {
     /// rule on both sides, and a fault pauses the transfer exactly at a
     /// page boundary: the moved prefix is fully delivered, nothing past
     /// it is touched.
-    fn pump(&mut self, id: usize, back: &mut Backend) {
+    fn pump(&mut self, id: usize, back: &mut Backend<'_>) {
         let config = self.config;
         let pf = config.prefetch;
         loop {
@@ -435,7 +436,7 @@ impl VirtUnit {
     }
 
     /// Resumes a faulted transfer; see [`crate::EngineCore::resume_virt`].
-    pub(crate) fn resume(&mut self, id: usize, now: SimTime, back: &mut Backend) -> VirtState {
+    pub(crate) fn resume(&mut self, id: usize, now: SimTime, back: &mut Backend<'_>) -> VirtState {
         let t = self.xfers[id];
         let VirtState::Faulted(fault) = t.state else {
             return t.state;
@@ -499,7 +500,7 @@ impl VirtUnit {
         off: u64,
         data: u64,
         now: SimTime,
-        back: &mut Backend,
+        back: &mut Backend<'_>,
     ) {
         let Some(stage) = self.stage.get_mut(ctx as usize) else {
             return;

@@ -12,9 +12,7 @@
 use udma_testkit::prop::{any, vec, Strategy};
 use udma_testkit::{prop_assert, prop_assert_eq, prop_assert_ne, props};
 
-use std::cell::RefCell;
-use std::rc::Rc;
-use udma_bus::SimTime;
+use udma_bus::{MemPort, SimTime};
 use udma_mem::{PhysAddr, PhysLayout, PhysMemory, PAGE_SIZE};
 use udma_nic::protocol::{InitiationProtocol, Repeated};
 use udma_nic::{EngineConfig, EngineCore, DMA_STARTED};
@@ -73,18 +71,18 @@ props! {
     /// store payload).
     fn repeated5_transfers_only_on_valid_windows(stream in accesses()) {
         let layout = PhysLayout::default();
-        let mem = Rc::new(RefCell::new(PhysMemory::new(1 << 22)));
-        let mut core = EngineCore::new(layout, mem, EngineConfig::default());
+        let mut mem = MemPort::flat(PhysMemory::new(1 << 22));
+        let mut core = EngineCore::new(layout, EngineConfig::default());
         let mut fsm = Repeated::five();
 
         let mut started_at = Vec::new();
         for (i, a) in stream.iter().enumerate() {
             match a.kind {
                 Kind::St => {
-                    fsm.shadow_store(&mut core, pa(a.page), 0, a.data, SimTime::ZERO);
+                    fsm.shadow_store(&mut core, pa(a.page), 0, a.data, SimTime::ZERO, &mut mem);
                 }
                 Kind::Ld => {
-                    let status = fsm.shadow_load(&mut core, pa(a.page), 0, SimTime::ZERO);
+                    let status = fsm.shadow_load(&mut core, pa(a.page), 0, SimTime::ZERO, &mut mem);
                     if status == DMA_STARTED {
                         started_at.push(i);
                     }
@@ -115,19 +113,19 @@ props! {
         pairs in vec((0u64..3, 0u64..3, 1u64..4), 1..8),
     ) {
         let layout = PhysLayout::default();
-        let mem = Rc::new(RefCell::new(PhysMemory::new(1 << 22)));
-        let mut core = EngineCore::new(layout, mem, EngineConfig::default());
+        let mut mem = MemPort::flat(PhysMemory::new(1 << 22));
+        let mut core = EngineCore::new(layout, EngineConfig::default());
         let mut fsm = Repeated::five();
 
         let mut expected = 0;
         for (dst_page, src_page, words) in pairs {
             let size = words * 8;
             let (d, s) = (pa(dst_page), pa(4 + src_page)); // disjoint pools
-            fsm.shadow_store(&mut core, d, 0, size, SimTime::ZERO);
-            prop_assert_ne!(fsm.shadow_load(&mut core, s, 0, SimTime::ZERO), udma_nic::DMA_FAILURE);
-            fsm.shadow_store(&mut core, d, 0, size, SimTime::ZERO);
-            prop_assert_ne!(fsm.shadow_load(&mut core, s, 0, SimTime::ZERO), udma_nic::DMA_FAILURE);
-            let status = fsm.shadow_load(&mut core, d, 0, SimTime::ZERO);
+            fsm.shadow_store(&mut core, d, 0, size, SimTime::ZERO, &mut mem);
+            prop_assert_ne!(fsm.shadow_load(&mut core, s, 0, SimTime::ZERO, &mut mem), udma_nic::DMA_FAILURE);
+            fsm.shadow_store(&mut core, d, 0, size, SimTime::ZERO, &mut mem);
+            prop_assert_ne!(fsm.shadow_load(&mut core, s, 0, SimTime::ZERO, &mut mem), udma_nic::DMA_FAILURE);
+            let status = fsm.shadow_load(&mut core, d, 0, SimTime::ZERO, &mut mem);
             prop_assert_eq!(status, DMA_STARTED);
             expected += 1;
         }
@@ -138,18 +136,18 @@ props! {
     /// LOAD A, STORE B, LOAD A.
     fn repeated3_transfers_only_on_valid_windows(stream in accesses()) {
         let layout = PhysLayout::default();
-        let mem = Rc::new(RefCell::new(PhysMemory::new(1 << 22)));
-        let mut core = EngineCore::new(layout, mem, EngineConfig::default());
+        let mut mem = MemPort::flat(PhysMemory::new(1 << 22));
+        let mut core = EngineCore::new(layout, EngineConfig::default());
         let mut fsm = Repeated::three();
 
         let mut started_at = Vec::new();
         for (i, a) in stream.iter().enumerate() {
             match a.kind {
                 Kind::St => {
-                    fsm.shadow_store(&mut core, pa(a.page), 0, a.data, SimTime::ZERO);
+                    fsm.shadow_store(&mut core, pa(a.page), 0, a.data, SimTime::ZERO, &mut mem);
                 }
                 Kind::Ld => {
-                    if fsm.shadow_load(&mut core, pa(a.page), 0, SimTime::ZERO) == DMA_STARTED {
+                    if fsm.shadow_load(&mut core, pa(a.page), 0, SimTime::ZERO, &mut mem) == DMA_STARTED {
                         started_at.push(i);
                     }
                 }

@@ -538,19 +538,13 @@ fn splitmix(state: &mut u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use udma_bus::MemPort;
     use udma_mem::{PhysAddr, PhysLayout, PhysMemory};
     use udma_nic::{EngineConfig, Initiator};
 
     fn engine(contexts: u32) -> EngineCore {
         let layout = PhysLayout::default();
-        let mem = Rc::new(RefCell::new(PhysMemory::new(1 << 22)));
-        EngineCore::new(
-            layout,
-            mem,
-            EngineConfig { num_contexts: contexts, ..EngineConfig::default() },
-        )
+        EngineCore::new(layout, EngineConfig { num_contexts: contexts, ..EngineConfig::default() })
     }
 
     fn cache(contexts: u32) -> CtxCache {
@@ -628,6 +622,7 @@ mod tests {
                 4096,
                 Initiator::Context(c0),
                 SimTime::ZERO,
+                &mut MemPort::flat(PhysMemory::new(1 << 22)),
             )
             .unwrap();
         core.context_mut(c0).set_last_transfer(idx);
@@ -651,6 +646,7 @@ mod tests {
                 4096,
                 Initiator::Context(c0),
                 SimTime::ZERO,
+                &mut MemPort::flat(PhysMemory::new(1 << 22)),
             )
             .unwrap();
         core.context_mut(c0).set_last_transfer(idx);
@@ -704,6 +700,7 @@ mod tests {
                 4096,
                 Initiator::Context(cb),
                 SimTime::ZERO,
+                &mut MemPort::flat(PhysMemory::new(1 << 22)),
             )
             .unwrap();
         core.context_mut(cb).set_last_transfer(idx);

@@ -298,21 +298,18 @@ impl TrapHandler for Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    use udma_bus::{BusTiming, WriteBufferPolicy};
+    use udma_bus::{BusTiming, MemPort, WriteBufferPolicy};
     use udma_cpu::{Executor, ProgramBuilder, RunToCompletion};
     use udma_mem::{PageTable, Perms, PhysMemory, PAGE_SIZE};
     use udma_nic::{DmaEngine, EngineConfig, ProtocolKind};
 
-    fn machine(policy: SwitchPolicy) -> (Kernel, Bus, DmaEngine) {
+    fn machine(policy: SwitchPolicy) -> (Kernel, Bus<DmaEngine>) {
         let layout = PhysLayout::default();
-        let mem = Rc::new(RefCell::new(PhysMemory::new(layout.ram_size)));
-        let mut bus = Bus::new(layout, Rc::clone(&mem), BusTiming::turbochannel());
-        let engine = DmaEngine::new(layout, mem, EngineConfig::default(), ProtocolKind::KernelOnly);
-        bus.attach_nic(Box::new(engine.clone()));
+        let mem = MemPort::flat(PhysMemory::new(layout.ram_size));
+        let engine = DmaEngine::new(layout, EngineConfig::default(), ProtocolKind::KernelOnly);
+        let bus = Bus::new(layout, mem, BusTiming::turbochannel(), engine);
         let kernel = Kernel::new(layout, CostModel::alpha_3000_300(), policy, 4, 42, 61);
-        (kernel, bus, engine)
+        (kernel, bus)
     }
 
     #[test]
@@ -326,7 +323,7 @@ mod tests {
 
     #[test]
     fn kernel_dma_syscall_end_to_end() {
-        let (mut kernel, mut bus, engine) = machine(SwitchPolicy::Vanilla);
+        let (mut kernel, mut bus) = machine(SwitchPolicy::Vanilla);
         let mut pt = PageTable::new();
         let buf = kernel
             .vm_mut()
@@ -339,8 +336,7 @@ mod tests {
             )
             .unwrap();
         // Seed source data directly in RAM.
-        let mem = bus.memory();
-        mem.borrow_mut().write_u64(buf.first_frame.base(), 0x5EED).unwrap();
+        bus.port_mut().ram_mut().write_u64(buf.first_frame.base(), 0x5EED).unwrap();
 
         let mut ex = Executor::new(CostModel::alpha_3000_300(), WriteBufferPolicy::default());
         let src = buf.va.as_u64();
@@ -357,9 +353,9 @@ mod tests {
 
         assert_ne!(ex.process(pid).reg(Reg::R0), DMA_FAILURE);
         assert_eq!(kernel.stats().dma_syscalls, 1);
-        assert_eq!(engine.core().stats().started, 1);
+        assert_eq!(bus.nic().core().stats().started, 1);
         // Data arrived at the destination frame.
-        let got = mem.borrow().read_u64(buf.first_frame.offset(1).base()).unwrap();
+        let got = bus.port_mut().ram_mut().read_u64(buf.first_frame.offset(1).base()).unwrap();
         assert_eq!(got, 0x5EED);
         // ~19 µs: syscall entry/exit + translations + four bus accesses.
         let us = ex.now().as_us();
@@ -368,7 +364,7 @@ mod tests {
 
     #[test]
     fn kernel_dma_rejects_unmapped_and_readonly() {
-        let (mut kernel, mut bus, engine) = machine(SwitchPolicy::Vanilla);
+        let (mut kernel, mut bus) = machine(SwitchPolicy::Vanilla);
         let mut pt = PageTable::new();
         let buf = kernel
             .vm_mut()
@@ -387,12 +383,12 @@ mod tests {
         ex.run(&mut RunToCompletion, &mut kernel, &mut bus, 100);
         assert_eq!(ex.process(pid).reg(Reg::R0), DMA_FAILURE);
         assert_eq!(kernel.stats().failed_syscalls, 1);
-        assert_eq!(engine.core().stats().started, 0);
+        assert_eq!(bus.nic().core().stats().started, 0);
     }
 
     #[test]
     fn atomic_syscall_end_to_end() {
-        let (mut kernel, mut bus, _engine) = machine(SwitchPolicy::Vanilla);
+        let (mut kernel, mut bus) = machine(SwitchPolicy::Vanilla);
         let mut pt = PageTable::new();
         let buf = kernel
             .vm_mut()
@@ -404,8 +400,7 @@ mod tests {
                 crate::ShadowMode::None,
             )
             .unwrap();
-        let mem = bus.memory();
-        mem.borrow_mut().write_u64(buf.first_frame.base(), 100).unwrap();
+        bus.port_mut().ram_mut().write_u64(buf.first_frame.base(), 100).unwrap();
 
         let mut ex = Executor::new(CostModel::alpha_3000_300(), WriteBufferPolicy::default());
         let prog = ProgramBuilder::new()
@@ -418,12 +413,12 @@ mod tests {
         let pid = ex.spawn(prog, pt);
         ex.run(&mut RunToCompletion, &mut kernel, &mut bus, 100);
         assert_eq!(ex.process(pid).reg(Reg::R0), 100); // old value
-        assert_eq!(mem.borrow().read_u64(buf.first_frame.base()).unwrap(), 105);
+        assert_eq!(bus.port_mut().ram_mut().read_u64(buf.first_frame.base()).unwrap(), 105);
     }
 
     #[test]
     fn unknown_syscall_fails() {
-        let (mut kernel, mut bus, _engine) = machine(SwitchPolicy::Vanilla);
+        let (mut kernel, mut bus) = machine(SwitchPolicy::Vanilla);
         let mut ex = Executor::new(CostModel::alpha_3000_300(), WriteBufferPolicy::default());
         let pid = ex.spawn(ProgramBuilder::new().syscall(999).halt().build(), PageTable::new());
         ex.run(&mut RunToCompletion, &mut kernel, &mut bus, 100);
@@ -438,7 +433,7 @@ mod tests {
             (SwitchPolicy::ShrimpAbort, 1),
             (SwitchPolicy::FlashNotify, 1),
         ] {
-            let (mut kernel, mut bus, _engine) = machine(policy);
+            let (mut kernel, mut bus) = machine(policy);
             let dt = kernel.on_context_switch(
                 None,
                 Pid::new(3),
@@ -453,11 +448,11 @@ mod tests {
 
     #[test]
     fn register_ring_validates_window_and_programs_tables() {
-        let (mut kernel, mut bus, engine) = machine(SwitchPolicy::Vanilla);
-        engine
+        let (mut kernel, mut bus) = machine(SwitchPolicy::Vanilla);
+        bus.nic_mut()
             .core_mut()
             .enable_iommu(udma_iommu::IotlbConfig::default(), udma_nic::VirtDmaConfig::default());
-        engine.core_mut().enable_rings(udma_nic::RingConfig::default());
+        bus.nic_mut().core_mut().enable_rings(udma_nic::RingConfig::default());
         let g = kernel.grant_context(Pid::new(1), &mut bus, SimTime::ZERO).unwrap();
         let mut pt = PageTable::new();
         let buf = kernel
@@ -474,7 +469,7 @@ mod tests {
         let max = PAGE_SIZE / udma_nic::DESC_BYTES;
         assert!(!kernel.register_ring(&g, &buf, max + 1, &mut bus, SimTime::ZERO));
         assert!(!kernel.register_ring(&g, &buf, 0, &mut bus, SimTime::ZERO));
-        assert!(!engine.core().rings().unwrap().ring(g.ctx).registered());
+        assert!(!bus.nic().core().rings().unwrap().ring(g.ctx).registered());
         // A read-only buffer can't back a ring the process must write.
         let ro = kernel
             .vm_mut()
@@ -483,19 +478,17 @@ mod tests {
         assert!(!kernel.register_ring(&g, &ro, 4, &mut bus, SimTime::ZERO));
 
         assert!(kernel.register_ring(&g, &buf, max, &mut bus, SimTime::ZERO));
-        let core = engine.core();
-        let ring = core.rings().unwrap().ring(g.ctx);
+        let ring = bus.nic().core().rings().unwrap().ring(g.ctx);
         assert!(ring.registered());
         assert_eq!(ring.base, buf.first_frame.base());
         assert_eq!(ring.capacity as u64, max);
-        drop(core);
         kernel.deregister_ring(&g, &mut bus, SimTime::ZERO);
-        assert!(!engine.core().rings().unwrap().ring(g.ctx).registered());
+        assert!(!bus.nic().core().rings().unwrap().ring(g.ctx).registered());
     }
 
     #[test]
     fn register_ring_fails_without_a_ring_unit() {
-        let (mut kernel, mut bus, engine) = machine(SwitchPolicy::Vanilla);
+        let (mut kernel, mut bus) = machine(SwitchPolicy::Vanilla);
         let g = kernel.grant_context(Pid::new(1), &mut bus, SimTime::ZERO).unwrap();
         let mut pt = PageTable::new();
         let buf = kernel
@@ -511,14 +504,14 @@ mod tests {
         // The ring tables do not decode, so the kernel reports failure.
         assert!(!kernel.register_ring(&g, &buf, 4, &mut bus, SimTime::ZERO));
         assert_eq!(kernel.stats().failed_syscalls, 1);
-        assert!(engine.core().rings().is_none());
+        assert!(bus.nic().core().rings().is_none());
     }
 
     #[test]
     fn grant_context_programs_key_table() {
-        let (mut kernel, mut bus, engine) = machine(SwitchPolicy::Vanilla);
+        let (mut kernel, mut bus) = machine(SwitchPolicy::Vanilla);
         let g = kernel.grant_context(Pid::new(1), &mut bus, SimTime::ZERO).unwrap();
-        assert_eq!(engine.core().key(g.ctx), g.key);
+        assert_eq!(bus.nic().core().key(g.ctx), g.key);
         // Same pid again: same grant, not reprogrammed differently.
         let g2 = kernel.grant_context(Pid::new(1), &mut bus, SimTime::ZERO).unwrap();
         assert_eq!(g, g2);

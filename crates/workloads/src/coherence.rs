@@ -137,33 +137,24 @@ fn coherence_cost_point(mode: CoherenceMode, prep: ProducerPrep, bytes: u64) -> 
     let src = PhysAddr::new(SRC_PA);
 
     // Seed memory with a base pattern so every byte is accounted for.
-    {
-        let mem = m.memory();
-        let mut mem = mem.borrow_mut();
-        for off in (0..bytes).step_by(8) {
-            mem.write_u64(PhysAddr::new(SRC_PA + off), 0x5EED_0000 + off).unwrap();
-        }
+    let mem = m.memory_mut();
+    for off in (0..bytes).step_by(8) {
+        mem.write_u64(PhysAddr::new(SRC_PA + off), 0x5EED_0000 + off).unwrap();
     }
-
-    // Producer: touch every line through the CPU's cache agent when one
-    // exists; on the flat machine the same stores go straight to memory
-    // (which is what "flat" means).
-    let cpu = m.executor().coherence();
     let mut expected = vec![0u8; bytes as usize];
-    {
-        let mem = m.memory();
-        mem.borrow().read_bytes(src, &mut expected).unwrap();
-    }
+    mem.read_bytes(src, &mut expected).unwrap();
+
+    // Producer: touch every line through the CPU side of the memory
+    // port — the CPU's cache agent when one exists; on the flat machine
+    // the same stores go straight to memory (which is what "flat"
+    // means), and there is no data cache to warm.
+    let cpu = m.bus_mut().port_mut();
     match prep {
         ProducerPrep::Cold => {}
         ProducerPrep::Warm => {
-            if let Some((domain, agent)) = &cpu {
-                let mut buf = [0u8; 8];
+            if mode != CoherenceMode::Flat {
                 for off in (0..bytes).step_by(LINE as usize) {
-                    domain
-                        .borrow_mut()
-                        .agent_read(*agent, PhysAddr::new(SRC_PA + off), &mut buf)
-                        .unwrap();
+                    cpu.cpu_read(PhysAddr::new(SRC_PA + off)).unwrap();
                 }
             }
         }
@@ -171,19 +162,7 @@ fn coherence_cost_point(mode: CoherenceMode, prep: ProducerPrep, bytes: u64) -> 
             for off in (0..bytes).step_by(LINE as usize) {
                 let word = (0xD1_5EA5E_u64 << 16) | off;
                 expected[off as usize..off as usize + 8].copy_from_slice(&word.to_le_bytes());
-                match &cpu {
-                    Some((domain, agent)) => {
-                        domain
-                            .borrow_mut()
-                            .agent_write(*agent, PhysAddr::new(SRC_PA + off), &word.to_le_bytes())
-                            .unwrap();
-                    }
-                    None => {
-                        let mem = m.memory();
-                        let r = mem.borrow_mut().write_u64(PhysAddr::new(SRC_PA + off), word);
-                        r.unwrap();
-                    }
-                }
+                cpu.cpu_write(PhysAddr::new(SRC_PA + off), word).unwrap();
             }
         }
     }
@@ -195,10 +174,7 @@ fn coherence_cost_point(mode: CoherenceMode, prep: ProducerPrep, bytes: u64) -> 
     // last wrote? (In non-coherent mode this holds *because* the post
     // flushed; tests/coherence.rs shows skipping the flush breaks it.)
     let mut got = vec![0u8; bytes as usize];
-    {
-        let mem = m.memory();
-        mem.borrow().read_bytes(PhysAddr::new(DST_PA), &mut got).unwrap();
-    }
+    m.memory_mut().read_bytes(PhysAddr::new(DST_PA), &mut got).unwrap();
 
     CoherenceCostRow {
         mode,
@@ -246,15 +222,12 @@ pub fn false_sharing_adversary(rounds: u64) -> FalseSharingRow {
         ..MachineConfig::new(DmaMethod::Kernel)
     });
     let shared_line = PhysAddr::new(DST_PA);
-    let (domain, agent) = m.executor().coherence().expect("coherent machine");
 
     let mut last_cpu = [0u8; 8];
     let mut last_dma = [0u8; 8];
     let mut consumer_reads_ok = true;
     let post = |m: &mut Machine, word: u64| {
-        let mem = m.memory();
-        mem.borrow_mut().write_u64(PhysAddr::new(SRC_PA), word).unwrap();
-        drop(mem);
+        m.memory_mut().write_u64(PhysAddr::new(SRC_PA), word).unwrap();
         m.post_dma_coherence_aware(PhysAddr::new(SRC_PA), shared_line, 8).unwrap();
         m.check_coherence_invariants().unwrap();
     };
@@ -262,16 +235,15 @@ pub fn false_sharing_adversary(rounds: u64) -> FalseSharingRow {
         // CPU claims the line: store to the high half → Modified.
         let cpu_word = 0xC0FFEE_u64.wrapping_mul(round + 1);
         last_cpu = cpu_word.to_le_bytes();
-        domain.borrow_mut().agent_write(agent, PhysAddr::new(DST_PA + 8), &last_cpu).unwrap();
+        m.bus_mut().port_mut().cpu_write(PhysAddr::new(DST_PA + 8), cpu_word).unwrap();
         // DMA lands on bytes 0..8 while the line is Modified: the snoop
         // bus must writeback-intervene before depositing the DMA bytes.
         let dma_word = 0xD00D_5000_u64 | (round << 1);
         post(&mut m, dma_word);
         // Consumer: the CPU reads back what the DMA wrote (pulling a
         // clean copy into its cache)…
-        let mut readback = [0u8; 8];
-        domain.borrow_mut().agent_read(agent, shared_line, &mut readback).unwrap();
-        consumer_reads_ok &= readback == dma_word.to_le_bytes();
+        let (readback, _, _) = m.bus_mut().port_mut().cpu_read(shared_line).unwrap();
+        consumer_reads_ok &= readback == dma_word;
         // …so the *next* DMA write hits a clean holder and must
         // broadcast an invalidation instead of an intervention.
         let dma_word2 = dma_word | 1;
@@ -282,10 +254,7 @@ pub fn false_sharing_adversary(rounds: u64) -> FalseSharingRow {
     let stats = m.coherence_stats();
     m.cache_sync();
     let mut line = [0u8; 16];
-    {
-        let mem = m.memory();
-        mem.borrow().read_bytes(shared_line, &mut line).unwrap();
-    }
+    m.memory_mut().read_bytes(shared_line, &mut line).unwrap();
     FalseSharingRow {
         rounds,
         interventions: stats.interventions,

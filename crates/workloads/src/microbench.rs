@@ -109,7 +109,7 @@ pub fn dcache_effect(touches: u32) -> (SimTime, SimTime) {
         );
         let out = m.run(10_000_000);
         assert!(out.finished);
-        (m.time(), m.executor().dcache_stats())
+        (m.time(), m.bus().port().cpu_cache_stats())
     };
     // Hot: all touches land on one line.
     let (hot, hot_stats) = run(0, 1);

@@ -69,22 +69,19 @@ pub fn broadcast(nodes: u32, bytes: u64) -> BroadcastResult {
         b.halt().build()
     });
     // Mapped-out table: page n → the twin page on node n + 1.
-    {
-        let env = m.env(pid).clone();
-        let engine = m.engine().clone();
-        let mut core = engine.core_mut();
-        for n in 0..nodes {
-            core.set_mapped_out(
-                env.buffer(0).first_frame.offset(u64::from(n)),
-                Destination::Remote { node: n + 1, asid: TWIN_ASID, va: TWIN_VA },
-            );
-        }
+    let first_frame = m.env(pid).buffer(0).first_frame;
+    let core = m.engine_mut().core_mut();
+    for n in 0..nodes {
+        core.set_mapped_out(
+            first_frame.offset(u64::from(n)),
+            Destination::Remote { node: n + 1, asid: TWIN_ASID, va: TWIN_VA },
+        );
     }
     // Distinct payload per node.
     let payload = |n: u64| (0..bytes).map(|i| (i as u8).wrapping_add(n as u8)).collect::<Vec<u8>>();
     for n in 0..nodes as u64 {
         let frame = m.env(pid).buffer(0).first_frame.offset(n);
-        m.memory().borrow_mut().write_bytes(frame.base(), &payload(n)).unwrap();
+        m.memory_mut().write_bytes(frame.base(), &payload(n)).unwrap();
     }
 
     let out = m.run(1_000_000);

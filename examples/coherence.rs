@@ -37,12 +37,11 @@ fn main() {
     let (src, dst) = (PhysAddr::new(0x10_000), PhysAddr::new(0x20_000));
     // The producer writes through the CPU cache: the fresh bytes live
     // only in Modified lines, memory still holds zeroes.
-    let (domain, agent) = m.executor().coherence().expect("non-coherent machine has a cache");
-    domain.borrow_mut().agent_write(agent, src, &0xFEED_FACE_CAFE_F00Du64.to_le_bytes()).unwrap();
-    drop(domain);
+    m.bus_mut().port_mut().cpu_write(src, 0xFEED_FACE_CAFE_F00D).unwrap();
     // A forgetful driver posts without the flush bracket...
     let now = m.time();
-    m.engine().core_mut().launch_checked(src, dst, 8, Initiator::Kernel, true, now).unwrap();
+    let (engine, mem) = m.bus_mut().nic_and_port();
+    engine.core_mut().launch_checked(src, dst, 8, Initiator::Kernel, now, mem).unwrap();
     let mut stale = [0u8; 8];
     m.memory().borrow().read_bytes(dst, &mut stale).unwrap();
     println!("raw post, no flush:      dst = {stale:02x?}   <- stale memory, not the producer");

@@ -36,16 +36,13 @@ fn main() {
     });
 
     // Configure the mapped-out table: page i of the buffer → node i + 1.
-    {
-        let env = m.env(pid).clone();
-        let core = m.engine().clone();
-        let mut core = core.core_mut();
-        for page in 0..3u32 {
-            core.set_mapped_out(
-                env.buffer(0).first_frame.offset(u64::from(page)),
-                Destination::Remote { node: page + 1, asid: ASID, va: TWIN_VA },
-            );
-        }
+    let first_frame = m.env(pid).buffer(0).first_frame;
+    let core = m.engine_mut().core_mut();
+    for page in 0..3u32 {
+        core.set_mapped_out(
+            first_frame.offset(u64::from(page)),
+            Destination::Remote { node: page + 1, asid: ASID, va: TWIN_VA },
+        );
     }
 
     // Seed each page with a distinct message.

@@ -9,16 +9,14 @@
 //! negative test shows the bracket is load-bearing: skip the flush and
 //! the DMA observably moves stale bytes.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use udma::{
-    emit_dma_once, CoherenceMode, CoherenceSetup, DmaMethod, DmaRequest, Machine, MachineConfig,
-    ProcessSpec,
+    emit_atomic, emit_dma_once, AtomicRequest, CoherenceMode, CoherenceSetup, DmaMethod,
+    DmaRequest, Machine, MachineConfig, ProcessSpec,
 };
-use udma_bus::{CacheConfig, CoherenceDomain, CoherenceTiming, SharedCoherence, SimTime};
+use udma_bus::{CacheConfig, CoherenceDomain, CoherenceTiming, SimTime};
 use udma_cpu::{ProgramBuilder, Reg};
 use udma_mem::{PhysAddr, PhysMemory};
-use udma_nic::Initiator;
+use udma_nic::{AtomicOp, Initiator};
 use udma_testkit::prop::vec;
 use udma_testkit::sched::{explore, Budget};
 use udma_testkit::{prop_assert, prop_assert_eq, props};
@@ -59,12 +57,11 @@ fn decode(kind: u64, slot: u64, val: u64) -> Op {
     }
 }
 
-fn fresh_domain(agents: usize) -> (SharedCoherence, Vec<usize>) {
-    let mem = Rc::new(RefCell::new(PhysMemory::new(MEM_BYTES)));
-    let domain = CoherenceDomain::new(mem, CoherenceTiming::default()).shared();
-    let ids =
-        (0..agents).map(|_| domain.borrow_mut().add_agent(CacheConfig::alpha_21064())).collect();
-    (domain, ids)
+fn fresh_domain(agents: usize) -> (CoherenceDomain, PhysMemory, Vec<usize>) {
+    let mem = PhysMemory::new(MEM_BYTES);
+    let mut domain = CoherenceDomain::new(CoherenceTiming::default());
+    let ids = (0..agents).map(|_| domain.add_agent(CacheConfig::alpha_21064())).collect();
+    (domain, mem, ids)
 }
 
 fn pattern(val: u64, len: u64) -> Vec<u8> {
@@ -84,10 +81,10 @@ props! {
         // World 0: the oracle — flat bytes, no caches anywhere.
         let mut oracle = vec![0u8; ARENA as usize];
         // World 1: two CPU agents + snooping DMA.
-        let (coh, coh_agents) = fresh_domain(2);
+        let (mut coh, mut coh_mem, coh_agents) = fresh_domain(2);
         // World 2: two CPU agents, raw DMA bracketed by software
         // flushes (the non-coherent contract).
-        let (ncoh, ncoh_agents) = fresh_domain(2);
+        let (mut ncoh, mut ncoh_mem, ncoh_agents) = fresh_domain(2);
 
         let base = |off: u64| PhysAddr::new(ARENA_BASE + off);
         for &(kind, slot, val) in &raw_ops {
@@ -95,22 +92,16 @@ props! {
                 Op::CpuStore { agent, off, val } => {
                     let bytes = val.to_le_bytes();
                     oracle[off as usize..off as usize + 8].copy_from_slice(&bytes);
-                    coh.borrow_mut()
-                        .agent_write(coh_agents[agent], base(off), &bytes)
-                        .unwrap();
-                    ncoh.borrow_mut()
-                        .agent_write(ncoh_agents[agent], base(off), &bytes)
+                    coh.agent_write(coh_agents[agent], base(off), &bytes, &mut coh_mem).unwrap();
+                    ncoh.agent_write(ncoh_agents[agent], base(off), &bytes, &mut ncoh_mem)
                         .unwrap();
                 }
                 Op::CpuLoad { agent, off } => {
                     let want = &oracle[off as usize..off as usize + 8];
                     let mut got = [0u8; 8];
-                    coh.borrow_mut()
-                        .agent_read(coh_agents[agent], base(off), &mut got)
-                        .unwrap();
+                    coh.agent_read(coh_agents[agent], base(off), &mut got, &mut coh_mem).unwrap();
                     prop_assert_eq!(&got, want, "coherent load at {off}");
-                    ncoh.borrow_mut()
-                        .agent_read(ncoh_agents[agent], base(off), &mut got)
+                    ncoh.agent_read(ncoh_agents[agent], base(off), &mut got, &mut ncoh_mem)
                         .unwrap();
                     prop_assert_eq!(&got, want, "non-coherent load at {off}");
                 }
@@ -118,41 +109,38 @@ props! {
                     let bytes = pattern(val, len);
                     oracle[off as usize..(off + len) as usize].copy_from_slice(&bytes);
                     // Coherent: the engine's write snoops for itself.
-                    coh.borrow_mut().dma_write(base(off), &bytes).unwrap();
+                    coh.dma_write(base(off), &bytes, &mut coh_mem).unwrap();
                     // Non-coherent: software must flush the target range
                     // from EVERY cache first (dirty lines written back,
                     // clean copies discarded), then DMA raw.
                     for &a in &ncoh_agents {
-                        ncoh.borrow_mut().flush_range(a, base(off), len);
+                        ncoh.flush_range(a, base(off), len, &mut ncoh_mem);
                     }
-                    let mem = ncoh.borrow().memory();
-                    mem.borrow_mut().write_bytes(base(off), &bytes).unwrap();
+                    ncoh_mem.write_bytes(base(off), &bytes).unwrap();
                 }
                 Op::DmaRead { off, len } => {
                     let want = &oracle[off as usize..(off + len) as usize];
                     let mut got = vec![0u8; len as usize];
-                    coh.borrow_mut().dma_read(base(off), &mut got).unwrap();
+                    coh.dma_read(base(off), &mut got, &mut coh_mem).unwrap();
                     prop_assert_eq!(&got[..], want, "coherent DMA payload at {off}");
                     for &a in &ncoh_agents {
-                        ncoh.borrow_mut().flush_range(a, base(off), len);
+                        ncoh.flush_range(a, base(off), len, &mut ncoh_mem);
                     }
-                    let mem = ncoh.borrow().memory();
-                    mem.borrow().read_bytes(base(off), &mut got).unwrap();
+                    ncoh_mem.read_bytes(base(off), &mut got).unwrap();
                     prop_assert_eq!(&got[..], want, "non-coherent DMA payload at {off}");
                 }
             }
-            let inv = coh.borrow().check_invariants();
+            let inv = coh.check_invariants(&coh_mem);
             prop_assert!(inv.is_ok(), "MESI invariant broken: {:?}", inv);
         }
 
         // Final image: write everything back and compare both worlds to
         // the oracle byte for byte.
-        coh.borrow_mut().sync();
-        ncoh.borrow_mut().sync();
-        for world in [&coh, &ncoh] {
-            let mem = world.borrow().memory();
+        coh.sync(&mut coh_mem);
+        ncoh.sync(&mut ncoh_mem);
+        for mem in [&coh_mem, &ncoh_mem] {
             let mut image = vec![0u8; ARENA as usize];
-            mem.borrow().read_bytes(PhysAddr::new(ARENA_BASE), &mut image).unwrap();
+            mem.read_bytes(PhysAddr::new(ARENA_BASE), &mut image).unwrap();
             prop_assert_eq!(&image, &oracle, "final memory image diverged");
         }
     }
@@ -175,7 +163,7 @@ fn snoop_race_exploration_is_safe_and_exhaustive() {
     // one store → 3!·4 / … = 12 schedules, fully enumerable.
     let lens = [2usize, 1, 1];
     let exploration = explore(&lens, Budget::new(10_000, 0xE18), |schedule| {
-        let (domain, agents) = fresh_domain(2);
+        let (mut domain, mut mem, agents) = fresh_domain(2);
         let mut next = [0usize; 3];
         let mut cpu0_read = None;
         for &t in schedule {
@@ -184,33 +172,38 @@ fn snoop_race_exploration_is_safe_and_exhaustive() {
             let r: Result<_, udma_mem::MemFault> = match (t, step) {
                 // CPU0: store its field, then read it back.
                 (0, 0) => domain
-                    .borrow_mut()
-                    .agent_write(agents[0], PhysAddr::new(LINE + 8), &cpu0_word.to_le_bytes())
+                    .agent_write(
+                        agents[0],
+                        PhysAddr::new(LINE + 8),
+                        &cpu0_word.to_le_bytes(),
+                        &mut mem,
+                    )
                     .map(|_| ()),
                 (0, 1) => {
                     let mut buf = [0u8; 8];
                     let res = domain
-                        .borrow_mut()
-                        .agent_read(agents[0], PhysAddr::new(LINE + 8), &mut buf)
+                        .agent_read(agents[0], PhysAddr::new(LINE + 8), &mut buf, &mut mem)
                         .map(|_| ());
                     cpu0_read = Some(buf);
                     res
                 }
                 // DMA: partial-line write to bytes 0..8.
-                (1, 0) => {
-                    domain.borrow_mut().dma_write(PhysAddr::new(LINE), &dma_bytes).map(|_| ())
-                }
+                (1, 0) => domain.dma_write(PhysAddr::new(LINE), &dma_bytes, &mut mem).map(|_| ()),
                 // CPU1: store the third field.
                 (2, 0) => domain
-                    .borrow_mut()
-                    .agent_write(agents[1], PhysAddr::new(LINE + 16), &cpu1_word.to_le_bytes())
+                    .agent_write(
+                        agents[1],
+                        PhysAddr::new(LINE + 16),
+                        &cpu1_word.to_le_bytes(),
+                        &mut mem,
+                    )
                     .map(|_| ()),
                 _ => unreachable!("schedule exceeded thread lengths"),
             };
             if let Err(f) = r {
                 return Some(format!("fault {f:?} under {schedule:?}"));
             }
-            if let Err(e) = domain.borrow().check_invariants() {
+            if let Err(e) = domain.check_invariants(&mem) {
                 return Some(format!("invariant: {e} under {schedule:?}"));
             }
         }
@@ -220,10 +213,9 @@ fn snoop_race_exploration_is_safe_and_exhaustive() {
             return Some(format!("CPU0 read back stale bytes under {schedule:?}"));
         }
         // Convergence: every field holds its only writer's value.
-        domain.borrow_mut().sync();
-        let mem = domain.borrow().memory();
+        domain.sync(&mut mem);
         let mut line = [0u8; 24];
-        mem.borrow().read_bytes(PhysAddr::new(LINE), &mut line).unwrap();
+        mem.read_bytes(PhysAddr::new(LINE), &mut line).unwrap();
         if line[..8] != dma_bytes[..]
             || line[8..16] != cpu0_word.to_le_bytes()
             || line[16..24] != cpu1_word.to_le_bytes()
@@ -258,22 +250,19 @@ fn missing_flush_moves_stale_bytes_and_the_bracket_fixes_it() {
         let dst = PhysAddr::new(0x20_000);
         // Producer writes through the CPU cache: fresh bytes live in
         // Modified lines, memory still holds zeroes.
-        let (domain, agent) = m.executor().coherence().expect("cached machine");
+        let cpu = m.bus_mut().port_mut();
         for (i, chunk) in fresh.chunks(8).enumerate() {
-            domain
-                .borrow_mut()
-                .agent_write(agent, PhysAddr::new(0x10_000 + i as u64 * 8), chunk)
-                .unwrap();
+            let word = u64::from_le_bytes(chunk.try_into().unwrap());
+            cpu.cpu_write(PhysAddr::new(0x10_000 + i as u64 * 8), word).unwrap();
         }
-        drop(domain);
         if flush {
             m.post_dma_coherence_aware(src, dst, 64).unwrap();
         } else {
             // The raw post: exactly what a driver that forgot the
             // flush would run.
             let now = m.time();
-            let mut core = m.engine().core_mut();
-            core.launch_checked(src, dst, 64, Initiator::Kernel, true, now).unwrap();
+            let (engine, mem) = m.bus_mut().nic_and_port();
+            engine.core_mut().launch_checked(src, dst, 64, Initiator::Kernel, now, mem).unwrap();
         }
         let mut got = vec![0u8; 64];
         m.memory().borrow().read_bytes(dst, &mut got).unwrap();
@@ -375,6 +364,43 @@ fn coherent_ram_accounting_matches_flat() {
     }
 }
 
+/// The bus traces cached RAM traffic alike in every mode: the same
+/// program leaves the same RAM loads and stores (address, data, issuer)
+/// in the trace of the flat, non-coherent and coherent machines. Only
+/// their times may differ.
+#[test]
+fn coherent_ram_trace_matches_flat() {
+    let run = |setup: CoherenceSetup| {
+        let mut m = Machine::new(MachineConfig {
+            coherence: setup,
+            ..MachineConfig::new(DmaMethod::Kernel)
+        });
+        m.bus_mut().trace_mut().enable();
+        m.spawn(&ProcessSpec::two_buffers(), |env| {
+            let base = env.buffer(0).va.as_u64();
+            let mut p = ProgramBuilder::new();
+            for i in 0..16u64 {
+                p = p.store(base + i * 8, i * 0x0101 + 1);
+            }
+            p = p.mb();
+            for i in 0..16u64 {
+                p = p.load(Reg::R1, base + i * 8);
+            }
+            p.halt().build()
+        });
+        m.run(100_000);
+        let layout = *m.bus().layout();
+        let ram = m.bus().trace().filter(move |e| !layout.is_device(e.paddr));
+        ram.map(|e| (e.op, e.paddr, e.data, e.tag)).collect::<Vec<_>>()
+    };
+
+    let flat = run(CoherenceSetup::flat());
+    assert!(flat.len() >= 32, "workload must reach RAM");
+    for setup in [CoherenceSetup::non_coherent(), CoherenceSetup::coherent()] {
+        assert_eq!(run(setup), flat, "{:?}: RAM trace diverged", setup.mode);
+    }
+}
+
 /// The coherence-aware post on a *flat* machine is exactly the plain
 /// post: zero extras, no sweeps, no interventions.
 #[test]
@@ -390,4 +416,32 @@ fn flat_coherence_aware_post_adds_nothing() {
     let mut got = vec![0u8; 128];
     m.memory().borrow().read_bytes(PhysAddr::new(0x6000), &mut got).unwrap();
     assert_eq!(got, pattern(9, 128));
+}
+
+/// Regression: on a snooping machine a NIC atomic sees the word the CPU
+/// just stored while that store still sits Modified in the CPU's cache,
+/// and its result survives the line's later writeback. When atomics read
+/// and wrote raw memory, the process below read old value 0 and, after
+/// the sync, memory held the CPU's 5 instead of 6 — on every path.
+#[test]
+fn coherent_atomics_see_and_keep_cached_stores() {
+    for method in [DmaMethod::Kernel, DmaMethod::ExtShadow, DmaMethod::KeyBased] {
+        let mut m = Machine::new(MachineConfig {
+            coherence: CoherenceSetup::coherent(),
+            ..MachineConfig::new(method)
+        });
+        let pid = m.spawn(&ProcessSpec::two_buffers(), |env| {
+            let va = env.buffer(0).va;
+            let req = AtomicRequest { va, op: AtomicOp::Add, operand1: 1, operand2: 0 };
+            let b = ProgramBuilder::new().store(va.as_u64(), 5u64).mb();
+            emit_atomic(env, b, &req).halt().build()
+        });
+        m.run(10_000);
+        assert_eq!(m.reg(pid, Reg::R0), 5, "{method}: the atomic's old value");
+        m.cache_sync();
+        let frame = m.env(pid).buffer(0).first_frame;
+        let word = m.memory().borrow().read_u64(frame.base()).unwrap();
+        assert_eq!(word, 6, "{method}: the final word");
+        m.check_coherence_invariants().unwrap();
+    }
 }

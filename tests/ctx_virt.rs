@@ -3,10 +3,8 @@
 //! steal-vs-in-flight-transfer race, the Machine logical-process
 //! surface, and the E17 QoS acceptance bound.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use udma::{DmaMethod, Machine, MachineConfig, PostPath};
-use udma_bus::{SharedMemory, SimTime};
+use udma_bus::{MemPort, SimTime};
 use udma_iommu::IotlbConfig;
 use udma_mem::{PhysAddr, PhysLayout, PhysMemory};
 use udma_nic::{regs, CtxBusy, EngineConfig, EngineCore, Initiator, VirtDmaConfig};
@@ -15,14 +13,11 @@ use udma_testkit::sched::{explore, Budget};
 use udma_testkit::{prop_assert_eq, props};
 use udma_workloads::hostile_tenant_scenario;
 
-fn engine(contexts: u32) -> (EngineCore, SharedMemory) {
+fn engine(contexts: u32) -> (EngineCore, MemPort) {
     let layout = PhysLayout::default();
-    let mem: SharedMemory = Rc::new(RefCell::new(PhysMemory::new(1 << 22)));
-    let core = EngineCore::new(
-        layout,
-        mem.clone(),
-        EngineConfig { num_contexts: contexts, ..EngineConfig::default() },
-    );
+    let mem = MemPort::flat(PhysMemory::new(1 << 22));
+    let core =
+        EngineCore::new(layout, EngineConfig { num_contexts: contexts, ..EngineConfig::default() });
     (core, mem)
 }
 
@@ -41,8 +36,8 @@ props! {
         spill_mask in 0u64..u64::MAX,
         via_slot in 0u32..2,
     ) {
-        let (mut subject, _smem) = engine(4);
-        let (mut oracle, _omem) = engine(4);
+        let (mut subject, mut smem) = engine(4);
+        let (mut oracle, mut omem) = engine(4);
         for core in [&mut subject, &mut oracle] {
             // The CTX_VIRT_* staging window belongs to the VA unit.
             core.enable_iommu(IotlbConfig::default(), VirtDmaConfig::default());
@@ -55,14 +50,14 @@ props! {
             let op = op_bits % 6;
             op_bits /= 6;
             let arg = 0x1000 + step * 8;
-            for core in [&mut subject, &mut oracle] {
+            for (core, mem) in [(&mut subject, &mut smem), (&mut oracle, &mut omem)] {
                 match op {
                     0 => core.context_mut(0).push_addr(PhysAddr::new(arg)),
                     1 => core.context_mut(0).set_size(arg),
                     2 => core.context_mut(0).set_atomic_operand((step % 2) as usize, arg),
                     3 => core.context_mut(0).set_atomic_result(arg),
-                    4 => core.ctx_virt_store(0, regs::CTX_VIRT_SRC, arg, SimTime::ZERO),
-                    _ => core.ctx_virt_store(0, regs::CTX_VIRT_DST, arg, SimTime::ZERO),
+                    4 => core.ctx_virt_store(0, regs::CTX_VIRT_SRC, arg, SimTime::ZERO, mem),
+                    _ => core.ctx_virt_store(0, regs::CTX_VIRT_DST, arg, SimTime::ZERO, mem),
                 }
             }
             // Subject only: maybe spill here, bounce through another
@@ -123,9 +118,9 @@ fn steal_vs_in_flight_transfer_exhaustive() {
 
     // V: [stage+post, drain]; S: [steal, steal, steal].
     let report = explore(&[2, 3], Budget::new(1_000, 0), |schedule| {
-        let (mut core, mem) = engine(2);
+        let (mut core, mut mem) = engine(2);
         let payload: Vec<u8> = (0..SIZE as usize).map(|i| (i * 13 + 5) as u8).collect();
-        mem.borrow_mut().write_bytes(PhysAddr::new(src), &payload).unwrap();
+        mem.ram_mut().write_bytes(PhysAddr::new(src), &payload).unwrap();
         core.set_key(0, 0xFEED);
 
         let mut now = SimTime::ZERO;
@@ -143,6 +138,7 @@ fn steal_vs_in_flight_transfer_exhaustive() {
                             SIZE,
                             Initiator::Context(0),
                             now,
+                            &mut mem,
                         )
                         .expect("post accepted");
                     core.context_mut(0).set_last_transfer(idx);
@@ -177,7 +173,7 @@ fn steal_vs_in_flight_transfer_exhaustive() {
         // The payload always lands intact: steals never corrupt an
         // in-flight transfer because busy contexts refuse to spill.
         let mut got = vec![0u8; SIZE as usize];
-        mem.borrow().read_bytes(PhysAddr::new(dst), &mut got).unwrap();
+        mem.ram_mut().read_bytes(PhysAddr::new(dst), &mut got).unwrap();
         (got != payload).then(|| format!("payload corrupted (saves={saves} denials={denials})"))
     });
     assert!(report.exhaustive, "the 10-schedule space must be fully enumerated");
@@ -192,7 +188,7 @@ fn steal_vs_in_flight_transfer_exhaustive() {
 #[test]
 fn cache_steal_respects_in_flight_exhaustive() {
     let report = explore(&[2, 2], Budget::new(1_000, 0), |schedule| {
-        let (mut core, _mem) = engine(1);
+        let (mut core, mut mem) = engine(1);
         let mut cache = udma_os::CtxCache::new(1, CtxCacheConfig::default());
         let victim = cache.register(QosClass::BestEffort, SimTime::ZERO);
         let hostile = cache.register(QosClass::BestEffort, SimTime::ZERO);
@@ -216,6 +212,7 @@ fn cache_steal_respects_in_flight_exhaustive() {
                             512,
                             Initiator::Context(ctx),
                             now,
+                            &mut mem,
                         )
                         .expect("post accepted");
                     core.context_mut(ctx).set_last_transfer(idx);
@@ -387,7 +384,7 @@ fn save_refuses_pending_ring_descriptors() {
     use udma_mem::{Perms, PhysFrame, VirtAddr, VirtPage, PAGE_SIZE};
     use udma_nic::{DescDst, DmaDescriptor, RingConfig, VirtDmaConfig};
 
-    let (mut core, _mem) = engine(2);
+    let (mut core, mut mem) = engine(2);
     core.enable_iommu(udma_iommu::IotlbConfig::default(), VirtDmaConfig::default());
     let iommu = core.iommu_mut().unwrap();
     iommu.create_context(1);
@@ -404,12 +401,12 @@ fn save_refuses_pending_ring_descriptors() {
 
     let desc =
         DmaDescriptor::new(VirtAddr::new(0), DescDst::Local(VirtAddr::new(8 * PAGE_SIZE)), 64);
-    core.ring_post(1, &desc).unwrap();
+    core.ring_post(1, &desc, &mut mem).unwrap();
     // Posted but undoorbelled: the descriptor would be lost to a spill.
     assert!(core.context_busy(1, SimTime::ZERO));
     assert_eq!(core.save_context(1, SimTime::ZERO), Err(CtxBusy::RingPending));
     // Doorbelled but still draining: same answer.
-    core.ring_doorbell(1, 1, SimTime::ZERO);
+    core.ring_doorbell(1, 1, SimTime::ZERO, &mut mem);
     assert_eq!(core.save_context(1, SimTime::ZERO), Err(CtxBusy::RingPending));
     assert_eq!(core.ctx_stats().busy_denials, 2);
     // Quiescent: the spill succeeds and the image carries the ring.

@@ -7,10 +7,8 @@
 //! per-transfer initiation cost falls monotonically toward the fetch
 //! asymptote as queue depth grows.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use udma::{measure_initiation, measure_ring_initiation, DmaMethod};
-use udma_bus::{SharedMemory, SimTime};
+use udma_bus::{MemPort, SimTime};
 use udma_iommu::IotlbConfig;
 use udma_mem::{Perms, PhysAddr, PhysFrame, PhysLayout, PhysMemory, VirtAddr, VirtPage, PAGE_SIZE};
 use udma_nic::{
@@ -30,14 +28,11 @@ const RING_BASE: u64 = 0x40000;
 /// frames 8..12 for sources, VA pages 8..12 → frames 16..20 for
 /// destinations) and a 64-slot descriptor ring registered — the same
 /// address plan the NIC crate's unit tests use.
-fn ring_engine() -> (EngineCore, SharedMemory) {
+fn ring_engine() -> (EngineCore, MemPort) {
     let layout = PhysLayout::default();
-    let mem: SharedMemory = Rc::new(RefCell::new(PhysMemory::new(1 << 22)));
-    let mut core = EngineCore::new(
-        layout,
-        mem.clone(),
-        EngineConfig { num_contexts: 4, ..EngineConfig::default() },
-    );
+    let mem = MemPort::flat(PhysMemory::new(1 << 22));
+    let mut core =
+        EngineCore::new(layout, EngineConfig { num_contexts: 4, ..EngineConfig::default() });
     core.enable_iommu(IotlbConfig::default(), VirtDmaConfig::default());
     let iommu = core.iommu_mut().unwrap();
     iommu.create_context(1);
@@ -61,10 +56,10 @@ fn writable_frame(frame: u64) -> bool {
 
 /// Writes one raw four-word slot into context 1's ring, the way a
 /// process's own stores would.
-fn write_slot(mem: &SharedMemory, slot: u64, words: [u64; 4]) {
+fn write_slot(mem: &mut MemPort, slot: u64, words: [u64; 4]) {
     for (w, word) in words.iter().enumerate() {
         let pa = PhysAddr::new(RING_BASE + slot * DESC_BYTES + 8 * w as u64);
-        mem.borrow_mut().write_u64(pa, *word).unwrap();
+        mem.ram_mut().write_u64(pa, *word).unwrap();
     }
 }
 
@@ -89,8 +84,8 @@ props! {
         lens in 0u64..u64::MAX,
         pattern in 0u64..u64::MAX,
     ) {
-        let (mut subject, smem) = ring_engine();
-        let (mut oracle, omem) = ring_engine();
+        let (mut subject, mut smem) = ring_engine();
+        let (mut oracle, mut omem) = ring_engine();
 
         // Identical source bytes on both machines: fill the four source
         // frames with a pattern-seeded word stream.
@@ -100,8 +95,8 @@ props! {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let pa = PhysAddr::new(8 * PAGE_SIZE + w * 8);
-            smem.borrow_mut().write_u64(pa, word).unwrap();
-            omem.borrow_mut().write_u64(pa, word).unwrap();
+            smem.ram_mut().write_u64(pa, word).unwrap();
+            omem.ram_mut().write_u64(pa, word).unwrap();
         }
 
         // N transfers with varying lengths, disjoint destination
@@ -120,16 +115,16 @@ props! {
 
         // Subject: N ring posts, one doorbell.
         for d in &descs {
-            subject.ring_post(1, d).unwrap();
+            subject.ring_post(1, d, &mut smem).unwrap();
         }
-        let launches = subject.ring_doorbell(1, n, SimTime::ZERO);
+        let launches = subject.ring_doorbell(1, n, SimTime::ZERO, &mut smem);
         prop_assert_eq!(launches.len(), n as usize, "every descriptor must launch");
 
         // Oracle: the same transfers, one register-window post each.
         let mut oracle_ids = Vec::new();
         for d in &descs {
             let DescDst::Local(dst) = d.dst;
-            oracle_ids.push(oracle.post_virt_dma(1, d.src, dst, d.len, SimTime::ZERO).unwrap());
+            oracle_ids.push(oracle.post_virt_dma(1, d.src, dst, d.len, SimTime::ZERO, &mut omem).unwrap());
         }
 
         let late = SimTime::from_us(100_000);
@@ -155,8 +150,8 @@ props! {
         // Byte identity over the whole destination region.
         let mut sbytes = vec![0u8; (4 * PAGE_SIZE) as usize];
         let mut obytes = vec![0u8; (4 * PAGE_SIZE) as usize];
-        smem.borrow().read_bytes(PhysAddr::new(16 * PAGE_SIZE), &mut sbytes).unwrap();
-        omem.borrow().read_bytes(PhysAddr::new(16 * PAGE_SIZE), &mut obytes).unwrap();
+        smem.ram_mut().read_bytes(PhysAddr::new(16 * PAGE_SIZE), &mut sbytes).unwrap();
+        omem.ram_mut().read_bytes(PhysAddr::new(16 * PAGE_SIZE), &mut obytes).unwrap();
         prop_assert!(sbytes == obytes, "destination bytes diverged");
     }
 }
@@ -177,13 +172,13 @@ props! {
         slots in vec((0u64..4, any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()), 1..9),
         tail_pick in any::<u64>(),
     ) {
-        let (mut core, mem) = ring_engine();
-        let frames = mem.borrow().size() / PAGE_SIZE;
+        let (mut core, mut mem) = ring_engine();
+        let frames = mem.ram_mut().size() / PAGE_SIZE;
         for f in 0..frames {
             let fill: Vec<u8> = (0..PAGE_SIZE)
                 .map(|i| if writable_frame(f) { (f * 31 + i) as u8 } else { 0xA5 })
                 .collect();
-            mem.borrow_mut().write_bytes(PhysAddr::new(f * PAGE_SIZE), &fill).unwrap();
+            mem.ram_mut().write_bytes(PhysAddr::new(f * PAGE_SIZE), &fill).unwrap();
         }
         let n = slots.len() as u64;
         for (i, &(kind, ctl, src, dst, len)) in slots.iter().enumerate() {
@@ -199,7 +194,7 @@ props! {
             // The kind code, random flag and node/asid bits, then a
             // chain link naming one of the first few slots (0 = none).
             let link = (ctl >> 40) % (n + 2);
-            write_slot(&mem, i as u64, [src, dst, len, kind | (ctl & 0xF_FFFF_FFFC) | (link << 36)]);
+            write_slot(&mut mem, i as u64, [src, dst, len, kind | (ctl & 0xF_FFFF_FFFC) | (link << 36)]);
         }
         let tail = match tail_pick & 3 {
             0 => n,
@@ -208,9 +203,9 @@ props! {
             _ => tail_pick >> 2,
         };
         let mut before = vec![0u8; (frames * PAGE_SIZE) as usize];
-        mem.borrow().read_bytes(PhysAddr::new(0), &mut before).unwrap();
+        mem.ram_mut().read_bytes(PhysAddr::new(0), &mut before).unwrap();
 
-        let launches = core.ring_doorbell(1, tail, SimTime::ZERO);
+        let launches = core.ring_doorbell(1, tail, SimTime::ZERO, &mut mem);
 
         let s = core.ring_stats();
         prop_assert_eq!(launches.len() as u64, s.fetched, "one outcome per fetched slot");
@@ -223,7 +218,7 @@ props! {
         prop_assert_eq!(refused as u64, s.rejected);
         prop_assert!(core.stats().rejected() >= s.rejected, "ring rejects reach the engine");
         let mut after = vec![0u8; before.len()];
-        mem.borrow().read_bytes(PhysAddr::new(0), &mut after).unwrap();
+        mem.ram_mut().read_bytes(PhysAddr::new(0), &mut after).unwrap();
         for f in (0..frames).filter(|&f| !writable_frame(f)) {
             let r = (f * PAGE_SIZE) as usize..((f + 1) * PAGE_SIZE) as usize;
             prop_assert!(before[r.clone()] == after[r], "frame {} changed but is not mapped", f);
@@ -237,7 +232,7 @@ props! {
 /// counted `BadRange` rejects and nothing is deposited.
 #[test]
 fn overflowing_chain_lengths_are_rejected_not_panicked() {
-    let (mut core, mem) = ring_engine();
+    let (mut core, mut mem) = ring_engine();
     let mut head = DmaDescriptor::new(
         VirtAddr::new(0),
         DescDst::Local(VirtAddr::new(8 * PAGE_SIZE)),
@@ -247,17 +242,17 @@ fn overflowing_chain_lengths_are_rejected_not_panicked() {
     head.link = Some(1);
     let mut frag = DmaDescriptor::new(VirtAddr::new(0x100), DescDst::Local(VirtAddr::new(0)), 8);
     frag.flags = DESC_FLAG_FRAG;
-    core.ring_post(1, &head).unwrap();
-    core.ring_post(1, &frag).unwrap();
+    core.ring_post(1, &head, &mut mem).unwrap();
+    core.ring_post(1, &frag, &mut mem).unwrap();
 
-    let launches = core.ring_doorbell(1, 2, SimTime::ZERO);
+    let launches = core.ring_doorbell(1, 2, SimTime::ZERO, &mut mem);
     assert_eq!(launches, vec![RingLaunch::Rejected(RejectReason::BadRange); 2]);
     let s = core.ring_stats();
     assert_eq!((s.fetched, s.launched, s.rejected), (2, 0, 2));
     assert_eq!(core.stats().rejected_for(RejectReason::BadRange), 2);
     assert_eq!(core.virt_stats().posted, 0);
     let mut dst = vec![0u8; (4 * PAGE_SIZE) as usize];
-    mem.borrow().read_bytes(PhysAddr::new(16 * PAGE_SIZE), &mut dst).unwrap();
+    mem.ram_mut().read_bytes(PhysAddr::new(16 * PAGE_SIZE), &mut dst).unwrap();
     assert!(dst.iter().all(|&b| b == 0), "a refused chain deposited bytes");
 }
 
@@ -266,17 +261,17 @@ fn overflowing_chain_lengths_are_rejected_not_panicked() {
 /// is refused as a counted `BadRange` reject and deposits nothing.
 #[test]
 fn retired_remote_kind_codes_are_counted_rejects() {
-    let (mut core, mem) = ring_engine();
-    mem.borrow_mut().write_u64(PhysAddr::new(8 * PAGE_SIZE), 0x5151).unwrap();
+    let (mut core, mut mem) = ring_engine();
+    mem.ram_mut().write_u64(PhysAddr::new(8 * PAGE_SIZE), 0x5151).unwrap();
     // Source VA 0 (mapped); destination word naming frame 16's base.
-    write_slot(&mem, 0, [0, 16 * PAGE_SIZE, 8, 1]);
-    write_slot(&mem, 1, [0, 16 * PAGE_SIZE, 8, 2]);
-    let launches = core.ring_doorbell(1, 2, SimTime::ZERO);
+    write_slot(&mut mem, 0, [0, 16 * PAGE_SIZE, 8, 1]);
+    write_slot(&mut mem, 1, [0, 16 * PAGE_SIZE, 8, 2]);
+    let launches = core.ring_doorbell(1, 2, SimTime::ZERO, &mut mem);
     assert_eq!(launches, vec![RingLaunch::Rejected(RejectReason::BadRange); 2]);
     let s = core.ring_stats();
     assert_eq!((s.fetched, s.launched, s.rejected), (2, 0, 2));
     assert_eq!(core.stats().rejected_for(RejectReason::BadRange), 2);
-    assert_eq!(mem.borrow().read_u64(PhysAddr::new(16 * PAGE_SIZE)).unwrap(), 0);
+    assert_eq!(mem.ram_mut().read_u64(PhysAddr::new(16 * PAGE_SIZE)).unwrap(), 0);
     assert_eq!(core.virt_stats().posted, 0);
 }
 
@@ -296,10 +291,10 @@ fn retired_remote_kind_codes_are_counted_rejects() {
 fn doorbell_vs_steal_exhaustive() {
     const LEN: u64 = 256;
     let report = explore(&[2, 2, 2], Budget::new(1_000, 0), |schedule| {
-        let (mut core, mem) = ring_engine();
+        let (mut core, mut mem) = ring_engine();
         core.set_key(1, 0xBEEF);
         let payload: Vec<u8> = (0..LEN as usize).map(|i| (i * 13 + 7) as u8).collect();
-        mem.borrow_mut().write_bytes(PhysAddr::new(8 * PAGE_SIZE), &payload).unwrap();
+        mem.ram_mut().write_bytes(PhysAddr::new(8 * PAGE_SIZE), &payload).unwrap();
         let batch = [
             DmaDescriptor::new(VirtAddr::new(0), DescDst::Local(VirtAddr::new(8 * PAGE_SIZE)), LEN),
             // VA page 6 is not mapped for context 1: this one faults.
@@ -319,9 +314,9 @@ fn doorbell_vs_steal_exhaustive() {
                     // Victim: post the batch and ring once, then drain.
                     if v_step == 0 {
                         for d in &batch {
-                            core.ring_post(1, d).unwrap();
+                            core.ring_post(1, d, &mut mem).unwrap();
                         }
-                        launches = core.ring_doorbell(1, 2, now);
+                        launches = core.ring_doorbell(1, 2, now, &mut mem);
                     } else {
                         now = SimTime::from_us(100_000);
                     }
@@ -355,14 +350,14 @@ fn doorbell_vs_steal_exhaustive() {
             return Some("the clean transfer did not complete".into());
         }
         let mut got = vec![0u8; LEN as usize];
-        mem.borrow().read_bytes(PhysAddr::new(16 * PAGE_SIZE), &mut got).unwrap();
+        mem.ram_mut().read_bytes(PhysAddr::new(16 * PAGE_SIZE), &mut got).unwrap();
         if got != payload {
             return Some("the clean transfer's bytes are corrupted".into());
         }
         if core.virt().unwrap().status(bad, late) != DMA_FAILURE {
             return Some("the faulted transfer did not fail".into());
         }
-        if mem.borrow().read_u64(PhysAddr::new(17 * PAGE_SIZE)).unwrap() != 0 {
+        if mem.ram_mut().read_u64(PhysAddr::new(17 * PAGE_SIZE)).unwrap() != 0 {
             return Some("the faulted transfer deposited bytes".into());
         }
         // The settled batch releases the context: terminal states

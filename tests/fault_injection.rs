@@ -2,10 +2,8 @@
 //! broken. Faults must be contained to the offending process, and the
 //! machine must stay consistent.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use udma::{emit_dma_once, DmaMethod, DmaRequest, Machine, ProcessSpec};
-use udma_bus::{Bus, BusTiming, WriteBufferPolicy};
+use udma_bus::{Bus, BusTiming, MemPort, NoNic, WriteBufferPolicy};
 use udma_cpu::{
     CostModel, Executor, NullTrapHandler, ProcState, ProgramBuilder, Reg, RunToCompletion,
 };
@@ -18,9 +16,9 @@ use udma_mem::{
 #[test]
 fn missing_nic_is_a_contained_bus_error() {
     let layout = PhysLayout::default();
-    let mem = Rc::new(RefCell::new(PhysMemory::new(layout.ram_size)));
-    let mut bus = Bus::new(layout, mem, BusTiming::turbochannel());
-    // NOTE: no attach_nic.
+    let mem = MemPort::flat(PhysMemory::new(layout.ram_size));
+    // NOTE: no NIC fitted.
+    let mut bus = Bus::new(layout, mem, BusTiming::turbochannel(), NoNic);
     let mut ex = Executor::new(CostModel::alpha_3000_300(), WriteBufferPolicy::default());
 
     let mut pt = PageTable::new();

@@ -111,9 +111,10 @@ fn retry_budget_exhausts_to_failure_without_os_service() {
     let mut resumes = 0;
     loop {
         let state = {
-            let mut core = m.engine().core_mut();
+            let (engine, mem) = m.bus_mut().nic_and_port();
+            let core = engine.core_mut();
             core.virt_mut().unwrap().pop_fault();
-            core.resume_virt(id, SimTime::ZERO)
+            core.resume_virt(id, SimTime::ZERO, mem)
         };
         resumes += 1;
         if matches!(state, VirtState::Failed(_)) {
@@ -383,10 +384,9 @@ fn no_interleaving_of_fault_pause_and_context_switch_leaks_bytes() {
                 .build()
         });
         let sf = m.env(v).buffer(0).first_frame;
-        let mem = m.memory();
-        mem.borrow_mut().write_u64(sf.base(), 0xFACE_0001).unwrap();
-        mem.borrow_mut().write_u64(sf.base() + PAGE_SIZE, 0xFACE_0002).unwrap();
-        drop(mem);
+        let mem = m.memory_mut();
+        mem.write_u64(sf.base(), 0xFACE_0001).unwrap();
+        mem.write_u64(sf.base() + PAGE_SIZE, 0xFACE_0002).unwrap();
         m
     };
     let report = explore(build, 10_000, |m| {
