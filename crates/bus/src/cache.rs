@@ -69,6 +69,12 @@ impl CacheConfig {
     pub fn set_index(&self, pa: u64) -> usize {
         ((pa / self.line_bytes) & (self.sets as u64 - 1)) as usize
     }
+
+    /// The tag of the line containing `pa`: its line number above the
+    /// set-index bits.
+    pub fn tag(&self, pa: u64) -> u64 {
+        (pa / self.line_bytes) >> self.sets.trailing_zeros()
+    }
 }
 
 /// Hit/miss counters.
@@ -135,9 +141,8 @@ impl DataCache {
             return false;
         }
         self.tick += 1;
-        let line = pa.as_u64() / self.config.line_bytes;
         let set = self.config.set_index(pa.as_u64());
-        let tag = line >> self.config.sets.trailing_zeros();
+        let tag = self.config.tag(pa.as_u64());
 
         if let Some(way) = self.tags[set].iter().position(|&t| t == Some(tag)) {
             self.lru[set][way] = self.tick;

@@ -174,18 +174,6 @@ impl CoherentCache {
         self.stats
     }
 
-    fn line_base(&self, pa: u64) -> u64 {
-        pa & !(self.config.line_bytes - 1)
-    }
-
-    fn set_of(&self, line_base: u64) -> usize {
-        ((line_base / self.config.line_bytes) & (self.config.sets as u64 - 1)) as usize
-    }
-
-    fn tag_of(&self, line_base: u64) -> u64 {
-        (line_base / self.config.line_bytes) >> self.config.sets.trailing_zeros()
-    }
-
     /// The MESI state of the line containing `pa`.
     pub fn state_of(&self, pa: PhysAddr) -> MesiState {
         self.probe(pa.as_u64()).map(|l| l.state).unwrap_or(MesiState::Invalid)
@@ -195,8 +183,8 @@ impl CoherentCache {
         if self.config.ways == 0 {
             return None;
         }
-        let base = self.line_base(pa);
-        let (set, tag) = (self.set_of(base), self.tag_of(base));
+        let base = self.config.line_base(pa);
+        let (set, tag) = (self.config.set_index(base), self.config.tag(base));
         self.sets[set].iter().find(|l| l.tag == tag)
     }
 
@@ -204,8 +192,8 @@ impl CoherentCache {
         if self.config.ways == 0 {
             return None;
         }
-        let base = self.line_base(pa);
-        let (set, tag) = (self.set_of(base), self.tag_of(base));
+        let base = self.config.line_base(pa);
+        let (set, tag) = (self.config.set_index(base), self.config.tag(base));
         self.tick += 1;
         let tick = self.tick;
         let line = self.sets[set].iter_mut().find(|l| l.tag == tag);
@@ -222,8 +210,8 @@ impl CoherentCache {
         if self.config.ways == 0 {
             return None;
         }
-        let base = self.line_base(pa);
-        let (set, tag) = (self.set_of(base), self.tag_of(base));
+        let base = self.config.line_base(pa);
+        let (set, tag) = (self.config.set_index(base), self.config.tag(base));
         let idx = self.sets[set].iter().position(|l| l.tag == tag)?;
         let line = self.sets[set].swap_remove(idx);
         Some((base, line.state, line.data))
@@ -238,9 +226,9 @@ impl CoherentCache {
         data: Box<[u8]>,
     ) -> Option<(u64, MesiState, Box<[u8]>)> {
         debug_assert!(self.config.ways > 0, "ways == 0 caches never allocate");
-        debug_assert_eq!(base, self.line_base(base));
-        let set = self.set_of(base);
-        let tag = self.tag_of(base);
+        debug_assert_eq!(base, self.config.line_base(base));
+        let set = self.config.set_index(base);
+        let tag = self.config.tag(base);
         self.tick += 1;
         let victim = if self.sets[set].len() >= self.config.ways {
             let (idx, _) = self.sets[set]

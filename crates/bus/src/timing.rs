@@ -32,11 +32,6 @@ impl BusTiming {
         BusTiming::new("TurboChannel 12.5MHz", 12_500_000, 6, 6)
     }
 
-    /// 33 MHz PCI.
-    pub fn pci33() -> Self {
-        BusTiming::new("PCI 33MHz", 33_000_000, 4, 6)
-    }
-
     /// 66 MHz PCI.
     pub fn pci66() -> Self {
         BusTiming::new("PCI 66MHz", 66_000_000, 4, 6)
@@ -95,7 +90,6 @@ mod tests {
     #[test]
     fn names() {
         assert!(BusTiming::turbochannel().name().contains("TurboChannel"));
-        assert!(BusTiming::pci33().name().contains("33"));
         assert_eq!(BusTiming::default(), BusTiming::turbochannel());
     }
 

@@ -56,16 +56,6 @@ impl BusTrace {
         self.enabled = true;
     }
 
-    /// Stops recording (events already captured are kept).
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
-    /// Whether recording is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records an event if enabled; counts it as dropped when full.
     pub fn record(&mut self, ev: TraceEvent) {
         if !self.enabled {
@@ -116,7 +106,7 @@ mod tests {
         let mut tr = BusTrace::default();
         tr.record(ev(0, BusOp::Read, 0));
         assert!(tr.events().is_empty());
-        assert!(!tr.is_enabled());
+        assert!(!tr.enabled);
     }
 
     #[test]
@@ -141,7 +131,7 @@ mod tests {
         tr.clear();
         assert_eq!(tr.dropped(), 0);
         assert!(tr.events().is_empty());
-        assert!(tr.is_enabled());
+        assert!(tr.enabled);
     }
 
     #[test]

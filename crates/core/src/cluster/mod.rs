@@ -42,7 +42,6 @@ pub use crash::{CrashKind, CrashPlan, CrashStats};
 pub use event::{AckEffect, EventKind, LaunchWire, LogLine};
 pub use health::{HealthState, HealthStats};
 pub use link::NodeLinkStats;
-pub use node_os::RemoteSwapRefused;
 
 use crash::FaultDomain;
 use link::LinkUnit;
@@ -57,7 +56,7 @@ use udma_nic::{
     Crc32, Envelope, FaultPlan, FaultyLink, LinkModel, ReliabilityConfig, SendXfer, XferCounters,
     XferId, XferState,
 };
-use udma_os::{FaultCosts, FaultServiceStats};
+use udma_os::{FaultCosts, FaultServiceStats, SwapRefused};
 use udma_testkit::rng::TestRng;
 
 /// Configuration of a [`ClusterSim`]: topology, backend runner, link
@@ -420,14 +419,9 @@ impl ClusterSim {
     ///
     /// # Errors
     ///
-    /// [`RemoteSwapRefused::Pinned`] while a transfer relies on the
-    /// page, [`RemoteSwapRefused::NotMapped`] if `asid` does not map it.
-    pub fn swap_out(
-        &mut self,
-        node: u32,
-        asid: Asid,
-        page: VirtPage,
-    ) -> Result<(), RemoteSwapRefused> {
+    /// [`SwapRefused::Pinned`] while a transfer relies on the
+    /// page, [`SwapRefused::NotMapped`] if `asid` does not map it.
+    pub fn swap_out(&mut self, node: u32, asid: Asid, page: VirtPage) -> Result<(), SwapRefused> {
         self.node_mut(node).os.swap_out(asid, page)
     }
 
@@ -454,11 +448,6 @@ impl ClusterSim {
         if let Some(when) = until.filter(|_| plan.kind != CrashKind::FaultStall) {
             self.schedule(plan.node, when, Work::Recover { kind: plan.kind });
         }
-    }
-
-    /// True while `node` has not crashed (or has rebooted).
-    pub fn node_up(&self, node: u32) -> bool {
-        self.node_ref(node).fault.as_ref().is_none_or(|fd| !fd.down)
     }
 
     /// `node`'s current incarnation epoch (0 until its first reboot).
@@ -840,7 +829,7 @@ mod tests {
         sim.inject_crash(CrashPlan::hang(1, SimTime::from_us(150), SimTime::from_us(100)));
         let id = sim.post(0, 1, ASID, VirtAddr::new(DST_VA), PAGE_SIZE, SimTime::from_us(400));
         sim.run();
-        assert!(sim.node_up(1));
+        assert!(sim.node_ref(1).fault.as_ref().is_none_or(|fd| !fd.down));
         assert_eq!(sim.node_incarnation(1), 1);
         assert_eq!(sim.xfer(id).state, XferState::Complete);
         assert_eq!(sim.crash_stats(1).dropped_down, 0);

@@ -24,17 +24,8 @@ use udma_mem::{
 };
 use udma_os::{
     pin_range, FaultCosts, FaultResolution, FaultService, FaultServiceStats, MappedBuffer,
-    ShadowMode, VmManager,
+    ShadowMode, SwapRefused, VmManager,
 };
-
-/// Why a remote swap-out was refused.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RemoteSwapRefused {
-    /// The page is pinned in the node's IOMMU (a transfer relies on it).
-    Pinned,
-    /// The address space does not map the page.
-    NotMapped,
-}
 
 /// One durable grant: replayed at reboot.
 #[derive(Clone, Copy, Debug)]
@@ -206,57 +197,41 @@ impl NodeOs {
     /// trip the sender already paid). An ASID the node never created is
     /// unresolvable.
     ///
+    /// `announced` is the transfer's announced destination range: the
+    /// same kernel entry then pre-installs the rest of it (see
+    /// [`FaultService::service`]), the receive-side half of the
+    /// translation pipeline. A multi-page transfer over a cold remote
+    /// buffer then costs exactly one NACK round trip instead of one per
+    /// page.
+    ///
     /// **Idempotent under retransmission.** A lossy link may deliver the
     /// same fault notification twice (the sender retransmits control
     /// traffic it cannot confirm). Servicing an already-serviced fault
     /// re-resolves to the same translation — it never remaps the page to
     /// a fresh frame, never double-charges a swap-in, and never flips a
     /// resolvable fault to unresolvable.
-    pub(super) fn service(&mut self, fault: &IoFault) -> (FaultResolution, SimTime) {
-        match self.tables.get_mut(&fault.asid) {
-            Some(pt) => self.service.service(fault, pt, &mut self.vm, &mut self.iommu),
-            None => (FaultResolution::Unresolvable, SimTime::ZERO),
-        }
-    }
-
-    /// Services a NACKed fault **and** pre-installs the rest of the
-    /// transfer's announced destination range in the same kernel entry
-    /// (see [`FaultService::service_range`]) — the receive-side half of
-    /// the translation pipeline. A multi-page transfer over a cold
-    /// remote buffer then costs exactly one NACK round trip instead of
-    /// one per page: the first fault hands the node's OS the whole
-    /// range, and subsequent pages hit the node IOMMU's prewalked
-    /// translations. Same idempotence guarantee as
-    /// [`service`](Self::service).
-    pub(super) fn service_announced(
+    pub(super) fn service(
         &mut self,
         fault: &IoFault,
-        va: VirtAddr,
-        len: u64,
+        announced: Option<(VirtAddr, u64)>,
     ) -> (FaultResolution, SimTime) {
         match self.tables.get_mut(&fault.asid) {
-            Some(pt) => {
-                self.service.service_range(fault, va, len, pt, &mut self.vm, &mut self.iommu)
-            }
+            Some(pt) => self.service.service(fault, announced, pt, &mut self.vm, &mut self.iommu),
             None => (FaultResolution::Unresolvable, SimTime::ZERO),
         }
     }
 
-    /// Swaps `page` of `asid` out of the node (and shoots the I/O
-    /// translation down), unless a transfer has it pinned.
+    /// Swaps `page` of `asid` out of the node through
+    /// [`VmManager::swap_out`], which refuses a page a transfer has
+    /// pinned.
     ///
     /// # Errors
     ///
-    /// [`RemoteSwapRefused::Pinned`] while the IOMMU holds a pin,
-    /// [`RemoteSwapRefused::NotMapped`] if the ASID does not map it.
-    pub(super) fn swap_out(&mut self, asid: Asid, page: VirtPage) -> Result<(), RemoteSwapRefused> {
-        if self.iommu.table(asid).and_then(|t| t.entry(page)).is_some_and(|e| e.pinned) {
-            return Err(RemoteSwapRefused::Pinned);
-        }
-        let pt = self.tables.get_mut(&asid).ok_or(RemoteSwapRefused::NotMapped)?;
-        self.vm.swap_out(asid, pt, page).map_err(|_| RemoteSwapRefused::NotMapped)?;
-        let _ = self.iommu.unmap(asid, page);
-        Ok(())
+    /// [`SwapRefused::Pinned`] while the IOMMU holds a pin,
+    /// [`SwapRefused::NotMapped`] if the ASID does not map it.
+    pub(super) fn swap_out(&mut self, asid: Asid, page: VirtPage) -> Result<(), SwapRefused> {
+        let pt = self.tables.get_mut(&asid).ok_or(SwapRefused::NotMapped)?;
+        self.vm.swap_out(asid, pt, Some(&mut self.iommu), page)
     }
 
     /// Translates `(asid, va)` through the resident IOTLB entries
@@ -298,12 +273,12 @@ mod tests {
     fn exposed_buffer_is_serviced_on_demand() {
         let mut os = node_os();
         os.expose(7, VirtAddr::new(0x4000), 2, Perms::READ_WRITE).unwrap();
-        let (res, cost) = os.service(&fault(7, 0x4000));
+        let (res, cost) = os.service(&fault(7, 0x4000), None);
         assert_eq!(res, FaultResolution::Mapped);
         assert!(cost > SimTime::ZERO);
         assert!(os.iommu.translate(7, VirtAddr::new(0x4000), Access::Write).is_ok());
         // Installed pinned: the swapper must refuse while the pin holds.
-        assert_eq!(os.swap_out(7, VirtAddr::new(0x4000).page()), Err(RemoteSwapRefused::Pinned));
+        assert_eq!(os.swap_out(7, VirtAddr::new(0x4000).page()), Err(SwapRefused::Pinned));
         assert_eq!(os.stats().mapped, 1);
     }
 
@@ -311,10 +286,10 @@ mod tests {
     fn unknown_asid_and_foreign_va_are_unresolvable() {
         let mut os = node_os();
         // ASID never exposed anything: no table at all.
-        assert_eq!(os.service(&fault(9, 0x4000)).0, FaultResolution::Unresolvable);
+        assert_eq!(os.service(&fault(9, 0x4000), None).0, FaultResolution::Unresolvable);
         // Known ASID, but a VA it does not map.
         os.expose(7, VirtAddr::new(0x4000), 1, Perms::READ_WRITE).unwrap();
-        assert_eq!(os.service(&fault(7, 0x9000_0000)).0, FaultResolution::Unresolvable);
+        assert_eq!(os.service(&fault(7, 0x9000_0000), None).0, FaultResolution::Unresolvable);
     }
 
     #[test]
@@ -325,11 +300,11 @@ mod tests {
         os.swap_out(7, page).unwrap();
         assert!(os.vm.swapped_out(7, page));
         // The next fault pages it back in (at swap-in cost) and pins it.
-        let (res, cost) = os.service(&fault(7, 0x4000));
+        let (res, cost) = os.service(&fault(7, 0x4000), None);
         assert_eq!(res, FaultResolution::SwappedIn);
         assert!(cost >= FaultCosts::default().swap_in);
         assert!(!os.vm.swapped_out(7, page));
-        assert_eq!(os.swap_out(7, page), Err(RemoteSwapRefused::Pinned));
+        assert_eq!(os.swap_out(7, page), Err(SwapRefused::Pinned));
         // Unpin, and the swapper may take it again.
         os.iommu.set_pinned(7, page, false).unwrap();
         assert_eq!(os.swap_out(7, page), Ok(()));
@@ -340,13 +315,13 @@ mod tests {
         let mut os = node_os();
         os.expose(7, VirtAddr::new(0x4000), 1, Perms::READ_WRITE).unwrap();
         // First delivery of the notification: maps and pins the page.
-        let (first, _) = os.service(&fault(7, 0x4000));
+        let (first, _) = os.service(&fault(7, 0x4000), None);
         assert_eq!(first, FaultResolution::Mapped);
         let frame = os.iommu.translate(7, VirtAddr::new(0x4000), Access::Write).unwrap();
         // The link duplicated the notification: the second service must
         // resolve identically, to the *same* frame, without a second
         // swap-in or a remap.
-        let (second, _) = os.service(&fault(7, 0x4000));
+        let (second, _) = os.service(&fault(7, 0x4000), None);
         assert!(matches!(second, FaultResolution::Mapped | FaultResolution::SwappedIn));
         assert_eq!(os.iommu.translate(7, VirtAddr::new(0x4000), Access::Write).unwrap(), frame);
         assert_eq!(os.stats().serviced, 2, "both deliveries are accounted");
@@ -378,7 +353,7 @@ mod tests {
         os.grant(8, partly, 3, Perms::READ_WRITE, false).unwrap();
         assert_eq!(os.pin(8, partly, 2 * PAGE_SIZE), Ok(2));
         // Demand-fault the demand grant in before the crash.
-        assert_eq!(os.service(&fault(7, demand.as_u64())).0, FaultResolution::Mapped);
+        assert_eq!(os.service(&fault(7, demand.as_u64()), None).0, FaultResolution::Mapped);
         os.deposit(7, demand, &[0xAB; 8]).unwrap();
         os.deposit(7, pinned, &[0xAB; 8]).unwrap();
         assert!(os.probe(7, demand).is_some());
@@ -407,7 +382,7 @@ mod tests {
         os.mem().read_bytes(pa, &mut word).unwrap();
         assert_eq!(word, [0; 8], "RAM is zeroed by the reboot");
         assert_eq!(os.stats(), FaultServiceStats::default());
-        assert_eq!(os.service(&fault(7, demand.as_u64())).0, FaultResolution::Mapped);
+        assert_eq!(os.service(&fault(7, demand.as_u64()), None).0, FaultResolution::Mapped);
         // A second reboot replays the same ledgers again.
         assert_eq!(os.reboot(), replayed);
     }

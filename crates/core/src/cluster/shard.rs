@@ -440,10 +440,8 @@ impl Node {
                     // departs; the service time rides on the NACK's
                     // arrival stamp, exactly the "link round trip plus a
                     // fault service" of the follow-on papers.
-                    let (res, cost) = match self.link.announced.get(&xfer) {
-                        Some(ann) => self.os.service_announced(&fault, ann.va, ann.len),
-                        None => self.os.service(&fault),
-                    };
+                    let announced = self.link.announced.get(&xfer).map(|a| (a.va, a.len));
+                    let (res, cost) = self.os.service(&fault, announced);
                     let resolvable = res != FaultResolution::Unresolvable;
                     // A stalled fault service queues the miss behind
                     // whatever it is stuck on; the NACK departs only once

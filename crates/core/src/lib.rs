@@ -64,7 +64,7 @@ pub use attack::{
 pub use cluster::{
     AckEffect, ClusterConfig, ClusterDigest, ClusterSim, CrashKind, CrashPlan, CrashStats,
     EventKind, HealthState, HealthStats, LaunchWire, LogLine, NodeDigest, NodeLinkStats, PostError,
-    RemoteSwapRefused, XferDigest,
+    XferDigest,
 };
 pub use coherence::{CoherenceMode, CoherenceSetup, CoherentPostReport};
 pub use crossover::{crossover_rows, os_bound_message_size, CrossoverRow};
@@ -80,4 +80,5 @@ pub use method::DmaMethod;
 pub use report::Table;
 pub use request::DmaRequest;
 pub use trace_report::device_trace_report;
-pub use va::{emit_virt_dma, SwapRefused, VaMode, VirtDmaSetup};
+pub use udma_os::SwapRefused;
+pub use va::{emit_virt_dma, VaMode, VirtDmaSetup};

@@ -2,7 +2,7 @@
 
 use crate::coherence::CoherenceSetup;
 use crate::ctx_virt::{LogicalPost, PostPath};
-use crate::va::{SwapRefused, VaMode, VirtDmaSetup};
+use crate::va::{VaMode, VirtDmaSetup};
 use crate::DmaMethod;
 use std::cell::RefCell;
 use udma_bus::{Bus, BusTiming, CacheConfig, MemPort, SimTime, WriteBufferPolicy};
@@ -19,7 +19,7 @@ use udma_nic::{
 };
 use udma_os::{
     pin_range, Acquired, CtxCache, CtxCacheConfig, CtxGrant, FaultResolution, FaultService, Kernel,
-    LPid, MappedBuffer, QosClass, ShadowMode,
+    LPid, MappedBuffer, QosClass, ShadowMode, SwapRefused,
 };
 
 /// PAL function index of the installed user-level DMA call (§2.7).
@@ -247,11 +247,7 @@ impl Machine {
     pub fn new(config: MachineConfig) -> Self {
         let mut engine = DmaEngine::new(
             config.layout,
-            EngineConfig {
-                num_contexts: config.num_contexts,
-                link: config.link,
-                ..EngineConfig::default()
-            },
+            EngineConfig { num_contexts: config.num_contexts, link: config.link },
             config.method.protocol(),
         );
         let fault_service = match config.virt_dma {
@@ -492,11 +488,6 @@ impl Machine {
     /// The OS context cache, when enabled.
     pub fn ctx_cache(&self) -> Option<&CtxCache> {
         self.ctx_cache.as_ref()
-    }
-
-    /// Mutable context cache (tests: force releases, inspect keys).
-    pub fn ctx_cache_mut(&mut self) -> Option<&mut CtxCache> {
-        self.ctx_cache.as_mut()
     }
 
     /// Registers a logical process at `class`. Logical processes are
@@ -749,8 +740,8 @@ impl Machine {
             let (resolution, cost) = match pid {
                 Some(pid) => {
                     let pt = self.executor.process_mut(pid).page_table_mut();
-                    let iommu = &mut virt.iommu;
-                    self.fault_service.service(&pending.fault, pt, self.kernel.vm_mut(), iommu)
+                    let vm = self.kernel.vm_mut();
+                    self.fault_service.service(&pending.fault, None, pt, vm, &mut virt.iommu)
                 }
                 // An ASID no process owns: nothing to consult, fail it.
                 None => (FaultResolution::Unresolvable, SimTime::ZERO),
@@ -787,28 +778,18 @@ impl Machine {
     }
 
     /// The model swapper: takes one page of `pid`'s address space out of
-    /// memory (CPU PTE into the swap ledger, I/O translation shot down).
-    /// Refuses pages the IOMMU holds pinned — a device transfer may be
-    /// streaming over them.
+    /// memory through [`VmManager::swap_out`](udma_os::VmManager::swap_out),
+    /// which refuses pages the IOMMU holds pinned and shoots the I/O
+    /// translation of any other down.
     ///
     /// # Errors
     ///
     /// [`SwapRefused`] naming why the page stayed resident.
     pub fn swap_out_va(&mut self, pid: Pid, va: VirtAddr) -> Result<(), SwapRefused> {
-        let page = va.page();
         let asid = self.envs[pid.as_u32() as usize].ctx.map(|g| g.ctx);
-        let core = self.bus.nic_mut().core_mut();
-        if let (Some(asid), Some(iommu)) = (asid, core.iommu_mut()) {
-            if iommu.table(asid).and_then(|t| t.entry(page)).is_some_and(|e| e.pinned) {
-                return Err(SwapRefused::Pinned);
-            }
-            iommu.unmap(asid, page);
-        }
+        let iommu = asid.and(self.bus.nic_mut().core_mut().iommu_mut());
         let pt = self.executor.process_mut(pid).page_table_mut();
-        self.kernel
-            .vm_mut()
-            .swap_out(asid.unwrap_or(pid.as_u32()), pt, page)
-            .map_err(|_| SwapRefused::NotMapped)
+        self.kernel.vm_mut().swap_out(asid.unwrap_or(pid.as_u32()), pt, iommu, va.page())
     }
 }
 

@@ -54,41 +54,7 @@ impl InitiationCost {
 /// Panics if the run does not complete or an initiation fails — both
 /// indicate a broken protocol wiring, not a measurement result.
 pub fn measure_initiation(method: DmaMethod, iters: u32) -> InitiationCost {
-    assert!(iters > 0, "need at least one iteration");
-    let mut m = Machine::with_method(method);
-    let pages = 8u64;
-    let mut spec = ProcessSpec::two_buffers_of(pages);
-    if method == DmaMethod::Shrimp1 {
-        spec.mapped_out.push((0, 1));
-    }
-    let pid = m.spawn(&spec, |env| {
-        let mut b = ProgramBuilder::new();
-        let mut uniq = 0;
-        for i in 0..iters as u64 {
-            // Different page and different offset every time.
-            let page = i % pages;
-            let off = (i * 64) % (PAGE_SIZE - 64);
-            let src = env.addr_in(0, page * PAGE_SIZE + off);
-            let dst = env.addr_in(1, page * PAGE_SIZE + off);
-            b = emit_dma(env, b, &DmaRequest::new(src, dst, 8), &mut uniq);
-        }
-        b.halt().build()
-    });
-    let out = m.run(iters as u64 * 64 + 10_000);
-    assert!(out.finished, "measurement did not complete");
-    assert_eq!(
-        m.engine().core().stats().started,
-        iters as u64,
-        "{method}: not every initiation started a transfer"
-    );
-    let _ = pid;
-    InitiationCost {
-        method,
-        mean: SimTime::from_ps(m.time().as_ps() / iters as u64),
-        iters,
-        user_instructions: method.protocol().user_instructions(),
-        paper_us: method.paper_us(),
-    }
+    measure_initiation_with(crate::MachineConfig::new(method), iters)
 }
 
 /// Regenerates **Table 1**: the paper's four rows, measured on this
@@ -128,9 +94,14 @@ pub fn measure_atomic(method: DmaMethod, iters: u32) -> InitiationCost {
     }
 }
 
-/// Helper for trend analyses: measure with a custom machine
-/// configuration (bus sweeps, cost-model variants).
+/// [`measure_initiation`] on a custom machine configuration (bus
+/// sweeps, cost-model variants).
+///
+/// # Panics
+///
+/// As for [`measure_initiation`].
 pub fn measure_initiation_with(config: crate::MachineConfig, iters: u32) -> InitiationCost {
+    assert!(iters > 0, "need at least one iteration");
     let method = config.method;
     let mut m = Machine::new(config);
     let pages = 8u64;
@@ -142,6 +113,7 @@ pub fn measure_initiation_with(config: crate::MachineConfig, iters: u32) -> Init
         let mut b = ProgramBuilder::new();
         let mut uniq = 0;
         for i in 0..iters as u64 {
+            // Different page and different offset every time.
             let page = i % pages;
             let off = (i * 64) % (PAGE_SIZE - 64);
             let src = env.addr_in(0, page * PAGE_SIZE + off);
@@ -152,6 +124,11 @@ pub fn measure_initiation_with(config: crate::MachineConfig, iters: u32) -> Init
     });
     let out = m.run(iters as u64 * 64 + 10_000);
     assert!(out.finished, "measurement did not complete");
+    assert_eq!(
+        m.engine().core().stats().started,
+        iters as u64,
+        "{method}: not every initiation started a transfer"
+    );
     InitiationCost {
         method,
         mean: SimTime::from_ps(m.time().as_ps() / iters as u64),

@@ -69,24 +69,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as CSV (headers first; no title).
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = self.headers.iter().map(|h| esc(h)).collect::<Vec<_>>().join(",");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl fmt::Display for Table {
@@ -112,14 +94,6 @@ mod tests {
         assert!(md.contains("| a | b |"));
         assert!(md.contains("|---|---|"));
         assert!(md.contains("| 1 | 2 |"));
-    }
-
-    #[test]
-    fn csv_escaping() {
-        let csv = sample().to_csv();
-        assert!(csv.starts_with("a,b\n"));
-        assert!(csv.contains("\"x, y\""));
-        assert!(csv.contains("\"q\"\"z\""));
     }
 
     #[test]

@@ -65,16 +65,6 @@ impl VirtDmaSetup {
     }
 }
 
-/// Why [`crate::Machine::swap_out_va`] refused to take a page.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SwapRefused {
-    /// The page is pinned in the I/O page table — a device transfer may
-    /// be in flight over it, so the swapper must leave it alone.
-    Pinned,
-    /// The page is not mapped in the process's page table.
-    NotMapped,
-}
-
 /// Appends one virtual-address DMA initiation to `b`: three context-page
 /// stores (source VA, destination VA, size/GO) and a status load into
 /// `r0`. No shadow arithmetic, no physical address, no size limit — the

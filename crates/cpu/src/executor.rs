@@ -211,6 +211,46 @@ impl Executor {
         self.processes[idx].pc = pc + 1;
         let t0 = self.now;
         let is_syscall = matches!(ins, Instr::Syscall { .. });
+        let mut next = pc + 1;
+        if self.step(idx, ins, &mut next, bus).is_some() {
+            // A faulting load or store has already stopped the process.
+            self.processes[idx].pc = next;
+        } else {
+            match ins {
+                Instr::Syscall { no } => {
+                    self.stats.syscalls += 1;
+                    // Kernel entry is a barrier.
+                    self.retire_all(bus);
+                    self.now += self.cost.syscall_round_trip();
+                    let outcome = kernel.syscall(no, &mut self.processes[idx], bus, self.now);
+                    self.now += outcome.time;
+                    self.processes[idx].set_reg(Reg::R0, outcome.retval);
+                }
+                Instr::CallPal { index } => {
+                    self.stats.pal_calls += 1;
+                    self.now += self.cost.pal_call();
+                    self.exec_pal(idx, index, bus);
+                }
+                // `Halt`: `step` ran every other instruction.
+                _ => {
+                    self.now += self.cost.instr();
+                    self.processes[idx].halt();
+                }
+            }
+        }
+        let dt = self.now - t0;
+        if is_syscall {
+            self.processes[idx].kernel_time += dt;
+        } else {
+            self.processes[idx].user_time += dt;
+        }
+    }
+
+    /// Executes one instruction that user and PAL code share, with `pc`
+    /// already advanced past it (a taken branch overwrites it). Returns
+    /// `None` for the mode-specific `Syscall`, `CallPal` and `Halt`, and
+    /// `Some(false)` if a load or store faulted.
+    fn step(&mut self, idx: usize, ins: Instr, pc: &mut usize, bus: &mut Bus) -> Option<bool> {
         match ins {
             Instr::Imm { dst, value } => {
                 self.now += self.cost.instr();
@@ -226,12 +266,8 @@ impl Executor {
                 let v = self.processes[idx].reg(a).wrapping_add(self.processes[idx].reg(b));
                 self.processes[idx].set_reg(dst, v);
             }
-            Instr::Load { dst, addr } => {
-                let _ = self.do_load(idx, dst, addr, bus);
-            }
-            Instr::Store { addr, src } => {
-                let _ = self.do_store(idx, addr, src, bus);
-            }
+            Instr::Load { dst, addr } => return Some(self.do_load(idx, dst, addr, bus).is_ok()),
+            Instr::Store { addr, src } => return Some(self.do_store(idx, addr, src, bus).is_ok()),
             Instr::Mb => {
                 self.now += self.cost.mb();
                 self.retire_all(bus);
@@ -242,44 +278,22 @@ impl Executor {
             Instr::Beq { reg, value, target } => {
                 self.now += self.cost.instr();
                 if self.processes[idx].reg(reg) == value {
-                    self.processes[idx].pc = target;
+                    *pc = target;
                 }
             }
             Instr::Bne { reg, value, target } => {
                 self.now += self.cost.instr();
                 if self.processes[idx].reg(reg) != value {
-                    self.processes[idx].pc = target;
+                    *pc = target;
                 }
             }
             Instr::Jmp { target } => {
                 self.now += self.cost.instr();
-                self.processes[idx].pc = target;
+                *pc = target;
             }
-            Instr::Syscall { no } => {
-                self.stats.syscalls += 1;
-                // Kernel entry is a barrier.
-                self.retire_all(bus);
-                self.now += self.cost.syscall_round_trip();
-                let outcome = kernel.syscall(no, &mut self.processes[idx], bus, self.now);
-                self.now += outcome.time;
-                self.processes[idx].set_reg(Reg::R0, outcome.retval);
-            }
-            Instr::CallPal { index } => {
-                self.stats.pal_calls += 1;
-                self.now += self.cost.pal_call();
-                self.exec_pal(idx, index, bus);
-            }
-            Instr::Halt => {
-                self.now += self.cost.instr();
-                self.processes[idx].halt();
-            }
+            Instr::Syscall { .. } | Instr::CallPal { .. } | Instr::Halt => return None,
         }
-        let dt = self.now - t0;
-        if is_syscall {
-            self.processes[idx].kernel_time += dt;
-        } else {
-            self.processes[idx].user_time += dt;
-        }
+        Some(true)
     }
 
     /// Executes an installed PAL function to completion, uninterrupted.
@@ -303,55 +317,10 @@ impl Executor {
             }
             self.stats.instructions += 1;
             pc += 1;
-            match ins {
-                Instr::Imm { dst, value } => {
-                    self.now += self.cost.instr();
-                    self.processes[idx].set_reg(dst, value);
-                }
-                Instr::AddImm { dst, src, imm } => {
-                    self.now += self.cost.instr();
-                    let v = self.processes[idx].reg(src).wrapping_add(imm as u64);
-                    self.processes[idx].set_reg(dst, v);
-                }
-                Instr::Add { dst, a, b } => {
-                    self.now += self.cost.instr();
-                    let v = self.processes[idx].reg(a).wrapping_add(self.processes[idx].reg(b));
-                    self.processes[idx].set_reg(dst, v);
-                }
-                Instr::Load { dst, addr } => {
-                    if self.do_load(idx, dst, addr, bus).is_err() {
-                        return;
-                    }
-                }
-                Instr::Store { addr, src } => {
-                    if self.do_store(idx, addr, src, bus).is_err() {
-                        return;
-                    }
-                }
-                Instr::Mb => {
-                    self.now += self.cost.mb();
-                    self.retire_all(bus);
-                }
-                Instr::Compute { cycles } => {
-                    self.now += self.cost.cycles(cycles as u64);
-                }
-                Instr::Beq { reg, value, target } => {
-                    self.now += self.cost.instr();
-                    if self.processes[idx].reg(reg) == value {
-                        pc = target;
-                    }
-                }
-                Instr::Bne { reg, value, target } => {
-                    self.now += self.cost.instr();
-                    if self.processes[idx].reg(reg) != value {
-                        pc = target;
-                    }
-                }
-                Instr::Jmp { target } => {
-                    self.now += self.cost.instr();
-                    pc = target;
-                }
-                Instr::Syscall { .. } | Instr::CallPal { .. } | Instr::Halt => {
+            match self.step(idx, ins, &mut pc, bus) {
+                Some(true) => {}
+                Some(false) => return,
+                None => {
                     // Illegal in PAL mode.
                     let va = udma_mem::VirtAddr::new(pc as u64);
                     self.processes[idx].fault(MemFault::Unmapped { va });

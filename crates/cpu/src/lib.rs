@@ -13,9 +13,9 @@
 //!   [`CostModel`] ([`CostModel::alpha_3000_300`] reproduces the paper's
 //!   DEC Alpha 3000/300 host);
 //! * pluggable [`Scheduler`]s — crucially [`FixedSchedule`], which lets
-//!   the interleaving explorer ([`interleavings`]) enumerate *every*
-//!   possible preemption pattern of an attack scenario instead of hoping
-//!   a timer hits the window;
+//!   the interleaving explorer (`udma_testkit::sched::interleavings`)
+//!   enumerate *every* possible preemption pattern of an attack scenario
+//!   instead of hoping a timer hits the window;
 //! * Alpha-style **PAL mode**: [`Executor::install_pal`] registers an
 //!   uninterruptible instruction sequence that any process may invoke
 //!   with [`Instr::CallPal`] (§2.7 of the paper);
@@ -28,7 +28,6 @@
 mod cost;
 mod executor;
 mod instr;
-mod interleave;
 mod process;
 mod program;
 mod sched;
@@ -37,7 +36,6 @@ mod trap;
 pub use cost::CostModel;
 pub use executor::{ExecStats, Executor, RunOutcome};
 pub use instr::{Instr, Operand, Reg};
-pub use interleave::{interleaving_count, interleavings};
 pub use process::{Pid, ProcState, Process};
 pub use program::{Program, ProgramBuilder};
 pub use sched::{FixedSchedule, RandomPreempt, RoundRobin, RunToCompletion, Scheduler};

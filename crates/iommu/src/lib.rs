@@ -71,15 +71,6 @@ impl Iommu {
         self.tables.entry(asid).or_default();
     }
 
-    /// Tears down an address space: drops its I/O page table and
-    /// invalidates only its IOTLB entries (ASID tags make the flush
-    /// selective).
-    pub fn remove_context(&mut self, asid: Asid) {
-        if self.tables.remove(&asid).is_some() {
-            self.tlb.invalidate_asid(asid);
-        }
-    }
-
     /// Whether `asid` is registered.
     pub fn has_context(&self, asid: Asid) -> bool {
         self.tables.contains_key(&asid)
@@ -228,11 +219,6 @@ impl Iommu {
     pub fn stats(&self) -> IotlbStats {
         self.tlb.stats()
     }
-
-    /// The IOTLB (geometry inspection, explicit flushes in tests).
-    pub fn tlb_mut(&mut self) -> &mut Iotlb {
-        &mut self.tlb
-    }
 }
 
 #[cfg(test)]
@@ -289,25 +275,6 @@ mod tests {
         let f = i.translate(1, VirtPage::new(2).base(), Access::Write).unwrap_err();
         assert!(matches!(f.kind, IoFaultKind::Protection { .. }));
         assert!(i.translate(1, VirtPage::new(2).base(), Access::Read).is_ok());
-    }
-
-    #[test]
-    fn remove_context_is_selective() {
-        let mut i = iommu();
-        i.create_context(2);
-        i.map(1, VirtPage::new(0), PhysFrame::new(1), Perms::READ, false).unwrap();
-        i.map(2, VirtPage::new(0), PhysFrame::new(2), Perms::READ, false).unwrap();
-        i.translate(1, VirtAddr::new(0), Access::Read).unwrap();
-        i.translate(2, VirtAddr::new(0), Access::Read).unwrap();
-        i.remove_context(1);
-        assert!(!i.has_context(1));
-        assert_eq!(
-            i.translate(1, VirtAddr::new(0), Access::Read).unwrap_err().kind,
-            IoFaultKind::NoContext
-        );
-        // ASID 2 is untouched — and still hits its cached line.
-        assert!(i.translate(2, VirtAddr::new(0), Access::Read).is_ok());
-        assert_eq!(i.stats().asid_flushes, 1);
     }
 
     #[test]

@@ -49,22 +49,6 @@ macro_rules! addr_type {
                 $page(self.0 >> PAGE_SHIFT)
             }
 
-            /// Rounds the address down to its page boundary.
-            #[inline]
-            pub const fn align_down(self) -> Self {
-                $name(self.0 & !PAGE_MASK)
-            }
-
-            /// Rounds the address up to the next page boundary
-            /// (identity if already aligned). Returns `None` on overflow.
-            #[inline]
-            pub const fn align_up(self) -> Option<Self> {
-                match self.0.checked_add(PAGE_MASK) {
-                    Some(v) => Some($name(v & !PAGE_MASK)),
-                    None => None,
-                }
-            }
-
             /// Whether the address lies on a page boundary.
             #[inline]
             pub const fn is_page_aligned(self) -> bool {
@@ -202,20 +186,6 @@ mod tests {
         assert_eq!(a.page_offset(), 17);
         assert_eq!(a.page().number(), 3);
         assert_eq!(a.page().base(), VirtAddr::new(3 * PAGE_SIZE));
-        assert_eq!(a.align_down(), VirtAddr::new(3 * PAGE_SIZE));
-        assert_eq!(a.align_up().unwrap(), VirtAddr::new(4 * PAGE_SIZE));
-    }
-
-    #[test]
-    fn aligned_address_align_up_is_identity() {
-        let a = PhysAddr::new(8 * PAGE_SIZE);
-        assert!(a.is_page_aligned());
-        assert_eq!(a.align_up().unwrap(), a);
-    }
-
-    #[test]
-    fn align_up_overflow_is_none() {
-        assert!(PhysAddr::new(u64::MAX).align_up().is_none());
     }
 
     #[test]

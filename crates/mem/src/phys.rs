@@ -1,7 +1,6 @@
 //! Physical memory and frame allocation.
 
 use crate::{MemFault, PhysAddr, PhysFrame, PAGE_SHIFT, PAGE_SIZE};
-use std::collections::BTreeSet;
 
 /// Byte-addressable physical memory, stored one frame at a time in a
 /// table indexed by frame number.
@@ -29,10 +28,6 @@ pub struct PhysMemory {
     /// `frames[n]` is frame `n`'s bytes, `None` until first written.
     frames: Vec<Option<Box<[u8]>>>,
     size: u64,
-    /// When `Some((line_bytes, set))`, every write marks the cache lines
-    /// it covers. Coherence tests and the writeback accounting use this
-    /// to ask "which lines changed since the last sync" at line grain.
-    dirty: Option<(u64, BTreeSet<u64>)>,
 }
 
 impl PhysMemory {
@@ -40,59 +35,12 @@ impl PhysMemory {
     /// pages). Accesses at or beyond `size` raise [`MemFault::BusError`].
     pub fn new(size: u64) -> Self {
         let size = size.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-        PhysMemory { frames: Vec::new(), size, dirty: None }
-    }
-
-    /// Starts tracking writes at `line_bytes` granularity. Any lines
-    /// already recorded at a different granularity are discarded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line_bytes` is zero or not a power of two.
-    pub fn track_lines(&mut self, line_bytes: u64) {
-        assert!(line_bytes.is_power_of_two(), "dirty-line granularity must be a power of two");
-        self.dirty = Some((line_bytes, BTreeSet::new()));
-    }
-
-    /// The line-base addresses written since tracking started (or since
-    /// the last [`clear_dirty_lines`](Self::clear_dirty_lines)), in
-    /// ascending order. Empty when tracking is off.
-    pub fn dirty_lines(&self) -> Vec<u64> {
-        match &self.dirty {
-            Some((_, set)) => set.iter().copied().collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Forgets all recorded dirty lines (tracking stays on).
-    pub fn clear_dirty_lines(&mut self) {
-        if let Some((_, set)) = &mut self.dirty {
-            set.clear();
-        }
-    }
-
-    fn mark_dirty(&mut self, pa: u64, len: u64) {
-        if len == 0 {
-            return;
-        }
-        if let Some((line_bytes, set)) = &mut self.dirty {
-            let mut base = pa & !(*line_bytes - 1);
-            let end = pa + len;
-            while base < end {
-                set.insert(base);
-                base += *line_bytes;
-            }
-        }
+        PhysMemory { frames: Vec::new(), size }
     }
 
     /// Total installed bytes.
     pub fn size(&self) -> u64 {
         self.size
-    }
-
-    /// Number of frames actually materialised so far.
-    pub fn resident_frames(&self) -> usize {
-        self.frames.iter().filter(|f| f.is_some()).count()
     }
 
     fn check(&self, pa: PhysAddr, len: u64) -> Result<(), MemFault> {
@@ -155,7 +103,6 @@ impl PhysMemory {
     /// memory.
     pub fn write_bytes(&mut self, pa: PhysAddr, buf: &[u8]) -> Result<(), MemFault> {
         self.check(pa, buf.len() as u64)?;
-        self.mark_dirty(pa.as_u64(), buf.len() as u64);
         let mut addr = pa.as_u64();
         let mut done = 0usize;
         while done < buf.len() {
@@ -195,34 +142,6 @@ impl PhysMemory {
             return Err(MemFault::Misaligned { addr: pa.as_u64(), size: 8 });
         }
         self.write_bytes(pa, &value.to_le_bytes())
-    }
-
-    /// Copies `len` bytes from `src` to `dst` within physical memory, as
-    /// the DMA data mover does. Handles overlapping ranges like
-    /// `memmove`.
-    ///
-    /// # Errors
-    ///
-    /// [`MemFault::BusError`] if either range is outside installed memory.
-    pub fn copy(&mut self, src: PhysAddr, dst: PhysAddr, len: u64) -> Result<(), MemFault> {
-        self.check(src, len)?;
-        self.check(dst, len)?;
-        // Simple and correct: buffer the source. DMA transfers in the
-        // evaluation are at most a few pages.
-        let mut buf = vec![0u8; len as usize];
-        self.read_bytes(src, &mut buf)?;
-        self.write_bytes(dst, &buf)
-    }
-
-    /// Fills `len` bytes at `pa` with `byte`.
-    ///
-    /// # Errors
-    ///
-    /// [`MemFault::BusError`] if the range is outside installed memory.
-    pub fn fill(&mut self, pa: PhysAddr, len: u64, byte: u8) -> Result<(), MemFault> {
-        self.check(pa, len)?;
-        let buf = vec![byte; len as usize];
-        self.write_bytes(pa, &buf)
     }
 }
 
@@ -278,13 +197,18 @@ impl FrameAllocator {
 mod tests {
     use super::*;
 
+    /// Number of frames materialised so far.
+    fn resident_frames(mem: &PhysMemory) -> usize {
+        mem.frames.iter().filter(|f| f.is_some()).count()
+    }
+
     #[test]
     fn zero_fill_on_first_touch() {
         let mem = PhysMemory::new(1 << 20);
         let mut buf = [0xFFu8; 16];
         mem.read_bytes(PhysAddr::new(0x4000), &mut buf).unwrap();
         assert_eq!(buf, [0u8; 16]);
-        assert_eq!(mem.resident_frames(), 0);
+        assert_eq!(resident_frames(&mem), 0);
     }
 
     #[test]
@@ -296,7 +220,7 @@ mod tests {
         let mut back = vec![0u8; 32];
         mem.read_bytes(pa, &mut back).unwrap();
         assert_eq!(back, data);
-        assert_eq!(mem.resident_frames(), 2);
+        assert_eq!(resident_frames(&mem), 2);
     }
 
     #[test]
@@ -316,7 +240,7 @@ mod tests {
         let pa = PhysAddr::new(2 * PAGE_SIZE - 8);
         let data: Vec<u8> = (0..PAGE_SIZE + 16).map(|i| (i % 251) as u8 + 1).collect();
         mem.write_bytes(pa, &data).unwrap();
-        assert_eq!(mem.resident_frames(), 3);
+        assert_eq!(resident_frames(&mem), 3);
         let mut back = vec![0u8; data.len()];
         mem.read_bytes(pa, &mut back).unwrap();
         assert_eq!(back, data);
@@ -329,7 +253,7 @@ mod tests {
         let mut buf = [0xFFu8; 64];
         mem.read_bytes(PhysAddr::new(4 * PAGE_SIZE + 8), &mut buf).unwrap();
         assert_eq!(buf, [0u8; 64]);
-        assert_eq!(mem.resident_frames(), 1);
+        assert_eq!(resident_frames(&mem), 1);
     }
 
     #[test]
@@ -338,7 +262,7 @@ mod tests {
         let pa = PhysAddr::new(4 * PAGE_SIZE - 8);
         mem.write_u64(pa, 0x1122_3344_5566_7788).unwrap();
         assert_eq!(mem.read_u64(pa).unwrap(), 0x1122_3344_5566_7788);
-        assert_eq!(mem.resident_frames(), 1);
+        assert_eq!(resident_frames(&mem), 1);
     }
 
     #[test]
@@ -348,21 +272,21 @@ mod tests {
         assert_eq!(mem.write_bytes(pa, &[1u8; 8]), Err(MemFault::BusError { pa }));
         let pa = PhysAddr::new(4 * PAGE_SIZE - 4);
         assert_eq!(mem.write_bytes(pa, &[1u8; 8]), Err(MemFault::BusError { pa }));
-        assert_eq!(mem.resident_frames(), 0);
+        assert_eq!(resident_frames(&mem), 0);
         assert!(mem.frames.is_empty(), "a refused write grows no table");
     }
 
     #[test]
     fn resident_frames_counts_only_written_frames() {
         let mut mem = PhysMemory::new(1 << 20);
-        assert_eq!(mem.resident_frames(), 0);
+        assert_eq!(resident_frames(&mem), 0);
         mem.write_u64(PhysAddr::new(5 * PAGE_SIZE), 1).unwrap();
         mem.write_u64(PhysAddr::new(5 * PAGE_SIZE + 8), 2).unwrap();
-        assert_eq!(mem.resident_frames(), 1, "frames 0..5 are table slots, not frames");
+        assert_eq!(resident_frames(&mem), 1, "frames 0..5 are table slots, not frames");
         mem.write_u64(PhysAddr::new(PAGE_SIZE), 3).unwrap();
         let mut buf = [0u8; 8];
         mem.read_bytes(PhysAddr::new(2 * PAGE_SIZE), &mut buf).unwrap();
-        assert_eq!(mem.resident_frames(), 2, "reads materialise nothing");
+        assert_eq!(resident_frames(&mem), 2, "reads materialise nothing");
     }
 
     #[test]
@@ -407,37 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_moves_data() {
-        let mut mem = PhysMemory::new(1 << 20);
-        let data: Vec<u8> = (0..100).collect();
-        mem.write_bytes(PhysAddr::new(0x1000), &data).unwrap();
-        mem.copy(PhysAddr::new(0x1000), PhysAddr::new(0x9000), 100).unwrap();
-        let mut back = vec![0u8; 100];
-        mem.read_bytes(PhysAddr::new(0x9000), &mut back).unwrap();
-        assert_eq!(back, data);
-    }
-
-    #[test]
-    fn copy_overlapping_is_memmove() {
-        let mut mem = PhysMemory::new(1 << 20);
-        let data: Vec<u8> = (0..64).collect();
-        mem.write_bytes(PhysAddr::new(0x1000), &data).unwrap();
-        mem.copy(PhysAddr::new(0x1000), PhysAddr::new(0x1010), 64).unwrap();
-        let mut back = vec![0u8; 64];
-        mem.read_bytes(PhysAddr::new(0x1010), &mut back).unwrap();
-        assert_eq!(back, data);
-    }
-
-    #[test]
-    fn fill_sets_bytes() {
-        let mut mem = PhysMemory::new(1 << 20);
-        mem.fill(PhysAddr::new(0x2000), 16, 0xAB).unwrap();
-        let mut b = [0u8; 16];
-        mem.read_bytes(PhysAddr::new(0x2000), &mut b).unwrap();
-        assert_eq!(b, [0xAB; 16]);
-    }
-
-    #[test]
     fn size_rounds_up_to_pages() {
         let mem = PhysMemory::new(1);
         assert_eq!(mem.size(), PAGE_SIZE);
@@ -456,44 +349,6 @@ mod tests {
         let _ = a.alloc().unwrap();
         let _ = a.alloc().unwrap();
         assert_eq!(a.alloc(), None);
-    }
-
-    #[test]
-    fn dirty_line_tracking_marks_written_lines() {
-        let mut mem = PhysMemory::new(1 << 20);
-        assert!(mem.dirty_lines().is_empty(), "tracking off by default");
-        mem.track_lines(32);
-        mem.write_u64(PhysAddr::new(0x108), 1).unwrap();
-        assert_eq!(mem.dirty_lines(), vec![0x100]);
-        // A write spanning two lines marks both; copy/fill funnel
-        // through write_bytes and are tracked too.
-        mem.write_bytes(PhysAddr::new(0x13C), &[1u8; 8]).unwrap();
-        assert_eq!(mem.dirty_lines(), vec![0x100, 0x120, 0x140]);
-        mem.clear_dirty_lines();
-        assert!(mem.dirty_lines().is_empty());
-        mem.fill(PhysAddr::new(0x200), 64, 0xEE).unwrap();
-        assert_eq!(mem.dirty_lines(), vec![0x200, 0x220]);
-        mem.copy(PhysAddr::new(0x200), PhysAddr::new(0x400), 32).unwrap();
-        assert_eq!(mem.dirty_lines(), vec![0x200, 0x220, 0x400]);
-        // Reads never mark.
-        let mut b = [0u8; 8];
-        mem.read_bytes(PhysAddr::new(0x800), &mut b).unwrap();
-        assert_eq!(mem.dirty_lines(), vec![0x200, 0x220, 0x400]);
-    }
-
-    #[test]
-    fn failed_write_marks_nothing() {
-        let mut mem = PhysMemory::new(PAGE_SIZE);
-        mem.track_lines(32);
-        assert!(mem.write_bytes(PhysAddr::new(PAGE_SIZE - 4), &[0u8; 8]).is_err());
-        assert!(mem.dirty_lines().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn bad_tracking_granularity_panics() {
-        let mut mem = PhysMemory::new(PAGE_SIZE);
-        mem.track_lines(24);
     }
 
     #[test]

@@ -130,11 +130,6 @@ impl Tlb {
         }
     }
 
-    /// Invalidates the entry for one page, if present.
-    pub fn flush_page(&mut self, page: VirtPage) {
-        self.entries.retain(|e| e.page != page);
-    }
-
     /// Invalidates everything (context switch).
     pub fn flush_all(&mut self) {
         self.entries.clear();
@@ -210,18 +205,6 @@ mod tests {
         assert!(tlb.is_empty());
         assert_eq!(tlb.stats().flushes, 1);
         let (_, hit) = tlb.translate(&pt, VirtAddr::new(0), Access::Read).unwrap();
-        assert!(!hit);
-    }
-
-    #[test]
-    fn flush_page_is_selective() {
-        let (pt, mut tlb) = small_world();
-        tlb.translate(&pt, VirtPage::new(0).base(), Access::Read).unwrap();
-        tlb.translate(&pt, VirtPage::new(1).base(), Access::Read).unwrap();
-        tlb.flush_page(VirtPage::new(0));
-        let (_, hit) = tlb.translate(&pt, VirtPage::new(1).base(), Access::Read).unwrap();
-        assert!(hit);
-        let (_, hit) = tlb.translate(&pt, VirtPage::new(0).base(), Access::Read).unwrap();
         assert!(!hit);
     }
 

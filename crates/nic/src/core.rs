@@ -13,6 +13,10 @@ use udma_bus::{MemPort, SimTime};
 use udma_iommu::{Asid, Iommu, IotlbConfig};
 use udma_mem::{PhysAddr, PhysFrame, PhysLayout, VirtAddr};
 
+/// Extra device latency of a keyed shadow store: the FPGA compares the
+/// key against its table before acknowledging the bus write.
+pub const KEY_CHECK_LATENCY: SimTime = SimTime::from_ns(120);
+
 /// Configuration of the DMA engine.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
@@ -20,18 +24,11 @@ pub struct EngineConfig {
     pub num_contexts: u32,
     /// The outgoing link (times transfer completion).
     pub link: LinkModel,
-    /// Extra device latency of a keyed shadow store (the FPGA compares
-    /// the key against its table before acknowledging).
-    pub key_check_latency: SimTime,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            num_contexts: 4,
-            link: LinkModel::default(),
-            key_check_latency: SimTime::from_ns(120),
-        }
+        EngineConfig { num_contexts: 4, link: LinkModel::default() }
     }
 }
 
@@ -86,7 +83,6 @@ pub struct EngineCore {
     /// SHRIMP-1 mapped-out table: source frame → destination page base
     /// (local, or a granted page on a cluster node).
     mapped_out: HashMap<PhysFrame, Destination>,
-    key_check_latency: SimTime,
     // Kernel-path DMA registers (Figure 1).
     dma_source: u64,
     dma_dest: u64,
@@ -116,7 +112,6 @@ impl EngineCore {
             contexts: vec![RegisterContext::new(); config.num_contexts as usize],
             key_table: vec![0; config.num_contexts as usize],
             mapped_out: HashMap::new(),
-            key_check_latency: config.key_check_latency,
             dma_source: 0,
             dma_dest: 0,
             dma_status: DMA_FAILURE,
@@ -159,20 +154,9 @@ impl EngineCore {
         self.stats.reject(reason);
     }
 
-    /// Device-side latency of a keyed shadow store: what the key check
-    /// adds before the engine acknowledges the bus write.
-    pub fn key_check_latency(&self) -> SimTime {
-        self.key_check_latency
-    }
-
     /// The transfer history.
     pub fn mover(&self) -> &DmaMover {
         &self.mover
-    }
-
-    /// Clears transfer history (long benchmark runs).
-    pub fn clear_transfer_records(&mut self) {
-        self.mover.clear_records();
     }
 
     /// One register context.

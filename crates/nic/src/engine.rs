@@ -32,11 +32,6 @@ impl DmaEngine {
         DmaEngine { core: EngineCore::new(layout, config), protocol: kind.instantiate() }
     }
 
-    /// The active protocol.
-    pub fn protocol_kind(&self) -> ProtocolKind {
-        self.protocol.kind()
-    }
-
     /// The engine core (stats, transfer records, keys).
     pub fn core(&self) -> &EngineCore {
         &self.core
@@ -310,7 +305,7 @@ mod tests {
     fn keyed_shadow_store_returns_the_key_check_latency() {
         let (mut e, mut mem, layout) = engine(ProtocolKind::KeyBased);
         let shadow = layout.shadow.shadow_paddr(PhysAddr::new(2 * PAGE_SIZE)).unwrap();
-        let check = EngineConfig::default().key_check_latency;
+        let check = crate::KEY_CHECK_LATENCY;
         assert_eq!(e.write(shadow, 0, 0, SimTime::ZERO, &mut mem), Ok(check));
         // Other windows acknowledge with no device-side latency.
         let base = layout.nic_base;

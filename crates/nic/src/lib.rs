@@ -59,7 +59,7 @@ pub use descring::{
     DESC_BYTES, DESC_FLAG_CHAIN, DESC_FLAG_FRAG, DESC_WORDS,
 };
 pub use engine::DmaEngine;
-pub use engine_core::{EngineConfig, EngineCore, EngineStats};
+pub use engine_core::{EngineConfig, EngineCore, EngineStats, KEY_CHECK_LATENCY};
 pub use faulty::{
     crc32, deliver, Burst, Crc32, DeliveryOutcome, FaultPlan, FaultyLink, FaultyLinkStats,
     FrameFate, ReliabilityConfig, MAX_BURSTS,
@@ -74,5 +74,5 @@ pub use protocol::{InitiationProtocol, ProtocolKind};
 pub use status::{Initiator, RejectReason, DMA_FAILURE, DMA_PENDING, DMA_STARTED};
 pub use virt::{
     PendingFault, PrefetchConfig, VirtDmaConfig, VirtStage, VirtState, VirtStats, VirtTransfer,
-    VirtUnit,
+    VirtUnit, WALK_LATENCY, WALK_PIPELINED_LATENCY,
 };

@@ -116,11 +116,6 @@ impl DmaMover {
         self.records.get(index)
     }
 
-    /// Drops recorded history (long benchmark runs).
-    pub fn clear_records(&mut self) {
-        self.records.clear();
-    }
-
     /// Lends the mover, with the engine counters and `mem`, as the
     /// back-end of one engine operation.
     pub(crate) fn lend<'a>(
@@ -392,14 +387,5 @@ mod tests {
         assert_eq!(sent[0].at, CoherenceTiming::default().intervention);
         assert!(b.mover.records().is_empty(), "a remote send books no local record");
         assert_eq!((b.stats.started, b.stats.rejected()), (1, 3));
-    }
-
-    #[test]
-    fn clear_records() {
-        let mut p = parts(CoherenceMode::Flat);
-        let mut b = backend(&mut p);
-        b.launch(pa(0), pa(0x4000), 8, Initiator::Kernel, true, SimTime::ZERO).unwrap();
-        b.mover.clear_records();
-        assert!(b.mover.records().is_empty());
     }
 }

@@ -1,6 +1,6 @@
 //! Extended shadow addressing (§3.2, Figure 4).
 
-use crate::protocol::{poll_ctx_status, InitiationProtocol, ProtocolKind};
+use crate::protocol::{InitiationProtocol, ProtocolKind};
 use crate::regs::{self, MAX_CONTEXTS};
 use crate::{AtomicOp, EngineCore, Initiator, RejectReason, DMA_FAILURE};
 use udma_bus::{MemPort, SimTime};
@@ -121,17 +121,6 @@ impl InitiationProtocol for ExtShadow {
             }
             _ => {}
         }
-    }
-
-    fn ctx_load(
-        &mut self,
-        core: &mut EngineCore,
-        ctx: u32,
-        offset: u64,
-        now: SimTime,
-        _mem: &mut MemPort,
-    ) -> u64 {
-        poll_ctx_status(core, ctx, offset, now)
     }
 }
 

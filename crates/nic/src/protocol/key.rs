@@ -2,7 +2,7 @@
 
 use crate::protocol::{poll_ctx_status, InitiationProtocol, ProtocolKind};
 use crate::regs::{self, decode_key_ctx};
-use crate::{AtomicOp, EngineCore, Initiator, RejectReason, DMA_FAILURE};
+use crate::{AtomicOp, EngineCore, Initiator, RejectReason, DMA_FAILURE, KEY_CHECK_LATENCY};
 use udma_bus::{MemPort, SimTime};
 use udma_mem::PhysAddr;
 
@@ -51,7 +51,7 @@ impl InitiationProtocol for KeyBased {
             core.context_mut(ctx).push_addr(pa);
         }
         // The FPGA compares the key before acknowledging, match or not.
-        core.key_check_latency()
+        KEY_CHECK_LATENCY
     }
 
     fn shadow_load(
@@ -266,7 +266,7 @@ mod tests {
     #[test]
     fn key_check_charges_device_latency() {
         let (mut p, mut core, mut mem) = world();
-        let check = EngineConfig::default().key_check_latency;
+        let check = KEY_CHECK_LATENCY;
         assert!(check > SimTime::ZERO);
         let key = encode_key_ctx(0xFEED_BEEF, 1);
         assert_eq!(

@@ -87,12 +87,6 @@ impl ProtocolKind {
         }
     }
 
-    /// Whether the scheme needs the OS context-switch handler modified to
-    /// be safe — the property the paper's own schemes avoid.
-    pub fn needs_kernel_patch(self) -> bool {
-        matches!(self, ProtocolKind::Shrimp2 | ProtocolKind::Flash)
-    }
-
     /// User-mode instructions one initiation takes (the paper's "2 to 5
     /// assembly instructions"); `None` for the kernel path.
     pub fn user_instructions(self) -> Option<u32> {
@@ -250,24 +244,6 @@ impl InitiationProtocol for KernelOnly {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kinds_report_patch_requirement() {
-        assert!(ProtocolKind::Shrimp2.needs_kernel_patch());
-        assert!(ProtocolKind::Flash.needs_kernel_patch());
-        for k in [
-            ProtocolKind::KernelOnly,
-            ProtocolKind::Shrimp1,
-            ProtocolKind::KeyBased,
-            ProtocolKind::ExtShadow,
-            ProtocolKind::ExtShadowPairwise,
-            ProtocolKind::Repeated3,
-            ProtocolKind::Repeated4,
-            ProtocolKind::Repeated5,
-        ] {
-            assert!(!k.needs_kernel_patch(), "{k}");
-        }
-    }
 
     #[test]
     fn instruction_counts_match_paper() {

@@ -25,11 +25,6 @@ impl Shrimp2 {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Whether a half-initiated transfer is staged (test inspection).
-    pub fn has_pending(&self) -> bool {
-        self.pending.is_some()
-    }
 }
 
 impl InitiationProtocol for Shrimp2 {
@@ -98,10 +93,10 @@ mod tests {
         let dst = PhysAddr::new(4 * PAGE_SIZE);
         let src = PhysAddr::new(2 * PAGE_SIZE);
         p.shadow_store(&mut core, dst, 0, 256, SimTime::ZERO, &mut mem);
-        assert!(p.has_pending());
+        assert!(p.pending.is_some());
         let status = p.shadow_load(&mut core, src, 0, SimTime::ZERO, &mut mem);
         assert_eq!(status, DMA_STARTED);
-        assert!(!p.has_pending());
+        assert!(p.pending.is_none());
         let rec = &core.mover().records()[0];
         assert_eq!((rec.src, rec.dst, rec.size), (src, dst, 256));
     }

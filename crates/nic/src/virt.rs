@@ -59,17 +59,21 @@ impl PrefetchConfig {
     }
 }
 
+/// Latency of one I/O page-table walk (charged per IOTLB miss): a walk
+/// is a couple of device-side memory reads.
+pub const WALK_LATENCY: SimTime = SimTime::from_ns(400);
+
+/// Latency of each *additional* walk in a prewalk batch: the first walk
+/// of a batch costs [`WALK_LATENCY`], every further walk pipelines
+/// behind it at this (smaller) increment, because it overlaps its memory
+/// reads with the previous walk's and only the issue slot is
+/// serialized. Only prefetch batches get the amortized rate — a demand
+/// miss still blocks the chunk stream for the full [`WALK_LATENCY`].
+pub const WALK_PIPELINED_LATENCY: SimTime = SimTime::from_ns(100);
+
 /// Tunables of the virtual-address DMA unit.
 #[derive(Clone, Copy, Debug)]
 pub struct VirtDmaConfig {
-    /// Latency of one I/O page-table walk (charged per IOTLB miss).
-    pub walk_latency: SimTime,
-    /// Latency of each *additional* walk in a prewalk batch: the first
-    /// walk of a batch costs `walk_latency`, every further walk
-    /// pipelines behind it at this (smaller) increment. Only prefetch
-    /// batches get the amortized rate — a demand miss still blocks the
-    /// chunk stream for the full `walk_latency`.
-    pub walk_pipelined_latency: SimTime,
     /// Translation-pipeline stages (prefetch depth, chunk coalescing).
     pub prefetch: PrefetchConfig,
     /// Bounded-resume policy: attempts allowed per stretch of no
@@ -82,11 +86,6 @@ pub struct VirtDmaConfig {
 impl Default for VirtDmaConfig {
     fn default() -> Self {
         VirtDmaConfig {
-            // A walk is a couple of device-side memory reads.
-            walk_latency: SimTime::from_ns(400),
-            // A pipelined walk overlaps its memory reads with the
-            // previous walk's: only the issue slot is serialized.
-            walk_pipelined_latency: SimTime::from_ns(100),
             prefetch: PrefetchConfig::default(),
             retry: RetryPolicy::new(3, SimTime::from_us(2)),
         }
@@ -346,8 +345,8 @@ impl VirtUnit {
                 let x = &mut self.xfers[id];
                 x.prefetched = t.moved + span;
                 if batch > 0 {
-                    let cost = config.walk_latency
-                        + SimTime::from_ps(config.walk_pipelined_latency.as_ps() * (batch - 1));
+                    let cost = WALK_LATENCY
+                        + SimTime::from_ps(WALK_PIPELINED_LATENCY.as_ps() * (batch - 1));
                     x.clock += cost;
                     x.stall += cost;
                 }
@@ -361,7 +360,7 @@ impl VirtUnit {
                 iommu.translate(t.asid, dst_va, Access::Write).map(|dst_pa| (src_pa, dst_pa))
             });
             let walks = iommu.stats().tlb.misses - misses_before;
-            let walk_cost = SimTime::from_ps(config.walk_latency.as_ps() * walks);
+            let walk_cost = SimTime::from_ps(WALK_LATENCY.as_ps() * walks);
             let x = &mut self.xfers[id];
             x.clock += walk_cost;
             x.stall += walk_cost;

@@ -126,11 +126,6 @@ impl FairArbiter {
         self.classes.push(class);
     }
 
-    /// The tier `p` was admitted at.
-    pub fn class_of(&self, p: usize) -> QosClass {
-        self.classes[p]
-    }
-
     /// Whether a requester of tier `requester` may evict a context owned
     /// by tier `victim`. With the arbiter disabled anyone may evict
     /// anyone.

@@ -317,11 +317,6 @@ impl CtxCache {
         self.procs[p as usize].key
     }
 
-    /// The tier `p` was admitted at.
-    pub fn class_of(&self, p: LPid) -> QosClass {
-        self.procs[p as usize].class
-    }
-
     /// The context `p` currently holds, if resident.
     pub fn resident(&self, p: LPid) -> Option<u32> {
         self.procs[p as usize].resident
@@ -394,29 +389,6 @@ impl CtxCache {
                 self.stats.starved += 1;
                 core.note_ctx_starvation();
                 Acquired::Starved { cost: self.costs.kernel_entry }
-            }
-        }
-    }
-
-    /// Voluntarily yields `p`'s context (process exit or quiesce): the
-    /// state is spilled and the slot freed. Returns `false` (context
-    /// kept) when the context is still busy with an in-flight transfer.
-    pub fn release(&mut self, p: LPid, core: &mut EngineCore, now: SimTime) -> bool {
-        let pi = p as usize;
-        let Some(ctx) = self.procs[pi].resident else {
-            return true;
-        };
-        match core.save_context(ctx, now) {
-            Ok(image) => {
-                self.procs[pi].image = Some(image);
-                self.procs[pi].resident = None;
-                self.slots[ctx as usize].owner = None;
-                self.stats.spills += 1;
-                true
-            }
-            Err(_) => {
-                self.stats.busy_skips += 1;
-                false
             }
         }
     }
@@ -734,20 +706,6 @@ mod tests {
         let cfg = ArbiterConfig::default();
         let later = SimTime::from_ps(cfg.refill.as_ps() * 1000);
         assert!(!c.acquire(p0, &mut core, later).fallback());
-    }
-
-    #[test]
-    fn release_frees_the_slot() {
-        let mut core = engine(2);
-        let mut c = cache(2);
-        let p = c.register(QosClass::BestEffort, SimTime::ZERO);
-        c.acquire(p, &mut core, SimTime::ZERO);
-        assert!(c.release(p, &mut core, SimTime::ZERO));
-        assert_eq!(c.resident(p), None);
-        assert_eq!(core.key(0), 0, "released slot is scrubbed");
-        // Re-acquire refills into a free slot without stealing.
-        let a = c.acquire(p, &mut core, SimTime::ZERO);
-        assert!(matches!(a, Acquired::Filled { stole: None, .. }));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 
 use crate::VmManager;
 use udma_bus::SimTime;
-use udma_iommu::{IoFault, IoFaultKind, Iommu};
-use udma_mem::{MemFault, PageTable, VirtAddr, PAGE_SIZE};
+use udma_iommu::{Asid, IoFault, IoFaultKind, Iommu};
+use udma_mem::{MemFault, PageTable, Perms, PteEntry, VirtAddr, VirtPage, PAGE_SIZE};
 
 /// Simulated costs of the fault-service path.
 #[derive(Clone, Copy, Debug)]
@@ -67,8 +67,8 @@ pub struct FaultServiceStats {
     pub swapped_in: u64,
     /// Declared unresolvable.
     pub unresolvable: u64,
-    /// Extra pages pre-installed by range service beyond the faulting
-    /// page itself (the one-NACK-per-range discipline).
+    /// Extra pages of an announced range pre-installed beyond the
+    /// faulting page itself (the one-NACK-per-range discipline).
     pub range_prefilled: u64,
     /// Total simulated time spent servicing.
     pub busy: SimTime,
@@ -98,123 +98,119 @@ impl FaultService {
     }
 
     /// Services one fault against the faulting process's CPU page table.
-    /// Returns the resolution and the simulated time the service took;
-    /// the caller resumes (or fails) the paused transfer accordingly.
+    /// Returns the resolution of the faulting page and the simulated
+    /// time the service took; the caller resumes (or fails) the paused
+    /// transfer accordingly.
+    ///
+    /// `announced` is the destination range `(va, len)` of the incoming
+    /// transfer, when its sender announced one. Then, in the same kernel
+    /// entry, every further page of the range gets a pinned I/O
+    /// translation too, so the device takes **one** fault for the whole
+    /// range instead of one per page. The entry cost (`service_base`) is
+    /// charged once; each extra page adds `map_page` (plus `swap_in` if
+    /// it was paged out). Pages already translated are skipped, which
+    /// keeps the call idempotent under retransmitted fault
+    /// notifications; the walk stops at the first page the table does
+    /// not map or whose permissions refuse the access (the transfer
+    /// faults there on its own if it ever reaches it).
     pub fn service(
         &mut self,
         fault: &IoFault,
+        announced: Option<(VirtAddr, u64)>,
         pt: &mut PageTable,
         vm: &mut VmManager,
         iommu: &mut Iommu,
     ) -> (FaultResolution, SimTime) {
+        let (asid, needed) = (fault.asid, fault.access.required_perms());
         let mut cost = self.costs.service_base;
-        let page = fault.va.page();
-        let resolution = if fault.kind == IoFaultKind::NoContext || !iommu.has_context(fault.asid) {
+        let resolution = if fault.kind == IoFaultKind::NoContext || !iommu.has_context(asid) {
             FaultResolution::Unresolvable
-        } else if vm.swapped_out(fault.asid, page) {
-            let pte = vm.swap_in(fault.asid, pt, page).expect("ledger said swapped out");
-            cost += self.costs.swap_in;
-            if pte.perms.allows(fault.access.required_perms()) {
-                cost += self.costs.map_page;
-                install(iommu, fault, pt);
-                FaultResolution::SwappedIn
-            } else {
-                FaultResolution::Unresolvable
-            }
         } else {
-            match pt.entry(page) {
-                Some(pte) if pte.perms.allows(fault.access.required_perms()) => {
-                    cost += self.costs.map_page;
-                    install(iommu, fault, pt);
-                    FaultResolution::Mapped
-                }
-                _ => FaultResolution::Unresolvable,
+            let page = self.bring_in(asid, fault.va.page(), needed, pt, vm, iommu);
+            cost += page.cost;
+            match page {
+                PageIn { installed: false, .. } => FaultResolution::Unresolvable,
+                PageIn { swapped_in: true, .. } => FaultResolution::SwappedIn,
+                PageIn { .. } => FaultResolution::Mapped,
             }
         };
         self.stats.serviced += 1;
-        self.stats.busy += cost;
         match resolution {
             FaultResolution::Mapped => self.stats.mapped += 1,
             FaultResolution::SwappedIn => self.stats.swapped_in += 1,
             FaultResolution::Unresolvable => self.stats.unresolvable += 1,
         }
+        let resolved = resolution != FaultResolution::Unresolvable;
+        if let Some((va, len)) = announced.filter(|&(_, len)| resolved && len > 0) {
+            let first = va.page().number();
+            let pages = (va.page_offset() + len).div_ceil(PAGE_SIZE);
+            for page in (first..first + pages).map(VirtPage::new) {
+                if page == fault.va.page()
+                    || iommu.table(asid).is_some_and(|t| t.entry(page).is_some())
+                {
+                    continue;
+                }
+                let extra = self.bring_in(asid, page, needed, pt, vm, iommu);
+                cost += extra.cost;
+                self.stats.swapped_in += u64::from(extra.swapped_in);
+                if !extra.installed {
+                    break;
+                }
+                self.stats.range_prefilled += 1;
+            }
+        }
+        self.stats.busy += cost;
         (resolution, cost)
     }
 
-    /// Services `fault` and then, in the same kernel entry, pre-installs
-    /// pinned I/O translations for every further page of
-    /// `[va, va + len)` — the announced remainder of an incoming
-    /// transfer, so the device takes **one** fault for the whole range
-    /// instead of one per page. The entry cost (`service_base`) is
-    /// charged once by the inner [`service`](Self::service) call; each
-    /// extra page adds `map_page` (plus `swap_in` if it was paged out).
-    /// Pages already translated are skipped, which keeps the call
-    /// idempotent under retransmitted fault notifications; the walk
-    /// stops at the first page the table does not map or whose
-    /// permissions refuse the access (the transfer faults there on its
-    /// own if it ever reaches it). The returned resolution is that of
-    /// the faulting page alone.
-    pub fn service_range(
-        &mut self,
-        fault: &IoFault,
-        va: VirtAddr,
-        len: u64,
+    /// Brings one page of `asid` in for an access needing `needed`: swaps
+    /// it back in if the swapper took it, then, if the CPU page table
+    /// grants the access, installs its PTE pinned in the I/O page table.
+    fn bring_in(
+        &self,
+        asid: Asid,
+        page: VirtPage,
+        needed: Perms,
         pt: &mut PageTable,
         vm: &mut VmManager,
         iommu: &mut Iommu,
-    ) -> (FaultResolution, SimTime) {
-        let (resolution, mut cost) = self.service(fault, pt, vm, iommu);
-        if resolution == FaultResolution::Unresolvable || len == 0 {
-            return (resolution, cost);
+    ) -> PageIn {
+        let mut cost = SimTime::ZERO;
+        let swapped_in = vm.swapped_out(asid, page);
+        if swapped_in {
+            vm.swap_in(asid, pt, page).expect("ledger said swapped out");
+            cost += self.costs.swap_in;
         }
-        let needed = fault.access.required_perms();
-        let first = va.page().number();
-        let pages = (va.page_offset() + len).div_ceil(PAGE_SIZE);
-        let mut extra = SimTime::ZERO;
-        for n in first..first + pages {
-            let page = udma_mem::VirtPage::new(n);
-            if page == fault.va.page()
-                || iommu.table(fault.asid).is_some_and(|t| t.entry(page).is_some())
-            {
-                continue;
+        let installed = match pt.entry(page) {
+            Some(&pte) if pte.perms.allows(needed) => {
+                cost += self.costs.map_page;
+                install(iommu, asid, page, pte);
+                true
             }
-            if vm.swapped_out(fault.asid, page) {
-                let pte = vm.swap_in(fault.asid, pt, page).expect("ledger said swapped out");
-                extra += self.costs.swap_in;
-                self.stats.swapped_in += 1;
-                if !pte.perms.allows(needed) {
-                    break;
-                }
-            }
-            match pt.entry(page) {
-                Some(pte) if pte.perms.allows(needed) => {
-                    let (frame, perms) = (pte.frame, pte.perms);
-                    extra += self.costs.map_page;
-                    iommu.map(fault.asid, page, frame, perms, true).expect("entry absent");
-                    self.stats.range_prefilled += 1;
-                }
-                _ => break,
-            }
-        }
-        cost += extra;
-        self.stats.busy += extra;
-        (resolution, cost)
+            _ => false,
+        };
+        PageIn { cost, swapped_in, installed }
     }
 }
 
-/// Copies the CPU PTE of the faulting page into the I/O page table,
-/// pinned. Handles the protection-fault case where an I/O entry already
-/// exists but with stale (narrower) permissions.
-fn install(iommu: &mut Iommu, fault: &IoFault, pt: &PageTable) {
-    let page = fault.va.page();
-    let pte = *pt.entry(page).expect("caller checked residency");
-    let present = iommu.table(fault.asid).is_some_and(|t| t.entry(page).is_some());
+/// What [`FaultService::bring_in`] did for one page.
+struct PageIn {
+    cost: SimTime,
+    swapped_in: bool,
+    installed: bool,
+}
+
+/// Copies a CPU PTE into the I/O page table, pinned. Handles the
+/// protection-fault case where an I/O entry already exists but with
+/// stale (narrower) permissions.
+fn install(iommu: &mut Iommu, asid: Asid, page: VirtPage, pte: PteEntry) {
+    let present = iommu.table(asid).is_some_and(|t| t.entry(page).is_some());
     if present {
-        iommu.protect(fault.asid, page, pte.perms).expect("entry present");
+        iommu.protect(asid, page, pte.perms).expect("entry present");
     } else {
-        iommu.map(fault.asid, page, pte.frame, pte.perms, true).expect("context present");
+        iommu.map(asid, page, pte.frame, pte.perms, true).expect("context present");
     }
-    iommu.set_pinned(fault.asid, page, true).expect("just installed");
+    iommu.set_pinned(asid, page, true).expect("just installed");
 }
 
 /// Pin-on-post registration: installs pinned I/O translations for every
@@ -238,7 +234,7 @@ pub fn pin_range(
     let last = (va.as_u64() + len.max(1) - 1) / PAGE_SIZE;
     let mut registered = 0;
     for n in first..=last {
-        let page = udma_mem::VirtPage::new(n);
+        let page = VirtPage::new(n);
         let pte = *pt.entry(page).ok_or(MemFault::Unmapped { va: page.base() })?;
         match iommu.map(asid, page, pte.frame, pte.perms, true) {
             Ok(()) => registered += 1,
@@ -275,7 +271,7 @@ mod tests {
     fn resident_page_gets_mapped_and_pinned() {
         let (mut svc, mut vm, mut pt, mut iommu) = setup();
         let f = fault(1, 0x4000, IoFaultKind::Unmapped);
-        let (res, cost) = svc.service(&f, &mut pt, &mut vm, &mut iommu);
+        let (res, cost) = svc.service(&f, None, &mut pt, &mut vm, &mut iommu);
         assert_eq!(res, FaultResolution::Mapped);
         assert_eq!(cost, SimTime::from_us(6)); // base + map
         assert!(iommu.translate(1, VirtAddr::new(0x4000), Access::Read).is_ok());
@@ -287,9 +283,9 @@ mod tests {
     #[test]
     fn swapped_out_page_costs_a_page_in() {
         let (mut svc, mut vm, mut pt, mut iommu) = setup();
-        vm.swap_out(1, &mut pt, VirtAddr::new(0x4000).page()).unwrap();
+        vm.swap_out(1, &mut pt, None, VirtAddr::new(0x4000).page()).unwrap();
         let f = fault(1, 0x4000, IoFaultKind::Unmapped);
-        let (res, cost) = svc.service(&f, &mut pt, &mut vm, &mut iommu);
+        let (res, cost) = svc.service(&f, None, &mut pt, &mut vm, &mut iommu);
         assert_eq!(res, FaultResolution::SwappedIn);
         assert_eq!(cost, SimTime::from_us(56)); // base + swap_in + map
         assert!(pt.translate(VirtAddr::new(0x4000), Access::Read).is_ok());
@@ -302,10 +298,16 @@ mod tests {
         let (mut svc, mut vm, mut pt, mut iommu) = setup();
         // A VA the process simply does not map.
         let f = fault(1, 0x9000_0000, IoFaultKind::Unmapped);
-        assert_eq!(svc.service(&f, &mut pt, &mut vm, &mut iommu).0, FaultResolution::Unresolvable);
+        assert_eq!(
+            svc.service(&f, None, &mut pt, &mut vm, &mut iommu).0,
+            FaultResolution::Unresolvable
+        );
         // A context the IOMMU does not know.
         let f = fault(9, 0x4000, IoFaultKind::NoContext);
-        assert_eq!(svc.service(&f, &mut pt, &mut vm, &mut iommu).0, FaultResolution::Unresolvable);
+        assert_eq!(
+            svc.service(&f, None, &mut pt, &mut vm, &mut iommu).0,
+            FaultResolution::Unresolvable
+        );
         assert_eq!(svc.stats().unresolvable, 2);
     }
 
@@ -322,20 +324,21 @@ mod tests {
             access: Access::Write,
             kind: IoFaultKind::Protection { needed: Perms::WRITE, granted: Perms::READ },
         };
-        let (res, _) = svc.service(&f, &mut pt, &mut vm, &mut iommu);
+        let (res, _) = svc.service(&f, None, &mut pt, &mut vm, &mut iommu);
         assert_eq!(res, FaultResolution::Mapped);
         assert!(iommu.translate(1, VirtAddr::new(0x4000), Access::Write).is_ok());
     }
 
     #[test]
-    fn service_range_installs_the_whole_range_for_one_base_cost() {
+    fn announced_range_is_installed_for_one_base_cost() {
         let (mut svc, mut vm, mut pt, mut iommu) = setup();
         // Two pages mapped at 0x4000; page the second one out so the
         // range walk exercises the swap-in path too.
-        vm.swap_out(1, &mut pt, VirtAddr::new(0x4000 + PAGE_SIZE).page()).unwrap();
+        vm.swap_out(1, &mut pt, None, VirtAddr::new(0x4000 + PAGE_SIZE).page()).unwrap();
         let f = fault(1, 0x4000, IoFaultKind::Unmapped);
         let range = VirtAddr::new(0x4000);
-        let (res, cost) = svc.service_range(&f, range, 3 * PAGE_SIZE, &mut pt, &mut vm, &mut iommu);
+        let announced = Some((range, 3 * PAGE_SIZE));
+        let (res, cost) = svc.service(&f, announced, &mut pt, &mut vm, &mut iommu);
         assert_eq!(res, FaultResolution::Mapped);
         // One base + map for the faulting page, then swap_in + map for
         // the second; the third page is a hole and stops the walk
@@ -347,8 +350,7 @@ mod tests {
         assert_eq!(svc.stats().range_prefilled, 1);
         // Idempotent under a duplicated NACK: everything is installed,
         // so the retry costs one ordinary single-page service.
-        let (res2, cost2) =
-            svc.service_range(&f, range, 3 * PAGE_SIZE, &mut pt, &mut vm, &mut iommu);
+        let (res2, cost2) = svc.service(&f, announced, &mut pt, &mut vm, &mut iommu);
         assert_eq!(res2, FaultResolution::Mapped);
         assert_eq!(cost2, SimTime::from_us(6));
         assert_eq!(svc.stats().range_prefilled, 1, "no double prefill");

@@ -121,14 +121,6 @@ impl Kernel {
         programmed.is_ok()
     }
 
-    /// Deregisters `grant`'s ring (a single privileged control write of
-    /// zero); stale doorbells then find nothing to dequeue. An NI
-    /// without a ring unit has nothing to deregister.
-    pub fn deregister_ring(&mut self, grant: &CtxGrant, bus: &mut Bus, now: SimTime) {
-        let ctl_reg = self.nic_base + regs::RING_CTL_TABLE + 8 * grant.ctx as u64;
-        let _ = bus.access(BusTxn::write(ctl_reg, 0, 0), now);
-    }
-
     /// Pages a byte range touches (for translation-cost accounting).
     fn pages_touched(va: VirtAddr, size: u64) -> u64 {
         if size == 0 {
@@ -482,8 +474,6 @@ mod tests {
         assert!(ring.registered());
         assert_eq!(ring.base, buf.first_frame.base());
         assert_eq!(ring.capacity as u64, max);
-        kernel.deregister_ring(&g, &mut bus, SimTime::ZERO);
-        assert!(!bus.nic().core().rings().unwrap().ring(g.ctx).registered());
     }
 
     #[test]

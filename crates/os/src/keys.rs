@@ -84,18 +84,6 @@ impl KeyRegistry {
         Some(grant)
     }
 
-    /// The grant held by `pid`, if any.
-    pub fn grant_of(&self, pid: Pid) -> Option<CtxGrant> {
-        self.grants.get(&pid).copied()
-    }
-
-    /// Releases `pid`'s context back to the pool (process exit).
-    pub fn revoke(&mut self, pid: Pid) {
-        if let Some(g) = self.grants.remove(&pid) {
-            self.free.push(g.ctx);
-        }
-    }
-
     /// Contexts still available.
     pub fn available(&self) -> usize {
         self.free.len()
@@ -131,17 +119,6 @@ mod tests {
         assert!(r.grant(Pid::new(0)).is_some());
         assert!(r.grant(Pid::new(1)).is_some());
         assert!(r.grant(Pid::new(2)).is_none());
-    }
-
-    #[test]
-    fn revoke_recycles() {
-        let mut r = KeyRegistry::new(1, 42, 61);
-        let a = r.grant(Pid::new(0)).unwrap();
-        r.revoke(Pid::new(0));
-        assert_eq!(r.grant_of(Pid::new(0)), None);
-        let b = r.grant(Pid::new(1)).unwrap();
-        assert_eq!(a.ctx, b.ctx);
-        assert_ne!(a.key, b.key, "recycled context gets a fresh key");
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub use fault_service::{pin_range, FaultCosts, FaultResolution, FaultService, Fa
 pub use kernel::{Kernel, KernelStats};
 pub use keys::{CtxGrant, KeyRegistry};
 pub use syscalls::{Sys, SYS_ATOMIC, SYS_DMA, SYS_NOOP};
-pub use vm::{MappedBuffer, ShadowMode, VmManager, CTX_PAGE_VA_BASE};
+pub use vm::{MappedBuffer, ShadowMode, SwapRefused, VmManager, CTX_PAGE_VA_BASE};
 
 use std::fmt;
 

@@ -1,6 +1,7 @@
 //! Virtual-memory management: user buffers and their shadow mappings.
 
 use std::collections::BTreeMap;
+use udma_iommu::Iommu;
 use udma_mem::{
     FrameAllocator, MemFault, PageTable, Perms, PhysFrame, PhysLayout, PteEntry, VirtAddr,
     VirtPage, PAGE_SIZE,
@@ -54,6 +55,16 @@ impl MappedBuffer {
     }
 }
 
+/// Why [`VmManager::swap_out`] refused to take a page.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SwapRefused {
+    /// The page is pinned in the I/O page table: a device transfer may
+    /// be in flight over it, so the swapper must leave it alone.
+    Pinned,
+    /// The page is not mapped in the address space's page table.
+    NotMapped,
+}
+
 /// Allocates frames and installs data + shadow mappings.
 #[derive(Clone, Debug)]
 pub struct VmManager {
@@ -79,22 +90,32 @@ impl VmManager {
         }
     }
 
-    /// Swaps a page out of address space `asid`: removes the CPU PTE and
-    /// remembers it in the swap ledger. The caller is responsible for the
-    /// matching IOMMU unmap/shootdown (and for honouring I/O pin bits —
-    /// the swapper must not steal a page a device transfer relies on).
+    /// The swapper: takes `page` of address space `asid` out of memory.
+    /// The CPU PTE moves into the swap ledger, then the I/O translation
+    /// (if `iommu` holds one) is shot down. A page the IOMMU holds
+    /// pinned is refused untouched: a device transfer may be streaming
+    /// over it.
     ///
     /// # Errors
     ///
-    /// [`MemFault::Unmapped`] if the page is not mapped.
+    /// [`SwapRefused`] naming why the page stayed resident.
     pub fn swap_out(
         &mut self,
         asid: u32,
         pt: &mut PageTable,
+        iommu: Option<&mut Iommu>,
         page: VirtPage,
-    ) -> Result<(), MemFault> {
-        let pte = pt.unmap(page).ok_or(MemFault::Unmapped { va: page.base() })?;
+    ) -> Result<(), SwapRefused> {
+        let pinned =
+            |i: &Iommu| i.table(asid).and_then(|t| t.entry(page)).is_some_and(|e| e.pinned);
+        if iommu.as_deref().is_some_and(pinned) {
+            return Err(SwapRefused::Pinned);
+        }
+        let pte = pt.unmap(page).ok_or(SwapRefused::NotMapped)?;
         self.swapped.insert((asid, page), pte);
+        if let Some(iommu) = iommu {
+            iommu.unmap(asid, page);
+        }
         Ok(())
     }
 
@@ -124,11 +145,6 @@ impl VmManager {
     /// The machine layout.
     pub fn layout(&self) -> &PhysLayout {
         &self.layout
-    }
-
-    /// Frames still available.
-    pub fn frames_available(&self) -> u64 {
-        self.frames.available()
     }
 
     /// Maps `pages` fresh frames at `va` with `perms`, plus a shadow twin
@@ -385,7 +401,7 @@ mod tests {
         let mut vm = VmManager::new(layout);
         let mut pt = PageTable::new();
         // 3 usable frames (frame 0 reserved).
-        assert_eq!(vm.frames_available(), 3);
+        assert_eq!(vm.frames.available(), 3);
         assert!(vm
             .map_buffer(&mut pt, VirtAddr::new(0x4000), 3, Perms::READ_WRITE, ShadowMode::None)
             .is_ok());
@@ -402,17 +418,37 @@ mod tests {
             .unwrap();
         let page = buf.va.page();
         assert!(!vm.swapped_out(1, page));
-        vm.swap_out(1, &mut pt, page).unwrap();
+        vm.swap_out(1, &mut pt, None, page).unwrap();
         assert!(vm.swapped_out(1, page));
         assert!(pt.translate(buf.va, Access::Read).is_err());
         // Swapping an unmapped page fails; swapping in for the wrong
         // address space fails.
-        assert!(vm.swap_out(1, &mut pt, page).is_err());
+        assert_eq!(vm.swap_out(1, &mut pt, None, page), Err(SwapRefused::NotMapped));
         assert!(vm.swap_in(2, &mut pt, page).is_err());
         let pte = vm.swap_in(1, &mut pt, page).unwrap();
         assert_eq!(pte.frame, buf.first_frame);
         assert_eq!(pt.translate(buf.va, Access::Write).unwrap(), buf.first_frame.base());
         assert!(!vm.swapped_out(1, page));
+    }
+
+    #[test]
+    fn swap_out_honours_io_pins_and_shoots_the_translation_down() {
+        let (mut vm, mut pt) = vm();
+        let buf = vm
+            .map_buffer(&mut pt, VirtAddr::new(0x4000), 2, Perms::READ_WRITE, ShadowMode::None)
+            .unwrap();
+        let mut iommu = Iommu::new(udma_iommu::IotlbConfig::default());
+        iommu.create_context(1);
+        let (pinned, loose) = (buf.va.page(), buf.va.page().offset(1));
+        iommu.map(1, pinned, buf.first_frame, Perms::READ_WRITE, true).unwrap();
+        iommu.map(1, loose, buf.first_frame.offset(1), Perms::READ_WRITE, false).unwrap();
+        // A pinned page is refused before anything changes.
+        assert_eq!(vm.swap_out(1, &mut pt, Some(&mut iommu), pinned), Err(SwapRefused::Pinned));
+        assert!(pt.entry(pinned).is_some() && !vm.swapped_out(1, pinned));
+        // An unpinned one leaves both tables.
+        vm.swap_out(1, &mut pt, Some(&mut iommu), loose).unwrap();
+        assert!(vm.swapped_out(1, loose));
+        assert!(iommu.table(1).unwrap().entry(loose).is_none());
     }
 
     #[test]

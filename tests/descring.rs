@@ -174,11 +174,15 @@ props! {
     ) {
         let (mut core, mut mem) = ring_engine();
         let frames = mem.ram_mut().size() / PAGE_SIZE;
+        let sentinel = [0xA5u8; PAGE_SIZE as usize];
         for f in 0..frames {
-            let fill: Vec<u8> = (0..PAGE_SIZE)
-                .map(|i| if writable_frame(f) { (f * 31 + i) as u8 } else { 0xA5 })
-                .collect();
-            mem.ram_mut().write_bytes(PhysAddr::new(f * PAGE_SIZE), &fill).unwrap();
+            let base = PhysAddr::new(f * PAGE_SIZE);
+            if writable_frame(f) {
+                let fill: Vec<u8> = (0..PAGE_SIZE).map(|i| (f * 31 + i) as u8).collect();
+                mem.ram_mut().write_bytes(base, &fill).unwrap();
+            } else {
+                mem.ram_mut().write_bytes(base, &sentinel).unwrap();
+            }
         }
         let n = slots.len() as u64;
         for (i, &(kind, ctl, src, dst, len)) in slots.iter().enumerate() {
@@ -217,11 +221,11 @@ props! {
         let refused = launches.iter().filter(|l| matches!(l, RingLaunch::Rejected(_))).count();
         prop_assert_eq!(refused as u64, s.rejected);
         prop_assert!(core.stats().rejected() >= s.rejected, "ring rejects reach the engine");
-        let mut after = vec![0u8; before.len()];
-        mem.ram_mut().read_bytes(PhysAddr::new(0), &mut after).unwrap();
+        let mut after = [0u8; PAGE_SIZE as usize];
         for f in (0..frames).filter(|&f| !writable_frame(f)) {
+            mem.ram_mut().read_bytes(PhysAddr::new(f * PAGE_SIZE), &mut after).unwrap();
             let r = (f * PAGE_SIZE) as usize..((f + 1) * PAGE_SIZE) as usize;
-            prop_assert!(before[r.clone()] == after[r], "frame {} changed but is not mapped", f);
+            prop_assert!(before[r] == after[..], "frame {} changed but is not mapped", f);
         }
     }
 }

@@ -148,7 +148,7 @@ fn pairwise_ext_shadow_refuses_mixed_pairs_instead_of_mixing() {
     let mut mismatches_seen = false;
     let lens = 20; // victim 3 instrs × adversary 3 instrs → 20 schedules
     let _ = lens;
-    for inter in udma_cpu::interleavings(&[3, 3]) {
+    for inter in udma_testkit::sched::interleavings(&[3, 3]) {
         let mut m = s.build();
         let schedule: Vec<udma_cpu::Pid> =
             inter.iter().map(|&i| udma_cpu::Pid::new(i as u32)).collect();

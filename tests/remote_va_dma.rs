@@ -3,7 +3,7 @@
 //! cold start, swap-in on the receive side, and the protection property
 //! against a straight-line oracle.
 
-use udma::{ClusterConfig, ClusterSim, EventKind, RemoteSwapRefused};
+use udma::{ClusterConfig, ClusterSim, EventKind, SwapRefused};
 use udma_bus::SimTime;
 use udma_mem::{Perms, PhysAddr, VirtAddr, PAGE_SIZE};
 use udma_nic::{XferId, XferState};
@@ -106,7 +106,7 @@ fn swapped_out_page_nacks_swaps_in_and_lands_exactly_once() {
     let page0 = VirtAddr::new(REMOTE_VA);
     let page1 = VirtAddr::new(REMOTE_VA + PAGE_SIZE);
     sim.pin(NODE, REMOTE_ASID, page0, PAGE_SIZE).unwrap();
-    assert_eq!(sim.swap_out(NODE, REMOTE_ASID, page0.page()), Err(RemoteSwapRefused::Pinned));
+    assert_eq!(sim.swap_out(NODE, REMOTE_ASID, page0.page()), Err(SwapRefused::Pinned));
     sim.swap_out(NODE, REMOTE_ASID, page1.page()).unwrap();
 
     let id = post_and_run(&mut sim, REMOTE_ASID, REMOTE_VA, 2 * PAGE_SIZE);
