@@ -7,6 +7,16 @@ cd "$(dirname "$0")"
 echo "== format check =="
 cargo fmt --check
 
+echo "== board crate dependencies (no test tooling) =="
+# udma-nic models the NI board alone: the cluster's wire, whose chaos
+# link draws from the testkit PRNG, lives in udma. Fail if the board
+# crate's normal (non-dev) dependency tree pulls the test kit back in.
+nic_deps=$(cargo tree --offline -p udma-nic -e normal)
+if grep -q udma-testkit <<<"$nic_deps"; then
+  echo "udma-nic depends on udma-testkit outside its tests" >&2
+  exit 1
+fi
+
 echo "== build (release, offline) =="
 cargo build --release --offline
 
@@ -93,11 +103,13 @@ cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload
 
 echo "== non-test line counts (informational) =="
 # Lines before each file's first #[cfg(test)], for the cluster module,
-# udma-nic, the OS (paging, fault service, context cache), and the
-# Machine world's bus, CPU and assembly, so the line-count claims in
-# CHANGES.md and ROADMAP.md can be reproduced. Gates nothing.
+# udma-nic, the OS (paging, fault service, context cache), the IOMMU,
+# memory, and the Machine world's bus, CPU and assembly, so the
+# line-count claims in CHANGES.md and ROADMAP.md can be reproduced.
+# Gates nothing.
 scripts/loc.sh crates/core/src/cluster crates/nic/src crates/os/src \
-  crates/bus/src crates/cpu/src crates/core/src/machine.rs || true
+  crates/iommu/src crates/mem/src crates/bus/src crates/cpu/src \
+  crates/core/src/machine.rs || true
 
 echo "== clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings

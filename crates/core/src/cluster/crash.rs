@@ -33,9 +33,9 @@
 
 use super::event::EventKind;
 use super::health::{HealthState, HealthStats, PeerHealth};
+use super::link::Envelope;
 use std::collections::BTreeMap;
 use udma_bus::SimTime;
-use udma_nic::Envelope;
 
 /// What kind of node failure a [`CrashPlan`] injects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

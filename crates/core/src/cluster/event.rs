@@ -2,9 +2,10 @@
 //! to text only on demand.
 
 use super::health::HealthState;
+use super::link::NackVerdict;
 use udma_bus::SimTime;
 use udma_mem::VirtAddr;
-use udma_nic::{NackVerdict, XferId};
+use udma_nic::XferId;
 use udma_os::FaultResolution;
 
 /// One line of the differential event log: the processing node, the

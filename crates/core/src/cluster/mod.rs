@@ -15,7 +15,7 @@
 //! once a [`CrashPlan`] is injected, its fault domain (`crash`). All
 //! cross-node traffic (data chunks, ACK/NACK, destination
 //! announcements) travels as latency-stamped
-//! [`Envelope`](udma_nic::Envelope)s: over an explicit channel to
+//! `Envelope`s: over an explicit channel to
 //! another shard, or straight into the event queue of the sender's own
 //! shard. Both paths refuse an arrival inside the lookahead.
 //!
@@ -37,14 +37,15 @@ mod health;
 mod link;
 mod node_os;
 mod shard;
+mod wire;
 
 pub use crash::{CrashKind, CrashPlan, CrashStats};
 pub use event::{AckEffect, EventKind, LaunchWire, LogLine};
 pub use health::{HealthState, HealthStats};
-pub use link::NodeLinkStats;
+pub use link::{NackVerdict, NodeLinkStats, XferCounters};
 
 use crash::FaultDomain;
-use link::LinkUnit;
+use link::{Envelope, LinkUnit, SendXfer};
 use node_os::NodeOs;
 use shard::{EventQueue, Node, Outbox, Shard, Work};
 use std::time::{Duration, Instant};
@@ -52,12 +53,10 @@ use udma_bus::sim::{ChannelBuilder, RunReport, RunnerKind, SimReceiver, SimRunne
 use udma_bus::SimTime;
 use udma_iommu::{Asid, IotlbConfig, IotlbStats};
 use udma_mem::{MemFault, Perms, PhysAddr, PhysMemory, VirtAddr, VirtPage, PAGE_SIZE};
-use udma_nic::{
-    Crc32, Envelope, FaultPlan, FaultyLink, LinkModel, ReliabilityConfig, SendXfer, XferCounters,
-    XferId, XferState,
-};
-use udma_os::{FaultCosts, FaultServiceStats, SwapRefused};
-use udma_testkit::rng::TestRng;
+use udma_nic::{FaultPlan, LinkModel, ReliabilityConfig, XferId, XferState};
+use udma_os::{FaultServiceStats, SwapRefused};
+use udma_testkit::{Crc32, TestRng};
+use wire::FaultyLink;
 
 /// Configuration of a [`ClusterSim`]: topology, backend runner, link
 /// and fault models. All existing single-machine knobs keep their
@@ -84,8 +83,6 @@ pub struct ClusterConfig {
     pub chaos: Option<FaultPlan>,
     /// Receive-side IOTLB geometry of every node.
     pub iotlb: IotlbConfig,
-    /// Fault-service costs of every node OS.
-    pub costs: FaultCosts,
     /// Whether [`ClusterSim::grant`] registers (pins) buffers up front —
     /// the no-NACK discipline of E14 — instead of demand-faulting.
     pub pin_on_post: bool,
@@ -117,7 +114,6 @@ impl ClusterConfig {
             reliability: ReliabilityConfig::default(),
             chaos: None,
             iotlb: IotlbConfig::default(),
-            costs: FaultCosts::default(),
             pin_on_post: false,
             announce: false,
             ack_lease: SimTime::from_us(1_250),
@@ -331,7 +327,7 @@ impl ClusterSim {
             // a grant later creates; contexts are created on grant.
             shards[id as usize % num_shards].nodes.push(Node {
                 id,
-                os: NodeOs::new(cfg.node_bytes, cfg.iotlb, cfg.costs),
+                os: NodeOs::new(cfg.node_bytes, cfg.iotlb),
                 link: LinkUnit::new(chaos),
                 fault: None,
             });
@@ -736,7 +732,7 @@ mod tests {
     #[test]
     fn pattern_payload_is_pinned() {
         let crc = |node, index, len| {
-            udma_nic::crc32(&ClusterSim::expected_payload(XferId { node, index }, len))
+            udma_testkit::crc32(&ClusterSim::expected_payload(XferId { node, index }, len))
         };
         assert_eq!(crc(0, 0, 5000), 0x9812_CBC1);
         assert_eq!(crc(3, 17, 8192), 0x7AD1_D646);

@@ -23,8 +23,8 @@ use udma_mem::{
     PAGE_SIZE,
 };
 use udma_os::{
-    pin_range, FaultCosts, FaultResolution, FaultService, FaultServiceStats, MappedBuffer,
-    ShadowMode, SwapRefused, VmManager,
+    pin_range, FaultResolution, FaultService, FaultServiceStats, MappedBuffer, ShadowMode,
+    SwapRefused, VmManager,
 };
 
 /// One durable grant: replayed at reboot.
@@ -68,25 +68,22 @@ pub(super) struct NodeOs {
     pins: Vec<PinRecord>,
     /// IOTLB geometry a reboot rebuilds the IOMMU with.
     iotlb: IotlbConfig,
-    /// Fault-service costs a reboot rebuilds the service with.
-    costs: FaultCosts,
 }
 
 impl NodeOs {
     /// Boots a node OS over `node_bytes` of zeroed RAM and an empty
     /// IOMMU.
-    pub(super) fn new(node_bytes: u64, iotlb: IotlbConfig, costs: FaultCosts) -> Self {
+    pub(super) fn new(node_bytes: u64, iotlb: IotlbConfig) -> Self {
         let layout = PhysLayout { ram_size: node_bytes, ..PhysLayout::default() };
         NodeOs {
             mem: PhysMemory::new(node_bytes),
             iommu: Iommu::new(iotlb),
             tables: BTreeMap::new(),
             vm: VmManager::new(layout),
-            service: FaultService::new(costs),
+            service: FaultService::default(),
             grants: Vec::new(),
             pins: Vec::new(),
             iotlb,
-            costs,
         }
     }
 
@@ -163,7 +160,7 @@ impl NodeOs {
     /// ledger and the pin ledger, in that order, into the new state,
     /// which records them afresh.
     pub(super) fn reboot(&mut self) -> Replayed {
-        let old = std::mem::replace(self, NodeOs::new(self.mem.size(), self.iotlb, self.costs));
+        let old = std::mem::replace(self, NodeOs::new(self.mem.size(), self.iotlb));
         for g in &old.grants {
             self.grant(g.asid, g.va, g.pages, g.perms, g.pinned)
                 .expect("replaying a grant that fit before the crash");
@@ -266,7 +263,7 @@ mod tests {
     }
 
     fn node_os() -> NodeOs {
-        NodeOs::new(1 << 20, IotlbConfig::default(), FaultCosts::default())
+        NodeOs::new(1 << 20, IotlbConfig::default())
     }
 
     #[test]
@@ -302,7 +299,7 @@ mod tests {
         // The next fault pages it back in (at swap-in cost) and pins it.
         let (res, cost) = os.service(&fault(7, 0x4000), None);
         assert_eq!(res, FaultResolution::SwappedIn);
-        assert!(cost >= FaultCosts::default().swap_in);
+        assert!(cost >= udma_os::FAULT_SWAP_IN);
         assert!(!os.vm.swapped_out(7, page));
         assert_eq!(os.swap_out(7, page), Err(SwapRefused::Pinned));
         // Unpin, and the swapper may take it again.

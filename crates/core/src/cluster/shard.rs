@@ -11,14 +11,14 @@
 use super::crash::{CrashKind, FaultDomain};
 use super::event::{AckEffect, EventKind, LaunchWire, LogLine};
 use super::health::HealthState;
-use super::link::LinkUnit;
+use super::link::{Envelope, LinkUnit, NackVerdict, NetMsg};
 use super::node_os::NodeOs;
 use super::ClusterConfig;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use udma_bus::sim::{SimComponent, SimReceiver, SimSender, Stamped};
 use udma_bus::SimTime;
-use udma_nic::{Envelope, NackVerdict, NetMsg, XferState};
+use udma_nic::XferState;
 use udma_os::FaultResolution;
 
 /// Work a node schedules for itself, or a frame addressed to it.
@@ -242,7 +242,9 @@ impl Node {
             let msg = NetMsg::Announce { xfer: x.id, ann: x.announcement() };
             self.emit(out, at, out.hop(at), dst, dst_inc, msg);
         }
-        let (msg, arrival) = self.link.launch(i, at, &out.cfg);
+        let link = &mut self.link;
+        let (msg, arrival) =
+            link.xfers[i].launch_chunk(at, &out.cfg, link.chaos.as_mut(), &mut link.arrivals);
         let x = &self.link.xfers[i];
         let wire = if x.state() == XferState::LinkFailed {
             LaunchWire::LinkFailed
@@ -640,7 +642,7 @@ mod tests {
     fn lone_node(cfg: &ClusterConfig) -> (Node, Outbox) {
         let node = Node {
             id: 0,
-            os: NodeOs::new(cfg.node_bytes, cfg.iotlb, cfg.costs),
+            os: NodeOs::new(cfg.node_bytes, cfg.iotlb),
             link: LinkUnit::new(None),
             fault: None,
         };

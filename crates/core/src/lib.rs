@@ -63,8 +63,8 @@ pub use attack::{
 };
 pub use cluster::{
     AckEffect, ClusterConfig, ClusterDigest, ClusterSim, CrashKind, CrashPlan, CrashStats,
-    EventKind, HealthState, HealthStats, LaunchWire, LogLine, NodeDigest, NodeLinkStats, PostError,
-    XferDigest,
+    EventKind, HealthState, HealthStats, LaunchWire, LogLine, NackVerdict, NodeDigest,
+    NodeLinkStats, PostError, XferCounters, XferDigest,
 };
 pub use coherence::{CoherenceMode, CoherenceSetup, CoherentPostReport};
 pub use crossover::{crossover_rows, os_bound_message_size, CrossoverRow};

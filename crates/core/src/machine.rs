@@ -250,13 +250,9 @@ impl Machine {
             EngineConfig { num_contexts: config.num_contexts, link: config.link },
             config.method.protocol(),
         );
-        let fault_service = match config.virt_dma {
-            Some(setup) => {
-                engine.core_mut().enable_iommu(setup.iotlb, setup.virt);
-                FaultService::new(setup.fault_costs)
-            }
-            None => FaultService::default(),
-        };
+        if let Some(setup) = config.virt_dma {
+            engine.core_mut().enable_iommu(setup.iotlb, setup.virt);
+        }
         // Both non-flat coherence modes make the CPU a data-carrying MESI
         // agent (so stale-data hazards are real, not assumed); only
         // `Coherent` also puts the engine side of the port on the snoop
@@ -282,7 +278,15 @@ impl Machine {
                 .build();
             executor.install_pal(PAL_DMA, pal);
         }
-        Machine { config, bus, executor, kernel, envs: Vec::new(), fault_service, ctx_cache: None }
+        Machine {
+            config,
+            bus,
+            executor,
+            kernel,
+            envs: Vec::new(),
+            fault_service: FaultService::default(),
+            ctx_cache: None,
+        }
     }
 
     /// A machine with the default (paper-testbed) configuration.

@@ -14,7 +14,6 @@ use crate::ProcessEnv;
 use udma_cpu::{ProgramBuilder, Reg};
 use udma_iommu::IotlbConfig;
 use udma_nic::{regs, VirtDmaConfig};
-use udma_os::FaultCosts;
 
 /// How the OS keeps the I/O page table in step with process memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,8 +35,6 @@ pub struct VirtDmaSetup {
     pub iotlb: IotlbConfig,
     /// Engine-side tunables (walk latency, retry policy).
     pub virt: VirtDmaConfig,
-    /// OS fault-service cost model.
-    pub fault_costs: FaultCosts,
     /// I/O page-table population discipline.
     pub mode: VaMode,
 }
@@ -47,7 +44,6 @@ impl Default for VirtDmaSetup {
         VirtDmaSetup {
             iotlb: IotlbConfig::default(),
             virt: VirtDmaConfig::default(),
-            fault_costs: FaultCosts::default(),
             mode: VaMode::Demand,
         }
     }

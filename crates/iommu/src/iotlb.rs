@@ -3,9 +3,9 @@
 //!
 //! ASID tagging is the point: a host context switch does **not** flush
 //! the IOTLB (entries of the switched-out process stay valid and keep
-//! serving its in-flight transfers), and tearing down one address space
-//! invalidates only its own entries ([`Iotlb::invalidate_asid`]) instead
-//! of everyone's.
+//! serving its in-flight transfers), and an OS shootdown invalidates
+//! only the one page of the one address space it names
+//! ([`Iotlb::invalidate_page`]).
 
 use crate::Asid;
 use udma_mem::{Perms, PhysFrame, TlbStats, VirtPage};
@@ -59,8 +59,6 @@ pub struct IotlbStats {
     pub tlb: TlbStats,
     /// Single-page invalidations (OS unmap/swap-out shootdowns).
     pub shootdowns: u64,
-    /// Selective per-ASID invalidations (address-space teardown).
-    pub asid_flushes: u64,
     /// Lines filled by the prefetcher ([`Iotlb::insert_prefetched`]),
     /// i.e. page-table walks done ahead of the streaming cursor.
     pub prefetch_fills: u64,
@@ -349,27 +347,6 @@ impl Iotlb {
         self.stats.prefetch_unused += unused;
     }
 
-    /// Invalidates every entry of one ASID — what a context teardown
-    /// costs *instead of* a full flush, thanks to the tags.
-    pub fn invalidate_asid(&mut self, asid: Asid) {
-        self.stats.asid_flushes += 1;
-        let mut dropped = 0;
-        let mut unused = 0;
-        for set in self.sets.iter_mut() {
-            for line in set.iter_mut() {
-                if let Some(l) = line {
-                    if l.asid == asid {
-                        dropped += 1;
-                        unused += u64::from(l.prefetched);
-                        *line = None;
-                    }
-                }
-            }
-        }
-        self.live -= dropped;
-        self.stats.prefetch_unused += unused;
-    }
-
     /// Invalidates everything (device reset).
     pub fn flush_all(&mut self) {
         self.stats.tlb.flushes += 1;
@@ -476,7 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn shootdown_and_asid_flush_are_selective() {
+    fn shootdown_is_selective() {
         let mut t = tlb(8, 4, IotlbReplacement::Fifo);
         t.insert(1, VirtPage::new(0), PhysFrame::new(0), Perms::READ);
         t.insert(1, VirtPage::new(1), PhysFrame::new(1), Perms::READ);
@@ -485,11 +462,7 @@ mod tests {
         assert!(t.lookup(1, VirtPage::new(0), Perms::READ).is_none());
         assert!(t.lookup(1, VirtPage::new(1), Perms::READ).is_some());
         assert!(t.lookup(2, VirtPage::new(0), Perms::READ).is_some());
-        t.invalidate_asid(1);
-        assert!(t.lookup(1, VirtPage::new(1), Perms::READ).is_none());
-        assert!(t.lookup(2, VirtPage::new(0), Perms::READ).is_some());
         assert_eq!(t.stats().shootdowns, 1);
-        assert_eq!(t.stats().asid_flushes, 1);
         t.flush_all();
         assert!(t.is_empty());
         assert_eq!(t.stats().tlb.flushes, 1);
@@ -585,7 +558,7 @@ mod tests {
                         if next() % 16 == 0 {
                             t.flush_all();
                         } else {
-                            t.invalidate_asid(asid);
+                            t.invalidate_page(asid, page);
                         }
                     }
                 }

@@ -145,33 +145,30 @@ impl PhysMemory {
     }
 }
 
-/// A bump-plus-free-list allocator of physical page frames.
+/// A bump allocator of physical page frames. The model kernel never
+/// returns a frame, so there is no free list.
 ///
 /// The model kernel uses this to back user mappings and shadow windows.
 #[derive(Clone, Debug)]
 pub struct FrameAllocator {
     next: u64,
     limit: u64,
-    free: Vec<PhysFrame>,
 }
 
 impl FrameAllocator {
     /// Creates an allocator over `[0, size)` bytes of physical memory.
     pub fn new(size: u64) -> Self {
-        FrameAllocator { next: 0, limit: size >> PAGE_SHIFT, free: Vec::new() }
+        FrameAllocator { next: 0, limit: size >> PAGE_SHIFT }
     }
 
     /// Creates an allocator over frames `[base_frame, base_frame + count)`.
     pub fn with_range(base_frame: u64, count: u64) -> Self {
-        FrameAllocator { next: base_frame, limit: base_frame + count, free: Vec::new() }
+        FrameAllocator { next: base_frame, limit: base_frame + count }
     }
 
-    /// Allocates a frame, reusing freed frames first. Returns `None` when
-    /// physical memory is exhausted.
+    /// Allocates a frame. Returns `None` when physical memory is
+    /// exhausted.
     pub fn alloc(&mut self) -> Option<PhysFrame> {
-        if let Some(f) = self.free.pop() {
-            return Some(f);
-        }
         if self.next < self.limit {
             let f = PhysFrame::new(self.next);
             self.next += 1;
@@ -181,15 +178,9 @@ impl FrameAllocator {
         }
     }
 
-    /// Returns a frame to the allocator.
-    pub fn free(&mut self, frame: PhysFrame) {
-        debug_assert!(frame.number() < self.limit);
-        self.free.push(frame);
-    }
-
     /// Number of frames still available.
     pub fn available(&self) -> u64 {
-        (self.limit - self.next) + self.free.len() as u64
+        self.limit - self.next
     }
 }
 
@@ -337,17 +328,15 @@ mod tests {
     }
 
     #[test]
-    fn allocator_unique_frames_and_reuse() {
+    fn allocator_unique_frames_until_exhausted() {
         let mut a = FrameAllocator::new(4 * PAGE_SIZE);
         let f0 = a.alloc().unwrap();
         let f1 = a.alloc().unwrap();
         assert_ne!(f0, f1);
         assert_eq!(a.available(), 2);
-        a.free(f0);
-        assert_eq!(a.available(), 3);
-        assert_eq!(a.alloc().unwrap(), f0);
         let _ = a.alloc().unwrap();
         let _ = a.alloc().unwrap();
+        assert_eq!(a.available(), 0);
         assert_eq!(a.alloc(), None);
     }
 

@@ -26,12 +26,13 @@
 //! IOMMU, translated transfers and their fault queue) and, inside it,
 //! the doorbell-batched descriptor rings ([`RingUnit`]).
 //!
-//! The crate also models the wire between boards: the [`LinkModel`],
-//! the seeded chaos link with its go-back-N delivery engine
-//! ([`FaultyLink`], [`deliver`]), and the frames and sender-side
-//! transfer state machine ([`Envelope`], [`SendXfer`]) a cluster node
-//! sends over it. The cluster itself — nodes, their OS, fault domain
-//! and failure detector — lives in `udma::ClusterSim`.
+//! The wire between boards is configured here — the [`LinkModel`], the
+//! seeded chaos plan ([`FaultPlan`]), the go-back-N tunables
+//! ([`ReliabilityConfig`]) and a remote transfer's identity and state
+//! ([`XferId`], [`XferState`]) — but modelled by the cluster:
+//! `udma::ClusterSim` owns the chaos link, the go-back-N delivery, the
+//! frames, and the nodes with their OS, fault domain and failure
+//! detector.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,10 +44,8 @@ mod descring;
 mod engine;
 #[path = "core.rs"]
 mod engine_core;
-mod faulty;
 mod link;
 mod mover;
-mod net;
 pub mod protocol;
 pub mod regs;
 mod status;
@@ -60,16 +59,10 @@ pub use descring::{
 };
 pub use engine::DmaEngine;
 pub use engine_core::{EngineConfig, EngineCore, EngineStats, KEY_CHECK_LATENCY};
-pub use faulty::{
-    crc32, deliver, Burst, Crc32, DeliveryOutcome, FaultPlan, FaultyLink, FaultyLinkStats,
-    FrameFate, ReliabilityConfig, MAX_BURSTS,
+pub use link::{
+    Burst, FaultPlan, LinkModel, ReliabilityConfig, RetryPolicy, XferId, XferState, MAX_BURSTS,
 };
-pub use link::{LinkModel, RetryPolicy};
 pub use mover::{Destination, DmaMover, RemoteSend, TransferRecord};
-pub use net::{
-    ChunkBytes, DstAnnouncement, Envelope, NackVerdict, NetMsg, SendXfer, XferCounters, XferId,
-    XferState,
-};
 pub use protocol::{InitiationProtocol, ProtocolKind};
 pub use status::{Initiator, RejectReason, DMA_FAILURE, DMA_PENDING, DMA_STARTED};
 pub use virt::{

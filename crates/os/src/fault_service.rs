@@ -20,27 +20,16 @@ use udma_bus::SimTime;
 use udma_iommu::{Asid, IoFault, IoFaultKind, Iommu};
 use udma_mem::{MemFault, PageTable, Perms, PteEntry, VirtAddr, VirtPage, PAGE_SIZE};
 
-/// Simulated costs of the fault-service path.
-#[derive(Clone, Copy, Debug)]
-pub struct FaultCosts {
-    /// Fixed entry cost: interrupt delivery, queue pop, table lookup.
-    pub service_base: SimTime,
-    /// Installing one I/O page-table entry (plus shootdown bookkeeping).
-    pub map_page: SimTime,
-    /// Bringing a swapped-out page back from backing store. Dominates
-    /// everything else, as a real page-in does.
-    pub swap_in: SimTime,
-}
+/// Fault-service entry cost: interrupt delivery, queue pop, table
+/// lookup.
+pub const FAULT_SERVICE_BASE: SimTime = SimTime::from_us(5);
 
-impl Default for FaultCosts {
-    fn default() -> Self {
-        FaultCosts {
-            service_base: SimTime::from_us(5),
-            map_page: SimTime::from_us(1),
-            swap_in: SimTime::from_us(50),
-        }
-    }
-}
+/// Installing one I/O page-table entry (plus shootdown bookkeeping).
+pub const FAULT_MAP_PAGE: SimTime = SimTime::from_us(1);
+
+/// Bringing a swapped-out page back from backing store. Dominates the
+/// other fault-service costs, as a real page-in does.
+pub const FAULT_SWAP_IN: SimTime = SimTime::from_us(50);
 
 /// How a fault was resolved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,21 +66,10 @@ pub struct FaultServiceStats {
 /// The kernel's I/O fault handler.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FaultService {
-    costs: FaultCosts,
     stats: FaultServiceStats,
 }
 
 impl FaultService {
-    /// Creates a service with the given cost model.
-    pub fn new(costs: FaultCosts) -> Self {
-        FaultService { costs, stats: FaultServiceStats::default() }
-    }
-
-    /// The cost model.
-    pub fn costs(&self) -> FaultCosts {
-        self.costs
-    }
-
     /// Service counters.
     pub fn stats(&self) -> FaultServiceStats {
         self.stats
@@ -106,13 +84,14 @@ impl FaultService {
     /// transfer, when its sender announced one. Then, in the same kernel
     /// entry, every further page of the range gets a pinned I/O
     /// translation too, so the device takes **one** fault for the whole
-    /// range instead of one per page. The entry cost (`service_base`) is
-    /// charged once; each extra page adds `map_page` (plus `swap_in` if
-    /// it was paged out). Pages already translated are skipped, which
-    /// keeps the call idempotent under retransmitted fault
-    /// notifications; the walk stops at the first page the table does
-    /// not map or whose permissions refuse the access (the transfer
-    /// faults there on its own if it ever reaches it).
+    /// range instead of one per page. The entry cost
+    /// ([`FAULT_SERVICE_BASE`]) is charged once; each extra page adds
+    /// [`FAULT_MAP_PAGE`] (plus [`FAULT_SWAP_IN`] if it was paged out).
+    /// Pages already translated are skipped, which keeps the call
+    /// idempotent under retransmitted fault notifications; the walk
+    /// stops at the first page the table does not map or whose
+    /// permissions refuse the access (the transfer faults there on its
+    /// own if it ever reaches it).
     pub fn service(
         &mut self,
         fault: &IoFault,
@@ -122,7 +101,7 @@ impl FaultService {
         iommu: &mut Iommu,
     ) -> (FaultResolution, SimTime) {
         let (asid, needed) = (fault.asid, fault.access.required_perms());
-        let mut cost = self.costs.service_base;
+        let mut cost = FAULT_SERVICE_BASE;
         let resolution = if fault.kind == IoFaultKind::NoContext || !iommu.has_context(asid) {
             FaultResolution::Unresolvable
         } else {
@@ -179,11 +158,11 @@ impl FaultService {
         let swapped_in = vm.swapped_out(asid, page);
         if swapped_in {
             vm.swap_in(asid, pt, page).expect("ledger said swapped out");
-            cost += self.costs.swap_in;
+            cost += FAULT_SWAP_IN;
         }
         let installed = match pt.entry(page) {
             Some(&pte) if pte.perms.allows(needed) => {
-                cost += self.costs.map_page;
+                cost += FAULT_MAP_PAGE;
                 install(iommu, asid, page, pte);
                 true
             }
@@ -273,7 +252,7 @@ mod tests {
         let f = fault(1, 0x4000, IoFaultKind::Unmapped);
         let (res, cost) = svc.service(&f, None, &mut pt, &mut vm, &mut iommu);
         assert_eq!(res, FaultResolution::Mapped);
-        assert_eq!(cost, SimTime::from_us(6)); // base + map
+        assert_eq!(cost, FAULT_SERVICE_BASE + FAULT_MAP_PAGE);
         assert!(iommu.translate(1, VirtAddr::new(0x4000), Access::Read).is_ok());
         let page = VirtAddr::new(0x4000).page();
         assert!(iommu.table(1).unwrap().entry(page).unwrap().pinned);
@@ -287,7 +266,7 @@ mod tests {
         let f = fault(1, 0x4000, IoFaultKind::Unmapped);
         let (res, cost) = svc.service(&f, None, &mut pt, &mut vm, &mut iommu);
         assert_eq!(res, FaultResolution::SwappedIn);
-        assert_eq!(cost, SimTime::from_us(56)); // base + swap_in + map
+        assert_eq!(cost, FAULT_SERVICE_BASE + FAULT_SWAP_IN + FAULT_MAP_PAGE);
         assert!(pt.translate(VirtAddr::new(0x4000), Access::Read).is_ok());
         assert_eq!(svc.stats().swapped_in, 1);
         assert_eq!(svc.stats().busy, cost);
@@ -343,7 +322,7 @@ mod tests {
         // One base + map for the faulting page, then swap_in + map for
         // the second; the third page is a hole and stops the walk
         // without affecting the fault's resolution.
-        assert_eq!(cost, SimTime::from_us(5 + 1 + 50 + 1));
+        assert_eq!(cost, FAULT_SERVICE_BASE + FAULT_MAP_PAGE + FAULT_SWAP_IN + FAULT_MAP_PAGE);
         let second = VirtAddr::new(0x4000 + PAGE_SIZE);
         assert!(iommu.translate(1, second, Access::Read).is_ok());
         assert!(iommu.table(1).unwrap().entry(second.page()).unwrap().pinned);
@@ -352,7 +331,7 @@ mod tests {
         // so the retry costs one ordinary single-page service.
         let (res2, cost2) = svc.service(&f, announced, &mut pt, &mut vm, &mut iommu);
         assert_eq!(res2, FaultResolution::Mapped);
-        assert_eq!(cost2, SimTime::from_us(6));
+        assert_eq!(cost2, FAULT_SERVICE_BASE + FAULT_MAP_PAGE);
         assert_eq!(svc.stats().range_prefilled, 1, "no double prefill");
         assert_eq!(svc.stats().swapped_in, 1, "no phantom swap-in on the duplicate");
     }

@@ -34,7 +34,10 @@ pub use arbiter::{ArbiterConfig, ArbiterStats, FairArbiter, QosClass};
 pub use ctx_cache::{
     Acquired, CtxCache, CtxCacheConfig, CtxCacheStats, CtxVictimPolicy, LPid, SpillCosts,
 };
-pub use fault_service::{pin_range, FaultCosts, FaultResolution, FaultService, FaultServiceStats};
+pub use fault_service::{
+    pin_range, FaultResolution, FaultService, FaultServiceStats, FAULT_MAP_PAGE,
+    FAULT_SERVICE_BASE, FAULT_SWAP_IN,
+};
 pub use kernel::{Kernel, KernelStats};
 pub use keys::{CtxGrant, KeyRegistry};
 pub use syscalls::{Sys, SYS_ATOMIC, SYS_DMA, SYS_NOOP};

@@ -16,6 +16,8 @@
 //! - [`sched`]: a bounded interleaving explorer — exhaustive merge-order
 //!   enumeration up to a schedule budget, then a seeded-random tail —
 //!   backing the E3–E6 race and attack explorations.
+//! - [`crc`]: CRC-32, the checksum pinned memory images and event
+//!   logs are compared by.
 //! - [`bench`]: a warmup+iterations wall-clock timer with
 //!   median/p10/p90 JSON output, so the bench targets are plain
 //!   harness-free binaries that emit `BENCH_*.json`-shaped records.
@@ -27,8 +29,10 @@
 #![forbid(unsafe_code)]
 
 pub mod bench;
+pub mod crc;
 pub mod prop;
 pub mod rng;
 pub mod sched;
 
+pub use crc::{crc32, Crc32};
 pub use rng::TestRng;

@@ -100,11 +100,6 @@ impl TestRng {
             }
         }
     }
-
-    /// Derives an independent child generator (splits the stream).
-    pub fn fork(&mut self) -> TestRng {
-        TestRng::seed_from_u64(self.next_u64())
-    }
 }
 
 /// Types [`TestRng::gen_range`] can sample uniformly.
@@ -201,15 +196,5 @@ mod tests {
             assert!(!rng.gen_bool(0.0));
             assert!(rng.gen_bool(1.0));
         }
-    }
-
-    #[test]
-    fn fork_decorrelates() {
-        let mut parent = TestRng::seed_from_u64(8);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        let a: Vec<u64> = (0..8).map(|_| c1.next_u64()).collect();
-        let b: Vec<u64> = (0..8).map(|_| c2.next_u64()).collect();
-        assert_ne!(a, b);
     }
 }

@@ -15,6 +15,7 @@
 //! the fault domain costs nothing until the first [`CrashPlan`] arms
 //! it.
 
+use crate::percentile;
 use udma::{ClusterConfig, ClusterSim, CrashPlan};
 use udma_bus::sim::RunnerKind;
 use udma_bus::SimTime;
@@ -249,16 +250,6 @@ fn row_from(w: &CrashWorkload, sim: &ClusterSim, matches_oracle: bool) -> NodeFa
         regrants: d.nodes.iter().map(|n| n.crash.regrants).sum(),
         matches_oracle,
     }
-}
-
-fn percentile(sample: &[SimTime], pct: f64) -> SimTime {
-    if sample.is_empty() {
-        return SimTime::ZERO;
-    }
-    let mut v = sample.to_vec();
-    v.sort_unstable();
-    let rank = ((pct / 100.0) * v.len() as f64).ceil().max(1.0) as usize;
-    v[rank.min(v.len()) - 1]
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@
 //! (the E17 acceptance bound); disabled, the hostile tenant evicts the
 //! victims between every one of their posts.
 
+use crate::percentile;
 use udma::{DmaMethod, LogicalPost, Machine, MachineConfig, PostPath};
 use udma_bus::SimTime;
 use udma_mem::PhysAddr;
@@ -281,17 +282,6 @@ fn machine(contexts: u32) -> Machine {
     let mut config = MachineConfig::new(DmaMethod::KeyBased);
     config.num_contexts = contexts;
     Machine::new(config)
-}
-
-/// Nearest-rank percentile over a sample (sorted internally).
-fn percentile(sample: &[SimTime], pct: f64) -> SimTime {
-    if sample.is_empty() {
-        return SimTime::ZERO;
-    }
-    let mut v = sample.to_vec();
-    v.sort_unstable();
-    let rank = ((pct / 100.0) * v.len() as f64).ceil().max(1.0) as usize;
-    v[rank.min(v.len()) - 1]
 }
 
 fn splitmix(state: &mut u64) -> u64 {

@@ -79,3 +79,15 @@ pub use va::{
     fault_rate_sweep, iotlb_sweep, pipeline_sweep, remote_announce_sweep, remote_fault_sweep,
     FaultRateRow, IotlbSweepRow, PipelineRow, RemoteFaultRow,
 };
+
+/// Nearest-rank percentile over a sample (sorted internally); zero for
+/// an empty sample.
+fn percentile(sample: &[udma_bus::SimTime], pct: f64) -> udma_bus::SimTime {
+    if sample.is_empty() {
+        return udma_bus::SimTime::ZERO;
+    }
+    let mut v = sample.to_vec();
+    v.sort_unstable();
+    let rank = ((pct / 100.0) * v.len() as f64).ceil().max(1.0) as usize;
+    v[rank.min(v.len()) - 1]
+}

@@ -8,6 +8,7 @@
 //! plan's PRNG seed is derived from the grid point, so every run of the
 //! same grid reproduces the same packet story.
 
+use crate::percentile;
 use udma::{ClusterConfig, ClusterSim};
 use udma_bus::SimTime;
 use udma_mem::{Perms, VirtAddr, PAGE_SIZE};
@@ -119,9 +120,7 @@ pub fn lossy_link_sweep(
                     (completions.iter().map(|c| c.as_ps() as u128).sum::<u128>()
                         / completions.len() as u128) as u64,
                 );
-                completions.sort_unstable();
-                let idx = (completions.len() * 99).div_ceil(100).max(1) - 1;
-                row.p99_completion = completions[idx];
+                row.p99_completion = percentile(&completions, 99.0);
             }
             rows.push(row);
         }

@@ -15,7 +15,8 @@
 use udma::{ClusterConfig, ClusterSim, CrashPlan};
 use udma_bus::SimTime;
 use udma_mem::{Perms, VirtAddr, PAGE_SIZE};
-use udma_nic::{crc32, FaultPlan};
+use udma_nic::FaultPlan;
+use udma_testkit::crc32;
 
 const ASID: u32 = 7;
 const DST_VA: u64 = 16 * PAGE_SIZE;
