@@ -61,9 +61,10 @@ UDMA_PROP_SEED=3608 cargo test -q --offline --test ctx_virt
 echo "== coherence replay (pinned seed) =="
 # Seeded replay of the MESI coherence suite: the differential oracle
 # property (coherent and flush-bracketed non-coherent worlds vs the
-# flat image), the exhaustive snoop-race exploration, the missing-flush
-# stale-data test and the disabled-cache zero-overhead pin (E18,
-# DESIGN.md §4h), pinned for bisection.
+# flat image), the engine's frame-to-frame copy vs a DMA read then a
+# DMA write in every coherence mode, the exhaustive snoop-race
+# exploration, the missing-flush stale-data test and the disabled-cache
+# zero-overhead pin (E18, DESIGN.md §4h), pinned for bisection.
 UDMA_PROP_SEED=3609 cargo test -q --offline --test coherence
 
 echo "== node-fault crash replay (pinned seed) =="
@@ -113,6 +114,11 @@ scripts/loc.sh crates/core/src/cluster crates/nic/src crates/os/src \
 
 echo "== clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (deny warnings) =="
+# Broken or ambiguous intra-doc links fail here instead of silently
+# linking to the wrong item.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "== experiments smoke vs golden (simulated results) =="
 # The reduced report's simulated numbers are deterministic, so the whole

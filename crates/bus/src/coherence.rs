@@ -499,7 +499,7 @@ impl CoherenceDomain {
         }
         // Bounds-check the whole range up front so a partially-applied
         // store cannot leave a line allocated for unbacked memory.
-        check_range(pa, bytes.len(), mem)?;
+        check_range(pa, bytes.len() as u64, mem)?;
         let line_bytes = self.line_bytes_of(agent);
         let mut extra = SimTime::ZERO;
         let mut all_hit = true;
@@ -565,17 +565,7 @@ impl CoherenceDomain {
         buf: &mut [u8],
         mem: &mut PhysMemory,
     ) -> Result<SimTime, MemFault> {
-        let line_bytes = self.dma_line_bytes();
-        let mut extra = SimTime::ZERO;
-        let (start, end) = (pa.as_u64(), pa.as_u64() + buf.len() as u64);
-        let mut base = start & !(line_bytes - 1);
-        while base < end {
-            self.stats.dma_reads += 1;
-            if self.snoop_flush_modified(None, base, MesiState::Shared, mem)? {
-                extra += self.charge(self.timing.intervention);
-            }
-            base += line_bytes;
-        }
+        let extra = self.snoop_dma_read(pa, buf.len() as u64, mem)?;
         mem.read_bytes(pa, buf)?;
         Ok(extra)
     }
@@ -597,6 +587,32 @@ impl CoherenceDomain {
         self.dma_write_inner(pa, bytes, true, mem)
     }
 
+    /// A coherent DMA copy of `len` bytes from `src` to `dst`: the
+    /// snoops of [`dma_read`](Self::dma_read) over the source, then those
+    /// of [`dma_write`](Self::dma_write) over the destination, then one
+    /// frame-to-frame copy in memory. Time and counters are exactly what
+    /// the read followed by the write would give, and so are the bytes:
+    /// the source snoop leaves no line touching the source Modified, so
+    /// no destination writeback can change a source byte before the copy.
+    ///
+    /// # Errors
+    ///
+    /// [`MemFault::BusError`] if either range leaves installed memory.
+    pub fn dma_copy(
+        &mut self,
+        src: PhysAddr,
+        dst: PhysAddr,
+        len: u64,
+        mem: &mut PhysMemory,
+    ) -> Result<SimTime, MemFault> {
+        let read = self.snoop_dma_read(src, len, mem)?;
+        check_range(src, len, mem)?;
+        check_range(dst, len, mem)?;
+        let write = self.snoop_dma_write(dst, len, true, mem)?;
+        mem.copy(src, dst, len)?;
+        Ok(read + write)
+    }
+
     fn dma_write_inner(
         &mut self,
         pa: PhysAddr,
@@ -604,10 +620,47 @@ impl CoherenceDomain {
         count_stat: bool,
         mem: &mut PhysMemory,
     ) -> Result<SimTime, MemFault> {
-        check_range(pa, bytes.len(), mem)?;
+        check_range(pa, bytes.len() as u64, mem)?;
+        let extra = self.snoop_dma_write(pa, bytes.len() as u64, count_stat, mem)?;
+        mem.write_bytes(pa, bytes)?;
+        Ok(extra)
+    }
+
+    /// The snoops a DMA read of `len` bytes at `pa` makes: every
+    /// Modified line is written back and left Shared.
+    fn snoop_dma_read(
+        &mut self,
+        pa: PhysAddr,
+        len: u64,
+        mem: &mut PhysMemory,
+    ) -> Result<SimTime, MemFault> {
         let line_bytes = self.dma_line_bytes();
         let mut extra = SimTime::ZERO;
-        let (start, end) = (pa.as_u64(), pa.as_u64() + bytes.len() as u64);
+        let (start, end) = (pa.as_u64(), pa.as_u64() + len);
+        let mut base = start & !(line_bytes - 1);
+        while base < end {
+            self.stats.dma_reads += 1;
+            if self.snoop_flush_modified(None, base, MesiState::Shared, mem)? {
+                extra += self.charge(self.timing.intervention);
+            }
+            base += line_bytes;
+        }
+        Ok(extra)
+    }
+
+    /// The snoops a DMA write of `len` bytes at `pa` makes: a Modified
+    /// holder of a partially covered line is written back, then every
+    /// copy is invalidated.
+    fn snoop_dma_write(
+        &mut self,
+        pa: PhysAddr,
+        len: u64,
+        count_stat: bool,
+        mem: &mut PhysMemory,
+    ) -> Result<SimTime, MemFault> {
+        let line_bytes = self.dma_line_bytes();
+        let mut extra = SimTime::ZERO;
+        let (start, end) = (pa.as_u64(), pa.as_u64() + len);
         let mut base = start & !(line_bytes - 1);
         while base < end {
             if count_stat {
@@ -626,7 +679,6 @@ impl CoherenceDomain {
             }
             base += line_bytes;
         }
-        mem.write_bytes(pa, bytes)?;
         Ok(extra)
     }
 
@@ -762,10 +814,11 @@ impl CoherenceDomain {
     }
 }
 
-/// Whether `len` bytes at `pa` lie inside installed memory.
-fn check_range(pa: PhysAddr, len: usize, mem: &PhysMemory) -> Result<(), MemFault> {
-    let end = pa.checked_add(len as u64).ok_or(MemFault::BusError { pa })?;
-    if end.as_u64() > mem.size() {
+/// Whether `len` bytes at `pa` lie inside installed memory (an empty
+/// range must start inside it, as for [`PhysMemory`]'s accessors).
+fn check_range(pa: PhysAddr, len: u64, mem: &PhysMemory) -> Result<(), MemFault> {
+    let end = pa.checked_add(len).ok_or(MemFault::BusError { pa })?;
+    if end.as_u64() > mem.size() || len == 0 && pa.as_u64() >= mem.size() {
         return Err(MemFault::BusError { pa });
     }
     Ok(())

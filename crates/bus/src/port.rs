@@ -5,7 +5,8 @@
 //! [`cpu_write`](MemPort::cpu_write)) goes through the CPU's cache: the
 //! timing-only [`DataCache`] on a flat machine, the CPU's agent of the
 //! data-carrying [`CoherenceDomain`] otherwise. The **engine side**
-//! ([`dma_read`](MemPort::dma_read), [`dma_write`](MemPort::dma_write))
+//! ([`dma_read`](MemPort::dma_read), [`dma_write`](MemPort::dma_write),
+//! [`dma_copy`](MemPort::dma_copy))
 //! snoops that cache only in [`CoherenceMode::Coherent`]. The `RefCell`
 //! exists only to lend `&RefCell<PhysMemory>` to callers holding a
 //! shared reference; every simulator path uses [`RefCell::get_mut`].
@@ -218,6 +219,29 @@ impl MemPort {
         match &mut self.cpu {
             CpuCache::Mesi { domain, snoop: true, .. } => domain.dma_write(pa, bytes, ram),
             _ => ram.write_bytes(pa, bytes).map(|()| SimTime::ZERO),
+        }
+    }
+
+    /// An engine copy of `len` bytes from `src` to `dst`, frame to frame
+    /// with nothing staged. A coherent engine snoops as
+    /// [`dma_read`](Self::dma_read) of the source followed by
+    /// [`dma_write`](Self::dma_write) of the destination would, and
+    /// returns the same snoop time; the bytes land as that pair would
+    /// leave them, overlap included.
+    ///
+    /// # Errors
+    ///
+    /// [`MemFault::BusError`] if either range leaves installed memory.
+    pub fn dma_copy(
+        &mut self,
+        src: PhysAddr,
+        dst: PhysAddr,
+        len: u64,
+    ) -> Result<SimTime, MemFault> {
+        let ram = self.ram.get_mut();
+        match &mut self.cpu {
+            CpuCache::Mesi { domain, snoop: true, .. } => domain.dma_copy(src, dst, len, ram),
+            _ => ram.copy(src, dst, len).map(|()| SimTime::ZERO),
         }
     }
 

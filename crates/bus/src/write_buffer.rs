@@ -18,7 +18,8 @@
 //!   bus at all.
 //!
 //! Programs flush the buffer with a memory-barrier instruction, which the
-//! CPU translates into [`WriteBuffer::drain`].
+//! CPU carries out by retiring [`WriteBuffer::pop_oldest`] until the
+//! buffer is empty.
 
 use crate::BusTxn;
 use std::collections::VecDeque;
@@ -78,8 +79,8 @@ impl WriteBufferPolicy {
 /// use udma_mem::PhysAddr;
 ///
 /// let mut wb = WriteBuffer::new(WriteBufferPolicy::default());
-/// wb.push(PendingStore { paddr: PhysAddr::new(0x100), data: 1, tag: 0 });
-/// wb.push(PendingStore { paddr: PhysAddr::new(0x100), data: 2, tag: 0 });
+/// assert_eq!(wb.push(PendingStore { paddr: PhysAddr::new(0x100), data: 1, tag: 0 }), None);
+/// assert_eq!(wb.push(PendingStore { paddr: PhysAddr::new(0x100), data: 2, tag: 0 }), None);
 /// // Same address: collapsed — the bus will see ONE store (footnote 6).
 /// assert_eq!(wb.drain().len(), 1);
 /// ```
@@ -102,25 +103,23 @@ impl WriteBuffer {
         self.policy
     }
 
-    /// Buffers a store. Returns any stores that must retire to the bus
-    /// *now* (the overflow victim, or the store itself when the buffer is
-    /// disabled), oldest first.
-    pub fn push(&mut self, store: PendingStore) -> Vec<PendingStore> {
+    /// Buffers a store. Returns the one store that must retire to the
+    /// bus *now*, if any: the overflow victim, or the store itself when
+    /// the buffer is disabled.
+    pub fn push(&mut self, store: PendingStore) -> Option<PendingStore> {
         if self.policy.capacity == 0 {
-            return vec![store];
+            return Some(store);
         }
         if self.policy.collapse_stores {
             if let Some(p) = self.queue.iter_mut().rev().find(|p| p.paddr == store.paddr) {
                 p.data = store.data;
                 p.tag = store.tag;
                 self.collapsed += 1;
-                return Vec::new();
+                return None;
             }
         }
-        let mut retired = Vec::new();
-        if self.queue.len() == self.policy.capacity {
-            retired.push(self.queue.pop_front().expect("buffer full"));
-        }
+        let retired =
+            if self.queue.len() == self.policy.capacity { self.queue.pop_front() } else { None };
         self.queue.push_back(store);
         retired
     }
@@ -139,8 +138,13 @@ impl WriteBuffer {
         hit
     }
 
-    /// Empties the buffer (a memory-barrier instruction), returning the
-    /// pending stores oldest first so the caller can retire them in order.
+    /// Takes the oldest pending store. A memory barrier retires these
+    /// one by one until the buffer is empty.
+    pub fn pop_oldest(&mut self) -> Option<PendingStore> {
+        self.queue.pop_front()
+    }
+
+    /// Empties the buffer, returning the pending stores oldest first.
     pub fn drain(&mut self) -> Vec<PendingStore> {
         self.queue.drain(..).collect()
     }
@@ -177,8 +181,8 @@ mod tests {
     #[test]
     fn same_address_stores_collapse() {
         let mut wb = WriteBuffer::new(WriteBufferPolicy::default());
-        assert!(wb.push(st(0x100, 1)).is_empty());
-        assert!(wb.push(st(0x100, 2)).is_empty());
+        assert!(wb.push(st(0x100, 1)).is_none());
+        assert!(wb.push(st(0x100, 2)).is_none());
         assert_eq!(wb.len(), 1);
         assert_eq!(wb.collapsed_count(), 1);
         let drained = wb.drain();
@@ -219,10 +223,10 @@ mod tests {
     fn overflow_retires_oldest() {
         let policy = WriteBufferPolicy { capacity: 2, ..Default::default() };
         let mut wb = WriteBuffer::new(policy);
-        assert!(wb.push(st(8, 1)).is_empty());
-        assert!(wb.push(st(2 * 8, 2)).is_empty());
+        assert!(wb.push(st(8, 1)).is_none());
+        assert!(wb.push(st(2 * 8, 2)).is_none());
         let retired = wb.push(st(3 * 8, 3));
-        assert_eq!(retired, vec![st(8, 1)]);
+        assert_eq!(retired, Some(st(8, 1)));
         assert_eq!(wb.len(), 2);
     }
 
@@ -238,10 +242,20 @@ mod tests {
     }
 
     #[test]
+    fn pop_oldest_is_fifo() {
+        let mut wb = WriteBuffer::new(WriteBufferPolicy::default());
+        wb.push(st(8, 1));
+        wb.push(st(16, 2));
+        assert_eq!(wb.pop_oldest(), Some(st(8, 1)));
+        assert_eq!(wb.pop_oldest(), Some(st(16, 2)));
+        assert_eq!(wb.pop_oldest(), None);
+    }
+
+    #[test]
     fn disabled_policy_passes_through() {
         let mut wb = WriteBuffer::new(WriteBufferPolicy::disabled());
         let retired = wb.push(st(8, 1));
-        assert_eq!(retired, vec![st(8, 1)]);
+        assert_eq!(retired, Some(st(8, 1)));
         assert!(wb.is_empty());
         assert_eq!(wb.service_load(PhysAddr::new(8)), None);
     }

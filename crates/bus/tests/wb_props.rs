@@ -86,7 +86,7 @@ props! {
                     data: op.data,
                     tag: 0,
                 });
-                prop_assert!(retired.is_empty(), "capacity 64 never overflows here");
+                prop_assert!(retired.is_none(), "capacity 64 never overflows here");
                 last_store.insert(op.addr, op.data);
             } else if let Some(v) = wb.service_load(PhysAddr::new(op.addr)) {
                 prop_assert_eq!(Some(&v), last_store.get(&op.addr));

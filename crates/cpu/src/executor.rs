@@ -45,6 +45,9 @@ pub struct Executor {
     current: Option<Pid>,
     pal: HashMap<u16, Program>,
     stats: ExecStats,
+    /// The pids able to run, refilled before every instruction; kept
+    /// here so the scheduler's ready set is never reallocated.
+    ready: Vec<Pid>,
 }
 
 impl std::fmt::Debug for Executor {
@@ -71,6 +74,7 @@ impl Executor {
             current: None,
             pal: HashMap::new(),
             stats: ExecStats::default(),
+            ready: Vec::new(),
         }
     }
 
@@ -123,11 +127,6 @@ impl Executor {
         &self.processes
     }
 
-    /// Pids currently able to run.
-    pub fn ready_pids(&self) -> Vec<Pid> {
-        self.processes.iter().filter(|p| p.state().is_ready()).map(|p| p.pid()).collect()
-    }
-
     /// Executor counters.
     pub fn stats(&self) -> ExecStats {
         self.stats
@@ -154,22 +153,24 @@ impl Executor {
     ) -> RunOutcome {
         let mut steps = 0;
         while steps < max_steps {
-            let ready = self.ready_pids();
-            if ready.is_empty() {
+            self.ready.clear();
+            let ready = self.processes.iter().filter(|p| p.state().is_ready()).map(Process::pid);
+            self.ready.extend(ready);
+            if self.ready.is_empty() {
                 // A real write buffer drains within cycles of going idle;
                 // retire whatever the last process left behind.
                 self.retire_all(bus);
                 return RunOutcome { steps, finished: true };
             }
-            let pick = sched.pick(self.stats.instructions, self.current, &ready);
-            debug_assert!(ready.contains(&pick), "scheduler picked non-ready {pick}");
+            let pick = sched.pick(self.stats.instructions, self.current, &self.ready);
+            debug_assert!(self.ready.contains(&pick), "scheduler picked non-ready {pick}");
             if self.current != Some(pick) {
                 self.switch_to(pick, kernel, bus);
             }
             self.exec_one(pick, kernel, bus);
             steps += 1;
         }
-        RunOutcome { steps, finished: self.ready_pids().is_empty() }
+        RunOutcome { steps, finished: !self.processes.iter().any(|p| p.state().is_ready()) }
     }
 
     fn switch_to(&mut self, to: Pid, kernel: &mut dyn TrapHandler, bus: &mut Bus) {
@@ -423,8 +424,7 @@ impl Executor {
         };
         self.now += self.cost.mem_instr();
         let tag = self.processes[idx].pid().as_u32();
-        let retired = self.wb.push(PendingStore { paddr: pa, data, tag });
-        for p in retired {
+        if let Some(p) = self.wb.push(PendingStore { paddr: pa, data, tag }) {
             if let Err(f) = self.retire(p, bus) {
                 self.kill(idx, f);
                 return Err(());
@@ -443,7 +443,7 @@ impl Executor {
     }
 
     fn retire_all(&mut self, bus: &mut Bus) {
-        for p in self.wb.drain() {
+        while let Some(p) = self.wb.pop_oldest() {
             // A store that faults at retirement belongs to the process
             // that issued it; kill that process if it is still around.
             if let Err(f) = self.retire(p, bus) {

@@ -116,6 +116,66 @@ impl PhysMemory {
         Ok(())
     }
 
+    /// Copies `len` bytes from `src` to `dst` frame to frame, with
+    /// memmove semantics: overlapping ranges end up exactly as a read of
+    /// the whole source followed by a write of it would leave them.
+    /// Allocates nothing but destination frames on first touch; an
+    /// unwritten source frame reads as zeros and still materialises the
+    /// destination frame, as [`write_bytes`](Self::write_bytes) does.
+    ///
+    /// # Errors
+    ///
+    /// [`MemFault::BusError`] (at `src` first, then at `dst`) if any byte
+    /// of either range is outside installed memory; nothing is written.
+    pub fn copy(&mut self, src: PhysAddr, dst: PhysAddr, len: u64) -> Result<(), MemFault> {
+        self.check(src, len)?;
+        self.check(dst, len)?;
+        let (src, dst) = (src.as_u64(), dst.as_u64());
+        // A destination above an overlapping source is copied from the
+        // end down, so no source byte is overwritten before it is read.
+        let backward = src < dst && dst - src < len;
+        let mut left = len;
+        while left > 0 {
+            // Each chunk stays inside one source and one destination
+            // frame: the first uncopied bytes going forward, the last
+            // ones going backward. `off` is its offset into the range.
+            let (off, chunk) = if backward {
+                let tail = |a: u64| (a + left - 1) % PAGE_SIZE + 1;
+                let chunk = tail(src).min(tail(dst)).min(left);
+                (left - chunk, chunk)
+            } else {
+                let off = len - left;
+                let head = |a: u64| PAGE_SIZE - (a + off) % PAGE_SIZE;
+                (off, head(src).min(head(dst)).min(left))
+            };
+            self.copy_in_frames(src + off, dst + off, chunk as usize);
+            left -= chunk;
+        }
+        Ok(())
+    }
+
+    /// Copies `len` bytes from `src` to `dst`, both inside one frame each
+    /// (possibly the same one).
+    fn copy_in_frames(&mut self, src: u64, dst: u64, len: usize) {
+        let (sf, df) = ((src >> PAGE_SHIFT) as usize, (dst >> PAGE_SHIFT) as usize);
+        let (so, doff) = ((src % PAGE_SIZE) as usize, (dst % PAGE_SIZE) as usize);
+        if df >= self.frames.len() {
+            self.frames.resize(df + 1, None);
+        }
+        // Take the destination frame out of its slot (materialising it)
+        // so the source can be borrowed from the table alongside it.
+        let mut data = self.frames[df].take().unwrap_or_else(|| vec![0; PAGE_SIZE as usize].into());
+        if sf == df {
+            data.copy_within(so..so + len, doff);
+        } else {
+            match self.frames.get(sf).and_then(Option::as_deref) {
+                Some(s) => data[doff..doff + len].copy_from_slice(&s[so..so + len]),
+                None => data[doff..doff + len].fill(0),
+            }
+        }
+        self.frames[df] = Some(data);
+    }
+
     /// Reads a naturally aligned little-endian `u64`.
     ///
     /// # Errors
@@ -278,6 +338,29 @@ mod tests {
         let mut buf = [0u8; 8];
         mem.read_bytes(PhysAddr::new(2 * PAGE_SIZE), &mut buf).unwrap();
         assert_eq!(resident_frames(&mem), 2, "reads materialise nothing");
+    }
+
+    #[test]
+    fn copy_from_unwritten_frames_materialises_only_the_destination() {
+        let mut mem = PhysMemory::new(1 << 20);
+        // Source frames 2 and 3 were never written; the destination
+        // spans frames 6 and 7.
+        mem.copy(PhysAddr::new(2 * PAGE_SIZE + 8), PhysAddr::new(7 * PAGE_SIZE - 16), 64).unwrap();
+        assert_eq!(resident_frames(&mem), 2);
+        assert!(mem.frames[6].is_some() && mem.frames[7].is_some());
+        let mut buf = [0xFFu8; 64];
+        mem.read_bytes(PhysAddr::new(7 * PAGE_SIZE - 16), &mut buf).unwrap();
+        assert_eq!(buf, [0u8; 64]);
+    }
+
+    #[test]
+    fn refused_copy_materialises_nothing() {
+        let mut mem = PhysMemory::new(4 * PAGE_SIZE);
+        let end = PhysAddr::new(4 * PAGE_SIZE - 4);
+        let inside = PhysAddr::new(PAGE_SIZE);
+        assert_eq!(mem.copy(end, inside, 8), Err(MemFault::BusError { pa: end }));
+        assert_eq!(mem.copy(inside, end, 8), Err(MemFault::BusError { pa: end }));
+        assert!(mem.frames.is_empty(), "a refused copy grows no table");
     }
 
     #[test]

@@ -8,6 +8,16 @@ use udma_mem::{
     VirtAddr, VirtPage, PAGE_SIZE,
 };
 
+/// Frames of the memory the copy property runs on.
+const COPY_FRAMES: u64 = 6;
+
+/// Every byte of `mem`.
+fn image(mem: &PhysMemory) -> Vec<u8> {
+    let mut out = vec![0u8; mem.size() as usize];
+    mem.read_bytes(PhysAddr::new(0), &mut out).unwrap();
+    out
+}
+
 props! {
     /// shadow ∘ decode is the identity on (paddr, ctx) for every layout.
     fn shadow_round_trip(
@@ -73,6 +83,45 @@ props! {
         let mut back = vec![0u8; a_data.len()];
         mem.read_bytes(a, &mut back).unwrap();
         prop_assert_eq!(back, a_data);
+    }
+
+    /// A frame-to-frame copy leaves exactly the image a read of the whole
+    /// source followed by a write of it leaves: overlap in either
+    /// direction, ranges crossing frames, unwritten source and
+    /// destination frames, and ranges running out of memory (where both
+    /// refuse with the same fault and write nothing).
+    fn phys_memory_copy_matches_read_then_write(
+        written in vec(any::<bool>(), COPY_FRAMES as usize..COPY_FRAMES as usize + 1),
+        seed in any::<u64>(),
+        src in 0u64..(COPY_FRAMES + 1) * PAGE_SIZE,
+        dst in (0u8..3, 0u64..(COPY_FRAMES + 1) * PAGE_SIZE),
+        len in 0u64..3 * PAGE_SIZE,
+    ) {
+        let mut mem = PhysMemory::new(COPY_FRAMES * PAGE_SIZE);
+        let mut state = seed;
+        for (f, _) in written.iter().enumerate().filter(|&(_, &w)| w) {
+            let bytes: Vec<u8> = (0..PAGE_SIZE)
+                .map(|_| {
+                    state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    (state >> 56) as u8
+                })
+                .collect();
+            mem.write_bytes(PhysAddr::new(f as u64 * PAGE_SIZE), &bytes).unwrap();
+        }
+        // Half the cases place the destination within two frames of the
+        // source, above or below it, so the ranges often overlap.
+        let dst = match dst {
+            (0, d) => d,
+            (1, d) => src + d % (2 * PAGE_SIZE),
+            (_, d) => src.saturating_sub(d % (2 * PAGE_SIZE)),
+        };
+        let (src, dst) = (PhysAddr::new(src), PhysAddr::new(dst));
+        let mut oracle = mem.clone();
+        let mut buf = vec![0u8; len as usize];
+        let expected =
+            oracle.read_bytes(src, &mut buf).and_then(|()| oracle.write_bytes(dst, &buf));
+        prop_assert_eq!(mem.copy(src, dst, len), expected);
+        prop_assert_eq!(image(&mem), image(&oracle));
     }
 
     /// Translation preserves the page offset and respects permissions.

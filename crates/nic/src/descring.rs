@@ -247,12 +247,20 @@ pub struct RingUnit {
     config: RingConfig,
     rings: Vec<DescRing>,
     pub(crate) stats: RingStats,
+    /// The gather list of the chain being dequeued, as `(src, len,
+    /// offset)`: scratch reused by every descriptor.
+    frags: Vec<(VirtAddr, u64, u64)>,
 }
 
 impl RingUnit {
     /// A unit with `contexts` unregistered rings.
     pub(crate) fn new(config: RingConfig, contexts: usize) -> Self {
-        RingUnit { config, rings: vec![DescRing::default(); contexts], stats: RingStats::default() }
+        RingUnit {
+            config,
+            rings: vec![DescRing::default(); contexts],
+            stats: RingStats::default(),
+            frags: Vec::new(),
+        }
     }
 
     /// Context `ctx`'s ring state (geometry, cursors).
@@ -365,9 +373,10 @@ impl VirtUnit {
         now: SimTime,
         back: &mut Backend<'_>,
     ) -> Vec<RingLaunch> {
-        // The ring unit is lent out for the dequeue so each launch can
-        // post through this unit while the cursors advance; it goes back
-        // before returning.
+        // The ring unit, with its gather scratch, is lent out for the
+        // dequeue so each launch can post through this unit while the
+        // cursors advance; it goes back before returning, whatever the
+        // dequeue's exit path.
         let Some(mut unit) = self.rings.take() else {
             return Vec::new();
         };
@@ -403,6 +412,10 @@ impl VirtUnit {
         // more than a ring's worth past the head.
         let tail = tail.min(ring.head.saturating_add(u64::from(ring.capacity)));
         ring.posted = ring.posted.max(tail);
+        // One result per covered slot, unless a chain gathers fragments
+        // from outside the batch.
+        out.reserve_exact(tail.saturating_sub(ring.head) as usize);
+        let frags = &mut unit.frags;
         let capacity = ring.capacity;
         let mut clock = now;
         while ring.head < tail {
@@ -424,7 +437,8 @@ impl VirtUnit {
             // Gather chain: the head descriptor is fragment 0, its link
             // names the next fragment slot. The walk is bounded by the
             // ring capacity, so a link cycle cannot wedge the engine.
-            let mut frags = vec![(desc.src, desc.len, 0u64)];
+            frags.clear();
+            frags.push((desc.src, desc.len, 0u64));
             let mut walked = 0u64;
             let mut chain_ok = true;
             if desc.flags & DESC_FLAG_CHAIN != 0 {
@@ -465,7 +479,7 @@ impl VirtUnit {
             // VA post at the head's destination plus its gather offset; a
             // destination past the end of the address space is refused.
             let DescDst::Local(dst) = desc.dst;
-            for (i, (src, len, off)) in frags.into_iter().enumerate() {
+            for (i, &(src, len, off)) in frags.iter().enumerate() {
                 let posted = match dst.as_u64().checked_add(off) {
                     None => Err(back.reject(RejectReason::BadRange)),
                     Some(dst) => self.post(ctx, src, VirtAddr::new(dst), len, clock, back),

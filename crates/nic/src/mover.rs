@@ -79,7 +79,8 @@ impl TransferRecord {
 /// engine's back-end borrows it, with the memory port, to move bytes.
 ///
 /// Data is copied eagerly (the simulation needs memory to be consistent
-/// immediately); only *timing* is spread over the wire. The paper's own
+/// immediately), frame to frame through the port with nothing staged;
+/// only *timing* is spread over the wire. The paper's own
 /// evaluation never overlaps transfers with initiations ("no DMA data
 /// transfer was actually performed. Only the DMA arguments were passed",
 /// §3.4 footnote), so eager copy changes nothing observable.
@@ -168,7 +169,7 @@ impl Backend<'_> {
         now: SimTime,
     ) -> Result<(usize, SimTime), RejectReason> {
         let limit = self.mem.ram_mut().size();
-        let read = if size == 0 {
+        let copied = if size == 0 {
             Err(RejectReason::ZeroSize)
         } else if !multipage_ok
             && (crosses_page(src.as_u64(), size) || crosses_page(dst.as_u64(), size))
@@ -177,14 +178,13 @@ impl Backend<'_> {
         } else if !fits(src, size, limit) || !fits(dst, size, limit) {
             Err(RejectReason::BadRange)
         } else {
-            self.read_source(src, size)
+            self.mem.dma_copy(src, dst, size).map_err(|_| RejectReason::BadRange)
         };
-        let moved = read.and_then(|(buf, read)| {
-            let write = self.mem.dma_write(dst, &buf).map_err(|_| RejectReason::BadRange)?;
-            let finished = now + self.mover.link.transfer_time(size) + read + write;
+        let moved = copied.map(|snoop| {
+            let finished = now + self.mover.link.transfer_time(size) + snoop;
             let records = &mut self.mover.records;
             records.push(TransferRecord { src, dst, size, started: now, finished, initiator });
-            Ok((records.len() - 1, finished))
+            (records.len() - 1, finished)
         });
         self.book(moved)
     }
@@ -216,24 +216,16 @@ impl Backend<'_> {
         } else if !fits(src, size, self.mem.ram_mut().size()) {
             Err(RejectReason::BadRange)
         } else {
-            self.read_source(src, size)
+            // The bytes leave the machine, so they are read into a
+            // buffer the send owns.
+            let mut bytes = vec![0u8; size as usize];
+            let read = self.mem.dma_read(src, &mut bytes);
+            read.map(|snoop| (bytes, snoop)).map_err(|_| RejectReason::BadRange)
         };
         let sent = read.map(|(bytes, snoop)| {
             self.mover.outbox.push(RemoteSend { node, asid, va, bytes, at: now + snoop });
         });
         self.book(sent)
-    }
-
-    /// Reads `size` bytes at `src` through the port's engine side; the
-    /// snoop time is returned with the bytes.
-    fn read_source(
-        &mut self,
-        src: PhysAddr,
-        size: u64,
-    ) -> Result<(Vec<u8>, SimTime), RejectReason> {
-        let mut buf = vec![0u8; size as usize];
-        let read = self.mem.dma_read(src, &mut buf);
-        read.map(|t| (buf, t)).map_err(|_| RejectReason::BadRange)
     }
 }
 

@@ -18,7 +18,7 @@
 //!   backing the E3–E6 race and attack explorations.
 //! - [`crc`]: CRC-32, the checksum pinned memory images and event
 //!   logs are compared by.
-//! - [`bench`]: a warmup+iterations wall-clock timer with
+//! - [`bench`](mod@bench): a warmup+iterations wall-clock timer with
 //!   median/p10/p90 JSON output, so the bench targets are plain
 //!   harness-free binaries that emit `BENCH_*.json`-shaped records.
 //!

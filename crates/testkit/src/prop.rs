@@ -330,7 +330,7 @@ pub fn vec<S: Strategy>(elem: S, len: Range<usize>) -> VecStrategy<S> {
     VecStrategy { elem, len }
 }
 
-/// [`vec`]'s output: generates `Vec<S::Value>`, shrinks by dropping
+/// [`vec()`]'s output: generates `Vec<S::Value>`, shrinks by dropping
 /// chunks/elements (never below the minimum length) and then by
 /// shrinking elements in place.
 #[derive(Clone)]

@@ -5,7 +5,7 @@
 //! so as to eliminate any caching effects", §3.4). E18 measures what
 //! that methodology hid: the cost of keeping DMA and a data-carrying
 //! cache consistent, under the three machine models
-//! [`CoherenceMode`](udma::CoherenceMode) offers.
+//! [`CoherenceMode`] offers.
 //!
 //! [`coherence_cost_sweep`] drives the cross product of
 //! {flat, non-coherent, coherent} × {cold, warm, dirty producer} ×

@@ -6,7 +6,7 @@
 //! rings under seeded chaos loss, with a mix of pre-pinned and
 //! demand-faulting destination buffers — runs once on the sequential
 //! oracle and once per shard count on the parallel runner, and every
-//! parallel run's [`ClusterDigest`] is differenced against the oracle's,
+//! parallel run's [`ClusterDigest`](udma::ClusterDigest) is differenced against the oracle's,
 //! so the sweep *is* a determinism check as well as a benchmark.
 //!
 //! On a single-core host the parallel runner cannot beat the oracle
