@@ -102,6 +102,13 @@ echo "== repository benchmark smoke (output checks) =="
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload all --smoke \
   > /dev/null
 
+echo "== repository benchmark self-tests =="
+# The benchmark's own tests: seed determinism, traced runs reproducing
+# untraced simulated metrics, emitted names matching BENCHMARK.json,
+# and rustfmt and clippy over its source. The benchmark builds against
+# the workspace crates, so this also checks every udma API it calls.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== non-test line counts (informational) =="
 # Lines before each file's first #[cfg(test)], for the cluster module,
 # udma-nic, the OS (paging, fault service, context cache), the IOMMU,

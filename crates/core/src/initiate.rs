@@ -28,8 +28,9 @@ pub struct AtomicRequest {
 /// Appends one DMA initiation to `b`. The status ends up in `r0`
 /// (`udma_nic::DMA_FAILURE` = not started).
 ///
-/// `uniq` disambiguates retry-loop labels when several initiations are
-/// emitted into one program; pass the same counter throughout.
+/// `_uniq` is unused: retry loops branch back to their head by position,
+/// so initiations need no unique names. It stays for callers that still
+/// pass a counter.
 ///
 /// Methods that need a register context fall back to the kernel syscall
 /// when the environment holds no grant — the paper's own stance: "if
@@ -39,11 +40,13 @@ pub fn emit_dma(
     env: &ProcessEnv,
     b: ProgramBuilder,
     req: &DmaRequest,
-    uniq: &mut u32,
+    _uniq: &mut u32,
 ) -> ProgramBuilder {
     let method = if env.can_use_user_level() { env.method } else { DmaMethod::Kernel };
     let s_src = env.shadow_of(req.src).as_u64();
     let s_dst = env.shadow_of(req.dst).as_u64();
+    // The head of the retry loop, for the methods that have one.
+    let retry = b.here();
     match method {
         DmaMethod::Kernel => b
             .imm(Reg::R0, req.src.as_u64())
@@ -63,8 +66,7 @@ pub fn emit_dma(
         // makes *both* fail with CtxMismatch — so the canonical sequence
         // retries (safe, not wait-free).
         DmaMethod::ExtShadowPairwise => {
-            let l = label("esp", uniq);
-            b.label(&l).store(s_dst, req.size).load(Reg::R0, s_src).beq(Reg::R0, DMA_FAILURE, &l)
+            b.store(s_dst, req.size).load(Reg::R0, s_src).beq(Reg::R0, DMA_FAILURE, retry)
         }
         // §2.7: the same two accesses, inside an uninterruptible PAL call.
         DmaMethod::Pal => {
@@ -80,23 +82,17 @@ pub fn emit_dma(
                 .store(ctx_page + regs::CTX_SIZE_TRIGGER, req.size)
                 .load(Reg::R0, ctx_page + regs::CTX_SIZE_TRIGGER)
         }
-        DmaMethod::Repeated3 => {
-            let l = label("r3", uniq);
-            b.label(&l).load(Reg::R0, s_src).store(s_dst, req.size).load(Reg::R0, s_src).beq(
-                Reg::R0,
-                DMA_FAILURE,
-                &l,
-            )
-        }
-        DmaMethod::Repeated4 => {
-            let l = label("r4", uniq);
-            b.label(&l)
-                .store(s_dst, req.size)
-                .load(Reg::R0, s_src)
-                .store(s_dst, req.size)
-                .load(Reg::R0, s_src)
-                .beq(Reg::R0, DMA_FAILURE, &l)
-        }
+        DmaMethod::Repeated3 => b
+            .load(Reg::R0, s_src)
+            .store(s_dst, req.size)
+            .load(Reg::R0, s_src)
+            .beq(Reg::R0, DMA_FAILURE, retry),
+        DmaMethod::Repeated4 => b
+            .store(s_dst, req.size)
+            .load(Reg::R0, s_src)
+            .store(s_dst, req.size)
+            .load(Reg::R0, s_src)
+            .beq(Reg::R0, DMA_FAILURE, retry),
         // Figure 7, verbatim — including the memory barriers §3.4 says
         // the measurement used so the write buffer cannot collapse the
         // repeated stores. The final load must observe DMA_STARTED, not
@@ -105,20 +101,17 @@ pub fn emit_dma(
         // process's in-flight sequence and read back DMA_PENDING, which
         // would otherwise end the retry loop on a transfer that never
         // happened.
-        DmaMethod::Repeated5 => {
-            let l = label("r5", uniq);
-            b.label(&l)
-                .store(s_dst, req.size)
-                .mb()
-                .load(Reg::R0, s_src)
-                .beq(Reg::R0, DMA_FAILURE, &l)
-                .store(s_dst, req.size)
-                .mb()
-                .load(Reg::R0, s_src)
-                .beq(Reg::R0, DMA_FAILURE, &l)
-                .load(Reg::R0, s_dst)
-                .bne(Reg::R0, DMA_STARTED, &l)
-        }
+        DmaMethod::Repeated5 => b
+            .store(s_dst, req.size)
+            .mb()
+            .load(Reg::R0, s_src)
+            .beq(Reg::R0, DMA_FAILURE, retry)
+            .store(s_dst, req.size)
+            .mb()
+            .load(Reg::R0, s_src)
+            .beq(Reg::R0, DMA_FAILURE, retry)
+            .load(Reg::R0, s_dst)
+            .bne(Reg::R0, DMA_STARTED, retry),
     }
 }
 
@@ -171,10 +164,4 @@ pub fn dma_program(env: &ProcessEnv, reqs: &[DmaRequest]) -> udma_cpu::Program {
         b = emit_dma(env, b, req, &mut uniq);
     }
     b.halt().build()
-}
-
-fn label(prefix: &str, uniq: &mut u32) -> String {
-    let l = format!("{prefix}_{uniq}");
-    *uniq += 1;
-    l
 }

@@ -263,11 +263,11 @@ pub fn measure_transfer_latency(method: DmaMethod, size: u64) -> SimTime {
                 // (Kernel path: r0 holds bytes remaining at start.)
             }
             (_, Some(page)) => {
+                let wait = b.here();
                 b = b
-                    .label("wait")
                     .compute(150) // 1 µs between polls
                     .load(Reg::R4, page.as_u64())
-                    .bne(Reg::R4, 0, "wait");
+                    .bne(Reg::R4, 0, wait);
             }
             _ => {}
         }

@@ -299,18 +299,20 @@ impl Executor {
 
     /// Executes an installed PAL function to completion, uninterrupted.
     fn exec_pal(&mut self, idx: usize, index: u16, bus: &mut Bus) {
-        let Some(prog) = self.pal.get(&index).cloned() else {
+        if !self.pal.contains_key(&index) {
             // Calling an uninstalled PAL slot is an illegal instruction.
             let va = udma_mem::VirtAddr::new(index as u64);
             self.processes[idx].fault(MemFault::Unmapped { va });
             self.stats.faults += 1;
             return;
-        };
+        }
         let mut pc = 0usize;
         // PAL calls are bounded; a runaway loop in PAL code is a model
         // bug, so cap generously and kill the process if exceeded.
         let mut fuel = 4096;
-        while let Some(&ins) = prog.fetch(pc) {
+        // Each instruction is copied out of the installed program, which
+        // stays in place while `step` borrows the executor.
+        while let Some(&ins) = self.pal.get(&index).and_then(|prog| prog.fetch(pc)) {
             fuel -= 1;
             if fuel == 0 {
                 self.processes[idx].halt();
@@ -545,14 +547,10 @@ mod tests {
         let (mut bus, pt) = world();
         let mut ex = exec();
         // r1 = 3; loop: r1 -= 1; bne r1, 0, loop; r2 = 99
-        let prog = ProgramBuilder::new()
-            .imm(Reg::R1, 3)
-            .label("loop")
-            .add_imm(Reg::R1, Reg::R1, -1)
-            .bne(Reg::R1, 0, "loop")
-            .imm(Reg::R2, 99)
-            .halt()
-            .build();
+        let b = ProgramBuilder::new().imm(Reg::R1, 3);
+        let top = b.here();
+        let prog =
+            b.add_imm(Reg::R1, Reg::R1, -1).bne(Reg::R1, 0, top).imm(Reg::R2, 99).halt().build();
         let pid = ex.spawn(prog, pt);
         let out = ex.run(&mut RunToCompletion, &mut NullTrapHandler, &mut bus, 100);
         assert!(out.finished);
@@ -725,13 +723,12 @@ mod tests {
         let (mut bus, pt) = world();
         let mut ex = exec();
         // PAL 4: r0 = r1 + r1 + r1 via a counted loop.
-        let pal = ProgramBuilder::new()
-            .imm(Reg::R0, 0)
-            .imm(Reg::R2, 3)
-            .label("top")
+        let b = ProgramBuilder::new().imm(Reg::R0, 0).imm(Reg::R2, 3);
+        let top = b.here();
+        let pal = b
             .add(Reg::R0, Reg::R0, Reg::R1)
             .add_imm(Reg::R2, Reg::R2, -1)
-            .bne(Reg::R2, 0, "top")
+            .bne(Reg::R2, 0, top)
             .build();
         ex.install_pal(4, pal);
         let pid = ex.spawn(ProgramBuilder::new().imm(Reg::R1, 14).call_pal(4).halt().build(), pt);
@@ -743,7 +740,9 @@ mod tests {
     fn runaway_pal_loop_is_fuel_limited() {
         let (mut bus, pt) = world();
         let mut ex = exec();
-        ex.install_pal(5, ProgramBuilder::new().label("x").jmp("x").build());
+        let b = ProgramBuilder::new();
+        let spin = b.here();
+        ex.install_pal(5, b.jmp(spin).build());
         let pid = ex.spawn(ProgramBuilder::new().call_pal(5).halt().build(), pt);
         let out = ex.run(&mut RunToCompletion, &mut NullTrapHandler, &mut bus, 10);
         assert!(out.finished, "PAL fuel must bound the loop");

@@ -37,6 +37,6 @@ pub use cost::CostModel;
 pub use executor::{ExecStats, Executor, RunOutcome};
 pub use instr::{Instr, Operand, Reg};
 pub use process::{Pid, ProcState, Process};
-pub use program::{Program, ProgramBuilder};
+pub use program::{Label, Program, ProgramBuilder};
 pub use sched::{FixedSchedule, RandomPreempt, RoundRobin, RunToCompletion, Scheduler};
 pub use trap::{NullTrapHandler, SwitchReason, TrapHandler, TrapOutcome};

@@ -1,21 +1,26 @@
-//! Programs and the label-resolving builder.
+//! Programs and their builder.
+//!
+//! A [`ProgramBuilder`] appends instructions in order. A branch names its
+//! target by position: [`ProgramBuilder::here`] returns the [`Label`] of
+//! the next instruction to be appended, so a loop takes its head before
+//! emitting the body and branches back to it. Every target is known when
+//! its branch is emitted, so building resolves nothing and allocates
+//! only the instruction vector.
 
 use crate::{Instr, Operand, Reg};
-use std::collections::HashMap;
 use std::fmt;
 
 /// An immutable instruction sequence.
 ///
-/// Build one with [`ProgramBuilder`], which resolves symbolic labels into
-/// instruction indices.
+/// Build one with [`ProgramBuilder`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Program {
     instrs: Vec<Instr>,
 }
 
 impl Program {
-    /// Creates a program directly from instructions (targets must already
-    /// be resolved and in range).
+    /// Creates a program directly from instructions (branch targets must
+    /// be in range).
     ///
     /// # Panics
     ///
@@ -86,26 +91,29 @@ impl fmt::Display for Program {
     }
 }
 
-/// Builds a [`Program`] with symbolic labels and a fluent interface.
+/// A branch target: the index of an instruction in the program being
+/// built.
+///
+/// Only [`ProgramBuilder::here`] makes one, so a label names a position
+/// the builder has already reached: a loop head, or the end of the
+/// program so far.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Label(usize);
+
+/// Builds a [`Program`] with a fluent interface.
 ///
 /// ```
 /// use udma_cpu::{ProgramBuilder, Reg};
 ///
 /// // Figure-7-style retry loop skeleton: retry while r0 == 0.
-/// let prog = ProgramBuilder::new()
-///     .label("retry")
-///     .load(Reg::R0, 0x1000u64)
-///     .beq(Reg::R0, 0, "retry")
-///     .halt()
-///     .build();
+/// let b = ProgramBuilder::new();
+/// let retry = b.here();
+/// let prog = b.load(Reg::R0, 0x1000u64).beq(Reg::R0, 0, retry).halt().build();
 /// assert_eq!(prog.len(), 3);
 /// ```
 #[derive(Debug, Default)]
 pub struct ProgramBuilder {
     instrs: Vec<Instr>,
-    labels: HashMap<String, usize>,
-    /// (instruction index, label) pairs awaiting resolution.
-    fixups: Vec<(usize, String)>,
 }
 
 impl ProgramBuilder {
@@ -114,15 +122,9 @@ impl ProgramBuilder {
         Self::default()
     }
 
-    /// Defines `name` at the current position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the label was already defined.
-    pub fn label(mut self, name: &str) -> Self {
-        let prev = self.labels.insert(name.to_string(), self.instrs.len());
-        assert!(prev.is_none(), "label `{name}` defined twice");
-        self
+    /// The label of the next instruction to be appended.
+    pub fn here(&self) -> Label {
+        Label(self.instrs.len())
     }
 
     /// `dst ← value`.
@@ -167,24 +169,21 @@ impl ProgramBuilder {
         self
     }
 
-    /// Branch to `label` if `reg == value`.
-    pub fn beq(mut self, reg: Reg, value: u64, label: &str) -> Self {
-        self.fixups.push((self.instrs.len(), label.to_string()));
-        self.instrs.push(Instr::Beq { reg, value, target: usize::MAX });
+    /// Branch to `to` if `reg == value`.
+    pub fn beq(mut self, reg: Reg, value: u64, to: Label) -> Self {
+        self.instrs.push(Instr::Beq { reg, value, target: to.0 });
         self
     }
 
-    /// Branch to `label` if `reg != value`.
-    pub fn bne(mut self, reg: Reg, value: u64, label: &str) -> Self {
-        self.fixups.push((self.instrs.len(), label.to_string()));
-        self.instrs.push(Instr::Bne { reg, value, target: usize::MAX });
+    /// Branch to `to` if `reg != value`.
+    pub fn bne(mut self, reg: Reg, value: u64, to: Label) -> Self {
+        self.instrs.push(Instr::Bne { reg, value, target: to.0 });
         self
     }
 
-    /// Unconditional jump to `label`.
-    pub fn jmp(mut self, label: &str) -> Self {
-        self.fixups.push((self.instrs.len(), label.to_string()));
-        self.instrs.push(Instr::Jmp { target: usize::MAX });
+    /// Unconditional jump to `to`.
+    pub fn jmp(mut self, to: Label) -> Self {
+        self.instrs.push(Instr::Jmp { target: to.0 });
         self
     }
 
@@ -212,22 +211,13 @@ impl ProgramBuilder {
         self
     }
 
-    /// Resolves labels and produces the program.
+    /// Produces the program.
     ///
     /// # Panics
     ///
-    /// Panics on a reference to an undefined label.
-    pub fn build(mut self) -> Program {
-        for (idx, label) in &self.fixups {
-            let target =
-                *self.labels.get(label).unwrap_or_else(|| panic!("undefined label `{label}`"));
-            match &mut self.instrs[*idx] {
-                Instr::Beq { target: t, .. }
-                | Instr::Bne { target: t, .. }
-                | Instr::Jmp { target: t } => *t = target,
-                other => unreachable!("fixup on non-branch {other:?}"),
-            }
-        }
+    /// Panics if a [`raw`](Self::raw) branch, or a label taken from
+    /// another builder, targets past the end.
+    pub fn build(self) -> Program {
         Program::from_instrs(self.instrs)
     }
 }
@@ -237,40 +227,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_resolves_forward_and_backward_labels() {
-        let p = ProgramBuilder::new()
-            .label("top")
-            .imm(Reg::R0, 1)
-            .beq(Reg::R0, 0, "top")
-            .bne(Reg::R0, 0, "end")
-            .jmp("top")
-            .label("end")
-            .halt()
-            .build();
-        assert_eq!(p.len(), 5);
-        assert_eq!(p.instrs()[1], Instr::Beq { reg: Reg::R0, value: 0, target: 0 });
-        assert_eq!(p.instrs()[2], Instr::Bne { reg: Reg::R0, value: 0, target: 4 });
-        assert_eq!(p.instrs()[3], Instr::Jmp { target: 0 });
+    fn branches_target_the_labelled_position() {
+        let b = ProgramBuilder::new().imm(Reg::R0, 1);
+        let top = b.here();
+        let p = b.imm(Reg::R1, 2).beq(Reg::R0, 0, top).bne(Reg::R1, 0, top).jmp(top).halt().build();
+        assert_eq!(p.len(), 6);
+        assert_eq!(p.instrs()[2], Instr::Beq { reg: Reg::R0, value: 0, target: 1 });
+        assert_eq!(p.instrs()[3], Instr::Bne { reg: Reg::R1, value: 0, target: 1 });
+        assert_eq!(p.instrs()[4], Instr::Jmp { target: 1 });
     }
 
     #[test]
-    #[should_panic(expected = "undefined label")]
-    fn undefined_label_panics() {
-        let _ = ProgramBuilder::new().jmp("nowhere").build();
-    }
-
-    #[test]
-    #[should_panic(expected = "defined twice")]
-    fn duplicate_label_panics() {
-        let _ = ProgramBuilder::new().label("a").label("a").build();
-    }
-
-    #[test]
-    fn label_at_end_is_valid_target() {
-        // Branching to a label right after the last instruction halts.
-        let p = ProgramBuilder::new().jmp("end").label("end").build();
-        assert_eq!(p.instrs()[0], Instr::Jmp { target: 1 });
-        assert!(p.fetch(1).is_none());
+    fn a_label_may_name_its_own_branch() {
+        let b = ProgramBuilder::new().mb();
+        let spin = b.here();
+        let p = b.jmp(spin).build();
+        assert_eq!(p.instrs()[1], Instr::Jmp { target: 1 });
     }
 
     #[test]
@@ -282,7 +254,9 @@ mod tests {
     #[test]
     fn concat_rebases_targets_and_drops_halt() {
         let a = ProgramBuilder::new().imm(Reg::R0, 1).halt().build();
-        let b = ProgramBuilder::new().label("top").imm(Reg::R1, 2).jmp("top").build();
+        let b = ProgramBuilder::new();
+        let top = b.here();
+        let b = b.imm(Reg::R1, 2).jmp(top).build();
         let c = a.concat(&b);
         assert_eq!(c.len(), 3); // halt dropped
         assert_eq!(c.instrs()[2], Instr::Jmp { target: 1 });

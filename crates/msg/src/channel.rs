@@ -84,7 +84,6 @@ pub fn emit_send_one(
     view: ChannelView,
     seq: u64,
     msg: &[u64],
-    uniq: &mut u32,
     b: ProgramBuilder,
 ) -> ProgramBuilder {
     assert!(msg.len() as u64 <= cfg.payload_words, "message too long");
@@ -93,17 +92,16 @@ pub fn emit_send_one(
     let slot_va = env.addr_in(view.ring, slot * PAGE_SIZE);
     let staging = env.buffer(view.staging).va;
 
-    let wait = fresh("snd_wait", uniq);
-    let mut b = b.label(&wait).load(Reg::R4, flag).bne(Reg::R4, 0, &wait);
+    let wait = b.here();
+    let mut b = b.load(Reg::R4, flag).bne(Reg::R4, 0, wait);
     for (j, &w) in msg.iter().enumerate() {
         b = b.store(staging.as_u64() + 8 * j as u64, w);
     }
     b = b.mb();
     let req = DmaRequest::new(staging, slot_va, cfg.payload_bytes());
-    let resend = fresh("snd_dma", uniq);
-    b = b.label(&resend);
-    b = emit_dma(env, b, &req, uniq);
-    b.beq(Reg::R0, DMA_FAILURE, &resend).store(flag, 1u64).mb()
+    let resend = b.here();
+    b = emit_dma(env, b, &req, &mut 0);
+    b.beq(Reg::R0, DMA_FAILURE, resend).store(flag, 1u64).mb()
 }
 
 /// Emits ONE message receive through `view`: wait for the flag, checksum
@@ -114,14 +112,13 @@ pub fn emit_recv_one(
     cfg: &ChannelConfig,
     view: ChannelView,
     seq: u64,
-    uniq: &mut u32,
     b: ProgramBuilder,
 ) -> ProgramBuilder {
     let slot = seq % cfg.slots;
     let flag = env.addr_in(view.ctrl, slot * 8).as_u64();
     let base = env.addr_in(view.ring, slot * PAGE_SIZE).as_u64();
-    let wait = fresh("rcv_wait", uniq);
-    let mut b = b.label(&wait).load(Reg::R4, flag).beq(Reg::R4, 0, &wait);
+    let wait = b.here();
+    let mut b = b.load(Reg::R4, flag).beq(Reg::R4, 0, wait);
     b = b.load(Reg::R6, base);
     for j in 0..cfg.payload_words {
         b = b.load(Reg::R5, base + 8 * j).add(CHECKSUM_REG, CHECKSUM_REG, Reg::R5);
@@ -158,11 +155,10 @@ pub fn emit_send_all(
     env: &ProcessEnv,
     cfg: &ChannelConfig,
     messages: &[Vec<u64>],
-    uniq: &mut u32,
 ) -> ProgramBuilder {
     let mut b = ProgramBuilder::new();
     for (i, msg) in messages.iter().enumerate() {
-        b = emit_send_one(env, cfg, ChannelView::SENDER, i as u64, msg, uniq, b);
+        b = emit_send_one(env, cfg, ChannelView::SENDER, i as u64, msg, b);
     }
     b
 }
@@ -170,15 +166,10 @@ pub fn emit_send_all(
 /// Emits the receiver's whole program: for each of `count` messages, wait
 /// for the slot's flag, checksum the payload into [`CHECKSUM_REG`], drop
 /// the flag.
-pub fn emit_receive_all(
-    env: &ProcessEnv,
-    cfg: &ChannelConfig,
-    count: u64,
-    uniq: &mut u32,
-) -> ProgramBuilder {
+pub fn emit_receive_all(env: &ProcessEnv, cfg: &ChannelConfig, count: u64) -> ProgramBuilder {
     let mut b = ProgramBuilder::new().imm(CHECKSUM_REG, 0);
     for i in 0..count {
-        b = emit_recv_one(env, cfg, ChannelView::RECEIVER, i, uniq, b);
+        b = emit_recv_one(env, cfg, ChannelView::RECEIVER, i, b);
     }
     b
 }
@@ -210,13 +201,10 @@ impl Endpoints {
     /// spin on the first wait).
     pub fn spawn(machine: &mut Machine, cfg: &ChannelConfig, messages: &[Vec<u64>]) -> Endpoints {
         let count = messages.len() as u64;
-        let mut uniq = 0;
-        let receiver = machine.spawn(&receiver_spec(cfg), |env| {
-            emit_receive_all(env, cfg, count, &mut uniq).halt().build()
-        });
-        let mut uniq = 0;
+        let receiver = machine
+            .spawn(&receiver_spec(cfg), |env| emit_receive_all(env, cfg, count).halt().build());
         let sender = machine.spawn(&sender_spec(cfg, receiver), |env| {
-            emit_send_all(env, cfg, messages, &mut uniq).halt().build()
+            emit_send_all(env, cfg, messages).halt().build()
         });
         Endpoints { receiver, sender }
     }
@@ -225,12 +213,6 @@ impl Endpoints {
     pub fn received_checksum(&self, machine: &Machine) -> u64 {
         machine.reg(self.receiver, CHECKSUM_REG)
     }
-}
-
-fn fresh(prefix: &str, uniq: &mut u32) -> String {
-    let l = format!("{prefix}_{uniq}");
-    *uniq += 1;
-    l
 }
 
 #[cfg(test)]

@@ -39,15 +39,14 @@ fn pingpong_program(
     let recv_view = ChannelView::RECEIVER;
     let send_view = ChannelView { staging: 2, ring: 3, ctrl: 4 };
     let mut b = ProgramBuilder::new();
-    let mut uniq = 0;
     for round in 0..rounds {
         let msg = vec![round + 1];
         if initiator {
-            b = emit_send_one(env, cfg, send_view, round, &msg, &mut uniq, b);
-            b = emit_recv_one(env, cfg, recv_view, round, &mut uniq, b);
+            b = emit_send_one(env, cfg, send_view, round, &msg, b);
+            b = emit_recv_one(env, cfg, recv_view, round, b);
         } else {
-            b = emit_recv_one(env, cfg, recv_view, round, &mut uniq, b);
-            b = emit_send_one(env, cfg, send_view, round, &msg, &mut uniq, b);
+            b = emit_recv_one(env, cfg, recv_view, round, b);
+            b = emit_send_one(env, cfg, send_view, round, &msg, b);
         }
     }
     b.halt().build()

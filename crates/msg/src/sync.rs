@@ -22,16 +22,13 @@ pub fn emit_lock_acquire(
     b: ProgramBuilder,
     lock: VirtAddr,
     ticket: u64,
-    uniq: &mut u32,
 ) -> ProgramBuilder {
     assert_ne!(ticket, 0, "ticket 0 means unlocked");
     let req = AtomicRequest { va: lock, op: AtomicOp::CompareSwap, operand1: 0, operand2: ticket };
-    let spin = format!("lk_{}", *uniq);
-    *uniq += 1;
-    let b = b.label(&spin);
+    let spin = b.here();
     let b = emit_atomic(env, b, &req);
     // Old value 0 → we won; anything else → spin.
-    b.bne(Reg::R0, 0, &spin)
+    b.bne(Reg::R0, 0, spin)
 }
 
 /// Emits the release: user-level `fetch_and_store(lock, 0)`.
@@ -75,9 +72,8 @@ mod tests {
         let lock = env.buffer(0).va;
         let counter = env.buffer(0).va.as_u64() + 8;
         let mut b = ProgramBuilder::new();
-        let mut uniq = 0;
         for _ in 0..INCREMENTS {
-            b = emit_lock_acquire(env, b, lock, ticket, &mut uniq);
+            b = emit_lock_acquire(env, b, lock, ticket);
             // Critical section: a plain (racy-without-the-lock) RMW.
             b = b.load(Reg::R5, counter).add_imm(Reg::R5, Reg::R5, 1).store(counter, Reg::R5).mb();
             b = emit_lock_release(env, b, lock);
@@ -122,10 +118,7 @@ mod tests {
     fn zero_ticket_rejected() {
         let mut m = Machine::with_method(DmaMethod::KeyBased);
         m.spawn(&ProcessSpec { buffers: vec![BufferSpec::rw(1)], ..Default::default() }, |env| {
-            let mut uniq = 0;
-            emit_lock_acquire(env, ProgramBuilder::new(), env.buffer(0).va, 0, &mut uniq)
-                .halt()
-                .build()
+            emit_lock_acquire(env, ProgramBuilder::new(), env.buffer(0).va, 0).halt().build()
         });
     }
 }

@@ -646,9 +646,24 @@ impl EngineCore {
         now: SimTime,
         mem: &mut MemPort,
     ) -> Vec<RingLaunch> {
-        match self.virt.as_mut() {
-            Some(virt) => virt.doorbell(ctx, tail, now, &mut self.mover.lend(&mut self.stats, mem)),
-            None => Vec::new(),
+        let mut launches = Vec::new();
+        self.doorbell(ctx, tail, now, mem, Some(&mut launches));
+        launches
+    }
+
+    /// [`Self::ring_doorbell`], listing each fetched slot's outcome in
+    /// `launches` if there is a list. A user-level doorbell store passes
+    /// none: a bus store has no value to return one in.
+    pub(crate) fn doorbell(
+        &mut self,
+        ctx: u32,
+        tail: u64,
+        now: SimTime,
+        mem: &mut MemPort,
+        launches: Option<&mut Vec<RingLaunch>>,
+    ) {
+        if let Some(virt) = self.virt.as_mut() {
+            virt.doorbell(ctx, tail, now, &mut self.mover.lend(&mut self.stats, mem), launches);
         }
     }
 

@@ -372,17 +372,17 @@ impl VirtUnit {
         tail: u64,
         now: SimTime,
         back: &mut Backend<'_>,
-    ) -> Vec<RingLaunch> {
+        launches: Launches<'_>,
+    ) {
         // The ring unit, with its gather scratch, is lent out for the
         // dequeue so each launch can post through this unit while the
         // cursors advance; it goes back before returning, whatever the
         // dequeue's exit path.
         let Some(mut unit) = self.rings.take() else {
-            return Vec::new();
+            return;
         };
-        let out = self.dequeue(&mut unit, ctx, tail, now, back);
+        self.dequeue(&mut unit, ctx, tail, now, back, launches);
         self.rings = Some(unit);
-        out
     }
 
     fn dequeue(
@@ -392,16 +392,16 @@ impl VirtUnit {
         tail: u64,
         now: SimTime,
         back: &mut Backend<'_>,
-    ) -> Vec<RingLaunch> {
-        let mut out = Vec::new();
+        mut out: Launches<'_>,
+    ) {
         let Some(ring) = unit.rings.get_mut(ctx as usize) else {
-            return out;
+            return;
         };
         let stats = &mut unit.stats;
         stats.doorbells += 1;
         if !ring.registered() {
             back.reject(RejectReason::RingFull);
-            return out;
+            return;
         }
         let fetch = unit.config.fetch_latency;
         // Prune drained launches so the live list (and the busy check)
@@ -414,7 +414,9 @@ impl VirtUnit {
         ring.posted = ring.posted.max(tail);
         // One result per covered slot, unless a chain gathers fragments
         // from outside the batch.
-        out.reserve_exact(tail.saturating_sub(ring.head) as usize);
+        if let Some(out) = out.as_deref_mut() {
+            out.reserve_exact(tail.saturating_sub(ring.head) as usize);
+        }
         let frags = &mut unit.frags;
         let capacity = ring.capacity;
         let mut clock = now;
@@ -484,7 +486,7 @@ impl VirtUnit {
                     None => Err(back.reject(RejectReason::BadRange)),
                     Some(dst) => self.post(ctx, src, VirtAddr::new(dst), len, clock, back),
                 };
-                out.push(match posted {
+                let launch = match posted {
                     Ok(id) => {
                         ring.live_virt.push(id);
                         self.stage[ctx as usize].last = Some(id);
@@ -496,20 +498,31 @@ impl VirtUnit {
                         stats.rejected += 1;
                         RingLaunch::Rejected(reason)
                     }
-                });
+                };
+                list(&mut out, launch);
             }
         }
         ring.drain_until = ring.drain_until.max(clock);
-        out
     }
 }
 
 /// Refuses `slots` fetched ring slots as `BadRange`: each counts once in
-/// the ring and engine statistics and appears once in `out`.
-fn refuse(stats: &mut RingStats, back: &mut Backend<'_>, out: &mut Vec<RingLaunch>, slots: u64) {
+/// the ring and engine statistics and is listed once in `out`.
+fn refuse(stats: &mut RingStats, back: &mut Backend<'_>, out: &mut Launches<'_>, slots: u64) {
     for _ in 0..slots {
         stats.rejected += 1;
-        out.push(RingLaunch::Rejected(back.reject(RejectReason::BadRange)));
+        list(out, RingLaunch::Rejected(back.reject(RejectReason::BadRange)));
+    }
+}
+
+/// Where a dequeue lists each fetched slot's outcome: the caller's list,
+/// or nowhere.
+type Launches<'a> = Option<&'a mut Vec<RingLaunch>>;
+
+/// Lists `launch` in `out`, if there is a list.
+fn list(out: &mut Launches<'_>, launch: RingLaunch) {
+    if let Some(out) = out.as_deref_mut() {
+        out.push(launch);
     }
 }
 

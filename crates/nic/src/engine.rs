@@ -70,7 +70,7 @@ impl BusDevice for DmaEngine {
                     if core.virt().is_some() && regs::is_virt_offset(off) {
                         core.ctx_virt_store(ctx, off, data, now, mem);
                     } else if core.rings().is_some() && regs::is_ring_offset(off) {
-                        core.ring_doorbell(ctx, data, now, mem);
+                        core.doorbell(ctx, data, now, mem, None);
                     } else {
                         protocol.ctx_store(core, ctx, off, data, now, mem);
                     }

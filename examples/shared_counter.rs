@@ -37,14 +37,15 @@ fn increment_program(env: &udma::ProcessEnv, racy: bool) -> udma_cpu::Program {
     if racy {
         // load; add 1; store — a classic lost-update window.
         let va = env.buffer(0).va.as_u64();
-        b = b.imm(Reg::R2, INCREMENTS as u64).label("loop");
+        b = b.imm(Reg::R2, INCREMENTS as u64);
+        let top = b.here();
         b = b
             .load(Reg::R1, va)
             .add_imm(Reg::R1, Reg::R1, 1)
             .store(va, Reg::R1)
             .mb()
             .add_imm(Reg::R2, Reg::R2, -1)
-            .bne(Reg::R2, 0, "loop");
+            .bne(Reg::R2, 0, top);
     } else {
         // NIC-resident atomic_add through the process's register context.
         let req =

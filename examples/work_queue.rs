@@ -51,10 +51,9 @@ fn main() {
                 let recv = ChannelView::RECEIVER;
                 let send = ChannelView { staging: 2, ring: 3, ctrl: 4 };
                 let mut b = ProgramBuilder::new();
-                let mut uniq = 0;
                 for seq in 0..items_for_worker {
                     // Receive x (first word lands in r6)…
-                    b = emit_recv_one(env, &cfg, recv, seq, &mut uniq, b);
+                    b = emit_recv_one(env, &cfg, recv, seq, b);
                     // …compute 3x + 1…
                     b = b
                         .add(Reg::R1, Reg::R6, Reg::R6)
@@ -69,7 +68,7 @@ fn main() {
                         .load(Reg::R2, env.buffer(2).va.as_u64() + 8)
                         .store(env.buffer(2).va.as_u64(), Reg::R2)
                         .mb();
-                    b = emit_send_one(env, &cfg, send, seq, &[], &mut uniq, b);
+                    b = emit_send_one(env, &cfg, send, seq, &[], b);
                 }
                 b.halt().build()
             })
@@ -97,12 +96,11 @@ fn main() {
         }
         m.spawn(&spec, |env| {
             let mut b = ProgramBuilder::new().imm(udma_msg::CHECKSUM_REG, 0);
-            let mut uniq = 0;
             let mut seq = [0u64; WORKERS as usize];
             for i in 0..ITEMS {
                 let w = (i % WORKERS) as usize;
                 let send = ChannelView { staging: 3 * w, ring: 3 * w + 1, ctrl: 3 * w + 2 };
-                b = emit_send_one(env, &cfg, send, seq[w], &[i], &mut uniq, b);
+                b = emit_send_one(env, &cfg, send, seq[w], &[i], b);
                 seq[w] += 1;
             }
             let base = 3 * WORKERS as usize;
@@ -110,7 +108,7 @@ fn main() {
             for i in 0..ITEMS {
                 let w = (i % WORKERS) as usize;
                 let recv = ChannelView { staging: 0, ring: base + 2 * w, ctrl: base + 2 * w + 1 };
-                b = emit_recv_one(env, &cfg, recv, rseq[w], &mut uniq, b);
+                b = emit_recv_one(env, &cfg, recv, rseq[w], b);
                 rseq[w] += 1;
             }
             b.halt().build()

@@ -10,8 +10,9 @@
 # both sides). Pair i runs the parent first when i is even and the
 # change first when i is odd, so slow drift of the host falls on both
 # sides. Prints every pair, then each side's median and quartiles of
-# host_xfers_per_ref and setup_s, and the number of pairs in which the
-# change had the higher host_xfers_per_ref.
+# the host metrics host_xfers_per_ref, setup_s and peak_rss_mib, and for
+# each the number of pairs the change won in the metric's better
+# direction: host_xfers_per_ref higher, setup_s and peak_rss_mib lower.
 #
 # Informational only: it takes minutes, and host noise would make a gate
 # on it flaky, so ci.sh does not run it.
@@ -49,11 +50,12 @@ for ((i = 0; i < pairs; i++)); do
       echo "$side run failed in pair $i" >&2
       exit 1
     }
-    printf '%s %s %s %s\n' "$side" "$i" "$(metric host_xfers_per_ref <<<"$out")" \
-      "$(metric setup_s <<<"$out")" >>"$ab/runs.txt"
+    printf '%s %s %s %s %s\n' "$side" "$i" "$(metric host_xfers_per_ref <<<"$out")" \
+      "$(metric setup_s <<<"$out")" "$(metric peak_rss_mib <<<"$out")" >>"$ab/runs.txt"
   done
-  awk -v i="$i" '$2 == i { v[$1] = $3 } END {
-    printf "pair %2d  parent %.4f  change %.4f\n", i, v["parent"], v["change"] }' "$ab/runs.txt"
+  awk -v i="$i" '$2 == i { x[$1] = $3; s[$1] = $4; r[$1] = $5 } END {
+    printf "pair %2d  host_xfers_per_ref %.4f -> %.4f  setup_s %.6f -> %.6f  peak_rss_mib %.2f -> %.2f\n",
+      i, x["parent"], x["change"], s["parent"], s["change"], r["parent"], r["change"] }' "$ab/runs.txt"
 done
 
 quartiles() { # SIDE COLUMN -> "q1 median q3" (linear interpolation)
@@ -64,13 +66,24 @@ quartiles() { # SIDE COLUMN -> "q1 median q3" (linear interpolation)
 }
 echo "workload $workload, $pairs pairs${*:+, args: $*}"
 printf '%-20s %-7s %10s %10s %10s\n' metric side q1 median q3
-for m in "host_xfers_per_ref 3" "setup_s 4"; do
-  set -- $m
+# NAME COLUMN BETTER: the column runs.txt keeps the metric in, and the
+# direction in which the change wins a pair.
+metrics=("host_xfers_per_ref 3 higher" "setup_s 4 lower" "peak_rss_mib 5 lower")
+for m in "${metrics[@]}"; do
+  read -r name col _ <<<"$m"
   for side in parent change; do
-    read -r q1 med q3 <<<"$(quartiles "$side" "$2")"
-    printf '%-20s %-7s %10s %10s %10s\n' "$1" "$side" "$q1" "$med" "$q3"
+    read -r q1 med q3 <<<"$(quartiles "$side" "$col")"
+    printf '%-20s %-7s %10s %10s %10s\n' "$name" "$side" "$q1" "$med" "$q3"
   done
 done
-awk '{ v[$2, $1] = $3; n[$2] = 1 } END {
-  for (i in n) { total++; if (v[i, "change"] > v[i, "parent"]) wins++ }
-  printf "change wins %d of %d pairs on host_xfers_per_ref\n", wins, total }' "$ab/runs.txt"
+for m in "${metrics[@]}"; do
+  read -r name col better <<<"$m"
+  awk -v c="$col" -v better="$better" -v name="$name" '{ v[$2, $1] = $c; n[$2] = 1 } END {
+    for (i in n) {
+      total++
+      d = v[i, "change"] - v[i, "parent"]
+      if ((better == "higher" && d > 0) || (better == "lower" && d < 0)) wins++
+    }
+    printf "change wins %d of %d pairs on %s (%s is better)\n", wins, total, name, better }' \
+    "$ab/runs.txt"
+done

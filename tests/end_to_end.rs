@@ -187,11 +187,11 @@ fn status_poll_reaches_zero_after_wire_time() {
         let ctx_page = env.ctx_page_va.unwrap().as_u64();
         let mut b = emit_dma_once(env, ProgramBuilder::new(), &req);
         // Immediately after initiation, bytes remain; poll until zero.
+        let poll = b.here();
         b = b
-            .label("poll")
             .compute(15_000) // 100 µs of "work"
             .load(Reg::R4, ctx_page)
-            .bne(Reg::R4, 0, "poll");
+            .bne(Reg::R4, 0, poll);
         b.halt().build()
     });
     let out = m.run(100_000);

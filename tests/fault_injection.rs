@@ -219,7 +219,9 @@ fn burst_outage_aborts_with_exact_in_order_prefix() {
 fn step_limit_is_a_clean_timeout() {
     let mut m = Machine::with_method(DmaMethod::Kernel);
     let pid = m.spawn(&ProcessSpec::default(), |_| {
-        ProgramBuilder::new().label("spin").jmp("spin").build()
+        let b = ProgramBuilder::new();
+        let spin = b.here();
+        b.jmp(spin).build()
     });
     let out = m.run(1_000);
     assert!(!out.finished);
