@@ -37,7 +37,8 @@ echo "== remote VA and lossy-link replay on ClusterSim (pinned seed) =="
 # Seeded replay of the cluster-simulation remote suites: the
 # straight-line protection oracle, the announced one-NACK range and the
 # receive-side swap-in (remote_va_dma), the chaos-vs-lossless-oracle
-# acceptance property and the lossless-plan zero-delta pin
+# acceptance property, the lossless-plan zero-delta pin and the
+# link-failed-prefix regression on a pinned and a demand-paged page
 # (lossy_link), and the per-fault-kind chaos tests (fault_injection),
 # pinned for bisection (DESIGN.md §4c, §4d).
 UDMA_PROP_SEED=3604 cargo test -q --offline \

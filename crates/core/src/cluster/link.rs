@@ -73,8 +73,10 @@ pub(crate) struct DstAnnouncement {
 /// A chunk's payload on the wire: a shared view `range` into the
 /// posting transfer's payload buffer. Launching a chunk hands the
 /// receiver this view instead of a copy, so the only byte copy on the
-/// data path is the receiver's deposit into its memory. Equality
-/// compares the viewed bytes, not the buffer identity.
+/// data path is the receiver's deposit into its memory. The view keeps
+/// the buffer alive after its transfer turned terminal and released
+/// it, so a link-failed prefix still lands. Equality compares the
+/// viewed bytes, not the buffer identity.
 #[derive(Clone, Debug)]
 pub(crate) struct ChunkBytes {
     data: Arc<Vec<u8>>,
@@ -217,8 +219,10 @@ pub(crate) struct Envelope {
 /// Wire/accounting counters of one sender-side transfer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct XferCounters {
-    /// Bytes that arrived in order at the destination (acked bytes plus
-    /// the delivered prefix of a link-failed chunk).
+    /// Bytes the destination acked: the deposited in-order prefix. A
+    /// link-failed chunk's delivered prefix counts once its ACK comes
+    /// back; a prefix the receiver NACKed instead never landed and
+    /// adds nothing.
     pub moved: u64,
     /// Data-frame retransmissions across all chunks.
     pub retransmits: u64,
@@ -244,6 +248,11 @@ pub enum NackVerdict {
 /// Sender-side state machine of one remote transfer: chunking, the
 /// go-back-N launch step, ACK/NACK bookkeeping, and terminal-state
 /// accounting. The shard that owns the posting node drives this.
+///
+/// The transfer holds its payload only while it can still launch a
+/// chunk: every terminal transition goes through
+/// [`settle`](Self::settle), which releases it. A chunk already on the
+/// wire keeps its own view of the buffer.
 #[derive(Clone, Debug)]
 pub(crate) struct SendXfer {
     /// The transfer's cluster-wide id.
@@ -254,8 +263,11 @@ pub(crate) struct SendXfer {
     pub(crate) dst_asid: Asid,
     /// Destination base VA.
     pub(crate) dst_va: VirtAddr,
-    /// The payload, shared with every in-flight chunk view of it.
-    data: Arc<Vec<u8>>,
+    /// The payload, shared with every in-flight chunk view of it;
+    /// `None` once the transfer is terminal.
+    data: Option<Arc<Vec<u8>>>,
+    /// Payload length in bytes (outlives the payload).
+    len: u64,
     /// Bytes acked so far (the next chunk starts here).
     cursor: u64,
     /// Next chunk index (increments on ACK, not on resend).
@@ -292,7 +304,8 @@ impl SendXfer {
             dst_node,
             dst_asid,
             dst_va,
-            data: Arc::new(data),
+            len: data.len() as u64,
+            data: Some(Arc::new(data)),
             cursor: 0,
             chunk: 0,
             retries: 0,
@@ -322,7 +335,7 @@ impl SendXfer {
 
     /// Payload length in bytes.
     pub(crate) fn len(&self) -> u64 {
-        self.data.len() as u64
+        self.len
     }
 
     /// The whole destination range, as announced ahead of the first
@@ -345,8 +358,9 @@ impl SendXfer {
     /// [`NetMsg::Data`] to put on the channel plus its arrival time. If
     /// the link layer's retry budget ran dry the transfer transitions to
     /// [`XferState::LinkFailed`] here and the message carries the
-    /// delivered prefix. The message shares the payload buffer; no
-    /// chunk bytes are copied.
+    /// delivered prefix; that prefix counts as `moved` only once its
+    /// ACK returns. The message shares the payload buffer; no chunk
+    /// bytes are copied.
     ///
     /// # Panics
     ///
@@ -364,7 +378,8 @@ impl SendXfer {
         let (va, len) = self.chunk_span();
         let outcome = deliver(&cfg.link, &cfg.reliability, chaos, arrivals, len);
         let start = self.cursor as usize;
-        let bytes = ChunkBytes::new(self.data.clone(), start..start + outcome.delivered as usize);
+        let data = self.data.clone().expect("a live transfer holds its payload");
+        let bytes = ChunkBytes::new(data, start..start + outcome.delivered as usize);
         self.counters.launches += 1;
         self.counters.retransmits += u64::from(outcome.retransmits);
         self.counters.wire_bytes += outcome.wire_bytes;
@@ -373,10 +388,9 @@ impl SendXfer {
         if !outcome.completed {
             // The reliability layer gave up mid-chunk: terminal on the
             // sender's clock at the moment it stopped listening. The
-            // in-order prefix still lands (and is counted) on arrival.
-            self.state = XferState::LinkFailed;
-            self.finished = Some(arrival);
-            self.counters.moved = self.cursor + outcome.delivered;
+            // in-order prefix still rides the message; it counts when
+            // the receiver acks it.
+            self.settle(XferState::LinkFailed, arrival);
         }
         let msg = NetMsg::Data {
             xfer: self.id,
@@ -390,11 +404,20 @@ impl SendXfer {
     }
 
     /// Records a cumulative ACK arriving at `now`. Returns `true` when
-    /// the transfer just completed. ACKs for stale chunks or terminal
-    /// transfers (a link-failed chunk's prefix still gets acked) are
-    /// ignored.
+    /// the transfer just completed. The ACK of a link-failed chunk's
+    /// prefix adds the deposited bytes to `moved` and nothing else; ACKs
+    /// for stale chunks or other terminal transfers are ignored.
     pub(crate) fn on_ack(&mut self, chunk: u32, accepted: u64, now: SimTime) -> bool {
-        if self.state != XferState::Streaming || chunk != self.chunk {
+        if chunk != self.chunk {
+            return false;
+        }
+        if self.state == XferState::LinkFailed {
+            // `max`: a lease relaunch may bring back an older, longer
+            // ACK of the same chunk.
+            self.counters.moved = self.counters.moved.max(self.cursor + accepted);
+            return false;
+        }
+        if self.state != XferState::Streaming {
             return false;
         }
         self.cursor += accepted;
@@ -402,8 +425,7 @@ impl SendXfer {
         self.chunk += 1;
         self.retries = 0;
         if self.cursor >= self.len() {
-            self.state = XferState::Complete;
-            self.finished = Some(now);
+            self.settle(XferState::Complete, now);
             return true;
         }
         false
@@ -426,14 +448,12 @@ impl SendXfer {
         }
         self.counters.nacks += 1;
         if !resolvable {
-            self.state = XferState::Failed;
-            self.finished = Some(now);
+            self.settle(XferState::Failed, now);
             return NackVerdict::Abort;
         }
         self.retries += 1;
         if policy.exhausted(self.retries) {
-            self.state = XferState::Failed;
-            self.finished = Some(now);
+            self.settle(XferState::Failed, now);
             return NackVerdict::Abort;
         }
         NackVerdict::Retry(now + policy.backoff_after(self.retries))
@@ -446,10 +466,19 @@ impl SendXfer {
         if self.state.terminal() {
             return false;
         }
-        self.state = XferState::NodeDown;
-        self.finished = Some(now);
+        self.settle(XferState::NodeDown, now);
         self.counters.moved = self.cursor;
         true
+    }
+
+    /// Ends the transfer in the terminal `state` at `at` and releases
+    /// its payload: nothing launches from it again, and a chunk still
+    /// on the wire holds its own view.
+    fn settle(&mut self, state: XferState, at: SimTime) {
+        debug_assert!(state.terminal(), "settle into non-terminal {state:?}");
+        self.state = state;
+        self.finished = Some(at);
+        self.data = None;
     }
 
     /// Restarts a transfer whose destination rebooted into a new
@@ -664,6 +693,9 @@ mod tests {
                 if outcome.delivered < span_len {
                     partial += 1;
                     assert_eq!(x.state(), XferState::LinkFailed, "{plan:?}");
+                    // The prefix counts once the receiver acks it.
+                    assert_eq!(x.counters.moved, cursor as u64);
+                    x.on_ack(chunk, bytes.len() as u64, arrival);
                     assert_eq!(x.counters.moved, end as u64);
                     break;
                 }
@@ -672,6 +704,102 @@ mod tests {
             }
         }
         assert!(partial > 0, "the burst plan must cut a chunk short");
+    }
+
+    /// A link-failed prefix counts as moved only when its ACK comes
+    /// back: a NACK adds nothing, and an older, longer ACK of the same
+    /// chunk (a lease relaunch's) is not shortened by a later one.
+    #[test]
+    fn a_link_failed_prefix_counts_only_once_acked() {
+        let cfg = ClusterConfig::new(2);
+        let policy = RetryPolicy::new(6, SimTime::from_us(5));
+        let mut chaos = FaultyLink::new(FaultPlan::lossless(5).with_burst(2, 1_000_000));
+        let mut x = xfer(2 * PAGE_SIZE);
+        let (msg, arrival) = launch(&mut x, SimTime::ZERO, &cfg, Some(&mut chaos));
+        let NetMsg::Data { chunk, bytes, .. } = msg else { panic!("data") };
+        let delivered = bytes.len() as u64;
+        assert!(delivered > 0 && delivered < PAGE_SIZE, "the burst cuts the first chunk short");
+        assert_eq!(x.state(), XferState::LinkFailed);
+        assert_eq!(x.counters.moved, 0, "nothing acked yet");
+        assert_eq!(x.on_nack(chunk, true, arrival, &policy), NackVerdict::Abort);
+        assert_eq!(x.counters.moved, 0, "a NACKed prefix never landed");
+        assert!(!x.on_ack(chunk, PAGE_SIZE, arrival));
+        assert!(!x.on_ack(chunk, delivered, arrival));
+        assert_eq!(x.counters.moved, PAGE_SIZE, "the longer ACK stands");
+        assert!(!x.on_ack(chunk + 1, PAGE_SIZE, arrival), "wrong chunk index");
+        assert_eq!(x.counters.moved, PAGE_SIZE);
+        assert_eq!(x.state(), XferState::LinkFailed);
+    }
+
+    /// Checks that `x` settled into `state`, released its payload, and
+    /// still reports its length and destination range.
+    fn assert_released(x: &SendXfer, state: XferState, len: u64) {
+        assert_eq!(x.state(), state);
+        assert!(x.data.is_none(), "{state:?} still holds the payload");
+        assert_eq!(x.len(), len);
+        let ann = DstAnnouncement { asid: 7, va: VirtAddr::new(4 * PAGE_SIZE), len };
+        assert_eq!(x.announcement(), ann);
+    }
+
+    /// Each of the five terminal transitions drops the payload, keeps
+    /// length, announcement and counters, and leaves a chunk view taken
+    /// before the release reading its bytes.
+    #[test]
+    fn every_terminal_transition_releases_the_payload() {
+        let cfg = ClusterConfig::new(2);
+        let policy = RetryPolicy::new(1, SimTime::from_us(5));
+        let len = 2 * PAGE_SIZE;
+        let at = SimTime::from_us(40);
+        let counters = |moved, launches, nacks| XferCounters {
+            moved,
+            launches,
+            nacks,
+            wire_bytes: launches * PAGE_SIZE,
+            ..XferCounters::default()
+        };
+
+        // Complete, on the last chunk's ACK.
+        let mut x = xfer(len);
+        for chunk in 0..2 {
+            launch(&mut x, SimTime::ZERO, &cfg, None);
+            x.on_ack(chunk, PAGE_SIZE, at);
+        }
+        assert_released(&x, XferState::Complete, len);
+        assert_eq!(x.counters, counters(len, 2, 0));
+
+        // LinkFailed, at the launch that cut its chunk short.
+        let mut chaos = FaultyLink::new(FaultPlan::lossless(5).with_burst(2, 1_000_000));
+        let mut x = xfer(len);
+        let (msg, _) = launch(&mut x, SimTime::ZERO, &cfg, Some(&mut chaos));
+        let NetMsg::Data { bytes, .. } = msg else { panic!("data") };
+        assert_released(&x, XferState::LinkFailed, len);
+        assert_eq!(x.counters.moved, 0);
+        assert_eq!(x.counters.launches, 1);
+        assert!(!bytes.is_empty(), "the burst lets a prefix through");
+        assert!(bytes.iter().all(|&b| b == 0xAB), "the view outlives the release");
+
+        // Failed, on an unresolvable NACK.
+        let mut x = xfer(len);
+        launch(&mut x, SimTime::ZERO, &cfg, None);
+        assert_eq!(x.on_nack(0, false, at, &policy), NackVerdict::Abort);
+        assert_released(&x, XferState::Failed, len);
+        assert_eq!(x.counters, counters(0, 1, 1));
+
+        // Failed, on the NACK that exhausts the retry budget.
+        let mut x = xfer(len);
+        launch(&mut x, SimTime::ZERO, &cfg, None);
+        assert_eq!(x.on_nack(0, true, at, &policy), NackVerdict::Abort);
+        assert_released(&x, XferState::Failed, len);
+        assert_eq!(x.counters, counters(0, 1, 1));
+
+        // NodeDown, with the first chunk acked.
+        let mut x = xfer(len);
+        launch(&mut x, SimTime::ZERO, &cfg, None);
+        x.on_ack(0, PAGE_SIZE, at);
+        assert!(x.data.is_some(), "a streaming transfer keeps its payload");
+        assert!(x.abort_node_down(at));
+        assert_released(&x, XferState::NodeDown, len);
+        assert_eq!(x.counters, counters(PAGE_SIZE, 1, 0));
     }
 
     #[test]

@@ -13,6 +13,9 @@
 # the host metrics host_xfers_per_ref, setup_s and peak_rss_mib, and for
 # each the number of pairs the change won in the metric's better
 # direction: host_xfers_per_ref higher, setup_s and peak_rss_mib lower.
+# Last, one line on the simulated results sim_init_us, sim_xfer_p50_us,
+# sim_xfer_p99_us and fail_frac: identical in all 2 x PAIRS runs, or the
+# first run and metric that differ from the parent's first run.
 #
 # Informational only: it takes minutes, and host noise would make a gate
 # on it flaky, so ci.sh does not run it.
@@ -42,6 +45,9 @@ build "$root" "$ab/change.bin"
 metric() { # NAME < benchmark output
   awk -v w="$workload" -v m="$1" '$1 == "METRIC" && $2 == w && $3 == m { print $4 }'
 }
+# runs.txt columns: side, pair, then these metrics in order.
+recorded=(host_xfers_per_ref setup_s peak_rss_mib sim_init_us sim_xfer_p50_us sim_xfer_p99_us
+  fail_frac)
 : >"$ab/runs.txt"
 for ((i = 0; i < pairs; i++)); do
   if ((i % 2 == 0)); then order="parent change"; else order="change parent"; fi
@@ -50,8 +56,11 @@ for ((i = 0; i < pairs; i++)); do
       echo "$side run failed in pair $i" >&2
       exit 1
     }
-    printf '%s %s %s %s %s\n' "$side" "$i" "$(metric host_xfers_per_ref <<<"$out")" \
-      "$(metric setup_s <<<"$out")" "$(metric peak_rss_mib <<<"$out")" >>"$ab/runs.txt"
+    row="$side $i"
+    for m in "${recorded[@]}"; do
+      row+=" $(metric "$m" <<<"$out")"
+    done
+    echo "$row" >>"$ab/runs.txt"
   done
   awk -v i="$i" '$2 == i { x[$1] = $3; s[$1] = $4; r[$1] = $5 } END {
     printf "pair %2d  host_xfers_per_ref %.4f -> %.4f  setup_s %.6f -> %.6f  peak_rss_mib %.2f -> %.2f\n",
@@ -87,3 +96,17 @@ for m in "${metrics[@]}"; do
     printf "change wins %d of %d pairs on %s (%s is better)\n", wins, total, name, better }' \
     "$ab/runs.txt"
 done
+# Simulated results depend on the seed alone: any difference between
+# runs is a change in what the program simulates, not host noise.
+awk -v names="${recorded[*]}" 'BEGIN {
+    n = split(names, name, " ")
+    for (c = 4; c <= n; c++) sims = sims (c > 4 ? " " : "") name[c]
+  } {
+    if (NR == 1) { for (c = 6; c <= n + 2; c++) ref[c] = $c; next }
+    for (c = 6; c <= n + 2; c++) if ($c != ref[c] && !diff) {
+      diff = sprintf("%s run of pair %d: %s %s, against %s in the first parent run",
+        $1, $2, name[c - 2], $c, ref[c])
+    }
+  } END {
+    if (diff) print "simulated results differ: " diff
+    else printf "simulated results (%s) identical in all %d runs\n", sims, NR }' "$ab/runs.txt"

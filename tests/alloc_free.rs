@@ -1,10 +1,11 @@
 //! Allocation gate for the local transfer path: in steady state a
-//! transfer makes no heap allocation.
+//! transfer makes no heap allocation. And a live-heap gate for the
+//! cluster path: a finished transfer holds no payload.
 //!
 //! A counting global allocator counts every `alloc`, `alloc_zeroed` and
-//! `realloc` made on the calling thread while one call runs, so tests
-//! running in parallel do not leak into each other's counts. Four
-//! shapes are gated:
+//! `realloc` made on the calling thread while one call runs, and tracks
+//! the thread's live heap bytes, so tests running in parallel do not
+//! leak into each other's counts. Five shapes are gated:
 //!
 //! * `Machine::run` on the ring shape (key-based, pin-on-post VA DMA,
 //!   1,024 descriptors written by the CPU into a one-page ring, one
@@ -30,54 +31,69 @@
 //!
 //! What remains is amortized growth of the engine's history (transfer
 //! records, VA transfer table).
+//!
+//! * A sequential lossy `ClusterSim` in the repository benchmark's
+//!   cluster shape, scaled down (8 nodes, 16 two-page slots of 1–2-page
+//!   posts, 5% frame loss, even slots pinned): from before the posts to
+//!   after the run, the live heap grows by at most the destination
+//!   frames the run wrote plus 1 KiB per transfer. While every transfer
+//!   kept its payload until the cluster was dropped, it also grew by
+//!   every posted byte.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use udma::{
-    emit_dma, BufferSpec, DmaMethod, DmaRequest, Machine, MachineConfig, ProcessEnv, ProcessSpec,
-    VirtDmaSetup,
+    emit_dma, BufferSpec, ClusterConfig, ClusterSim, DmaMethod, DmaRequest, Machine, MachineConfig,
+    ProcessEnv, ProcessSpec, VirtDmaSetup,
 };
+use udma_bus::SimTime;
 use udma_cpu::{ProcState, Program, ProgramBuilder};
 use udma_iommu::IotlbConfig;
-use udma_mem::PAGE_SIZE;
-use udma_nic::{regs, DescDst, DmaDescriptor, RingConfig, DESC_BYTES};
+use udma_mem::{Perms, VirtAddr, PAGE_SIZE};
+use udma_nic::{regs, DescDst, DmaDescriptor, FaultPlan, RingConfig, XferState, DESC_BYTES};
 use udma_testkit::TestRng;
 
-/// The system allocator, counting the calling thread's allocations.
+/// The system allocator, counting the calling thread's allocations and
+/// live bytes.
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn bump() {
+/// Counts one allocation that changes the live heap by `delta` bytes
+/// (`count` is false for a free).
+fn record(count: bool, delta: i64) {
     // `try_with`: a thread being torn down may still free and allocate.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + u64::from(count)));
+    let _ = LIVE.try_with(|n| n.set(n.get() + delta));
 }
 
-// SAFETY: every call forwards to `System` unchanged; the counter is a
-// const-initialised thread-local `Cell`, which never allocates.
+// SAFETY: every call forwards to `System` unchanged; the counters are
+// const-initialised thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        record(true, layout.size() as i64);
         // SAFETY: forwarded with the caller's guarantees.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        record(true, layout.size() as i64);
         // SAFETY: forwarded with the caller's guarantees.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        record(true, new_size as i64 - layout.size() as i64);
         // SAFETY: forwarded with the caller's guarantees.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        record(false, -(layout.size() as i64));
         // SAFETY: forwarded with the caller's guarantees.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -92,6 +108,15 @@ fn counting<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Runs `f` and returns its result with the growth of this thread's
+/// live heap across it, in bytes (negative if it freed more than it
+/// allocated).
+fn live_growth<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let before = LIVE.with(Cell::get);
+    let out = f();
+    (out, LIVE.with(Cell::get) - before)
 }
 
 /// A key-based machine with pin-on-post VA DMA.
@@ -219,4 +244,54 @@ fn pinned_virt_post_allocates_nothing_per_post() {
     let ((), allocs) = counting(|| (0..POSTS).for_each(|i| post(&mut m, i)));
     let per = allocs as f64 / POSTS as f64;
     assert!(per <= 0.05, "{allocs} allocations over {POSTS} posts ({per:.3} each)");
+}
+
+#[test]
+fn cluster_run_holds_no_finished_payload() {
+    const NODES: u32 = 8;
+    const SLOTS: u64 = 16;
+    const SLOT_PAGES: u64 = 2;
+    const ASID: u32 = 1;
+    const SLACK_PER_XFER: i64 = 1024;
+    let slot_va = |slot: u64| VirtAddr::new((32 + slot * SLOT_PAGES) * PAGE_SIZE);
+    let mut cfg = ClusterConfig::new(NODES);
+    cfg.node_bytes = 2 << 20;
+    cfg.iotlb = IotlbConfig { entries: 256, ways: 4, ..IotlbConfig::default() };
+    cfg.chaos = Some(FaultPlan::lossless(3).with_drop(0.05));
+    let mut sim = ClusterSim::new(cfg);
+    for node in 0..NODES {
+        for slot in 0..SLOTS {
+            sim.grant(node, ASID, slot_va(slot), SLOT_PAGES, Perms::READ_WRITE).unwrap();
+            if slot % 2 == 0 {
+                sim.pin(node, ASID, slot_va(slot), SLOT_PAGES * PAGE_SIZE).unwrap();
+            }
+        }
+    }
+    let mut rng = TestRng::seed_from_u64(5);
+    let (frames, growth) = live_growth(|| {
+        let mut posts = Vec::with_capacity((SLOTS * u64::from(NODES)) as usize);
+        // Each slot, every node sends into a different node's copy of it.
+        for slot in 0..SLOTS {
+            let shift = 1 + (slot as u32) % (NODES - 1);
+            for src in 0..NODES {
+                let len = 8 * rng.gen_range(PAGE_SIZE / 8..2 * PAGE_SIZE / 8 + 1);
+                let at = SimTime::from_us(slot * 11 + 3 * rng.gen_range(0..6));
+                let id = sim.post(src, (src + shift) % NODES, ASID, slot_va(slot), len, at);
+                posts.push((id, len));
+            }
+        }
+        sim.run();
+        let mut frames = 0;
+        for &(id, len) in &posts {
+            assert_eq!(sim.xfer(id).state, XferState::Complete, "{id}");
+            frames += len.div_ceil(PAGE_SIZE) as i64;
+        }
+        frames
+    });
+    let xfers = (SLOTS * u64::from(NODES)) as i64;
+    let bound = frames * PAGE_SIZE as i64 + xfers * SLACK_PER_XFER;
+    assert!(
+        growth <= bound,
+        "live heap grew {growth} B over {xfers} transfers writing {frames} frames (bound {bound})"
+    );
 }

@@ -1,7 +1,8 @@
 //! Reliable delivery over a lossy link, end to end on the cluster
 //! simulation: the acceptance property against a lossless oracle
-//! cluster, and the zero-overhead guarantee of an attached-but-quiet
-//! chaos plan.
+//! cluster, the zero-overhead guarantee of an attached-but-quiet chaos
+//! plan, and the accounting of a link-failed prefix on a pinned and on
+//! a demand-paged destination.
 
 use udma::{ClusterConfig, ClusterSim};
 use udma_bus::SimTime;
@@ -16,9 +17,20 @@ const REMOTE_VA: u64 = 32 * PAGE_SIZE;
 /// A two-node cluster, pin-on-post (no VA fault can NACK — every
 /// disturbance is the link layer's), whose node 1 exposes `pages` pages.
 fn lossy_cluster(pages: u64, chaos: Option<FaultPlan>, rel: ReliabilityConfig) -> ClusterSim {
+    cluster(pages, true, chaos, rel)
+}
+
+/// A two-node cluster whose node 1 exposes `pages` pages, pinned at
+/// grant time or demand-paged.
+fn cluster(
+    pages: u64,
+    pin_on_post: bool,
+    chaos: Option<FaultPlan>,
+    rel: ReliabilityConfig,
+) -> ClusterSim {
     let mut cfg = ClusterConfig::new(2);
     cfg.node_bytes = 1 << 18;
-    cfg.pin_on_post = true;
+    cfg.pin_on_post = pin_on_post;
     cfg.chaos = chaos;
     cfg.reliability = rel;
     let mut sim = ClusterSim::new(cfg);
@@ -123,5 +135,36 @@ fn attached_lossless_plan_adds_zero_sim_time() {
     }
     if let Some(diff) = bare.diff(&quiet) {
         panic!("an attached lossless plan changed the run:\n{diff}");
+    }
+}
+
+/// A link failure that cuts the first chunk after its second frame
+/// delivers a 2 KiB prefix. On a pinned page the prefix lands, is
+/// acked and counts as moved. On a demand-paged page the receiver NACKs
+/// it instead: the fault service maps the page, but no byte lands, and
+/// `moved` must say so.
+#[test]
+fn a_link_failed_prefix_counts_only_where_it_landed() {
+    const PREFIX: usize = 2048;
+    for pinned in [true, false] {
+        let plan = FaultPlan::lossless(5).with_burst(2, 1_000_000);
+        let mut sim = cluster(1, pinned, Some(plan), ReliabilityConfig::default());
+        let size = 2 * PAGE_SIZE;
+        let id = sim.post(0, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), size, SimTime::ZERO);
+        sim.run();
+        let x = sim.xfer(id);
+        assert_eq!(x.state, XferState::LinkFailed, "pinned {pinned}");
+        let got = remote_bytes(&sim, 1);
+        if pinned {
+            assert_eq!(x.counters.moved, PREFIX as u64);
+            let want = ClusterSim::expected_payload(id, size);
+            assert!(got[..PREFIX] == want[..PREFIX], "the acked prefix landed");
+            assert!(got[PREFIX..].iter().all(|&b| b == 0), "nothing past the prefix");
+        } else {
+            assert_eq!(sim.digest().nodes[1].faults.serviced, 1, "the fault service ran");
+            assert_eq!(x.counters.nacks, 0, "a terminal transfer counts no NACK");
+            assert_eq!(x.counters.moved, 0, "a NACKed prefix never landed");
+            assert!(got.iter().all(|&b| b == 0), "the faulted page holds no payload");
+        }
     }
 }
