@@ -96,6 +96,9 @@ impl fmt::Display for SimTime {
     }
 }
 
+/// Picoseconds per second.
+const PS_PER_S: u64 = 1_000_000_000_000;
+
 /// A fixed-frequency clock that converts cycle counts to [`SimTime`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Clock {
@@ -119,16 +122,50 @@ impl Clock {
     }
 
     /// Duration of `cycles` clock cycles (rounded to the nearest
-    /// picosecond, computed in 128-bit to avoid overflow).
+    /// picosecond). Exact: computed in 64-bit while `cycles · 10¹² +
+    /// hz / 2` fits, in 128-bit beyond that.
     pub fn cycles(self, cycles: u64) -> SimTime {
-        let ps = (cycles as u128 * 1_000_000_000_000u128 + self.hz as u128 / 2) / self.hz as u128;
-        SimTime::from_ps(ps as u64)
+        let ps = match cycles.checked_mul(PS_PER_S).and_then(|ps| ps.checked_add(self.hz / 2)) {
+            Some(scaled) => scaled / self.hz,
+            None => {
+                ((cycles as u128 * PS_PER_S as u128 + self.hz as u128 / 2) / self.hz as u128) as u64
+            }
+        };
+        SimTime::from_ps(ps)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use udma_testkit::prop::any;
+    use udma_testkit::{prop_assert_eq, props};
+
+    /// The 128-bit conversion the 64-bit path must reproduce exactly.
+    fn cycles_in_u128(hz: u64, cycles: u64) -> u64 {
+        ((cycles as u128 * PS_PER_S as u128 + hz as u128 / 2) / hz as u128) as u64
+    }
+
+    props! {
+        /// `Clock::cycles` equals the 128-bit formula for clocks of
+        /// every magnitude, at random cycle counts, small ones, and the
+        /// counts on both sides of the largest one whose `cycles · 10¹²
+        /// + hz / 2` still fits in 64 bits.
+        fn cycles_match_the_128_bit_formula(
+            hz_bits in any::<u64>(),
+            hz_shift in 0u32..64,
+            cycles in any::<u64>(),
+            small in 0u64..1_000_000,
+            near in 0u64..4,
+        ) {
+            let hz = (hz_bits >> hz_shift).max(1);
+            let clock = Clock::new(hz);
+            let boundary = (u64::MAX - hz / 2) / PS_PER_S;
+            for c in [cycles, small, boundary - near.min(boundary), boundary + 1 + near] {
+                prop_assert_eq!(clock.cycles(c).as_ps(), cycles_in_u128(hz, c), "{} cycles", c);
+            }
+        }
+    }
 
     #[test]
     fn turbochannel_cycle_is_exact() {

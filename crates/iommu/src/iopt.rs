@@ -1,9 +1,9 @@
 //! Per-ASID I/O page tables: the authoritative NI-side translation
 //! structure the IOTLB caches.
 
-use crate::{IoFaultKind, PinError};
-use std::collections::BTreeMap;
-use udma_mem::{Access, MemFault, Perms, PhysAddr, PhysFrame, VirtAddr, VirtPage};
+use crate::PinError;
+use std::collections::hash_map::Entry;
+use udma_mem::{MemFault, PageMap, Perms, PhysFrame, VirtPage};
 
 /// One I/O page-table entry.
 ///
@@ -23,15 +23,10 @@ pub struct IoPte {
 /// The I/O page table of one address space (one ASID).
 #[derive(Clone, Debug, Default)]
 pub struct IoPageTable {
-    entries: BTreeMap<VirtPage, IoPte>,
+    entries: PageMap<IoPte>,
 }
 
 impl IoPageTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        IoPageTable::default()
-    }
-
     /// Installs a translation.
     ///
     /// # Errors
@@ -44,11 +39,31 @@ impl IoPageTable {
         perms: Perms,
         pinned: bool,
     ) -> Result<(), MemFault> {
-        if self.entries.contains_key(&page) {
-            return Err(MemFault::AlreadyMapped { va: page.base() });
+        match self.entries.entry(page) {
+            Entry::Occupied(_) => Err(MemFault::AlreadyMapped { va: page.base() }),
+            Entry::Vacant(slot) => {
+                slot.insert(IoPte { frame, perms, pinned });
+                Ok(())
+            }
         }
-        self.entries.insert(page, IoPte { frame, perms, pinned });
-        Ok(())
+    }
+
+    /// Installs `page` pinned with `perms` in one table operation: a
+    /// missing entry maps `frame`, an existing one keeps its frame and
+    /// takes the new permissions. Returns whether the page had an entry.
+    pub fn install_pinned(&mut self, page: VirtPage, frame: PhysFrame, perms: Perms) -> bool {
+        match self.entries.entry(page) {
+            Entry::Occupied(mut e) => {
+                let e = e.get_mut();
+                e.perms = perms;
+                e.pinned = true;
+                true
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(IoPte { frame, perms, pinned: true });
+                false
+            }
+        }
     }
 
     /// Removes a translation, returning the old entry if present.
@@ -89,83 +104,5 @@ impl IoPageTable {
     /// The entry for a page.
     pub fn entry(&self, page: VirtPage) -> Option<&IoPte> {
         self.entries.get(&page)
-    }
-
-    /// Walks the table for `va`, permission-checking against `access`.
-    pub fn translate(&self, va: VirtAddr, access: Access) -> Result<PhysAddr, IoFaultKind> {
-        let pte = self.entries.get(&va.page()).ok_or(IoFaultKind::Unmapped)?;
-        let needed = access.required_perms();
-        if !pte.perms.allows(needed) {
-            return Err(IoFaultKind::Protection { needed, granted: pte.perms });
-        }
-        Ok(pte.frame.base() + va.page_offset())
-    }
-
-    /// Number of installed entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates the installed entries in page order.
-    pub fn iter(&self) -> impl Iterator<Item = (&VirtPage, &IoPte)> {
-        self.entries.iter()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use udma_mem::PAGE_SIZE;
-
-    #[test]
-    fn map_translate_round_trip() {
-        let mut t = IoPageTable::new();
-        t.map(VirtPage::new(2), PhysFrame::new(7), Perms::READ_WRITE, true).unwrap();
-        let pa = t.translate(VirtAddr::new(2 * PAGE_SIZE + 0x18), Access::Write).unwrap();
-        assert_eq!(pa, PhysFrame::new(7).base() + 0x18);
-        assert!(t.entry(VirtPage::new(2)).unwrap().pinned);
-    }
-
-    #[test]
-    fn unmapped_and_protection_faults() {
-        let mut t = IoPageTable::new();
-        assert_eq!(t.translate(VirtAddr::new(0), Access::Read), Err(IoFaultKind::Unmapped));
-        t.map(VirtPage::new(0), PhysFrame::new(1), Perms::READ, false).unwrap();
-        assert!(t.translate(VirtAddr::new(0), Access::Read).is_ok());
-        assert_eq!(
-            t.translate(VirtAddr::new(8), Access::Write),
-            Err(IoFaultKind::Protection { needed: Perms::WRITE, granted: Perms::READ })
-        );
-    }
-
-    #[test]
-    fn double_map_rejected_unmap_clears() {
-        let mut t = IoPageTable::new();
-        t.map(VirtPage::new(1), PhysFrame::new(1), Perms::READ, false).unwrap();
-        assert!(matches!(
-            t.map(VirtPage::new(1), PhysFrame::new(2), Perms::READ, false),
-            Err(MemFault::AlreadyMapped { .. })
-        ));
-        let old = t.unmap(VirtPage::new(1)).unwrap();
-        assert_eq!(old.frame, PhysFrame::new(1));
-        assert!(t.is_empty());
-        assert!(t.unmap(VirtPage::new(1)).is_none());
-    }
-
-    #[test]
-    fn protect_and_pin_update_entries() {
-        let mut t = IoPageTable::new();
-        t.map(VirtPage::new(3), PhysFrame::new(3), Perms::READ, false).unwrap();
-        t.protect(VirtPage::new(3), Perms::READ_WRITE).unwrap();
-        assert!(t.translate(VirtPage::new(3).base(), Access::Write).is_ok());
-        t.set_pinned(VirtPage::new(3), true).unwrap();
-        assert!(t.entry(VirtPage::new(3)).unwrap().pinned);
-        assert!(t.protect(VirtPage::new(9), Perms::READ).is_err());
-        assert_eq!(t.set_pinned(VirtPage::new(9), true), Err(PinError::Unmapped));
     }
 }

@@ -8,6 +8,7 @@
 //! ([`Iotlb::invalidate_page`]).
 
 use crate::Asid;
+use std::ops::Range;
 use udma_mem::{Perms, PhysFrame, TlbStats, VirtPage};
 
 /// Replacement policy within a set.
@@ -82,11 +83,16 @@ struct Line {
     prefetched: bool,
 }
 
-/// The translation cache proper.
+/// The translation cache proper: one flat array of `sets × ways`
+/// lines, set `s` at `lines[s * ways..(s + 1) * ways]`.
 #[derive(Clone, Debug)]
 pub struct Iotlb {
-    sets: Vec<Vec<Option<Line>>>,
+    lines: Vec<Option<Line>>,
     ways: usize,
+    num_sets: usize,
+    /// `num_sets - 1` when the set count is a power of two, so the set
+    /// index is a mask instead of a division.
+    set_mask: Option<u64>,
     replacement: IotlbReplacement,
     fifo_ptr: Vec<usize>,
     tick: u64,
@@ -113,8 +119,10 @@ impl Iotlb {
         );
         let num_sets = config.entries / config.ways;
         Iotlb {
-            sets: vec![vec![None; config.ways]; num_sets],
+            lines: vec![None; config.entries],
             ways: config.ways,
+            num_sets,
+            set_mask: num_sets.is_power_of_two().then(|| num_sets as u64 - 1),
             replacement: config.replacement,
             fifo_ptr: vec![0; num_sets],
             tick: 0,
@@ -122,16 +130,6 @@ impl Iotlb {
             stats: IotlbStats::default(),
             live: 0,
         }
-    }
-
-    /// Number of sets.
-    pub fn num_sets(&self) -> usize {
-        self.sets.len()
-    }
-
-    /// Total capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.sets.len() * self.ways
     }
 
     /// Valid entries currently cached (O(1): a live counter maintained
@@ -154,8 +152,21 @@ impl Iotlb {
         // Hash the ASID into the index so two processes touching the
         // same page numbers (the common buffer layout) don't contend
         // for the same sets.
-        ((page.number() ^ (asid as u64).wrapping_mul(0x9E37_79B9)) % self.sets.len() as u64)
-            as usize
+        let h = page.number() ^ (asid as u64).wrapping_mul(0x9E37_79B9);
+        match self.set_mask {
+            Some(mask) => (h & mask) as usize,
+            None => (h % self.num_sets as u64) as usize,
+        }
+    }
+
+    /// The line range of set `idx`.
+    fn set(&self, idx: usize) -> Range<usize> {
+        idx * self.ways..(idx + 1) * self.ways
+    }
+
+    /// The line range of the set `(asid, page)` maps to.
+    fn set_of(&self, asid: Asid, page: VirtPage) -> Range<usize> {
+        self.set(self.set_index(asid, page))
     }
 
     fn next_random(&mut self) -> u64 {
@@ -177,28 +188,11 @@ impl Iotlb {
         page: VirtPage,
         needed: Perms,
     ) -> Option<(PhysFrame, Perms)> {
-        let idx = self.set_index(asid, page);
-        self.tick += 1;
-        let tick = self.tick;
-        let hit = self.sets[idx]
-            .iter_mut()
-            .flatten()
-            .find(|l| l.asid == asid && l.page == page && l.perms.allows(needed));
-        match hit {
-            Some(line) => {
-                line.stamp = tick;
-                if line.prefetched {
-                    line.prefetched = false;
-                    self.stats.prefetch_hidden += 1;
-                }
-                self.stats.tlb.hits += 1;
-                Some((line.frame, line.perms))
-            }
-            None => {
-                self.stats.tlb.misses += 1;
-                None
-            }
+        let hit = self.probe(asid, page, needed);
+        if hit.is_none() {
+            self.stats.tlb.misses += 1;
         }
+        hit
     }
 
     /// Like [`Iotlb::lookup`] but a miss counts **nothing**: the
@@ -213,27 +207,26 @@ impl Iotlb {
         page: VirtPage,
         needed: Perms,
     ) -> Option<(PhysFrame, Perms)> {
-        let idx = self.set_index(asid, page);
-        let hit = self.sets[idx]
+        let set = self.set_of(asid, page);
+        let line = self.lines[set]
             .iter_mut()
             .flatten()
             .find(|l| l.asid == asid && l.page == page && l.perms.allows(needed))?;
         self.tick += 1;
-        hit.stamp = self.tick;
-        if hit.prefetched {
-            hit.prefetched = false;
+        line.stamp = self.tick;
+        if line.prefetched {
+            line.prefetched = false;
             self.stats.prefetch_hidden += 1;
         }
         self.stats.tlb.hits += 1;
-        Some((hit.frame, hit.perms))
+        Some((line.frame, line.perms))
     }
 
     /// Read-only lookup: the resident line for `(asid, page)` if it
     /// allows `needed`, with no counters, no LRU touch and no flag
     /// retirement — inspection that leaves the IOTLB exactly as it was.
     pub fn peek(&self, asid: Asid, page: VirtPage, needed: Perms) -> Option<(PhysFrame, Perms)> {
-        let idx = self.set_index(asid, page);
-        self.sets[idx]
+        self.lines[self.set_of(asid, page)]
             .iter()
             .flatten()
             .find(|l| l.asid == asid && l.page == page && l.perms.allows(needed))
@@ -278,84 +271,77 @@ impl Iotlb {
         prefetched: bool,
     ) {
         let idx = self.set_index(asid, page);
+        let set = self.set(idx);
         self.tick += 1;
-        let tick = self.tick;
-        if let Some(line) =
-            self.sets[idx].iter_mut().flatten().find(|l| l.asid == asid && l.page == page)
-        {
-            if line.prefetched && !prefetched {
-                // A demand walk overwrote the line before it served a
-                // demand access (e.g. a permission upgrade): the
-                // prefetched walk bought nothing.
-                self.stats.prefetch_unused += 1;
+        let line = Line { asid, page, frame, perms, stamp: self.tick, prefetched };
+        // One pass over the set finds the line already caching the page,
+        // the first vacant way, and the least recently used valid way
+        // (the oldest stamp; stamps are unique, so there is no tie).
+        let mut vacant = None;
+        let mut oldest = (0, u64::MAX);
+        for (way, slot) in self.lines[set.clone()].iter_mut().enumerate() {
+            match slot {
+                Some(l) if l.asid == asid && l.page == page => {
+                    if l.prefetched && !prefetched {
+                        // A demand walk overwrote the line before it
+                        // served a demand access (e.g. a permission
+                        // upgrade): the prefetched walk bought nothing.
+                        self.stats.prefetch_unused += 1;
+                    }
+                    *l = line;
+                    return;
+                }
+                Some(l) if l.stamp < oldest.1 => oldest = (way, l.stamp),
+                Some(_) => {}
+                None => {
+                    vacant.get_or_insert(way);
+                }
             }
-            *line = Line { asid, page, frame, perms, stamp: tick, prefetched };
-            return;
         }
-        let way = match self.sets[idx].iter().position(|l| l.is_none()) {
-            Some(free) => free,
+        let way = match vacant {
+            Some(way) => {
+                self.live += 1;
+                way
+            }
             None => {
                 self.stats.tlb.evictions += 1;
-                match self.replacement {
+                let way = match self.replacement {
                     IotlbReplacement::Fifo => {
                         let w = self.fifo_ptr[idx];
                         self.fifo_ptr[idx] = (w + 1) % self.ways;
                         w
                     }
-                    // Oldest *valid* line only: a vacant way must never
-                    // shadow a real victim with its default stamp (the
-                    // eviction branch implies a full set today, but the
-                    // invariant should not depend on that).
-                    IotlbReplacement::Lru => self.sets[idx]
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(w, l)| l.map(|l| (w, l.stamp)))
-                        .min_by_key(|&(_, stamp)| stamp)
-                        .map(|(w, _)| w)
-                        .expect("eviction requires a full set"),
+                    IotlbReplacement::Lru => oldest.0,
                     IotlbReplacement::Random => (self.next_random() % self.ways as u64) as usize,
-                }
-            }
-        };
-        match self.sets[idx][way] {
-            Some(victim) => {
-                if victim.prefetched {
+                };
+                if self.lines[set.start + way].is_some_and(|victim| victim.prefetched) {
                     self.stats.prefetch_unused += 1;
                 }
+                way
             }
-            None => self.live += 1,
-        }
-        self.sets[idx][way] = Some(Line { asid, page, frame, perms, stamp: tick, prefetched });
+        };
+        self.lines[set.start + way] = Some(line);
     }
 
     /// Shoots down one page of one address space (OS unmap/swap-out).
     pub fn invalidate_page(&mut self, asid: Asid, page: VirtPage) {
         self.stats.shootdowns += 1;
-        let idx = self.set_index(asid, page);
-        let mut dropped = 0;
-        let mut unused = 0;
-        for line in self.sets[idx].iter_mut() {
-            if let Some(l) = line {
-                if l.asid == asid && l.page == page {
-                    dropped += 1;
-                    unused += u64::from(l.prefetched);
-                    *line = None;
-                }
+        let set = self.set_of(asid, page);
+        for slot in &mut self.lines[set] {
+            if let Some(l) = slot.filter(|l| l.asid == asid && l.page == page) {
+                self.live -= 1;
+                self.stats.prefetch_unused += u64::from(l.prefetched);
+                *slot = None;
             }
         }
-        self.live -= dropped;
-        self.stats.prefetch_unused += unused;
     }
 
     /// Invalidates everything (device reset).
     pub fn flush_all(&mut self) {
         self.stats.tlb.flushes += 1;
-        for set in self.sets.iter_mut() {
-            for line in set.iter_mut() {
-                if let Some(l) = line {
-                    self.stats.prefetch_unused += u64::from(l.prefetched);
-                    *line = None;
-                }
+        for slot in &mut self.lines {
+            if let Some(l) = slot.take() {
+                self.stats.prefetch_unused += u64::from(l.prefetched);
             }
         }
         self.live = 0;
@@ -562,7 +548,7 @@ mod tests {
                         }
                     }
                 }
-                let scanned = t.sets.iter().flatten().filter(|l| l.is_some()).count();
+                let scanned = t.lines.iter().filter(|l| l.is_some()).count();
                 assert_eq!(t.len(), scanned, "live counter diverged from scan (seed {seed})");
             }
         }

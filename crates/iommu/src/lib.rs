@@ -14,8 +14,10 @@
 //! or OS dependency so both sides can share it:
 //!
 //! * [`IoPageTable`] — per-ASID authoritative translations, with a pin
-//!   bit the swapper honours;
-//! * [`Iotlb`] — set-associative, ASID-tagged translation cache with
+//!   bit the swapper honours, in the page-keyed hash map
+//!   ([`udma_mem::PageMap`]) the CPU page table uses too;
+//! * [`Iotlb`] — set-associative, ASID-tagged translation cache, one
+//!   flat line array indexed by set, with
 //!   configurable replacement and full hit/miss/eviction/shootdown
 //!   statistics ([`IotlbStats`] embeds the CPU-side
 //!   [`udma_mem::TlbStats`] shape);
@@ -27,6 +29,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod fault;
 mod iopt;
@@ -133,9 +136,31 @@ impl Iommu {
         self.tables.get_mut(&asid).ok_or(PinError::NoContext)?.set_pinned(page, pinned)
     }
 
-    /// Translates a device access: IOTLB first, I/O page-table walk on a
-    /// miss (filling the IOTLB), fault if the walk fails. This is the
-    /// per-page step of every virtual-address DMA.
+    /// Installs a pinned translation in one table operation, the fault
+    /// service's step. A page without an entry maps `frame`; a page with
+    /// one (a stale, narrower entry behind a protection fault) keeps its
+    /// frame, takes `perms`, and has its IOTLB line shot down.
+    ///
+    /// # Errors
+    ///
+    /// [`PinError::NoContext`] if the ASID is not registered.
+    pub fn install_pinned(
+        &mut self,
+        asid: Asid,
+        page: VirtPage,
+        frame: PhysFrame,
+        perms: Perms,
+    ) -> Result<(), PinError> {
+        let table = self.tables.get_mut(&asid).ok_or(PinError::NoContext)?;
+        if table.install_pinned(page, frame, perms) {
+            self.tlb.invalidate_page(asid, page);
+        }
+        Ok(())
+    }
+
+    /// Translates a device access: IOTLB first, one I/O page-table walk
+    /// on a miss (filling the IOTLB), fault if the walk fails. This is
+    /// the per-page step of every virtual-address DMA.
     ///
     /// # Errors
     ///
@@ -153,10 +178,12 @@ impl Iommu {
             return Ok(frame.base() + va.page_offset());
         }
         let table = self.tables.get(&asid).ok_or(fault(IoFaultKind::NoContext))?;
-        let pa = table.translate(va, access).map_err(fault)?;
-        let pte = table.entry(page).expect("walk succeeded");
+        let pte = *table.entry(page).ok_or(fault(IoFaultKind::Unmapped))?;
+        if !pte.perms.allows(needed) {
+            return Err(fault(IoFaultKind::Protection { needed, granted: pte.perms }));
+        }
         self.tlb.insert(asid, page, pte.frame, pte.perms);
-        Ok(pa)
+        Ok(pte.frame.base() + va.page_offset())
     }
 
     /// Peeks at the IOTLB for the frame backing `page`, without ever
@@ -312,6 +339,77 @@ mod tests {
         let f = i.translate(1, VirtAddr::new(0), Access::Write).unwrap_err();
         assert_eq!(f.kind, IoFaultKind::Unmapped);
         assert_eq!(i.stats().prefetch_unused, 1);
+    }
+
+    #[test]
+    fn map_translate_round_trip() {
+        let mut i = iommu();
+        i.map(1, VirtPage::new(2), PhysFrame::new(7), Perms::READ_WRITE, true).unwrap();
+        let pa = i.translate(1, VirtAddr::new(2 * PAGE_SIZE + 0x18), Access::Write).unwrap();
+        assert_eq!(pa, PhysFrame::new(7).base() + 0x18);
+        assert!(i.table(1).unwrap().entry(VirtPage::new(2)).unwrap().pinned);
+    }
+
+    #[test]
+    fn unmapped_and_protection_faults() {
+        let mut i = iommu();
+        let f = i.translate(1, VirtAddr::new(0), Access::Read).unwrap_err();
+        assert_eq!(f.kind, IoFaultKind::Unmapped);
+        i.map(1, VirtPage::new(0), PhysFrame::new(1), Perms::READ, false).unwrap();
+        assert!(i.translate(1, VirtAddr::new(0), Access::Read).is_ok());
+        // The read's IOTLB line refuses the write, which walks.
+        let f = i.translate(1, VirtAddr::new(8), Access::Write).unwrap_err();
+        assert_eq!(f.kind, IoFaultKind::Protection { needed: Perms::WRITE, granted: Perms::READ });
+        assert_eq!(f.va, VirtAddr::new(8));
+    }
+
+    #[test]
+    fn double_map_rejected_unmap_clears() {
+        let mut i = iommu();
+        i.map(1, VirtPage::new(1), PhysFrame::new(1), Perms::READ, false).unwrap();
+        assert!(matches!(
+            i.map(1, VirtPage::new(1), PhysFrame::new(2), Perms::READ, false),
+            Err(MemFault::AlreadyMapped { .. })
+        ));
+        let old = i.unmap(1, VirtPage::new(1)).unwrap();
+        assert_eq!(old.frame, PhysFrame::new(1));
+        let f = i.translate(1, VirtPage::new(1).base(), Access::Read).unwrap_err();
+        assert_eq!(f.kind, IoFaultKind::Unmapped);
+        assert!(i.unmap(1, VirtPage::new(1)).is_none());
+    }
+
+    #[test]
+    fn protect_and_pin_update_entries() {
+        let mut i = iommu();
+        i.map(1, VirtPage::new(3), PhysFrame::new(3), Perms::READ, false).unwrap();
+        i.protect(1, VirtPage::new(3), Perms::READ_WRITE).unwrap();
+        assert!(i.translate(1, VirtPage::new(3).base(), Access::Write).is_ok());
+        i.set_pinned(1, VirtPage::new(3), true).unwrap();
+        assert!(i.table(1).unwrap().entry(VirtPage::new(3)).unwrap().pinned);
+        assert!(i.protect(1, VirtPage::new(9), Perms::READ).is_err());
+        assert_eq!(i.set_pinned(1, VirtPage::new(9), true), Err(PinError::Unmapped));
+    }
+
+    #[test]
+    fn install_pinned_maps_or_refreshes_in_place() {
+        let mut i = iommu();
+        // Absent: mapped pinned, no shootdown.
+        i.install_pinned(1, VirtPage::new(5), PhysFrame::new(8), Perms::READ).unwrap();
+        let pte = *i.table(1).unwrap().entry(VirtPage::new(5)).unwrap();
+        assert_eq!(pte, IoPte { frame: PhysFrame::new(8), perms: Perms::READ, pinned: true });
+        assert_eq!(i.stats().shootdowns, 0);
+        i.translate(1, VirtPage::new(5).base(), Access::Read).unwrap();
+        // Present: the frame stays, the permissions widen, and the
+        // cached read-only line is shot down.
+        i.install_pinned(1, VirtPage::new(5), PhysFrame::new(99), Perms::READ_WRITE).unwrap();
+        let pte = *i.table(1).unwrap().entry(VirtPage::new(5)).unwrap();
+        assert_eq!(pte, IoPte { frame: PhysFrame::new(8), perms: Perms::READ_WRITE, pinned: true });
+        assert_eq!(i.stats().shootdowns, 1);
+        assert!(i.translate(1, VirtPage::new(5).base(), Access::Write).is_ok());
+        assert_eq!(
+            i.install_pinned(4, VirtPage::new(5), PhysFrame::new(8), Perms::READ),
+            Err(PinError::NoContext)
+        );
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //!   page/frame numbers ([`VirtPage`], [`PhysFrame`]),
 //! * byte-addressable [`PhysMemory`], materialised frame by frame on
 //!   first write, with a [`FrameAllocator`],
-//! * per-process [`PageTable`]s with protection bits ([`Perms`]),
+//! * per-process [`PageTable`]s with protection bits ([`Perms`]), over
+//!   the seedless page-keyed hash map [`PageMap`] that the NI's I/O
+//!   page tables share,
 //! * a small [`Tlb`] with hit/miss statistics, and
 //! * the *shadow addressing* arithmetic ([`ShadowLayout`]) that every
 //!   user-level DMA protocol in the paper relies on (§2.3, §3.2).
@@ -41,6 +43,7 @@
 mod addr;
 mod fault;
 mod layout;
+mod page_map;
 mod page_table;
 mod perms;
 mod phys;
@@ -50,6 +53,7 @@ mod tlb;
 pub use addr::{PhysAddr, PhysFrame, VirtAddr, VirtPage, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE};
 pub use fault::MemFault;
 pub use layout::{PhysLayout, Region};
+pub use page_map::{PageHasher, PageMap};
 pub use page_table::{Access, PageTable, PteEntry};
 pub use perms::Perms;
 pub use phys::{FrameAllocator, PhysMemory};

@@ -1,7 +1,7 @@
 //! Per-process page tables.
 
-use crate::{MemFault, Perms, PhysAddr, PhysFrame, VirtAddr, VirtPage};
-use std::collections::BTreeMap;
+use crate::{MemFault, PageMap, Perms, PhysAddr, PhysFrame, VirtAddr, VirtPage};
+use std::collections::hash_map::Entry;
 
 /// The kind of access an instruction performs, used for permission checks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -40,7 +40,7 @@ pub struct PteEntry {
 /// both mappings at memory allocation time".
 #[derive(Clone, Debug, Default)]
 pub struct PageTable {
-    entries: BTreeMap<VirtPage, PteEntry>,
+    entries: PageMap<PteEntry>,
 }
 
 impl PageTable {
@@ -56,11 +56,13 @@ impl PageTable {
     /// [`MemFault::AlreadyMapped`] if `page` already has an entry; unmap it
     /// first (the model kernel never silently remaps).
     pub fn map(&mut self, page: VirtPage, frame: PhysFrame, perms: Perms) -> Result<(), MemFault> {
-        if self.entries.contains_key(&page) {
-            return Err(MemFault::AlreadyMapped { va: page.base() });
+        match self.entries.entry(page) {
+            Entry::Occupied(_) => Err(MemFault::AlreadyMapped { va: page.base() }),
+            Entry::Vacant(slot) => {
+                slot.insert(PteEntry { frame, perms });
+                Ok(())
+            }
         }
-        self.entries.insert(page, PteEntry { frame, perms });
-        Ok(())
     }
 
     /// Removes the mapping for `page`, returning the old entry if any.
@@ -148,8 +150,11 @@ impl PageTable {
     }
 
     /// Iterates over `(page, entry)` pairs in virtual-address order.
+    /// The table is hashed, so this sorts a list of its entries first.
     pub fn iter(&self) -> impl Iterator<Item = (&VirtPage, &PteEntry)> {
-        self.entries.iter()
+        let mut entries: Vec<_> = self.entries.iter().collect();
+        entries.sort_unstable_by_key(|&(page, _)| *page);
+        entries.into_iter()
     }
 }
 

@@ -51,8 +51,8 @@ impl PhysMemory {
         Ok(())
     }
 
-    /// Writes `bytes` at offset `off` of frame `frame`. A fresh frame is
-    /// built in one pass: zeros before the range, the bytes, zeros after.
+    /// Writes `bytes` at offset `off` of frame `frame`, materialising it
+    /// with [`fresh_frame`] on first touch.
     fn write_frame(&mut self, frame: u64, off: usize, bytes: &[u8]) {
         let frame = frame as usize;
         if frame >= self.frames.len() {
@@ -60,13 +60,7 @@ impl PhysMemory {
         }
         match &mut self.frames[frame] {
             Some(data) => data[off..off + bytes.len()].copy_from_slice(bytes),
-            slot @ None => {
-                let mut data = Vec::with_capacity(PAGE_SIZE as usize);
-                data.resize(off, 0);
-                data.extend_from_slice(bytes);
-                data.resize(PAGE_SIZE as usize, 0);
-                *slot = Some(data.into_boxed_slice());
-            }
+            slot @ None => *slot = Some(fresh_frame(off, bytes)),
         }
     }
 
@@ -162,17 +156,28 @@ impl PhysMemory {
         if df >= self.frames.len() {
             self.frames.resize(df + 1, None);
         }
-        // Take the destination frame out of its slot (materialising it)
-        // so the source can be borrowed from the table alongside it.
-        let mut data = self.frames[df].take().unwrap_or_else(|| vec![0; PAGE_SIZE as usize].into());
-        if sf == df {
-            data.copy_within(so..so + len, doff);
-        } else {
-            match self.frames.get(sf).and_then(Option::as_deref) {
-                Some(s) => data[doff..doff + len].copy_from_slice(&s[so..so + len]),
-                None => data[doff..doff + len].fill(0),
+        // Take the destination frame out of its slot so the source can
+        // be borrowed from the table alongside it.
+        let data = match self.frames[df].take() {
+            Some(mut data) => {
+                if sf == df {
+                    data.copy_within(so..so + len, doff);
+                } else {
+                    match self.frames.get(sf).and_then(Option::as_deref) {
+                        Some(s) => data[doff..doff + len].copy_from_slice(&s[so..so + len]),
+                        None => data[doff..doff + len].fill(0),
+                    }
+                }
+                data
             }
-        }
+            // A fresh destination frame is built in one pass around the
+            // source bytes. An unwritten source reads as zeros, and so
+            // does a fresh frame copied onto itself (its slot is empty).
+            None => match self.frames.get(sf).and_then(Option::as_deref) {
+                Some(s) => fresh_frame(doff, &s[so..so + len]),
+                None => fresh_frame(0, &[]),
+            },
+        };
         self.frames[df] = Some(data);
     }
 
@@ -203,6 +208,16 @@ impl PhysMemory {
         }
         self.write_bytes(pa, &value.to_le_bytes())
     }
+}
+
+/// A fresh frame holding `bytes` at offset `off`, built in one pass:
+/// zeros before the range, the bytes, zeros after.
+fn fresh_frame(off: usize, bytes: &[u8]) -> Box<[u8]> {
+    let mut data = Vec::with_capacity(PAGE_SIZE as usize);
+    data.resize(off, 0);
+    data.extend_from_slice(bytes);
+    data.resize(PAGE_SIZE as usize, 0);
+    data.into_boxed_slice()
 }
 
 /// A bump allocator of physical page frames. The model kernel never

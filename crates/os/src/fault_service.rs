@@ -18,7 +18,7 @@
 use crate::VmManager;
 use udma_bus::SimTime;
 use udma_iommu::{Asid, IoFault, IoFaultKind, Iommu};
-use udma_mem::{MemFault, PageTable, Perms, PteEntry, VirtAddr, VirtPage, PAGE_SIZE};
+use udma_mem::{MemFault, PageTable, Perms, VirtAddr, VirtPage, PAGE_SIZE};
 
 /// Fault-service entry cost: interrupt delivery, queue pop, table
 /// lookup.
@@ -160,14 +160,15 @@ impl FaultService {
             vm.swap_in(asid, pt, page).expect("ledger said swapped out");
             cost += FAULT_SWAP_IN;
         }
-        let installed = match pt.entry(page) {
-            Some(&pte) if pte.perms.allows(needed) => {
-                cost += FAULT_MAP_PAGE;
-                install(iommu, asid, page, pte);
-                true
-            }
-            _ => false,
-        };
+        // A stale I/O entry with narrower permissions (a protection
+        // fault) is refreshed in place; a missing one is mapped.
+        let installed = pt.entry(page).is_some_and(|pte| {
+            pte.perms.allows(needed)
+                && iommu.install_pinned(asid, page, pte.frame, pte.perms).is_ok()
+        });
+        if installed {
+            cost += FAULT_MAP_PAGE;
+        }
         PageIn { cost, swapped_in, installed }
     }
 }
@@ -177,19 +178,6 @@ struct PageIn {
     cost: SimTime,
     swapped_in: bool,
     installed: bool,
-}
-
-/// Copies a CPU PTE into the I/O page table, pinned. Handles the
-/// protection-fault case where an I/O entry already exists but with
-/// stale (narrower) permissions.
-fn install(iommu: &mut Iommu, asid: Asid, page: VirtPage, pte: PteEntry) {
-    let present = iommu.table(asid).is_some_and(|t| t.entry(page).is_some());
-    if present {
-        iommu.protect(asid, page, pte.perms).expect("entry present");
-    } else {
-        iommu.map(asid, page, pte.frame, pte.perms, true).expect("context present");
-    }
-    iommu.set_pinned(asid, page, true).expect("just installed");
 }
 
 /// Pin-on-post registration: installs pinned I/O translations for every

@@ -5,7 +5,7 @@
 //! A counting global allocator counts every `alloc`, `alloc_zeroed` and
 //! `realloc` made on the calling thread while one call runs, and tracks
 //! the thread's live heap bytes, so tests running in parallel do not
-//! leak into each other's counts. Five shapes are gated:
+//! leak into each other's counts. Six shapes are gated:
 //!
 //! * `Machine::run` on the ring shape (key-based, pin-on-post VA DMA,
 //!   1,024 descriptors written by the CPU into a one-page ring, one
@@ -32,6 +32,13 @@
 //! What remains is amortized growth of the engine's history (transfer
 //! records, VA transfer table).
 //!
+//! * Demand-paged `Machine::post_virt`, fault service and `run_virt` in
+//!   the benchmark's va_fault shape (two 64-page buffers, a 16-entry
+//!   IOTLB, two passes of 1–8-page transfers): at most 98 allocations
+//!   over its 128 serviced faults, the count of the B-tree page tables.
+//!   That is one destination frame per destination page plus amortized
+//!   table growth; the hashed tables make 84. A table that reallocated
+//!   on every insert would make about 210.
 //! * A sequential lossy `ClusterSim` in the repository benchmark's
 //!   cluster shape, scaled down (8 nodes, 16 two-page slots of 1–2-page
 //!   posts, 5% frame loss, even slots pinned): from before the posts to
@@ -51,7 +58,9 @@ use udma_bus::SimTime;
 use udma_cpu::{ProcState, Program, ProgramBuilder};
 use udma_iommu::IotlbConfig;
 use udma_mem::{Perms, VirtAddr, PAGE_SIZE};
-use udma_nic::{regs, DescDst, DmaDescriptor, FaultPlan, RingConfig, XferState, DESC_BYTES};
+use udma_nic::{
+    regs, DescDst, DmaDescriptor, FaultPlan, RingConfig, VirtState, XferState, DESC_BYTES,
+};
 use udma_testkit::TestRng;
 
 /// The system allocator, counting the calling thread's allocations and
@@ -244,6 +253,66 @@ fn pinned_virt_post_allocates_nothing_per_post() {
     let ((), allocs) = counting(|| (0..POSTS).for_each(|i| post(&mut m, i)));
     let per = allocs as f64 / POSTS as f64;
     assert!(per <= 0.05, "{allocs} allocations over {POSTS} posts ({per:.3} each)");
+}
+
+/// Pages per buffer of the demand-paged shape.
+const VA_PAGES: u64 = 64;
+/// Allocations per serviced fault of the demand-paged shape: 98 over
+/// its 128 faults, as the B-tree page tables made them. That is the
+/// destination frame (64 of them) plus amortized table growth; hashed
+/// tables make 84.
+const ALLOCS_PER_FAULT: f64 = 98.0 / 128.0;
+
+#[test]
+fn demand_paged_faults_allocate_a_frame_and_amortized_growth() {
+    let setup = VirtDmaSetup::demand(IotlbConfig::fully_associative(16));
+    let mut m = Machine::new(MachineConfig {
+        virt_dma: Some(setup),
+        ..MachineConfig::new(DmaMethod::Kernel)
+    });
+    let pid =
+        m.spawn(&ProcessSpec::two_buffers_of(VA_PAGES), |_| ProgramBuilder::new().halt().build());
+    let env = m.env(pid).clone();
+    let end = VA_PAGES * PAGE_SIZE;
+    let pattern: Vec<u8> = (0..end).map(|i| (i % 251) as u8).collect();
+    m.memory_mut().write_bytes(env.buffer(0).first_frame.base(), &pattern).unwrap();
+    // Two passes of consecutive 1–8-page transfers tiling the buffers,
+    // as the benchmark's va_fault shape: the first faults every page of
+    // both buffers in, the second misses the 16-entry IOTLB and walks.
+    let mut rng = TestRng::seed_from_u64(3);
+    let mut transfers = Vec::new();
+    for _ in 0..2 {
+        let mut pos = 0;
+        while pos < end {
+            let len = (8 * rng.gen_range(PAGE_SIZE / 8..PAGE_SIZE)).min(end - pos);
+            transfers.push((pos, len));
+            pos += len;
+        }
+    }
+    let (faults, allocs) = counting(|| {
+        let mut faults = 0;
+        for &(off, len) in &transfers {
+            let id = m.post_virt(pid, env.addr_in(0, off), env.addr_in(1, off), len).unwrap();
+            loop {
+                let n = m.service_va_faults();
+                faults += n;
+                if n == 0 {
+                    break;
+                }
+            }
+            assert_eq!(m.run_virt(id, 1_000), VirtState::Complete);
+        }
+        faults
+    });
+    assert_eq!(faults, 2 * VA_PAGES, "every page of both buffers faults in once");
+    let mut dst = vec![0u8; end as usize];
+    m.memory().borrow().read_bytes(env.buffer(1).first_frame.base(), &mut dst).unwrap();
+    assert!(dst == pattern, "the destination holds the source");
+    let per = allocs as f64 / faults as f64;
+    assert!(
+        per <= ALLOCS_PER_FAULT,
+        "{allocs} allocations over {faults} serviced faults ({per:.3} each)"
+    );
 }
 
 #[test]
