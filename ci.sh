@@ -26,11 +26,12 @@ cargo test -q --offline --workspace
 echo "== VA property/explorer replay (pinned seed) =="
 # Deterministic replay of the local virtual-address DMA property suite
 # under a pinned seed so a CI failure names a reproducible case, and of
-# the translation structures under it: the IOMMU against the CPU page
-# table, the flat IOTLB against its nested reference model, the
-# hashed page tables and frame-to-frame copies.
+# the translation and caching structures under it: the IOMMU against the
+# CPU page table, the flat set-associative array and the IOTLB built on
+# it against their nested reference models, the hashed page tables,
+# frame-to-frame copies and the CPU cache units.
 UDMA_PROP_SEED=3603 cargo test -q --offline --test va_dma
-UDMA_PROP_SEED=3603 cargo test -q --offline -p udma-iommu -p udma-mem
+UDMA_PROP_SEED=3603 cargo test -q --offline -p udma-iommu -p udma-mem -p udma-bus
 
 echo "== translation-pipeline replay (pinned seed) =="
 # Second seed over the VA suite aimed at the pipeline additions: the

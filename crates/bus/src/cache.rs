@@ -12,8 +12,12 @@
 //!
 //! Device (NIC) accesses never touch the cache: they are uncached by
 //! definition, which is the entire premise of shadow addressing.
+//!
+//! Both CPU caches — this tags-only [`DataCache`] and the MESI
+//! [`crate::CoherentCache`] — are a [`LineCache`]: the geometry over one
+//! LRU [`SetAssoc`] keyed by line number.
 
-use udma_mem::PhysAddr;
+use udma_mem::{Fill, PhysAddr, Replacement, SetAssoc};
 
 /// Geometry and behaviour of the data cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,22 +63,6 @@ impl CacheConfig {
         assert!(self.line_bytes.is_power_of_two(), "line size must be a power of two");
         assert!(self.line_bytes >= 8, "a line must hold at least one 8-byte word");
     }
-
-    /// The base address of the line containing `pa` (line masking).
-    pub fn line_base(&self, pa: u64) -> u64 {
-        pa & !(self.line_bytes - 1)
-    }
-
-    /// The set index of the line containing `pa`.
-    pub fn set_index(&self, pa: u64) -> usize {
-        ((pa / self.line_bytes) & (self.sets as u64 - 1)) as usize
-    }
-
-    /// The tag of the line containing `pa`: its line number above the
-    /// set-index bits.
-    pub fn tag(&self, pa: u64) -> u64 {
-        (pa / self.line_bytes) >> self.sets.trailing_zeros()
-    }
 }
 
 /// Hit/miss counters.
@@ -100,18 +88,20 @@ impl CacheStats {
     }
 }
 
-/// A physically-indexed, physically-tagged, LRU, tags-only cache.
+/// A physically indexed, physically tagged, LRU cache holding a `V` per
+/// line, keyed by line number (the address over the line size).
+/// `ways == 0` stores nothing: every access misses.
 #[derive(Clone, Debug)]
-pub struct DataCache {
-    config: CacheConfig,
-    /// `tags[set][way] = Some(tag)`; parallel `lru[set][way]` ticks.
-    tags: Vec<Vec<Option<u64>>>,
-    lru: Vec<Vec<u64>>,
-    tick: u64,
-    stats: CacheStats,
+pub struct LineCache<V> {
+    pub(crate) config: CacheConfig,
+    pub(crate) lines: SetAssoc<u64, V>,
+    pub(crate) stats: CacheStats,
 }
 
-impl DataCache {
+/// The timing-only data cache: tags, no data.
+pub type DataCache = LineCache<()>;
+
+impl<V> LineCache<V> {
     /// Creates a cache.
     ///
     /// # Panics
@@ -119,11 +109,9 @@ impl DataCache {
     /// Panics if the geometry fails [`CacheConfig::validate`].
     pub fn new(config: CacheConfig) -> Self {
         config.validate();
-        DataCache {
+        LineCache {
             config,
-            tags: vec![vec![None; config.ways]; config.sets],
-            lru: vec![vec![0; config.ways]; config.sets],
-            tick: 0,
+            lines: SetAssoc::new(config.sets, config.ways, Replacement::Lru, 0),
             stats: CacheStats::default(),
         }
     }
@@ -133,49 +121,36 @@ impl DataCache {
         self.config
     }
 
+    /// Hit/miss/flush counters.
+    pub fn stats(&self) -> CacheStats {
+        self.stats
+    }
+
+    /// The number of the line containing `pa`.
+    pub(crate) fn line(&self, pa: u64) -> u64 {
+        pa / self.config.line_bytes
+    }
+}
+
+impl DataCache {
     /// Looks up (and on miss, fills) the line containing `pa`. Returns
     /// whether the access hit.
     pub fn access(&mut self, pa: PhysAddr) -> bool {
-        if self.config.ways == 0 {
-            self.stats.misses += 1;
-            return false;
-        }
-        self.tick += 1;
-        let set = self.config.set_index(pa.as_u64());
-        let tag = self.config.tag(pa.as_u64());
-
-        if let Some(way) = self.tags[set].iter().position(|&t| t == Some(tag)) {
-            self.lru[set][way] = self.tick;
+        // A fill of a resident line is a hit that touches its stamp.
+        let hit = matches!(self.lines.fill(self.line(pa.as_u64()), ()), Fill::Replaced(()));
+        if hit {
             self.stats.hits += 1;
-            return true;
+        } else {
+            self.stats.misses += 1;
         }
-        self.stats.misses += 1;
-        // Fill into the LRU way (or the first invalid one).
-        let way = match self.tags[set].iter().position(|t| t.is_none()) {
-            Some(w) => w,
-            None => {
-                let (w, _) =
-                    self.lru[set].iter().enumerate().min_by_key(|&(_, &t)| t).expect("ways > 0");
-                w
-            }
-        };
-        self.tags[set][way] = Some(tag);
-        self.lru[set][way] = self.tick;
-        false
+        hit
     }
 
     /// Invalidates everything (context switch on a machine without
     /// address-space tags).
     pub fn flush_all(&mut self) {
-        for set in &mut self.tags {
-            set.fill(None);
-        }
+        self.lines.drain(|_, ()| {});
         self.stats.flushes += 1;
-    }
-
-    /// The counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
     }
 }
 
@@ -301,17 +276,6 @@ mod tests {
         assert!(c.access(pa(8)));
         assert!(!c.access(pa(32))); // evicts the only line
         assert!(!c.access(pa(0)));
-    }
-
-    #[test]
-    fn line_masking_helpers() {
-        let c = CacheConfig { sets: 8, ways: 2, line_bytes: 64 };
-        assert_eq!(c.line_base(0x1234), 0x1200);
-        assert_eq!(c.line_base(0x1200), 0x1200);
-        assert_eq!(c.set_index(0x1234), ((0x1234 / 64) % 8) as usize);
-        // Addresses one set-stride apart land in the same set.
-        let stride = 8 * 64;
-        assert_eq!(c.set_index(0x40), c.set_index(0x40 + stride));
     }
 
     #[test]

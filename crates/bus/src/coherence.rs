@@ -39,9 +39,9 @@
 //! the two agents share a line (the false-sharing hazard the race
 //! explorer in `tests/coherence.rs` enumerates).
 
-use crate::cache::CacheConfig;
-use crate::{CacheStats, SimTime};
-use udma_mem::{MemFault, PhysAddr, PhysMemory};
+use crate::cache::{CacheConfig, LineCache};
+use crate::SimTime;
+use udma_mem::{Fill, MemFault, PhysAddr, PhysMemory};
 
 /// Index of a caching agent within a [`CoherenceDomain`].
 pub type AgentId = usize;
@@ -127,152 +127,40 @@ impl CoherenceStats {
     }
 }
 
-/// One resident cache line.
-#[derive(Clone, Debug)]
-struct Line {
-    tag: u64,
-    state: MesiState,
-    data: Box<[u8]>,
-    lru: u64,
-}
-
 /// A data-carrying, physically-indexed, LRU, write-back cache with MESI
-/// state per line. Geometry comes from [`CacheConfig`]; `ways == 0` is
-/// the first-class miss-everything mode (no storage at all — the agent
+/// state per line: a [`LineCache`] whose lines hold their state and
+/// bytes. Geometry comes from [`CacheConfig`]; `ways == 0` is the
+/// first-class miss-everything mode (no storage at all — the agent
 /// behaves like an uncached master and its writes take the DMA path).
-#[derive(Clone, Debug)]
-pub struct CoherentCache {
-    config: CacheConfig,
-    sets: Vec<Vec<Line>>,
-    tick: u64,
-    stats: CacheStats,
-}
+/// Hits include silent E→M upgrades.
+pub type CoherentCache = LineCache<(MesiState, Box<[u8]>)>;
 
 impl CoherentCache {
-    /// Creates a cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry fails [`CacheConfig::validate`].
-    pub fn new(config: CacheConfig) -> Self {
-        config.validate();
-        CoherentCache {
-            config,
-            sets: vec![Vec::new(); config.sets],
-            tick: 0,
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// The geometry.
-    pub fn config(&self) -> CacheConfig {
-        self.config
-    }
-
-    /// Hit/miss/flush counters (hits include silent E→M upgrades).
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
     /// The MESI state of the line containing `pa`.
     pub fn state_of(&self, pa: PhysAddr) -> MesiState {
-        self.probe(pa.as_u64()).map(|l| l.state).unwrap_or(MesiState::Invalid)
-    }
-
-    fn probe(&self, pa: u64) -> Option<&Line> {
-        if self.config.ways == 0 {
-            return None;
-        }
-        let base = self.config.line_base(pa);
-        let (set, tag) = (self.config.set_index(base), self.config.tag(base));
-        self.sets[set].iter().find(|l| l.tag == tag)
-    }
-
-    fn probe_mut(&mut self, pa: u64) -> Option<&mut Line> {
-        if self.config.ways == 0 {
-            return None;
-        }
-        let base = self.config.line_base(pa);
-        let (set, tag) = (self.config.set_index(base), self.config.tag(base));
-        self.tick += 1;
-        let tick = self.tick;
-        let line = self.sets[set].iter_mut().find(|l| l.tag == tag);
-        if let Some(l) = line {
-            l.lru = tick;
-            return Some(l);
-        }
-        None
-    }
-
-    /// Removes the line containing `pa`, returning `(base, state, data)`
-    /// so the caller can write back a Modified victim.
-    fn take(&mut self, pa: u64) -> Option<(u64, MesiState, Box<[u8]>)> {
-        if self.config.ways == 0 {
-            return None;
-        }
-        let base = self.config.line_base(pa);
-        let (set, tag) = (self.config.set_index(base), self.config.tag(base));
-        let idx = self.sets[set].iter().position(|l| l.tag == tag)?;
-        let line = self.sets[set].swap_remove(idx);
-        Some((base, line.state, line.data))
-    }
-
-    /// Inserts a line, evicting the LRU way if the set is full. Returns
-    /// the evicted `(base, state, data)` for the caller to write back.
-    fn insert(
-        &mut self,
-        base: u64,
-        state: MesiState,
-        data: Box<[u8]>,
-    ) -> Option<(u64, MesiState, Box<[u8]>)> {
-        debug_assert!(self.config.ways > 0, "ways == 0 caches never allocate");
-        debug_assert_eq!(base, self.config.line_base(base));
-        let set = self.config.set_index(base);
-        let tag = self.config.tag(base);
-        self.tick += 1;
-        let victim = if self.sets[set].len() >= self.config.ways {
-            let (idx, _) = self.sets[set]
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, l)| l.lru)
-                .expect("full set is non-empty");
-            let v = self.sets[set].swap_remove(idx);
-            let vbase = self.base_of(v.tag, set);
-            Some((vbase, v.state, v.data))
-        } else {
-            None
-        };
-        self.sets[set].push(Line { tag, state, data, lru: self.tick });
-        victim
-    }
-
-    fn base_of(&self, tag: u64, set: usize) -> u64 {
-        ((tag << self.config.sets.trailing_zeros()) | set as u64) * self.config.line_bytes
+        let line = self.line(pa.as_u64());
+        self.lines.peek(line, |_| true).map_or(MesiState::Invalid, |&(state, _)| state)
     }
 
     /// Iterates `(line_base, state)` over every resident line.
     pub fn resident(&self) -> Vec<(u64, MesiState)> {
-        let mut out = Vec::new();
-        for (set, lines) in self.sets.iter().enumerate() {
-            for l in lines {
-                out.push((self.base_of(l.tag, set), l.state));
-            }
-        }
+        let line_bytes = self.config.line_bytes;
+        let mut out: Vec<_> =
+            self.lines.iter().map(|(line, &(state, _))| (line * line_bytes, state)).collect();
         out.sort_unstable();
         out
     }
+}
 
-    /// Drains every resident line, returning them for writeback.
-    fn drain(&mut self) -> Vec<(u64, MesiState, Box<[u8]>)> {
-        let mut out = Vec::new();
-        for set in 0..self.sets.len() {
-            while let Some(l) = self.sets[set].pop() {
-                out.push((self.base_of(l.tag, set), l.state, l.data));
-            }
-        }
-        self.stats.flushes += 1;
-        out
-    }
+/// Writes one dirty line back to memory, counting it.
+fn write_back(
+    stats: &mut CoherenceStats,
+    base: u64,
+    data: &[u8],
+    mem: &mut PhysMemory,
+) -> Result<(), MemFault> {
+    stats.writebacks += 1;
+    mem.write_bytes(PhysAddr::new(base), data)
 }
 
 /// The snoop bus: every caching agent plus the coherent DMA port. The
@@ -331,16 +219,6 @@ impl CoherenceDomain {
         t
     }
 
-    fn write_line_back(
-        &mut self,
-        base: u64,
-        data: &[u8],
-        mem: &mut PhysMemory,
-    ) -> Result<(), MemFault> {
-        self.stats.writebacks += 1;
-        mem.write_bytes(PhysAddr::new(base), data)
-    }
-
     /// Writes back a peer's Modified copy of `base` (if any) and leaves
     /// the supplier in `after`. Returns whether an intervention happened.
     fn snoop_flush_modified(
@@ -350,24 +228,23 @@ impl CoherenceDomain {
         after: MesiState,
         mem: &mut PhysMemory,
     ) -> Result<bool, MemFault> {
-        for i in 0..self.caches.len() {
+        for (i, cache) in self.caches.iter_mut().enumerate() {
             if Some(i) == requester {
                 continue;
             }
-            let holds_m =
-                self.caches[i].probe(base).is_some_and(|l| l.state == MesiState::Modified);
-            if holds_m {
-                let (b, _, data) = self.caches[i].take(base).expect("probe just hit");
-                self.write_line_back(b, &data, mem)?;
-                if after != MesiState::Invalid {
-                    // Re-insert clean; no eviction can happen (slot just
-                    // freed).
-                    let evicted = self.caches[i].insert(b, after, data);
-                    debug_assert!(evicted.is_none());
-                }
-                self.stats.interventions += 1;
-                return Ok(true);
+            let line = cache.line(base);
+            let line_base = line * cache.config.line_bytes;
+            let modified = |&(state, _): &(MesiState, _)| state == MesiState::Modified;
+            let Some((state, data)) = cache.lines.get(line, modified) else {
+                continue;
+            };
+            write_back(&mut self.stats, line_base, data, mem)?;
+            *state = after;
+            if after == MesiState::Invalid {
+                cache.lines.remove(line);
             }
+            self.stats.interventions += 1;
+            return Ok(true);
         }
         Ok(false)
     }
@@ -376,11 +253,8 @@ impl CoherenceDomain {
     /// dropped.
     fn snoop_invalidate(&mut self, requester: Option<AgentId>, base: u64) -> u64 {
         let mut dropped = 0;
-        for i in 0..self.caches.len() {
-            if Some(i) == requester {
-                continue;
-            }
-            if self.caches[i].take(base).is_some() {
+        for (i, cache) in self.caches.iter_mut().enumerate() {
+            if Some(i) != requester && cache.lines.remove(cache.line(base)).is_some() {
                 dropped += 1;
             }
         }
@@ -390,31 +264,38 @@ impl CoherenceDomain {
 
     /// Whether any peer (not `requester`) holds `base` in a valid state.
     fn any_peer_holds(&self, requester: Option<AgentId>, base: u64) -> bool {
-        self.caches.iter().enumerate().any(|(i, c)| Some(i) != requester && c.probe(base).is_some())
+        self.caches
+            .iter()
+            .enumerate()
+            .any(|(i, c)| Some(i) != requester && c.lines.peek(c.line(base), |_| true).is_some())
     }
 
     /// Downgrades every peer copy of `base` to Shared (BusRd snoop on
     /// clean holders).
     fn snoop_downgrade(&mut self, requester: Option<AgentId>, base: u64) {
-        for i in 0..self.caches.len() {
+        for (i, cache) in self.caches.iter_mut().enumerate() {
             if Some(i) == requester {
                 continue;
             }
-            if let Some(l) = self.caches[i].probe_mut(base) {
-                debug_assert_ne!(l.state, MesiState::Modified, "flushed before downgrade");
-                l.state = MesiState::Shared;
+            let line = cache.line(base);
+            if let Some((state, _)) = cache.lines.get(line, |_| true) {
+                debug_assert_ne!(*state, MesiState::Modified, "flushed before downgrade");
+                *state = MesiState::Shared;
             }
         }
     }
 
+    /// Writes back a Modified line a fill evicted from a cache of
+    /// `line_bytes`-byte lines, charging the writeback.
     fn evict_victim(
         &mut self,
-        victim: Option<(u64, MesiState, Box<[u8]>)>,
+        line_bytes: u64,
+        fill: Fill<u64, (MesiState, Box<[u8]>)>,
         mem: &mut PhysMemory,
     ) -> Result<SimTime, MemFault> {
-        match victim {
-            Some((base, MesiState::Modified, data)) => {
-                self.write_line_back(base, &data, mem)?;
+        match fill {
+            Fill::Evicted(line, (MesiState::Modified, data)) => {
+                write_back(&mut self.stats, line * line_bytes, &data, mem)?;
                 Ok(self.charge(self.timing.writeback))
             }
             _ => Ok(SimTime::ZERO),
@@ -445,13 +326,15 @@ impl CoherenceDomain {
             let lo = base.max(start);
             let hi = (base + line_bytes).min(end);
             let dst = &mut buf[(lo - start) as usize..(hi - start) as usize];
-            if let Some(l) = self.caches[agent].probe_mut(base) {
-                let off = (lo - base) as usize;
-                dst.copy_from_slice(&l.data[off..off + dst.len()]);
-                self.caches[agent].stats.hits += 1;
+            let off = (lo - base) as usize;
+            let cache = &mut self.caches[agent];
+            let line = cache.line(base);
+            if let Some((_, data)) = cache.lines.get(line, |_| true) {
+                dst.copy_from_slice(&data[off..off + dst.len()]);
+                cache.stats.hits += 1;
             } else {
                 all_hit = false;
-                self.caches[agent].stats.misses += 1;
+                cache.stats.misses += 1;
                 // BusRd: a Modified peer supplies via intervention (and
                 // memory is updated on the way past); clean peers
                 // downgrade to Shared.
@@ -464,13 +347,11 @@ impl CoherenceDomain {
                 let shared = self.any_peer_holds(Some(agent), base);
                 let mut data = vec![0u8; line_bytes as usize].into_boxed_slice();
                 mem.read_bytes(PhysAddr::new(base), &mut data)?;
-                let off = (lo - base) as usize;
                 dst.copy_from_slice(&data[off..off + dst.len()]);
-                if self.caches[agent].config.ways > 0 {
-                    let state = if shared { MesiState::Shared } else { MesiState::Exclusive };
-                    let victim = self.caches[agent].insert(base, state, data);
-                    extra += self.evict_victim(victim, mem)?;
-                }
+                // A zero-way cache hands the line straight back, clean.
+                let state = if shared { MesiState::Shared } else { MesiState::Exclusive };
+                let fill = self.caches[agent].lines.fill(line, (state, data));
+                extra += self.evict_victim(line_bytes, fill, mem)?;
             }
             base += line_bytes;
         }
@@ -510,27 +391,25 @@ impl CoherenceDomain {
             let hi = (base + line_bytes).min(end);
             let src = &bytes[(lo - start) as usize..(hi - start) as usize];
             let off = (lo - base) as usize;
-            let state = self.caches[agent].probe(base).map(|l| l.state);
-            match state {
-                Some(MesiState::Modified) | Some(MesiState::Exclusive) => {
-                    let l = self.caches[agent].probe_mut(base).expect("probe just hit");
-                    l.data[off..off + src.len()].copy_from_slice(src);
-                    l.state = MesiState::Modified; // silent E → M
-                    self.caches[agent].stats.hits += 1;
+            let cache = &mut self.caches[agent];
+            let line = cache.line(base);
+            let hit = cache.lines.get(line, |_| true).map(|(state, data)| {
+                data[off..off + src.len()].copy_from_slice(src);
+                std::mem::replace(state, MesiState::Modified) // silent E → M
+            });
+            match hit {
+                Some(before) => {
+                    cache.stats.hits += 1;
+                    if before == MesiState::Shared {
+                        // BusUpgrade: claim ownership without a data fetch.
+                        self.stats.upgrades += 1;
+                        self.snoop_invalidate(Some(agent), base);
+                        extra += self.charge(self.timing.invalidate);
+                    }
                 }
-                Some(MesiState::Shared) => {
-                    // BusUpgrade: claim ownership without a data fetch.
-                    self.stats.upgrades += 1;
-                    self.snoop_invalidate(Some(agent), base);
-                    extra += self.charge(self.timing.invalidate);
-                    let l = self.caches[agent].probe_mut(base).expect("probe just hit");
-                    l.data[off..off + src.len()].copy_from_slice(src);
-                    l.state = MesiState::Modified;
-                    self.caches[agent].stats.hits += 1;
-                }
-                _ => {
+                None => {
                     all_hit = false;
-                    self.caches[agent].stats.misses += 1;
+                    cache.stats.misses += 1;
                     // BusRdX: fetch the line for ownership; a Modified
                     // peer writes back first, everyone else drops it.
                     self.stats.bus_rdx += 1;
@@ -543,8 +422,8 @@ impl CoherenceDomain {
                     let mut data = vec![0u8; line_bytes as usize].into_boxed_slice();
                     mem.read_bytes(PhysAddr::new(base), &mut data)?;
                     data[off..off + src.len()].copy_from_slice(src);
-                    let victim = self.caches[agent].insert(base, MesiState::Modified, data);
-                    extra += self.evict_victim(victim, mem)?;
+                    let fill = self.caches[agent].lines.fill(line, (MesiState::Modified, data));
+                    extra += self.evict_victim(line_bytes, fill, mem)?;
                 }
             }
             base += line_bytes;
@@ -704,13 +583,12 @@ impl CoherenceDomain {
         while base < end {
             lines += 1;
             time += self.charge(self.timing.flush_line);
-            if let Some((b, state, data)) = self.caches[agent].take(base) {
-                if state == MesiState::Modified {
-                    dirty += 1;
-                    // The range was validated when the line was filled.
-                    self.write_line_back(b, &data, mem).expect("resident line is backed");
-                    time += self.charge(self.timing.writeback);
-                }
+            let cache = &mut self.caches[agent];
+            if let Some((MesiState::Modified, data)) = cache.lines.remove(cache.line(base)) {
+                dirty += 1;
+                // The range was validated when the line was filled.
+                write_back(&mut self.stats, base, &data, mem).expect("resident line is backed");
+                time += self.charge(self.timing.writeback);
             }
             base += line_bytes;
         }
@@ -732,7 +610,8 @@ impl CoherenceDomain {
         while base < end {
             lines += 1;
             time += self.charge(self.timing.invalidate_line);
-            let _ = self.caches[agent].take(base);
+            let cache = &mut self.caches[agent];
+            cache.lines.remove(cache.line(base));
             base += line_bytes;
         }
         self.stats.invalidate_lines += lines;
@@ -743,25 +622,29 @@ impl CoherenceDomain {
     /// switch on a machine without address-space tags). Not charged —
     /// the executor's switch path already prices switches; stats only.
     pub fn flush_all(&mut self, agent: AgentId, mem: &mut PhysMemory) {
-        for (base, state, data) in self.caches[agent].drain() {
+        let cache = &mut self.caches[agent];
+        let line_bytes = cache.config.line_bytes;
+        cache.stats.flushes += 1;
+        cache.lines.drain(|line, (state, data)| {
             if state == MesiState::Modified {
-                self.write_line_back(base, &data, mem).expect("resident line is backed");
+                write_back(&mut self.stats, line * line_bytes, &data, mem)
+                    .expect("resident line is backed");
             }
-        }
+        });
     }
 
     /// Writes every Modified line of every cache back to memory, leaving
     /// the lines resident and clean (Exclusive). Test/inspection surface:
     /// after `sync`, the flat memory image is the authoritative state.
     pub fn sync(&mut self, mem: &mut PhysMemory) {
-        for agent in 0..self.caches.len() {
-            let resident = self.caches[agent].resident();
-            for (base, state) in resident {
-                if state == MesiState::Modified {
-                    let (b, _, data) = self.caches[agent].take(base).expect("resident");
-                    self.write_line_back(b, &data, mem).expect("resident line is backed");
-                    let evicted = self.caches[agent].insert(b, MesiState::Exclusive, data);
-                    debug_assert!(evicted.is_none());
+        for cache in &mut self.caches {
+            // In address order, each written-back line counting as used.
+            for (base, _) in cache.resident() {
+                let line = cache.line(base);
+                let modified = |&(state, _): &(MesiState, _)| state == MesiState::Modified;
+                if let Some((state, data)) = cache.lines.get(line, modified) {
+                    write_back(&mut self.stats, base, data, mem).expect("resident line is backed");
+                    *state = MesiState::Exclusive;
                 }
             }
         }
@@ -795,14 +678,15 @@ impl CoherenceDomain {
             if exclusive > 1 || (exclusive == 1 && who.len() > 1) {
                 return Err(format!("line {base:#x}: M/E held alongside other copies: {who:?}"));
             }
-            for &(agent, state) in &who {
+        }
+        for (agent, c) in self.caches.iter().enumerate() {
+            for (line, (state, data)) in c.lines.iter() {
                 if matches!(state, MesiState::Exclusive | MesiState::Shared) {
-                    let c = &self.caches[agent];
-                    let l = c.probe(base).expect("resident");
-                    let mut memline = vec![0u8; c.config.line_bytes as usize];
+                    let base = line * c.config.line_bytes;
+                    let mut memline = vec![0u8; data.len()];
                     mem.read_bytes(PhysAddr::new(base), &mut memline)
                         .map_err(|e| format!("line {base:#x}: unbacked clean line: {e:?}"))?;
-                    if memline.as_slice() != &l.data[..] {
+                    if memline.as_slice() != &data[..] {
                         return Err(format!(
                             "line {base:#x}: agent {agent} holds {state:?} ≠ memory"
                         ));

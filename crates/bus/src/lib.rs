@@ -18,6 +18,8 @@
 //!   footnote 6 ("some hardware devices may attempt to collapse successive
 //!   read/write operations to the same address ... appropriate memory
 //!   barrier commands should be used"),
+//! * [`DataCache`] — the timing-only CPU data cache, a [`LineCache`]
+//!   over the shared [`udma_mem::SetAssoc`] array,
 //! * [`CoherentCache`]/[`CoherenceDomain`] — the data-carrying MESI
 //!   snooping model (agent caches holding real line contents, DMA ports
 //!   that intervene on Modified lines, and the software flush/invalidate
@@ -44,7 +46,7 @@ mod trace;
 mod write_buffer;
 
 pub use bus::{Bus, BusStats};
-pub use cache::{CacheConfig, CacheStats, DataCache};
+pub use cache::{CacheConfig, CacheStats, DataCache, LineCache};
 pub use coherence::{
     AgentId, CoherenceDomain, CoherenceStats, CoherenceTiming, CoherentCache, MesiState,
 };

@@ -784,7 +784,7 @@ impl Machine {
     /// The model swapper: takes one page of `pid`'s address space out of
     /// memory through [`VmManager::swap_out`](udma_os::VmManager::swap_out),
     /// which refuses pages the IOMMU holds pinned and shoots the I/O
-    /// translation of any other down.
+    /// translation of any other down; the CPU's TLB entry goes too.
     ///
     /// # Errors
     ///
@@ -793,7 +793,9 @@ impl Machine {
         let asid = self.envs[pid.as_u32() as usize].ctx.map(|g| g.ctx);
         let iommu = asid.and(self.bus.nic_mut().core_mut().iommu_mut());
         let pt = self.executor.process_mut(pid).page_table_mut();
-        self.kernel.vm_mut().swap_out(asid.unwrap_or(pid.as_u32()), pt, iommu, va.page())
+        self.kernel.vm_mut().swap_out(asid.unwrap_or(pid.as_u32()), pt, iommu, va.page())?;
+        self.executor.invalidate_tlb_page(pid, va.page());
+        Ok(())
     }
 }
 

@@ -6,7 +6,7 @@ use crate::{
 };
 use std::collections::HashMap;
 use udma_bus::{Bus, BusTxn, PendingStore, SimTime, WriteBuffer, WriteBufferPolicy};
-use udma_mem::{Access, MemFault, PageTable, Tlb, TlbStats};
+use udma_mem::{Access, MemFault, PageTable, Tlb, TlbStats, VirtPage};
 
 /// Counters kept by the executor.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -135,6 +135,15 @@ impl Executor {
     /// TLB counters.
     pub fn tlb_stats(&self) -> TlbStats {
         self.tlb.stats()
+    }
+
+    /// Shoots down the TLB entry for `page` of `pid` after the OS
+    /// unmapped it. The TLB holds only the running process's
+    /// translations (a switch flushes it), so another pid has none.
+    pub fn invalidate_tlb_page(&mut self, pid: Pid, page: VirtPage) {
+        if self.current == Some(pid) {
+            self.tlb.invalidate_page(page);
+        }
     }
 
     /// The write buffer (inspect collapse/forward counters in tests).

@@ -8,20 +8,10 @@
 //! ([`Iotlb::invalidate_page`]).
 
 use crate::Asid;
-use std::ops::Range;
-use udma_mem::{Perms, PhysFrame, TlbStats, VirtPage};
+use udma_mem::{Fill, Perms, PhysFrame, SetAssoc, SetKey, TlbStats, VirtPage};
 
-/// Replacement policy within a set.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum IotlbReplacement {
-    /// Replace the oldest fill (per-set round-robin pointer).
-    #[default]
-    Fifo,
-    /// Replace the least recently used entry.
-    Lru,
-    /// Replace a pseudo-random way (deterministic splitmix stream).
-    Random,
-}
+/// Replacement policy within a set: the array's own policies.
+pub use udma_mem::Replacement as IotlbReplacement;
 
 /// IOTLB geometry and policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,36 +61,36 @@ pub struct IotlbStats {
     pub prefetch_unused: u64,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Line {
+/// A line's tag: one page of one address space.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Tag {
     asid: Asid,
     page: VirtPage,
+}
+
+impl SetKey for Tag {
+    fn set_hash(&self) -> u64 {
+        // Hash the ASID into the index so two processes touching the
+        // same page numbers (the common buffer layout) don't contend
+        // for the same sets.
+        self.page.number() ^ (self.asid as u64).wrapping_mul(0x9E37_79B9)
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Line {
     frame: PhysFrame,
     perms: Perms,
-    /// LRU timestamp (monotonic fill/touch tick).
-    stamp: u64,
     /// Filled ahead of demand and not yet used by a demand access.
     prefetched: bool,
 }
 
-/// The translation cache proper: one flat array of `sets × ways`
-/// lines, set `s` at `lines[s * ways..(s + 1) * ways]`.
+/// The translation cache proper: one set-associative array of lines
+/// tagged `(asid, page)`, plus the counters.
 #[derive(Clone, Debug)]
 pub struct Iotlb {
-    lines: Vec<Option<Line>>,
-    ways: usize,
-    num_sets: usize,
-    /// `num_sets - 1` when the set count is a power of two, so the set
-    /// index is a mask instead of a division.
-    set_mask: Option<u64>,
-    replacement: IotlbReplacement,
-    fifo_ptr: Vec<usize>,
-    tick: u64,
-    rng_state: u64,
+    lines: SetAssoc<Tag, Line>,
     stats: IotlbStats,
-    /// Valid-line count, maintained on every fill/invalidate so
-    /// [`Iotlb::len`] is O(1) instead of a full scan.
-    live: usize,
 }
 
 impl Iotlb {
@@ -117,65 +107,26 @@ impl Iotlb {
             config.entries.is_multiple_of(config.ways),
             "IOTLB entries must be a multiple of the associativity"
         );
-        let num_sets = config.entries / config.ways;
+        let sets = config.entries / config.ways;
         Iotlb {
-            lines: vec![None; config.entries],
-            ways: config.ways,
-            num_sets,
-            set_mask: num_sets.is_power_of_two().then(|| num_sets as u64 - 1),
-            replacement: config.replacement,
-            fifo_ptr: vec![0; num_sets],
-            tick: 0,
-            rng_state: config.seed,
+            lines: SetAssoc::new(sets, config.ways, config.replacement, config.seed),
             stats: IotlbStats::default(),
-            live: 0,
         }
     }
 
-    /// Valid entries currently cached (O(1): a live counter maintained
-    /// on fill and invalidation, not a scan over every set).
+    /// Valid entries currently cached (O(1)).
     pub fn len(&self) -> usize {
-        self.live
+        self.lines.len()
     }
 
     /// Whether the IOTLB caches nothing.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.lines.is_empty()
     }
 
     /// Current statistics.
     pub fn stats(&self) -> IotlbStats {
         self.stats
-    }
-
-    fn set_index(&self, asid: Asid, page: VirtPage) -> usize {
-        // Hash the ASID into the index so two processes touching the
-        // same page numbers (the common buffer layout) don't contend
-        // for the same sets.
-        let h = page.number() ^ (asid as u64).wrapping_mul(0x9E37_79B9);
-        match self.set_mask {
-            Some(mask) => (h & mask) as usize,
-            None => (h % self.num_sets as u64) as usize,
-        }
-    }
-
-    /// The line range of set `idx`.
-    fn set(&self, idx: usize) -> Range<usize> {
-        idx * self.ways..(idx + 1) * self.ways
-    }
-
-    /// The line range of the set `(asid, page)` maps to.
-    fn set_of(&self, asid: Asid, page: VirtPage) -> Range<usize> {
-        self.set(self.set_index(asid, page))
-    }
-
-    fn next_random(&mut self) -> u64 {
-        // splitmix64 step: deterministic per seed.
-        self.rng_state = self.rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
     }
 
     /// Looks up `(asid, page)`; counts a hit only when the cached entry
@@ -207,13 +158,7 @@ impl Iotlb {
         page: VirtPage,
         needed: Perms,
     ) -> Option<(PhysFrame, Perms)> {
-        let set = self.set_of(asid, page);
-        let line = self.lines[set]
-            .iter_mut()
-            .flatten()
-            .find(|l| l.asid == asid && l.page == page && l.perms.allows(needed))?;
-        self.tick += 1;
-        line.stamp = self.tick;
+        let line = self.lines.get(Tag { asid, page }, |l| l.perms.allows(needed))?;
         if line.prefetched {
             line.prefetched = false;
             self.stats.prefetch_hidden += 1;
@@ -226,11 +171,7 @@ impl Iotlb {
     /// allows `needed`, with no counters, no LRU touch and no flag
     /// retirement — inspection that leaves the IOTLB exactly as it was.
     pub fn peek(&self, asid: Asid, page: VirtPage, needed: Perms) -> Option<(PhysFrame, Perms)> {
-        self.lines[self.set_of(asid, page)]
-            .iter()
-            .flatten()
-            .find(|l| l.asid == asid && l.page == page && l.perms.allows(needed))
-            .map(|l| (l.frame, l.perms))
+        self.lines.peek(Tag { asid, page }, |l| l.perms.allows(needed)).map(|l| (l.frame, l.perms))
     }
 
     /// Pure residency check ([`Iotlb::peek`] without the frame). The
@@ -244,7 +185,7 @@ impl Iotlb {
     /// policy. An existing line for the same `(asid, page)` is updated
     /// in place (permission upgrade after a `protect`).
     pub fn insert(&mut self, asid: Asid, page: VirtPage, frame: PhysFrame, perms: Perms) {
-        self.fill(asid, page, frame, perms, false);
+        self.fill(Tag { asid, page }, Line { frame, perms, prefetched: false });
     }
 
     /// Fills a translation the prefetcher walked ahead of demand. The
@@ -259,93 +200,39 @@ impl Iotlb {
         perms: Perms,
     ) {
         self.stats.prefetch_fills += 1;
-        self.fill(asid, page, frame, perms, true);
+        self.fill(Tag { asid, page }, Line { frame, perms, prefetched: true });
     }
 
-    fn fill(
-        &mut self,
-        asid: Asid,
-        page: VirtPage,
-        frame: PhysFrame,
-        perms: Perms,
-        prefetched: bool,
-    ) {
-        let idx = self.set_index(asid, page);
-        let set = self.set(idx);
-        self.tick += 1;
-        let line = Line { asid, page, frame, perms, stamp: self.tick, prefetched };
-        // One pass over the set finds the line already caching the page,
-        // the first vacant way, and the least recently used valid way
-        // (the oldest stamp; stamps are unique, so there is no tie).
-        let mut vacant = None;
-        let mut oldest = (0, u64::MAX);
-        for (way, slot) in self.lines[set.clone()].iter_mut().enumerate() {
-            match slot {
-                Some(l) if l.asid == asid && l.page == page => {
-                    if l.prefetched && !prefetched {
-                        // A demand walk overwrote the line before it
-                        // served a demand access (e.g. a permission
-                        // upgrade): the prefetched walk bought nothing.
-                        self.stats.prefetch_unused += 1;
-                    }
-                    *l = line;
-                    return;
-                }
-                Some(l) if l.stamp < oldest.1 => oldest = (way, l.stamp),
-                Some(_) => {}
-                None => {
-                    vacant.get_or_insert(way);
-                }
+    fn fill(&mut self, tag: Tag, line: Line) {
+        let prefetched = line.prefetched;
+        match self.lines.fill(tag, line) {
+            Fill::Vacant => {}
+            // A demand walk overwrote the line before it served a demand
+            // access (e.g. a permission upgrade): the prefetched walk
+            // bought nothing.
+            Fill::Replaced(old) => {
+                self.stats.prefetch_unused += u64::from(old.prefetched && !prefetched)
+            }
+            Fill::Evicted(_, victim) => {
+                self.stats.tlb.evictions += 1;
+                self.stats.prefetch_unused += u64::from(victim.prefetched);
             }
         }
-        let way = match vacant {
-            Some(way) => {
-                self.live += 1;
-                way
-            }
-            None => {
-                self.stats.tlb.evictions += 1;
-                let way = match self.replacement {
-                    IotlbReplacement::Fifo => {
-                        let w = self.fifo_ptr[idx];
-                        self.fifo_ptr[idx] = (w + 1) % self.ways;
-                        w
-                    }
-                    IotlbReplacement::Lru => oldest.0,
-                    IotlbReplacement::Random => (self.next_random() % self.ways as u64) as usize,
-                };
-                if self.lines[set.start + way].is_some_and(|victim| victim.prefetched) {
-                    self.stats.prefetch_unused += 1;
-                }
-                way
-            }
-        };
-        self.lines[set.start + way] = Some(line);
     }
 
     /// Shoots down one page of one address space (OS unmap/swap-out).
     pub fn invalidate_page(&mut self, asid: Asid, page: VirtPage) {
         self.stats.shootdowns += 1;
-        let set = self.set_of(asid, page);
-        for slot in &mut self.lines[set] {
-            if let Some(l) = slot.filter(|l| l.asid == asid && l.page == page) {
-                self.live -= 1;
-                self.stats.prefetch_unused += u64::from(l.prefetched);
-                *slot = None;
-            }
+        if let Some(l) = self.lines.remove(Tag { asid, page }) {
+            self.stats.prefetch_unused += u64::from(l.prefetched);
         }
     }
 
     /// Invalidates everything (device reset).
     pub fn flush_all(&mut self) {
         self.stats.tlb.flushes += 1;
-        for slot in &mut self.lines {
-            if let Some(l) = slot.take() {
-                self.stats.prefetch_unused += u64::from(l.prefetched);
-            }
-        }
-        self.live = 0;
-        self.fifo_ptr.iter_mut().for_each(|p| *p = 0);
+        let unused = &mut self.stats.prefetch_unused;
+        self.lines.drain(|_, l| *unused += u64::from(l.prefetched));
     }
 }
 
@@ -397,9 +284,8 @@ mod tests {
     fn eviction_within_a_full_set() {
         // 2 sets × 2 ways; same set gets 3 pages → one eviction.
         let mut t = tlb(4, 2, IotlbReplacement::Fifo);
-        let idx = t.set_index(1, VirtPage::new(0));
-        let same_set: Vec<u64> =
-            (0..64).filter(|&p| t.set_index(1, VirtPage::new(p)) == idx).take(3).collect();
+        let set = |p| Tag { asid: 1, page: VirtPage::new(p) }.set_hash() % 2;
+        let same_set: Vec<u64> = (0..64).filter(|&p| set(p) == set(0)).take(3).collect();
         for &p in &same_set {
             t.insert(1, VirtPage::new(p), PhysFrame::new(p), Perms::READ);
         }
@@ -548,7 +434,7 @@ mod tests {
                         }
                     }
                 }
-                let scanned = t.lines.iter().filter(|l| l.is_some()).count();
+                let scanned = t.lines.iter().count();
                 assert_eq!(t.len(), scanned, "live counter diverged from scan (seed {seed})");
             }
         }

@@ -16,8 +16,8 @@
 //! * [`IoPageTable`] — per-ASID authoritative translations, with a pin
 //!   bit the swapper honours, in the page-keyed hash map
 //!   ([`udma_mem::PageMap`]) the CPU page table uses too;
-//! * [`Iotlb`] — set-associative, ASID-tagged translation cache, one
-//!   flat line array indexed by set, with
+//! * [`Iotlb`] — set-associative, ASID-tagged translation cache on the
+//!   shared [`udma_mem::SetAssoc`] array, with
 //!   configurable replacement and full hit/miss/eviction/shootdown
 //!   statistics ([`IotlbStats`] embeds the CPU-side
 //!   [`udma_mem::TlbStats`] shape);

@@ -9,7 +9,9 @@
 //! * per-process [`PageTable`]s with protection bits ([`Perms`]), over
 //!   the seedless page-keyed hash map [`PageMap`] that the NI's I/O
 //!   page tables share,
-//! * a small [`Tlb`] with hit/miss statistics, and
+//! * a small [`Tlb`] with hit/miss statistics, over the flat
+//!   set-associative array [`SetAssoc`] that every TLB and cache of the
+//!   machine is built on, and
 //! * the *shadow addressing* arithmetic ([`ShadowLayout`]) that every
 //!   user-level DMA protocol in the paper relies on (§2.3, §3.2).
 //!
@@ -39,6 +41,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod addr;
 mod fault;
@@ -47,6 +50,7 @@ mod page_map;
 mod page_table;
 mod perms;
 mod phys;
+mod set_assoc;
 mod shadow;
 mod tlb;
 
@@ -57,5 +61,6 @@ pub use page_map::{PageHasher, PageMap};
 pub use page_table::{Access, PageTable, PteEntry};
 pub use perms::Perms;
 pub use phys::{FrameAllocator, PhysMemory};
+pub use set_assoc::{Fill, Replacement, SetAssoc, SetKey};
 pub use shadow::ShadowLayout;
-pub use tlb::{Tlb, TlbEntry, TlbStats};
+pub use tlb::{Tlb, TlbStats};

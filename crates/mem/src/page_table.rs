@@ -101,12 +101,22 @@ impl PageTable {
     /// [`MemFault::Unmapped`] if no entry exists;
     /// [`MemFault::Protection`] if the entry lacks the needed permission.
     pub fn translate(&self, va: VirtAddr, access: Access) -> Result<PhysAddr, MemFault> {
+        self.walk(va, access).map(|e| e.frame.base() + va.page_offset())
+    }
+
+    /// The entry for `va`'s page, if it allows `access`: the walk behind
+    /// [`translate`](Self::translate), for callers that cache the entry.
+    ///
+    /// # Errors
+    ///
+    /// As for [`translate`](Self::translate).
+    pub fn walk(&self, va: VirtAddr, access: Access) -> Result<&PteEntry, MemFault> {
         let e = self.entries.get(&va.page()).ok_or(MemFault::Unmapped { va })?;
         let needed = access.required_perms();
         if !e.perms.allows(needed) {
             return Err(MemFault::Protection { va, needed, granted: e.perms });
         }
-        Ok(e.frame.base() + va.page_offset())
+        Ok(e)
     }
 
     /// Translates a whole byte range, checking every page it touches.

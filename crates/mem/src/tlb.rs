@@ -1,17 +1,7 @@
 //! A small translation lookaside buffer with statistics.
 
-use crate::{Access, PageTable, Perms, PhysAddr, PhysFrame, VirtAddr, VirtPage};
-
-/// One cached translation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TlbEntry {
-    /// Virtual page tag.
-    pub page: VirtPage,
-    /// Cached physical frame.
-    pub frame: PhysFrame,
-    /// Cached permissions.
-    pub perms: Perms,
-}
+use crate::{Access, Fill, MemFault, PageTable, Perms, PhysAddr, PhysFrame, Replacement};
+use crate::{SetAssoc, VirtAddr, VirtPage};
 
 /// Hit/miss/flush/eviction counters.
 ///
@@ -42,7 +32,8 @@ impl TlbStats {
     }
 }
 
-/// A fully associative TLB with FIFO replacement.
+/// A fully associative TLB with FIFO replacement: one set of
+/// `capacity` ways caching each page's frame and permissions.
 ///
 /// The Alpha 21064 has a 32-entry data TLB; the default capacity matches.
 /// The simulated kernel flushes it on every context switch (the 21064's
@@ -52,9 +43,7 @@ impl TlbStats {
 /// paper leans on).
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    entries: Vec<TlbEntry>,
-    capacity: usize,
-    next_victim: usize,
+    entries: SetAssoc<VirtPage, (PhysFrame, Perms)>,
     stats: TlbStats,
 }
 
@@ -73,9 +62,7 @@ impl Tlb {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "TLB capacity must be nonzero");
         Tlb {
-            entries: Vec::with_capacity(capacity),
-            capacity,
-            next_victim: 0,
+            entries: SetAssoc::new(1, capacity, Replacement::Fifo, 0),
             stats: TlbStats::default(),
         }
     }
@@ -95,45 +82,34 @@ impl Tlb {
         pt: &PageTable,
         va: VirtAddr,
         access: Access,
-    ) -> Result<(PhysAddr, bool), crate::MemFault> {
+    ) -> Result<(PhysAddr, bool), MemFault> {
         let page = va.page();
-        if let Some(e) = self.entries.iter().find(|e| e.page == page) {
-            let needed = access.required_perms();
-            if e.perms.allows(needed) {
-                self.stats.hits += 1;
-                return Ok((e.frame.base() + va.page_offset(), true));
-            }
-            // Permission miss: fall through to the authoritative walk so a
-            // `protect()` upgrade takes effect (hardware would fault to the
-            // kernel, which would then upgrade the entry).
+        let needed = access.required_perms();
+        // A cached entry without the permission is a miss: the
+        // authoritative walk lets a `protect()` upgrade take effect
+        // (hardware would fault to the kernel, which would then upgrade
+        // the entry).
+        if let Some(&mut (frame, _)) = self.entries.get(page, |(_, perms)| perms.allows(needed)) {
+            self.stats.hits += 1;
+            return Ok((frame.base() + va.page_offset(), true));
         }
         self.stats.misses += 1;
-        let pa = pt.translate(va, access)?;
-        let pte = pt.entry(page).expect("translate succeeded");
-        self.insert(TlbEntry { page, frame: pte.frame, perms: pte.perms });
-        Ok((pa, false))
-    }
-
-    /// Inserts an entry, evicting FIFO when full. An existing entry for
-    /// the same page is replaced in place.
-    pub fn insert(&mut self, entry: TlbEntry) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.page == entry.page) {
-            *e = entry;
-            return;
-        }
-        if self.entries.len() < self.capacity {
-            self.entries.push(entry);
-        } else {
-            self.entries[self.next_victim] = entry;
-            self.next_victim = (self.next_victim + 1) % self.capacity;
+        let pte = *pt.walk(va, access)?;
+        if let Fill::Evicted(..) = self.entries.fill(page, (pte.frame, pte.perms)) {
             self.stats.evictions += 1;
         }
+        Ok((pte.frame.base() + va.page_offset(), false))
+    }
+
+    /// Drops the entry for `page`, if cached: the single-page shootdown
+    /// the OS issues after unmapping a page of the running process.
+    pub fn invalidate_page(&mut self, page: VirtPage) {
+        self.entries.remove(page);
     }
 
     /// Invalidates everything (context switch).
     pub fn flush_all(&mut self) {
-        self.entries.clear();
-        self.next_victim = 0;
+        self.entries.drain(|_, _| {});
         self.stats.flushes += 1;
     }
 
@@ -239,19 +215,26 @@ mod tests {
     }
 
     #[test]
-    fn insert_replaces_same_page() {
+    fn rewalk_replaces_the_same_page_in_place() {
+        let mut pt = PageTable::new();
+        pt.map(VirtPage::new(1), PhysFrame::new(1), Perms::READ).unwrap();
         let mut tlb = Tlb::new(2);
-        tlb.insert(TlbEntry {
-            page: VirtPage::new(1),
-            frame: PhysFrame::new(1),
-            perms: Perms::READ,
-        });
-        tlb.insert(TlbEntry {
-            page: VirtPage::new(1),
-            frame: PhysFrame::new(2),
-            perms: Perms::READ_WRITE,
-        });
+        tlb.translate(&pt, VirtPage::new(1).base(), Access::Read).unwrap();
+        pt.protect(VirtPage::new(1), Perms::READ_WRITE).unwrap();
+        tlb.translate(&pt, VirtPage::new(1).base(), Access::Write).unwrap();
         assert_eq!(tlb.len(), 1);
+        assert_eq!(tlb.stats().evictions, 0);
+    }
+
+    #[test]
+    fn invalidate_page_is_selective() {
+        let (pt, mut tlb) = small_world();
+        tlb.translate(&pt, VirtPage::new(0).base(), Access::Read).unwrap();
+        tlb.translate(&pt, VirtPage::new(1).base(), Access::Read).unwrap();
+        tlb.invalidate_page(VirtPage::new(0));
+        assert_eq!(tlb.len(), 1);
+        assert!(!tlb.translate(&pt, VirtPage::new(0).base(), Access::Read).unwrap().1);
+        assert!(tlb.translate(&pt, VirtPage::new(1).base(), Access::Read).unwrap().1);
     }
 
     #[test]

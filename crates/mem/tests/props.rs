@@ -1,11 +1,12 @@
-//! Property-based tests for the memory substrate.
+//! Property-based tests for the memory substrate, and the flat
+//! set-associative array against a reference model of the nested layout.
 
 use udma_testkit::prop::{any, vec};
 use udma_testkit::{prop_assert, prop_assert_eq, props};
 
 use udma_mem::{
-    Access, FrameAllocator, MemFault, PageTable, Perms, PhysAddr, PhysMemory, ShadowLayout,
-    VirtAddr, VirtPage, PAGE_SIZE,
+    Access, Fill, FrameAllocator, MemFault, PageTable, Perms, PhysAddr, PhysMemory, Replacement,
+    SetAssoc, ShadowLayout, VirtAddr, VirtPage, PAGE_SIZE,
 };
 
 /// Frames of the memory the copy property runs on.
@@ -192,6 +193,162 @@ props! {
                     break;
                 }
             }
+        }
+    }
+}
+
+/// One resident `(key, value, stamp)` of the reference model.
+type RefSlot = (u64, u64, u64);
+
+/// The set-associative array as a `Vec` of ways per set, the set picked
+/// by `%`, every operation a scan of `Option` ways: the specification the
+/// flat [`SetAssoc`] must match operation by operation.
+struct RefSetAssoc {
+    sets: Vec<Vec<Option<RefSlot>>>,
+    replacement: Replacement,
+    fifo: Vec<usize>,
+    tick: u64,
+    rng_state: u64,
+}
+
+impl RefSetAssoc {
+    fn new(sets: usize, ways: usize, replacement: Replacement, seed: u64) -> Self {
+        RefSetAssoc {
+            sets: vec![vec![None; ways]; sets],
+            replacement,
+            fifo: vec![0; sets],
+            tick: 0,
+            rng_state: seed,
+        }
+    }
+
+    fn set(&mut self, key: u64) -> &mut Vec<Option<RefSlot>> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[(key % n) as usize]
+    }
+
+    fn len(&self) -> usize {
+        self.sets.iter().flatten().flatten().count()
+    }
+
+    fn next_random(&mut self) -> u64 {
+        self.rng_state = self.rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.rng_state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A touching lookup that accepts values `>= min` and increments the
+    /// accepted value in place.
+    fn get_bump(&mut self, key: u64, min: u64) -> Option<u64> {
+        self.tick += 1;
+        let tick = self.tick;
+        let slot = self.set(key).iter_mut().flatten().find(|s| s.0 == key)?;
+        if slot.1 < min {
+            return None;
+        }
+        slot.1 += 1;
+        slot.2 = tick;
+        Some(slot.1)
+    }
+
+    fn peek(&mut self, key: u64, min: u64) -> Option<u64> {
+        self.set(key).iter().flatten().find(|s| s.0 == key && s.1 >= min).map(|s| s.1)
+    }
+
+    fn fill(&mut self, key: u64, value: u64) -> Fill<u64, u64> {
+        let idx = (key % self.sets.len() as u64) as usize;
+        let ways = self.sets[idx].len();
+        if ways == 0 {
+            return Fill::Evicted(key, value);
+        }
+        self.tick += 1;
+        let tick = self.tick;
+        if let Some(s) = self.sets[idx].iter_mut().flatten().find(|s| s.0 == key) {
+            let old = s.1;
+            *s = (key, value, tick);
+            return Fill::Replaced(old);
+        }
+        if let Some(free) = self.sets[idx].iter().position(Option::is_none) {
+            self.sets[idx][free] = Some((key, value, tick));
+            return Fill::Vacant;
+        }
+        let way = match self.replacement {
+            Replacement::Fifo => {
+                let w = self.fifo[idx];
+                self.fifo[idx] = (w + 1) % ways;
+                w
+            }
+            Replacement::Lru => {
+                let stamps = self.sets[idx].iter().map(|s| s.map_or(u64::MAX, |s| s.2));
+                let oldest = stamps.clone().min().unwrap();
+                stamps.clone().position(|t| t == oldest).unwrap()
+            }
+            Replacement::Random => (self.next_random() % ways as u64) as usize,
+        };
+        let (vk, vv, _) = self.sets[idx][way].replace((key, value, tick)).unwrap();
+        Fill::Evicted(vk, vv)
+    }
+
+    fn remove(&mut self, key: u64) -> Option<u64> {
+        let slot = self.set(key).iter_mut().find(|s| s.is_some_and(|s| s.0 == key))?;
+        slot.take().map(|s| s.1)
+    }
+
+    fn pairs(&self) -> Vec<(u64, u64)> {
+        self.sets.iter().flatten().flatten().map(|s| (s.0, s.1)).collect()
+    }
+
+    fn drain(&mut self) -> Vec<(u64, u64)> {
+        let out = self.pairs();
+        self.sets.iter_mut().flatten().for_each(|s| *s = None);
+        self.fifo.fill(0);
+        out
+    }
+}
+
+props! {
+    /// The flat array is the nested one: after every fill, touching
+    /// lookup (which also writes through the returned value), peek,
+    /// remove and drain of a random sequence, both return the same value,
+    /// fill result (every victim included), resident pairs in order and
+    /// `len`, over 1–8 sets (powers of two and not), 0–8 ways, each
+    /// replacement policy and random seeds.
+    fn flat_set_assoc_matches_the_nested_reference(
+        sets in 1usize..9,
+        ways in 0usize..9,
+        policy in 0usize..3,
+        seed in any::<u64>(),
+        ops in vec((0u8..8, 0u64..24, 0u64..8), 1..200),
+    ) {
+        let replacement = [Replacement::Fifo, Replacement::Lru, Replacement::Random][policy];
+        let mut flat = SetAssoc::new(sets, ways, replacement, seed);
+        let mut nested = RefSetAssoc::new(sets, ways, replacement, seed);
+        let shape = (sets, ways, replacement);
+        for (i, &(op, key, arg)) in ops.iter().enumerate() {
+            match op {
+                0..=2 => prop_assert_eq!(flat.fill(key, arg), nested.fill(key, arg), "op {} of {:?}", i, shape),
+                3 => {
+                    let got = flat.get(key, |&v| v >= arg).map(|v| {
+                        *v += 1;
+                        *v
+                    });
+                    prop_assert_eq!(got, nested.get_bump(key, arg), "op {} of {:?}", i, shape);
+                }
+                4 => prop_assert_eq!(flat.peek(key, |&v| v >= arg).copied(), nested.peek(key, arg), "op {} of {:?}", i, shape),
+                5 | 6 => prop_assert_eq!(flat.remove(key), nested.remove(key), "op {} of {:?}", i, shape),
+                // Rare, so the sets stay full enough to evict.
+                _ if arg == 0 => {
+                    let mut drained = Vec::new();
+                    flat.drain(|k, v| drained.push((k, v)));
+                    prop_assert_eq!(drained, nested.drain(), "op {} of {:?}", i, shape);
+                }
+                _ => {}
+            }
+            let resident: Vec<_> = flat.iter().map(|(k, &v)| (k, v)).collect();
+            prop_assert_eq!(resident, nested.pairs(), "after op {} of {:?}", i, shape);
+            prop_assert_eq!(flat.len(), nested.len(), "after op {} of {:?}", i, shape);
         }
     }
 }

@@ -10,7 +10,7 @@ use udma::{
 use udma_bus::SimTime;
 use udma_cpu::{Pid, ProcState, ProgramBuilder, Reg};
 use udma_iommu::IotlbConfig;
-use udma_mem::{VirtAddr, PAGE_SIZE};
+use udma_mem::{MemFault, VirtAddr, PAGE_SIZE};
 use udma_nic::{Initiator, PrefetchConfig, VirtState, DMA_FAILURE};
 use udma_testkit::{prop_assert, prop_assert_eq, props};
 
@@ -160,6 +160,39 @@ fn pinned_pages_refuse_swap_out() {
     assert_eq!(m.swap_out_va(pid, dst), Err(SwapRefused::Pinned));
     // And a VA that was never mapped has nothing to take.
     assert_eq!(m.swap_out_va(pid, VirtAddr::new(WILD_VA)), Err(SwapRefused::NotMapped));
+}
+
+/// Swapping a page out shoots the CPU's TLB entry for it down: a process
+/// that already loaded from the page faults on its next load instead of
+/// reading the frame the swapper took. The control swaps before the
+/// first load, which faults at once.
+#[test]
+fn swap_out_shoots_down_the_cpu_tlb_entry() {
+    for touch_first in [false, true] {
+        let mut m = Machine::new(MachineConfig {
+            virt_dma: Some(VirtDmaSetup::default()),
+            ..MachineConfig::new(DmaMethod::KeyBased)
+        });
+        let pid = m.spawn(&ProcessSpec::two_buffers(), |env| {
+            let va = env.addr_in(0, 0);
+            ProgramBuilder::new()
+                .load(Reg::R1, va.as_u64())
+                .load(Reg::R1, va.as_u64())
+                .halt()
+                .build()
+        });
+        if touch_first {
+            m.run(1);
+        }
+        let va = m.env(pid).addr_in(0, 0);
+        m.swap_out_va(pid, va).unwrap();
+        m.run(100);
+        assert_eq!(
+            m.state(pid),
+            ProcState::Faulted(MemFault::Unmapped { va }),
+            "load after swap-out (first load before it: {touch_first})"
+        );
+    }
 }
 
 /// Runs one `pages`-page registered transfer on a cold `entries`-entry
