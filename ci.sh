@@ -29,7 +29,9 @@ echo "== VA property/explorer replay (pinned seed) =="
 # the translation and caching structures under it: the IOMMU against the
 # CPU page table, the flat set-associative array and the IOTLB built on
 # it against their nested reference models, the hashed page tables,
-# frame-to-frame copies and the CPU cache units.
+# frame-to-frame copies, physical memory (adopted views and
+# copy-on-write included) against a flat byte vector, and the CPU cache
+# units.
 UDMA_PROP_SEED=3603 cargo test -q --offline --test va_dma
 UDMA_PROP_SEED=3603 cargo test -q --offline -p udma-iommu -p udma-mem -p udma-bus
 

@@ -18,11 +18,9 @@
 use super::wire::{deliver, Arrival, DeliveryOutcome, FaultyLink};
 use super::ClusterConfig;
 use std::collections::BTreeMap;
-use std::ops::{Deref, Range};
-use std::sync::Arc;
 use udma_bus::SimTime;
 use udma_iommu::{Asid, IoFault};
-use udma_mem::{VirtAddr, PAGE_SIZE};
+use udma_mem::{ByteView, VirtAddr, PAGE_SIZE};
 use udma_nic::{RetryPolicy, XferId, XferState};
 
 /// What a node's receive-side delivery engine saw cross the (possibly
@@ -70,47 +68,6 @@ pub(crate) struct DstAnnouncement {
     pub(crate) len: u64,
 }
 
-/// A chunk's payload on the wire: a shared view `range` into the
-/// posting transfer's payload buffer. Launching a chunk hands the
-/// receiver this view instead of a copy, so the only byte copy on the
-/// data path is the receiver's deposit into its memory. The view keeps
-/// the buffer alive after its transfer turned terminal and released
-/// it, so a link-failed prefix still lands. Equality compares the
-/// viewed bytes, not the buffer identity.
-#[derive(Clone, Debug)]
-pub(crate) struct ChunkBytes {
-    data: Arc<Vec<u8>>,
-    range: Range<usize>,
-}
-
-impl ChunkBytes {
-    /// A view of `data[range]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` does not lie within `data`.
-    pub(crate) fn new(data: Arc<Vec<u8>>, range: Range<usize>) -> Self {
-        assert!(range.start <= range.end && range.end <= data.len(), "view out of range");
-        ChunkBytes { data, range }
-    }
-}
-
-impl Deref for ChunkBytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.data[self.range.clone()]
-    }
-}
-
-impl PartialEq for ChunkBytes {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl Eq for ChunkBytes {}
-
 /// One protocol message between two cluster nodes.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) enum NetMsg {
@@ -134,8 +91,11 @@ pub(crate) enum NetMsg {
         asid: Asid,
         /// Destination VA of this chunk.
         va: VirtAddr,
-        /// The in-order payload prefix the link layer delivered.
-        bytes: ChunkBytes,
+        /// The in-order payload prefix the link layer delivered: a view
+        /// of the posting transfer's payload buffer, not a copy. It
+        /// keeps the buffer alive after its transfer turned terminal
+        /// and released it, so a link-failed prefix still lands.
+        bytes: ByteView,
         /// What the go-back-N engine saw on the wire for this chunk
         /// (retransmits, CRC drops, …) — folded into the receiver's
         /// link counters on arrival.
@@ -263,9 +223,10 @@ pub(crate) struct SendXfer {
     pub(crate) dst_asid: Asid,
     /// Destination base VA.
     pub(crate) dst_va: VirtAddr,
-    /// The payload, shared with every in-flight chunk view of it;
-    /// `None` once the transfer is terminal.
-    data: Option<Arc<Vec<u8>>>,
+    /// The payload, shared with every in-flight chunk view of it and
+    /// every destination frame that adopted one; `None` once the
+    /// transfer is terminal.
+    data: Option<ByteView>,
     /// Payload length in bytes (outlives the payload).
     len: u64,
     /// Bytes acked so far (the next chunk starts here).
@@ -305,7 +266,7 @@ impl SendXfer {
             dst_asid,
             dst_va,
             len: data.len() as u64,
-            data: Some(Arc::new(data)),
+            data: Some(ByteView::from(data)),
             cursor: 0,
             chunk: 0,
             retries: 0,
@@ -378,8 +339,11 @@ impl SendXfer {
         let (va, len) = self.chunk_span();
         let outcome = deliver(&cfg.link, &cfg.reliability, chaos, arrivals, len);
         let start = self.cursor as usize;
-        let data = self.data.clone().expect("a live transfer holds its payload");
-        let bytes = ChunkBytes::new(data, start..start + outcome.delivered as usize);
+        let bytes = self
+            .data
+            .as_ref()
+            .and_then(|data| data.slice(start..start + outcome.delivered as usize))
+            .expect("a live transfer holds its payload");
         self.counters.launches += 1;
         self.counters.retransmits += u64::from(outcome.retransmits);
         self.counters.wire_bytes += outcome.wire_bytes;

@@ -19,8 +19,8 @@ use std::collections::BTreeMap;
 use udma_bus::SimTime;
 use udma_iommu::{Asid, IoFault, Iommu, IotlbConfig, IotlbStats};
 use udma_mem::{
-    Access, MemFault, PageTable, Perms, PhysAddr, PhysLayout, PhysMemory, VirtAddr, VirtPage,
-    PAGE_SIZE,
+    Access, ByteView, MemFault, PageTable, Perms, PhysAddr, PhysLayout, PhysMemory, VirtAddr,
+    VirtPage, PAGE_SIZE,
 };
 use udma_os::{
     pin_range, FaultResolution, FaultService, FaultServiceStats, MappedBuffer, ShadowMode,
@@ -172,7 +172,10 @@ impl NodeOs {
         Replayed { regrants: old.grants.len() as u64, repins: pinned as u64 }
     }
 
-    /// Deposits `bytes` at `(asid, va)` through the receive IOMMU.
+    /// Deposits `bytes` at `(asid, va)` through the receive IOMMU. The
+    /// translation decides where the bytes land; a chunk that starts a
+    /// fresh page is adopted as that page rather than copied
+    /// ([`PhysMemory::write_view`]).
     ///
     /// # Errors
     ///
@@ -181,10 +184,10 @@ impl NodeOs {
         &mut self,
         asid: Asid,
         va: VirtAddr,
-        bytes: &[u8],
+        bytes: &ByteView,
     ) -> Result<(), IoFault> {
         let pa = self.iommu.translate(asid, va, Access::Write)?;
-        self.mem.write_bytes(pa, bytes).expect("translated deposit in range");
+        self.mem.write_view(pa, bytes).expect("translated deposit in range");
         Ok(())
     }
 
@@ -351,8 +354,9 @@ mod tests {
         assert_eq!(os.pin(8, partly, 2 * PAGE_SIZE), Ok(2));
         // Demand-fault the demand grant in before the crash.
         assert_eq!(os.service(&fault(7, demand.as_u64()), None).0, FaultResolution::Mapped);
-        os.deposit(7, demand, &[0xAB; 8]).unwrap();
-        os.deposit(7, pinned, &[0xAB; 8]).unwrap();
+        let word = ByteView::from(vec![0xAB; 8]);
+        os.deposit(7, demand, &word).unwrap();
+        os.deposit(7, pinned, &word).unwrap();
         assert!(os.probe(7, demand).is_some());
         let failed = os.grant(7, pinned, 1, Perms::READ_WRITE, false);
         assert!(failed.is_err(), "a refused grant is not recorded");

@@ -5,7 +5,9 @@
 //! * typed physical and virtual addresses ([`PhysAddr`], [`VirtAddr`]) and
 //!   page/frame numbers ([`VirtPage`], [`PhysFrame`]),
 //! * byte-addressable [`PhysMemory`], materialised frame by frame on
-//!   first write, with a [`FrameAllocator`],
+//!   first write, with a [`FrameAllocator`]; a fresh frame may adopt a
+//!   shared read-only [`ByteView`] instead of copying it, and copies it
+//!   on its first write,
 //! * per-process [`PageTable`]s with protection bits ([`Perms`]), over
 //!   the seedless page-keyed hash map [`PageMap`] that the NI's I/O
 //!   page tables share,
@@ -53,6 +55,7 @@ mod phys;
 mod set_assoc;
 mod shadow;
 mod tlb;
+mod view;
 
 pub use addr::{PhysAddr, PhysFrame, VirtAddr, VirtPage, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE};
 pub use fault::MemFault;
@@ -64,3 +67,4 @@ pub use phys::{FrameAllocator, PhysMemory};
 pub use set_assoc::{Fill, Replacement, SetAssoc, SetKey};
 pub use shadow::ShadowLayout;
 pub use tlb::{Tlb, TlbStats};
+pub use view::ByteView;

@@ -1,18 +1,26 @@
 //! Physical memory and frame allocation.
 
-use crate::{MemFault, PhysAddr, PhysFrame, PAGE_SHIFT, PAGE_SIZE};
+use crate::{ByteView, MemFault, PhysAddr, PhysFrame, PAGE_SHIFT, PAGE_SIZE};
 
 /// Byte-addressable physical memory, stored one frame at a time in a
 /// table indexed by frame number.
 ///
 /// A frame is materialised on its first write, and the table grows to
 /// the highest frame written, so a machine with a multi-gigabyte
-/// physical address space pays a pointer per frame up to that one plus
+/// physical address space pays a slot per frame up to that one plus
 /// the frames it actually uses. Unwritten memory reads as zero. All
 /// multi-byte accesses are little-endian, like the Alpha.
 ///
+/// A frame is either an owned page or an *adopted* [`ByteView`]:
+/// [`write_view`](Self::write_view) stores a view that starts a fresh
+/// frame as the frame itself, so a deposit costs one `Arc` clone
+/// instead of a page allocation and a copy. An adopted frame reads as
+/// its view followed by zeros, and its first write copies it into an
+/// owned page (copy-on-write), so the viewed buffer never changes. A
+/// clone of the memory shares adopted buffers and diverges on write.
+///
 /// ```
-/// use udma_mem::{PhysMemory, PhysAddr};
+/// use udma_mem::{ByteView, PhysMemory, PhysAddr, PAGE_SIZE};
 ///
 /// # fn main() -> Result<(), udma_mem::MemFault> {
 /// let mut mem = PhysMemory::new(1 << 20);
@@ -20,14 +28,66 @@ use crate::{MemFault, PhysAddr, PhysFrame, PAGE_SHIFT, PAGE_SIZE};
 /// assert_eq!(mem.read_u64(PhysAddr::new(0x100))?, 42);
 /// // Untouched memory reads as zero.
 /// assert_eq!(mem.read_u64(PhysAddr::new(0x8000))?, 0);
+/// // A view adopted as frame 3 reads back; the write after it copies.
+/// let page = PhysAddr::new(3 * PAGE_SIZE);
+/// mem.write_view(page, &ByteView::from(vec![7u8; 8]))?;
+/// assert_eq!(mem.read_u64(page)?, 0x0707_0707_0707_0707);
+/// mem.write_u64(page, 1)?;
+/// assert_eq!(mem.read_u64(page)?, 1);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct PhysMemory {
-    /// `frames[n]` is frame `n`'s bytes, `None` until first written.
-    frames: Vec<Option<Box<[u8]>>>,
+    /// `frames[n]` is frame `n`, `None` until first written.
+    frames: Vec<Option<Frame>>,
     size: u64,
+}
+
+/// One materialised frame.
+#[derive(Clone, Debug)]
+enum Frame {
+    /// A page of bytes the memory owns.
+    Owned(Box<[u8]>),
+    /// An adopted view: the frame's first `len()` bytes, zeros after.
+    /// Nothing writes through it; the first write replaces it with an
+    /// owned copy.
+    Adopted(ByteView),
+}
+
+impl Frame {
+    /// The frame's stored bytes from offset 0: the whole page, or an
+    /// adopted view that may end early (the rest reads as zeros).
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Frame::Owned(data) => data,
+            Frame::Adopted(view) => view,
+        }
+    }
+
+    /// The frame as an owned page, copying an adopted view.
+    fn into_owned(self) -> Box<[u8]> {
+        match self {
+            Frame::Owned(data) => data,
+            Frame::Adopted(view) => fresh_frame(&view, 0, &[]),
+        }
+    }
+}
+
+/// The stored bytes of `slot` from offset `off`, at most `len` of them;
+/// the rest of `[off, off + len)` reads as zeros.
+fn stored(slot: Option<&Frame>, off: usize, len: usize) -> &[u8] {
+    let bytes = slot.map_or(&[][..], Frame::bytes);
+    let bytes = bytes.get(off..).unwrap_or(&[]);
+    &bytes[..len.min(bytes.len())]
+}
+
+/// Reads `buf.len()` bytes of `slot` from offset `off`.
+fn read_slot(slot: Option<&Frame>, off: usize, buf: &mut [u8]) {
+    let src = stored(slot, off, buf.len());
+    let (head, tail) = buf.split_at_mut(src.len());
+    head.copy_from_slice(src);
+    tail.fill(0);
 }
 
 impl PhysMemory {
@@ -51,16 +111,32 @@ impl PhysMemory {
         Ok(())
     }
 
-    /// Writes `bytes` at offset `off` of frame `frame`, materialising it
-    /// with [`fresh_frame`] on first touch.
-    fn write_frame(&mut self, frame: u64, off: usize, bytes: &[u8]) {
-        let frame = frame as usize;
+    /// The table slot of frame `frame`, growing the table to reach it.
+    fn slot_mut(&mut self, frame: usize) -> &mut Option<Frame> {
         if frame >= self.frames.len() {
             self.frames.resize(frame + 1, None);
         }
-        match &mut self.frames[frame] {
-            Some(data) => data[off..off + bytes.len()].copy_from_slice(bytes),
-            slot @ None => *slot = Some(fresh_frame(off, bytes)),
+        &mut self.frames[frame]
+    }
+
+    /// Reads `buf.len()` bytes at offset `off` of frame `frame`.
+    fn read_frame(&self, frame: u64, off: usize, buf: &mut [u8]) {
+        match self.frames.get(frame as usize) {
+            Some(Some(Frame::Owned(data))) => buf.copy_from_slice(&data[off..off + buf.len()]),
+            slot => read_slot(slot.and_then(Option::as_ref), off, buf),
+        }
+    }
+
+    /// Writes `bytes` at offset `off` of frame `frame`. An owned page is
+    /// written in place; a fresh or adopted frame becomes an owned page
+    /// built in one pass around the bytes.
+    fn write_frame(&mut self, frame: u64, off: usize, bytes: &[u8]) {
+        match self.slot_mut(frame as usize) {
+            Some(Frame::Owned(data)) => data[off..off + bytes.len()].copy_from_slice(bytes),
+            slot => {
+                let data = fresh_frame(stored(slot.as_ref(), 0, PAGE_SIZE as usize), off, bytes);
+                *slot = Some(Frame::Owned(data));
+            }
         }
     }
 
@@ -79,10 +155,7 @@ impl PhysMemory {
             let frame = addr >> PAGE_SHIFT;
             let off = (addr & (PAGE_SIZE - 1)) as usize;
             let chunk = ((PAGE_SIZE as usize) - off).min(buf.len() - done);
-            match self.frames.get(frame as usize).and_then(Option::as_deref) {
-                Some(data) => buf[done..done + chunk].copy_from_slice(&data[off..off + chunk]),
-                None => buf[done..done + chunk].fill(0),
-            }
+            self.read_frame(frame, off, &mut buf[done..done + chunk]);
             done += chunk;
             addr += chunk as u64;
         }
@@ -110,12 +183,38 @@ impl PhysMemory {
         Ok(())
     }
 
+    /// Writes `view` at `pa`, leaving memory exactly as
+    /// [`write_bytes`](Self::write_bytes) of its bytes would. A
+    /// non-empty view that starts at a page-aligned `pa`, fits in the
+    /// page and lands on a frame not yet materialised is *adopted*: the
+    /// frame stores the view (one `Arc` clone, no byte copy) and is
+    /// copied into an owned page on its first write. Any other write
+    /// copies, as `write_bytes` does.
+    ///
+    /// # Errors
+    ///
+    /// As for [`write_bytes`](Self::write_bytes); nothing is written.
+    pub fn write_view(&mut self, pa: PhysAddr, view: &ByteView) -> Result<(), MemFault> {
+        self.check(pa, view.len() as u64)?;
+        let frame = (pa.as_u64() >> PAGE_SHIFT) as usize;
+        let adopt = pa.is_aligned_to(PAGE_SIZE)
+            && !view.is_empty()
+            && view.len() as u64 <= PAGE_SIZE
+            && self.frames.get(frame).is_none_or(Option::is_none);
+        if !adopt {
+            return self.write_bytes(pa, view);
+        }
+        *self.slot_mut(frame) = Some(Frame::Adopted(view.clone()));
+        Ok(())
+    }
+
     /// Copies `len` bytes from `src` to `dst` frame to frame, with
     /// memmove semantics: overlapping ranges end up exactly as a read of
     /// the whole source followed by a write of it would leave them.
-    /// Allocates nothing but destination frames on first touch; an
-    /// unwritten source frame reads as zeros and still materialises the
-    /// destination frame, as [`write_bytes`](Self::write_bytes) does.
+    /// Allocates nothing but destination frames on first touch (or on
+    /// the first write of an adopted one); an unwritten source frame
+    /// reads as zeros and still materialises the destination frame, as
+    /// [`write_bytes`](Self::write_bytes) does.
     ///
     /// # Errors
     ///
@@ -153,32 +252,34 @@ impl PhysMemory {
     fn copy_in_frames(&mut self, src: u64, dst: u64, len: usize) {
         let (sf, df) = ((src >> PAGE_SHIFT) as usize, (dst >> PAGE_SHIFT) as usize);
         let (so, doff) = ((src % PAGE_SIZE) as usize, (dst % PAGE_SIZE) as usize);
-        if df >= self.frames.len() {
-            self.frames.resize(df + 1, None);
+        if let Ok([Some(Frame::Owned(s)), Some(Frame::Owned(d))]) =
+            self.frames.get_disjoint_mut([sf, df])
+        {
+            d[doff..doff + len].copy_from_slice(&s[so..so + len]);
+            return;
         }
         // Take the destination frame out of its slot so the source can
         // be borrowed from the table alongside it.
-        let data = match self.frames[df].take() {
-            Some(mut data) => {
+        let data = match self.slot_mut(df).take() {
+            Some(frame) => {
+                let mut data = frame.into_owned();
                 if sf == df {
                     data.copy_within(so..so + len, doff);
                 } else {
-                    match self.frames.get(sf).and_then(Option::as_deref) {
-                        Some(s) => data[doff..doff + len].copy_from_slice(&s[so..so + len]),
-                        None => data[doff..doff + len].fill(0),
-                    }
+                    let src = self.frames.get(sf).and_then(Option::as_ref);
+                    read_slot(src, so, &mut data[doff..doff + len]);
                 }
                 data
             }
             // A fresh destination frame is built in one pass around the
             // source bytes. An unwritten source reads as zeros, and so
             // does a fresh frame copied onto itself (its slot is empty).
-            None => match self.frames.get(sf).and_then(Option::as_deref) {
-                Some(s) => fresh_frame(doff, &s[so..so + len]),
-                None => fresh_frame(0, &[]),
-            },
+            None => {
+                let s = stored(self.frames.get(sf).and_then(Option::as_ref), so, len);
+                fresh_frame(&[], doff, s)
+            }
         };
-        self.frames[df] = Some(data);
+        self.frames[df] = Some(Frame::Owned(data));
     }
 
     /// Reads a naturally aligned little-endian `u64`.
@@ -191,8 +292,10 @@ impl PhysMemory {
         if !pa.is_aligned_to(8) {
             return Err(MemFault::Misaligned { addr: pa.as_u64(), size: 8 });
         }
+        // Aligned, so inside one frame.
+        self.check(pa, 8)?;
         let mut b = [0u8; 8];
-        self.read_bytes(pa, &mut b)?;
+        self.read_frame(pa.as_u64() >> PAGE_SHIFT, (pa.as_u64() % PAGE_SIZE) as usize, &mut b);
         Ok(u64::from_le_bytes(b))
     }
 
@@ -206,16 +309,23 @@ impl PhysMemory {
         if !pa.is_aligned_to(8) {
             return Err(MemFault::Misaligned { addr: pa.as_u64(), size: 8 });
         }
-        self.write_bytes(pa, &value.to_le_bytes())
+        // Aligned, so inside one frame.
+        self.check(pa, 8)?;
+        let (frame, off) = (pa.as_u64() >> PAGE_SHIFT, (pa.as_u64() % PAGE_SIZE) as usize);
+        self.write_frame(frame, off, &value.to_le_bytes());
+        Ok(())
     }
 }
 
-/// A fresh frame holding `bytes` at offset `off`, built in one pass:
-/// zeros before the range, the bytes, zeros after.
-fn fresh_frame(off: usize, bytes: &[u8]) -> Box<[u8]> {
+/// A fresh page holding `bytes` at offset `off` over `base`, built in
+/// one pass: `base`'s bytes (zeros past its end) around the range, the
+/// bytes inside it.
+fn fresh_frame(base: &[u8], off: usize, bytes: &[u8]) -> Box<[u8]> {
     let mut data = Vec::with_capacity(PAGE_SIZE as usize);
+    data.extend_from_slice(&base[..off.min(base.len())]);
     data.resize(off, 0);
     data.extend_from_slice(bytes);
+    data.extend_from_slice(base.get(data.len()..).unwrap_or(&[]));
     data.resize(PAGE_SIZE as usize, 0);
     data.into_boxed_slice()
 }
@@ -376,6 +486,82 @@ mod tests {
         assert_eq!(mem.copy(end, inside, 8), Err(MemFault::BusError { pa: end }));
         assert_eq!(mem.copy(inside, end, 8), Err(MemFault::BusError { pa: end }));
         assert!(mem.frames.is_empty(), "a refused copy grows no table");
+    }
+
+    /// Whether frame `n` holds an adopted view.
+    fn adopted(mem: &PhysMemory, n: usize) -> bool {
+        matches!(mem.frames.get(n), Some(Some(Frame::Adopted(_))))
+    }
+
+    #[test]
+    fn aligned_view_into_a_fresh_frame_is_adopted_and_reads_zero_past_it() {
+        let mut mem = PhysMemory::new(1 << 20);
+        let view = ByteView::from(vec![0xCD; 100]);
+        mem.write_view(PhysAddr::new(2 * PAGE_SIZE), &view).unwrap();
+        assert!(adopted(&mem, 2));
+        let mut frame = vec![0xFFu8; PAGE_SIZE as usize];
+        mem.read_bytes(PhysAddr::new(2 * PAGE_SIZE), &mut frame).unwrap();
+        assert!(frame[..100].iter().all(|&b| b == 0xCD));
+        assert!(frame[100..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn first_write_copies_an_adopted_frame_and_leaves_the_view_alone() {
+        let mut mem = PhysMemory::new(1 << 20);
+        let view = ByteView::from((0u8..64).collect::<Vec<_>>());
+        mem.write_view(PhysAddr::new(PAGE_SIZE), &view).unwrap();
+        let snapshot = mem.clone();
+        mem.write_bytes(PhysAddr::new(PAGE_SIZE + 60), &[0xEE; 8]).unwrap();
+        assert!(!adopted(&mem, 1) && adopted(&snapshot, 1));
+        assert_eq!(&*view, (0u8..64).collect::<Vec<_>>().as_slice());
+        let mut back = [0u8; 72];
+        mem.read_bytes(PhysAddr::new(PAGE_SIZE), &mut back).unwrap();
+        assert_eq!(&back[..60], &view[..60]);
+        assert_eq!(&back[60..68], &[0xEE; 8]);
+        assert_eq!(&back[68..], &[0; 4]);
+        snapshot.read_bytes(PhysAddr::new(PAGE_SIZE), &mut back).unwrap();
+        assert_eq!(&back[..64], &*view);
+    }
+
+    #[test]
+    fn unaligned_oversized_or_resident_targets_copy_instead() {
+        let mut mem = PhysMemory::new(1 << 20);
+        let small = ByteView::from(vec![1u8; 16]);
+        mem.write_view(PhysAddr::new(PAGE_SIZE + 8), &small).unwrap();
+        let big = ByteView::from(vec![2u8; PAGE_SIZE as usize + 8]);
+        mem.write_view(PhysAddr::new(3 * PAGE_SIZE), &big).unwrap();
+        mem.write_u64(PhysAddr::new(6 * PAGE_SIZE + 64), 9).unwrap();
+        mem.write_view(PhysAddr::new(6 * PAGE_SIZE), &small).unwrap();
+        mem.write_view(PhysAddr::new(8 * PAGE_SIZE), &ByteView::from(Vec::new())).unwrap();
+        assert!((0..mem.frames.len()).all(|n| !adopted(&mem, n)));
+        assert_eq!(resident_frames(&mem), 4, "frames 1, 3, 4 and 6; the empty view adds none");
+        assert_eq!(
+            mem.read_u64(PhysAddr::new(6 * PAGE_SIZE + 8)).unwrap(),
+            u64::from_le_bytes([1; 8])
+        );
+        assert_eq!(mem.read_u64(PhysAddr::new(6 * PAGE_SIZE + 64)).unwrap(), 9);
+        // A refused view writes nothing.
+        let end = PhysAddr::new((1 << 20) - 8);
+        assert_eq!(mem.write_view(end, &small), Err(MemFault::BusError { pa: end }));
+    }
+
+    #[test]
+    fn copies_read_from_and_write_over_adopted_frames() {
+        let mut mem = PhysMemory::new(1 << 20);
+        let view = ByteView::from((1u8..=32).collect::<Vec<_>>());
+        mem.write_view(PhysAddr::new(0), &view).unwrap();
+        mem.write_view(PhysAddr::new(PAGE_SIZE), &view).unwrap();
+        // Out of an adopted frame, past the view's end, into a fresh one.
+        mem.copy(PhysAddr::new(16), PhysAddr::new(4 * PAGE_SIZE), 32).unwrap();
+        let mut buf = [0xFFu8; 32];
+        mem.read_bytes(PhysAddr::new(4 * PAGE_SIZE), &mut buf).unwrap();
+        assert_eq!(&buf[..16], &view[16..]);
+        assert_eq!(&buf[16..], &[0; 16]);
+        // Within one adopted frame, overlapping: copy-on-write first.
+        mem.copy(PhysAddr::new(PAGE_SIZE), PhysAddr::new(PAGE_SIZE + 8), 32).unwrap();
+        assert!(!adopted(&mem, 1) && adopted(&mem, 0));
+        mem.read_bytes(PhysAddr::new(PAGE_SIZE + 8), &mut buf).unwrap();
+        assert_eq!(buf, *view);
     }
 
     #[test]

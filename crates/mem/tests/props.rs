@@ -5,8 +5,8 @@ use udma_testkit::prop::{any, vec};
 use udma_testkit::{prop_assert, prop_assert_eq, props};
 
 use udma_mem::{
-    Access, Fill, FrameAllocator, MemFault, PageTable, Perms, PhysAddr, PhysMemory, Replacement,
-    SetAssoc, ShadowLayout, VirtAddr, VirtPage, PAGE_SIZE,
+    Access, ByteView, Fill, FrameAllocator, MemFault, PageTable, Perms, PhysAddr, PhysMemory,
+    Replacement, SetAssoc, ShadowLayout, VirtAddr, VirtPage, PAGE_SIZE,
 };
 
 /// Frames of the memory the copy property runs on.
@@ -17,6 +17,58 @@ fn image(mem: &PhysMemory) -> Vec<u8> {
     let mut out = vec![0u8; mem.size() as usize];
     mem.read_bytes(PhysAddr::new(0), &mut out).unwrap();
     out
+}
+
+/// Frames of the memory the `PhysMemory` model property runs on.
+const MODEL_FRAMES: u64 = 5;
+
+/// `len` pseudo-random bytes drawn from `seed`.
+fn pattern(seed: u64, len: usize) -> Vec<u8> {
+    let mut state = seed;
+    (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 56) as u8
+        })
+        .collect()
+}
+
+/// A flat byte vector with `PhysMemory`'s range checks: the reference
+/// model of every byte-level operation.
+#[derive(Clone)]
+struct FlatMemory(Vec<u8>);
+
+impl FlatMemory {
+    fn range(&self, pa: u64, len: u64) -> Result<std::ops::Range<usize>, MemFault> {
+        let fault = MemFault::BusError { pa: PhysAddr::new(pa) };
+        let end = pa.checked_add(len).ok_or(fault)?;
+        let size = self.0.len() as u64;
+        if end > size || len == 0 && pa >= size {
+            return Err(fault);
+        }
+        Ok(pa as usize..end as usize)
+    }
+
+    fn read(&self, pa: u64, buf: &mut [u8]) -> Result<(), MemFault> {
+        let r = self.range(pa, buf.len() as u64)?;
+        buf.copy_from_slice(&self.0[r]);
+        Ok(())
+    }
+
+    fn write(&mut self, pa: u64, buf: &[u8]) -> Result<(), MemFault> {
+        let r = self.range(pa, buf.len() as u64)?;
+        self.0[r].copy_from_slice(buf);
+        Ok(())
+    }
+
+    fn copy(&mut self, src: u64, dst: u64, len: u64) -> Result<(), MemFault> {
+        let s = self.range(src, len)?;
+        let d = self.range(dst, len)?;
+        self.0.copy_within(s, d.start);
+        Ok(())
+    }
 }
 
 props! {
@@ -123,6 +175,98 @@ props! {
             oracle.read_bytes(src, &mut buf).and_then(|()| oracle.write_bytes(dst, &buf));
         prop_assert_eq!(mem.copy(src, dst, len), expected);
         prop_assert_eq!(image(&mem), image(&oracle));
+    }
+
+    /// `PhysMemory` behaves as a flat byte vector under random
+    /// sequences of byte writes, view writes (page-aligned or not,
+    /// whole-page or partial, into fresh or already-written frames),
+    /// copies (overlapping ones too), byte reads, `u64` reads and
+    /// writes, and clones. Two memories run side by side: a clone step
+    /// makes the second a clone of the first, and every other step acts
+    /// on one of them, so a clone and its original must diverge
+    /// independently. After each step both read back whole as their
+    /// models, and every buffer a view was written from is unchanged.
+    fn phys_memory_matches_a_flat_model(
+        ops in vec((0u8..7, any::<u64>(), any::<u64>(), 0u64..2 * PAGE_SIZE + 16), 1..32),
+    ) {
+        let size = MODEL_FRAMES * PAGE_SIZE;
+        let fresh = || (PhysMemory::new(size), FlatMemory(vec![0; size as usize]));
+        let mut pair = [fresh(), fresh()];
+        let mut views: Vec<(ByteView, Vec<u8>)> = Vec::new();
+        for &(kind, a, b, len) in &ops {
+            // Addresses reach a page past the end, so some ops refuse.
+            let addr = (a >> 8) % (size + PAGE_SIZE);
+            let (mem, flat) = &mut pair[(a & 1) as usize];
+            match kind {
+                0 => {
+                    let bytes = pattern(b, len as usize);
+                    let pa = PhysAddr::new(addr);
+                    prop_assert_eq!(mem.write_bytes(pa, &bytes), flat.write(addr, &bytes));
+                }
+                1 => {
+                    // Mostly page-aligned, often exactly one page long,
+                    // and viewed from inside a larger buffer.
+                    let pa = if a & 6 == 0 { addr } else { addr & !(PAGE_SIZE - 1) };
+                    let len = if a & 8 == 0 { len } else { PAGE_SIZE };
+                    let skip = (b >> 48) % 64;
+                    let whole = ByteView::from(pattern(b, (skip + len + 8) as usize));
+                    let view = whole.slice(skip as usize..(skip + len) as usize).unwrap();
+                    views.push((whole.clone(), whole.to_vec()));
+                    prop_assert_eq!(
+                        mem.write_view(PhysAddr::new(pa), &view),
+                        flat.write(pa, &view)
+                    );
+                }
+                2 => {
+                    // Half the copies land within two frames of their
+                    // source, so the ranges often overlap.
+                    let near = b % (2 * PAGE_SIZE);
+                    let dst = match (b >> 32) % 4 {
+                        0 => addr + near,
+                        1 => addr.saturating_sub(near),
+                        _ => (b >> 8) % (size + PAGE_SIZE),
+                    };
+                    let (src_pa, dst_pa) = (PhysAddr::new(addr), PhysAddr::new(dst));
+                    prop_assert_eq!(mem.copy(src_pa, dst_pa, len), flat.copy(addr, dst, len));
+                }
+                3 => {
+                    let (mut got, mut want) = (vec![0xA5; len as usize], vec![0xA5; len as usize]);
+                    prop_assert_eq!(
+                        mem.read_bytes(PhysAddr::new(addr), &mut got),
+                        flat.read(addr, &mut want)
+                    );
+                    prop_assert_eq!(got, want);
+                }
+                4 | 5 => {
+                    // Mostly aligned; a misaligned access faults alike.
+                    let pa = if b & 7 == 0 { addr } else { addr & !7 };
+                    let misaligned = MemFault::Misaligned { addr: pa, size: 8 };
+                    if kind == 4 {
+                        let want = if pa % 8 != 0 {
+                            Err(misaligned)
+                        } else {
+                            flat.write(pa, &b.to_le_bytes())
+                        };
+                        prop_assert_eq!(mem.write_u64(PhysAddr::new(pa), b), want);
+                    } else {
+                        let mut word = [0u8; 8];
+                        let want = if pa % 8 != 0 {
+                            Err(misaligned)
+                        } else {
+                            flat.read(pa, &mut word).map(|()| u64::from_le_bytes(word))
+                        };
+                        prop_assert_eq!(mem.read_u64(PhysAddr::new(pa)), want);
+                    }
+                }
+                _ => pair[1] = pair[0].clone(),
+            }
+            for (mem, flat) in &pair {
+                prop_assert!(image(mem) == flat.0, "memory differs from its model after {:?}", (kind, a, b, len));
+            }
+            for (view, bytes) in &views {
+                prop_assert!(**view == **bytes, "a viewed buffer changed");
+            }
+        }
     }
 
     /// Translation preserves the page offset and respects permissions.

@@ -10,6 +10,10 @@
 use std::fmt;
 use udma_bus::SimTime;
 
+/// Bits per byte times picoseconds per second: a byte's serialisation
+/// time at 1 b/s, in picoseconds.
+const PS_BITS_PER_BYTE: u64 = 8 * 1_000_000_000_000;
+
 /// A point-to-point link with fixed bandwidth and latency.
 ///
 /// Used to model the *data transfer* half of the paper's motivation: "the
@@ -80,9 +84,16 @@ impl LinkModel {
     }
 
     /// Wire time for a transfer of `bytes` (latency + serialisation).
+    /// Divides in 64 bits whenever `bytes · 8 · 10¹²` fits, in 128 bits
+    /// above that; both give the same picoseconds.
     pub fn transfer_time(&self, bytes: u64) -> SimTime {
-        let ps = (bytes as u128 * 8 * 1_000_000_000_000u128) / self.bits_per_second as u128;
-        self.latency + SimTime::from_ps(ps as u64)
+        let ps = match bytes.checked_mul(PS_BITS_PER_BYTE) {
+            Some(scaled) => scaled / self.bits_per_second,
+            None => {
+                ((bytes as u128 * PS_BITS_PER_BYTE as u128) / self.bits_per_second as u128) as u64
+            }
+        };
+        self.latency + SimTime::from_ps(ps)
     }
 }
 
@@ -322,6 +333,36 @@ impl XferState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use udma_testkit::prop::any;
+    use udma_testkit::{prop_assert_eq, props};
+
+    /// The 128-bit serialisation time the 64-bit path must reproduce
+    /// exactly.
+    fn serialisation_in_u128(bits_per_second: u64, bytes: u64) -> u64 {
+        ((bytes as u128 * 8 * 1_000_000_000_000u128) / bits_per_second as u128) as u64
+    }
+
+    props! {
+        /// `LinkModel::transfer_time` equals the 128-bit formula for
+        /// links of every bandwidth, at random sizes, small ones, and
+        /// the sizes on both sides of the largest one whose
+        /// `bytes · 8 · 10¹²` still fits in 64 bits.
+        fn transfer_time_matches_the_128_bit_formula(
+            bps_bits in any::<u64>(),
+            bps_shift in 0u32..64,
+            bytes in any::<u64>(),
+            small in 0u64..1_000_000,
+            near in 0u64..4,
+        ) {
+            let bps = (bps_bits >> bps_shift).max(1);
+            let link = LinkModel::new("p", bps, SimTime::ZERO);
+            let boundary = u64::MAX / PS_BITS_PER_BYTE;
+            for b in [bytes, small, boundary - near.min(boundary), boundary + 1 + near] {
+                let got = link.transfer_time(b).as_ps();
+                prop_assert_eq!(got, serialisation_in_u128(bps, b), "{} bytes at {} b/s", b, bps);
+            }
+        }
+    }
 
     #[test]
     fn gigabit_serialisation_time() {

@@ -209,10 +209,17 @@ impl Acquired {
 struct Proc {
     key: u64,
     class: QosClass,
-    /// Spilled state, present iff not resident (a never-yet-filled
-    /// process holds its pristine image: key + empty registers).
-    image: Option<CtxImage>,
-    resident: Option<u32>,
+    home: Home,
+}
+
+/// Where a logical process's context state lives.
+#[derive(Clone, Debug)]
+enum Home {
+    /// In the OS: its spilled image (a never-yet-filled process holds
+    /// its pristine image: key + empty registers).
+    Spilled(CtxImage),
+    /// In this hardware context.
+    Resident(u32),
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -223,6 +230,16 @@ struct Slot {
     last_use: u64,
     /// Second-chance bit for the clock policy.
     referenced: bool,
+}
+
+/// A set of context slots, bit `i` for slot `i`: every slot fits,
+/// since the NI has at most [`MAX_CONTEXTS`] contexts.
+type Candidates = u8;
+const _: () = assert!(MAX_CONTEXTS <= Candidates::BITS);
+
+/// The slots of `set`, in ascending order.
+fn slots_in(set: Candidates) -> impl Iterator<Item = usize> {
+    (0..Candidates::BITS as usize).filter(move |&i| set & (1 << i) != 0)
 }
 
 /// The OS context cache: owns the process table, the residency map and
@@ -304,8 +321,7 @@ impl CtxCache {
         self.procs.push(Proc {
             key,
             class,
-            image: Some(CtxImage { key, ..CtxImage::default() }),
-            resident: None,
+            home: Home::Spilled(CtxImage { key, ..CtxImage::default() }),
         });
         self.arbiter.register(class, now);
         (self.procs.len() - 1) as LPid
@@ -319,7 +335,10 @@ impl CtxCache {
 
     /// The context `p` currently holds, if resident.
     pub fn resident(&self, p: LPid) -> Option<u32> {
-        self.procs[p as usize].resident
+        match self.procs[p as usize].home {
+            Home::Resident(ctx) => Some(ctx),
+            Home::Spilled(_) => None,
+        }
     }
 
     /// Ensures `p` holds a hardware context, spilling a victim through
@@ -327,7 +346,7 @@ impl CtxCache {
     /// path the post must take and what the acquisition cost.
     pub fn acquire(&mut self, p: LPid, core: &mut EngineCore, now: SimTime) -> Acquired {
         let pi = p as usize;
-        if let Some(ctx) = self.procs[pi].resident {
+        if let Home::Resident(ctx) = self.procs[pi].home {
             self.touch(ctx as usize);
             self.stats.hits += 1;
             return Acquired::Hit { ctx };
@@ -364,18 +383,16 @@ impl CtxCache {
             return Acquired::Throttled { cost: self.costs.kernel_entry };
         }
 
-        match self.select_victim(requester, core, now) {
-            Some(slot) => {
-                let victim = self.slots[slot].owner.expect("victim slot is owned");
-                // The scan only offered non-busy slots, and nothing ran
-                // between scan and save (single-threaded kernel), so
-                // the engine accepts the spill.
-                let image = core
-                    .save_context(slot as u32, now)
-                    .expect("victim scan only offers non-busy contexts");
-                let vi = victim as usize;
-                self.procs[vi].image = Some(image);
-                self.procs[vi].resident = None;
+        // The scan only offers owned, non-busy slots, and nothing runs
+        // between scan and save (single-threaded kernel), so the engine
+        // accepts the spill; a refused one would leave the post starved.
+        let spilled = self.select_victim(requester, core, now).and_then(|slot| {
+            let victim = self.slots[slot].owner?;
+            Some((slot, victim, core.save_context(slot as u32, now).ok()?))
+        });
+        match spilled {
+            Some((slot, victim, image)) => {
+                self.procs[victim as usize].home = Home::Spilled(image);
                 core.note_ctx_steal();
                 self.stats.steals += 1;
                 self.stats.spills += 1;
@@ -393,11 +410,12 @@ impl CtxCache {
         }
     }
 
+    /// Makes `p` resident in `ctx`, restoring its spilled image.
     fn fill(&mut self, p: LPid, ctx: u32, core: &mut EngineCore) {
-        let pi = p as usize;
-        let image = self.procs[pi].image.take().expect("non-resident process holds its image");
-        core.restore_context(ctx, &image);
-        self.procs[pi].resident = Some(ctx);
+        let home = std::mem::replace(&mut self.procs[p as usize].home, Home::Resident(ctx));
+        if let Home::Spilled(image) = home {
+            core.restore_context(ctx, &image);
+        }
         self.slots[ctx as usize].owner = Some(p);
         self.touch(ctx as usize);
         self.stats.fills += 1;
@@ -433,7 +451,8 @@ impl CtxCache {
         // residents are a last resort); `may_evict` hides the
         // guaranteed tier from best-effort requesters entirely.
         for tier in [QosClass::BestEffort, QosClass::Guaranteed] {
-            let mut candidates = Vec::new();
+            // Bit `i` set: slot `i` is an admissible, idle victim.
+            let mut candidates: Candidates = 0;
             for (i, s) in self.slots.iter().enumerate() {
                 let Some(owner) = s.owner else { continue };
                 let class = self.procs[owner as usize].class;
@@ -444,20 +463,21 @@ impl CtxCache {
                     self.stats.busy_skips += 1;
                     continue;
                 }
-                candidates.push(i);
+                candidates |= 1 << i;
             }
-            if candidates.is_empty() {
+            if candidates == 0 {
                 continue;
             }
-            return Some(match self.policy {
+            return match self.policy {
                 CtxVictimPolicy::Lru => {
-                    *candidates.iter().min_by_key(|&&i| self.slots[i].last_use).expect("non-empty")
+                    slots_in(candidates).min_by_key(|&i| self.slots[i].last_use)
                 }
-                CtxVictimPolicy::Clock => self.clock_pick(&candidates),
+                CtxVictimPolicy::Clock => Some(self.clock_pick(candidates)),
                 CtxVictimPolicy::Random => {
-                    candidates[(self.next_rand() % candidates.len() as u64) as usize]
+                    let pick = self.next_rand() % u64::from(candidates.count_ones());
+                    slots_in(candidates).nth(pick as usize)
                 }
-            });
+            };
         }
         None
     }
@@ -467,12 +487,12 @@ impl CtxCache {
     /// unreferenced candidate at or past the hand is evicted. Two full
     /// sweeps bound the scan — after the first cleared everything, the
     /// second must pick.
-    fn clock_pick(&mut self, candidates: &[usize]) -> usize {
+    fn clock_pick(&mut self, candidates: Candidates) -> usize {
         let n = self.slots.len();
         for _ in 0..2 * n {
             let i = self.clock_hand;
             self.clock_hand = (self.clock_hand + 1) % n;
-            if !candidates.contains(&i) {
+            if candidates & (1 << i) == 0 {
                 continue;
             }
             if self.slots[i].referenced {
@@ -481,7 +501,7 @@ impl CtxCache {
                 return i;
             }
         }
-        candidates[0]
+        candidates.trailing_zeros() as usize
     }
 
     fn mint_key(&mut self) -> u64 {

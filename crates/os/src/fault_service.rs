@@ -155,9 +155,9 @@ impl FaultService {
         iommu: &mut Iommu,
     ) -> PageIn {
         let mut cost = SimTime::ZERO;
-        let swapped_in = vm.swapped_out(asid, page);
+        // Refused unless the swap ledger holds the page.
+        let swapped_in = vm.swap_in(asid, pt, page).is_ok();
         if swapped_in {
-            vm.swap_in(asid, pt, page).expect("ledger said swapped out");
             cost += FAULT_SWAP_IN;
         }
         // A stale I/O entry with narrower permissions (a protection
@@ -205,9 +205,10 @@ pub fn pin_range(
         let pte = *pt.entry(page).ok_or(MemFault::Unmapped { va: page.base() })?;
         match iommu.map(asid, page, pte.frame, pte.perms, true) {
             Ok(()) => registered += 1,
-            Err(MemFault::AlreadyMapped { .. }) => {
-                iommu.set_pinned(asid, page, true).expect("entry present");
-            }
+            // The entry exists, so pinning it only fails if it vanished.
+            Err(MemFault::AlreadyMapped { .. }) => iommu
+                .set_pinned(asid, page, true)
+                .map_err(|_| MemFault::Unmapped { va: page.base() })?,
             Err(e) => return Err(e),
         }
     }

@@ -76,12 +76,13 @@ impl Kernel {
     /// Grants `pid` a register context and programs the context's key
     /// into the engine's (privileged) key table. Returns `None` when all
     /// contexts are taken — those processes "will have to go through the
-    /// kernel" (§3.2).
+    /// kernel" (§3.2) — and when `bus` decodes no key table at the
+    /// layout's NI base (a bus without this kernel's NI), since then no
+    /// key can be programmed.
     pub fn grant_context(&mut self, pid: Pid, bus: &mut Bus, now: SimTime) -> Option<CtxGrant> {
         let grant = self.keys.grant(pid)?;
         let reg = self.nic_base + regs::KEY_TABLE_BASE + 8 * grant.ctx as u64;
-        bus.access(BusTxn::write(reg, grant.key, pid.as_u32()), now)
-            .expect("key table is always decodable");
+        bus.access(BusTxn::write(reg, grant.key, pid.as_u32()), now).ok()?;
         Some(grant)
     }
 

@@ -156,7 +156,8 @@ impl VmManager {
     /// # Errors
     ///
     /// [`MemFault::AlreadyMapped`] if any target page is taken;
-    /// [`MemFault::BusError`] if physical memory is exhausted.
+    /// [`MemFault::BusError`] if physical memory is exhausted, or if a
+    /// shadow twin is asked for a frame the shadow window cannot name.
     pub fn map_buffer(
         &mut self,
         pt: &mut PageTable,
@@ -167,9 +168,12 @@ impl VmManager {
     ) -> Result<MappedBuffer, MemFault> {
         assert!(va.is_page_aligned(), "buffer base must be page aligned");
         assert!(pages > 0, "buffer must have at least one page");
-        let mut first = None;
+        let first_frame = self.alloc_frame()?;
         for i in 0..pages {
-            let frame = self.alloc_contiguous(&mut first, i)?;
+            let frame = if i == 0 { first_frame } else { self.alloc_frame()? };
+            // Contiguity is guaranteed by the bump allocator as long as
+            // nothing frees in between; assert it.
+            debug_assert_eq!(frame.number(), first_frame.number() + i, "frames not contiguous");
             let page = va.page().offset(i);
             pt.map(page, frame, perms)?;
             self.install_shadow(pt, page, frame, perms, mode)?;
@@ -178,35 +182,17 @@ impl VmManager {
             va,
             shadow_va: self.layout.shadow.shadow_vaddr(va),
             pages,
-            first_frame: first.expect("pages > 0"),
+            first_frame,
             perms,
         })
     }
 
-    fn alloc_contiguous(
-        &mut self,
-        first: &mut Option<PhysFrame>,
-        index: u64,
-    ) -> Result<PhysFrame, MemFault> {
-        let frame = match *first {
-            // Contiguity is guaranteed by the bump allocator as long as
-            // nothing frees in between; assert it.
-            Some(f) => {
-                let next = self.frames.alloc().ok_or(MemFault::BusError {
-                    pa: udma_mem::PhysAddr::new(self.layout.ram_size),
-                })?;
-                debug_assert_eq!(next.number(), f.number() + index, "frames not contiguous");
-                next
-            }
-            None => {
-                let f = self.frames.alloc().ok_or(MemFault::BusError {
-                    pa: udma_mem::PhysAddr::new(self.layout.ram_size),
-                })?;
-                *first = Some(f);
-                f
-            }
-        };
-        Ok(frame)
+    /// One fresh frame, or [`MemFault::BusError`] past the end of RAM
+    /// when physical memory is exhausted.
+    fn alloc_frame(&mut self) -> Result<PhysFrame, MemFault> {
+        self.frames
+            .alloc()
+            .ok_or(MemFault::BusError { pa: udma_mem::PhysAddr::new(self.layout.ram_size) })
     }
 
     /// Maps an *existing* frame range into another process (shared
@@ -214,7 +200,9 @@ impl VmManager {
     ///
     /// # Errors
     ///
-    /// [`MemFault::AlreadyMapped`] if any target page is taken.
+    /// [`MemFault::AlreadyMapped`] if any target page is taken;
+    /// [`MemFault::BusError`] if a shadow twin is asked for a frame the
+    /// shadow window cannot name.
     pub fn map_shared(
         &mut self,
         pt: &mut PageTable,
@@ -253,11 +241,12 @@ impl VmManager {
             ShadowMode::Plain => 0,
             ShadowMode::WithCtx(c) => c,
         };
+        // A validated layout makes all of RAM shadow-addressable.
         let shadow_pa = self
             .layout
             .shadow
             .shadow_paddr_ctx(frame.base(), ctx)
-            .expect("RAM is shadow-addressable (layout validated)");
+            .ok_or(MemFault::BusError { pa: frame.base() })?;
         let shadow_page = self.layout.shadow.shadow_vaddr(page.base()).page();
         pt.map(shadow_page, shadow_pa.page(), perms)
     }

@@ -1,11 +1,12 @@
 //! Allocation gate for the local transfer path: in steady state a
-//! transfer makes no heap allocation. And a live-heap gate for the
-//! cluster path: a finished transfer holds no payload.
+//! transfer makes no heap allocation. And two gates for the cluster
+//! path: a deposit adopts its chunk instead of allocating a frame, and
+//! a finished transfer holds no payload.
 //!
 //! A counting global allocator counts every `alloc`, `alloc_zeroed` and
 //! `realloc` made on the calling thread while one call runs, and tracks
 //! the thread's live heap bytes, so tests running in parallel do not
-//! leak into each other's counts. Six shapes are gated:
+//! leak into each other's counts. Seven shapes are gated:
 //!
 //! * `Machine::run` on the ring shape (key-based, pin-on-post VA DMA,
 //!   1,024 descriptors written by the CPU into a one-page ring, one
@@ -45,7 +46,13 @@
 //!   after the run, the live heap grows by at most the destination
 //!   frames the run wrote plus 1 KiB per transfer. While every transfer
 //!   kept its payload until the cluster was dropped, it also grew by
-//!   every posted byte.
+//!   every posted byte. Since deposits adopt their chunks, the frames
+//!   hold the posted buffers themselves, which are no larger.
+//! * `ClusterSim::run` in the benchmark's full cluster shape (32 nodes,
+//!   64 two-page slots of posts reaching into the second page, 5% frame
+//!   loss, even slots pinned): at most 0.25 allocations per transfer.
+//!   It makes 0.15. While every deposit copied its chunk into a fresh
+//!   8 KiB frame, it made 2.15, two of them the frames.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -362,5 +369,50 @@ fn cluster_run_holds_no_finished_payload() {
     assert!(
         growth <= bound,
         "live heap grew {growth} B over {xfers} transfers writing {frames} frames (bound {bound})"
+    );
+}
+
+#[test]
+fn cluster_run_adopts_chunks_instead_of_allocating_frames() {
+    const NODES: u32 = 32;
+    const SLOTS: u64 = 64;
+    const SLOT_PAGES: u64 = 2;
+    const ASID: u32 = 1;
+    const ALLOCS_PER_XFER: f64 = 0.25;
+    let slot_va = |slot: u64| VirtAddr::new((32 + slot * SLOT_PAGES) * PAGE_SIZE);
+    let mut cfg = ClusterConfig::new(NODES);
+    cfg.node_bytes = 2 << 20;
+    cfg.iotlb = IotlbConfig { entries: 256, ways: 4, ..IotlbConfig::default() };
+    cfg.chaos = Some(FaultPlan::lossless(1).with_drop(0.05));
+    let mut sim = ClusterSim::new(cfg);
+    for node in 0..NODES {
+        for slot in 0..SLOTS {
+            sim.grant(node, ASID, slot_va(slot), SLOT_PAGES, Perms::READ_WRITE).unwrap();
+            if slot % 2 == 0 {
+                sim.pin(node, ASID, slot_va(slot), SLOT_PAGES * PAGE_SIZE).unwrap();
+            }
+        }
+    }
+    let mut rng = TestRng::seed_from_u64(11);
+    let mut posts = Vec::with_capacity((SLOTS * u64::from(NODES)) as usize);
+    // Each slot, every node sends into a different node's copy of it,
+    // always reaching into the slot's second page.
+    for slot in 0..SLOTS {
+        let shift = 1 + (slot as u32) % (NODES - 1);
+        for src in 0..NODES {
+            let len = PAGE_SIZE + 8 * rng.gen_range(1..PAGE_SIZE / 8);
+            let at = SimTime::from_us(slot * 11 + 3 * rng.gen_range(0..6));
+            posts.push(sim.post(src, (src + shift) % NODES, ASID, slot_va(slot), len, at));
+        }
+    }
+    let (_, allocs) = counting(|| sim.run());
+    for &id in &posts {
+        assert_eq!(sim.xfer(id).state, XferState::Complete, "{id}");
+    }
+    let per = allocs as f64 / posts.len() as f64;
+    assert!(
+        per <= ALLOCS_PER_XFER,
+        "{allocs} allocations over {} transfers ({per:.3} each)",
+        posts.len()
     );
 }
