@@ -6,8 +6,9 @@
 //!   page/frame numbers ([`VirtPage`], [`PhysFrame`]),
 //! * byte-addressable [`PhysMemory`], materialised frame by frame on
 //!   first write, with a [`FrameAllocator`]; a fresh frame may adopt a
-//!   shared read-only [`ByteView`] instead of copying it, and copies it
-//!   on its first write,
+//!   shared read-only [`ByteView`] instead of copying it, a whole-page
+//!   copy between aligned frames shares the source's bytes the same
+//!   way, and either side copies them on its first write,
 //! * per-process [`PageTable`]s with protection bits ([`Perms`]), over
 //!   the seedless page-keyed hash map [`PageMap`] that the NI's I/O
 //!   page tables share,

@@ -19,6 +19,13 @@ use crate::{ByteView, MemFault, PhysAddr, PhysFrame, PAGE_SHIFT, PAGE_SIZE};
 /// owned page (copy-on-write), so the viewed buffer never changes. A
 /// clone of the memory shares adopted buffers and diverges on write.
 ///
+/// [`copy`](Self::copy) shares too: a whole page copied from one
+/// page-aligned frame to another that holds no owned page makes both
+/// frames views of the source's bytes (an owned source page is wrapped
+/// in place, with no byte copy), and the first write to either side
+/// copies it. Since a share is a snapshot, a copy still ends exactly
+/// as a read of the source followed by a write would leave it.
+///
 /// ```
 /// use udma_mem::{ByteView, PhysMemory, PhysAddr, PAGE_SIZE};
 ///
@@ -212,9 +219,19 @@ impl PhysMemory {
     /// memmove semantics: overlapping ranges end up exactly as a read of
     /// the whole source followed by a write of it would leave them.
     /// Allocates nothing but destination frames on first touch (or on
-    /// the first write of an adopted one); an unwritten source frame
-    /// reads as zeros and still materialises the destination frame, as
-    /// [`write_bytes`](Self::write_bytes) does.
+    /// the first write of an adopted one), and not even those for a
+    /// whole page:
+    ///
+    /// * A whole page aligned at both ends, into a frame that holds no
+    ///   owned page, is *shared*: the destination adopts a view of the
+    ///   source's bytes, wrapping an owned source page in place (one
+    ///   `Arc`, no byte copy), and an unwritten source leaves the
+    ///   destination unwritten. The first write to either frame copies
+    ///   it, as for any adopted frame.
+    /// * Any other chunk is copied: in place into an owned page,
+    ///   otherwise into a page built around it. An unwritten source
+    ///   frame reads as zeros and still materialises the destination
+    ///   frame, as [`write_bytes`](Self::write_bytes) does.
     ///
     /// # Errors
     ///
@@ -258,6 +275,15 @@ impl PhysMemory {
             d[doff..doff + len].copy_from_slice(&s[so..so + len]);
             return;
         }
+        // A whole page (so aligned on both sides) into a frame holding
+        // no owned page shares the source's bytes.
+        if len == PAGE_SIZE as usize
+            && sf != df
+            && !matches!(self.frames.get(df), Some(Some(Frame::Owned(_))))
+        {
+            self.share_frame(sf, df);
+            return;
+        }
         // Take the destination frame out of its slot so the source can
         // be borrowed from the table alongside it.
         let data = match self.slot_mut(df).take() {
@@ -280,6 +306,26 @@ impl PhysMemory {
             }
         };
         self.frames[df] = Some(Frame::Owned(data));
+    }
+
+    /// Makes frame `df` hold what frame `sf` holds, sharing its bytes:
+    /// an owned source page becomes a view of its own buffer (one `Arc`
+    /// allocation, no byte copy) that both frames adopt, an adopted
+    /// source's view is cloned, and an unwritten source leaves `df`
+    /// unwritten. A later write to either frame copies it first.
+    fn share_frame(&mut self, sf: usize, df: usize) {
+        let view = match self.frames.get_mut(sf).and_then(Option::take) {
+            Some(Frame::Owned(data)) => ByteView::from(data.into_vec()),
+            Some(Frame::Adopted(view)) => view,
+            None => {
+                if let Some(slot) = self.frames.get_mut(df) {
+                    *slot = None;
+                }
+                return;
+            }
+        };
+        self.frames[sf] = Some(Frame::Adopted(view.clone()));
+        *self.slot_mut(df) = Some(Frame::Adopted(view));
     }
 
     /// Reads a naturally aligned little-endian `u64`.
@@ -562,6 +608,100 @@ mod tests {
         assert!(!adopted(&mem, 1) && adopted(&mem, 0));
         mem.read_bytes(PhysAddr::new(PAGE_SIZE + 8), &mut buf).unwrap();
         assert_eq!(buf, *view);
+    }
+
+    /// The address of frame `n`'s owned page, if it holds one.
+    fn owned_page(mem: &PhysMemory, n: usize) -> Option<*const u8> {
+        match mem.frames.get(n) {
+            Some(Some(Frame::Owned(data))) => Some(data.as_ptr()),
+            _ => None,
+        }
+    }
+
+    /// Frame `n` read whole.
+    fn page(mem: &PhysMemory, n: u64) -> Vec<u8> {
+        let mut buf = vec![0xFFu8; PAGE_SIZE as usize];
+        mem.read_bytes(PhysAddr::new(n * PAGE_SIZE), &mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn whole_page_copy_into_a_fresh_frame_shares_the_source() {
+        let mut mem = PhysMemory::new(1 << 20);
+        let bytes: Vec<u8> = (0..PAGE_SIZE).map(|i| (i % 253) as u8).collect();
+        mem.write_bytes(PhysAddr::new(2 * PAGE_SIZE), &bytes).unwrap();
+        let source = owned_page(&mem, 2);
+        mem.copy(PhysAddr::new(2 * PAGE_SIZE), PhysAddr::new(5 * PAGE_SIZE), PAGE_SIZE).unwrap();
+        assert!(adopted(&mem, 2) && adopted(&mem, 5), "both frames view the source's bytes");
+        let Some(Frame::Adopted(view)) = &mem.frames[5] else { unreachable!() };
+        assert_eq!(Some(view.as_ptr()), source, "the owned page was wrapped, not copied");
+        assert_eq!(page(&mem, 5), bytes);
+        // Sharing the shared page again clones the view.
+        mem.copy(PhysAddr::new(5 * PAGE_SIZE), PhysAddr::new(7 * PAGE_SIZE), PAGE_SIZE).unwrap();
+        assert!(adopted(&mem, 7));
+        assert_eq!(page(&mem, 7), bytes);
+    }
+
+    #[test]
+    fn whole_page_copy_into_an_owned_page_copies_in_place() {
+        let mut mem = PhysMemory::new(1 << 20);
+        mem.write_bytes(PhysAddr::new(PAGE_SIZE), &[0x5A; 64]).unwrap();
+        mem.write_u64(PhysAddr::new(4 * PAGE_SIZE + 8), 3).unwrap();
+        let dst = owned_page(&mem, 4);
+        mem.copy(PhysAddr::new(PAGE_SIZE), PhysAddr::new(4 * PAGE_SIZE), PAGE_SIZE).unwrap();
+        assert!(dst.is_some() && owned_page(&mem, 4) == dst, "written in place");
+        assert!(owned_page(&mem, 1).is_some(), "the source stays owned");
+        assert_eq!(page(&mem, 4), page(&mem, 1));
+        // An unwritten source zeroes an owned page in place too.
+        mem.copy(PhysAddr::new(9 * PAGE_SIZE), PhysAddr::new(4 * PAGE_SIZE), PAGE_SIZE).unwrap();
+        assert!(owned_page(&mem, 4) == dst);
+        assert_eq!(page(&mem, 4), vec![0; PAGE_SIZE as usize]);
+    }
+
+    #[test]
+    fn a_write_to_either_side_of_a_shared_page_leaves_the_other_alone() {
+        let mut mem = PhysMemory::new(1 << 20);
+        let bytes = vec![0x11u8; PAGE_SIZE as usize];
+        mem.write_bytes(PhysAddr::new(0), &bytes).unwrap();
+        mem.copy(PhysAddr::new(0), PhysAddr::new(3 * PAGE_SIZE), PAGE_SIZE).unwrap();
+        mem.copy(PhysAddr::new(0), PhysAddr::new(6 * PAGE_SIZE), PAGE_SIZE).unwrap();
+        // A write to the source copies it; both copies keep the old bytes.
+        mem.write_u64(PhysAddr::new(16), 0xAA).unwrap();
+        assert!(!adopted(&mem, 0) && adopted(&mem, 3) && adopted(&mem, 6));
+        assert_eq!(page(&mem, 3), bytes);
+        assert_eq!(mem.read_u64(PhysAddr::new(16)).unwrap(), 0xAA);
+        // A write to one copy leaves the source and the other copy alone.
+        mem.write_bytes(PhysAddr::new(3 * PAGE_SIZE + 100), &[0xBB; 8]).unwrap();
+        assert!(!adopted(&mem, 3) && adopted(&mem, 6));
+        assert_eq!(page(&mem, 6), bytes);
+        assert_eq!(mem.read_u64(PhysAddr::new(16)).unwrap(), 0xAA);
+        let mut back = [0u8; 8];
+        mem.read_bytes(PhysAddr::new(3 * PAGE_SIZE + 100), &mut back).unwrap();
+        assert_eq!(back, [0xBB; 8]);
+    }
+
+    #[test]
+    fn unaligned_or_partial_chunks_copy_and_unwritten_sources_share_nothing() {
+        let mut mem = PhysMemory::new(1 << 20);
+        let bytes: Vec<u8> = (0..2 * PAGE_SIZE).map(|i| (i % 249) as u8 + 1).collect();
+        mem.write_bytes(PhysAddr::new(0), &bytes).unwrap();
+        // A page starting mid-frame is two partial chunks.
+        mem.copy(PhysAddr::new(8), PhysAddr::new(4 * PAGE_SIZE + 8), PAGE_SIZE).unwrap();
+        // A page-aligned range short of a page.
+        mem.copy(PhysAddr::new(0), PhysAddr::new(6 * PAGE_SIZE), PAGE_SIZE - 8).unwrap();
+        assert!((0..mem.frames.len()).all(|n| !adopted(&mem, n)), "nothing shared");
+        assert_eq!(resident_frames(&mem), 5, "frames 0, 1, 4, 5 and 6");
+        let mut back = vec![0u8; PAGE_SIZE as usize];
+        mem.read_bytes(PhysAddr::new(4 * PAGE_SIZE + 8), &mut back).unwrap();
+        assert_eq!(back, bytes[8..PAGE_SIZE as usize + 8]);
+        // A whole unwritten page leaves a fresh destination unwritten
+        // and turns an adopted one back into zeros.
+        mem.copy(PhysAddr::new(9 * PAGE_SIZE), PhysAddr::new(10 * PAGE_SIZE), PAGE_SIZE).unwrap();
+        mem.copy(PhysAddr::new(0), PhysAddr::new(11 * PAGE_SIZE), PAGE_SIZE).unwrap();
+        assert!(adopted(&mem, 11));
+        mem.copy(PhysAddr::new(9 * PAGE_SIZE), PhysAddr::new(11 * PAGE_SIZE), PAGE_SIZE).unwrap();
+        assert_eq!(resident_frames(&mem), 5, "the unwritten page materialised nothing");
+        assert_eq!(page(&mem, 11), vec![0; PAGE_SIZE as usize]);
     }
 
     #[test]

@@ -9,9 +9,11 @@ use std::sync::Arc;
 /// A remote transfer's payload travels as views of the one buffer the
 /// sender posted: each chunk on the wire is a view of its slice, and
 /// [`PhysMemory::write_view`](crate::PhysMemory::write_view) can store
-/// a view as a destination frame instead of copying it. Nothing ever
-/// writes through a view, so every holder sees the buffer as it was
-/// posted. Equality compares the viewed bytes, not the buffer identity.
+/// a view as a destination frame instead of copying it;
+/// [`PhysMemory::copy`](crate::PhysMemory::copy) shares a whole page as
+/// a view the same way. Nothing ever writes through a view, so every
+/// holder sees the buffer as it was posted. Equality compares the
+/// viewed bytes, not the buffer identity.
 ///
 /// ```
 /// use udma_mem::ByteView;

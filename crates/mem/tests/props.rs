@@ -180,12 +180,13 @@ props! {
     /// `PhysMemory` behaves as a flat byte vector under random
     /// sequences of byte writes, view writes (page-aligned or not,
     /// whole-page or partial, into fresh or already-written frames),
-    /// copies (overlapping ones too), byte reads, `u64` reads and
-    /// writes, and clones. Two memories run side by side: a clone step
-    /// makes the second a clone of the first, and every other step acts
-    /// on one of them, so a clone and its original must diverge
-    /// independently. After each step both read back whole as their
-    /// models, and every buffer a view was written from is unchanged.
+    /// copies (overlapping ones too, and whole-page ones that share
+    /// frames), byte reads, `u64` reads and writes, and clones. Two
+    /// memories run side by side: a clone step makes the second a clone
+    /// of the first, and every other step acts on one of them, so a
+    /// clone and its original must diverge independently. After each
+    /// step both read back whole as their models, and every buffer a
+    /// view was written from is unchanged.
     fn phys_memory_matches_a_flat_model(
         ops in vec((0u8..7, any::<u64>(), any::<u64>(), 0u64..2 * PAGE_SIZE + 16), 1..32),
     ) {
@@ -219,15 +220,25 @@ props! {
                 }
                 2 => {
                     // Half the copies land within two frames of their
-                    // source, so the ranges often overlap.
-                    let near = b % (2 * PAGE_SIZE);
-                    let dst = match (b >> 32) % 4 {
-                        0 => addr + near,
-                        1 => addr.saturating_sub(near),
-                        _ => (b >> 8) % (size + PAGE_SIZE),
+                    // source, so the ranges often overlap. A third run
+                    // whole pages (one to three) between page-aligned
+                    // addresses, so they share frames: unwritten ones,
+                    // owned ones and adopted short views alike.
+                    let whole = (b >> 58) % 3 == 0;
+                    let (src, len, near, mask) = if whole {
+                        let pages = 1 + (b >> 48) % 3;
+                        let near = (b >> 44) % 3 * PAGE_SIZE;
+                        (addr & !(PAGE_SIZE - 1), pages * PAGE_SIZE, near, !(PAGE_SIZE - 1))
+                    } else {
+                        (addr, len, b % (2 * PAGE_SIZE), !0)
                     };
-                    let (src_pa, dst_pa) = (PhysAddr::new(addr), PhysAddr::new(dst));
-                    prop_assert_eq!(mem.copy(src_pa, dst_pa, len), flat.copy(addr, dst, len));
+                    let dst = match (b >> 32) % 4 {
+                        0 => src + near,
+                        1 => src.saturating_sub(near),
+                        _ => ((b >> 8) % (size + PAGE_SIZE)) & mask,
+                    };
+                    let (src_pa, dst_pa) = (PhysAddr::new(src), PhysAddr::new(dst));
+                    prop_assert_eq!(mem.copy(src_pa, dst_pa, len), flat.copy(src, dst, len));
                 }
                 3 => {
                     let (mut got, mut want) = (vec![0xA5; len as usize], vec![0xA5; len as usize]);

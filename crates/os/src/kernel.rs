@@ -78,11 +78,15 @@ impl Kernel {
     /// contexts are taken — those processes "will have to go through the
     /// kernel" (§3.2) — and when `bus` decodes no key table at the
     /// layout's NI base (a bus without this kernel's NI), since then no
-    /// key can be programmed.
+    /// key can be programmed; then the context goes back to the free
+    /// list, so `pid` holds no grant with an unprogrammed key.
     pub fn grant_context(&mut self, pid: Pid, bus: &mut Bus, now: SimTime) -> Option<CtxGrant> {
         let grant = self.keys.grant(pid)?;
         let reg = self.nic_base + regs::KEY_TABLE_BASE + 8 * grant.ctx as u64;
-        bus.access(BusTxn::write(reg, grant.key, pid.as_u32()), now).ok()?;
+        if bus.access(BusTxn::write(reg, grant.key, pid.as_u32()), now).is_err() {
+            self.keys.release(pid);
+            return None;
+        }
         Some(grant)
     }
 
@@ -506,5 +510,22 @@ mod tests {
         // Same pid again: same grant, not reprogrammed differently.
         let g2 = kernel.grant_context(Pid::new(1), &mut bus, SimTime::ZERO).unwrap();
         assert_eq!(g, g2);
+    }
+
+    #[test]
+    fn grant_context_keeps_no_context_when_the_key_store_fails() {
+        let (_, mut bus) = machine(SwitchPolicy::Vanilla);
+        // A kernel that places the NI where this bus decodes nothing.
+        let layout =
+            PhysLayout { nic_base: udma_mem::PhysAddr::new(1 << 41), ..Default::default() };
+        let mut kernel =
+            Kernel::new(layout, CostModel::alpha_3000_300(), SwitchPolicy::Vanilla, 4, 42, 61);
+        let before = kernel.keys().available();
+        for _ in 0..2 {
+            assert_eq!(kernel.grant_context(Pid::new(1), &mut bus, SimTime::ZERO), None);
+            assert_eq!(kernel.keys().available(), before, "the context went back");
+        }
+        assert_eq!(kernel.grant_context(Pid::new(2), &mut bus, SimTime::ZERO), None);
+        assert_eq!(kernel.keys().available(), before);
     }
 }

@@ -84,6 +84,15 @@ impl KeyRegistry {
         Some(grant)
     }
 
+    /// Takes back `pid`'s grant, if it holds one, and returns its
+    /// context to the free list, so the next grant may hand it out
+    /// again under a fresh key.
+    pub(crate) fn release(&mut self, pid: Pid) {
+        if let Some(grant) = self.grants.remove(&pid) {
+            self.free.push(grant.ctx);
+        }
+    }
+
     /// Contexts still available.
     pub fn available(&self) -> usize {
         self.free.len()
@@ -111,6 +120,18 @@ mod tests {
         let again = r.grant(Pid::new(0)).unwrap();
         assert_eq!(a, again);
         assert_eq!(r.available(), 3);
+    }
+
+    #[test]
+    fn release_returns_the_context_and_regrants_it_under_a_new_key() {
+        let mut r = KeyRegistry::new(2, 42, 61);
+        let a = r.grant(Pid::new(0)).unwrap();
+        r.release(Pid::new(0));
+        r.release(Pid::new(0));
+        assert_eq!(r.available(), 2, "a second release frees nothing");
+        let b = r.grant(Pid::new(1)).unwrap();
+        assert_eq!(b.ctx, a.ctx);
+        assert_ne!(b.key, a.key);
     }
 
     #[test]

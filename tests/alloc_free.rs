@@ -1,7 +1,8 @@
 //! Allocation gate for the local transfer path: in steady state a
-//! transfer makes no heap allocation. And two gates for the cluster
-//! path: a deposit adopts its chunk instead of allocating a frame, and
-//! a finished transfer holds no payload.
+//! transfer makes no heap allocation, and a demand-paged transfer's
+//! whole-page copies share their source frames. And two gates for the
+//! cluster path: a deposit adopts its chunk instead of allocating a
+//! frame, and a finished transfer holds no payload.
 //!
 //! A counting global allocator counts every `alloc`, `alloc_zeroed` and
 //! `realloc` made on the calling thread while one call runs, and tracks
@@ -37,9 +38,17 @@
 //!   the benchmark's va_fault shape (two 64-page buffers, a 16-entry
 //!   IOTLB, two passes of 1–8-page transfers): at most 98 allocations
 //!   over its 128 serviced faults, the count of the B-tree page tables.
-//!   That is one destination frame per destination page plus amortized
-//!   table growth; the hashed tables make 84. A table that reallocated
-//!   on every insert would make about 210.
+//!   That was one destination frame per destination page plus amortized
+//!   table growth; the hashed tables made 84. A table that reallocated
+//!   on every insert would make about 210. Since a whole aligned page
+//!   copy shares its source frame, it makes 94: one `Arc` per shared
+//!   source page, and a second allocation for each page shared in the
+//!   first pass and cut by a transfer boundary in the second. The live
+//!   heap grows by at most the destination pages some transfer
+//!   boundary cuts, 8 KiB each, plus 48 KiB of tables (29 KiB
+//!   measured): the 41 pages that only take whole-page copies hold no
+//!   frame of their own. While every chunk was a byte copy it grew by
+//!   all 64 destination frames.
 //! * A sequential lossy `ClusterSim` in the repository benchmark's
 //!   cluster shape, scaled down (8 nodes, 16 two-page slots of 1–2-page
 //!   posts, 5% frame loss, even slots pinned): from before the posts to
@@ -265,10 +274,14 @@ fn pinned_virt_post_allocates_nothing_per_post() {
 /// Pages per buffer of the demand-paged shape.
 const VA_PAGES: u64 = 64;
 /// Allocations per serviced fault of the demand-paged shape: 98 over
-/// its 128 faults, as the B-tree page tables made them. That is the
+/// its 128 faults, as the B-tree page tables made them. That was the
 /// destination frame (64 of them) plus amortized table growth; hashed
-/// tables make 84.
+/// tables made 84, and shared whole pages make 94.
 const ALLOCS_PER_FAULT: f64 = 98.0 / 128.0;
+/// Live heap the demand-paged shape may grow by besides the
+/// destination frames it owns: page tables, IOTLB, transfer records and
+/// the shared views' `Arc`s, 29,032 B when measured.
+const VA_TABLE_BYTES: i64 = 48 << 10;
 
 #[test]
 fn demand_paged_faults_allocate_a_frame_and_amortized_growth() {
@@ -296,21 +309,32 @@ fn demand_paged_faults_allocate_a_frame_and_amortized_growth() {
             pos += len;
         }
     }
-    let (faults, allocs) = counting(|| {
-        let mut faults = 0;
-        for &(off, len) in &transfers {
-            let id = m.post_virt(pid, env.addr_in(0, off), env.addr_in(1, off), len).unwrap();
-            loop {
-                let n = m.service_va_faults();
-                faults += n;
-                if n == 0 {
-                    break;
+    let ((faults, allocs), growth) = live_growth(|| {
+        counting(|| {
+            let mut faults = 0;
+            for &(off, len) in &transfers {
+                let id = m.post_virt(pid, env.addr_in(0, off), env.addr_in(1, off), len).unwrap();
+                loop {
+                    let n = m.service_va_faults();
+                    faults += n;
+                    if n == 0 {
+                        break;
+                    }
                 }
+                assert_eq!(m.run_virt(id, 1_000), VirtState::Complete);
             }
-            assert_eq!(m.run_virt(id, 1_000), VirtState::Complete);
-        }
-        faults
+            faults
+        })
     });
+    // A destination page that no transfer boundary cuts, in either
+    // pass, only ever takes whole-page copies, so it shares its source
+    // frame instead of owning one.
+    let whole = (0..VA_PAGES)
+        .filter(|&p| {
+            let inside = p * PAGE_SIZE + 1..(p + 1) * PAGE_SIZE;
+            transfers.iter().all(|&(off, _)| !inside.contains(&off))
+        })
+        .count() as u64;
     assert_eq!(faults, 2 * VA_PAGES, "every page of both buffers faults in once");
     let mut dst = vec![0u8; end as usize];
     m.memory().borrow().read_bytes(env.buffer(1).first_frame.base(), &mut dst).unwrap();
@@ -319,6 +343,12 @@ fn demand_paged_faults_allocate_a_frame_and_amortized_growth() {
     assert!(
         per <= ALLOCS_PER_FAULT,
         "{allocs} allocations over {faults} serviced faults ({per:.3} each)"
+    );
+    let bound = ((VA_PAGES - whole) * PAGE_SIZE) as i64 + VA_TABLE_BYTES;
+    assert!(
+        growth <= bound,
+        "live heap grew {growth} B with {whole} of {VA_PAGES} destination pages copied only whole \
+         (bound {bound})"
     );
 }
 
