@@ -97,6 +97,14 @@ echo "== descriptor-ring replay (pinned seed) =="
 # ring regression (E20, DESIGN.md §4j).
 UDMA_PROP_SEED=3611 cargo test -q --offline --test descring --test ctx_virt
 
+echo "== repeated-passing FSM replay (pinned seed) =="
+# Seeded replay of the repeated-passing FSM properties: the 3-, 4- and
+# 5-access window rules over arbitrary shadow-access streams and the
+# back-to-back acceptance of valid 4- and 5-access sequences, each rule
+# written out independently of the sequence table (§3.3), pinned for
+# bisection.
+UDMA_PROP_SEED=3612 cargo test -q --offline -p udma-nic --test fsm_props
+
 echo "== sim core self-bench (events/sec) =="
 # The E16 self-benchmark: emits BENCH json for the sim target (collected
 # below) and digest-checks every parallel row against the oracle.

@@ -1,13 +1,16 @@
 //! Initiation compilers: method → instruction sequence.
 //!
 //! These functions emit, instruction for instruction, the sequences the
-//! paper lists: Figure 1's syscall for the kernel baseline, Figure 2/4's
-//! two accesses, Figure 3's four, and Figure 7's five-access retry loop.
+//! paper lists: Figure 1's syscall for the kernel baseline, Figure 3's
+//! four key-based accesses, and every shadow-only sequence (Figure 2/4's
+//! two accesses up to Figure 7's five-access retry loop) as the row
+//! [`udma_nic::ProtocolKind::sequence`] gives it.
 
 use crate::machine::PAL_DMA;
 use crate::{DmaMethod, DmaRequest, ProcessEnv};
-use udma_cpu::{ProgramBuilder, Reg};
+use udma_cpu::{Instr, Operand, ProgramBuilder, Reg};
 use udma_mem::VirtAddr;
+use udma_nic::protocol::{Op, Role, Then};
 use udma_nic::{regs, AtomicOp, DMA_FAILURE, DMA_STARTED};
 use udma_os::{SYS_ATOMIC, SYS_DMA};
 
@@ -42,33 +45,32 @@ pub fn emit_dma(
     req: &DmaRequest,
     _uniq: &mut u32,
 ) -> ProgramBuilder {
+    emit(env, b, req, true)
+}
+
+/// Appends one initiation **without retry loops**; `r0` ends with the
+/// final status load's value. For methods whose sequence has no loop this
+/// is identical to [`emit_dma`].
+///
+/// The attack figures of the paper (Figures 5, 6, 8) show the *plain*
+/// access sequences, without Figure 7's retry loop — the misinformation
+/// attack on the 4-instruction variant is only visible when the victim
+/// does not retry. Victims in the attack scenarios use these.
+pub fn emit_dma_once(env: &ProcessEnv, b: ProgramBuilder, req: &DmaRequest) -> ProgramBuilder {
+    emit(env, b, req, false)
+}
+
+fn emit(env: &ProcessEnv, b: ProgramBuilder, req: &DmaRequest, retries: bool) -> ProgramBuilder {
     let method = if env.can_use_user_level() { env.method } else { DmaMethod::Kernel };
     let s_src = env.shadow_of(req.src).as_u64();
     let s_dst = env.shadow_of(req.dst).as_u64();
-    // The head of the retry loop, for the methods that have one.
-    let retry = b.here();
     match method {
         DmaMethod::Kernel => b
             .imm(Reg::R0, req.src.as_u64())
             .imm(Reg::R1, req.dst.as_u64())
             .imm(Reg::R2, req.size)
             .syscall(SYS_DMA),
-        // One argument-passing access; the destination is the source
-        // page's mapped-out twin. A status load follows (the real SHRIMP
-        // used a compare-and-exchange that returned it in one go).
-        DmaMethod::Shrimp1 => b.store(s_src, req.size).load(Reg::R0, s_src),
-        // Figure 2 / Figure 4: STORE size TO shadow(vdest); LOAD status
-        // FROM shadow(vsource).
-        DmaMethod::Shrimp2 { .. } | DmaMethod::Flash { .. } | DmaMethod::ExtShadow => {
-            b.store(s_dst, req.size).load(Reg::R0, s_src)
-        }
-        // Same two accesses, but an interleaved pair of another process
-        // makes *both* fail with CtxMismatch — so the canonical sequence
-        // retries (safe, not wait-free).
-        DmaMethod::ExtShadowPairwise => {
-            b.store(s_dst, req.size).load(Reg::R0, s_src).beq(Reg::R0, DMA_FAILURE, retry)
-        }
-        // §2.7: the same two accesses, inside an uninterruptible PAL call.
+        // §2.7: SHRIMP-2's two accesses inside an uninterruptible PAL call.
         DmaMethod::Pal => {
             b.imm(Reg::R1, s_dst).imm(Reg::R2, req.size).imm(Reg::R3, s_src).call_pal(PAL_DMA)
         }
@@ -82,36 +84,30 @@ pub fn emit_dma(
                 .store(ctx_page + regs::CTX_SIZE_TRIGGER, req.size)
                 .load(Reg::R0, ctx_page + regs::CTX_SIZE_TRIGGER)
         }
-        DmaMethod::Repeated3 => b
-            .load(Reg::R0, s_src)
-            .store(s_dst, req.size)
-            .load(Reg::R0, s_src)
-            .beq(Reg::R0, DMA_FAILURE, retry),
-        DmaMethod::Repeated4 => b
-            .store(s_dst, req.size)
-            .load(Reg::R0, s_src)
-            .store(s_dst, req.size)
-            .load(Reg::R0, s_src)
-            .beq(Reg::R0, DMA_FAILURE, retry),
-        // Figure 7, verbatim — including the memory barriers §3.4 says
-        // the measurement used so the write buffer cannot collapse the
-        // repeated stores. The final load must observe DMA_STARTED, not
-        // merely non-failure: with a single shared FSM, a broken final
-        // load can be absorbed as an argument-passing access of another
-        // process's in-flight sequence and read back DMA_PENDING, which
-        // would otherwise end the retry loop on a transfer that never
-        // happened.
-        DmaMethod::Repeated5 => b
-            .store(s_dst, req.size)
-            .mb()
-            .load(Reg::R0, s_src)
-            .beq(Reg::R0, DMA_FAILURE, retry)
-            .store(s_dst, req.size)
-            .mb()
-            .load(Reg::R0, s_src)
-            .beq(Reg::R0, DMA_FAILURE, retry)
-            .load(Reg::R0, s_dst)
-            .bne(Reg::R0, DMA_STARTED, retry),
+        // Every other method walks its protocol's row, appending in place
+        // (`ProgramBuilder::push`); retries branch back to its first access.
+        _ => {
+            let row = method.protocol().sequence().expect("shadow-only method has a row");
+            let (reg, size, target) = (Reg::R0, Operand::Imm(req.size), b.here().index());
+            let mut b = b;
+            for access in row {
+                let addr = Operand::Imm(if access.role == Role::Src { s_src } else { s_dst });
+                b.push(match access.op {
+                    Op::Store => Instr::Store { addr, src: size },
+                    Op::Load => Instr::Load { dst: reg, addr },
+                });
+                match access.then {
+                    Then::Next => {}
+                    Then::Mb => b.push(Instr::Mb),
+                    _ if !retries => {}
+                    Then::RetryIfFailed => b.push(Instr::Beq { reg, value: DMA_FAILURE, target }),
+                    Then::RetryUnlessStarted => {
+                        b.push(Instr::Bne { reg, value: DMA_STARTED, target })
+                    }
+                }
+            }
+            b
+        }
     }
 }
 
@@ -132,28 +128,22 @@ pub fn emit_atomic(env: &ProcessEnv, b: ProgramBuilder, req: &AtomicRequest) -> 
     if !env.can_use_user_level() {
         return kernel_path(b);
     }
-    let s_va = env.shadow_of(req.va).as_u64();
-    match env.method {
+    // The address store carries the key and context under the key-based
+    // scheme; extended shadow addressing embeds the context in the address.
+    let tag = match env.method {
         DmaMethod::KeyBased => {
             let grant = env.ctx.expect("can_use_user_level checked");
-            let keyctx = regs::encode_key_ctx(grant.key, grant.ctx);
-            let page = env.ctx_page_va.expect("granted ctx has a page").as_u64();
-            b.store(s_va, keyctx)
-                .store(page + regs::CTX_ATOMIC_OPERAND1, req.operand1)
-                .store(page + regs::CTX_ATOMIC_OPERAND2, req.operand2)
-                .store(page + regs::CTX_ATOMIC_CMD, req.op.code())
-                .load(Reg::R0, page + regs::CTX_ATOMIC_CMD)
+            regs::encode_key_ctx(grant.key, grant.ctx)
         }
-        DmaMethod::ExtShadow => {
-            let page = env.ctx_page_va.expect("granted ctx has a page").as_u64();
-            b.store(s_va, 0)
-                .store(page + regs::CTX_ATOMIC_OPERAND1, req.operand1)
-                .store(page + regs::CTX_ATOMIC_OPERAND2, req.operand2)
-                .store(page + regs::CTX_ATOMIC_CMD, req.op.code())
-                .load(Reg::R0, page + regs::CTX_ATOMIC_CMD)
-        }
-        _ => kernel_path(b),
-    }
+        DmaMethod::ExtShadow => 0,
+        _ => return kernel_path(b),
+    };
+    let page = env.ctx_page_va.expect("granted ctx has a page").as_u64();
+    b.store(env.shadow_of(req.va).as_u64(), tag)
+        .store(page + regs::CTX_ATOMIC_OPERAND1, req.operand1)
+        .store(page + regs::CTX_ATOMIC_OPERAND2, req.operand2)
+        .store(page + regs::CTX_ATOMIC_CMD, req.op.code())
+        .load(Reg::R0, page + regs::CTX_ATOMIC_CMD)
 }
 
 /// Builds a complete program issuing `reqs` in order, then halting.

@@ -49,7 +49,6 @@ mod coherence;
 mod crossover;
 mod ctx_virt;
 mod initiate;
-mod initiate_once;
 mod machine;
 mod measure;
 mod method;
@@ -69,8 +68,7 @@ pub use cluster::{
 pub use coherence::{CoherenceMode, CoherenceSetup, CoherentPostReport};
 pub use crossover::{crossover_rows, os_bound_message_size, CrossoverRow};
 pub use ctx_virt::{LogicalPost, PostPath};
-pub use initiate::{dma_program, emit_atomic, emit_dma, AtomicRequest};
-pub use initiate_once::emit_dma_once;
+pub use initiate::{dma_program, emit_atomic, emit_dma, emit_dma_once, AtomicRequest};
 pub use machine::{BufferSpec, Machine, MachineConfig, ProcessEnv, ProcessSpec, ShareRef, PAL_DMA};
 pub use measure::{
     measure_atomic, measure_initiation, measure_initiation_with, measure_ring_initiation,

@@ -100,6 +100,14 @@ impl fmt::Display for Program {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Label(usize);
 
+impl Label {
+    /// The index of the instruction it names: a raw branch's `target`.
+    #[inline]
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
+
 /// Builds a [`Program`] with a fluent interface.
 ///
 /// ```
@@ -205,6 +213,14 @@ impl ProgramBuilder {
         self
     }
 
+    /// Appends a raw instruction in place. A loop that appends a
+    /// data-driven sequence uses this: moving the builder through a
+    /// by-value call per instruction costs more than the push.
+    #[inline]
+    pub fn push(&mut self, ins: Instr) {
+        self.instrs.push(ins);
+    }
+
     /// Appends a raw instruction.
     pub fn raw(mut self, ins: Instr) -> Self {
         self.instrs.push(ins);
@@ -215,8 +231,8 @@ impl ProgramBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if a [`raw`](Self::raw) branch, or a label taken from
-    /// another builder, targets past the end.
+    /// Panics if a [`raw`](Self::raw) or [`push`](Self::push) branch, or
+    /// a label taken from another builder, targets past the end.
     pub fn build(self) -> Program {
         Program::from_instrs(self.instrs)
     }
@@ -235,6 +251,18 @@ mod tests {
         assert_eq!(p.instrs()[2], Instr::Beq { reg: Reg::R0, value: 0, target: 1 });
         assert_eq!(p.instrs()[3], Instr::Bne { reg: Reg::R1, value: 0, target: 1 });
         assert_eq!(p.instrs()[4], Instr::Jmp { target: 1 });
+    }
+
+    #[test]
+    fn push_appends_what_the_by_value_calls_append() {
+        let b = ProgramBuilder::new().mb();
+        let top = b.here();
+        let by_value = b.load(Reg::R0, 8u64).beq(Reg::R0, 0, top).build();
+        let mut b = ProgramBuilder::new().mb();
+        let target = b.here().index();
+        b.push(Instr::Load { dst: Reg::R0, addr: Operand::Imm(8) });
+        b.push(Instr::Beq { reg: Reg::R0, value: 0, target });
+        assert_eq!(b.build().instrs(), by_value.instrs());
     }
 
     #[test]

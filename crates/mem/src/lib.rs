@@ -65,7 +65,7 @@ pub use page_map::{PageHasher, PageMap};
 pub use page_table::{Access, PageTable, PteEntry};
 pub use perms::Perms;
 pub use phys::{FrameAllocator, PhysMemory};
-pub use set_assoc::{Fill, Replacement, SetAssoc, SetKey};
+pub use set_assoc::{splitmix64, Fill, Replacement, SetAssoc, SetKey};
 pub use shadow::ShadowLayout;
 pub use tlb::{Tlb, TlbStats};
 pub use view::ByteView;

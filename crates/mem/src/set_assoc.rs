@@ -190,7 +190,9 @@ impl<K: SetKey, V> SetAssoc<K, V> {
                     way
                 }
                 Replacement::Lru => oldest.0,
-                Replacement::Random => (self.next_random() % self.ways as u64) as usize,
+                Replacement::Random => {
+                    (splitmix64(&mut self.rng_state) % self.ways as u64) as usize
+                }
             },
         };
         let slot = &mut self.slots[start + way];
@@ -229,15 +231,18 @@ impl<K: SetKey, V> SetAssoc<K, V> {
     pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
         self.slots.iter().filter_map(|s| s.entry.as_ref().map(|(value, _)| (s.key, value)))
     }
+}
 
-    fn next_random(&mut self) -> u64 {
-        // splitmix64 step: deterministic per seed.
-        self.rng_state = self.rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+/// One splitmix64 step: advances `state` and returns the next value of
+/// its stream. Random victims, key minting and E17's process picks draw
+/// from these deterministic streams.
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]

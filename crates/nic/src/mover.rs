@@ -65,13 +65,20 @@ impl TransferRecord {
     /// load returns: "the number of bytes that need to be transferred
     /// yet" (§3.1).
     pub fn remaining_at(&self, now: SimTime) -> u64 {
-        if now >= self.finished {
-            return 0;
-        }
-        let total = (self.finished - self.started).as_ps().max(1);
-        let left = (self.finished - now).as_ps();
-        ((self.size as u128 * left as u128).div_ceil(total as u128)) as u64
+        in_flight(self.size, self.started, self.finished, now)
     }
+}
+
+/// Of `bytes` that arrive linearly from `start` to `end`, those still in
+/// flight at `now`, rounded up (0 from `end` on): the wire model behind
+/// every status load that reports bytes left.
+pub(crate) fn in_flight(bytes: u64, start: SimTime, end: SimTime, now: SimTime) -> u64 {
+    if now >= end {
+        return 0;
+    }
+    let total = (end - start).as_ps().max(1);
+    let left = (end - now).as_ps();
+    (bytes as u128 * left as u128).div_ceil(total as u128) as u64
 }
 
 /// The mover's state: the link that times local transfers, the record

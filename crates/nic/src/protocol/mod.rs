@@ -70,7 +70,80 @@ pub enum ProtocolKind {
     Repeated5,
 }
 
+/// A shadow access's direction.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Op {
+    /// A store; its payload is the transfer size.
+    Store,
+    /// A load; it reads back a status.
+    Load,
+}
+
+/// Which shadow address an access names.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Role {
+    /// `shadow(vsource)`.
+    Src,
+    /// `shadow(vdest)`.
+    Dst,
+}
+
+/// What the issuing program does right after an access.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Then {
+    /// Nothing.
+    Next,
+    /// A memory barrier, so the write buffer cannot merge repeated stores (§3.4).
+    Mb,
+    /// Restart the sequence if the status load read [`DMA_FAILURE`].
+    RetryIfFailed,
+    /// Restart unless the load read [`crate::DMA_STARTED`]: Figure 7's
+    /// last load may be absorbed into another process's sequence and
+    /// read `DMA_PENDING` for a transfer that never happened.
+    RetryUnlessStarted,
+}
+
+/// One access of a shadow-only initiation sequence.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ShadowAccess {
+    /// Store or load.
+    pub op: Op,
+    /// The shadow address it names.
+    pub role: Role,
+    /// What the program does next.
+    pub then: Then,
+}
+
 impl ProtocolKind {
+    /// The shadow accesses of one initiation, in order; `None` for the
+    /// kernel path and the key-based scheme, which also uses its context
+    /// page. Each sequence is written only here: `udma::emit_dma` compiles
+    /// the row, and the [`Repeated`] FSM accepts exactly its row.
+    #[rustfmt::skip]
+    pub fn sequence(self) -> Option<&'static [ShadowAccess]> {
+        use Op::{Load as Ld, Store as St};
+        use ProtocolKind as K;
+        use Role::{Dst, Src};
+        use Then::{Mb, Next, RetryIfFailed as IfFailed, RetryUnlessStarted as UnlessStarted};
+        const fn a(op: Op, role: Role, then: Then) -> ShadowAccess {
+            ShadowAccess { op, role, then }
+        }
+        Some(match self {
+            K::KernelOnly | K::KeyBased => return None,
+            // The real SHRIMP's compare-and-exchange returned the status in its one access.
+            K::Shrimp1 => const { &[a(St, Src, Next), a(Ld, Src, Next)] },
+            K::Shrimp2 | K::Flash | K::ExtShadow => const { &[a(St, Dst, Next), a(Ld, Src, Next)] },
+            // Another process's interleaved pair fails both pairs, so each retries.
+            K::ExtShadowPairwise => const { &[a(St, Dst, Next), a(Ld, Src, IfFailed)] },
+            K::Repeated3 => const { &[a(Ld, Src, Next), a(St, Dst, Next), a(Ld, Src, IfFailed)] },
+            K::Repeated4 => const { &[a(St, Dst, Next), a(Ld, Src, Next),
+                                      a(St, Dst, Next), a(Ld, Src, IfFailed)] },
+            K::Repeated5 => const { &[a(St, Dst, Mb), a(Ld, Src, IfFailed),
+                                      a(St, Dst, Mb), a(Ld, Src, IfFailed),
+                                      a(Ld, Dst, UnlessStarted)] },
+        })
+    }
+
     /// Instantiates the protocol's state machine.
     pub fn instantiate(self) -> Box<dyn InitiationProtocol> {
         match self {

@@ -1,29 +1,23 @@
 //! Repeated passing of arguments (§3.3, Figures 5–8).
 
-use crate::protocol::{InitiationProtocol, ProtocolKind};
+use crate::protocol::{InitiationProtocol, Op, ProtocolKind, Role, ShadowAccess};
 use crate::{EngineCore, Initiator, DMA_FAILURE, DMA_PENDING, DMA_STARTED};
 use udma_bus::{MemPort, SimTime};
 use udma_mem::PhysAddr;
 
-/// The direction of a shadow access, as the FSM sees it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Acc {
-    St,
-    Ld,
-}
-
-/// The repeated-passing state machine, parameterised over the paper's
-/// three variants:
+/// The repeated-passing state machine, run over one row of
+/// [`ProtocolKind::sequence`]. The 3- and 4-access rows fall to the
+/// Figure 5 and Figure 6 interleavings; the 5-access row is the paper's
+/// final scheme: "a DMA operation is started only if the DMA engine
+/// receives a sequence of the type STORE, LOAD, STORE, LOAD, LOAD, and
+/// the address arguments of instructions 1, 3 and 5 are the same, and
+/// the address arguments of instructions 2 and 4 are the same as well."
 ///
-/// * **3-instruction** (`LOAD, STORE, LOAD`; source repeated) — broken by
-///   the Figure 5 interleaving;
-/// * **4-instruction** (`STORE, LOAD, STORE, LOAD`) — broken by the
-///   Figure 6 interleaving when the source is readable by the attacker;
-/// * **5-instruction** (`STORE, LOAD, STORE, LOAD, LOAD`) — the paper's
-///   final scheme: "a DMA operation is started only if the DMA engine
-///   receives a sequence of the type STORE, LOAD, STORE, LOAD, LOAD, and
-///   the address arguments of instructions 1, 3 and 5 are the same, and
-///   the address arguments of instructions 2 and 4 are the same as well."
+/// Those checks follow from the row: an access whose role already
+/// occurred must repeat that role's first address, and every store after
+/// the first must repeat the first store's payload. A completed row
+/// starts a transfer from the first source address to the first
+/// destination address, sized by the first store.
 ///
 /// There is exactly **one** FSM for the whole engine — no per-process
 /// state, which is the scheme's selling point — and "if it sees anything
@@ -32,104 +26,85 @@ enum Acc {
 #[derive(Clone, Debug)]
 pub struct Repeated {
     kind: ProtocolKind,
-    pattern: &'static [Acc],
-    /// `(address, data)` of each matched access so far.
-    state: Vec<(PhysAddr, u64)>,
+    row: &'static [ShadowAccess],
+    /// Accesses matched so far.
+    pos: usize,
+    /// The matched prefix's first source, first destination, first size.
+    src: Option<PhysAddr>,
+    dst: Option<PhysAddr>,
+    size: Option<u64>,
 }
 
 impl Repeated {
+    fn new(kind: ProtocolKind) -> Self {
+        let row = kind.sequence().unwrap_or_default();
+        Repeated { kind, row, pos: 0, src: None, dst: None, size: None }
+    }
+
     /// The 3-instruction variant (insecure; kept as the Figure 5
     /// baseline).
     pub fn three() -> Self {
-        Repeated {
-            kind: ProtocolKind::Repeated3,
-            pattern: &[Acc::Ld, Acc::St, Acc::Ld],
-            state: Vec::new(),
-        }
+        Self::new(ProtocolKind::Repeated3)
     }
 
     /// The 4-instruction variant (insecure; kept as the Figure 6
     /// baseline).
     pub fn four() -> Self {
-        Repeated {
-            kind: ProtocolKind::Repeated4,
-            pattern: &[Acc::St, Acc::Ld, Acc::St, Acc::Ld],
-            state: Vec::new(),
-        }
+        Self::new(ProtocolKind::Repeated4)
     }
 
     /// The 5-instruction variant (the paper's secure scheme, Figure 7).
     pub fn five() -> Self {
-        Repeated {
-            kind: ProtocolKind::Repeated5,
-            pattern: &[Acc::St, Acc::Ld, Acc::St, Acc::Ld, Acc::Ld],
-            state: Vec::new(),
-        }
+        Self::new(ProtocolKind::Repeated5)
     }
 
     /// Current sequence position (test inspection).
     pub fn position(&self) -> usize {
-        self.state.len()
+        self.pos
     }
 
-    /// Does the access at `pos` satisfy the variant's address/data
-    /// equality constraints against the matched prefix?
-    fn constraints_ok(&self, pos: usize, pa: PhysAddr, data: u64) -> bool {
-        match (self.kind, pos) {
-            // 3-instruction: loads 0 and 2 repeat the source.
-            (ProtocolKind::Repeated3, 2) => pa == self.state[0].0,
-            // 4-instruction: stores 0 and 2 repeat destination+size,
-            // loads 1 and 3 repeat the source.
-            (ProtocolKind::Repeated4, 2) => pa == self.state[0].0 && data == self.state[0].1,
-            (ProtocolKind::Repeated4, 3) => pa == self.state[1].0,
-            // 5-instruction: 0,2,4 repeat the destination (0,2 with equal
-            // sizes); 1,3 repeat the source.
-            (ProtocolKind::Repeated5, 2) => pa == self.state[0].0 && data == self.state[0].1,
-            (ProtocolKind::Repeated5, 3) => pa == self.state[1].0,
-            (ProtocolKind::Repeated5, 4) => pa == self.state[0].0,
-            _ => true,
-        }
-    }
-
-    /// The `(src, dst, size)` of a completed sequence.
-    fn extract(&self) -> (PhysAddr, PhysAddr, u64) {
-        match self.kind {
-            ProtocolKind::Repeated3 => (self.state[0].0, self.state[1].0, self.state[1].1),
-            _ => (self.state[1].0, self.state[0].0, self.state[0].1),
-        }
+    /// Takes `access` as the row's next one if it repeats its role's first
+    /// address and a store repeats the first store's payload. A mismatch
+    /// changes nothing on a fresh machine; otherwise the caller resets.
+    fn matches(&mut self, access: ShadowAccess, op: Op, pa: PhysAddr, data: u64) -> bool {
+        let first = if access.role == Role::Src { &mut self.src } else { &mut self.dst };
+        let ok = access.op == op
+            && *first.get_or_insert(pa) == pa
+            && (op == Op::Load || *self.size.get_or_insert(data) == data);
+        self.pos += usize::from(ok);
+        ok
     }
 
     fn on_access(
         &mut self,
         core: &mut EngineCore,
-        kind: Acc,
+        op: Op,
         pa: PhysAddr,
         data: u64,
         now: SimTime,
         mem: &mut MemPort,
     ) -> u64 {
-        let pos = self.state.len();
-        if kind == self.pattern[pos] && self.constraints_ok(pos, pa, data) {
-            self.state.push((pa, data));
-            if self.state.len() == self.pattern.len() {
-                let (src, dst, size) = self.extract();
-                self.state.clear();
-                return match core.start_user_dma(src, dst, size, Initiator::Anonymous, now, mem) {
-                    Ok(_) => DMA_STARTED,
-                    Err(_) => DMA_FAILURE,
-                };
+        let next = self.row.get(self.pos).copied();
+        if next.is_some_and(|next| self.matches(next, op, pa, data)) {
+            if self.pos < self.row.len() {
+                return DMA_PENDING;
             }
-            return DMA_PENDING;
+            let transfer = (self.src, self.dst, self.size);
+            *self = Self::new(self.kind);
+            let (Some(src), Some(dst), Some(size)) = transfer else { return DMA_FAILURE };
+            return match core.start_user_dma(src, dst, size, Initiator::Anonymous, now, mem) {
+                Ok(_) => DMA_STARTED,
+                Err(_) => DMA_FAILURE,
+            };
         }
         // Out of order: reset; the offending access may start a new
         // sequence.
         core.note_sequence_reset();
-        self.state.clear();
-        if kind == self.pattern[0] {
-            self.state.push((pa, data));
-            return DMA_PENDING;
+        *self = Self::new(self.kind);
+        match self.row.first() {
+            Some(&first) if self.matches(first, op, pa, data) => DMA_PENDING,
+            _ => DMA_FAILURE,
         }
-        DMA_FAILURE
     }
 }
 
@@ -147,7 +122,7 @@ impl InitiationProtocol for Repeated {
         now: SimTime,
         mem: &mut MemPort,
     ) -> SimTime {
-        let _ = self.on_access(core, Acc::St, pa, data, now, mem);
+        let _ = self.on_access(core, Op::Store, pa, data, now, mem);
         SimTime::ZERO
     }
 
@@ -159,7 +134,7 @@ impl InitiationProtocol for Repeated {
         now: SimTime,
         mem: &mut MemPort,
     ) -> u64 {
-        self.on_access(core, Acc::Ld, pa, 0, now, mem)
+        self.on_access(core, Op::Load, pa, 0, now, mem)
     }
 }
 

@@ -153,14 +153,8 @@ impl VirtTransfer {
     /// in flight until `clock`, linearly, like
     /// [`crate::TransferRecord::remaining_at`].
     pub fn remaining_at(&self, now: SimTime) -> u64 {
-        let outstanding = self.size - self.moved;
-        if now >= self.clock {
-            return outstanding;
-        }
-        let total = (self.clock - self.started).as_ps().max(1);
-        let left = (self.clock - now).as_ps();
-        let in_flight = (self.moved as u128 * left as u128).div_ceil(total as u128) as u64;
-        outstanding + in_flight.min(self.moved)
+        let in_flight = crate::mover::in_flight(self.moved, self.started, self.clock, now);
+        self.size - self.moved + in_flight.min(self.moved)
     }
 
     /// Whether the transfer reached a terminal state.

@@ -1,5 +1,7 @@
 //! Property tests for the repeated-passing FSM: spec-level soundness
-//! against arbitrary shadow-access streams.
+//! against arbitrary shadow-access streams. Each window rule below is
+//! written out by hand, independently of `ProtocolKind::sequence`, so a
+//! wrong table row fails it.
 //!
 //! The §3.3 rule: a transfer starts exactly when the last five shadow
 //! accesses are `STORE, LOAD, STORE, LOAD, LOAD` with addresses
@@ -60,6 +62,17 @@ fn window_matches_5(w: &[Access]) -> bool {
         && w[2].page == w[4].page
         && w[1].page == w[3].page
         && w[0].data == w[2].data
+}
+
+/// The declarative §3.3 window check for the 4-instruction variant:
+/// `STORE D, LOAD S, STORE D, LOAD S` with equal store payloads.
+fn window_matches_4(w: &[Access]) -> bool {
+    assert_eq!(w.len(), 4);
+    let kinds_ok = w[0].kind == Kind::St
+        && w[1].kind == Kind::Ld
+        && w[2].kind == Kind::St
+        && w[3].kind == Kind::Ld;
+    kinds_ok && w[0].page == w[2].page && w[1].page == w[3].page && w[0].data == w[2].data
 }
 
 props! {
@@ -126,6 +139,67 @@ props! {
             fsm.shadow_store(&mut core, d, 0, size, SimTime::ZERO, &mut mem);
             prop_assert_ne!(fsm.shadow_load(&mut core, s, 0, SimTime::ZERO, &mut mem), udma_nic::DMA_FAILURE);
             let status = fsm.shadow_load(&mut core, d, 0, SimTime::ZERO, &mut mem);
+            prop_assert_eq!(status, DMA_STARTED);
+            expected += 1;
+        }
+        prop_assert_eq!(core.mover().records().len(), expected);
+    }
+
+    /// The 4-instruction FSM starts a transfer only on the last four
+    /// accesses `STORE D, LOAD S, STORE D, LOAD S` with equal store
+    /// payloads, and the transfer is (src = S, dst = D, size = payload).
+    fn repeated4_transfers_only_on_valid_windows(stream in accesses()) {
+        let layout = PhysLayout::default();
+        let mut mem = MemPort::flat(PhysMemory::new(1 << 22));
+        let mut core = EngineCore::new(layout, EngineConfig::default());
+        let mut fsm = Repeated::four();
+
+        let mut started_at = Vec::new();
+        for (i, a) in stream.iter().enumerate() {
+            match a.kind {
+                Kind::St => {
+                    fsm.shadow_store(&mut core, pa(a.page), 0, a.data, SimTime::ZERO, &mut mem);
+                }
+                Kind::Ld => {
+                    if fsm.shadow_load(&mut core, pa(a.page), 0, SimTime::ZERO, &mut mem) == DMA_STARTED {
+                        started_at.push(i);
+                    }
+                }
+            }
+        }
+        let records = core.mover().records().to_vec();
+        prop_assert_eq!(records.len(), started_at.len());
+        for (rec, &i) in records.iter().zip(&started_at) {
+            prop_assert!(i >= 3, "a start needs four accesses");
+            let w = &stream[i - 3..=i];
+            prop_assert!(
+                window_matches_4(w),
+                "transfer at access {i} without a valid window: {w:?}"
+            );
+            prop_assert_eq!(rec.dst, pa(w[0].page));
+            prop_assert_eq!(rec.src, pa(w[1].page));
+            prop_assert_eq!(rec.size, w[0].data);
+        }
+    }
+
+    /// Completeness on clean streams: back-to-back valid 4-windows each
+    /// start a transfer, on the window's last load.
+    fn repeated4_accepts_back_to_back_valid_sequences(
+        pairs in vec((0u64..3, 0u64..3, 1u64..4), 1..8),
+    ) {
+        let layout = PhysLayout::default();
+        let mut mem = MemPort::flat(PhysMemory::new(1 << 22));
+        let mut core = EngineCore::new(layout, EngineConfig::default());
+        let mut fsm = Repeated::four();
+
+        let mut expected = 0;
+        for (dst_page, src_page, words) in pairs {
+            let size = words * 8;
+            let (d, s) = (pa(dst_page), pa(4 + src_page)); // disjoint pools
+            fsm.shadow_store(&mut core, d, 0, size, SimTime::ZERO, &mut mem);
+            prop_assert_ne!(fsm.shadow_load(&mut core, s, 0, SimTime::ZERO, &mut mem), udma_nic::DMA_FAILURE);
+            fsm.shadow_store(&mut core, d, 0, size, SimTime::ZERO, &mut mem);
+            let status = fsm.shadow_load(&mut core, s, 0, SimTime::ZERO, &mut mem);
             prop_assert_eq!(status, DMA_STARTED);
             expected += 1;
         }

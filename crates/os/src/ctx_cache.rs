@@ -28,6 +28,7 @@
 use crate::arbiter::{ArbiterConfig, ArbiterStats, FairArbiter, QosClass};
 use udma_bus::SimTime;
 use udma_cpu::CostModel;
+use udma_mem::splitmix64;
 use udma_nic::regs::MAX_CONTEXTS;
 use udma_nic::{CtxImage, EngineCore};
 
@@ -474,7 +475,7 @@ impl CtxCache {
                 }
                 CtxVictimPolicy::Clock => Some(self.clock_pick(candidates)),
                 CtxVictimPolicy::Random => {
-                    let pick = self.next_rand() % u64::from(candidates.count_ones());
+                    let pick = splitmix64(&mut self.rng_state) % u64::from(candidates.count_ones());
                     slots_in(candidates).nth(pick as usize)
                 }
             };
@@ -505,7 +506,7 @@ impl CtxCache {
     }
 
     fn mint_key(&mut self) -> u64 {
-        let key = splitmix(&mut self.key_state) & ((1u64 << self.key_bits) - 1);
+        let key = splitmix64(&mut self.key_state) & ((1u64 << self.key_bits) - 1);
         // Key 0 is reserved (unprogrammed slots read 0).
         if key == 0 {
             1
@@ -513,18 +514,6 @@ impl CtxCache {
             key
         }
     }
-
-    fn next_rand(&mut self) -> u64 {
-        splitmix(&mut self.rng_state)
-    }
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -56,13 +56,7 @@ impl KeyRegistry {
     }
 
     fn next_key(&mut self) -> u64 {
-        // splitmix64
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let key = z & ((1u64 << self.key_bits) - 1);
+        let key = udma_mem::splitmix64(&mut self.state) & ((1u64 << self.key_bits) - 1);
         // Key 0 is reserved (unprogrammed context slots read 0).
         if key == 0 {
             1

@@ -18,7 +18,7 @@
 use crate::percentile;
 use udma::{DmaMethod, LogicalPost, Machine, MachineConfig, PostPath};
 use udma_bus::SimTime;
-use udma_mem::PhysAddr;
+use udma_mem::{splitmix64, PhysAddr};
 use udma_nic::regs::MAX_CONTEXTS;
 use udma_nic::CtxStats;
 use udma_os::{ArbiterConfig, CtxCacheConfig, CtxCacheStats, CtxVictimPolicy, QosClass};
@@ -110,11 +110,11 @@ fn context_pressure_point(
     for _ in 0..posts {
         // Hot-set locality: 90% of posts from the first `hot`
         // processes, the rest uniform over everyone.
-        let r = splitmix(&mut rng);
+        let r = splitmix64(&mut rng);
         let p = if r % 10 < 9 {
-            lps[(splitmix(&mut rng) % hot as u64) as usize]
+            lps[(splitmix64(&mut rng) % hot as u64) as usize]
         } else {
-            lps[(splitmix(&mut rng) % processes as u64) as usize]
+            lps[(splitmix64(&mut rng) % processes as u64) as usize]
         };
         let post =
             m.logical_post_at(p, PhysAddr::new(SRC_PA), PhysAddr::new(DST_PA), POST_BYTES, now);
@@ -262,7 +262,7 @@ fn hostile_run(
                     victim_fallbacks += 1;
                 }
             }
-            now += SimTime::from_ns(500 + splitmix(&mut rng) % 100);
+            now += SimTime::from_ns(500 + splitmix64(&mut rng) % 100);
         }
         now += round_gap;
     }
@@ -282,14 +282,6 @@ fn machine(contexts: u32) -> Machine {
     let mut config = MachineConfig::new(DmaMethod::KeyBased);
     config.num_contexts = contexts;
     Machine::new(config)
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
