@@ -21,7 +21,7 @@ fn main() {
                         DmaMethod::Shrimp2 { patched_kernel: false },
                         AdversaryKind::OwnInitiation,
                     );
-                    let report = explore(|| s.build(), 5_000, any_violation);
+                    let report = explore(&s.build(), 5_000, any_violation);
                     assert!(!report.safe());
                     black_box(report.schedules);
                 }) as Box<dyn FnMut()>,
@@ -30,7 +30,7 @@ fn main() {
                 "E4_figure5_attack_search",
                 Box::new(|| {
                     let s = AttackScenario::new(DmaMethod::Repeated3, AdversaryKind::Figure5);
-                    let report = explore(|| s.build(), 5_000, illegal_transfer);
+                    let report = explore(&s.build(), 5_000, illegal_transfer);
                     assert!(!report.safe());
                     black_box(report.findings.len());
                 }),
@@ -40,7 +40,7 @@ fn main() {
                 Box::new(|| {
                     let s =
                         AttackScenario::new(DmaMethod::Repeated4, AdversaryKind::ProbeSharedSource);
-                    let report = explore(|| s.build(), 5_000, misinformation);
+                    let report = explore(&s.build(), 5_000, misinformation);
                     assert!(!report.safe());
                     black_box(report.findings.len());
                 }),
@@ -51,7 +51,7 @@ fn main() {
                 "E6_repeated5_model_check",
                 Box::new(|| {
                     let s = AttackScenario::new(DmaMethod::Repeated5, AdversaryKind::Figure5);
-                    let report = explore(|| s.build(), 10_000, any_violation);
+                    let report = explore(&s.build(), 10_000, any_violation);
                     assert!(report.safe());
                     black_box(report.schedules);
                 }),

@@ -84,7 +84,7 @@ fn e3_races() {
         (DmaMethod::Repeated5, "no"),
     ] {
         let s = AttackScenario::new(method, AdversaryKind::OwnInitiation);
-        let r = explore(|| s.build(), 10_000, any_violation);
+        let r = explore(&s.build(), 10_000, any_violation);
         t.row_owned(vec![
             method.name().to_string(),
             patch.to_string(),
@@ -102,7 +102,7 @@ fn e4_e5_e6_attacks() {
     );
     {
         let s = AttackScenario::new(DmaMethod::Repeated3, AdversaryKind::Figure5);
-        let r = explore(|| s.build(), 5_000, illegal_transfer);
+        let r = explore(&s.build(), 5_000, illegal_transfer);
         t.row_owned(vec![
             "3-instruction".into(),
             "Figure 5".into(),
@@ -113,7 +113,7 @@ fn e4_e5_e6_attacks() {
     }
     {
         let s = AttackScenario::new(DmaMethod::Repeated4, AdversaryKind::ProbeSharedSource);
-        let r = explore(|| s.build(), 5_000, misinformation);
+        let r = explore(&s.build(), 5_000, misinformation);
         t.row_owned(vec![
             "4-instruction".into(),
             "shared-source probe".into(),
@@ -129,7 +129,7 @@ fn e4_e5_e6_attacks() {
         AdversaryKind::SandwichSteal,
     ] {
         let s = AttackScenario::new(DmaMethod::Repeated5, adv);
-        let r = explore(|| s.build(), 10_000, any_violation);
+        let r = explore(&s.build(), 10_000, any_violation);
         t.row_owned(vec![
             "5-instruction".into(),
             format!("{adv:?}"),

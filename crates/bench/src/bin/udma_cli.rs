@@ -172,7 +172,7 @@ fn run() -> Result<(), String> {
                 None => AdversaryKind::OwnInitiation,
             };
             let s = AttackScenario::new(m, adv);
-            let report = explore(|| s.build(), 10_000, any_violation);
+            let report = explore(&s.build(), 10_000, any_violation);
             println!(
                 "{} vs {adv:?}: {} schedules explored exhaustively, {} violations",
                 m.name(),

@@ -37,6 +37,7 @@ impl BusStats {
 /// The bus owns the machine's memory port and its NIC, typed so the
 /// machine reaches its own engine; the CPU and the kernel take `&mut Bus`,
 /// which a `&mut Bus<N>` coerces to.
+#[derive(Clone)]
 pub struct Bus<N: ?Sized = dyn BusDevice> {
     layout: PhysLayout,
     mem: MemPort,

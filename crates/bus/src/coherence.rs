@@ -163,6 +163,17 @@ fn write_back(
     mem.write_bytes(PhysAddr::new(base), data)
 }
 
+/// [`write_back`] of a resident line.
+///
+/// # Panics
+///
+/// Panics if `mem` refuses the write. A line becomes resident only by a
+/// fill that read its range from `mem`, so a refusal is a bug.
+#[allow(clippy::expect_used, reason = "a resident line's range was validated by its fill")]
+fn write_back_resident(stats: &mut CoherenceStats, base: u64, data: &[u8], mem: &mut PhysMemory) {
+    write_back(stats, base, data, mem).expect("resident line is backed");
+}
+
 /// The snoop bus: every caching agent plus the coherent DMA port. The
 /// backing memory is not the domain's: every operation that reaches it
 /// takes it as a parameter.
@@ -586,8 +597,7 @@ impl CoherenceDomain {
             let cache = &mut self.caches[agent];
             if let Some((MesiState::Modified, data)) = cache.lines.remove(cache.line(base)) {
                 dirty += 1;
-                // The range was validated when the line was filled.
-                write_back(&mut self.stats, base, &data, mem).expect("resident line is backed");
+                write_back_resident(&mut self.stats, base, &data, mem);
                 time += self.charge(self.timing.writeback);
             }
             base += line_bytes;
@@ -627,8 +637,7 @@ impl CoherenceDomain {
         cache.stats.flushes += 1;
         cache.lines.drain(|line, (state, data)| {
             if state == MesiState::Modified {
-                write_back(&mut self.stats, line * line_bytes, &data, mem)
-                    .expect("resident line is backed");
+                write_back_resident(&mut self.stats, line * line_bytes, &data, mem);
             }
         });
     }
@@ -643,7 +652,7 @@ impl CoherenceDomain {
                 let line = cache.line(base);
                 let modified = |&(state, _): &(MesiState, _)| state == MesiState::Modified;
                 if let Some((state, data)) = cache.lines.get(line, modified) {
-                    write_back(&mut self.stats, base, data, mem).expect("resident line is backed");
+                    write_back_resident(&mut self.stats, base, data, mem);
                     *state = MesiState::Exclusive;
                 }
             }

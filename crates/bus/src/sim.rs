@@ -35,7 +35,7 @@
 use crate::SimTime;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 /// Index of a shard within a runner's shard vector.
 pub type ShardId = usize;
@@ -139,7 +139,7 @@ impl<T> SimSender<T> {
         );
         let stamped = Stamped { at: arrival, src: self.src, seq: self.seq, payload };
         self.seq += 1;
-        self.queue.lock().expect("channel poisoned").push_back(stamped);
+        lock(&self.queue).push_back(stamped);
         arrival
     }
 
@@ -165,13 +165,13 @@ impl<T> SimReceiver<T> {
     /// one channel is also `(at, seq)` order — senders' clocks only move
     /// forward).
     pub fn drain_into(&mut self, out: &mut Vec<Stamped<T>>) {
-        let mut q = self.queue.lock().expect("channel poisoned");
+        let mut q = lock(&self.queue);
         out.extend(q.drain(..));
     }
 
     /// Whether no message is queued.
     pub fn is_empty(&self) -> bool {
-        self.queue.lock().expect("channel poisoned").is_empty()
+        lock(&self.queue).is_empty()
     }
 }
 
@@ -299,11 +299,10 @@ impl SimRunner {
                         // sends — safe to drain.
                         barrier.wait();
                         shard.drain();
-                        *slots[i].lock().expect("slot poisoned") = shard.next_time();
+                        *lock(&slots[i]) = shard.next_time();
                         // (b) every slot is published — safe to read.
                         barrier.wait();
-                        let next =
-                            slots.iter().filter_map(|s| *s.lock().expect("slot poisoned")).min();
+                        let next = slots.iter().filter_map(|s| *lock(s)).min();
                         // All threads compute the same minimum from the
                         // same stable slots, so they break together.
                         let Some(next) = next else { break };
@@ -319,6 +318,17 @@ impl SimRunner {
         });
         RunReport { rounds: rounds.into_inner(), events: events.into_inner() }
     }
+}
+
+/// Locks `mutex`.
+///
+/// # Panics
+///
+/// Panics if another thread panicked holding the lock: a shard thread's
+/// panic already fails the whole run when the runner's scope joins it.
+#[allow(clippy::expect_used, reason = "lock poisoning re-raises a shard thread's panic")]
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().expect("lock poisoned by a panicked shard thread")
 }
 
 #[cfg(test)]

@@ -4,9 +4,9 @@
 //! over interleavings (§3.3.1, Figure 8) and demonstrates attacks on the
 //! 3- and 4-instruction variants by exhibiting one bad interleaving each
 //! (Figures 5, 6). The explorer turns both directions into computation:
-//! build a fresh machine per schedule, run it under a
-//! [`udma_cpu::FixedSchedule`], and evaluate a safety predicate on the
-//! final state.
+//! fork the built machine once per schedule (a [`Machine`] clone is
+//! deep), run the fork under a [`udma_cpu::FixedSchedule`], and evaluate
+//! a safety predicate on the final state.
 //!
 //! The schedule spaces come from [`udma_testkit::sched`]: exhaustive
 //! merge-order enumeration while the space fits a budget, seeded-random
@@ -45,47 +45,48 @@ impl<R> ExploreReport<R> {
     }
 }
 
-/// Static per-process instruction counts of the machine `factory` builds.
-fn process_lens(factory: &impl Fn() -> Machine) -> Vec<usize> {
-    factory().executor().processes().iter().map(|p| p.program().len()).collect()
+/// Static per-process instruction counts of `machine`.
+fn process_lens(machine: &Machine) -> Vec<usize> {
+    machine.executor().processes().iter().map(|p| p.program().len()).collect()
 }
 
-/// Runs one schedule (as process indices) and evaluates the predicate.
+/// Runs one schedule (as process indices) on a fork of `machine` and
+/// evaluates the predicate.
 fn run_schedule<R>(
-    factory: &impl Fn() -> Machine,
+    machine: &Machine,
     max_steps: u64,
     indices: &[usize],
     check: &impl Fn(&Machine) -> Option<R>,
 ) -> Option<(Vec<Pid>, R)> {
     let schedule: Vec<Pid> = indices.iter().map(|&i| Pid::new(i as u32)).collect();
-    let mut m = factory();
+    let mut m = machine.clone();
     let mut sched = FixedSchedule::new(schedule.clone());
     m.run_with(&mut sched, max_steps);
     check(&m).map(|detail| (schedule, detail))
 }
 
 /// Explores under an explicit [`Budget`]: every interleaving of the
-/// machine's processes while the space fits `budget.exhaustive`, else
-/// `budget.sampled` seeded-random schedules.
+/// processes of `machine` while the space fits `budget.exhaustive`, else
+/// `budget.sampled` seeded-random schedules. Each schedule runs on its
+/// own clone of `machine`, which is left as it was.
 ///
-/// `factory` must build the same machine each time (same processes, same
-/// programs). The schedule space is every merge order of the processes'
-/// *static* instruction sequences; retry loops may execute longer than
-/// their static length, in which case the tail runs under
-/// run-to-completion fallback — enough to decide the safety predicates,
-/// which are about what transfers happened, not about timing.
+/// The schedule space is every merge order of the processes' *static*
+/// instruction sequences; retry loops may execute longer than their
+/// static length, in which case the tail runs under run-to-completion
+/// fallback — enough to decide the safety predicates, which are about
+/// what transfers happened, not about timing.
 ///
 /// `check` inspects the finished machine and returns `Some(detail)` on a
 /// violation.
 pub fn explore_bounded<R>(
-    factory: impl Fn() -> Machine,
+    machine: &Machine,
     max_steps: u64,
     budget: Budget,
     check: impl Fn(&Machine) -> Option<R>,
 ) -> ExploreReport<R> {
-    let lens = process_lens(&factory);
+    let lens = process_lens(machine);
     let outcome =
-        sched::explore(&lens, budget, |indices| run_schedule(&factory, max_steps, indices, &check));
+        sched::explore(&lens, budget, |indices| run_schedule(machine, max_steps, indices, &check));
     ExploreReport {
         schedules: outcome.schedules,
         exhaustive: outcome.exhaustive,
@@ -98,25 +99,25 @@ pub fn explore_bounded<R>(
 }
 
 /// Exhaustively explores every interleaving of the machine's processes
-/// (see [`explore_bounded`] for the machine-building contract).
+/// (see [`explore_bounded`]).
 ///
 /// # Panics
 ///
 /// Panics if the interleaving space exceeds the enumeration cap; use
 /// [`explore_bounded`] or [`explore_sampled`] for large spaces.
 pub fn explore<R>(
-    factory: impl Fn() -> Machine,
+    machine: &Machine,
     max_steps: u64,
     check: impl Fn(&Machine) -> Option<R>,
 ) -> ExploreReport<R> {
-    let lens = process_lens(&factory);
+    let lens = process_lens(machine);
     let space = sched::interleaving_count(&lens);
     assert!(
         space <= 20_000_000,
         "{space} interleavings is too many to enumerate; use explore_bounded"
     );
     explore_bounded(
-        factory,
+        machine,
         max_steps,
         Budget { exhaustive: space as u64, sampled: 0, seed: 0 },
         check,
@@ -124,20 +125,20 @@ pub fn explore<R>(
 }
 
 /// Number of schedules [`explore`] would run for this machine.
-pub fn schedule_space(factory: impl Fn() -> Machine) -> u128 {
-    sched::interleaving_count(&process_lens(&factory))
+pub fn schedule_space(machine: &Machine) -> u128 {
+    sched::interleaving_count(&process_lens(machine))
 }
 
 /// Randomly samples `samples` schedules from the interleaving space
 /// (uniform over merge orders), for spaces too large to enumerate.
 pub fn explore_sampled<R>(
-    factory: impl Fn() -> Machine,
+    machine: &Machine,
     max_steps: u64,
     samples: u64,
     seed: u64,
     check: impl Fn(&Machine) -> Option<R>,
 ) -> ExploreReport<R> {
-    explore_bounded(factory, max_steps, Budget { exhaustive: 0, sampled: samples, seed }, check)
+    explore_bounded(machine, max_steps, Budget { exhaustive: 0, sampled: samples, seed }, check)
 }
 
 #[cfg(test)]
@@ -160,8 +161,8 @@ mod tests {
     #[test]
     fn explore_covers_the_full_multinomial() {
         // 3 instructions each → C(6,3) = 20 schedules.
-        assert_eq!(schedule_space(factory), 20);
-        let report = explore(factory, 1_000, |_| None::<()>);
+        assert_eq!(schedule_space(&factory()), 20);
+        let report = explore(&factory(), 1_000, |_| None::<()>);
         assert_eq!(report.schedules, 20);
         assert!(report.exhaustive);
         assert!(report.safe());
@@ -170,7 +171,7 @@ mod tests {
     #[test]
     fn explore_reports_failing_schedules() {
         // A predicate that fires whenever process 1 finished first.
-        let report = explore(factory, 1_000, |m| {
+        let report = explore(&factory(), 1_000, |m| {
             let p1_done = m.executor().process(udma_cpu::Pid::new(1)).instret;
             (p1_done > 0).then_some(p1_done)
         });
@@ -183,10 +184,12 @@ mod tests {
 
     #[test]
     fn sampled_exploration_is_deterministic_per_seed() {
-        let a =
-            explore_sampled(factory, 1_000, 50, 9, |m| Some(m.reg(udma_cpu::Pid::new(0), Reg::R0)));
-        let b =
-            explore_sampled(factory, 1_000, 50, 9, |m| Some(m.reg(udma_cpu::Pid::new(0), Reg::R0)));
+        let a = explore_sampled(&factory(), 1_000, 50, 9, |m| {
+            Some(m.reg(udma_cpu::Pid::new(0), Reg::R0))
+        });
+        let b = explore_sampled(&factory(), 1_000, 50, 9, |m| {
+            Some(m.reg(udma_cpu::Pid::new(0), Reg::R0))
+        });
         assert_eq!(a.schedules, 50);
         assert!(!a.exhaustive);
         let sa: Vec<_> = a.findings.iter().map(|f| f.schedule.clone()).collect();
@@ -196,7 +199,7 @@ mod tests {
 
     #[test]
     fn sampled_schedules_are_valid_merge_orders() {
-        let report = explore_sampled(factory, 1_000, 30, 3, |_| Some(()));
+        let report = explore_sampled(&factory(), 1_000, 30, 3, |_| Some(()));
         for f in &report.findings {
             let zeros = f.schedule.iter().filter(|p| p.as_u32() == 0).count();
             let ones = f.schedule.iter().filter(|p| p.as_u32() == 1).count();
@@ -207,11 +210,11 @@ mod tests {
 
     #[test]
     fn bounded_explore_goes_exhaustive_within_budget_and_samples_beyond() {
-        let exhaustive = explore_bounded(factory, 1_000, Budget::new(100, 0), |_| Some(()));
+        let exhaustive = explore_bounded(&factory(), 1_000, Budget::new(100, 0), |_| Some(()));
         assert!(exhaustive.exhaustive);
         assert_eq!(exhaustive.schedules, 20);
 
-        let sampled = explore_bounded(factory, 1_000, Budget::new(5, 42), |_| Some(()));
+        let sampled = explore_bounded(&factory(), 1_000, Budget::new(5, 42), |_| Some(()));
         assert!(!sampled.exhaustive);
         assert_eq!(sampled.schedules, 5);
         for f in &sampled.findings {

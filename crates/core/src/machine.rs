@@ -219,6 +219,7 @@ const _: fn() = || {
 /// The assembled workstation. The bus is the one owner of the memory
 /// port (RAM and, on a cached machine, the coherence domain) and of the
 /// DMA engine; everything else borrows them from it.
+#[derive(Clone)]
 pub struct Machine {
     config: MachineConfig,
     bus: Bus<DmaEngine>,

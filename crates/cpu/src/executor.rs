@@ -36,6 +36,7 @@ pub struct RunOutcome {
 /// The CPU: owns the processes, the TLB, the write buffer and the PAL
 /// function table, and advances simulated time as it executes. Its data
 /// cache sits behind the CPU side of the bus's memory port.
+#[derive(Clone)]
 pub struct Executor {
     processes: Vec<Process>,
     tlb: Tlb,

@@ -1,35 +1,27 @@
 //! The DMA engine as a bus device.
 
-use crate::protocol::{InitiationProtocol, ProtocolKind};
+use crate::protocol::{Protocol, ProtocolKind};
 use crate::regs;
 use crate::{EngineConfig, EngineCore};
 use udma_bus::{BusDevice, MemPort, SimTime};
 use udma_mem::{MemFault, PhysAddr, PhysLayout, Region};
 
 /// The FPGA: decodes the register and shadow windows and drives the
-/// active [`InitiationProtocol`].
+/// active [`Protocol`].
 ///
 /// The bus owns the engine and lends it the memory port with every
 /// transaction; the machine owner reaches the core (keys, mapped-out
 /// tables, statistics) through the bus.
+#[derive(Clone, Debug)]
 pub struct DmaEngine {
     core: EngineCore,
-    protocol: Box<dyn InitiationProtocol>,
-}
-
-impl std::fmt::Debug for DmaEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DmaEngine")
-            .field("protocol", &self.protocol.kind())
-            .field("stats", self.core.stats())
-            .finish()
-    }
+    protocol: Protocol,
 }
 
 impl DmaEngine {
     /// Builds an engine running `kind`.
     pub fn new(layout: PhysLayout, config: EngineConfig, kind: ProtocolKind) -> Self {
-        DmaEngine { core: EngineCore::new(layout, config), protocol: kind.instantiate() }
+        DmaEngine { core: EngineCore::new(layout, config), protocol: Protocol::new(kind) }
     }
 
     /// The engine core (stats, transfer records, keys).
@@ -72,7 +64,7 @@ impl BusDevice for DmaEngine {
                     } else if core.rings().is_some() && regs::is_ring_offset(off) {
                         core.doorbell(ctx, data, now, mem, None);
                     } else {
-                        protocol.ctx_store(core, ctx, off, data, now, mem);
+                        protocol.ctx_store(core, ctx, off, data, mem);
                     }
                     return Ok(SimTime::ZERO);
                 }

@@ -9,7 +9,7 @@
 //!   aborts, key programming and kernel-path atomic operations;
 //! * per-process **register contexts** ([`RegisterContext`]) mapped one
 //!   per page so the OS can hand each to a single process (§3.1);
-//! * the **shadow window** decode and one [`InitiationProtocol`] state
+//! * the **shadow window** decode and the [`Protocol`] enum, one state
 //!   machine per scheme in the paper: SHRIMP-1 mapped-out pages, SHRIMP-2
 //!   store+load, FLASH, key-based (§3.1), extended shadow addressing
 //!   (§3.2) and repeated passing of arguments in its 3-, 4- and
@@ -63,7 +63,7 @@ pub use link::{
     Burst, FaultPlan, LinkModel, ReliabilityConfig, RetryPolicy, XferId, XferState, MAX_BURSTS,
 };
 pub use mover::{Destination, DmaMover, RemoteSend, TransferRecord};
-pub use protocol::{InitiationProtocol, ProtocolKind};
+pub use protocol::{Protocol, ProtocolKind};
 pub use status::{Initiator, RejectReason, DMA_FAILURE, DMA_PENDING, DMA_STARTED};
 pub use virt::{
     PendingFault, PrefetchConfig, VirtDmaConfig, VirtStage, VirtState, VirtStats, VirtTransfer,

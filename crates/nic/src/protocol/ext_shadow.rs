@@ -1,8 +1,8 @@
 //! Extended shadow addressing (§3.2, Figure 4).
 
-use crate::protocol::{InitiationProtocol, ProtocolKind};
-use crate::regs::{self, MAX_CONTEXTS};
-use crate::{AtomicOp, EngineCore, Initiator, RejectReason, DMA_FAILURE};
+use crate::protocol::{ctx_atomic_store, refuse, start_for_ctx, started};
+use crate::regs::MAX_CONTEXTS;
+use crate::{EngineCore, Initiator, RejectReason};
 use udma_bus::{MemPort, SimTime};
 use udma_mem::PhysAddr;
 
@@ -34,31 +34,20 @@ impl ExtShadow {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl InitiationProtocol for ExtShadow {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::ExtShadow
-    }
-
-    fn shadow_store(
-        &mut self,
-        core: &mut EngineCore,
-        pa: PhysAddr,
-        ctx: u32,
-        size: u64,
-        _now: SimTime,
-        _mem: &mut MemPort,
-    ) -> SimTime {
+    /// A store to `shadow(vdestination)` stages the destination and size
+    /// in the slot of the context id the shadow address carries.
+    pub fn shadow_store(&mut self, core: &mut EngineCore, pa: PhysAddr, ctx: u32, size: u64) {
         if !core.has_context(ctx) {
             core.note_reject(RejectReason::CtxMismatch);
         } else {
             self.pending[ctx as usize] = Some((pa, size));
         }
-        SimTime::ZERO
     }
 
-    fn shadow_load(
+    /// A load from `shadow(vsource)` starts context `ctx`'s staged
+    /// transfer from `pa` and answers the bytes it has yet to move.
+    pub fn shadow_load(
         &mut self,
         core: &mut EngineCore,
         pa: PhysAddr,
@@ -67,59 +56,29 @@ impl InitiationProtocol for ExtShadow {
         mem: &mut MemPort,
     ) -> u64 {
         if !core.has_context(ctx) {
-            core.note_reject(RejectReason::CtxMismatch);
-            return DMA_FAILURE;
+            return refuse(core, RejectReason::CtxMismatch);
         }
         match self.pending[ctx as usize].take() {
-            Some((dst, size)) => {
-                match core.start_user_dma(pa, dst, size, Initiator::Context(ctx), now, mem) {
-                    Ok(index) => {
-                        core.context_mut(ctx).set_last_transfer(index);
-                        core.context_transfer(ctx)
-                            .map(|r| r.remaining_at(now))
-                            .unwrap_or(DMA_FAILURE)
-                    }
-                    Err(_) => DMA_FAILURE,
-                }
-            }
-            None => {
-                core.note_reject(RejectReason::MissingArgs);
-                DMA_FAILURE
-            }
+            Some((dst, size)) => start_for_ctx(core, ctx, (pa, dst, size), now, mem),
+            None => refuse(core, RejectReason::MissingArgs),
         }
     }
 
-    fn ctx_store(
+    /// A store to context page `ctx`: an atomic register.
+    pub fn ctx_store(
         &mut self,
         core: &mut EngineCore,
         ctx: u32,
         offset: u64,
         data: u64,
-        _now: SimTime,
         mem: &mut MemPort,
     ) {
-        if !core.has_context(ctx) {
-            return;
-        }
-        match offset {
-            regs::CTX_ATOMIC_OPERAND1 => core.context_mut(ctx).set_atomic_operand(0, data),
-            regs::CTX_ATOMIC_OPERAND2 => core.context_mut(ctx).set_atomic_operand(1, data),
-            regs::CTX_ATOMIC_CMD => {
-                // The address comes from this context's pending slot (one
-                // shadow store instead of two: atomics take a single
-                // address, §3.5).
-                let Some((addr, _)) = self.pending[ctx as usize].take() else {
-                    core.note_reject(RejectReason::MissingArgs);
-                    return;
-                };
-                let [op1, op2] = core.context(ctx).atomic_operands();
-                let result = match AtomicOp::from_code(data) {
-                    Some(op) => core.exec_atomic(op, addr, op1, op2, mem).unwrap_or(DMA_FAILURE),
-                    None => DMA_FAILURE,
-                };
-                core.context_mut(ctx).set_atomic_result(result);
-            }
-            _ => {}
+        if core.has_context(ctx) {
+            // The address comes from this context's pending slot (one
+            // shadow store instead of two: atomics take a single
+            // address, §3.5).
+            let slot = &mut self.pending[ctx as usize];
+            ctx_atomic_store(core, ctx, offset, data, mem, |_| slot.take().map(|(addr, _)| addr));
         }
     }
 }
@@ -142,27 +101,16 @@ impl ExtShadowPairwise {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl InitiationProtocol for ExtShadowPairwise {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::ExtShadowPairwise
-    }
-
-    fn shadow_store(
-        &mut self,
-        _core: &mut EngineCore,
-        pa: PhysAddr,
-        ctx: u32,
-        size: u64,
-        _now: SimTime,
-        _mem: &mut MemPort,
-    ) -> SimTime {
+    /// A store to `shadow(vdestination)` stages the destination and size,
+    /// tagged with the shadow address's context id.
+    pub fn shadow_store(&mut self, pa: PhysAddr, ctx: u32, size: u64) {
         self.pending = Some((pa, size, ctx));
-        SimTime::ZERO
     }
 
-    fn shadow_load(
+    /// A load from `shadow(vsource)` starts the staged transfer from `pa`
+    /// if the store came from the same context id.
+    pub fn shadow_load(
         &mut self,
         core: &mut EngineCore,
         pa: PhysAddr,
@@ -172,19 +120,10 @@ impl InitiationProtocol for ExtShadowPairwise {
     ) -> u64 {
         match self.pending.take() {
             Some((dst, size, store_ctx)) if store_ctx == ctx => {
-                match core.start_user_dma(pa, dst, size, Initiator::Context(ctx), now, mem) {
-                    Ok(_) => crate::DMA_STARTED,
-                    Err(_) => DMA_FAILURE,
-                }
+                started(core.start_user_dma(pa, dst, size, Initiator::Context(ctx), now, mem))
             }
-            Some(_) => {
-                core.note_reject(RejectReason::CtxMismatch);
-                DMA_FAILURE
-            }
-            None => {
-                core.note_reject(RejectReason::MissingArgs);
-                DMA_FAILURE
-            }
+            Some(_) => refuse(core, RejectReason::CtxMismatch),
+            None => refuse(core, RejectReason::MissingArgs),
         }
     }
 }
@@ -192,7 +131,8 @@ impl InitiationProtocol for ExtShadowPairwise {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EngineConfig;
+    use crate::protocol::poll_ctx_status;
+    use crate::{regs, AtomicOp, EngineConfig, DMA_FAILURE};
     use udma_mem::{PhysLayout, PhysMemory, PAGE_SIZE};
 
     fn world() -> (ExtShadow, EngineCore, MemPort) {
@@ -206,7 +146,7 @@ mod tests {
         let (mut p, mut core, mut mem) = world();
         let dst = PhysAddr::new(4 * PAGE_SIZE);
         let src = PhysAddr::new(2 * PAGE_SIZE);
-        p.shadow_store(&mut core, dst, 2, 128, SimTime::ZERO, &mut mem);
+        p.shadow_store(&mut core, dst, 2, 128);
         let status = p.shadow_load(&mut core, src, 2, SimTime::ZERO, &mut mem);
         assert_ne!(status, DMA_FAILURE);
         let rec = &core.mover().records()[0];
@@ -223,8 +163,8 @@ mod tests {
         let src_b = PhysAddr::new(3 * PAGE_SIZE);
         // A(ctx 0) stores, B(ctx 1) preempts and does a full initiation,
         // A resumes: exactly the schedule that breaks SHRIMP-2.
-        p.shadow_store(&mut core, dst_a, 0, 64, SimTime::ZERO, &mut mem);
-        p.shadow_store(&mut core, dst_b, 1, 32, SimTime::ZERO, &mut mem);
+        p.shadow_store(&mut core, dst_a, 0, 64);
+        p.shadow_store(&mut core, dst_b, 1, 32);
         assert_ne!(p.shadow_load(&mut core, src_b, 1, SimTime::ZERO, &mut mem), DMA_FAILURE);
         assert_ne!(p.shadow_load(&mut core, src_a, 0, SimTime::ZERO, &mut mem), DMA_FAILURE);
         let recs = core.mover().records();
@@ -245,7 +185,7 @@ mod tests {
     #[test]
     fn out_of_range_context_rejected() {
         let (mut p, mut core, mut mem) = world(); // 4 contexts configured
-        p.shadow_store(&mut core, PhysAddr::new(PAGE_SIZE), 5, 64, SimTime::ZERO, &mut mem);
+        p.shadow_store(&mut core, PhysAddr::new(PAGE_SIZE), 5, 64);
         assert_eq!(core.stats().rejected_for(RejectReason::CtxMismatch), 1);
         assert_eq!(
             p.shadow_load(&mut core, PhysAddr::new(PAGE_SIZE), 5, SimTime::ZERO, &mut mem),
@@ -258,12 +198,11 @@ mod tests {
         let (mut p, mut core, mut mem) = world();
         let dst = PhysAddr::new(4 * PAGE_SIZE);
         let src = PhysAddr::new(2 * PAGE_SIZE);
-        p.shadow_store(&mut core, dst, 0, 4096, SimTime::ZERO, &mut mem);
+        p.shadow_store(&mut core, dst, 0, 4096);
         let r0 = p.shadow_load(&mut core, src, 0, SimTime::ZERO, &mut mem);
         assert!(r0 > 0 && r0 != DMA_FAILURE); // bytes still in flight
                                               // Long after the wire time has elapsed the context reads 0.
-        let done =
-            p.ctx_load(&mut core, 0, regs::CTX_SIZE_TRIGGER, SimTime::from_us(100_000), &mut mem);
+        let done = poll_ctx_status(&core, 0, regs::CTX_SIZE_TRIGGER, SimTime::from_us(100_000));
         assert_eq!(done, 0);
     }
 
@@ -273,7 +212,7 @@ mod tests {
         let mut p = ExtShadowPairwise::new();
         let dst = PhysAddr::new(4 * PAGE_SIZE);
         let src = PhysAddr::new(2 * PAGE_SIZE);
-        p.shadow_store(&mut core, dst, 1, 64, SimTime::ZERO, &mut mem);
+        p.shadow_store(dst, 1, 64);
         assert_eq!(p.shadow_load(&mut core, src, 1, SimTime::ZERO, &mut mem), crate::DMA_STARTED);
         let rec = &core.mover().records()[0];
         assert_eq!((rec.src, rec.dst), (src, dst));
@@ -285,7 +224,7 @@ mod tests {
         let mut p = ExtShadowPairwise::new();
         // Process ctx 0 stores; process ctx 1's load arrives next — the
         // §2.5 race pattern. The engine refuses instead of mixing.
-        p.shadow_store(&mut core, PhysAddr::new(4 * PAGE_SIZE), 0, 64, SimTime::ZERO, &mut mem);
+        p.shadow_store(PhysAddr::new(4 * PAGE_SIZE), 0, 64);
         assert_eq!(
             p.shadow_load(&mut core, PhysAddr::new(2 * PAGE_SIZE), 1, SimTime::ZERO, &mut mem),
             DMA_FAILURE
@@ -298,7 +237,7 @@ mod tests {
             DMA_FAILURE
         );
         // …and a clean retry succeeds.
-        p.shadow_store(&mut core, PhysAddr::new(4 * PAGE_SIZE), 0, 64, SimTime::ZERO, &mut mem);
+        p.shadow_store(PhysAddr::new(4 * PAGE_SIZE), 0, 64);
         assert_eq!(
             p.shadow_load(&mut core, PhysAddr::new(2 * PAGE_SIZE), 0, SimTime::ZERO, &mut mem),
             crate::DMA_STARTED
@@ -310,16 +249,9 @@ mod tests {
         let (mut p, mut core, mut mem) = world();
         let addr = PhysAddr::new(0x200);
         core.exec_atomic(AtomicOp::FetchStore, addr, 5, 0, &mut mem).unwrap();
-        p.shadow_store(&mut core, addr, 3, 0, SimTime::ZERO, &mut mem); // address only
-        p.ctx_store(&mut core, 3, regs::CTX_ATOMIC_OPERAND1, 77, SimTime::ZERO, &mut mem);
-        p.ctx_store(
-            &mut core,
-            3,
-            regs::CTX_ATOMIC_CMD,
-            AtomicOp::FetchStore.code(),
-            SimTime::ZERO,
-            &mut mem,
-        );
-        assert_eq!(p.ctx_load(&mut core, 3, regs::CTX_ATOMIC_CMD, SimTime::ZERO, &mut mem), 5);
+        p.shadow_store(&mut core, addr, 3, 0); // address only
+        p.ctx_store(&mut core, 3, regs::CTX_ATOMIC_OPERAND1, 77, &mut mem);
+        p.ctx_store(&mut core, 3, regs::CTX_ATOMIC_CMD, AtomicOp::FetchStore.code(), &mut mem);
+        assert_eq!(poll_ctx_status(&core, 3, regs::CTX_ATOMIC_CMD, SimTime::ZERO), 5);
     }
 }

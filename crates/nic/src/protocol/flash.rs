@@ -1,8 +1,8 @@
 //! FLASH: per-process argument slots keyed by a kernel-maintained
 //! current-pid register (§2.6).
 
-use crate::protocol::{InitiationProtocol, ProtocolKind};
-use crate::{EngineCore, Initiator, RejectReason, DMA_FAILURE, DMA_STARTED};
+use crate::protocol::{refuse, started};
+use crate::{EngineCore, Initiator, RejectReason};
 use std::collections::HashMap;
 use udma_bus::{MemPort, SimTime};
 use udma_mem::PhysAddr;
@@ -32,49 +32,32 @@ impl Flash {
     pub fn current_pid(&self) -> u64 {
         self.current_pid
     }
-}
 
-impl InitiationProtocol for Flash {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Flash
-    }
-
-    fn shadow_store(
-        &mut self,
-        _core: &mut EngineCore,
-        pa: PhysAddr,
-        _ctx: u32,
-        size: u64,
-        _now: SimTime,
-        _mem: &mut MemPort,
-    ) -> SimTime {
+    /// A store to `shadow(vdestination)` stages the destination and size
+    /// in the current pid's slot.
+    pub fn shadow_store(&mut self, pa: PhysAddr, size: u64) {
         self.pending.insert(self.current_pid, (pa, size));
-        SimTime::ZERO
     }
 
-    fn shadow_load(
+    /// A load from `shadow(vsource)` starts the current pid's staged
+    /// transfer from `pa`.
+    pub fn shadow_load(
         &mut self,
         core: &mut EngineCore,
         pa: PhysAddr,
-        _ctx: u32,
         now: SimTime,
         mem: &mut MemPort,
     ) -> u64 {
         match self.pending.remove(&self.current_pid) {
             Some((dst, size)) => {
-                match core.start_user_dma(pa, dst, size, Initiator::Anonymous, now, mem) {
-                    Ok(_) => DMA_STARTED,
-                    Err(_) => DMA_FAILURE,
-                }
+                started(core.start_user_dma(pa, dst, size, Initiator::Anonymous, now, mem))
             }
-            None => {
-                core.note_reject(RejectReason::MissingArgs);
-                DMA_FAILURE
-            }
+            None => refuse(core, RejectReason::MissingArgs),
         }
     }
 
-    fn set_current_pid(&mut self, pid: u64) {
+    /// A write to the engine's current-pid register.
+    pub fn set_current_pid(&mut self, pid: u64) {
         self.current_pid = pid;
     }
 }
@@ -82,7 +65,7 @@ impl InitiationProtocol for Flash {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EngineConfig;
+    use crate::{EngineConfig, DMA_FAILURE, DMA_STARTED};
     use udma_mem::{PhysLayout, PhysMemory, PAGE_SIZE};
 
     fn world() -> (Flash, EngineCore, MemPort) {
@@ -100,12 +83,12 @@ mod tests {
         let src_b = PhysAddr::new(3 * PAGE_SIZE);
 
         p.set_current_pid(1); // kernel patch at dispatch of A
-        p.shadow_store(&mut core, dst_a, 0, 64, SimTime::ZERO, &mut mem);
+        p.shadow_store(dst_a, 64);
         p.set_current_pid(2); // context switch to B
-        p.shadow_store(&mut core, dst_b, 0, 32, SimTime::ZERO, &mut mem);
-        assert_eq!(p.shadow_load(&mut core, src_b, 0, SimTime::ZERO, &mut mem), DMA_STARTED);
+        p.shadow_store(dst_b, 32);
+        assert_eq!(p.shadow_load(&mut core, src_b, SimTime::ZERO, &mut mem), DMA_STARTED);
         p.set_current_pid(1); // back to A
-        assert_eq!(p.shadow_load(&mut core, src_a, 0, SimTime::ZERO, &mut mem), DMA_STARTED);
+        assert_eq!(p.shadow_load(&mut core, src_a, SimTime::ZERO, &mut mem), DMA_STARTED);
 
         let recs = core.mover().records();
         assert_eq!(recs.len(), 2);
@@ -120,9 +103,9 @@ mod tests {
         let dst_a = PhysAddr::new(4 * PAGE_SIZE);
         let dst_b = PhysAddr::new(5 * PAGE_SIZE);
         let src_a = PhysAddr::new(2 * PAGE_SIZE);
-        p.shadow_store(&mut core, dst_a, 0, 64, SimTime::ZERO, &mut mem); // A
-        p.shadow_store(&mut core, dst_b, 0, 32, SimTime::ZERO, &mut mem); // B overwrites
-        assert_eq!(p.shadow_load(&mut core, src_a, 0, SimTime::ZERO, &mut mem), DMA_STARTED);
+        p.shadow_store(dst_a, 64); // A
+        p.shadow_store(dst_b, 32); // B overwrites
+        assert_eq!(p.shadow_load(&mut core, src_a, SimTime::ZERO, &mut mem), DMA_STARTED);
         // A's source went to B's destination: SHRIMP-2's race reappears.
         assert_eq!(core.mover().records()[0].dst, dst_b);
     }
@@ -132,7 +115,7 @@ mod tests {
         let (mut p, mut core, mut mem) = world();
         p.set_current_pid(7);
         assert_eq!(
-            p.shadow_load(&mut core, PhysAddr::new(PAGE_SIZE), 0, SimTime::ZERO, &mut mem),
+            p.shadow_load(&mut core, PhysAddr::new(PAGE_SIZE), SimTime::ZERO, &mut mem),
             DMA_FAILURE
         );
     }

@@ -1,8 +1,9 @@
 //! The initiation protocol state machines.
 //!
-//! Exactly one protocol is active in the engine at a time (the paper's
-//! FPGA was likewise synthesised per scheme). Each protocol interprets
-//! the two user-visible windows:
+//! Exactly one protocol is active in the engine at a time, chosen when
+//! the engine is built (the paper's FPGA was likewise synthesised per
+//! scheme): the closed [`Protocol`] enum holds its state machine. Each
+//! protocol interprets the two user-visible windows:
 //!
 //! * **shadow accesses** — loads/stores whose physical address has the
 //!   shadow bit set; the engine has already stripped the bit and
@@ -12,8 +13,8 @@
 //!
 //! The kernel-only privileged window (Figure 1 registers, FLASH
 //! current-pid, SHRIMP abort, key table) is handled by the engine itself
-//! and merely forwarded to [`InitiationProtocol::abort`] /
-//! [`InitiationProtocol::set_current_pid`] where relevant.
+//! and merely forwarded to [`Protocol::abort`] /
+//! [`Protocol::set_current_pid`] where relevant.
 
 mod ext_shadow;
 mod flash;
@@ -30,7 +31,7 @@ pub use shrimp1::Shrimp1;
 pub use shrimp2::Shrimp2;
 
 use crate::regs;
-use crate::{EngineCore, DMA_FAILURE};
+use crate::{AtomicOp, EngineCore, Initiator, RejectReason, DMA_FAILURE, DMA_STARTED};
 use std::fmt;
 use udma_bus::{MemPort, SimTime};
 use udma_mem::PhysAddr;
@@ -144,22 +145,6 @@ impl ProtocolKind {
         })
     }
 
-    /// Instantiates the protocol's state machine.
-    pub fn instantiate(self) -> Box<dyn InitiationProtocol> {
-        match self {
-            ProtocolKind::KernelOnly => Box::new(KernelOnly),
-            ProtocolKind::Shrimp1 => Box::new(Shrimp1::new()),
-            ProtocolKind::Shrimp2 => Box::new(Shrimp2::new()),
-            ProtocolKind::Flash => Box::new(Flash::new()),
-            ProtocolKind::KeyBased => Box::new(KeyBased::new()),
-            ProtocolKind::ExtShadow => Box::new(ExtShadow::new()),
-            ProtocolKind::ExtShadowPairwise => Box::new(ExtShadowPairwise::new()),
-            ProtocolKind::Repeated3 => Box::new(Repeated::three()),
-            ProtocolKind::Repeated4 => Box::new(Repeated::four()),
-            ProtocolKind::Repeated5 => Box::new(Repeated::five()),
-        }
-    }
-
     /// User-mode instructions one initiation takes (the paper's "2 to 5
     /// assembly instructions"); `None` for the kernel path.
     pub fn user_instructions(self) -> Option<u32> {
@@ -196,19 +181,65 @@ impl fmt::Display for ProtocolKind {
     }
 }
 
-/// A protocol state machine inside the engine. Every access hands it the
-/// engine core and the memory port the bus lent the engine for that
-/// transaction.
-pub trait InitiationProtocol: Send {
+/// The engine's initiation state machine: one variant per scheme, fixed
+/// when the engine is built. Every access hands it the engine core and
+/// the memory port the bus lent the engine for that transaction.
+#[derive(Clone, Debug)]
+pub enum Protocol {
+    /// Shadow window disabled: every shadow access fails.
+    KernelOnly,
+    /// See [`Shrimp1`].
+    Shrimp1(Shrimp1),
+    /// See [`Shrimp2`].
+    Shrimp2(Shrimp2),
+    /// See [`Flash`].
+    Flash(Flash),
+    /// See [`KeyBased`].
+    KeyBased(KeyBased),
+    /// See [`ExtShadow`].
+    ExtShadow(ExtShadow),
+    /// See [`ExtShadowPairwise`].
+    ExtShadowPairwise(ExtShadowPairwise),
+    /// See [`Repeated`]: the 3-, 4- and 5-access variants.
+    Repeated(Repeated),
+}
+
+impl Protocol {
+    /// The state machine of scheme `kind`, reset.
+    pub fn new(kind: ProtocolKind) -> Self {
+        use ProtocolKind as K;
+        match kind {
+            K::KernelOnly => Protocol::KernelOnly,
+            K::Shrimp1 => Protocol::Shrimp1(Shrimp1::new()),
+            K::Shrimp2 => Protocol::Shrimp2(Shrimp2::new()),
+            K::Flash => Protocol::Flash(Flash::new()),
+            K::KeyBased => Protocol::KeyBased(KeyBased),
+            K::ExtShadow => Protocol::ExtShadow(ExtShadow::new()),
+            K::ExtShadowPairwise => Protocol::ExtShadowPairwise(ExtShadowPairwise::new()),
+            K::Repeated3 | K::Repeated4 | K::Repeated5 => Protocol::Repeated(Repeated::new(kind)),
+        }
+    }
+
     /// The scheme this machine implements.
-    fn kind(&self) -> ProtocolKind;
+    pub fn kind(&self) -> ProtocolKind {
+        match self {
+            Protocol::KernelOnly => ProtocolKind::KernelOnly,
+            Protocol::Shrimp1(_) => ProtocolKind::Shrimp1,
+            Protocol::Shrimp2(_) => ProtocolKind::Shrimp2,
+            Protocol::Flash(_) => ProtocolKind::Flash,
+            Protocol::KeyBased(_) => ProtocolKind::KeyBased,
+            Protocol::ExtShadow(_) => ProtocolKind::ExtShadow,
+            Protocol::ExtShadowPairwise(_) => ProtocolKind::ExtShadowPairwise,
+            Protocol::Repeated(p) => p.kind(),
+        }
+    }
 
     /// A store hit the shadow window. `pa` is the decoded plain physical
     /// address, `ctx` the context id embedded in the shadow address
     /// (always 0 unless the OS created extended-shadow mappings), `data`
     /// the store payload. Returns the device-side latency the store
     /// incurred before the engine acknowledged it (the key check).
-    fn shadow_store(
+    pub fn shadow_store(
         &mut self,
         core: &mut EngineCore,
         pa: PhysAddr,
@@ -216,58 +247,96 @@ pub trait InitiationProtocol: Send {
         data: u64,
         now: SimTime,
         mem: &mut MemPort,
-    ) -> SimTime;
+    ) -> SimTime {
+        match self {
+            Protocol::KernelOnly => {}
+            Protocol::Shrimp1(p) => p.shadow_store(core, pa, data, now, mem),
+            Protocol::Shrimp2(p) => p.shadow_store(pa, data),
+            Protocol::Flash(p) => p.shadow_store(pa, data),
+            // Only the key check keeps the store waiting.
+            Protocol::KeyBased(p) => return p.shadow_store(core, pa, data),
+            Protocol::ExtShadow(p) => p.shadow_store(core, pa, ctx, data),
+            Protocol::ExtShadowPairwise(p) => p.shadow_store(pa, ctx, data),
+            Protocol::Repeated(p) => p.shadow_store(core, pa, ctx, data, now, mem),
+        }
+        SimTime::ZERO
+    }
 
     /// A load hit the shadow window; returns the load's data (a status
     /// code or byte count).
-    fn shadow_load(
+    pub fn shadow_load(
         &mut self,
         core: &mut EngineCore,
         pa: PhysAddr,
         ctx: u32,
         now: SimTime,
         mem: &mut MemPort,
-    ) -> u64;
+    ) -> u64 {
+        match self {
+            Protocol::KernelOnly => DMA_FAILURE,
+            Protocol::Shrimp1(p) => p.shadow_load(),
+            Protocol::Shrimp2(p) => p.shadow_load(core, pa, now, mem),
+            Protocol::Flash(p) => p.shadow_load(core, pa, now, mem),
+            Protocol::KeyBased(p) => p.shadow_load(core),
+            Protocol::ExtShadow(p) => p.shadow_load(core, pa, ctx, now, mem),
+            Protocol::ExtShadowPairwise(p) => p.shadow_load(core, pa, ctx, now, mem),
+            Protocol::Repeated(p) => p.shadow_load(core, pa, ctx, now, mem),
+        }
+    }
 
-    /// A store hit register-context page `ctx` at `offset`.
-    fn ctx_store(
+    /// A store hit register-context page `ctx` at `offset`; only the
+    /// schemes with register contexts decode it.
+    pub fn ctx_store(
         &mut self,
         core: &mut EngineCore,
         ctx: u32,
         offset: u64,
         data: u64,
-        now: SimTime,
         mem: &mut MemPort,
     ) {
-        let _ = (core, ctx, offset, data, now, mem);
+        match self {
+            Protocol::KeyBased(p) => p.ctx_store(core, ctx, offset, data, mem),
+            Protocol::ExtShadow(p) => p.ctx_store(core, ctx, offset, data, mem),
+            _ => {}
+        }
     }
 
-    /// A load hit register-context page `ctx` at `offset`; default is
-    /// transfer-status polling.
-    fn ctx_load(
+    /// A load hit register-context page `ctx` at `offset`: the key-based
+    /// trigger, otherwise a status poll.
+    pub fn ctx_load(
         &mut self,
         core: &mut EngineCore,
         ctx: u32,
         offset: u64,
         now: SimTime,
-        _mem: &mut MemPort,
+        mem: &mut MemPort,
     ) -> u64 {
-        poll_ctx_status(core, ctx, offset, now)
+        match self {
+            Protocol::KeyBased(p) => p.ctx_load(core, ctx, offset, now, mem),
+            _ => poll_ctx_status(core, ctx, offset, now),
+        }
     }
 
     /// SHRIMP kernel patch: invalidate partially initiated transfers.
-    fn abort(&mut self) {}
+    pub fn abort(&mut self) {
+        if let Protocol::Shrimp2(p) = self {
+            p.abort();
+        }
+    }
 
     /// FLASH kernel patch: the scheduler dispatched process `pid`.
-    fn set_current_pid(&mut self, pid: u64) {
-        let _ = pid;
+    pub fn set_current_pid(&mut self, pid: u64) {
+        if let Protocol::Flash(p) = self {
+            p.set_current_pid(pid);
+        }
     }
 }
 
-/// Default context-page load behaviour: report the context's last
-/// transfer ("a read operation from a register context returns the number
-/// of bytes that need to be transferred yet; -1 means failure", §3.1) or
-/// the context's atomic result register.
+/// Context-page load behaviour of every scheme but the key-based
+/// trigger: report the context's last transfer ("a read operation from a
+/// register context returns the number of bytes that need to be
+/// transferred yet; -1 means failure", §3.1) or the context's atomic
+/// result register.
 pub(crate) fn poll_ctx_status(core: &EngineCore, ctx: u32, offset: u64, now: SimTime) -> u64 {
     if !core.has_context(ctx) {
         return DMA_FAILURE;
@@ -281,37 +350,67 @@ pub(crate) fn poll_ctx_status(core: &EngineCore, ctx: u32, offset: u64, now: Sim
     }
 }
 
-/// The no-op protocol: every shadow access fails.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct KernelOnly;
-
-impl InitiationProtocol for KernelOnly {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::KernelOnly
-    }
-
-    fn shadow_store(
-        &mut self,
-        _core: &mut EngineCore,
-        _pa: PhysAddr,
-        _ctx: u32,
-        _d: u64,
-        _n: SimTime,
-        _mem: &mut MemPort,
-    ) -> SimTime {
-        SimTime::ZERO
-    }
-
-    fn shadow_load(
-        &mut self,
-        _core: &mut EngineCore,
-        _pa: PhysAddr,
-        _ctx: u32,
-        _n: SimTime,
-        _mem: &mut MemPort,
-    ) -> u64 {
+/// A start attempt's status load: [`DMA_STARTED`] or [`DMA_FAILURE`].
+fn started<T>(attempt: Result<T, RejectReason>) -> u64 {
+    if attempt.is_ok() {
+        DMA_STARTED
+    } else {
         DMA_FAILURE
     }
+}
+
+/// Counts a refused initiation; its status load reads [`DMA_FAILURE`].
+fn refuse(core: &mut EngineCore, reason: RejectReason) -> u64 {
+    core.note_reject(reason);
+    DMA_FAILURE
+}
+
+/// Starts a user transfer for context `ctx`, records it as the context's
+/// last transfer and answers the bytes it has yet to move (§3.1).
+fn start_for_ctx(
+    core: &mut EngineCore,
+    ctx: u32,
+    (src, dst, size): (PhysAddr, PhysAddr, u64),
+    now: SimTime,
+    mem: &mut MemPort,
+) -> u64 {
+    let Ok(index) = core.start_user_dma(src, dst, size, Initiator::Context(ctx), now, mem) else {
+        return DMA_FAILURE;
+    };
+    core.context_mut(ctx).set_last_transfer(index);
+    core.context_transfer(ctx).map_or(DMA_FAILURE, |r| r.remaining_at(now))
+}
+
+/// The context-page atomic registers (§3.5): operand stores stage into
+/// context `ctx`; a command store runs the atomic on the address `addr`
+/// yields and leaves its result in the context. Returns whether an
+/// atomic ran.
+fn ctx_atomic_store(
+    core: &mut EngineCore,
+    ctx: u32,
+    offset: u64,
+    data: u64,
+    mem: &mut MemPort,
+    addr: impl FnOnce(&EngineCore) -> Option<PhysAddr>,
+) -> bool {
+    match offset {
+        regs::CTX_ATOMIC_OPERAND1 => core.context_mut(ctx).set_atomic_operand(0, data),
+        regs::CTX_ATOMIC_OPERAND2 => core.context_mut(ctx).set_atomic_operand(1, data),
+        regs::CTX_ATOMIC_CMD => {
+            let Some(addr) = addr(core) else {
+                core.note_reject(RejectReason::MissingArgs);
+                return false;
+            };
+            let [op1, op2] = core.context(ctx).atomic_operands();
+            let result = AtomicOp::from_code(data)
+                .and_then(|op| core.exec_atomic(op, addr, op1, op2, mem))
+                .unwrap_or(DMA_FAILURE);
+            core.context_mut(ctx).set_atomic_result(result);
+            return true;
+        }
+        _ => {}
+    }
+    false
 }
 
 #[cfg(test)]
@@ -329,7 +428,7 @@ mod tests {
     }
 
     #[test]
-    fn every_kind_instantiates_itself() {
+    fn every_kind_builds_its_own_protocol() {
         for k in [
             ProtocolKind::KernelOnly,
             ProtocolKind::Shrimp1,
@@ -342,7 +441,7 @@ mod tests {
             ProtocolKind::Repeated4,
             ProtocolKind::Repeated5,
         ] {
-            assert_eq!(k.instantiate().kind(), k);
+            assert_eq!(Protocol::new(k).kind(), k);
         }
     }
 

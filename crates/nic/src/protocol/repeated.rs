@@ -1,7 +1,7 @@
 //! Repeated passing of arguments (§3.3, Figures 5–8).
 
-use crate::protocol::{InitiationProtocol, Op, ProtocolKind, Role, ShadowAccess};
-use crate::{EngineCore, Initiator, DMA_FAILURE, DMA_PENDING, DMA_STARTED};
+use crate::protocol::{started, Op, ProtocolKind, Role, ShadowAccess};
+use crate::{EngineCore, Initiator, DMA_FAILURE, DMA_PENDING};
 use udma_bus::{MemPort, SimTime};
 use udma_mem::PhysAddr;
 
@@ -36,7 +36,7 @@ pub struct Repeated {
 }
 
 impl Repeated {
-    fn new(kind: ProtocolKind) -> Self {
+    pub(super) fn new(kind: ProtocolKind) -> Self {
         let row = kind.sequence().unwrap_or_default();
         Repeated { kind, row, pos: 0, src: None, dst: None, size: None }
     }
@@ -56,6 +56,11 @@ impl Repeated {
     /// The 5-instruction variant (the paper's secure scheme, Figure 7).
     pub fn five() -> Self {
         Self::new(ProtocolKind::Repeated5)
+    }
+
+    /// The variant this machine runs.
+    pub fn kind(&self) -> ProtocolKind {
+        self.kind
     }
 
     /// Current sequence position (test inspection).
@@ -92,10 +97,7 @@ impl Repeated {
             let transfer = (self.src, self.dst, self.size);
             *self = Self::new(self.kind);
             let (Some(src), Some(dst), Some(size)) = transfer else { return DMA_FAILURE };
-            return match core.start_user_dma(src, dst, size, Initiator::Anonymous, now, mem) {
-                Ok(_) => DMA_STARTED,
-                Err(_) => DMA_FAILURE,
-            };
+            return started(core.start_user_dma(src, dst, size, Initiator::Anonymous, now, mem));
         }
         // Out of order: reset; the offending access may start a new
         // sequence.
@@ -106,14 +108,10 @@ impl Repeated {
             _ => DMA_FAILURE,
         }
     }
-}
 
-impl InitiationProtocol for Repeated {
-    fn kind(&self) -> ProtocolKind {
-        self.kind
-    }
-
-    fn shadow_store(
+    /// A store hit the shadow window. The scheme has one machine for
+    /// every process, so the shadow address's context id is ignored.
+    pub fn shadow_store(
         &mut self,
         core: &mut EngineCore,
         pa: PhysAddr,
@@ -121,12 +119,13 @@ impl InitiationProtocol for Repeated {
         data: u64,
         now: SimTime,
         mem: &mut MemPort,
-    ) -> SimTime {
-        let _ = self.on_access(core, Op::Store, pa, data, now, mem);
-        SimTime::ZERO
+    ) {
+        self.on_access(core, Op::Store, pa, data, now, mem);
     }
 
-    fn shadow_load(
+    /// A load hit the shadow window; returns [`DMA_PENDING`] mid-row,
+    /// the start status at the row's end, [`DMA_FAILURE`] on a reset.
+    pub fn shadow_load(
         &mut self,
         core: &mut EngineCore,
         pa: PhysAddr,
@@ -141,7 +140,7 @@ impl InitiationProtocol for Repeated {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EngineConfig;
+    use crate::{EngineConfig, DMA_STARTED};
     use udma_mem::{PhysLayout, PhysMemory, PAGE_SIZE};
 
     fn core() -> (EngineCore, MemPort) {

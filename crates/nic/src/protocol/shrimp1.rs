@@ -1,7 +1,7 @@
 //! SHRIMP-1: mapped-out pages (§2.4).
 
-use crate::protocol::{InitiationProtocol, ProtocolKind};
-use crate::{EngineCore, DMA_FAILURE, DMA_STARTED};
+use crate::protocol::started;
+use crate::{EngineCore, DMA_FAILURE};
 use udma_bus::{MemPort, SimTime};
 use udma_mem::PhysAddr;
 
@@ -23,39 +23,22 @@ impl Shrimp1 {
     pub fn new() -> Self {
         Shrimp1 { last_status: DMA_FAILURE }
     }
-}
 
-impl InitiationProtocol for Shrimp1 {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Shrimp1
-    }
-
-    fn shadow_store(
+    /// A store to the shadow of `pa` launches `size` bytes to its twin.
+    pub fn shadow_store(
         &mut self,
         core: &mut EngineCore,
         pa: PhysAddr,
-        _ctx: u32,
         size: u64,
         now: SimTime,
         mem: &mut MemPort,
-    ) -> SimTime {
-        self.last_status = match core.launch_mapped_out(pa, size, now, mem) {
-            Ok(()) => DMA_STARTED,
-            Err(_) => DMA_FAILURE,
-        };
-        SimTime::ZERO
+    ) {
+        self.last_status = started(core.launch_mapped_out(pa, size, now, mem));
     }
 
-    fn shadow_load(
-        &mut self,
-        _core: &mut EngineCore,
-        _pa: PhysAddr,
-        _ctx: u32,
-        _now: SimTime,
-        _mem: &mut MemPort,
-    ) -> u64 {
-        // The compare-and-exchange of the real SHRIMP returns the
-        // initiation result; modelled as a status load.
+    /// The last store's status. The compare-and-exchange of the real
+    /// SHRIMP returns the initiation result; modelled as a status load.
+    pub fn shadow_load(&self) -> u64 {
         self.last_status
     }
 }
@@ -63,7 +46,7 @@ impl InitiationProtocol for Shrimp1 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Destination, EngineConfig, RejectReason};
+    use crate::{Destination, EngineConfig, RejectReason, DMA_STARTED};
     use udma_mem::{PhysLayout, PhysMemory, VirtAddr, PAGE_SIZE};
 
     fn world() -> (Shrimp1, EngineCore, MemPort) {
@@ -77,8 +60,8 @@ mod tests {
         let (mut p, mut core, mut mem) = world();
         let src = PhysAddr::new(2 * PAGE_SIZE);
         core.set_mapped_out(src.page(), Destination::Local(PhysAddr::new(40 * PAGE_SIZE)));
-        p.shadow_store(&mut core, src + 0x40, 0, 128, SimTime::ZERO, &mut mem);
-        assert_eq!(p.shadow_load(&mut core, src, 0, SimTime::ZERO, &mut mem), DMA_STARTED);
+        p.shadow_store(&mut core, src + 0x40, 128, SimTime::ZERO, &mut mem);
+        assert_eq!(p.shadow_load(), DMA_STARTED);
         let rec = &core.mover().records()[0];
         assert_eq!(rec.src, src + 0x40);
         // Destination preserves the in-page offset.
@@ -92,8 +75,8 @@ mod tests {
         let src = PhysAddr::new(2 * PAGE_SIZE);
         let va = VirtAddr::new(16 * PAGE_SIZE);
         core.set_mapped_out(src.page(), Destination::Remote { node: 1, asid: 5, va });
-        p.shadow_store(&mut core, src + 0x40, 0, 32, SimTime::from_us(3), &mut mem);
-        assert_eq!(p.shadow_load(&mut core, src, 0, SimTime::ZERO, &mut mem), DMA_STARTED);
+        p.shadow_store(&mut core, src + 0x40, 32, SimTime::from_us(3), &mut mem);
+        assert_eq!(p.shadow_load(), DMA_STARTED);
         assert_eq!(core.stats().started, 1);
         assert!(core.mover().records().is_empty(), "the cluster times a remote send");
         let sends = core.take_remote_sends();
@@ -107,11 +90,8 @@ mod tests {
     #[test]
     fn unmapped_source_page_rejected() {
         let (mut p, mut core, mut mem) = world();
-        p.shadow_store(&mut core, PhysAddr::new(PAGE_SIZE), 0, 64, SimTime::ZERO, &mut mem);
-        assert_eq!(
-            p.shadow_load(&mut core, PhysAddr::new(PAGE_SIZE), 0, SimTime::ZERO, &mut mem),
-            DMA_FAILURE
-        );
+        p.shadow_store(&mut core, PhysAddr::new(PAGE_SIZE), 64, SimTime::ZERO, &mut mem);
+        assert_eq!(p.shadow_load(), DMA_FAILURE);
         assert!(core.mover().records().is_empty());
         assert_eq!(core.stats().rejected_for(RejectReason::MissingArgs), 1);
     }
@@ -121,8 +101,8 @@ mod tests {
         let (mut p, mut core, mut mem) = world();
         let src = PhysAddr::new(2 * PAGE_SIZE);
         core.set_mapped_out(src.page(), Destination::Local(PhysAddr::new(40 * PAGE_SIZE)));
-        p.shadow_store(&mut core, src + (PAGE_SIZE - 8), 0, 64, SimTime::ZERO, &mut mem);
-        assert_eq!(p.shadow_load(&mut core, src, 0, SimTime::ZERO, &mut mem), DMA_FAILURE);
+        p.shadow_store(&mut core, src + (PAGE_SIZE - 8), 64, SimTime::ZERO, &mut mem);
+        assert_eq!(p.shadow_load(), DMA_FAILURE);
         assert_eq!(core.stats().rejected_for(RejectReason::PageCross), 1);
     }
 }

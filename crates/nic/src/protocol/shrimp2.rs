@@ -1,7 +1,7 @@
 //! SHRIMP-2: the two-access store+load scheme (§2.5, Figure 2).
 
-use crate::protocol::{InitiationProtocol, ProtocolKind};
-use crate::{EngineCore, Initiator, RejectReason, DMA_FAILURE, DMA_STARTED};
+use crate::protocol::{refuse, started};
+use crate::{EngineCore, Initiator, RejectReason};
 use udma_bus::{MemPort, SimTime};
 use udma_mem::PhysAddr;
 
@@ -14,7 +14,7 @@ use udma_mem::PhysAddr;
 /// operation, then its arguments to the DMA operation may get mixed with
 /// arguments of other processes". Safety requires either the SHRIMP
 /// kernel patch (the context-switch handler writes the engine's abort
-/// register → [`InitiationProtocol::abort`]) or PAL-mode execution.
+/// register → [`Shrimp2::abort`]) or PAL-mode execution.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Shrimp2 {
     pending: Option<(PhysAddr, u64)>,
@@ -25,49 +25,30 @@ impl Shrimp2 {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl InitiationProtocol for Shrimp2 {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Shrimp2
-    }
-
-    fn shadow_store(
-        &mut self,
-        _core: &mut EngineCore,
-        pa: PhysAddr,
-        _ctx: u32,
-        size: u64,
-        _now: SimTime,
-        _mem: &mut MemPort,
-    ) -> SimTime {
+    /// A store to `shadow(vdestination)` stages the destination and size.
+    pub fn shadow_store(&mut self, pa: PhysAddr, size: u64) {
         self.pending = Some((pa, size));
-        SimTime::ZERO
     }
 
-    fn shadow_load(
+    /// A load from `shadow(vsource)` starts the staged transfer from `pa`.
+    pub fn shadow_load(
         &mut self,
         core: &mut EngineCore,
         pa: PhysAddr,
-        _ctx: u32,
         now: SimTime,
         mem: &mut MemPort,
     ) -> u64 {
         match self.pending.take() {
             Some((dst, size)) => {
-                match core.start_user_dma(pa, dst, size, Initiator::Anonymous, now, mem) {
-                    Ok(_) => DMA_STARTED,
-                    Err(_) => DMA_FAILURE,
-                }
+                started(core.start_user_dma(pa, dst, size, Initiator::Anonymous, now, mem))
             }
-            None => {
-                core.note_reject(RejectReason::MissingArgs);
-                DMA_FAILURE
-            }
+            None => refuse(core, RejectReason::MissingArgs),
         }
     }
 
-    fn abort(&mut self) {
+    /// A write to the engine's abort register.
+    pub fn abort(&mut self) {
         // The SHRIMP kernel patch: "the operating system must invalidate
         // any partially initiated user-level DMA transfer on every
         // context switch".
@@ -78,7 +59,7 @@ impl InitiationProtocol for Shrimp2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EngineConfig;
+    use crate::{EngineConfig, DMA_FAILURE, DMA_STARTED};
     use udma_mem::{PhysLayout, PhysMemory, PAGE_SIZE};
 
     fn world() -> (Shrimp2, EngineCore, MemPort) {
@@ -92,9 +73,9 @@ mod tests {
         let (mut p, mut core, mut mem) = world();
         let dst = PhysAddr::new(4 * PAGE_SIZE);
         let src = PhysAddr::new(2 * PAGE_SIZE);
-        p.shadow_store(&mut core, dst, 0, 256, SimTime::ZERO, &mut mem);
+        p.shadow_store(dst, 256);
         assert!(p.pending.is_some());
-        let status = p.shadow_load(&mut core, src, 0, SimTime::ZERO, &mut mem);
+        let status = p.shadow_load(&mut core, src, SimTime::ZERO, &mut mem);
         assert_eq!(status, DMA_STARTED);
         assert!(p.pending.is_none());
         let rec = &core.mover().records()[0];
@@ -104,7 +85,7 @@ mod tests {
     #[test]
     fn load_without_store_fails() {
         let (mut p, mut core, mut mem) = world();
-        let status = p.shadow_load(&mut core, PhysAddr::new(PAGE_SIZE), 0, SimTime::ZERO, &mut mem);
+        let status = p.shadow_load(&mut core, PhysAddr::new(PAGE_SIZE), SimTime::ZERO, &mut mem);
         assert_eq!(status, DMA_FAILURE);
         assert_eq!(core.stats().rejected_for(RejectReason::MissingArgs), 1);
     }
@@ -119,9 +100,9 @@ mod tests {
         let dst_a = PhysAddr::new(4 * PAGE_SIZE);
         let dst_b = PhysAddr::new(5 * PAGE_SIZE);
         let src_a = PhysAddr::new(2 * PAGE_SIZE);
-        p.shadow_store(&mut core, dst_a, 0, 64, SimTime::ZERO, &mut mem); // A
-        p.shadow_store(&mut core, dst_b, 0, 32, SimTime::ZERO, &mut mem); // B overwrites
-        let status = p.shadow_load(&mut core, src_a, 0, SimTime::ZERO, &mut mem); // A resumes
+        p.shadow_store(dst_a, 64); // A
+        p.shadow_store(dst_b, 32); // B overwrites
+        let status = p.shadow_load(&mut core, src_a, SimTime::ZERO, &mut mem); // A resumes
         assert_eq!(status, DMA_STARTED);
         let rec = &core.mover().records()[0];
         // A's data went to B's destination: the paper's race.
@@ -132,10 +113,10 @@ mod tests {
     #[test]
     fn abort_clears_pending_half_initiation() {
         let (mut p, mut core, mut mem) = world();
-        p.shadow_store(&mut core, PhysAddr::new(4 * PAGE_SIZE), 0, 64, SimTime::ZERO, &mut mem);
+        p.shadow_store(PhysAddr::new(4 * PAGE_SIZE), 64);
         p.abort(); // SHRIMP kernel patch at context switch
         let status =
-            p.shadow_load(&mut core, PhysAddr::new(2 * PAGE_SIZE), 0, SimTime::ZERO, &mut mem);
+            p.shadow_load(&mut core, PhysAddr::new(2 * PAGE_SIZE), SimTime::ZERO, &mut mem);
         assert_eq!(status, DMA_FAILURE);
         assert!(core.mover().records().is_empty());
     }

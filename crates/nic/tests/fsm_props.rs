@@ -16,7 +16,7 @@ use udma_testkit::{prop_assert, prop_assert_eq, prop_assert_ne, props};
 
 use udma_bus::{MemPort, SimTime};
 use udma_mem::{PhysAddr, PhysLayout, PhysMemory, PAGE_SIZE};
-use udma_nic::protocol::{InitiationProtocol, Repeated};
+use udma_nic::protocol::Repeated;
 use udma_nic::{EngineConfig, EngineCore, DMA_STARTED};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

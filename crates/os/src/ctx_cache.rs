@@ -26,6 +26,7 @@
 //! state without interposing on transfers.
 
 use crate::arbiter::{ArbiterConfig, ArbiterStats, FairArbiter, QosClass};
+use crate::keys::KeyMint;
 use udma_bus::SimTime;
 use udma_cpu::CostModel;
 use udma_mem::splitmix64;
@@ -252,8 +253,7 @@ pub struct CtxCache {
     policy: CtxVictimPolicy,
     costs: SpillCosts,
     arbiter: FairArbiter,
-    key_state: u64,
-    key_bits: u32,
+    keys: KeyMint,
     rng_state: u64,
     clock_hand: usize,
     use_seq: u64,
@@ -268,13 +268,12 @@ impl CtxCache {
     /// Panics if `num_contexts` is 0 or exceeds the NI's
     /// [`MAX_CONTEXTS`] — the one shared definition of the context
     /// count, so the OS-side assumption cannot drift from the register
-    /// map.
+    /// map — or if `config.key_bits` is 0 or exceeds 61.
     pub fn new(num_contexts: u32, config: CtxCacheConfig) -> Self {
         assert!(
             (1..=MAX_CONTEXTS).contains(&num_contexts),
             "context count out of range (NI supports 1..={MAX_CONTEXTS})"
         );
-        assert!((1..=61).contains(&config.key_bits), "key width out of range");
         CtxCache {
             procs: Vec::new(),
             slots: vec![
@@ -284,8 +283,7 @@ impl CtxCache {
             policy: config.victim,
             costs: config.costs,
             arbiter: FairArbiter::new(config.arbiter),
-            key_state: config.seed,
-            key_bits: config.key_bits,
+            keys: KeyMint::new(config.seed, config.key_bits),
             rng_state: config.seed ^ 0x9E37_79B9_7F4A_7C15,
             clock_hand: 0,
             use_seq: 0,
@@ -318,7 +316,7 @@ impl CtxCache {
     /// [`acquire`](Self::acquire), so registering 100k processes is
     /// O(100k) table slots.
     pub fn register(&mut self, class: QosClass, now: SimTime) -> LPid {
-        let key = self.mint_key();
+        let key = self.keys.next_key();
         self.procs.push(Proc {
             key,
             class,
@@ -503,16 +501,6 @@ impl CtxCache {
             }
         }
         candidates.trailing_zeros() as usize
-    }
-
-    fn mint_key(&mut self) -> u64 {
-        let key = splitmix64(&mut self.key_state) & ((1u64 << self.key_bits) - 1);
-        // Key 0 is reserved (unprogrammed slots read 0).
-        if key == 0 {
-            1
-        } else {
-            key
-        }
     }
 }
 

@@ -16,6 +16,32 @@ pub struct CtxGrant {
     pub key: u64,
 }
 
+/// The one key-minting rule, for the key registry and the context cache:
+/// a seeded splitmix64 stream masked to the key width.
+#[derive(Clone, Debug)]
+pub(crate) struct KeyMint {
+    state: u64,
+    bits: u32,
+}
+
+impl KeyMint {
+    /// A mint of `bits`-bit keys, seeded with `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is 0 or exceeds 61 (the paper's key width).
+    pub(crate) fn new(seed: u64, bits: u32) -> Self {
+        assert!((1..=61).contains(&bits), "key width out of range");
+        KeyMint { state: seed, bits }
+    }
+
+    /// The next key. Key 0 is reserved (unprogrammed context slots read
+    /// 0), so a 0 draw becomes 1.
+    pub(crate) fn next_key(&mut self) -> u64 {
+        (udma_mem::splitmix64(&mut self.state) & ((1u64 << self.bits) - 1)).max(1)
+    }
+}
+
 /// Allocates register contexts to processes and mints their keys.
 ///
 /// Key generation is a deterministic splitmix64 stream seeded at kernel
@@ -25,8 +51,7 @@ pub struct CtxGrant {
 pub struct KeyRegistry {
     free: Vec<u32>,
     grants: HashMap<Pid, CtxGrant>,
-    state: u64,
-    key_bits: u32,
+    keys: KeyMint,
 }
 
 impl KeyRegistry {
@@ -41,28 +66,13 @@ impl KeyRegistry {
     /// map is the one source of truth for the context count, so the
     /// OS-side allocator cannot assume contexts the hardware lacks.
     pub fn new(num_contexts: u32, seed: u64, key_bits: u32) -> Self {
-        assert!((1..=61).contains(&key_bits), "key width out of range");
+        let keys = KeyMint::new(seed, key_bits);
         assert!(
             num_contexts <= udma_nic::regs::MAX_CONTEXTS,
             "context count out of range (NI supports at most {})",
             udma_nic::regs::MAX_CONTEXTS
         );
-        KeyRegistry {
-            free: (0..num_contexts).rev().collect(),
-            grants: HashMap::new(),
-            state: seed,
-            key_bits,
-        }
-    }
-
-    fn next_key(&mut self) -> u64 {
-        let key = udma_mem::splitmix64(&mut self.state) & ((1u64 << self.key_bits) - 1);
-        // Key 0 is reserved (unprogrammed context slots read 0).
-        if key == 0 {
-            1
-        } else {
-            key
-        }
+        KeyRegistry { free: (0..num_contexts).rev().collect(), grants: HashMap::new(), keys }
     }
 
     /// Grants a context to `pid`, or returns `None` when all contexts
@@ -73,7 +83,7 @@ impl KeyRegistry {
             return Some(g);
         }
         let ctx = self.free.pop()?;
-        let grant = CtxGrant { ctx, key: self.next_key() };
+        let grant = CtxGrant { ctx, key: self.keys.next_key() };
         self.grants.insert(pid, grant);
         Some(grant)
     }
@@ -148,6 +158,13 @@ mod tests {
             assert_ne!(k, 0);
             assert!(k < 256);
         }
+    }
+
+    #[test]
+    fn a_zero_draw_mints_key_one() {
+        // 1-bit keys draw 0 about half the time; key 0 is reserved.
+        let mut mint = KeyMint::new(3, 1);
+        assert!((0..64).all(|_| mint.next_key() == 1));
     }
 
     #[test]

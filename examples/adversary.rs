@@ -15,7 +15,7 @@ use udma_workloads::{
 fn main() {
     println!("== Figure 5: 3-instruction repeated passing ==");
     let s = AttackScenario::new(DmaMethod::Repeated3, AdversaryKind::Figure5);
-    let report = explore(|| s.build(), 5_000, illegal_transfer);
+    let report = explore(&s.build(), 5_000, illegal_transfer);
     println!(
         "explored {} interleavings exhaustively → {} illegal transfers",
         report.schedules,
@@ -36,7 +36,7 @@ fn main() {
 
     println!("== Figure 6: 4-instruction repeated passing ==");
     let s = AttackScenario::new(DmaMethod::Repeated4, AdversaryKind::ProbeSharedSource);
-    let report = explore(|| s.build(), 5_000, misinformation);
+    let report = explore(&s.build(), 5_000, misinformation);
     println!(
         "explored {} interleavings → {} misinformation outcomes",
         report.schedules,
@@ -56,7 +56,7 @@ fn main() {
         AdversaryKind::SandwichSteal,
     ] {
         let s = AttackScenario::new(DmaMethod::Repeated5, adv);
-        let report = explore(|| s.build(), 10_000, any_violation);
+        let report = explore(&s.build(), 10_000, any_violation);
         println!(
             "adversary {adv:?}: {} schedules, {} violations",
             report.schedules,

@@ -41,14 +41,10 @@ fn user_level_atomic_add_is_exact_under_every_interleaving() {
     // Key-based: 5 user instructions per atomic; two processes → a
     // nontrivial interleaving space, every schedule must end at 2.
     for method in [DmaMethod::KeyBased, DmaMethod::ExtShadow, DmaMethod::Kernel] {
-        let report = explore(
-            || two_adders(method),
-            10_000,
-            |m| {
-                let v = shared_word(m);
-                (v != 2).then_some(v)
-            },
-        );
+        let report = explore(&two_adders(method), 10_000, |m| {
+            let v = shared_word(m);
+            (v != 2).then_some(v)
+        });
         assert!(report.exhaustive, "{method}");
         assert!(
             report.safe(),
@@ -64,17 +60,13 @@ fn user_level_atomic_add_is_exact_under_every_interleaving() {
 fn both_adders_see_distinct_old_values() {
     // Atomicity implies linearisability here: the two returned old
     // values are {0, 1} in some order, for every schedule.
-    let report = explore(
-        || two_adders(DmaMethod::KeyBased),
-        10_000,
-        |m| {
-            let a = m.reg(Pid::new(0), Reg::R0);
-            let b = m.reg(Pid::new(1), Reg::R0);
-            let mut pair = [a, b];
-            pair.sort_unstable();
-            (pair != [0, 1]).then_some((a, b))
-        },
-    );
+    let report = explore(&two_adders(DmaMethod::KeyBased), 10_000, |m| {
+        let a = m.reg(Pid::new(0), Reg::R0);
+        let b = m.reg(Pid::new(1), Reg::R0);
+        let mut pair = [a, b];
+        pair.sort_unstable();
+        (pair != [0, 1]).then_some((a, b))
+    });
     assert!(report.safe(), "{:?}", report.findings.first().map(|f| f.detail));
 }
 
@@ -115,7 +107,7 @@ fn compare_and_swap_elects_exactly_one_winner() {
         });
         m
     };
-    let report = explore(build, 10_000, |m| {
+    let report = explore(&build(), 10_000, |m| {
         let winner_value = shared_word(m);
         let a_old = m.reg(Pid::new(0), Reg::R0);
         let b_old = m.reg(Pid::new(1), Reg::R0);
@@ -167,7 +159,7 @@ fn fetch_and_store_chains_hand_over_the_previous_value() {
         });
         m
     };
-    let report = explore(build, 10_000, |m| {
+    let report = explore(&build(), 10_000, |m| {
         let final_v = shared_word(m);
         let a = m.reg(Pid::new(0), Reg::R0);
         let b = m.reg(Pid::new(1), Reg::R0);

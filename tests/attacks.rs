@@ -14,7 +14,7 @@ fn figure_5_attack_is_found_on_the_3_instruction_variant() {
     // store — and the engine launches C→B into the victim's private
     // destination.
     let s = AttackScenario::new(DmaMethod::Repeated3, AdversaryKind::Figure5);
-    let report = explore(|| s.build(), 5_000, illegal_transfer);
+    let report = explore(&s.build(), 5_000, illegal_transfer);
     assert!(report.exhaustive);
     assert!(!report.safe(), "expected the Figure 5 attack among {} schedules", report.schedules);
 
@@ -39,7 +39,7 @@ fn figure_6_misinformation_is_found_on_the_4_instruction_variant() {
     // adversary receives the success status, and the victim's own final
     // load is told FAILURE.
     let s = AttackScenario::new(DmaMethod::Repeated4, AdversaryKind::ProbeSharedSource);
-    let report = explore(|| s.build(), 5_000, misinformation);
+    let report = explore(&s.build(), 5_000, misinformation);
     assert!(report.exhaustive);
     assert!(
         !report.safe(),
@@ -60,7 +60,7 @@ fn four_instruction_variant_never_starts_a_wrong_transfer_here() {
     // this adversary (one shared-source load) the bytes that move are
     // exactly the victim's request.
     let s = AttackScenario::new(DmaMethod::Repeated4, AdversaryKind::ProbeSharedSource);
-    let report = explore(|| s.build(), 5_000, illegal_transfer);
+    let report = explore(&s.build(), 5_000, illegal_transfer);
     assert!(report.safe());
 }
 
@@ -81,7 +81,7 @@ fn attack_rate_is_a_small_fraction_of_schedules() {
     // harmless. (This mirrors why such bugs survive testing and need
     // model checking: the paper found them by proof, we by enumeration.)
     let s = AttackScenario::new(DmaMethod::Repeated3, AdversaryKind::Figure5);
-    let report = explore(|| s.build(), 5_000, illegal_transfer);
+    let report = explore(&s.build(), 5_000, illegal_transfer);
     let rate = report.findings.len() as f64 / report.schedules as f64;
     assert!(rate > 0.0 && rate < 0.5, "attack rate {rate}");
 }
@@ -92,7 +92,7 @@ fn key_based_and_ext_shadow_resist_the_same_adversaries() {
         for adv in [AdversaryKind::Figure5, AdversaryKind::ProbeSharedSource] {
             let s = AttackScenario::new(method, adv);
             let report =
-                explore(|| s.build(), 5_000, |m| illegal_transfer(m).or_else(|| misinformation(m)));
+                explore(&s.build(), 5_000, |m| illegal_transfer(m).or_else(|| misinformation(m)));
             assert!(report.safe(), "{method} vs {adv:?}: {} violations", report.findings.len());
         }
     }

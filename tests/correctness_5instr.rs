@@ -20,7 +20,7 @@ fn five_instruction_protocol_is_safe_against_every_adversary_exhaustively() {
         AdversaryKind::SandwichSteal,
     ] {
         let s = AttackScenario::new(DmaMethod::Repeated5, adv);
-        let report = explore(|| s.build(), 10_000, any_violation);
+        let report = explore(&s.build(), 10_000, any_violation);
         assert!(report.exhaustive, "{adv:?}");
         assert!(
             report.safe(),
@@ -40,7 +40,7 @@ fn misinformation_is_impossible_for_the_5_instruction_variant() {
     // extra destination load) means only the *victim* can complete a
     // sequence whose destination is the victim's page.
     let s = AttackScenario::new(DmaMethod::Repeated5, AdversaryKind::ProbeSharedSource);
-    let report = explore(|| s.build(), 10_000, udma_workloads::misinformation);
+    let report = explore(&s.build(), 10_000, udma_workloads::misinformation);
     assert!(report.safe(), "{} violations", report.findings.len());
 }
 
@@ -66,7 +66,7 @@ fn sampled_three_process_schedules_stay_safe() {
         });
         m
     };
-    let report = explore_sampled(factory, 20_000, 3_000, 0xA77AC4, any_violation);
+    let report = explore_sampled(&factory(), 20_000, 3_000, 0xA77AC4, any_violation);
     assert_eq!(report.schedules, 3_000);
     assert!(!report.exhaustive);
     assert!(report.safe(), "{} violations", report.findings.len());
@@ -114,7 +114,7 @@ fn schedule_space_of_the_full_scenario_is_what_the_paper_reasoned_over() {
     // Victim 8 instructions (incl. halt) × adversary 8 → 12 870 merge
     // orders; the paper's Figure 8 hand analysis covered 3 of them.
     let s = AttackScenario::new(DmaMethod::Repeated5, AdversaryKind::OwnInitiation);
-    let report = explore(|| s.build(), 10_000, any_violation);
+    let report = explore(&s.build(), 10_000, any_violation);
     assert_eq!(report.schedules, 12_870);
     assert!(report.safe());
 }

@@ -8,7 +8,7 @@ use udma_workloads::{any_violation, illegal_transfer, AdversaryKind, AttackScena
 
 fn explore_method(method: DmaMethod) -> udma::ExploreReport<udma_nic::TransferRecord> {
     let s = AttackScenario::new(method, AdversaryKind::OwnInitiation);
-    explore(|| s.build(), 5_000, any_violation)
+    explore(&s.build(), 5_000, any_violation)
 }
 
 #[test]
@@ -93,29 +93,25 @@ fn both_processes_eventually_transfer_in_every_interleaving_for_contexts() {
     // processes' transfers complete correctly under every interleaving.
     for method in [DmaMethod::KeyBased, DmaMethod::ExtShadow] {
         let s = AttackScenario::new(method, AdversaryKind::OwnInitiation);
-        let report = explore(
-            || s.build(),
-            5_000,
-            |m| {
-                let venv = m.env(udma_workloads::VICTIM);
-                let aenv = m.env(udma_workloads::ADVERSARY);
-                let transfers = m.transfers();
-                let victim_ok = transfers.iter().any(|r| {
-                    r.src.page() == venv.buffer(0).first_frame
-                        && r.dst.page() == venv.buffer(1).first_frame
-                });
-                // The "adversary" here is honest: src buffer 1 → dst 0.
-                let adv_ok = transfers.iter().any(|r| {
-                    r.src.page() == aenv.buffer(1).first_frame
-                        && r.dst.page() == aenv.buffer(0).first_frame
-                });
-                if victim_ok && adv_ok && transfers.len() == 2 {
-                    None
-                } else {
-                    Some(transfers.len() as u64)
-                }
-            },
-        );
+        let report = explore(&s.build(), 5_000, |m| {
+            let venv = m.env(udma_workloads::VICTIM);
+            let aenv = m.env(udma_workloads::ADVERSARY);
+            let transfers = m.transfers();
+            let victim_ok = transfers.iter().any(|r| {
+                r.src.page() == venv.buffer(0).first_frame
+                    && r.dst.page() == venv.buffer(1).first_frame
+            });
+            // The "adversary" here is honest: src buffer 1 → dst 0.
+            let adv_ok = transfers.iter().any(|r| {
+                r.src.page() == aenv.buffer(1).first_frame
+                    && r.dst.page() == aenv.buffer(0).first_frame
+            });
+            if victim_ok && adv_ok && transfers.len() == 2 {
+                None
+            } else {
+                Some(transfers.len() as u64)
+            }
+        });
         assert!(
             report.safe(),
             "{method}: some interleaving lost a transfer ({} findings)",
@@ -131,7 +127,7 @@ fn schedule_spaces_match_the_multinomials() {
         AdversaryKind::OwnInitiation,
     );
     // Victim: store, load, halt = 3; adversary: 3 → C(6,3) = 20.
-    assert_eq!(schedule_space(|| s.build()), 20);
+    assert_eq!(schedule_space(&s.build()), 20);
     let report = explore_method(DmaMethod::Shrimp2 { patched_kernel: false });
     assert_eq!(report.schedules, 20);
 }
@@ -142,7 +138,7 @@ fn pairwise_ext_shadow_refuses_mixed_pairs_instead_of_mixing() {
     // two processes is *detected* (CtxMismatch) — both processes fail and
     // must retry, but no wrong transfer ever starts.
     let s = AttackScenario::new(DmaMethod::ExtShadowPairwise, AdversaryKind::OwnInitiation);
-    let report = explore(|| s.build(), 5_000, any_violation);
+    let report = explore(&s.build(), 5_000, any_violation);
     assert!(report.safe(), "{} violations", report.findings.len());
     // At least one schedule must actually hit the mismatch path.
     let mut mismatches_seen = false;

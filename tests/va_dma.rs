@@ -422,7 +422,7 @@ fn no_interleaving_of_fault_pause_and_context_switch_leaks_bytes() {
         mem.write_u64(sf.base() + PAGE_SIZE, 0xFACE_0002).unwrap();
         m
     };
-    let report = explore(build, 10_000, |m| {
+    let report = explore(&build(), 10_000, |m| {
         let v = Pid::new(0);
         // Transfer 0 is the warm-up; 1 is the program's.
         let t = m.engine().core().virt_xfers()[1];
