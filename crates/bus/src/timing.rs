@@ -15,13 +15,25 @@ pub struct BusTiming {
     /// Bus cycles a single-word read transaction occupies (reads need the
     /// round trip: address out, device turnaround, data back).
     read_cycles: u64,
+    /// `write_cycles` of bus time, priced once.
+    write_time: SimTime,
+    /// `read_cycles` of bus time, priced once.
+    read_time: SimTime,
     name: &'static str,
 }
 
 impl BusTiming {
     /// Creates a custom timing.
     pub fn new(name: &'static str, hz: u64, write_cycles: u64, read_cycles: u64) -> Self {
-        BusTiming { clock: Clock::new(hz), write_cycles, read_cycles, name }
+        let clock = Clock::new(hz);
+        BusTiming {
+            clock,
+            write_cycles,
+            read_cycles,
+            write_time: clock.cycles(write_cycles),
+            read_time: clock.cycles(read_cycles),
+            name,
+        }
     }
 
     /// The 12.5 MHz TurboChannel of the paper's DEC Alpha 3000/300
@@ -56,8 +68,8 @@ impl BusTiming {
     /// Wall time one transaction of kind `op` occupies the bus.
     pub fn time_for(&self, op: BusOp) -> SimTime {
         match op {
-            BusOp::Read => self.clock.cycles(self.read_cycles),
-            BusOp::Write => self.clock.cycles(self.write_cycles),
+            BusOp::Read => self.read_time,
+            BusOp::Write => self.write_time,
         }
     }
 }
@@ -91,6 +103,23 @@ mod tests {
     fn names() {
         assert!(BusTiming::turbochannel().name().contains("TurboChannel"));
         assert_eq!(BusTiming::default(), BusTiming::turbochannel());
+    }
+
+    /// The prices `new` stores are the clock's own conversions of the
+    /// cycle counts, rounding included (33.3 MHz and 7 Hz do not divide
+    /// a second into whole picoseconds per cycle).
+    #[test]
+    fn transaction_times_are_the_clock_s_cycles() {
+        let presets = [
+            BusTiming::turbochannel(),
+            BusTiming::pci66(),
+            BusTiming::scaled(33_333_333),
+            BusTiming::scaled(7),
+        ];
+        for t in presets {
+            assert_eq!(t.time_for(BusOp::Read), t.clock().cycles(t.read_cycles), "{}", t.name());
+            assert_eq!(t.time_for(BusOp::Write), t.clock().cycles(t.write_cycles), "{}", t.name());
+        }
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! ([`emit_virt_dma`]), with the OS servicing any I/O page faults the
 //! engine raises mid-transfer ([`crate::Machine::service_va_faults`]).
 
+use crate::initiate::{load, store};
 use crate::ProcessEnv;
-use udma_cpu::{ProgramBuilder, Reg};
+use udma_cpu::ProgramBuilder;
 use udma_iommu::IotlbConfig;
 use udma_nic::{regs, VirtDmaConfig};
 
@@ -73,14 +74,19 @@ impl VirtDmaSetup {
 /// when a [`VirtDmaSetup`] is configured).
 pub fn emit_virt_dma(
     env: &ProcessEnv,
-    b: ProgramBuilder,
+    mut b: ProgramBuilder,
     src: udma_mem::VirtAddr,
     dst: udma_mem::VirtAddr,
     size: u64,
 ) -> ProgramBuilder {
     let page = env.ctx_page_va.expect("virtual-address DMA needs a context page").as_u64();
-    b.store(page + regs::CTX_VIRT_SRC, src.as_u64())
-        .store(page + regs::CTX_VIRT_DST, dst.as_u64())
-        .store(page + regs::CTX_VIRT_GO, size)
-        .load(Reg::R0, page + regs::CTX_VIRT_GO)
+    for ins in [
+        store(page + regs::CTX_VIRT_SRC, src.as_u64()),
+        store(page + regs::CTX_VIRT_DST, dst.as_u64()),
+        store(page + regs::CTX_VIRT_GO, size),
+        load(page + regs::CTX_VIRT_GO),
+    ] {
+        b.push(ins);
+    }
+    b
 }

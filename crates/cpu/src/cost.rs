@@ -122,6 +122,38 @@ impl CostModel {
     }
 }
 
+/// The [`CostModel`]'s fixed charges, converted to time once: the
+/// executor adds these per instruction instead of dividing by the clock
+/// rate. Each field is what the model's method of the same name returns
+/// (`dcache_hit` is `dcache_hit_cycles` of CPU time), rounding included.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Prices {
+    pub instr: SimTime,
+    pub mem_instr: SimTime,
+    pub mb: SimTime,
+    pub tlb_miss: SimTime,
+    pub dcache_hit: SimTime,
+    pub syscall_round_trip: SimTime,
+    pub context_switch: SimTime,
+    pub pal_call: SimTime,
+}
+
+impl Prices {
+    /// Prices every fixed charge of `cost`.
+    pub fn of(cost: &CostModel) -> Self {
+        Prices {
+            instr: cost.instr(),
+            mem_instr: cost.mem_instr(),
+            mb: cost.mb(),
+            tlb_miss: cost.tlb_miss(),
+            dcache_hit: cost.cycles(cost.dcache_hit_cycles),
+            syscall_round_trip: cost.syscall_round_trip(),
+            context_switch: cost.context_switch(),
+            pal_call: cost.pal_call(),
+        }
+    }
+}
+
 impl Default for CostModel {
     fn default() -> Self {
         Self::alpha_3000_300()

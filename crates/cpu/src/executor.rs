@@ -1,11 +1,12 @@
 //! The executor: runs processes instruction by instruction through the
 //! TLB and write buffer onto the bus.
 
+use crate::cost::Prices;
 use crate::{
     CostModel, Instr, Operand, Pid, Process, Program, Reg, Scheduler, SwitchReason, TrapHandler,
 };
 use std::collections::HashMap;
-use udma_bus::{Bus, BusTxn, PendingStore, SimTime, WriteBuffer, WriteBufferPolicy};
+use udma_bus::{Bus, BusTxn, Clock, PendingStore, SimTime, WriteBuffer, WriteBufferPolicy};
 use udma_mem::{Access, MemFault, PageTable, Tlb, TlbStats, VirtPage};
 
 /// Counters kept by the executor.
@@ -41,13 +42,17 @@ pub struct Executor {
     processes: Vec<Process>,
     tlb: Tlb,
     wb: WriteBuffer,
-    cost: CostModel,
+    /// The CPU clock, for `Compute`'s cycle counts.
+    cpu: Clock,
+    /// The cost model's fixed charges, priced once.
+    price: Prices,
     now: SimTime,
     current: Option<Pid>,
     pal: HashMap<u16, Program>,
     stats: ExecStats,
-    /// The pids able to run, refilled before every instruction; kept
-    /// here so the scheduler's ready set is never reallocated.
+    /// The pids able to run, in spawn order. Refilled when a run starts
+    /// and after an instruction that stopped a process (none ever
+    /// becomes ready again), and kept here so it is never reallocated.
     ready: Vec<Pid>,
 }
 
@@ -70,7 +75,8 @@ impl Executor {
             processes: Vec::new(),
             tlb: Tlb::default(),
             wb: WriteBuffer::new(wb_policy),
-            cost,
+            cpu: cost.cpu,
+            price: Prices::of(&cost),
             now: SimTime::ZERO,
             current: None,
             pal: HashMap::new(),
@@ -162,10 +168,8 @@ impl Executor {
         max_steps: u64,
     ) -> RunOutcome {
         let mut steps = 0;
+        self.refresh_ready();
         while steps < max_steps {
-            self.ready.clear();
-            let ready = self.processes.iter().filter(|p| p.state().is_ready()).map(Process::pid);
-            self.ready.extend(ready);
             if self.ready.is_empty() {
                 // A real write buffer drains within cycles of going idle;
                 // retire whatever the last process left behind.
@@ -174,13 +178,26 @@ impl Executor {
             }
             let pick = sched.pick(self.stats.instructions, self.current, &self.ready);
             debug_assert!(self.ready.contains(&pick), "scheduler picked non-ready {pick}");
+            // Only a kill can stop a process other than `pick`: the
+            // switch's and the instruction's write-buffer drains retire
+            // other processes' stores. Every kill counts a fault.
+            let faults = self.stats.faults;
             if self.current != Some(pick) {
                 self.switch_to(pick, kernel, bus);
             }
             self.exec_one(pick, kernel, bus);
+            if self.stats.faults != faults || !self.process(pick).state().is_ready() {
+                self.refresh_ready();
+            }
             steps += 1;
         }
         RunOutcome { steps, finished: !self.processes.iter().any(|p| p.state().is_ready()) }
+    }
+
+    fn refresh_ready(&mut self) {
+        self.ready.clear();
+        let ready = self.processes.iter().filter(|p| p.state().is_ready()).map(Process::pid);
+        self.ready.extend(ready);
     }
 
     fn switch_to(&mut self, to: Pid, kernel: &mut dyn TrapHandler, bus: &mut Bus) {
@@ -199,7 +216,7 @@ impl Executor {
         self.tlb.flush_all();
         bus.port_mut().cpu_flush_all();
         if from.is_some() {
-            self.now += self.cost.context_switch();
+            self.now += self.price.context_switch;
             self.stats.context_switches += 1;
         }
         let extra = kernel.on_context_switch(from, to, reason, bus, self.now);
@@ -232,19 +249,19 @@ impl Executor {
                     self.stats.syscalls += 1;
                     // Kernel entry is a barrier.
                     self.retire_all(bus);
-                    self.now += self.cost.syscall_round_trip();
+                    self.now += self.price.syscall_round_trip;
                     let outcome = kernel.syscall(no, &mut self.processes[idx], bus, self.now);
                     self.now += outcome.time;
                     self.processes[idx].set_reg(Reg::R0, outcome.retval);
                 }
                 Instr::CallPal { index } => {
                     self.stats.pal_calls += 1;
-                    self.now += self.cost.pal_call();
+                    self.now += self.price.pal_call;
                     self.exec_pal(idx, index, bus);
                 }
                 // `Halt`: `step` ran every other instruction.
                 _ => {
-                    self.now += self.cost.instr();
+                    self.now += self.price.instr;
                     self.processes[idx].halt();
                 }
             }
@@ -261,45 +278,51 @@ impl Executor {
     /// already advanced past it (a taken branch overwrites it). Returns
     /// `None` for the mode-specific `Syscall`, `CallPal` and `Halt`, and
     /// `Some(false)` if a load or store faulted.
+    ///
+    /// Inlined, like `do_load` and `do_store`, so the instruction's fields
+    /// reach it in registers: passed by value, the copy `exec_one` just
+    /// stored would be reloaded through the stack, a load the CPU cannot
+    /// forward from its store buffer.
+    #[inline(always)]
     fn step(&mut self, idx: usize, ins: Instr, pc: &mut usize, bus: &mut Bus) -> Option<bool> {
         match ins {
             Instr::Imm { dst, value } => {
-                self.now += self.cost.instr();
+                self.now += self.price.instr;
                 self.processes[idx].set_reg(dst, value);
             }
             Instr::AddImm { dst, src, imm } => {
-                self.now += self.cost.instr();
+                self.now += self.price.instr;
                 let v = self.processes[idx].reg(src).wrapping_add(imm as u64);
                 self.processes[idx].set_reg(dst, v);
             }
             Instr::Add { dst, a, b } => {
-                self.now += self.cost.instr();
+                self.now += self.price.instr;
                 let v = self.processes[idx].reg(a).wrapping_add(self.processes[idx].reg(b));
                 self.processes[idx].set_reg(dst, v);
             }
             Instr::Load { dst, addr } => return Some(self.do_load(idx, dst, addr, bus).is_ok()),
             Instr::Store { addr, src } => return Some(self.do_store(idx, addr, src, bus).is_ok()),
             Instr::Mb => {
-                self.now += self.cost.mb();
+                self.now += self.price.mb;
                 self.retire_all(bus);
             }
             Instr::Compute { cycles } => {
-                self.now += self.cost.cycles(cycles as u64);
+                self.now += self.cpu.cycles(cycles as u64);
             }
             Instr::Beq { reg, value, target } => {
-                self.now += self.cost.instr();
+                self.now += self.price.instr;
                 if self.processes[idx].reg(reg) == value {
                     *pc = target;
                 }
             }
             Instr::Bne { reg, value, target } => {
-                self.now += self.cost.instr();
+                self.now += self.price.instr;
                 if self.processes[idx].reg(reg) != value {
                     *pc = target;
                 }
             }
             Instr::Jmp { target } => {
-                self.now += self.cost.instr();
+                self.now += self.price.instr;
                 *pc = target;
             }
             Instr::Syscall { .. } | Instr::CallPal { .. } | Instr::Halt => return None,
@@ -360,7 +383,7 @@ impl Executor {
         let va = udma_mem::VirtAddr::new(va);
         let (pa, hit) = self.tlb.translate(self.processes[idx].page_table(), va, access)?;
         if !hit {
-            self.now += self.cost.tlb_miss();
+            self.now += self.price.tlb_miss;
         }
         Ok(pa)
     }
@@ -370,6 +393,7 @@ impl Executor {
         self.stats.faults += 1;
     }
 
+    #[inline(always)]
     fn do_load(&mut self, idx: usize, dst: Reg, addr: Operand, bus: &mut Bus) -> Result<(), ()> {
         let va = self.resolve(idx, addr);
         let pa = match self.translate(idx, va, Access::Read) {
@@ -379,7 +403,7 @@ impl Executor {
                 return Err(());
             }
         };
-        self.now += self.cost.mem_instr();
+        self.now += self.price.mem_instr;
         let tag = self.processes[idx].pid().as_u32();
         let loaded = if bus.layout().is_device(pa) {
             // Uncached device loads are strongly ordered with respect to
@@ -397,11 +421,7 @@ impl Executor {
             // Cacheable load through the CPU's cache: a hit costs the hit
             // cycles, a miss the DRAM latency, plus any coherence time.
             bus.cpu_read(pa, tag, self.now).map(|(data, hit, extra)| {
-                let base = if hit {
-                    self.cost.cycles(self.cost.dcache_hit_cycles)
-                } else {
-                    bus.ram_latency()
-                };
+                let base = if hit { self.price.dcache_hit } else { bus.ram_latency() };
                 (data, base + extra)
             })
         };
@@ -418,6 +438,7 @@ impl Executor {
         }
     }
 
+    #[inline(always)]
     fn do_store(
         &mut self,
         idx: usize,
@@ -434,7 +455,7 @@ impl Executor {
                 return Err(());
             }
         };
-        self.now += self.cost.mem_instr();
+        self.now += self.price.mem_instr;
         let tag = self.processes[idx].pid().as_u32();
         if let Some(p) = self.wb.push(PendingStore { paddr: pa, data, tag }) {
             if let Err(f) = self.retire(p, bus) {
@@ -495,6 +516,40 @@ mod tests {
 
     fn exec() -> Executor {
         Executor::new(CostModel::alpha_3000_300(), WriteBufferPolicy::default())
+    }
+
+    /// The executor's price table holds exactly what the cost model's
+    /// methods charge, for both presets and for a model with every
+    /// field changed (a clock whose cycle is no whole number of
+    /// picoseconds, so rounding shows).
+    #[test]
+    fn price_table_equals_the_cost_model() {
+        let odd = CostModel {
+            cpu: udma_bus::Clock::new(333_333_333),
+            instr_cycles: 3,
+            mem_instr_cycles: 5,
+            mb_cycles: 7,
+            syscall_entry_cycles: 11,
+            syscall_exit_cycles: 13,
+            translation_cycles: 17,
+            tlb_miss_cycles: 19,
+            dcache_hit_cycles: 23,
+            context_switch_cycles: 29,
+            pal_call_cycles: 31,
+        };
+        for cost in [CostModel::alpha_3000_300(), CostModel::modern_trend_host(), odd] {
+            let ex = Executor::new(cost, WriteBufferPolicy::default());
+            let p = ex.price;
+            assert_eq!(ex.cpu, cost.cpu);
+            assert_eq!(p.instr, cost.instr());
+            assert_eq!(p.mem_instr, cost.mem_instr());
+            assert_eq!(p.mb, cost.mb());
+            assert_eq!(p.tlb_miss, cost.tlb_miss());
+            assert_eq!(p.dcache_hit, cost.cycles(cost.dcache_hit_cycles));
+            assert_eq!(p.syscall_round_trip, cost.syscall_round_trip());
+            assert_eq!(p.context_switch, cost.context_switch());
+            assert_eq!(p.pal_call, cost.pal_call());
+        }
     }
 
     #[test]

@@ -431,10 +431,7 @@ impl EngineCore {
     /// Write to `ATOMIC_CMD`: executes the staged kernel-path atomic.
     pub fn exec_kernel_atomic(&mut self, code: u64, mem: &mut MemPort) {
         let (addr, op1, op2) = (PhysAddr::new(self.atomic_addr), self.atomic_op1, self.atomic_op2);
-        self.atomic_result = match AtomicOp::from_code(code) {
-            Some(op) => self.exec_atomic(op, addr, op1, op2, mem).unwrap_or(DMA_FAILURE),
-            None => DMA_FAILURE,
-        };
+        self.atomic_result = self.exec_atomic(code, addr, op1, op2, mem);
     }
 
     /// Read of `ATOMIC_CMD`: result of the last kernel-path atomic.
@@ -442,26 +439,31 @@ impl EngineCore {
         self.atomic_result
     }
 
-    /// Executes an atomic operation against memory through the port's
-    /// engine side (shared by the kernel path and the user-level context
-    /// paths). The initiation is not charged the snoop time; the port's
+    /// Executes the atomic command `code` against memory through the
+    /// port's engine side: the one decoder behind the kernel path and the
+    /// user-level context pages. Returns the old value, or `DMA_FAILURE`
+    /// for an unknown code or an address outside memory (a `BadRange`
+    /// reject). The initiation is not charged the snoop time; the port's
     /// coherence statistics count it.
     pub fn exec_atomic(
         &mut self,
-        op: AtomicOp,
+        code: u64,
         addr: PhysAddr,
         op1: u64,
         op2: u64,
         mem: &mut MemPort,
-    ) -> Option<u64> {
+    ) -> u64 {
+        let Some(op) = AtomicOp::from_code(code) else {
+            return DMA_FAILURE;
+        };
         match op.apply(mem, addr, op1, op2) {
             Ok(old) => {
                 self.stats.atomics += 1;
-                Some(old)
+                old
             }
             Err(_) => {
                 self.stats.reject(RejectReason::BadRange);
-                None
+                DMA_FAILURE
             }
         }
     }

@@ -71,14 +71,18 @@ impl TransferRecord {
 
 /// Of `bytes` that arrive linearly from `start` to `end`, those still in
 /// flight at `now`, rounded up (0 from `end` on): the wire model behind
-/// every status load that reports bytes left.
+/// every status load that reports bytes left. Exact: computed in 64-bit
+/// while `bytes · left` fits, in 128-bit beyond that.
 pub(crate) fn in_flight(bytes: u64, start: SimTime, end: SimTime, now: SimTime) -> u64 {
     if now >= end {
         return 0;
     }
     let total = (end - start).as_ps().max(1);
     let left = (end - now).as_ps();
-    (bytes as u128 * left as u128).div_ceil(total as u128) as u64
+    match bytes.checked_mul(left) {
+        Some(scaled) => scaled.div_ceil(total),
+        None => (bytes as u128 * left as u128).div_ceil(total as u128) as u64,
+    }
 }
 
 /// The mover's state: the link that times local transfers, the record
@@ -251,6 +255,50 @@ mod tests {
     use super::*;
     use udma_bus::{CacheConfig, CoherenceMode, CoherenceTiming, MesiState};
     use udma_mem::PhysMemory;
+    use udma_testkit::prop::any;
+    use udma_testkit::{prop_assert_eq, props};
+
+    /// The 128-bit in-flight count the 64-bit path must reproduce
+    /// exactly.
+    fn in_flight_in_u128(bytes: u64, start: u64, end: u64, now: u64) -> u64 {
+        if now >= end {
+            return 0;
+        }
+        let total = (end - start).max(1);
+        (bytes as u128 * (end - now) as u128).div_ceil(total as u128) as u64
+    }
+
+    props! {
+        /// `in_flight` equals the 128-bit formula for transfers of every
+        /// duration, before and at or after their end: at random sizes,
+        /// small ones, and the sizes on both sides of the largest one
+        /// whose `bytes · left` still fits in 64 bits.
+        fn in_flight_matches_the_128_bit_formula(
+            span_bits in any::<u64>(),
+            span_shift in 0u32..64,
+            left_bits in any::<u64>(),
+            bytes in any::<u64>(),
+            small in 0u64..1_000_000,
+        ) {
+            // The transfer starts at `small` ps and ends `span` ps later;
+            // the second `now` falls at or up to 2 ps past its end.
+            let (start, near) = (small, bytes >> 62);
+            let span = (span_bits >> span_shift).clamp(1, u64::MAX - 2_000_000);
+            let end = start + span;
+            let left = 1 + left_bits % span;
+            let boundary = u64::MAX / left;
+            let above = boundary.saturating_add(1 + near);
+            let sizes = [bytes, small, boundary - near.min(boundary), above];
+            for now in [end - left, end + near % 3] {
+                for b in sizes {
+                    let t = SimTime::from_ps;
+                    let got = in_flight(b, t(start), t(end), t(now));
+                    let want = in_flight_in_u128(b, start, end, now);
+                    prop_assert_eq!(got, want, "{} B, start {} end {} now {}", b, start, end, now);
+                }
+            }
+        }
+    }
 
     /// A mover on a 1 Gb/s zero-latency link, fresh counters, and a
     /// 1 MiB port in `mode`.

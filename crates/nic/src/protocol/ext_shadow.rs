@@ -248,7 +248,7 @@ mod tests {
     fn atomic_fetch_store_via_ext_shadow() {
         let (mut p, mut core, mut mem) = world();
         let addr = PhysAddr::new(0x200);
-        core.exec_atomic(AtomicOp::FetchStore, addr, 5, 0, &mut mem).unwrap();
+        assert_eq!(core.exec_atomic(AtomicOp::FetchStore.code(), addr, 5, 0, &mut mem), 0);
         p.shadow_store(&mut core, addr, 3, 0); // address only
         p.ctx_store(&mut core, 3, regs::CTX_ATOMIC_OPERAND1, 77, &mut mem);
         p.ctx_store(&mut core, 3, regs::CTX_ATOMIC_CMD, AtomicOp::FetchStore.code(), &mut mem);

@@ -185,7 +185,7 @@ mod tests {
             let _ = mem;
         }
         // Seed memory.
-        core.exec_atomic(AtomicOp::FetchStore, addr, 10, 0, &mut mem).unwrap();
+        assert_eq!(core.exec_atomic(AtomicOp::FetchStore.code(), addr, 10, 0, &mut mem), 0);
         let key = encode_key_ctx(0xFEED_BEEF, 1);
         p.shadow_store(&mut core, addr, key); // address
         p.ctx_store(&mut core, 1, regs::CTX_ATOMIC_OPERAND1, 32, &mut mem);

@@ -31,7 +31,7 @@ pub use shrimp1::Shrimp1;
 pub use shrimp2::Shrimp2;
 
 use crate::regs;
-use crate::{AtomicOp, EngineCore, Initiator, RejectReason, DMA_FAILURE, DMA_STARTED};
+use crate::{EngineCore, Initiator, RejectReason, DMA_FAILURE, DMA_STARTED};
 use std::fmt;
 use udma_bus::{MemPort, SimTime};
 use udma_mem::PhysAddr;
@@ -402,9 +402,7 @@ fn ctx_atomic_store(
                 return false;
             };
             let [op1, op2] = core.context(ctx).atomic_operands();
-            let result = AtomicOp::from_code(data)
-                .and_then(|op| core.exec_atomic(op, addr, op1, op2, mem))
-                .unwrap_or(DMA_FAILURE);
+            let result = core.exec_atomic(data, addr, op1, op2, mem);
             core.context_mut(ctx).set_atomic_result(result);
             return true;
         }

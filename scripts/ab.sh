@@ -13,6 +13,9 @@
 # the host metrics host_xfers_per_ref, setup_s and peak_rss_mib, and for
 # each the number of pairs the change won in the metric's better
 # direction: host_xfers_per_ref higher, setup_s and peak_rss_mib lower.
+# The same table shows host.reference_us, the benchmark's timing of its
+# fixed reference loop: a host that ran in different modes for the two
+# sides shows as different medians there, and no winner is counted.
 # Last, one line on the simulated results sim_init_us, sim_xfer_p50_us,
 # sim_xfer_p99_us and fail_frac: identical in all 2 x PAIRS runs, or the
 # first run and metric that differ from the parent's first run.
@@ -46,8 +49,9 @@ metric() { # NAME < benchmark output
   awk -v w="$workload" -v m="$1" '$1 == "METRIC" && $2 == w && $3 == m { print $4 }'
 }
 # runs.txt columns: side, pair, then these metrics in order.
-recorded=(host_xfers_per_ref setup_s peak_rss_mib sim_init_us sim_xfer_p50_us sim_xfer_p99_us
-  fail_frac)
+recorded=(host_xfers_per_ref setup_s peak_rss_mib host.reference_us sim_init_us sim_xfer_p50_us
+  sim_xfer_p99_us fail_frac)
+hosts=4 # the first `hosts` recorded metrics are host-timed, the rest simulated
 : >"$ab/runs.txt"
 for ((i = 0; i < pairs; i++)); do
   if ((i % 2 == 0)); then order="parent change"; else order="change parent"; fi
@@ -62,9 +66,10 @@ for ((i = 0; i < pairs; i++)); do
     done
     echo "$row" >>"$ab/runs.txt"
   done
-  awk -v i="$i" '$2 == i { x[$1] = $3; s[$1] = $4; r[$1] = $5 } END {
-    printf "pair %2d  host_xfers_per_ref %.4f -> %.4f  setup_s %.6f -> %.6f  peak_rss_mib %.2f -> %.2f\n",
-      i, x["parent"], x["change"], s["parent"], s["change"], r["parent"], r["change"] }' "$ab/runs.txt"
+  awk -v i="$i" '$2 == i { x[$1] = $3; s[$1] = $4; r[$1] = $5; u[$1] = $6 } END {
+    printf "pair %2d  host_xfers_per_ref %.4f -> %.4f  setup_s %.6f -> %.6f  peak_rss_mib %.2f -> %.2f  host.reference_us %.3f -> %.3f\n",
+      i, x["parent"], x["change"], s["parent"], s["change"], r["parent"], r["change"],
+      u["parent"], u["change"] }' "$ab/runs.txt"
 done
 
 quartiles() { # SIDE COLUMN -> "q1 median q3" (linear interpolation)
@@ -78,7 +83,7 @@ printf '%-20s %-7s %10s %10s %10s\n' metric side q1 median q3
 # NAME COLUMN BETTER: the column runs.txt keeps the metric in, and the
 # direction in which the change wins a pair.
 metrics=("host_xfers_per_ref 3 higher" "setup_s 4 lower" "peak_rss_mib 5 lower")
-for m in "${metrics[@]}"; do
+for m in "${metrics[@]}" "host.reference_us 6 -"; do
   read -r name col _ <<<"$m"
   for side in parent change; do
     read -r q1 med q3 <<<"$(quartiles "$side" "$col")"
@@ -98,12 +103,12 @@ for m in "${metrics[@]}"; do
 done
 # Simulated results depend on the seed alone: any difference between
 # runs is a change in what the program simulates, not host noise.
-awk -v names="${recorded[*]}" 'BEGIN {
+awk -v names="${recorded[*]}" -v hosts="$hosts" 'BEGIN {
     n = split(names, name, " ")
-    for (c = 4; c <= n; c++) sims = sims (c > 4 ? " " : "") name[c]
+    for (c = hosts + 1; c <= n; c++) sims = sims (c > hosts + 1 ? " " : "") name[c]
   } {
-    if (NR == 1) { for (c = 6; c <= n + 2; c++) ref[c] = $c; next }
-    for (c = 6; c <= n + 2; c++) if ($c != ref[c] && !diff) {
+    if (NR == 1) { for (c = hosts + 3; c <= n + 2; c++) ref[c] = $c; next }
+    for (c = hosts + 3; c <= n + 2; c++) if ($c != ref[c] && !diff) {
       diff = sprintf("%s run of pair %d: %s %s, against %s in the first parent run",
         $1, $2, name[c - 2], $c, ref[c])
     }
